@@ -43,14 +43,14 @@ class ConfigError(Exception):
 
 
 def _chart_for(model: str, n: int, delta: int) -> contact.ContactChart:
-    if model == "hopf":
-        return contact.hopf_chart(n)
-    if model == "fibered":
-        try:
-            return contact.fibered_chart(n, delta)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown model {model!r}")
+    if model not in ("hopf", "fibered"):
+        raise ConfigError(f"unknown model {model!r}")
+    if model == "hopf" and delta != 2:
+        raise ConfigError(f"the hopf model has degree 2, not {delta}")
+    try:
+        return contact.hopf_chart(n) if model == "hopf" else contact.fibered_chart(n, delta)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _algebra_bundle(type_name: str):
@@ -136,6 +136,8 @@ def run_verify_lemma21(config: Dict[str, object]) -> Report:
     report = Report(config)
     fdeg = config.get("fdeg")
     gdeg = config.get("gdeg")
+    if cc.chart.fiber_var is None and any(d is not None and int(d) < 0 for d in (fdeg, gdeg)):
+        raise ConfigError(f"the {config['model']} model has no functions of negative degree")
     if fdeg is not None and gdeg is not None:
         pairs = [(int(fdeg), int(gdeg))] * max(1, int(config["samples"]))
     else:
@@ -179,7 +181,7 @@ def run_cocycle(config: Dict[str, object]) -> Report:
 def run_quotient(config: Dict[str, object]) -> Report:
     n = int(config["n"])
     sampler = SeededSampler(int(config["seed"]))
-    cc = contact.hopf_chart(n)
+    cc = _chart_for("hopf", n, 2)
     monomials = []
     for _ in range(max(1, int(config["samples"]))):
         degree = sampler.integer(0, 6)
@@ -191,7 +193,7 @@ def run_quotient(config: Dict[str, object]) -> Report:
 
 def run_immersion(config: Dict[str, object]) -> Report:
     n = int(config["n"])
-    cc = contact.hopf_chart(n)
+    cc = _chart_for("hopf", n, 2)
     sampler = SeededSampler(int(config["seed"]))
     basis = contact.monomial_basis(2 * n + 1, 2)
     fs = [

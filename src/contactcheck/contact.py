@@ -189,43 +189,14 @@ def field_scaling_degrees(cc: ContactChart, field: PolyVectorField) -> Dict[int,
 # -- the symplectic solver ---------------------------------------------------------
 
 
-def _laurent_to_rf(cc: ContactChart, coeff: Coeff) -> RationalFunction:
-    variables = cc.chart.all_vars
-    fiber = cc.chart.fiber_var
-    shift = min(0, coeff.min_exp())
-    num = MultiPoly.zero(variables)
-    for k, poly in coeff.parts.items():
-        term = poly.with_vars(variables)
-        if fiber is not None and k - shift:
-            term = term * MultiPoly.variable(fiber, variables) ** (k - shift)
-        num = num + term
-    den = MultiPoly.const(1, variables)
-    if fiber is not None and shift:
-        den = MultiPoly.variable(fiber, variables) ** (-shift)
-    return RationalFunction(num, den)
-
-
-def _rf_to_laurent(cc: ContactChart, rf: RationalFunction) -> Coeff:
-    fiber = cc.chart.fiber_var
-    den = rf.den
-    if den.is_constant():
-        scale = den.constant_value().inverse()
-        return LaurentPoly.from_poly(rf.num.scale(scale), fiber)
-    if fiber is None:
-        raise ValueError(f"solution is not polynomial: denominator {den}")
-    if len(den.terms) != 1:
-        raise ValueError(f"solution denominator {den} is not a fiber monomial")
-    expo, c = next(iter(den.terms.items()))
-    for name, e in zip(den.vars, expo):
-        if e and name != fiber:
-            raise ValueError(f"solution denominator {den} involves base variable {name}")
-    k = sum(expo)
-    lifted = LaurentPoly.from_poly(rf.num.scale(c.inverse()), fiber)
-    return lifted * LaurentPoly.fiber_power(fiber, -k)
-
-
-def _symplectic_solver(cc: ContactChart) -> List[List[RationalFunction]]:
+def _symplectic_solver(cc: ContactChart) -> List[List[Coeff]]:
     """Inverse transpose of the dtheta coefficient matrix, cached per chart.
+
+    The entries are Laurent polynomials, and the inverse is taken over that
+    ring.  Its determinant is a unit ``c * fiber^k`` exactly when dtheta is
+    nondegenerate on the whole chart, so any other determinant violates the
+    symplectic axiom.  Elimination pivots on the first nonzero entry, which
+    must be a unit.
 
     Concurrent first calls may both compute the inverse; they produce the
     same immutable matrix, so last-write-wins is safe.
@@ -233,33 +204,37 @@ def _symplectic_solver(cc: ContactChart) -> List[List[RationalFunction]]:
     if cc._solver is not None:
         return cc._solver
     n = cc.dim
+    zero = cc.chart.coeff_zero()
     dtheta = exterior_derivative(cc.theta)
-    matrix = [[RF_ZERO] * n for _ in range(n)]
+    matrix = [[zero] * n for _ in range(n)]
     for (i, j), coeff in dtheta.terms.items():
-        rf = _laurent_to_rf(cc, coeff)
-        matrix[i][j] = rf
-        matrix[j][i] = -rf
-    transpose = [[matrix[j][i] for j in range(n)] for i in range(n)]
+        matrix[j][i] = coeff
+        matrix[i][j] = -coeff
     try:
-        inverse = linalg.invert(transpose, one=RF_ONE, zero=RF_ZERO)
-    except ValueError as exc:
-        raise ValueError("dtheta is degenerate on this chart") from exc
+        inverse = linalg.invert(matrix, one=cc.chart.coeff_const(1), zero=zero)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(
+            f"dtheta is not invertible over the Laurent ring on {cc.label}: {exc}"
+        ) from exc
     object.__setattr__(cc, "_solver", inverse)
     return inverse
 
 
 def _solve_contraction(cc: ContactChart, target: PolyForm) -> PolyVectorField:
     """The field X with ``iota_X dtheta = target`` (exact, Laurent components)."""
-    inverse = _symplectic_solver(cc)
-    n = cc.dim
-    rhs = [RF_ZERO] * n
+    zero = cc.chart.coeff_zero()
+    rhs = [zero] * cc.dim
     for (i,), coeff in target.terms.items():
-        rhs[i] = _laurent_to_rf(cc, coeff)
-    solution = linalg.mat_vec(inverse, rhs, zero=RF_ZERO)
-    comps: Dict[int, Coeff] = {}
-    for i, rf in enumerate(solution):
-        if not rf.is_zero():
-            comps[i] = _rf_to_laurent(cc, rf)
+        rhs[i] = coeff
+    solution = linalg.mat_vec(_symplectic_solver(cc), rhs, zero=zero)
+    # Spell every component over the chart's base variables, in chart order,
+    # so a field prints the same whichever variables its input mentioned.
+    base = cc.chart.base_vars
+    comps = {
+        i: LaurentPoly(c.fiber, {k: p.with_vars(base) for k, p in c.parts.items()})
+        for i, c in enumerate(solution)
+        if not c.is_zero()
+    }
     return PolyVectorField(cc.chart, comps)
 
 
@@ -536,13 +511,6 @@ def _rational_vars(images: Mapping[str, RationalFunction]) -> List[str]:
             if name not in seen:
                 seen.append(name)
     return seen
-
-
-def _identity_images(chart: ChartSpace) -> Dict[str, RationalFunction]:
-    return {
-        name: RationalFunction.from_poly(MultiPoly.variable(name))
-        for name in chart.all_vars
-    }
 
 
 def _form_to_rational(form: PolyForm) -> Dict[str, RationalFunction]:

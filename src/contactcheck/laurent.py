@@ -11,7 +11,7 @@ one coefficient type serves the whole exterior calculus.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from .poly import MultiPoly
 from .scalars import GaussianRational, ScalarLike, ZERO
@@ -140,6 +140,17 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other) -> "LaurentPoly":
+        """Exact division by a unit ``c * fiber^k``; any other divisor raises."""
+        o = self._coerce(other)
+        k = o.min_exp()
+        if len(o.parts) != 1 or not o.parts[k].is_constant():
+            raise ZeroDivisionError(f"{o} is not a unit of the Laurent ring")
+        c = o.parts[k].constant_value().inverse()
+        return LaurentPoly(
+            self._fiber_of(o), {j - k: p.scale(c) for j, p in self.parts.items()}
+        )
+
     def scale(self, value: ScalarLike) -> "LaurentPoly":
         c = GaussianRational.coerce(value)
         if c.is_zero():
@@ -230,19 +241,6 @@ class LaurentPoly:
         if len(parts) != 1:
             return None
         return next(iter(parts))
-
-    def to_poly(self, variables: Sequence[str]) -> MultiPoly:
-        """Rewrite with the fiber as an ordinary variable; requires min_exp >= 0."""
-        if self.min_exp() < 0:
-            raise ValueError("negative fiber exponents cannot become a plain polynomial")
-        out = MultiPoly.zero(variables)
-        for k, poly in self.parts.items():
-            term = poly.with_vars(variables)
-            if k:
-                assert self.fiber is not None
-                term = term * MultiPoly.variable(self.fiber, variables) ** k
-            out = out + term
-        return out
 
     # -- comparison / display ---------------------------------------------------
 

@@ -1,10 +1,13 @@
 """Exact Gaussian elimination over any field-like element type.
 
-Works for :class:`~contactcheck.scalars.GaussianRational` and
-:class:`~contactcheck.ratfunc.RationalFunction` alike: elements must support
+Works for :class:`~contactcheck.scalars.GaussianRational`,
+:class:`~contactcheck.ratfunc.RationalFunction` and
+:class:`~contactcheck.laurent.LaurentPoly` alike: elements must support
 ``+``, ``-``, ``*``, ``/``, unary ``-`` and ``is_zero()``.  Matrices are
 plain lists of lists; everything is small (dimension <= ~25), so no pivoting
-heuristics beyond "first nonzero" are needed.
+heuristics beyond "first nonzero" are needed.  LaurentPoly is a ring, not a
+field: it divides only by units ``c * fiber^k``, so every pivot met must be
+one, or the elimination raises ``ZeroDivisionError``.
 """
 
 from __future__ import annotations
@@ -124,14 +127,6 @@ def mat_vec(a: Sequence[Sequence[T]], x: Sequence[T], zero: T = ZERO) -> List[T]
 
 def identity(n: int, one: T = ONE, zero: T = ZERO) -> Matrix:
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def in_span(basis: Sequence[Sequence[T]], vector: Sequence[T]) -> bool:
-    """Whether ``vector`` lies in the row span of ``basis``."""
-    if all(v.is_zero() for v in vector):
-        return True
-    stacked = list(basis) + [list(vector)]
-    return rank(basis) == rank(stacked)
 
 
 def same_span(a: Sequence[Sequence[T]], b: Sequence[Sequence[T]]) -> bool:

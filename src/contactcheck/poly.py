@@ -254,12 +254,6 @@ class MultiPoly:
 
     # -- degree bookkeeping -----------------------------------------------------
 
-    def total_degree(self) -> int:
-        """Total degree, with the convention that the zero polynomial has degree -1."""
-        if not self.terms:
-            return -1
-        return max(sum(expo) for expo in self.terms)
-
     def degree_in(self, var: str) -> int:
         if var not in self.vars:
             return 0
@@ -382,18 +376,6 @@ def _univariate_view(p: MultiPoly, idx: int) -> Dict[int, MultiPoly]:
         rest[idx] = 0
         coeffs.setdefault(k, {})[tuple(rest)] = coeff
     return {k: MultiPoly(p.vars, terms) for k, terms in coeffs.items()}
-
-
-def _from_univariate(coeffs: Dict[int, MultiPoly], variables: Sequence[str], idx: int) -> MultiPoly:
-    out = MultiPoly.zero(variables)
-    for k, part in coeffs.items():
-        terms: TermMap = {}
-        for expo, coeff in part.terms.items():
-            new = list(expo)
-            new[idx] += k
-            terms[tuple(new)] = coeff
-        out = out + MultiPoly(variables, terms)
-    return out
 
 
 def _content(p: MultiPoly, idx: int) -> MultiPoly:

@@ -16,6 +16,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import linalg
+from .scalars import GaussianRational
+
 Root = Tuple[int, ...]
 
 #: Built-in Cartan matrices.  B2/C2 and the two rank-3 pairs are transposes,
@@ -53,7 +56,6 @@ class CartanMatrix:
         object.__setattr__(self, "entries", tuple(tuple(row) for row in rows))
         object.__setattr__(self, "rank", n)
         object.__setattr__(self, "symmetrizer", self._symmetrize())
-        self._check_connected()
         self._check_positive_definite()
 
     def __setattr__(self, name, value):
@@ -77,21 +79,16 @@ class CartanMatrix:
         scale = min(v for v in d if v is not None)
         return tuple(v / scale for v in d)  # type: ignore[operator]
 
-    def _check_connected(self) -> None:
-        # _symmetrize already walked the diagram; decomposability raised there.
-        return
-
     def _check_positive_definite(self) -> None:
         n = self.rank
         sym = [
-            [self.symmetrizer[j] * self.entries[i][j] for j in range(n)]
+            [GaussianRational(self.symmetrizer[j] * self.entries[i][j]) for j in range(n)]
             for i in range(n)
         ]
         # Leading principal minors of the symmetrization must all be positive.
-        minor = [row[:] for row in sym]
         for k in range(1, n + 1):
-            det = _det_fraction([row[:k] for row in minor[:k]])
-            if det <= 0:
+            det = linalg.determinant([row[:k] for row in sym[:k]])
+            if det.re <= 0:
                 raise ValueError("Cartan matrix is not of finite type")
 
     def pairing(self, a: Root, b: Root) -> Fraction:
@@ -108,25 +105,6 @@ class CartanMatrix:
     def coroot_pairing(self, b: Root, j: int) -> int:
         """Integer pairing <b, a_j^v> = sum_i b_i A[i][j]."""
         return sum(bi * self.entries[i][j] for i, bi in enumerate(b))
-
-
-def _det_fraction(rows: List[List[Fraction]]) -> Fraction:
-    n = len(rows)
-    m = [row[:] for row in rows]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                factor = m[i][c] / m[c][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[c])]
-    return det
 
 
 class RootSystem:

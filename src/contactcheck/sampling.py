@@ -106,8 +106,3 @@ class SeededSampler:
 
     def choice(self, seq: Sequence):
         return self._rng.choice(seq)
-
-    def subsample(self, seq: Sequence, k: int) -> List:
-        if k >= len(seq):
-            return list(seq)
-        return self._rng.sample(list(seq), k)

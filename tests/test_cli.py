@@ -105,3 +105,19 @@ def test_algebra_a2_contact_base_dim(capsys):
     payload = json.loads(out)["config"]["payload"]
     assert payload["dim_contact_base"] == 3  # dim G_1 + 1
     assert payload["dim_cone"] == 4
+
+
+@pytest.mark.parametrize("command", [
+    ["verify-contact", "--model", "hopf", "--n", "-1"],
+    ["quotient", "--n", "-1"],
+    ["immersion", "--n", "-1"],
+    ["verify-lemma21", "--model", "hopf", "--fdeg", "-1", "--gdeg", "0"],
+    ["verify-contact", "--model", "hopf", "--delta", "3"],
+])
+def test_bad_hopf_input_is_config_error(capsys, command):
+    code = main(command)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("configuration error:")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

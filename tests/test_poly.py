@@ -240,3 +240,24 @@ def test_laurent_leibniz_including_fiber(a, b):
 @settings(max_examples=30, deadline=None)
 def test_laurent_mixed_partials_commute(f):
     assert f.diff("x").diff("lam") == f.diff("lam").diff("x")
+
+
+@given(laurents(), coeffs.filter(lambda c: not c.is_zero()), st.integers(-3, 3))
+@settings(max_examples=40, deadline=None)
+def test_laurent_division_by_a_unit_is_exact(a, c, k):
+    u = LaurentPoly.fiber_power("lam", k, c)
+    assert (a * u) / u == a
+
+
+@pytest.mark.parametrize(
+    "divisor",
+    [
+        LaurentPoly.fiber_power("lam", 1) + 1,
+        LaurentPoly.from_poly(MultiPoly.variable("z0"), "lam"),
+        LaurentPoly("lam", {}),
+    ],
+    ids=["lam+1", "z0", "zero"],
+)
+def test_laurent_division_by_a_non_unit_raises(divisor):
+    with pytest.raises(ZeroDivisionError):
+        LaurentPoly.from_poly(x, "lam") / divisor
