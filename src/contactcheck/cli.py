@@ -35,7 +35,7 @@ def _default_seed() -> int:
     try:
         return int(env)
     except ValueError as exc:
-        raise SystemExit(f"CONTACTCHECK_SEED must be an integer, got {env!r}") from exc
+        raise ConfigError(f"CONTACTCHECK_SEED must be an integer, got {env!r}") from exc
 
 
 class ConfigError(Exception):
@@ -136,6 +136,8 @@ def run_verify_lemma21(config: Dict[str, object]) -> Report:
     report = Report(config)
     fdeg = config.get("fdeg")
     gdeg = config.get("gdeg")
+    if (fdeg is None) != (gdeg is None):
+        raise ConfigError("--fdeg and --gdeg must be given together")
     if cc.chart.fiber_var is None and any(d is not None and int(d) < 0 for d in (fdeg, gdeg)):
         raise ConfigError(f"the {config['model']} model has no functions of negative degree")
     if fdeg is not None and gdeg is not None:
@@ -430,9 +432,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for key in ("type", "model", "n", "delta", "fdeg", "gdeg", "samples"):
         if hasattr(args, key) and getattr(args, key) is not None:
             config[key] = getattr(args, key)
-    if hasattr(args, "seed"):
-        config["seed"] = args.seed if args.seed is not None else _default_seed()
     try:
+        if getattr(args, "samples", 0) < 0:
+            raise ConfigError(f"--samples must be >= 0, got {args.samples}")
+        if hasattr(args, "seed"):
+            config["seed"] = args.seed if args.seed is not None else _default_seed()
         report = RUNNERS[args.command](config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

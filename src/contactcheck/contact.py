@@ -195,8 +195,8 @@ def _symplectic_solver(cc: ContactChart) -> List[List[Coeff]]:
     The entries are Laurent polynomials, and the inverse is taken over that
     ring.  Its determinant is a unit ``c * fiber^k`` exactly when dtheta is
     nondegenerate on the whole chart, so any other determinant violates the
-    symplectic axiom.  Elimination pivots on the first nonzero entry, which
-    must be a unit.
+    symplectic axiom.  Elimination pivots on the first unit of each column,
+    so a non-unit entry above it does not stop the solve.
 
     Concurrent first calls may both compute the inverse; they produce the
     same immutable matrix, so last-write-wins is safe.

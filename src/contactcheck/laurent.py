@@ -78,6 +78,10 @@ class LaurentPoly:
             return ZERO
         return self.parts[0].constant_value()
 
+    def is_unit(self) -> bool:
+        """Whether this is ``c * fiber^k`` with ``c != 0``, a unit of the Laurent ring."""
+        return len(self.parts) == 1 and next(iter(self.parts.values())).is_constant()
+
     def min_exp(self) -> int:
         return 0 if self.is_zero() else min(self.parts)
 
@@ -143,9 +147,9 @@ class LaurentPoly:
     def __truediv__(self, other) -> "LaurentPoly":
         """Exact division by a unit ``c * fiber^k``; any other divisor raises."""
         o = self._coerce(other)
-        k = o.min_exp()
-        if len(o.parts) != 1 or not o.parts[k].is_constant():
+        if not o.is_unit():
             raise ZeroDivisionError(f"{o} is not a unit of the Laurent ring")
+        k = o.min_exp()
         c = o.parts[k].constant_value().inverse()
         return LaurentPoly(
             self._fiber_of(o), {j - k: p.scale(c) for j, p in self.parts.items()}

@@ -15,11 +15,12 @@ root, in root-system order.  Construction happens in two stages:
    the root ``a`` (``B(h_a, H) = a(H)``).  In particular
    ``B(e_rho, -e_{-rho}) = 1`` for the highest root ``rho``.
 
-The Killing form is always computed as ``trace(ad x . ad y)``, never read off
-the table, so it doubles as a self-test of the construction.  Note that the
-rescaled constants satisfy ``sign N_{a,b} = sign N_{-a,-b}`` but not the
-stronger equality ``N_{a,b} = N_{-a,-b}``: that normalization needs square
-roots of root norms, which do not exist in Q(i).
+The Killing form is always computed as ``trace(ad x . ad y)``, the trace of
+two composed brackets read from the sparse table; it is never looked up as a
+table entry of its own, so it doubles as a self-test of the construction.
+Note that the rescaled constants satisfy ``sign N_{a,b} = sign N_{-a,-b}``
+but not the stronger equality ``N_{a,b} = N_{-a,-b}``: that normalization
+needs square roots of root norms, which do not exist in Q(i).
 """
 
 from __future__ import annotations
@@ -243,15 +244,14 @@ def _chevalley_table(rs: RootSystem, basis: LieBasis) -> Dict[Tuple[int, int], S
     return table
 
 
-def _trace_form(table_sc: StructureConstants, i: int, j: int) -> GaussianRational:
-    ad_i = table_sc.ad_matrix(table_sc.unit(i))
-    ad_j = table_sc.ad_matrix(table_sc.unit(j))
+def _trace_form(sc: StructureConstants, i: int, j: int) -> GaussianRational:
+    """``trace(ad e_i . ad e_j) = sum_k sum_l [e_j, e_k]_l [e_i, e_l]_k`` from the table."""
     total = ZERO
-    n = table_sc.dim
-    for a in range(n):
-        for b in range(n):
-            if not ad_i[a][b].is_zero() and not ad_j[b][a].is_zero():
-                total = total + ad_i[a][b] * ad_j[b][a]
+    for k in range(sc.dim):
+        for l, c in sc.bracket_basis(j, k).items():
+            d = sc.bracket_basis(i, l).get(k)
+            if d is not None:
+                total = total + c * d
     return total
 
 
@@ -317,18 +317,12 @@ def killing(sc: StructureConstants) -> KillingData:
     n = sc.dim
     rank = sc.basis.rank
     rs = sc.basis.rs
-    ads = [sc.ad_matrix(sc.unit(i)) for i in range(n)]
+    # Every pair is traced, including those the root grading forces to vanish,
+    # so the form still checks the table.
     gram: List[Vector] = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            total = ZERO
-            for a in range(n):
-                row = ads[i][a]
-                for b in range(n):
-                    if not row[b].is_zero() and not ads[j][b][a].is_zero():
-                        total = total + row[b] * ads[j][b][a]
-            gram[i][j] = total
-            gram[j][i] = total
+            gram[i][j] = gram[j][i] = _trace_form(sc, i, j)
     cartan_gram = [[gram[i][j] for j in range(rank)] for i in range(rank)]
     if linalg.rank(cartan_gram) < rank:
         raise ArithmeticError("Killing form degenerate on the Cartan subalgebra")

@@ -5,9 +5,10 @@ Works for :class:`~contactcheck.scalars.GaussianRational`,
 :class:`~contactcheck.laurent.LaurentPoly` alike: elements must support
 ``+``, ``-``, ``*``, ``/``, unary ``-`` and ``is_zero()``.  Matrices are
 plain lists of lists; everything is small (dimension <= ~25), so no pivoting
-heuristics beyond "first nonzero" are needed.  LaurentPoly is a ring, not a
-field: it divides only by units ``c * fiber^k``, so every pivot met must be
-one, or the elimination raises ``ZeroDivisionError``.
+heuristics beyond "first nonzero" are needed over a field.  LaurentPoly is a
+ring, not a field: it divides only by units ``c * fiber^k``.  Where an entry
+type has ``is_unit()``, a non-unit first pivot gives way to the first unit
+further down its column; a column with no unit raises ``ZeroDivisionError``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ def row_echelon(rows: Sequence[Sequence[T]]) -> tuple[Matrix, List[int]]:
         pivot = next((i for i in range(r, len(m)) if not m[i][c].is_zero()), None)
         if pivot is None:
             continue
+        if hasattr(m[pivot][c], "is_unit") and not m[pivot][c].is_unit():
+            pivot = next((i for i in range(pivot + 1, len(m)) if m[i][c].is_unit()), pivot)
         m[r], m[pivot] = m[pivot], m[r]
         inv = m[r][c]
         m[r] = [v / inv for v in m[r]]
@@ -100,20 +103,6 @@ def nullspace(rows: Sequence[Sequence[T]], one: T = ONE, zero: T = ZERO) -> List
     return basis
 
 
-def matmul(a: Sequence[Sequence[T]], b: Sequence[Sequence[T]], zero: T = ZERO) -> Matrix:
-    out: Matrix = []
-    for row in a:
-        new = []
-        for j in range(len(b[0])):
-            acc = zero
-            for k, v in enumerate(row):
-                if not v.is_zero():
-                    acc = acc + v * b[k][j]
-            new.append(acc)
-        out.append(new)
-    return out
-
-
 def mat_vec(a: Sequence[Sequence[T]], x: Sequence[T], zero: T = ZERO) -> List[T]:
     out = []
     for row in a:
@@ -123,10 +112,6 @@ def mat_vec(a: Sequence[Sequence[T]], x: Sequence[T], zero: T = ZERO) -> List[T]
                 acc = acc + v * xi
         out.append(acc)
     return out
-
-
-def identity(n: int, one: T = ONE, zero: T = ZERO) -> Matrix:
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def same_span(a: Sequence[Sequence[T]], b: Sequence[Sequence[T]]) -> bool:

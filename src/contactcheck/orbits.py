@@ -2,11 +2,11 @@
 
 Group elements are generated exclusively by exponentials ``exp(t ad e_a)`` at
 rational parameters: ``ad e_a`` is nilpotent, so the series terminates and
-the matrices stay exactly rational.  Torus directions are not exponentiated
-(that needs ``e^z``); the scaling action is covered instead by rational
-rescalings of orbit points together with the infinitesimal character value
-``B([H_rho, e_rho], -e_{-rho}) = 2``, which pins the weight of the
-fiber action on the orbit cone.  Orbit membership is always certified by the
+the images of the basis vectors stay exactly rational.  Torus directions are
+not exponentiated (that needs ``e^z``); the scaling action is covered instead
+by rational rescalings of orbit points together with the infinitesimal
+character value ``B([H_rho, e_rho], -e_{-rho}) = 2``, which pins the weight
+of the fiber action on the orbit cone.  Orbit membership is always certified by the
 generating word stored with each point; it is never decided for arbitrary
 vectors.
 """
@@ -20,49 +20,55 @@ from . import linalg
 from .lie import GradedDecomposition, KillingData, StructureConstants, Vector
 from .report import CheckResult, check
 from .rootsystem import Root
-from .scalars import GaussianRational
+from .scalars import ONE, ZERO, GaussianRational
 
 Word = Sequence[Tuple[Root, Fraction]]
 
 
 class AlgebraAutomorphism:
-    """A bracket-preserving matrix in the Lie basis."""
+    """A bracket-preserving linear map, stored as the images of the basis vectors.
 
-    __slots__ = ("sc", "matrix")
+    ``columns[j]`` is the image of ``e_j`` in basis coordinates, i.e. column
+    ``j`` of the map's matrix in the Lie basis.
+    """
 
-    def __init__(self, sc: StructureConstants, matrix: List[Vector]):
+    __slots__ = ("sc", "columns")
+
+    def __init__(self, sc: StructureConstants, columns: List[Vector]):
         object.__setattr__(self, "sc", sc)
-        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "columns", columns)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraAutomorphism is immutable")
 
     def apply(self, vec: Sequence[GaussianRational]) -> Vector:
-        return linalg.mat_vec(self.matrix, list(vec))
+        out = [ZERO] * self.sc.dim
+        for j, xj in enumerate(vec):
+            if xj.is_zero():
+                continue
+            for i, c in enumerate(self.columns[j]):
+                if not c.is_zero():
+                    out[i] = out[i] + c * xj
+        return out
 
     def compose(self, other: "AlgebraAutomorphism") -> "AlgebraAutomorphism":
-        return AlgebraAutomorphism(self.sc, linalg.matmul(self.matrix, other.matrix))
+        return AlgebraAutomorphism(self.sc, [self.apply(col) for col in other.columns])
 
     def preserves_brackets(self) -> bool:
         sc = self.sc
-        n = sc.dim
-        for i in range(n):
-            mi = [row[i] for row in self.matrix]
-            for j in range(i + 1, n):
-                mj = [row[j] for row in self.matrix]
+        cols = self.columns
+        for i in range(sc.dim):
+            for j in range(i + 1, sc.dim):
                 lhs = self.apply(sc.bracket(sc.unit(i), sc.unit(j)))
-                rhs = sc.bracket(mi, mj)
-                if lhs != rhs:
+                if lhs != sc.bracket(cols[i], cols[j]):
                     return False
         return True
 
     def preserves_form(self, kd: KillingData) -> bool:
-        n = self.sc.dim
-        for i in range(n):
-            mi = [row[i] for row in self.matrix]
-            for j in range(i, n):
-                mj = [row[j] for row in self.matrix]
-                if kd.form(mi, mj) != kd.gram[i][j]:
+        cols = self.columns
+        for i in range(self.sc.dim):
+            for j in range(i, self.sc.dim):
+                if kd.form(cols[i], cols[j]) != kd.gram[i][j]:
                     return False
         return True
 
@@ -93,36 +99,31 @@ class MomentVector:
 
 
 def exp_ad(sc: StructureConstants, root: Root, t: Fraction) -> AlgebraAutomorphism:
-    """``exp(t ad e_root)`` as an exact matrix; the series terminates."""
+    """``exp(t ad e_root)``, column by column: ``sum_k t^k/k! (ad e_root)^k e_j``.
+
+    ``ad e_root`` is nilpotent, so each series terminates and every column is
+    exact; the powers are taken by bracketing with ``e_root`` through the table.
+    """
     rs = sc.basis.rs
     if not rs.is_root(tuple(root)):
         raise ValueError(f"{root} is not a root; only nilpotent directions exponentiate")
     n = sc.dim
-    ad = sc.ad_matrix(sc.unit(sc.basis.root_index(tuple(root))))
+    e = sc.unit(sc.basis.root_index(tuple(root)))
     scalar = GaussianRational(t)
-    result = linalg.identity(n)
-    power = linalg.identity(n)
-    k = 1
-    while True:
-        power = linalg.matmul(ad, power)
-        if all(all(c.is_zero() for c in row) for row in power):
-            break
-        factor = scalar**k / GaussianRational(_factorial(k))
-        for i in range(n):
-            for j in range(n):
-                if not power[i][j].is_zero():
-                    result[i][j] = result[i][j] + factor * power[i][j]
-        k += 1
-        if k > n + 1:
+    columns: List[Vector] = []
+    for j in range(n):
+        column = term = sc.unit(j)
+        factor = ONE
+        for k in range(1, n + 1):
+            term = sc.bracket(e, term)
+            if all(c.is_zero() for c in term):
+                break
+            factor = factor * scalar / GaussianRational(k)
+            column = [a if b.is_zero() else a + factor * b for a, b in zip(column, term)]
+        else:
             raise ArithmeticError("ad e_root failed to nilpotate; broken table")
-    return AlgebraAutomorphism(sc, result)
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
+        columns.append(column)
+    return AlgebraAutomorphism(sc, columns)
 
 
 def orbit_sample(sc: StructureConstants, kd: KillingData, word: Word) -> OrbitPoint:
@@ -248,12 +249,15 @@ def _proportional(a: Sequence[GaussianRational], b: Sequence[GaussianRational]) 
 
 def nilpotency_degree_on(sc: StructureConstants, root_index: int) -> int:
     """Smallest k with ``(ad e)^k = 0``; for the highest root this is 3."""
-    ad = sc.ad_matrix(sc.unit(root_index))
-    power = linalg.identity(sc.dim)
-    k = 0
-    while not all(all(c.is_zero() for c in row) for row in power):
-        power = linalg.matmul(ad, power)
-        k += 1
-        if k > sc.dim + 1:
-            raise ArithmeticError("matrix is not nilpotent")
-    return k
+    e = sc.unit(root_index)
+    degree = 0
+    for j in range(sc.dim):
+        vec = sc.unit(j)
+        k = 0
+        while any(not c.is_zero() for c in vec):
+            vec = sc.bracket(e, vec)
+            k += 1
+            if k > sc.dim:
+                raise ArithmeticError("ad e is not nilpotent")
+        degree = max(degree, k)
+    return degree

@@ -2,8 +2,9 @@
 
 Each oracle recomputes a quantity along a different path than the library:
 reflection closure instead of root strings, permutation-expanded wedge
-instead of shuffle merging, series-on-vectors instead of matrix exponential.
-They stay deliberately naive.
+instead of shuffle merging, and a dense matrix exponential (powers of the
+``ad`` matrix by plain nested-loop products) instead of the library's series
+on basis vectors.  They stay deliberately naive.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 from contactcheck.forms import PolyForm
 from contactcheck.lie import StructureConstants
 from contactcheck.rootsystem import CartanMatrix, Root
-from contactcheck.scalars import GaussianRational, ZERO
+from contactcheck.scalars import GaussianRational, ONE, ZERO
 
 
 def reflection_closure(cartan: CartanMatrix) -> Set[Root]:
@@ -104,6 +105,36 @@ def exp_ad_on_vector(
         if k > sc.dim + 2:
             raise AssertionError("series did not terminate")
     return total
+
+
+def exp_ad_matrix(
+    sc: StructureConstants, root: Root, t: Fraction
+) -> List[List[GaussianRational]]:
+    """exp(t ad e_root) as a dense matrix: sum of t^k/k! times powers of ad_matrix."""
+    n = sc.dim
+    ad = sc.ad_matrix(sc.unit(sc.basis.root_index(tuple(root))))
+    scalar = GaussianRational(t)
+    result = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    power = [row[:] for row in result]
+    k = 1
+    while True:
+        product = [[ZERO] * n for _ in range(n)]
+        for i in range(n):
+            for m in range(n):
+                if ad[i][m].is_zero():
+                    continue
+                for j in range(n):
+                    product[i][j] = product[i][j] + ad[i][m] * power[m][j]
+        power = product
+        if all(c.is_zero() for row in power for c in row):
+            return result
+        factor = scalar**k / GaussianRational(_factorial(k))
+        result = [
+            [result[i][j] + factor * power[i][j] for j in range(n)] for i in range(n)
+        ]
+        k += 1
+        if k > n + 1:
+            raise AssertionError("ad e_root is not nilpotent")
 
 
 def ad_eigenvalue(sc: StructureConstants, kd, index: int) -> int:

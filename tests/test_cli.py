@@ -113,9 +113,21 @@ def test_algebra_a2_contact_base_dim(capsys):
     ["immersion", "--n", "-1"],
     ["verify-lemma21", "--model", "hopf", "--fdeg", "-1", "--gdeg", "0"],
     ["verify-contact", "--model", "hopf", "--delta", "3"],
+    ["verify-lemma21", "--model", "fibered", "--delta", "3", "--fdeg", "2"],
+    ["verify-contact", "--model", "hopf", "--samples", "-3"],
 ])
 def test_bad_hopf_input_is_config_error(capsys, command):
     code = main(command)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("configuration error:")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_non_integer_env_seed_is_config_error(capsys, monkeypatch):
+    monkeypatch.setenv("CONTACTCHECK_SEED", "abc")
+    code = main(["verify-contact", "--model", "hopf"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("configuration error:")

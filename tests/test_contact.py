@@ -512,6 +512,24 @@ def test_degenerate_dtheta_is_rejected_by_name():
             hamiltonian_field(cc, f)
 
 
+def test_non_unit_first_pivot_is_passed_over():
+    """dtheta = z0 dz0^dz1 + dz0^dz2 - dz1^dz3 has Pfaffian 1; the first pivot z0 is no unit."""
+    from contactcheck.forms import interior_product
+
+    chart = ChartSpace(["z0", "z1", "z2", "z3"])
+    z0, z1 = chart.coeff_var("z0"), chart.coeff_var("z1")
+    theta = (
+        PolyForm.d_var(chart, "z1").scale(z0 * z0 * Fraction(1, 2))
+        + PolyForm.d_var(chart, "z2").scale(z0)
+        - PolyForm.d_var(chart, "z3").scale(z1)
+    )
+    cc = ContactChart(chart, theta, 2, {"z0": 1, "z1": 0, "z2": 1, "z3": 2}, label="unit-pivot")
+    X = hamiltonian_field(cc, z1)
+    assert str(X) == "(-1) d/dz3"
+    df = exterior_derivative(PolyForm.function(chart, z1))
+    assert interior_product(X, exterior_derivative(theta)) == -df
+
+
 @pytest.mark.parametrize("cc", [fibered_chart(1, 2), hopf_chart(1)], ids=["fibered", "hopf"])
 def test_hamiltonian_field_prints_in_chart_variable_order(cc):
     z0, z1, z2 = (cc.chart.coeff_var(f"z{i}") for i in range(3))

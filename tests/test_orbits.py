@@ -1,8 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from contactcheck.lie import chi_differential
+from contactcheck.lie import StructureConstants, chi_differential, killing
 from contactcheck.orbits import (
     AlgebraAutomorphism,
     embedding_checks,
@@ -25,7 +26,7 @@ def test_exp_zero_is_identity(algebra_bundle):
     rs, sc, kd, _ = algebra_bundle("A2")
     m = exp_ad(sc, rs.roots[0], Fraction(0))
     assert all(
-        m.matrix[i][j] == (1 if i == j else 0) for i in range(sc.dim) for j in range(sc.dim)
+        m.columns[j][i] == (1 if i == j else 0) for i in range(sc.dim) for j in range(sc.dim)
     )
 
 
@@ -34,8 +35,22 @@ def test_exp_inverse(algebra_bundle):
     t = Fraction(3, 5)
     prod = exp_ad(sc, rs.highest, t).compose(exp_ad(sc, rs.highest, -t))
     assert all(
-        prod.matrix[i][j] == (1 if i == j else 0) for i in range(sc.dim) for j in range(sc.dim)
+        prod.columns[j][i] == (1 if i == j else 0) for i in range(sc.dim) for j in range(sc.dim)
     )
+
+
+@pytest.mark.parametrize("name", TYPES)
+def test_exp_columns_match_dense_matrix_oracle(name, algebra_bundle):
+    from oracles import exp_ad_matrix
+
+    rs, sc, _, _ = algebra_bundle(name)
+    for root in rs.roots:
+        for t in (Fraction(0), Fraction(3, 5), Fraction(-2)):
+            columns = exp_ad(sc, root, t).columns
+            oracle = exp_ad_matrix(sc, root, t)
+            assert all(
+                columns[j][i] == oracle[i][j] for i in range(sc.dim) for j in range(sc.dim)
+            ), (root, t)
 
 
 def test_exp_rejects_non_roots(algebra_bundle):
@@ -109,7 +124,7 @@ def test_a2_one_letter_word_components(algebra_bundle):
     a2_idx = sc.basis.root_index((0, 1))
     assert not pt.vector[rho_idx].is_zero()
     assert not pt.vector[a2_idx].is_zero()
-    # oracle: direct matrix-vector product
+    # the orbit point is the automorphism's image of e_rho
     m = exp_ad(sc, (-1, 0), Fraction(1))
     assert pt.vector == m.apply(sc.unit(rho_idx))
 
@@ -217,3 +232,23 @@ def test_ad_e_rho_cubed_vanishes(algebra_bundle):
     for name in TYPES:
         rs, sc, _, _ = algebra_bundle(name)
         assert nilpotency_degree_on(sc, sc.basis.root_index(rs.highest)) == 3
+
+
+@pytest.mark.parametrize("name", ["A2", "G2"])
+def test_corrupted_constant_fails_every_lie_check(name, algebra_bundle):
+    """Doubling one root-root bracket breaks the automorphisms, the form and Jacobi."""
+    from test_lie import jacobi_residual
+
+    rs, sc, kd, _ = algebra_bundle(name)
+    rank = sc.basis.rank
+    key = next(k for k in sc.table if min(k) >= rank)
+    table = dict(sc.table)
+    table[key] = {k: c + c for k, c in table[key].items()}
+    bad = StructureConstants(sc.basis, table)
+    for root in rs.roots:
+        assert not exp_ad(bad, root, Fraction(1)).preserves_brackets(), root
+    assert killing(bad).gram != kd.gram
+    assert any(
+        any(not v.is_zero() for v in jacobi_residual(bad, a, b, c))
+        for a, b, c in itertools.combinations(range(bad.dim), 3)
+    )
