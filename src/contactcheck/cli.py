@@ -248,18 +248,15 @@ def run_adjoint(config: Dict[str, object]) -> Report:
             check("adjoint:automorphism-killing", auto.preserves_form(kd)),
         ]
     )
-    report.extend(orbits.embedding_checks(sc, kd, gd, points))
-    from . import linalg
-
-    rank_table = []
-    for idx, pt in enumerate(points):
-        tangent = [sc.bracket(sc.unit(i), pt.vector) for i in range(sc.dim)]
-        rank_table.append({"point": idx, "tangent_rank": linalg.rank(tangent)})
+    ranks = [orbits.tangent_rank(sc, pt) for pt in points]
+    report.extend(orbits.embedding_checks(sc, kd, gd, points, ranks))
     report.config["payload"] = {
         "orbit_dim": len(gd.pieces[1]) + 2,
         "centralizer_dim": len(gd.spans["L0"]),
         "piece_dims": list(gd.dims()),
-        "embedding_ranks": rank_table,
+        "embedding_ranks": [
+            {"point": idx, "tangent_rank": rank} for idx, rank in enumerate(ranks)
+        ],
     }
     return report
 
@@ -444,7 +441,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     text = report.to_json()
     output = getattr(args, "output", None)
     if output:
-        with open(output, "w") as handle:
+        try:
+            handle = open(output, "w")
+        except OSError as exc:
+            print(
+                f"configuration error: cannot write --output {output}: {exc.strerror}",
+                file=sys.stderr,
+            )
+            return 2
+        with handle:
             handle.write(text)
     else:
         sys.stdout.write(text)

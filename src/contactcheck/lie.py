@@ -92,6 +92,13 @@ class StructureConstants:
             return {k: -c for k, c in self.table[(j, i)].items()}
         return {}
 
+    def unit_bracket(self, i: int, j: int) -> Vector:
+        """``[e_i, e_j]`` as a dense vector, read from the table."""
+        vec = [ZERO] * self.dim
+        for k, c in self.bracket_basis(i, j).items():
+            vec[k] = c
+        return vec
+
     def bracket(self, x: Sequence[GaussianRational], y: Sequence[GaussianRational]) -> Vector:
         out: SparseVec = {}
         for i, xi in enumerate(x):
@@ -441,9 +448,7 @@ def g00_span_check(gd: GradedDecomposition, sc: StructureConstants) -> bool:
     brackets: List[Vector] = []
     for i in pieces[-1]:
         for j in pieces[1]:
-            vec = [ZERO] * sc.dim
-            for k, c in sc.bracket_basis(i, j).items():
-                vec[k] = c
+            vec = sc.unit_bracket(i, j)
             if any(not c.is_zero() for c in vec):
                 brackets.append(vec)
     bracket_g00 = linalg.intersect_spans(brackets, gd.spans["L0"]) if brackets else []

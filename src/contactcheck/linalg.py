@@ -4,8 +4,13 @@ Works for :class:`~contactcheck.scalars.GaussianRational`,
 :class:`~contactcheck.ratfunc.RationalFunction` and
 :class:`~contactcheck.laurent.LaurentPoly` alike: elements must support
 ``+``, ``-``, ``*``, ``/``, unary ``-`` and ``is_zero()``.  Matrices are
-plain lists of lists; everything is small (dimension <= ~25), so no pivoting
-heuristics beyond "first nonzero" are needed over a field.  LaurentPoly is a
+plain lists of lists of modest size (up to a few dozen rows and columns, e.g.
+the 52 x 52 Gram matrix of F4), so no pivoting heuristics beyond "first
+nonzero" are needed over a field.  :func:`row_echelon` works in place on a
+copy of its input and touches only the pivot row's support: zeros in the pivot
+row are not divided, and each row update walks only the pivot row's nonzero
+columns.  ``0 / p = 0`` and ``a - f * 0 = a`` are exact, so the echelon form is
+the one full-row elimination gives, entry for entry.  LaurentPoly is a
 ring, not a field: it divides only by units ``c * fiber^k``.  Where an entry
 type has ``is_unit()``, a non-unit first pivot gives way to the first unit
 further down its column; a column with no unit raises ``ZeroDivisionError``.
@@ -41,12 +46,17 @@ def row_echelon(rows: Sequence[Sequence[T]]) -> tuple[Matrix, List[int]]:
         if hasattr(m[pivot][c], "is_unit") and not m[pivot][c].is_unit():
             pivot = next((i for i in range(pivot + 1, len(m)) if m[i][c].is_unit()), pivot)
         m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c]
-        m[r] = [v / inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and not m[i][c].is_zero():
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        row = m[r]
+        inv = row[c]
+        # The pivot row is already zero left of c.
+        support = [k for k in range(c, ncols) if not row[k].is_zero()]
+        for k in support:
+            row[k] = row[k] / inv
+        for i, other in enumerate(m):
+            if i != r and not other[c].is_zero():
+                factor = other[c]
+                for k in support:
+                    other[k] = other[k] - factor * row[k]
         pivots.append(c)
         r += 1
         if r == len(m):

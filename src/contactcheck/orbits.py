@@ -59,7 +59,7 @@ class AlgebraAutomorphism:
         cols = self.columns
         for i in range(sc.dim):
             for j in range(i + 1, sc.dim):
-                lhs = self.apply(sc.bracket(sc.unit(i), sc.unit(j)))
+                lhs = self.apply(sc.unit_bracket(i, j))
                 if lhs != sc.bracket(cols[i], cols[j]):
                     return False
         return True
@@ -161,7 +161,7 @@ def theta_G_checks(sc: StructureConstants, kd: KillingData, gd: GradedDecomposit
     e_rho = sc.unit(rho_idx)
     results: List[CheckResult] = []
     pairing_matrix = [
-        [kd.form(e_rho, sc.bracket(sc.unit(i), sc.unit(j))) for j in range(n)]
+        [kd.form(e_rho, sc.unit_bracket(i, j)) for j in range(n)]
         for i in range(n)
     ]
     kernel = linalg.nullspace(pairing_matrix)
@@ -196,26 +196,33 @@ def kappa_round_trip(sc: StructureConstants, kd: KillingData, pt: OrbitPoint) ->
     return kappa(sc, kd, moment_map(sc, kd, pt)) == list(pt.vector)
 
 
+def tangent_rank(sc: StructureConstants, pt: OrbitPoint) -> int:
+    """Dimension of the orbit's tangent space ``[g, pt]`` at pt."""
+    return linalg.rank([sc.bracket(sc.unit(i), pt.vector) for i in range(sc.dim)])
+
+
 def embedding_checks(
     sc: StructureConstants,
     kd: KillingData,
     gd: GradedDecomposition,
     points: Sequence[OrbitPoint],
+    ranks: Optional[Sequence[int]] = None,
 ) -> List[CheckResult]:
     """Tangent-rank and projective-separation checks at sampled orbit points.
 
     The tangent space of the orbit at pt is ``[g, pt]``; its dimension must be
-    ``dim G_1 + 2`` everywhere (the cone dimension).  Coordinate vectors of
-    distinct sample points must be pairwise non-proportional (injectivity of
-    the projectivized linear embedding on the sample); coincident points are
-    reported as skipped comparisons, not failures.
+    ``dim G_1 + 2`` everywhere (the cone dimension).  ``ranks`` holds the
+    points' :func:`tangent_rank` values when the caller has them already; they
+    are computed here otherwise.  Coordinate vectors of distinct sample points
+    must be pairwise non-proportional (injectivity of the projectivized linear
+    embedding on the sample); coincident points are reported as skipped
+    comparisons, not failures.
     """
     expected = len(gd.pieces[1]) + 2
+    if ranks is None:
+        ranks = [tangent_rank(sc, pt) for pt in points]
     results: List[CheckResult] = []
-    n = sc.dim
-    for idx, pt in enumerate(points):
-        tangent = [sc.bracket(sc.unit(i), pt.vector) for i in range(n)]
-        got = linalg.rank(tangent)
+    for idx, got in enumerate(ranks):
         results.append(
             check(f"embedding:tangent-rank-{idx}", got == expected, f"rank {got} != {expected}")
         )

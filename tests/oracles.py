@@ -2,9 +2,11 @@
 
 Each oracle recomputes a quantity along a different path than the library:
 reflection closure instead of root strings, permutation-expanded wedge
-instead of shuffle merging, and a dense matrix exponential (powers of the
+instead of shuffle merging, a dense matrix exponential (powers of the
 ``ad`` matrix by plain nested-loop products) instead of the library's series
-on basis vectors.  They stay deliberately naive.
+on basis vectors, and a two-pass dense reduced row-echelon form (forward
+elimination below the pivots, then back substitution) instead of the
+library's one-pass support-only Gauss-Jordan.  They stay deliberately naive.
 """
 
 from __future__ import annotations
@@ -149,3 +151,53 @@ def ad_eigenvalue(sc: StructureConstants, kd, index: int) -> int:
             raise AssertionError("not an eigenvector")
     assert value.is_real() and value.re.denominator == 1
     return int(value.re)
+
+
+def dense_rref(
+    rows: Sequence[Sequence[GaussianRational]],
+) -> Tuple[List[List[GaussianRational]], List[int]]:
+    """Reduced row-echelon form and pivot columns, every entry updated every time.
+
+    Pass 1 clears each pivot column below the pivot without normalizing; pass 2
+    walks the pivots bottom-up, scales each pivot row to 1 and clears above.
+    The reduced form of a matrix is unique, so it must equal the library's.
+    """
+    m = [list(row) for row in rows]
+    if not m:
+        return m, []
+    nrows, ncols = len(m), len(m[0])
+    pivots: List[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        found = [i for i in range(r, nrows) if not m[i][c].is_zero()]
+        if not found:
+            continue
+        m[r], m[found[0]] = m[found[0]], m[r]
+        for i in range(r + 1, nrows):
+            ratio = m[i][c] / m[r][c]
+            m[i] = [a - ratio * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    for r in reversed(range(len(pivots))):
+        c = pivots[r]
+        lead = m[r][c]
+        m[r] = [a / lead for a in m[r]]
+        for i in range(r):
+            ratio = m[i][c]
+            m[i] = [a - ratio * b for a, b in zip(m[i], m[r])]
+    return m, pivots
+
+
+def dense_mat_vec(
+    rows: Sequence[Sequence[GaussianRational]], x: Sequence[GaussianRational]
+) -> List[GaussianRational]:
+    """``rows @ x`` summing every product, zeros included."""
+    out = []
+    for row in rows:
+        total = ZERO
+        for a, b in zip(row, x):
+            total = total + a * b
+        out.append(total)
+    return out

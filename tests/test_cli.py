@@ -78,6 +78,15 @@ def test_seed_determinism(capsys):
     assert json.loads(third)["ok"] is True
 
 
+def test_adjoint_payload_ranks(capsys):
+    code, out = run(capsys, "adjoint", "G2", "--samples", "3")
+    assert code == 0
+    payload = json.loads(out)["config"]["payload"]
+    assert payload["embedding_ranks"] == [
+        {"point": idx, "tangent_rank": payload["orbit_dim"]} for idx in range(3)
+    ]
+
+
 def test_env_seed_override(capsys, monkeypatch):
     monkeypatch.setenv("CONTACTCHECK_SEED", "99")
     _, out = run(capsys, "adjoint", "A1", "--samples", "2")
@@ -115,6 +124,7 @@ def test_algebra_a2_contact_base_dim(capsys):
     ["verify-contact", "--model", "hopf", "--delta", "3"],
     ["verify-lemma21", "--model", "fibered", "--delta", "3", "--fdeg", "2"],
     ["verify-contact", "--model", "hopf", "--samples", "-3"],
+    ["roots", "A2", "--output", "/nonexistent/x.json"],
 ])
 def test_bad_hopf_input_is_config_error(capsys, command):
     code = main(command)

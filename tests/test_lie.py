@@ -258,3 +258,11 @@ def test_opposite_constants_share_signs(name, algebra_bundle):
             assert n_ab.is_real() and n_neg.is_real()
             assert not n_ab.is_zero() and not n_neg.is_zero()
             assert (n_ab.re > 0) == (n_neg.re > 0)
+
+
+@pytest.mark.parametrize("name", ["A2", "B3", "G2"])
+def test_unit_bracket_matches_bracket_of_units(name, algebra_bundle):
+    _, sc, _, _ = algebra_bundle(name)
+    for i in range(sc.dim):
+        for j in range(sc.dim):
+            assert sc.unit_bracket(i, j) == sc.bracket(sc.unit(i), sc.unit(j)), (i, j)

@@ -1,0 +1,107 @@
+"""Exact elimination against the dense oracle on seeded Q(i) matrices."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from contactcheck.linalg import nullspace, rank, row_echelon, solve
+from contactcheck.scalars import GaussianRational, ZERO
+from oracles import dense_mat_vec, dense_rref
+
+SEEDS = range(8)
+KINDS = ["sparse", "dense", "zero-row-and-column", "rank-deficient", "wide", "zero"]
+SQUARE_KINDS = [kind for kind in KINDS if kind != "wide"]
+
+
+def _entry(rng):
+    re = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    im = Fraction(rng.randint(-9, 9), rng.randint(1, 4)) if rng.random() < 0.5 else 0
+    return GaussianRational(re, im)
+
+
+def _random_rows(rng, nrows, ncols, density):
+    return [
+        [_entry(rng) if rng.random() < density else ZERO for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+
+
+def matrix(seed, kind, square=False):
+    """A seeded matrix of the given kind; ``square`` forces nrows == ncols except for "wide"."""
+    rng = random.Random(f"{seed}-{kind}")
+    nrows = rng.randint(3, 7)
+    ncols = nrows if square else rng.randint(3, 8)
+    if kind == "sparse":
+        return _random_rows(rng, nrows, ncols, 0.25)
+    if kind == "dense":
+        return _random_rows(rng, nrows, ncols, 1.0)
+    if kind == "zero-row-and-column":
+        rows = _random_rows(rng, nrows, ncols, 0.8)
+        zero_row, zero_col = rng.randrange(nrows), rng.randrange(ncols)
+        rows[zero_row] = [ZERO] * ncols
+        for row in rows:
+            row[zero_col] = ZERO
+        return rows
+    if kind == "rank-deficient":
+        base = _random_rows(rng, rng.randint(1, nrows - 1), ncols, 0.6)
+        rows = list(base)
+        while len(rows) < nrows:
+            combo = [ZERO] * ncols
+            for row in base:
+                coeff = _entry(rng)
+                combo = [a + coeff * b for a, b in zip(combo, row)]
+            rows.append(combo)
+        rng.shuffle(rows)
+        return rows
+    if kind == "wide":
+        return _random_rows(rng, 3, 9, 0.7)
+    assert kind == "zero"
+    return [[ZERO] * ncols for _ in range(nrows)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_row_echelon_and_rank_match_oracle(seed, kind):
+    rows = matrix(seed, kind)
+    before = [list(row) for row in rows]
+    echelon, pivots = row_echelon(rows)
+    assert (echelon, pivots) == dense_rref(rows)
+    assert rank(rows) == len(pivots)
+    assert rows == before
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_nullspace_is_a_kernel_basis(seed, kind):
+    rows = matrix(seed, kind)
+    ncols = len(rows[0])
+    basis = nullspace(rows)
+    assert len(basis) == ncols - len(dense_rref(rows)[1])
+    for vec in basis:
+        assert all(v.is_zero() for v in dense_mat_vec(rows, vec))
+    if basis:
+        assert len(dense_rref(basis)[1]) == len(basis)
+
+
+@pytest.mark.parametrize("kind", SQUARE_KINDS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_solve_matches_oracle(seed, kind):
+    a = matrix(seed, kind, square=True)
+    rng = random.Random(seed)
+    b = [_entry(rng) for _ in a]
+    n = len(a)
+    if len(dense_rref(a)[1]) < n:
+        with pytest.raises(ValueError):
+            solve(a, b)
+        return
+    x = solve(a, b)
+    echelon, _ = dense_rref([row + [bi] for row, bi in zip(a, b)])
+    assert x == [echelon[i][n] for i in range(n)]
+    assert dense_mat_vec(a, x) == b
+
+
+def test_empty_matrix():
+    assert row_echelon([]) == ([], [])
+    assert rank([]) == 0
+    assert nullspace([]) == []

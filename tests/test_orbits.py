@@ -14,6 +14,7 @@ from contactcheck.orbits import (
     nilpotency_degree_on,
     orbit_sample,
     rescale_point,
+    tangent_rank,
     theta_G_checks,
 )
 from contactcheck.sampling import SeededSampler
@@ -217,6 +218,14 @@ def test_embedding_ranks(name, algebra_bundle):
     ]
     results = embedding_checks(sc, kd, gd, points)
     assert all(r.status != "fail" for r in results), [r for r in results if r.status == "fail"]
+    ranks = [tangent_rank(sc, pt) for pt in points]
+    assert ranks == [len(gd.pieces[1]) + 2] * len(points)
+    assert embedding_checks(sc, kd, gd, points, ranks) == results
+    wrong = embedding_checks(sc, kd, gd, points, [ranks[0] - 1] + ranks[1:])
+    failed = [r for r in wrong if r.status == "fail"]
+    assert [(r.check_id, r.witness) for r in failed] == [
+        ("embedding:tangent-rank-0", f"rank {ranks[0] - 1} != {ranks[0]}")
+    ]
 
 
 def test_duplicate_points_flagged_not_failed(algebra_bundle):

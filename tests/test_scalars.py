@@ -28,6 +28,30 @@ def test_equality_is_canonical():
     assert hash(gq(Fraction(2, 4), 0)) == hash(gq(Fraction(1, 2)))
 
 
+class _Rational(Fraction):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [(3, "3+3i"), (True, "1+i"), (Fraction(6, 8), "3/4+3/4i"), (_Rational(-6, 8), "-3/4-3/4i")],
+    ids=["int", "bool", "Fraction", "Fraction-subclass"],
+)
+def test_parts_are_plain_fractions(value, text):
+    z = GaussianRational(value, value)
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    plain = GaussianRational(Fraction(value), Fraction(value))
+    assert z == plain and hash(z) == hash(plain)
+    assert str(z) == text
+
+
+def test_fraction_parts_are_kept_not_rebuilt():
+    re, im = Fraction(1, 3), Fraction(-2, 5)
+    z = GaussianRational(re, im)
+    assert z.re is re and z.im is im
+    assert str(z) == "1/3-2/5i"
+
+
 def test_division_and_inverse():
     z = gq(3, 4)
     assert z * z.inverse() == 1
