@@ -53,6 +53,14 @@ def _chart_for(model: str, n: int, delta: int) -> contact.ContactChart:
         raise ConfigError(str(exc)) from exc
 
 
+def _samples(config: Dict[str, object]) -> int:
+    """The sample count of a suite that needs at least one sample."""
+    samples = int(config["samples"])
+    if samples < 1:
+        raise ConfigError(f"--samples must be >= 1 for this command, got {samples}")
+    return samples
+
+
 def _algebra_bundle(type_name: str):
     if type_name not in CARTAN_MATRICES:
         raise ConfigError(
@@ -115,11 +123,9 @@ def run_verify_contact(config: Dict[str, object]) -> Report:
     report = Report(config)
     report.extend(contact.verify_axioms(cc, points))
     if config.get("dump_forms"):
-        from .forms import exterior_derivative
-
         report.config["payload"] = {
             "theta": str(cc.theta),
-            "d_theta": str(exterior_derivative(cc.theta)),
+            "d_theta": str(cc.dtheta),
             "euler_field": str(contact.euler_field(cc)),
         }
     return report
@@ -132,6 +138,7 @@ def _degree_range(cc: contact.ContactChart) -> List[int]:
 
 def run_verify_lemma21(config: Dict[str, object]) -> Report:
     cc = _chart_for(str(config["model"]), int(config["n"]), int(config["delta"]))
+    samples = _samples(config)
     sampler = SeededSampler(int(config["seed"]))
     report = Report(config)
     fdeg = config.get("fdeg")
@@ -141,11 +148,11 @@ def run_verify_lemma21(config: Dict[str, object]) -> Report:
     if cc.chart.fiber_var is None and any(d is not None and int(d) < 0 for d in (fdeg, gdeg)):
         raise ConfigError(f"the {config['model']} model has no functions of negative degree")
     if fdeg is not None and gdeg is not None:
-        pairs = [(int(fdeg), int(gdeg))] * max(1, int(config["samples"]))
+        pairs = [(int(fdeg), int(gdeg))] * samples
     else:
         degrees = _degree_range(cc)
         grid = [(a, b) for a in degrees for b in degrees]
-        target = min(len(grid), max(1, int(config["samples"])) * len(degrees))
+        target = min(len(grid), samples * len(degrees))
         pairs = [grid[i * len(grid) // target] for i in range(target)]
     for ell, m in pairs:
         f = sampler.homogeneous(cc, ell)
@@ -156,10 +163,9 @@ def run_verify_lemma21(config: Dict[str, object]) -> Report:
 
 def run_verify_lemma22(config: Dict[str, object]) -> Report:
     cc = _chart_for(str(config["model"]), int(config["n"]), int(config["delta"]))
+    count = _samples(config)
     sampler = SeededSampler(int(config["seed"]))
-    samples = [
-        sampler.homogeneous(cc, cc.delta) for _ in range(max(1, int(config["samples"])))
-    ]
+    samples = [sampler.homogeneous(cc, cc.delta) for _ in range(count)]
     report = Report(config)
     report.extend(contact.check_invariance_identities(cc, samples))
     return report
@@ -185,7 +191,7 @@ def run_quotient(config: Dict[str, object]) -> Report:
     sampler = SeededSampler(int(config["seed"]))
     cc = _chart_for("hopf", n, 2)
     monomials = []
-    for _ in range(max(1, int(config["samples"]))):
+    for _ in range(_samples(config)):
         degree = sampler.integer(0, 6)
         monomials.append(sampler.monomial(cc, degree, max_base_degree=6))
     report = Report(config)
@@ -201,7 +207,7 @@ def run_immersion(config: Dict[str, object]) -> Report:
     fs = [
         contact.HomogeneousFunction(cc, cc.chart.coeff_from_poly(p), 2) for p in basis
     ]
-    points = [sampler.point(cc) for _ in range(max(1, int(config["samples"])))]
+    points = [sampler.point(cc) for _ in range(_samples(config))]
     rep = contact.immersion_rank(cc, fs, points)
     report = Report(config)
     report.config["payload"] = {"rows": rep.rows, "expected_rank": rep.full_rank}
@@ -218,8 +224,8 @@ def run_immersion(config: Dict[str, object]) -> Report:
 
 def run_adjoint(config: Dict[str, object]) -> Report:
     rs, sc, kd, gd = _algebra_bundle(str(config["type"]))
+    count = _samples(config)
     sampler = SeededSampler(int(config["seed"]))
-    count = max(1, int(config["samples"]))
     report = Report(config)
     report.extend(orbits.theta_G_checks(sc, kd, gd))
     points = [orbits.orbit_sample(sc, kd, [])]

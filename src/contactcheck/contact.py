@@ -22,6 +22,7 @@ format of :mod:`contactcheck.poly`.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
@@ -31,7 +32,6 @@ from .forms import (
     PolyForm,
     PolyVectorField,
     exterior_derivative,
-    interior_product,
     lie_derivative,
     pullback,
 )
@@ -48,7 +48,7 @@ RF_ZERO = RationalFunction.const(0)
 class ContactChart:
     """One trivializing chart of a principal contact bundle of degree delta."""
 
-    __slots__ = ("chart", "theta", "delta", "weights", "label", "_solver")
+    __slots__ = ("chart", "theta", "dtheta", "delta", "weights", "label", "_solver")
 
     def __init__(
         self,
@@ -68,6 +68,7 @@ class ContactChart:
             raise ValueError(f"missing scaling weights for {missing}")
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "dtheta", exterior_derivative(theta))
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "label", label)
@@ -189,11 +190,24 @@ def field_scaling_degrees(cc: ContactChart, field: PolyVectorField) -> Dict[int,
 # -- the symplectic solver ---------------------------------------------------------
 
 
-def _symplectic_solver(cc: ContactChart) -> List[List[Coeff]]:
-    """Inverse transpose of the dtheta coefficient matrix, cached per chart.
+def _dtheta_matrix(cc: ContactChart) -> List[List[Coeff]]:
+    """Matrix of ``X -> iota_X dtheta`` on components: row k gives ``dx_k``.
 
-    The entries are Laurent polynomials, and the inverse is taken over that
-    ring.  Its determinant is a unit ``c * fiber^k`` exactly when dtheta is
+    For ``dtheta = sum_{i<j} c_ij dx_i ^ dx_j`` the entries are
+    ``M[j][i] = c_ij`` and ``M[i][j] = -c_ij``.
+    """
+    zero = cc.chart.coeff_zero()
+    matrix = [[zero] * cc.dim for _ in range(cc.dim)]
+    for (i, j), coeff in cc.dtheta.terms.items():
+        matrix[j][i] = coeff
+        matrix[i][j] = -coeff
+    return matrix
+
+
+def _symplectic_solver(cc: ContactChart) -> List[List[Coeff]]:
+    """Inverse of :func:`_dtheta_matrix` over the Laurent ring, cached per chart.
+
+    Its determinant is a unit ``c * fiber^k`` exactly when dtheta is
     nondegenerate on the whole chart, so any other determinant violates the
     symplectic axiom.  Elimination pivots on the first unit of each column,
     so a non-unit entry above it does not stop the solve.
@@ -203,15 +217,10 @@ def _symplectic_solver(cc: ContactChart) -> List[List[Coeff]]:
     """
     if cc._solver is not None:
         return cc._solver
-    n = cc.dim
-    zero = cc.chart.coeff_zero()
-    dtheta = exterior_derivative(cc.theta)
-    matrix = [[zero] * n for _ in range(n)]
-    for (i, j), coeff in dtheta.terms.items():
-        matrix[j][i] = coeff
-        matrix[i][j] = -coeff
     try:
-        inverse = linalg.invert(matrix, one=cc.chart.coeff_const(1), zero=zero)
+        inverse = linalg.invert(
+            _dtheta_matrix(cc), one=cc.chart.coeff_const(1), zero=cc.chart.coeff_zero()
+        )
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(
             f"dtheta is not invertible over the Laurent ring on {cc.label}: {exc}"
@@ -261,8 +270,7 @@ def pairing_with_theta(cc: ContactChart, field: PolyVectorField) -> Coeff:
 
 def poisson_function(cc: ContactChart, f: Coeff, g: Coeff) -> Coeff:
     """dtheta(X'_f, X'_g): the Poisson companion of f and g."""
-    dtheta = exterior_derivative(cc.theta)
-    return dtheta.apply(hamiltonian_field(cc, f), hamiltonian_field(cc, g))
+    return cc.dtheta.apply(hamiltonian_field(cc, f), hamiltonian_field(cc, g))
 
 
 # -- homogeneity -------------------------------------------------------------------
@@ -276,7 +284,9 @@ def degree_of(cc: ContactChart, f: Coeff) -> Optional[int]:
     """
     if f.is_zero():
         return 0
-    xi = euler_field(cc)
+    # The solved field, not euler_field's checked one: on a corrupted theta the
+    # disagreement must surface as a failed check, not an exception.
+    xi = _solve_contraction(cc, -cc.theta)
     image = xi.apply_to(f)
     # candidate scalar from any single matching term
     k0, poly0 = next(iter(f.parts.items()))
@@ -316,17 +326,12 @@ def verify_axioms(cc: ContactChart, points: Sequence[Mapping[str, GaussianRation
     scaling_ok = set(parts) == {cc.delta} and parts[cc.delta] == cc.theta
     witness = ", ".join(f"t^{d}: {p}" for d, p in sorted(parts.items()))
     results.append(check(f"{label}:scaling-degree-{cc.delta}", scaling_ok, witness))
-    n_half = cc.dim // 2
-    dtheta = exterior_derivative(cc.theta)
-    top = dtheta.wedge_power(n_half)
+    top = cc.dtheta.wedge_power(cc.dim // 2)
     results.append(check(f"{label}:symplectic-top-form", not top.is_zero(), "top power vanished"))
+    matrix = _dtheta_matrix(cc)
     for idx, point in enumerate(points):
-        values = dtheta.evaluate(point)
-        matrix = [[ZERO] * cc.dim for _ in range(cc.dim)]
-        for (i, j), v in values.items():
-            matrix[i][j] = v
-            matrix[j][i] = -v
-        ok = linalg.rank(matrix) == cc.dim
+        values = [[entry.evaluate(point) for entry in row] for row in matrix]
+        ok = linalg.rank(values) == cc.dim
         results.append(check(f"{label}:symplectic-at-point-{idx}", ok, _point_str(point)))
     return results
 
@@ -370,7 +375,7 @@ def check_scaling_identities(
         )
     )
     bracket = xf.bracket(xg)
-    pois = exterior_derivative(cc.theta).apply(xf, xg)
+    pois = cc.dtheta.apply(xf, xg)
     x_pois = hamiltonian_field(cc, pois)
     results.append(
         check(
@@ -632,39 +637,25 @@ def reconstruct_cstructure(cc: ContactChart, sections: Sequence[SectionMap]) -> 
     """Pull theta back along each section and assemble the transition data.
 
     Verifies, exactly: each section is a right inverse of the projection;
-    the gauge ``g_ij`` with ``sigma_i = R_(g_ij) sigma_j`` exists as a single
-    rational function; ``gamma_i = g_ij^delta * (transition)^* gamma_j``;
-    and each ``gamma_i`` satisfies the nonvanishing condition through
-    ``gamma ^ (d gamma)^n`` having a nonzero coefficient.
+    the (C.1) and (C.2) checks of :func:`cstructure_from_charts` on the
+    pulled-back forms; the gauge ``g_ij`` with ``sigma_i = R_(g_ij) sigma_j``
+    exists as a single rational function; and each compatibility factor is
+    ``g_ij^delta``.
     """
     for section in sections:
         if not section_is_valid(cc, section):
             raise ValueError(f"{section.label} is not a section of the projection")
     labels = [s.label for s in sections]
     gammas = [pullback(s.source, s.images, cc.theta) for s in sections]
-    n = (cc.dim - 2) // 2
-    for label, gamma in zip(labels, gammas):
-        top = gamma.wedge(exterior_derivative(gamma).wedge_power(n))
-        if top.is_zero():
-            raise ValueError(f"(C.1) fails for {label}: gamma ^ (d gamma)^{n} = 0")
-    transition_maps: Dict[Tuple[int, int], Dict[str, RationalFunction]] = {}
-    factors: Dict[Tuple[int, int], RationalFunction] = {}
+    pairs = [(i, j) for i in range(len(sections)) for j in range(len(sections)) if i != j]
+    transition_maps = {(i, j): _section_transition(cc, sections, i, j) for i, j in pairs}
+    cs = cstructure_from_charts(labels, gammas, transition_maps, (cc.dim - 2) // 2)
     gauges: Dict[Tuple[int, int], RationalFunction] = {}
-    for i, sec_i in enumerate(sections):
-        for j, sec_j in enumerate(sections):
-            if i == j:
-                continue
-            trans = _section_transition(cc, sections, i, j)
-            transition_maps[(i, j)] = trans
-            g_ij = _gauge_ratio(cc, sec_i, sec_j, trans)
-            gauges[(i, j)] = g_ij
-            f_ij = g_ij**cc.delta
-            target = _form_to_rational(gammas[i])
-            source = rational_pullback_one_form(gammas[j], trans)
-            if _proportionality_factor(target, source) != f_ij:
-                raise ValueError(f"(C.2) fails for pair ({labels[i]}, {labels[j]})")
-            factors[(i, j)] = f_ij
-    return CStructureData(labels, gammas, transition_maps, factors, gauges)
+    for i, j in pairs:
+        gauges[(i, j)] = _gauge_ratio(cc, sections[i], sections[j], transition_maps[(i, j)])
+        if cs.factors[(i, j)] != gauges[(i, j)] ** cc.delta:
+            raise ValueError(f"(C.2) fails for pair ({labels[i]}, {labels[j]})")
+    return CStructureData(cs.charts, cs.gammas, cs.transition_maps, cs.factors, gauges)
 
 
 def _section_transition(
@@ -920,13 +911,7 @@ def homogeneous_space_dim(n_proj: int, m: int) -> int:
         raise ValueError("projective dimension must be >= 1 (the punctured line has extra functions)")
     if m < 0:
         raise ValueError("degree must be non-negative")
-    return _binomial(n_proj + m, n_proj)
-
-
-def _binomial(a: int, b: int) -> int:
-    from math import comb
-
-    return comb(a, b)
+    return comb(n_proj + m, n_proj)
 
 
 def monomial_basis(n_proj: int, m: int) -> List[MultiPoly]:
@@ -969,7 +954,7 @@ def cstructure_from_charts(
     for label, gamma in zip(labels, gammas):
         top = gamma.wedge(exterior_derivative(gamma).wedge_power(n))
         if top.is_zero():
-            raise ValueError(f"(C.1) fails for {label}")
+            raise ValueError(f"(C.1) fails for {label}: gamma ^ (d gamma)^{n} = 0")
     factors: Dict[Tuple[int, int], RationalFunction] = {}
     for (i, j), trans in transition_maps.items():
         target = _form_to_rational(gammas[i])

@@ -5,7 +5,8 @@ coefficients.  A chart has ordered base variables plus an optional
 distinguished fiber variable (always the last slot) in which coefficients may
 be Laurent.  Forms store only strictly increasing index tuples, so
 antisymmetry is structural; the interior product contracts on the left slot
-with alternating signs.
+with alternating signs, and full contraction ``omega(X_1, ..., X_p)`` is the
+iterated interior product ``iota_{X_p} ... iota_{X_1} omega``.
 """
 
 from __future__ import annotations
@@ -192,19 +193,18 @@ class PolyForm:
     # -- contraction -----------------------------------------------------------------
 
     def apply(self, *fields: "PolyVectorField") -> Coeff:
-        """Full contraction of a p-form with p vector fields."""
+        """Full contraction ``omega(X_1, ..., X_p)`` of a p-form with p fields.
+
+        This is the iterated interior product ``iota_{X_p} ... iota_{X_1} omega``
+        read off its degree-0 result, so every contraction in the package goes
+        through :func:`interior_product`.
+        """
         if len(fields) != self.degree:
             raise ValueError(f"need {self.degree} fields, got {len(fields)}")
-        for f in fields:
-            _check_same_chart(self, f)
-        out = self.chart.coeff_zero()
-        if self.degree == 0:
-            return self.terms.get((), out)
-        for key, coeff in self.terms.items():
-            det = _alternating_sum(fields, key, self.chart)
-            if not det.is_zero():
-                out = out + coeff * det
-        return out
+        form = self
+        for field in fields:
+            form = interior_product(field, form)
+        return form.terms.get((), self.chart.coeff_zero())
 
     def evaluate(self, point: Mapping[str, ScalarLike]) -> Dict[Key, GaussianRational]:
         """Exact values of all coefficients at a point; zero entries dropped."""
@@ -261,44 +261,6 @@ def _merge_sorted(k1: Key, k2: Key) -> Tuple[Key, int]:
             sign = -sign
         merged.insert(pos, value)
     return tuple(merged), sign
-
-
-def _alternating_sum(fields: Sequence["PolyVectorField"], key: Key, chart: ChartSpace) -> Coeff:
-    """det of the p x p matrix fields[m].component(key[n]) via permutation expansion."""
-    p = len(fields)
-    out = chart.coeff_zero()
-    import itertools
-
-    for perm in itertools.permutations(range(p)):
-        sign = _permutation_sign(perm)
-        prod = chart.coeff_const(sign)
-        zero = False
-        for row, col in enumerate(perm):
-            comp = fields[row].components.get(key[col])
-            if comp is None or comp.is_zero():
-                zero = True
-                break
-            prod = prod * comp
-        if not zero:
-            out = out + prod
-    return out
-
-
-def _permutation_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        node = start
-        while not seen[node]:
-            seen[node] = True
-            node = perm[node]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 class PolyVectorField:
@@ -513,7 +475,11 @@ def _pull_coeff(
     if target.fiber_var is not None:
         fiber_image = images[target.fiber_var]
         if coeff.min_exp() < 0:
-            fiber_inverse = _invert_monomial(source, fiber_image)
+            if not fiber_image.is_unit():
+                raise ValueError(
+                    "negative fiber exponents need a unit fiber image c * fiber^k"
+                )
+            fiber_inverse = source.coeff_const(1) / fiber_image
     out = source.coeff_zero()
     for k, poly in coeff.parts.items():
         piece = source.coeff_from_poly(poly.substitute(base_bindings))
@@ -525,18 +491,3 @@ def _pull_coeff(
             piece = piece * fiber_inverse ** (-k)
         out = out + piece
     return out
-
-
-def _invert_monomial(source: ChartSpace, image: Coeff) -> Coeff:
-    """Invert a fiber image of the form c * source_fiber^k (the only legal kind)."""
-    if len(image.parts) != 1:
-        raise ValueError("negative fiber exponents need a monomial fiber image")
-    k, poly = next(iter(image.parts.items()))
-    if not poly.is_constant():
-        raise ValueError("negative fiber exponents need a constant-coefficient fiber image")
-    c = poly.constant_value()
-    if c.is_zero():
-        raise ZeroDivisionError("fiber image must be invertible")
-    if source.fiber_var is None and k != 0:
-        raise ValueError("source chart has no fiber variable to invert")
-    return LaurentPoly(source.fiber_var, {-k: MultiPoly.const(c.inverse())})

@@ -196,17 +196,10 @@ class LaurentPoly:
     def substitute_base(self, bindings: Mapping[str, MultiPoly]) -> "LaurentPoly":
         """Substitute base variables only; the fiber exponent is untouched."""
         if self.fiber is not None and self.fiber in bindings:
-            raise ValueError("use scale_fiber / fiber substitution for the fiber variable")
+            raise ValueError("substitute_base cannot bind the fiber variable")
         return LaurentPoly(
             self.fiber, {k: p.substitute(bindings) for k, p in self.parts.items()}
         )
-
-    def scale_fiber(self, value: ScalarLike) -> "LaurentPoly":
-        """Substitute ``fiber -> value * fiber`` for a nonzero constant."""
-        c = GaussianRational.coerce(value)
-        if c.is_zero():
-            raise ZeroDivisionError("fiber substitution must be invertible")
-        return LaurentPoly(self.fiber, {k: p.scale(c**k) for k, p in self.parts.items()})
 
     def evaluate(self, point: Mapping[str, ScalarLike]) -> GaussianRational:
         fiber_value: Optional[GaussianRational] = None

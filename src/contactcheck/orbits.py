@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .lie import GradedDecomposition, KillingData, StructureConstants, Vector
-from .report import CheckResult, check
+from .report import SKIPPED, CheckResult, check
 from .rootsystem import Root
 from .scalars import ONE, ZERO, GaussianRational
 
@@ -231,9 +231,9 @@ def embedding_checks(
             a, b = points[i].vector, points[j].vector
             if _proportional(a, b):
                 if a == b:
-                    results.append(CheckResult(f"embedding:separation-{i}-{j}", "skipped", "coincident sample"))
+                    results.append(CheckResult(f"embedding:separation-{i}-{j}", SKIPPED, "coincident sample"))
                 else:
-                    results.append(CheckResult(f"embedding:separation-{i}-{j}", "skipped", "proportional sample"))
+                    results.append(CheckResult(f"embedding:separation-{i}-{j}", SKIPPED, "proportional sample"))
             else:
                 results.append(check(f"embedding:separation-{i}-{j}", True))
     return results

@@ -113,9 +113,6 @@ class RationalFunction:
     def __truediv__(self, other) -> "RationalFunction":
         return self * self._coerce(other).inverse()
 
-    def __rtruediv__(self, other) -> "RationalFunction":
-        return self._coerce(other) * self.inverse()
-
     def __pow__(self, k: int) -> "RationalFunction":
         if k < 0:
             return self.inverse() ** (-k)

@@ -2,7 +2,8 @@
 
 Each oracle recomputes a quantity along a different path than the library:
 reflection closure instead of root strings, permutation-expanded wedge
-instead of shuffle merging, a dense matrix exponential (powers of the
+instead of shuffle merging, full contraction summed over every index tuple
+instead of iterated interior products, a dense matrix exponential (powers of the
 ``ad`` matrix by plain nested-loop products) instead of the library's series
 on basis vectors, and a two-pass dense reduced row-echelon form (forward
 elimination below the pivots, then back substitution) instead of the
@@ -15,7 +16,7 @@ import itertools
 from fractions import Fraction
 from typing import Dict, List, Sequence, Set, Tuple
 
-from contactcheck.forms import PolyForm
+from contactcheck.forms import PolyForm, PolyVectorField
 from contactcheck.lie import StructureConstants
 from contactcheck.rootsystem import CartanMatrix, Root
 from contactcheck.scalars import GaussianRational, ONE, ZERO
@@ -49,6 +50,25 @@ def unsorted_expansion(form: PolyForm) -> Dict[Tuple[int, ...], object]:
             tup = tuple(key[p] for p in perm)
             out[tup] = coeff if sign > 0 else -coeff
     return out
+
+
+def naive_contraction(form: PolyForm, fields: Sequence[PolyVectorField]):
+    """omega(X_1, ..., X_p) as a sum over every index tuple of the expansion.
+
+    Each term is the antisymmetrized coefficient on ``(i_1, ..., i_p)`` times
+    ``X_1^{i_1} ... X_p^{i_p}``; there is no 1/p! factor, because the p!
+    signed orderings of one sorted key together give its determinant.
+    """
+    total = form.chart.coeff_zero()
+    for tup, coeff in unsorted_expansion(form).items():
+        term = coeff
+        for field, idx in zip(fields, tup):
+            if idx not in field.components:
+                break
+            term = term * field.components[idx]
+        else:
+            total = total + term
+    return total
 
 
 def naive_wedge(a: PolyForm, b: PolyForm) -> PolyForm:

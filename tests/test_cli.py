@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from contactcheck import cli
 from contactcheck.cli import main
+from faults import BAD_HOPF_LABEL, corrupted_hopf_chart
 
 GOLDEN = Path(__file__).parent / "golden"
 ALGEBRA_TYPES = ["A1", "A2", "A3", "B2", "C2", "B3", "C3", "G2"]
@@ -125,6 +127,13 @@ def test_algebra_a2_contact_base_dim(capsys):
     ["verify-lemma21", "--model", "fibered", "--delta", "3", "--fdeg", "2"],
     ["verify-contact", "--model", "hopf", "--samples", "-3"],
     ["roots", "A2", "--output", "/nonexistent/x.json"],
+    ["verify-lemma21", "--model", "hopf", "--samples", "0"],
+    ["verify-lemma21", "--model", "hopf", "--fdeg", "1", "--gdeg", "2", "--samples", "0"],
+    ["verify-lemma22", "--model", "fibered", "--delta", "3", "--samples", "0"],
+    ["quotient", "--samples", "0"],
+    ["immersion", "--samples", "0"],
+    ["adjoint", "A1", "--samples", "0"],
+    ["all", "--samples", "0"],
 ])
 def test_bad_hopf_input_is_config_error(capsys, command):
     code = main(command)
@@ -143,3 +152,31 @@ def test_non_integer_env_seed_is_config_error(capsys, monkeypatch):
     assert captured.err.startswith("configuration error:")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_verify_contact_zero_samples_runs_symbolic_checks(capsys):
+    code, out = run(capsys, "verify-contact", "--model", "hopf", "--n", "1", "--samples", "0")
+    assert code == 0
+    report = json.loads(out)
+    assert report["config"]["samples"] == 0
+    assert [r["check_id"].split(":")[-1] for r in report["results"]] == [
+        "scaling-degree-2", "symplectic-top-form", "vertical-annihilation"
+    ]
+
+
+@pytest.mark.parametrize("command, failing", [
+    (["verify-contact"], {"vertical-annihilation"}),
+    (["verify-lemma21"], {"euler-degree-agrees", "theta-of-hamiltonian"}),
+    (["verify-lemma22"], {"theta-invariance", "moment-recovers-f", "moment-degree", "round-trip"}),
+])
+def test_corrupted_theta_fails_with_report(capsys, monkeypatch, command, failing):
+    """A doubled theta coefficient gives rc 1 and named failures, never a traceback."""
+    monkeypatch.setattr(cli, "_chart_for", lambda model, n, delta: corrupted_hopf_chart(n))
+    code, out = run(capsys, *command, "--model", "hopf", "--n", "1")
+    assert code == 1
+    report = json.loads(out)
+    assert report["ok"] is False
+    bad = [r for r in report["results"] if r["status"] == "fail"]
+    assert bad and all(r["check_id"].startswith(f"{BAD_HOPF_LABEL}:") for r in bad)
+    assert {r["check_id"].split(":")[-1] for r in bad} == failing
+    assert all(r["witness"] for r in bad)

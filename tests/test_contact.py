@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from contactcheck import contact
 from contactcheck.contact import (
+    CStructureData,
     ContactChart,
     HomogeneousFunction,
     SectionMap,
@@ -34,6 +36,7 @@ from contactcheck.linalg import rank
 from contactcheck.poly import MultiPoly
 from contactcheck.sampling import SeededSampler
 from contactcheck.scalars import GaussianRational, gq
+from faults import BAD_HOPF_LABEL, corrupted_hopf_chart
 
 
 def all_pass(results):
@@ -536,3 +539,80 @@ def test_hamiltonian_field_prints_in_chart_variable_order(cc):
     X = hamiltonian_field(cc, z2 * z1 * z0)
     assert str(X) == str(hamiltonian_field(cc, z0 * z1 * z2))
     assert "z0*z1" in str(X) and "z1*z0" not in str(X)
+
+
+# -- fault injection: each identity must be able to fail --------------------------------------
+
+
+def _failed(results):
+    return {r.check_id: r.witness for r in results if r.status == "fail"}
+
+
+def test_corrupted_theta_fails_axiom_and_lemma_suites():
+    """Doubling one theta coefficient of hopf(1) fails checks instead of raising."""
+    cc = corrupted_hopf_chart(1)
+    sampler = SeededSampler(3)
+    assert _failed(verify_axioms(cc, [sampler.point(cc)])) == {
+        f"{BAD_HOPF_LABEL}:vertical-annihilation": "z0*z2"
+    }
+    z0, z1, z2, z3 = (cc.chart.coeff_var(f"z{i}") for i in range(4))
+    pairs = [(z0 + z2, 1, z1 * z3, 2), (z0 * z0 + z1 * z2, 2, z3, 1), (z0 * z0 * z0 + z1 * z2 * z3, 3, z0, 1)]
+    for f, ell, g, m in pairs:
+        failed = _failed(
+            check_scaling_identities(
+                cc, HomogeneousFunction(cc, f, ell), HomogeneousFunction(cc, g, m)
+            )
+        )
+        prefix = f"{BAD_HOPF_LABEL}:l{ell}:m{m}"
+        assert set(failed) == {f"{prefix}:theta-of-hamiltonian", f"{prefix}:euler-degree-agrees"}
+        assert failed[f"{prefix}:theta-of-hamiltonian"] != "0"
+        assert failed[f"{prefix}:euler-degree-agrees"] == f"euler=None scaling={ell}"
+    samples = [HomogeneousFunction(cc, q, 2) for q in (z0 * z0 + z1 * z2, z0 * z1 + z2 * z3)]
+    failed = _failed(check_invariance_identities(cc, samples))
+    assert set(failed) == {
+        f"{BAD_HOPF_LABEL}:sample{idx}:{name}"
+        for idx in range(2)
+        for name in ("theta-invariance", "moment-recovers-f", "moment-degree", "round-trip")
+    }
+    # euler_field itself still refuses a solve that misses the closed form
+    with pytest.raises(ArithmeticError, match="euler field solve disagrees"):
+        euler_field(cc)
+
+
+def test_corrupted_transition_fails_c2():
+    cs = reconstruct_cstructure(hopf_chart(1), hopf_sections(1))
+    maps = dict(cs.transition_maps)
+    maps[(0, 1)] = dict(maps[(0, 1)], u0=maps[(0, 1)]["u0"] * 2)
+    with pytest.raises(ValueError, match=r"^\(C\.2\) fails for pair \(V0, V1\)$"):
+        cstructure_from_charts(cs.charts, cs.gammas, maps, 1)
+
+
+def test_reconstruct_reports_c2_through_one_path(monkeypatch):
+    cc, sections = hopf_chart(1), hopf_sections(1)
+    section_transition = contact._section_transition
+
+    def doubled_u0(cc, sections, i, j):
+        trans = section_transition(cc, sections, i, j)
+        return dict(trans, u0=trans["u0"] * 2) if (i, j) == (0, 1) else trans
+
+    monkeypatch.setattr(contact, "_section_transition", doubled_u0)
+    with pytest.raises(ValueError, match=r"^\(C\.2\) fails for pair \(V0, V1\)$"):
+        reconstruct_cstructure(cc, sections)
+    monkeypatch.undo()
+    gauge_ratio = contact._gauge_ratio
+
+    def doubled_gauge(cc, sec_i, sec_j, trans):
+        g = gauge_ratio(cc, sec_i, sec_j, trans)
+        return g * 2 if (sec_i.label, sec_j.label) == ("V1", "V2") else g
+
+    monkeypatch.setattr(contact, "_gauge_ratio", doubled_gauge)
+    with pytest.raises(ValueError, match=r"^\(C\.2\) fails for pair \(V1, V2\)$"):
+        reconstruct_cstructure(cc, sections)
+
+
+def test_corrupted_factor_fails_cocycle():
+    cs = reconstruct_cstructure(hopf_chart(1), hopf_sections(1))
+    factors = dict(cs.factors)
+    factors[(0, 1)] = factors[(0, 1)] * 2
+    bad = CStructureData(cs.charts, cs.gammas, cs.transition_maps, factors, cs.gauges)
+    assert _failed(canonical_cocycle_check(bad, 1)) == {"cocycle:V0->V1": "lhs -2 != rhs -8"}

@@ -16,7 +16,7 @@ from contactcheck.forms import (
 from contactcheck.laurent import LaurentPoly
 from contactcheck.poly import MultiPoly
 from contactcheck.scalars import gq
-from oracles import naive_wedge
+from oracles import naive_contraction, naive_wedge
 
 C4 = ChartSpace(["z0", "z1", "z2", "z3"])
 FIB = ChartSpace(["z"], "lam")
@@ -169,6 +169,36 @@ def test_iota_squared_zero_randomized():
         assert iota(X, iota(X, a)).is_zero()
 
 
+# -- full contraction ------------------------------------------------------------------
+
+FIB3 = ChartSpace(["z0", "z1", "z2"], "lam")
+
+
+@pytest.mark.parametrize("chart", [C4, FIB3], ids=["hopf", "fibered"])
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_apply_matches_naive_contraction(chart, p):
+    rnd = random.Random(100 + p)
+    for _ in range(4):
+        form = rand_form(chart, p, rnd)
+        fields = [rand_field(chart, rnd) for _ in range(p)]
+        assert form.apply(*fields) == naive_contraction(form, fields)
+        # a field missing a component exercises the zero terms of the sum
+        if p:
+            sparse = PolyVectorField(chart, dict(list(fields[0].components.items())[1:]))
+            fields = [sparse] + fields[1:]
+            assert form.apply(*fields) == naive_contraction(form, fields)
+
+
+def test_apply_is_alternating_and_checks_arity():
+    rnd = random.Random(9)
+    form = rand_form(FIB3, 2, rnd)
+    X, Y = rand_field(FIB3, rnd), rand_field(FIB3, rnd)
+    assert form.apply(X, Y) == -form.apply(Y, X)
+    assert form.apply(X, X).is_zero()
+    with pytest.raises(ValueError, match="need 2 fields, got 1"):
+        form.apply(X)
+
+
 # -- Lie derivative -------------------------------------------------------------------
 
 
@@ -304,12 +334,19 @@ def test_pullback_rejects_nonmonomial_fiber_for_laurent():
         "z": src.coeff_var("u"),
         "lam": src.coeff_var("mu") + src.coeff_const(1),
     }
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unit fiber image"):
         pullback(src, bad, theta)
+    not_unit = {"z": src.coeff_var("u"), "lam": src.coeff_var("mu") * src.coeff_var("u")}
+    with pytest.raises(ValueError, match="unit fiber image"):
+        pullback(src, not_unit, theta)
     good = {"z": src.coeff_var("u"), "lam": src.coeff_var("mu").scale(3)}
     pulled = pullback(src, good, theta)
     assert pulled == PolyForm(
         src, 1, {(0,): LaurentPoly("mu", {-1: MultiPoly.const(Fraction(1, 3))})}
+    )
+    cubed = {"z": src.coeff_var("u"), "lam": LaurentPoly.fiber_power("mu", 3, 2)}
+    assert pullback(src, cubed, theta) == PolyForm(
+        src, 1, {(0,): LaurentPoly("mu", {-3: MultiPoly.const(Fraction(1, 2))})}
     )
 
 
