@@ -18,6 +18,8 @@ root, in root-system order.  Construction happens in two stages:
 The Killing form is always computed as ``trace(ad x . ad y)``, the trace of
 two composed brackets read from the sparse table; it is never looked up as a
 table entry of its own, so it doubles as a self-test of the construction.
+After checking that the table is weight-homogeneous, :func:`killing` traces
+only the weight-compatible pairs (``w_i + w_j = 0``); every other trace is 0.
 Note that the rescaled constants satisfy ``sign N_{a,b} = sign N_{-a,-b}``
 but not the stronger equality ``N_{a,b} = N_{-a,-b}``: that normalization
 needs square roots of root norms, which do not exist in Q(i).
@@ -26,7 +28,7 @@ needs square roots of root norms, which do not exist in Q(i).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .rootsystem import Root, RootSystem
@@ -34,6 +36,25 @@ from .scalars import GaussianRational, ONE, ZERO
 
 Vector = List[GaussianRational]
 SparseVec = Dict[int, GaussianRational]
+Term = Tuple[int, GaussianRational]
+Terms = List[Term]
+
+_EMPTY: SparseVec = {}
+
+
+def _terms(vec: Sequence[GaussianRational]) -> Terms:
+    """The ``(index, value)`` pairs of a vector's nonzero entries."""
+    return [(k, c) for k, c in enumerate(vec) if not c.is_zero()]
+
+
+def _add_into(out: SparseVec, f: GaussianRational, terms: Iterable[Term]) -> None:
+    """``out += f * terms``, dropping entries that cancel to zero."""
+    for k, c in terms:
+        acc = out[k] + f * c if k in out else f * c
+        if acc.is_zero():
+            out.pop(k, None)
+        else:
+            out[k] = acc
 
 
 class LieBasis:
@@ -68,13 +89,23 @@ def _root_label(root: Root) -> str:
 
 
 class StructureConstants:
-    """Sparse antisymmetric bracket table over a LieBasis."""
+    """Sparse antisymmetric bracket table over a LieBasis.
 
-    __slots__ = ("basis", "table")
+    ``table`` holds one orientation of each nonzero ``[e_i, e_j]``; ``rows[i][j]``
+    holds ``[e_i, e_j]`` in both orientations, built once here.  The dicts in
+    ``rows`` and those ``bracket_basis`` returns are shared: read-only.
+    """
+
+    __slots__ = ("basis", "table", "rows")
 
     def __init__(self, basis: LieBasis, table: Dict[Tuple[int, int], SparseVec]):
+        rows: List[Dict[int, SparseVec]] = [{} for _ in range(basis.dim)]
+        for (i, j), entry in table.items():
+            rows[i][j] = entry
+            rows[j][i] = {k: -c for k, c in entry.items()}
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "table", table)
+        object.__setattr__(self, "rows", rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("StructureConstants is immutable")
@@ -84,36 +115,26 @@ class StructureConstants:
         return self.basis.dim
 
     def bracket_basis(self, i: int, j: int) -> SparseVec:
-        if i == j:
-            return {}
-        if (i, j) in self.table:
-            return self.table[(i, j)]
-        if (j, i) in self.table:
-            return {k: -c for k, c in self.table[(j, i)].items()}
-        return {}
+        return self.rows[i].get(j, _EMPTY)
 
     def unit_bracket(self, i: int, j: int) -> Vector:
         """``[e_i, e_j]`` as a dense vector, read from the table."""
-        vec = [ZERO] * self.dim
-        for k, c in self.bracket_basis(i, j).items():
-            vec[k] = c
-        return vec
+        entry = self.bracket_basis(i, j)
+        return [entry.get(k, ZERO) for k in range(self.dim)]
 
     def bracket(self, x: Sequence[GaussianRational], y: Sequence[GaussianRational]) -> Vector:
-        out: SparseVec = {}
-        for i, xi in enumerate(x):
-            if xi.is_zero():
-                continue
-            for j, yj in enumerate(y):
-                if yj.is_zero():
-                    continue
-                for k, c in self.bracket_basis(i, j).items():
-                    acc = out.get(k, ZERO) + xi * yj * c
-                    if acc.is_zero():
-                        out.pop(k, None)
-                    else:
-                        out[k] = acc
+        out = self._bracket_terms(_terms(x), _terms(y))
         return [out.get(k, ZERO) for k in range(self.dim)]
+
+    def _bracket_terms(self, xs: Terms, ys: Terms) -> SparseVec:
+        """``[x, y]`` from the nonzero ``(index, value)`` terms of x and y."""
+        out: SparseVec = {}
+        for i, xi in xs:
+            row = self.rows[i]
+            for j, yj in ys:
+                if j in row:
+                    _add_into(out, xi * yj, row[j].items())
+        return out
 
     def ad_matrix(self, x: Sequence[GaussianRational]) -> List[Vector]:
         """Matrix of ad(x) acting on basis-coordinate column vectors."""
@@ -131,13 +152,12 @@ class StructureConstants:
 # -- Chevalley constants ----------------------------------------------------------
 
 
-def _coroot_coordinates(rs: RootSystem, alpha: Root) -> List[int]:
+def _coroot_coordinates(rs: RootSystem, alpha: Root, norms: Dict[Root, Fraction]) -> List[int]:
     """Coordinates of alpha^v in the simple coroots; integral for root systems."""
-    norm = rs.pairing(alpha, alpha)
     coords = []
     for i in range(rs.rank):
         simple = tuple(1 if j == i else 0 for j in range(rs.rank))
-        value = Fraction(alpha[i]) * rs.pairing(simple, simple) / norm
+        value = Fraction(alpha[i]) * norms[simple] / norms[alpha]
         if value.denominator != 1:
             raise ValueError(f"non-integral coroot coordinate for {alpha}")
         coords.append(int(value))
@@ -149,6 +169,8 @@ class _ChevalleyTable:
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
+        #: The root norms (r, r), computed once.
+        self.norms: Dict[Root, Fraction] = {r: rs.pairing(r, r) for r in rs.roots}
         self.pos: Dict[Tuple[Root, Root], Fraction] = {}
         positives = rs.positive_roots()
         order = {r: i for i, r in enumerate(positives)}
@@ -208,10 +230,10 @@ class _ChevalleyTable:
         # a positive, b negative; use the cycle relation with c = -(a+b).
         if all(c >= 0 for c in s):
             # N_{a,b} = -((s,s)/(a,a)) N_{-b, s}
-            return -(rs.pairing(s, s) / rs.pairing(a, a)) * self.value(tuple(-c for c in b), s)
+            return -(self.norms[s] / self.norms[a]) * self.value(tuple(-c for c in b), s)
         # N_{a,b} = ((c,c)/(b,b)) N_{c,a} with c = -s positive
         c = tuple(-x for x in s)
-        return (rs.pairing(c, c) / rs.pairing(b, b)) * self.value(c, a)
+        return (self.norms[c] / self.norms[b]) * self.value(c, a)
 
 
 def chevalley_constants(rs: RootSystem) -> _ChevalleyTable:
@@ -239,7 +261,7 @@ def _chevalley_table(rs: RootSystem, basis: LieBasis) -> Dict[Tuple[int, int], S
             i, j = basis.root_index(a), basis.root_index(b)
             s = tuple(x + y for x, y in zip(a, b))
             if not any(s):
-                coro = _coroot_coordinates(rs, a)
+                coro = _coroot_coordinates(rs, a, nconst.norms)
                 entry = {k: GaussianRational(c) for k, c in enumerate(coro) if c}
                 if entry:
                     table[(i, j)] = entry
@@ -254,9 +276,10 @@ def _chevalley_table(rs: RootSystem, basis: LieBasis) -> Dict[Tuple[int, int], S
 def _trace_form(sc: StructureConstants, i: int, j: int) -> GaussianRational:
     """``trace(ad e_i . ad e_j) = sum_k sum_l [e_j, e_k]_l [e_i, e_l]_k`` from the table."""
     total = ZERO
-    for k in range(sc.dim):
-        for l, c in sc.bracket_basis(j, k).items():
-            d = sc.bracket_basis(i, l).get(k)
+    row_i = sc.rows[i]
+    for k, entry in sc.rows[j].items():
+        for l, c in entry.items():
+            d = row_i.get(l, _EMPTY).get(k)
             if d is not None:
                 total = total + c * d
     return total
@@ -293,14 +316,18 @@ def build_algebra(rs: RootSystem) -> StructureConstants:
 
 
 class KillingData:
-    """Killing Gram matrix, root duals h_a, and the grading element H_rho."""
+    """Killing Gram matrix, root duals h_a, and the grading element H_rho.
 
-    __slots__ = ("sc", "gram", "coroots", "hrho")
+    ``gram_rows[i]`` holds the nonzero entries of Gram row i, built once.
+    """
+
+    __slots__ = ("sc", "gram", "gram_rows", "coroots", "hrho")
 
     def __init__(self, sc: StructureConstants, gram: List[Vector],
                  coroots: Dict[Root, Vector], hrho: Vector):
         object.__setattr__(self, "sc", sc)
         object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "gram_rows", [dict(_terms(row)) for row in gram])
         object.__setattr__(self, "coroots", coroots)
         object.__setattr__(self, "hrho", hrho)
 
@@ -308,36 +335,54 @@ class KillingData:
         raise AttributeError("KillingData is immutable")
 
     def form(self, x: Sequence[GaussianRational], y: Sequence[GaussianRational]) -> GaussianRational:
+        return self._form_terms(_terms(x), y)
+
+    def _form_terms(self, xs: Terms, y: Sequence[GaussianRational]) -> GaussianRational:
+        """``B(x, y)`` from the nonzero ``(index, value)`` terms of x."""
         total = ZERO
-        for i, xi in enumerate(x):
-            if xi.is_zero():
-                continue
-            row = self.gram[i]
-            for j, yj in enumerate(y):
-                if not yj.is_zero() and not row[j].is_zero():
-                    total = total + xi * yj * row[j]
+        for i, xi in xs:
+            for j, g in self.gram_rows[i].items():
+                yj = y[j]
+                if not yj.is_zero():
+                    total = total + xi * yj * g
         return total
 
 
 def killing(sc: StructureConstants) -> KillingData:
-    """Killing form by trace, plus h_a for every root and the normalized H_rho."""
+    """Killing form by trace, plus h_a for every root and the normalized H_rho.
+
+    Every ``[e_i, e_j]`` must lie in weight ``w_i + w_j`` (the h's in weight
+    0), or ``ArithmeticError`` names the pair.  Then ``ad e_i . ad e_j`` shifts
+    weights by ``w_i + w_j``, so only the (h_i, h_j) and (e_a, e_{-a}) pairs
+    are traced; the traces still read the table, so the form stays a self-test.
+    """
+    basis = sc.basis
     n = sc.dim
-    rank = sc.basis.rank
-    rs = sc.basis.rs
-    # Every pair is traced, including those the root grading forces to vanish,
-    # so the form still checks the table.
+    rank = basis.rank
+    rs = basis.rs
+    weights: List[Root] = [(0,) * rank] * rank + list(rs.roots)
+    for (i, j), entry in sc.table.items():
+        target = tuple(a + b for a, b in zip(weights[i], weights[j]))
+        for k in entry:
+            if weights[k] != target:
+                raise ArithmeticError(
+                    f"[{basis.labels[i]}, {basis.labels[j]}] has a component on "
+                    f"{basis.labels[k]}, outside weight w_i + w_j"
+                )
     gram: List[Vector] = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            gram[i][j] = gram[j][i] = _trace_form(sc, i, j)
+    pairs = [(i, j) for i in range(rank) for j in range(i, rank)]
+    pairs += [(basis.root_index(a), basis.root_index(rs.negative(a))) for a in rs.positive_roots()]
+    for i, j in pairs:
+        gram[i][j] = gram[j][i] = _trace_form(sc, i, j)
     cartan_gram = [[gram[i][j] for j in range(rank)] for i in range(rank)]
-    if linalg.rank(cartan_gram) < rank:
-        raise ArithmeticError("Killing form degenerate on the Cartan subalgebra")
+    try:
+        cartan_inverse = linalg.invert(cartan_gram)
+    except ValueError:
+        raise ArithmeticError("Killing form degenerate on the Cartan subalgebra") from None
     coroots: Dict[Root, Vector] = {}
     for root in rs.roots:
         rhs = [GaussianRational(rs.cartan.coroot_pairing(root, i)) for i in range(rank)]
-        coeffs = linalg.solve(cartan_gram, rhs)
-        coroots[root] = coeffs + [ZERO] * (n - rank)
+        coroots[root] = linalg.mat_vec(cartan_inverse, rhs) + [ZERO] * (n - rank)
     rho = rs.highest
     h_rho = coroots[rho]
     norm = ZERO
@@ -386,22 +431,17 @@ def grade(sc: StructureConstants, kd: KillingData) -> GradedDecomposition:
     rs = basis.rs
     n = sc.dim
     pieces: Dict[int, List[int]] = {i: [] for i in range(-2, 3)}
+    hrho = _terms(kd.hrho)
     for idx in range(n):
-        image = sc.bracket(kd.hrho, sc.unit(idx))
-        root = basis.root_of(idx)
-        if root is None:
-            if any(not c.is_zero() for c in image):
+        image = sc._bracket_terms(hrho, [(idx, ONE)])
+        if basis.root_of(idx) is None:
+            if image:
                 raise ArithmeticError("ad(H_rho) does not annihilate the Cartan subalgebra")
             pieces[0].append(idx)
             continue
-        unit = sc.unit(idx)
-        eig: Optional[GaussianRational] = None
-        for k, c in enumerate(image):
-            if not unit[k].is_zero():
-                eig = c / unit[k]
-            elif not c.is_zero():
-                raise ArithmeticError(f"ad(H_rho) not diagonal at basis index {idx}")
-        assert eig is not None
+        if any(k != idx for k in image):
+            raise ArithmeticError(f"ad(H_rho) not diagonal at basis index {idx}")
+        eig = image.get(idx, ZERO)
         if not eig.is_real() or eig.re.denominator != 1:
             raise ArithmeticError(f"non-integer ad(H_rho) eigenvalue {eig}")
         value = int(eig.re)
@@ -445,12 +485,9 @@ def g00_span_check(gd: GradedDecomposition, sc: StructureConstants) -> bool:
     must reproduce G00.)
     """
     pieces = gd.pieces
-    brackets: List[Vector] = []
-    for i in pieces[-1]:
-        for j in pieces[1]:
-            vec = sc.unit_bracket(i, j)
-            if any(not c.is_zero() for c in vec):
-                brackets.append(vec)
+    brackets = [
+        sc.unit_bracket(i, j) for i in pieces[-1] for j in pieces[1] if sc.bracket_basis(i, j)
+    ]
     bracket_g00 = linalg.intersect_spans(brackets, gd.spans["L0"]) if brackets else []
     return linalg.same_span(bracket_g00, gd.spans["G00"])
 

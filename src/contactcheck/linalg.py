@@ -143,12 +143,14 @@ def intersect_spans(
     # combinations with sum_i x_i a_i = sum_j y_j b_j.
     rows = [[a[i][d] for i in range(len(a))] + [-b[j][d] for j in range(len(b))] for d in range(dim)]
     kernel = nullspace(rows, zero=zero)
+    supports = [[(d, ai) for d, ai in enumerate(row) if not ai.is_zero()] for row in a]
     candidates: List[List[T]] = []
     for combo in kernel:
         vec = [zero] * dim
         for i, coeff in enumerate(combo[: len(a)]):
             if not coeff.is_zero():
-                vec = [v + coeff * ai for v, ai in zip(vec, a[i])]
+                for d, ai in supports[i]:
+                    vec[d] = vec[d] + coeff * ai
         if any(not v.is_zero() for v in vec):
             candidates.append(vec)
     if not candidates:

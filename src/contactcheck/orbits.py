@@ -14,10 +14,10 @@ vectors.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .lie import GradedDecomposition, KillingData, StructureConstants, Vector
+from .lie import GradedDecomposition, KillingData, StructureConstants, Vector, _add_into, _terms
 from .report import SKIPPED, CheckResult, check
 from .rootsystem import Root
 from .scalars import ONE, ZERO, GaussianRational
@@ -43,12 +43,9 @@ class AlgebraAutomorphism:
 
     def apply(self, vec: Sequence[GaussianRational]) -> Vector:
         out = [ZERO] * self.sc.dim
-        for j, xj in enumerate(vec):
-            if xj.is_zero():
-                continue
-            for i, c in enumerate(self.columns[j]):
-                if not c.is_zero():
-                    out[i] = out[i] + c * xj
+        for j, xj in _terms(vec):
+            for i, c in _terms(self.columns[j]):
+                out[i] = out[i] + c * xj
         return out
 
     def compose(self, other: "AlgebraAutomorphism") -> "AlgebraAutomorphism":
@@ -56,19 +53,23 @@ class AlgebraAutomorphism:
 
     def preserves_brackets(self) -> bool:
         sc = self.sc
-        cols = self.columns
+        terms = [_terms(col) for col in self.columns]
         for i in range(sc.dim):
             for j in range(i + 1, sc.dim):
-                lhs = self.apply(sc.unit_bracket(i, j))
-                if lhs != sc.bracket(cols[i], cols[j]):
+                # The image of [e_i, e_j], zero entries dropped like the bracket's.
+                lhs: Dict[int, GaussianRational] = {}
+                for k, c in sc.bracket_basis(i, j).items():
+                    _add_into(lhs, c, terms[k])
+                if lhs != sc._bracket_terms(terms[i], terms[j]):
                     return False
         return True
 
     def preserves_form(self, kd: KillingData) -> bool:
         cols = self.columns
         for i in range(self.sc.dim):
+            xs = _terms(cols[i])
             for j in range(i, self.sc.dim):
-                if kd.form(cols[i], cols[j]) != kd.gram[i][j]:
+                if kd._form_terms(xs, cols[j]) != kd.gram[i][j]:
                     return False
         return True
 
@@ -108,18 +109,20 @@ def exp_ad(sc: StructureConstants, root: Root, t: Fraction) -> AlgebraAutomorphi
     if not rs.is_root(tuple(root)):
         raise ValueError(f"{root} is not a root; only nilpotent directions exponentiate")
     n = sc.dim
-    e = sc.unit(sc.basis.root_index(tuple(root)))
+    e = [(sc.basis.root_index(tuple(root)), ONE)]
     scalar = GaussianRational(t)
     columns: List[Vector] = []
     for j in range(n):
-        column = term = sc.unit(j)
+        column = sc.unit(j)
+        term = {j: ONE}
         factor = ONE
         for k in range(1, n + 1):
-            term = sc.bracket(e, term)
-            if all(c.is_zero() for c in term):
+            term = sc._bracket_terms(e, list(term.items()))
+            if not term:
                 break
             factor = factor * scalar / GaussianRational(k)
-            column = [a if b.is_zero() else a + factor * b for a, b in zip(column, term)]
+            for i, c in term.items():
+                column[i] = column[i] + factor * c
         else:
             raise ArithmeticError("ad e_root failed to nilpotate; broken table")
         columns.append(column)
@@ -155,16 +158,9 @@ def theta_G_checks(sc: StructureConstants, kd: KillingData, gd: GradedDecomposit
     * ``B([H_rho, e_rho], -e_{-rho}) = 2``: the infinitesimal character of
       the fiber action (weight of the scaling on the cone).
     """
-    rs = sc.basis.rs
-    n = sc.dim
-    rho_idx = sc.basis.root_index(rs.highest)
-    e_rho = sc.unit(rho_idx)
+    e_rho = sc.unit(sc.basis.root_index(sc.basis.rs.highest))
     results: List[CheckResult] = []
-    pairing_matrix = [
-        [kd.form(e_rho, sc.unit_bracket(i, j)) for j in range(n)]
-        for i in range(n)
-    ]
-    kernel = linalg.nullspace(pairing_matrix)
+    kernel = linalg.nullspace(rho_pairing_matrix(sc, kd))
     ok = linalg.same_span(kernel, gd.spans["L0"])
     results.append(
         check(
@@ -180,6 +176,16 @@ def theta_G_checks(sc: StructureConstants, kd: KillingData, gd: GradedDecomposit
     chi = chi_differential(kd, sc)
     results.append(check("theta_G:character-differential", chi == GaussianRational(2), chi))
     return results
+
+
+def rho_pairing_matrix(sc: StructureConstants, kd: KillingData) -> List[Vector]:
+    """``B(e_rho, [e_i, e_j])`` for all basis pairs: the e_rho Gram row read against the table."""
+    g_rho = kd.gram_rows[sc.basis.root_index(sc.basis.rs.highest)]
+
+    def pairing(entry: Dict[int, GaussianRational]) -> GaussianRational:
+        return sum((g_rho[k] * c for k, c in entry.items() if k in g_rho), ZERO)
+
+    return [[pairing(sc.bracket_basis(i, j)) for j in range(sc.dim)] for i in range(sc.dim)]
 
 
 def moment_map(sc: StructureConstants, kd: KillingData, pt: OrbitPoint) -> MomentVector:

@@ -7,7 +7,10 @@ instead of iterated interior products, a dense matrix exponential (powers of the
 ``ad`` matrix by plain nested-loop products) instead of the library's series
 on basis vectors, and a two-pass dense reduced row-echelon form (forward
 elimination below the pivots, then back substitution) instead of the
-library's one-pass support-only Gauss-Jordan.  They stay deliberately naive.
+library's one-pass support-only Gauss-Jordan, and a Killing form traced from
+dense ``ad`` matrices filled straight from the bracket table instead of the
+library's weight-compatible traces over its per-index rows.  They stay
+deliberately naive.
 """
 
 from __future__ import annotations
@@ -221,3 +224,37 @@ def dense_mat_vec(
             total = total + a * b
         out.append(total)
     return out
+
+
+def dense_ad_from_table(sc: StructureConstants, x: Sequence[GaussianRational]):
+    """The matrix of ad x, filled by nested loops over ``sc.table`` alone.
+
+    Entry ``[k][l]`` is the ``e_k`` coefficient of ``[x, e_l]``; each table
+    entry ``[e_i, e_j] = c e_k`` is used in both orientations by hand.
+    """
+    n = sc.dim
+    m = [[ZERO] * n for _ in range(n)]
+    for (i, j), entry in sc.table.items():
+        for k, c in entry.items():
+            if not x[i].is_zero():
+                m[k][j] = m[k][j] + x[i] * c
+            if not x[j].is_zero():
+                m[k][i] = m[k][i] - x[j] * c
+    return m
+
+
+def dense_trace(a, b) -> GaussianRational:
+    """``trace(a . b)`` of two square matrices, summed over every (k, l)."""
+    total = ZERO
+    for k in range(len(a)):
+        for l in range(len(a)):
+            if not a[k][l].is_zero():
+                total = total + a[k][l] * b[l][k]
+    return total
+
+
+def dense_killing_form(
+    sc: StructureConstants, x: Sequence[GaussianRational], y: Sequence[GaussianRational]
+) -> GaussianRational:
+    """``trace(ad x . ad y)`` from two dense ad matrices built from the table."""
+    return dense_trace(dense_ad_from_table(sc, x), dense_ad_from_table(sc, y))

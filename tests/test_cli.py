@@ -180,3 +180,52 @@ def test_corrupted_theta_fails_with_report(capsys, monkeypatch, command, failing
     assert bad and all(r["check_id"].startswith(f"{BAD_HOPF_LABEL}:") for r in bad)
     assert {r["check_id"].split(":")[-1] for r in bad} == failing
     assert all(r["witness"] for r in bad)
+
+
+def test_dump_forms_on_corrupted_theta_reports_the_failure(capsys, monkeypatch):
+    """--dump-forms writes the solved Euler field; the axiom suite reports the mismatch."""
+    from contactcheck.contact import euler_field, hopf_chart
+
+    argv = ["verify-contact", "--model", "hopf", "--n", "1", "--dump-forms"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    good = json.loads(out)["config"]["payload"]["euler_field"]
+    assert good == str(euler_field(hopf_chart(1)))
+    monkeypatch.setattr(cli, "_chart_for", lambda model, n, delta: corrupted_hopf_chart(n))
+    code, out = run(capsys, *argv)
+    assert code == 1
+    report = json.loads(out)
+    assert [r["check_id"] for r in report["results"] if r["status"] == "fail"] == [
+        f"{BAD_HOPF_LABEL}:vertical-annihilation"
+    ]
+    assert report["config"]["payload"]["euler_field"] not in ("", good)
+
+
+def _benchmark_file(name: str) -> Path:
+    return Path(__file__).resolve().parent.parent / "perfbench" / name
+
+
+@pytest.mark.parametrize("name", ["D4", "F4"])
+def test_exceptional_reports_match_benchmark_digests(name, monkeypatch):
+    """algebra and adjoint on D4/F4 at seed 2024 reproduce the recorded sha256 digests."""
+    import hashlib
+    import importlib.util
+
+    from contactcheck import rootsystem
+
+    path = _benchmark_file("workloads.py")
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    reference = json.loads(_benchmark_file("reference.json").read_text())
+    digests = reference["seeds"]["2024"]["lie-exceptional"]
+    monkeypatch.setitem(rootsystem.CARTAN_MATRICES, name, workloads.EXCEPTIONAL_CARTAN[name])
+    reports = {
+        f"algebra[{name}]": cli.run_algebra({"command": "algebra", "type": name}),
+        f"adjoint[{name}]": cli.run_adjoint(
+            {"command": "adjoint", "type": name, "samples": 3, "seed": 2024}
+        ),
+    }
+    for key, report in reports.items():
+        assert report.ok, key
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == digests[key], key

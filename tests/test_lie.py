@@ -1,9 +1,12 @@
 import itertools
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from contactcheck.lie import (
+    StructureConstants,
     build_algebra,
     chevalley_constants,
     chi_differential,
@@ -14,7 +17,7 @@ from contactcheck.lie import (
 )
 from contactcheck.rootsystem import builtin_root_system
 from contactcheck.scalars import GaussianRational, ZERO
-from oracles import ad_eigenvalue
+from oracles import ad_eigenvalue, dense_ad_from_table, dense_killing_form, dense_trace
 
 CORE_TYPES = ["A1", "A2", "C2", "G2"]
 
@@ -266,3 +269,57 @@ def test_unit_bracket_matches_bracket_of_units(name, algebra_bundle):
     for i in range(sc.dim):
         for j in range(sc.dim):
             assert sc.unit_bracket(i, j) == sc.bracket(sc.unit(i), sc.unit(j)), (i, j)
+
+
+ORACLE_TYPES = ["A1", "A2", "B3", "G2"]
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_killing_gram_equals_full_all_pairs_trace(name, algebra_bundle):
+    """The weight-compatible traces give the Gram matrix every pair's trace gives."""
+    _, sc, kd, _ = algebra_bundle(name)
+    ads = [dense_ad_from_table(sc, sc.unit(i)) for i in range(sc.dim)]
+    assert kd.gram == [[dense_trace(a, b) for b in ads] for a in ads]
+
+
+def random_vector(rng, dim):
+    return [
+        GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 4)), rng.randint(-1, 1))
+        if rng.random() < 0.5
+        else ZERO
+        for _ in range(dim)
+    ]
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_killing_form_matches_dense_oracle(name, algebra_bundle):
+    _, sc, kd, _ = algebra_bundle(name)
+    rng = random.Random(name)
+    vectors = [random_vector(rng, sc.dim) for _ in range(4)] + [kd.hrho, sc.unit(sc.dim - 1)]
+    for x, y in itertools.product(vectors, repeat=2):
+        assert kd.form(x, y) == dense_killing_form(sc, x, y)
+
+
+def _moved_off_weight(sc, key):
+    """A copy of the table whose entry at ``key`` moves to another root vector."""
+    (target, c), = sc.table[key].items()
+    other = next(k for k in range(sc.basis.rank, sc.dim) if k != target)
+    table = dict(sc.table)
+    table[key] = {other: c}
+    return StructureConstants(sc.basis, table)
+
+
+@pytest.mark.parametrize("kind", ["cartan-root", "root-root"])
+@pytest.mark.parametrize("name", ["A2", "G2"])
+def test_killing_rejects_an_entry_off_its_weight(name, kind, algebra_bundle):
+    _, sc, _, _ = algebra_bundle(name)
+    rank = sc.basis.rank
+    key = next(
+        (i, j)
+        for (i, j), entry in sc.table.items()
+        if (i < rank if kind == "cartan-root" else i >= rank) and min(entry) >= rank
+    )
+    labels = sc.basis.labels
+    pair = f"[{labels[key[0]]}, {labels[key[1]]}]"
+    with pytest.raises(ArithmeticError, match=re.escape(pair)):
+        killing(_moved_off_weight(sc, key))

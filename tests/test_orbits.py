@@ -14,6 +14,7 @@ from contactcheck.orbits import (
     nilpotency_degree_on,
     orbit_sample,
     rescale_point,
+    rho_pairing_matrix,
     tangent_rank,
     theta_G_checks,
 )
@@ -261,3 +262,69 @@ def test_corrupted_constant_fails_every_lie_check(name, algebra_bundle):
         any(not v.is_zero() for v in jacobi_residual(bad, a, b, c))
         for a, b, c in itertools.combinations(range(bad.dim), 3)
     )
+
+
+ORACLE_TYPES = ["A1", "A2", "B3", "G2"]
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_rho_pairing_matrix_matches_dense_oracle(name, algebra_bundle):
+    from oracles import dense_ad_from_table, dense_trace
+
+    rs, sc, kd, _ = algebra_bundle(name)
+    ad_rho = dense_ad_from_table(sc, sc.unit(sc.basis.root_index(rs.highest)))
+    got = rho_pairing_matrix(sc, kd)
+    for i in range(sc.dim):
+        ad_i = dense_ad_from_table(sc, sc.unit(i))
+        for j in range(sc.dim):
+            bracket = [ad_i[k][j] for k in range(sc.dim)]
+            assert got[i][j] == dense_trace(ad_rho, dense_ad_from_table(sc, bracket)), (i, j)
+
+
+def _oracle_preserves_form(sc, auto):
+    """Every pair of images keeps its dense Killing trace."""
+    from oracles import dense_ad_from_table, dense_trace
+
+    units = [dense_ad_from_table(sc, sc.unit(i)) for i in range(sc.dim)]
+    images = [dense_ad_from_table(sc, col) for col in auto.columns]
+    return all(
+        dense_trace(images[i], images[j]) == dense_trace(units[i], units[j])
+        for i in range(sc.dim)
+        for j in range(i, sc.dim)
+    )
+
+
+def _perturbed(auto, j):
+    """``auto`` with one nonzero off-diagonal entry of column j raised by 1."""
+    columns = [list(col) for col in auto.columns]
+    i = next(i for i, c in enumerate(columns[j]) if i != j and not c.is_zero())
+    columns[j][i] = columns[j][i] + 1
+    return AlgebraAutomorphism(auto.sc, columns)
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_preserves_form_matches_dense_oracle(name, algebra_bundle):
+    rs, sc, kd, _ = algebra_bundle(name)
+    auto = exp_ad(sc, rs.negative(rs.highest), Fraction(2, 3))
+    assert auto.preserves_form(kd) and _oracle_preserves_form(sc, auto)
+    bad = _perturbed(auto, sc.basis.root_index(rs.highest))
+    assert not bad.preserves_form(kd) and not _oracle_preserves_form(sc, bad)
+    # Doubling the image of e_rho keeps B(x, x) = 0 on it, so only the
+    # off-diagonal pairs can catch it.
+    rho_idx = sc.basis.root_index(rs.highest)
+    doubled = AlgebraAutomorphism(
+        sc, [[c + c for c in col] if j == rho_idx else col for j, col in enumerate(auto.columns)]
+    )
+    assert not doubled.preserves_form(kd) and not _oracle_preserves_form(sc, doubled)
+
+
+@pytest.mark.parametrize("name", TYPES)
+def test_perturbed_exp_ad_column_fails_both_invariants(name, algebra_bundle):
+    """One changed entry in one column breaks both the brackets and the form."""
+    rs, sc, kd, _ = algebra_bundle(name)
+    for root in rs.roots:
+        auto = exp_ad(sc, root, Fraction(-3, 2))
+        j = sc.basis.root_index(rs.negative(root))
+        bad = _perturbed(auto, j)
+        assert not bad.preserves_brackets(), root
+        assert not bad.preserves_form(kd), root
