@@ -14,7 +14,9 @@ Subpackage map:
 
 * :mod:`contactcheck.scalars`, :mod:`contactcheck.poly`,
   :mod:`contactcheck.laurent`, :mod:`contactcheck.ratfunc` -- scalar and
-  polynomial arithmetic kernels.
+  polynomial arithmetic kernels: Q(i), polynomials, Laurent polynomials in
+  one fiber variable, and the multivariate Laurent ring Q(i)[u^±1] that
+  holds chart transitions and cocycles.
 * :mod:`contactcheck.rootsystem` -- finite root systems from Cartan matrices.
 * :mod:`contactcheck.lie` -- structure constants, Killing form, highest-root
   grading of the simple Lie algebras.

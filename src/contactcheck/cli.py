@@ -25,6 +25,8 @@ from .scalars import GaussianRational
 
 DEFAULT_SEED = 2024
 FIBERED_DELTAS = (-2, -1, 1, 2, 3)
+#: Largest n the ``cocycle`` command accepts.
+COCYCLE_MAX_N = 3
 ALGEBRA_TYPES = tuple(sorted(CARTAN_MATRICES))
 
 
@@ -174,16 +176,14 @@ def run_verify_lemma22(config: Dict[str, object]) -> Report:
 
 def run_cocycle(config: Dict[str, object]) -> Report:
     n = int(config["n"])
-    report = Report(config)
+    if not 0 <= n <= COCYCLE_MAX_N:
+        raise ConfigError(f"cocycle instances ship for 0 <= n <= {COCYCLE_MAX_N}, got {n}")
     if n == 0:
         cs = contact.projective_line_cstructure()
-        report.extend(contact.canonical_cocycle_check(cs, 0))
-    elif n == 1:
-        cc = contact.hopf_chart(1)
-        cs = contact.reconstruct_cstructure(cc, contact.hopf_sections(1))
-        report.extend(contact.canonical_cocycle_check(cs, 1))
     else:
-        raise ConfigError("cocycle instances ship for n = 0 (line) and n = 1 (3-space)")
+        cs = contact.reconstruct_cstructure(contact.hopf_chart(n), contact.hopf_sections(n))
+    report = Report(config)
+    report.extend(contact.canonical_cocycle_check(cs, n))
     return report
 
 
@@ -393,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("cocycle", help="canonical-bundle cocycle identity")
-    p.add_argument("--n", type=int, required=True, choices=(0, 1))
+    p.add_argument("--n", type=int, required=True, help=f"0 (projective line) to {COCYCLE_MAX_N}")
     p.add_argument("--output", type=str, default=None)
 
     p = sub.add_parser("quotient", help="sign-quotient descent suite")

@@ -465,11 +465,11 @@ class SectionMap:
 
 
 class CStructureData:
-    """Chart forms gamma_i with rational transition data on the overlaps.
+    """Chart forms gamma_i with Laurent transition data on the overlaps.
 
-    ``transition_maps[(i, j)]`` expresses chart-j coordinates as rational
-    functions of chart-i coordinates; ``factors[(i, j)]`` is the holomorphic
-    (rational on the chart, holomorphic on the overlap) function with
+    ``transition_maps[(i, j)]`` expresses chart-j coordinates as Laurent
+    polynomials in chart-i coordinates; ``factors[(i, j)]`` is the Laurent
+    polynomial (holomorphic on the overlap) with
     ``gamma_i = f_ij * (coordinate change)^* gamma_j``.
     """
 
@@ -530,13 +530,15 @@ def _form_to_rational(form: PolyForm) -> Dict[str, RationalFunction]:
 def _proportionality_factor(
     target: Mapping[str, RationalFunction], source: Mapping[str, RationalFunction]
 ) -> Optional[RationalFunction]:
-    """f with target = f * source, or None when no such rational factor exists."""
+    """f with target = f * source, or None when no such Laurent factor exists."""
     factor: Optional[RationalFunction] = None
     for name, value in source.items():
         if value.is_zero():
             continue
-        t = target.get(name, RF_ZERO)
-        candidate = t / value
+        try:
+            candidate = target.get(name, RF_ZERO) / value
+        except ArithmeticError:
+            return None
         if factor is None:
             factor = candidate
         elif factor != candidate:
@@ -639,7 +641,7 @@ def reconstruct_cstructure(cc: ContactChart, sections: Sequence[SectionMap]) -> 
     Verifies, exactly: each section is a right inverse of the projection;
     the (C.1) and (C.2) checks of :func:`cstructure_from_charts` on the
     pulled-back forms; the gauge ``g_ij`` with ``sigma_i = R_(g_ij) sigma_j``
-    exists as a single rational function; and each compatibility factor is
+    exists as a single Laurent polynomial; and each compatibility factor is
     ``g_ij^delta``.
     """
     for section in sections:
@@ -704,7 +706,10 @@ def _gauge_ratio(
                 raise ValueError("weight-0 section components must match on the overlap")
             continue
         if weight == 1:
-            candidate = img_i_rf / moved
+            try:
+                candidate = img_i_rf / moved
+            except ArithmeticError:
+                raise ValueError("sections are not related by a scalar gauge") from None
             if ratio is None:
                 ratio = candidate
             elif ratio != candidate:
@@ -725,14 +730,14 @@ def canonical_cocycle_check(cs: CStructureData, n: int) -> List[CheckResult]:
     where ``c_k`` is the coefficient of the top form ``gamma_k ^ (d gamma_k)^n``.
     """
     results: List[CheckResult] = []
-    tops: List[RationalFunction] = []
+    tops: List[MultiPoly] = []
     orders: List[List[str]] = []
     for gamma in cs.gammas:
         top = gamma.wedge(exterior_derivative(gamma).wedge_power(n))
         ((key, coeff),) = top.terms.items()
         if list(key) != list(range(top.chart.dim)):
             raise AssertionError("top form key must be the full variable tuple")
-        tops.append(RationalFunction.from_poly(coeff.parts[0]))
+        tops.append(coeff.parts[0])
         orders.append(list(top.chart.all_vars))
     for (i, j), trans in cs.transition_maps.items():
         f_ij = cs.factors[(i, j)]
@@ -741,8 +746,8 @@ def canonical_cocycle_check(cs: CStructureData, n: int) -> List[CheckResult]:
             for u in orders[i]
         ]
         det = linalg.determinant(jac, one=RF_ONE)
-        moved = compose_rational(tops[j].num, trans) / compose_rational(tops[j].den, trans)
-        lhs = tops[i]
+        moved = compose_rational(tops[j], trans)
+        lhs = RationalFunction.from_poly(tops[i])
         rhs = f_ij ** (n + 1) * moved * det
         results.append(
             check(

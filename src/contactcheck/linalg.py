@@ -1,7 +1,6 @@
-"""Exact Gaussian elimination over any field-like element type.
+"""Exact linear algebra over Q(i) and over Laurent polynomial rings.
 
-Works for :class:`~contactcheck.scalars.GaussianRational`,
-:class:`~contactcheck.ratfunc.RationalFunction` and
+Elimination works for :class:`~contactcheck.scalars.GaussianRational` and
 :class:`~contactcheck.laurent.LaurentPoly` alike: elements must support
 ``+``, ``-``, ``*``, ``/``, unary ``-`` and ``is_zero()``.  Matrices are
 plain lists of lists of modest size (up to a few dozen rows and columns, e.g.
@@ -160,22 +159,28 @@ def intersect_spans(
 
 
 def determinant(matrix: Sequence[Sequence[T]], one: T = ONE) -> T:
-    """Determinant by fraction-free-ish elimination (exact field arithmetic)."""
+    """Determinant by Bareiss fraction-free elimination (Math. Comp. 22, 1968).
+
+    Each step sets ``m[i][j] = (m[i][j] * p - m[i][c] * m[c][j]) / prev`` for
+    pivot ``p`` and previous pivot ``prev``, swapping rows on a zero pivot.
+    Every division is exact in an integral domain, so Q(i) and the Laurent
+    ring of :mod:`contactcheck.ratfunc` share it.
+    """
     m = _clone(matrix)
     n = len(m)
-    det = one
-    sign_flip = False
+    negate = False
+    prev = one
     for c in range(n):
         pivot = next((i for i in range(c, n) if not m[i][c].is_zero()), None)
         if pivot is None:
-            return one - one  # zero of the field
+            return one - one  # zero of the ring
         if pivot != c:
             m[c], m[pivot] = m[pivot], m[c]
-            sign_flip = not sign_flip
-        det = det * m[c][c]
-        inv = m[c][c]
+            negate = not negate
+        p = m[c][c]
         for i in range(c + 1, n):
-            if not m[i][c].is_zero():
-                factor = m[i][c] / inv
-                m[i] = [a - factor * b for a, b in zip(m[i], m[c])]
-    return -det if sign_flip else det
+            row, lead = m[i], m[i][c]
+            for j in range(c + 1, n):
+                row[j] = (row[j] * p - lead * m[c][j]) / prev
+        prev = p
+    return -prev if negate else prev

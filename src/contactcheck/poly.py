@@ -331,7 +331,7 @@ class MultiPoly:
         return f"MultiPoly({self.vars!r}, {self!s})"
 
 
-# -- exact division and gcd ------------------------------------------------------
+# -- exact division ------------------------------------------------------------
 
 
 def _grlex_key(expo: Exponent) -> Tuple[int, Exponent]:
@@ -365,94 +365,3 @@ def try_divide(num: MultiPoly, den: MultiPoly) -> Optional[MultiPoly]:
         quot = quot + piece
         rem = rem - piece * den
     return quot
-
-
-def _univariate_view(p: MultiPoly, idx: int) -> Dict[int, MultiPoly]:
-    """Coefficients of ``p`` as a univariate polynomial in variable ``idx``."""
-    coeffs: Dict[int, TermMap] = {}
-    for expo, coeff in p.terms.items():
-        k = expo[idx]
-        rest = list(expo)
-        rest[idx] = 0
-        coeffs.setdefault(k, {})[tuple(rest)] = coeff
-    return {k: MultiPoly(p.vars, terms) for k, terms in coeffs.items()}
-
-
-def _content(p: MultiPoly, idx: int) -> MultiPoly:
-    """gcd of the univariate-in-``idx`` coefficients of ``p``."""
-    coeffs = list(_univariate_view(p, idx).values())
-    out = coeffs[0]
-    for c in coeffs[1:]:
-        out = poly_gcd(out, c)
-        if out.is_constant():
-            break
-    return out
-
-
-def _normalize_unit(p: MultiPoly) -> MultiPoly:
-    """Scale so the graded-lex leading coefficient is 1 (gcds are unique up to units)."""
-    if p.is_zero():
-        return p
-    _, lead = leading_term(p)
-    return p.scale(lead.inverse())
-
-
-def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """gcd over the field Q(i), normalized to leading coefficient 1.
-
-    Computed by a primitive polynomial-remainder sequence, recursing on the
-    number of variables.  Inputs here stay small (chart transition data), so
-    no subresultant optimization is needed.
-    """
-    a, b = a._aligned(b)
-    if a.is_zero():
-        return _normalize_unit(b)
-    if b.is_zero():
-        return _normalize_unit(a)
-    if a.is_constant() or b.is_constant():
-        return MultiPoly.const(1, a.vars)
-    # Main variable: the last one actually appearing in either operand.
-    idx = max(
-        i
-        for i in range(len(a.vars))
-        if a.degree_in(a.vars[i]) > 0 or b.degree_in(a.vars[i]) > 0
-    )
-    cont_a = _content(a, idx)
-    cont_b = _content(b, idx)
-    pa = try_divide(a, cont_a)
-    pb = try_divide(b, cont_b)
-    assert pa is not None and pb is not None
-    cont = poly_gcd(cont_a, cont_b)
-    # Primitive PRS in the main variable.
-    if pa.degree_in(a.vars[idx]) < pb.degree_in(a.vars[idx]):
-        pa, pb = pb, pa
-    while not pb.is_zero():
-        rem = _pseudo_rem(pa, pb, idx)
-        pa, pb = pb, rem
-        if not pb.is_zero():
-            cb = _content(pb, idx)
-            pb = try_divide(pb, cb)
-            assert pb is not None
-    if pa.degree_in(a.vars[idx]) > 0:
-        pa = try_divide(pa, _content(pa, idx))
-        assert pa is not None
-    else:
-        pa = MultiPoly.const(1, a.vars)
-    return _normalize_unit(pa * cont)
-
-
-def _pseudo_rem(a: MultiPoly, b: MultiPoly, idx: int) -> MultiPoly:
-    """Pseudo-remainder of ``a`` by ``b`` in variable ``idx``."""
-    var = a.vars[idx]
-    da, db = a.degree_in(var), b.degree_in(var)
-    if da < db:
-        return a
-    b_view = _univariate_view(b, idx)
-    lead_b = b_view[db]
-    rem = a
-    x = MultiPoly.variable(var, a.vars)
-    while not rem.is_zero() and rem.degree_in(var) >= db:
-        dr = rem.degree_in(var)
-        lead_r = _univariate_view(rem, idx)[dr]
-        rem = rem * lead_b - b * lead_r * x ** (dr - db)
-    return rem

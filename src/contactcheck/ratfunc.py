@@ -1,11 +1,13 @@
-"""Rational functions num/den over the Gaussian rationals.
+"""Laurent polynomials in several variables: the ring Q(i)[u^±1].
 
-Used for chart transition functions and canonical-bundle cocycles, where
-coordinate changes between projective charts are genuinely rational.  A
-:class:`RationalFunction` is kept reduced (gcd of numerator and denominator
-is a unit) with the denominator normalized to leading coefficient 1, and
-equality is additionally decided by cross-multiplication so it never depends
-on the reduction path.
+Chart transitions, compatibility factors and canonical-bundle cocycles live
+on chart overlaps, where the only denominators are coordinate monomials.  A
+:class:`RationalFunction` is kept as ``num / den`` with ``den`` a monic
+monomial sharing no monomial factor with ``num``, so equality compares the
+pairs.  The constructor takes any polynomial denominator and divides ``num``
+exactly by its non-monomial part; when that fails the quotient is not a
+Laurent polynomial and it raises ``ArithmeticError``.  Division is the same
+construction.  A zero denominator raises ``ZeroDivisionError``.
 """
 
 from __future__ import annotations
@@ -13,12 +15,26 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .poly import MultiPoly, poly_gcd, try_divide
-from .scalars import GaussianRational, ScalarLike
+from .poly import Exponent, MultiPoly, try_divide
+from .scalars import ONE, GaussianRational, ScalarLike
+
+
+def _low_exponent(p: MultiPoly) -> Exponent:
+    """The exponent of the largest monomial dividing the nonzero polynomial ``p``."""
+    return tuple(map(min, zip(*p.terms)))
+
+
+def _shift_down(p: MultiPoly, expo: Exponent) -> MultiPoly:
+    """``p`` divided by the monomial with exponent ``expo`` (which must divide it)."""
+    if not any(expo):
+        return p
+    return MultiPoly(
+        p.vars, {tuple(e - s for e, s in zip(k, expo)): c for k, c in p.terms.items()}
+    )
 
 
 class RationalFunction:
-    """A reduced quotient of two multivariate polynomials."""
+    """A Laurent polynomial ``num / den`` with ``den`` a monic monomial."""
 
     __slots__ = ("num", "den")
 
@@ -26,28 +42,20 @@ class RationalFunction:
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         num, den = num._aligned(den)
-        if num.is_zero():
-            den = MultiPoly.const(1, num.vars)
-        else:
-            g = poly_gcd(num, den)
-            if not g.is_constant():
-                num_r = try_divide(num, g)
-                den_r = try_divide(den, g)
-                assert num_r is not None and den_r is not None
-                num, den = num_r, den_r
-            if den.is_constant():
-                num = num.scale(den.constant_value().inverse())
-                den = MultiPoly.const(1, num.vars)
-            else:
-                from .poly import leading_term
-
-                _, lead = leading_term(den)
-                if lead != 1:
-                    inv = lead.inverse()
-                    num = num.scale(inv)
-                    den = den.scale(inv)
+        low = (0,) * len(num.vars)
+        if not num.is_zero():
+            low = _low_exponent(den)
+            rest = _shift_down(den, low)
+            if rest != ONE:
+                quotient = try_divide(num, rest)
+                if quotient is None:
+                    raise ArithmeticError(f"({num}) / ({den}) is not a Laurent polynomial")
+                num = quotient
+            common = tuple(map(min, low, _low_exponent(num)))
+            num = _shift_down(num, common)
+            low = tuple(a - b for a, b in zip(low, common))
         object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "den", MultiPoly(num.vars, {low: ONE}))
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
@@ -105,17 +113,13 @@ class RationalFunction:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "RationalFunction":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of the zero rational function")
-        return RationalFunction(self.den, self.num)
-
     def __truediv__(self, other) -> "RationalFunction":
-        return self * self._coerce(other).inverse()
+        o = self._coerce(other)
+        return RationalFunction(self.num * o.den, self.den * o.num)
 
     def __pow__(self, k: int) -> "RationalFunction":
         if k < 0:
-            return self.inverse() ** (-k)
+            return (RationalFunction.const(1) / self) ** (-k)
         out = RationalFunction.const(1)
         base = self
         while k:
@@ -128,17 +132,10 @@ class RationalFunction:
     # -- calculus -------------------------------------------------------------
 
     def diff(self, var: str) -> "RationalFunction":
+        if var not in self.num.vars:
+            return RationalFunction.const(0)
         n, d = self.num, self.den
-        if var not in n.vars:
-            n = n.with_vars((*n.vars, var))
-            d = d.with_vars(n.vars)
         return RationalFunction(n.diff(var) * d - n * d.diff(var), d * d)
-
-    def evaluate(self, point: Mapping[str, ScalarLike]) -> GaussianRational:
-        den_value = self.den.evaluate(point)
-        if den_value.is_zero():
-            raise ZeroDivisionError("denominator vanishes at the sample point")
-        return self.num.evaluate(point) / den_value
 
     # -- comparison / display ---------------------------------------------------
 
@@ -147,7 +144,7 @@ class RationalFunction:
             other = self._coerce(other)
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return self.num * other.den == other.num * self.den
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         raise TypeError("RationalFunction is not hashable")

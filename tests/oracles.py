@@ -106,6 +106,17 @@ def _perm_sign(perm: Sequence[int]) -> int:
     return sign
 
 
+def leibniz_determinant(matrix, one=ONE):
+    """det as the signed sum over permutations of products of entries."""
+    total = one - one
+    for perm in itertools.permutations(range(len(matrix))):
+        term = one
+        for row, col in enumerate(perm):
+            term = term * matrix[row][col]
+        total = total + term if _perm_sign(perm) > 0 else total - term
+    return total
+
+
 def _factorial(k: int) -> int:
     out = 1
     for i in range(2, k + 1):

@@ -134,6 +134,8 @@ def test_algebra_a2_contact_base_dim(capsys):
     ["immersion", "--samples", "0"],
     ["adjoint", "A1", "--samples", "0"],
     ["all", "--samples", "0"],
+    ["cocycle", "--n", "4"],
+    ["cocycle", "--n", "-1"],
 ])
 def test_bad_hopf_input_is_config_error(capsys, command):
     code = main(command)
@@ -229,3 +231,14 @@ def test_exceptional_reports_match_benchmark_digests(name, monkeypatch):
     for key, report in reports.items():
         assert report.ok, key
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == digests[key], key
+
+
+def test_cocycle_n2_report_matches_benchmark_digest():
+    """cocycle --n 2 reproduces the sha256 digest recorded for the benchmark."""
+    import hashlib
+
+    reference = json.loads(_benchmark_file("reference.json").read_text())
+    digest = reference["seed_independent"]["cocycle"]["cocycle[n=2]"]
+    report = cli.run_cocycle({"command": "cocycle", "n": 2})
+    assert report.ok
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest

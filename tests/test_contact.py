@@ -587,6 +587,39 @@ def test_corrupted_transition_fails_c2():
         cstructure_from_charts(cs.charts, cs.gammas, maps, 1)
 
 
+def test_c2_rejects_a_factor_with_a_pole_on_the_overlap():
+    """gamma1 = (1 + u0) du0 forces f_01 = -u1^3 / (u1 + 1), which is not Laurent."""
+    from contactcheck.ratfunc import RationalFunction
+
+    c0, c1 = ChartSpace(["u1"]), ChartSpace(["u0"])
+    gamma0 = PolyForm.d_var(c0, "u1")
+    gamma1 = PolyForm.d_var(c1, "u0").scale(c1.coeff_var("u0") + c1.coeff_const(1))
+    u0, u1 = MultiPoly.variable("u0"), MultiPoly.variable("u1")
+    maps = {
+        (0, 1): {"u0": RationalFunction(MultiPoly.const(1, ("u1",)), u1)},
+        (1, 0): {"u1": RationalFunction(MultiPoly.const(1, ("u0",)), u0)},
+    }
+    with pytest.raises(ValueError, match=r"^\(C\.2\) fails for pair \(V0, V1\)$"):
+        cstructure_from_charts(["V0", "V1"], [gamma0, gamma1], maps, 0)
+
+
+def test_gauge_with_a_pole_on_the_overlap_is_rejected(monkeypatch):
+    """u0 -> u1 + 1 keeps (C.2) (f_01 = -1) but makes the gauge 1 / (u1 + 1)."""
+    from contactcheck.ratfunc import RationalFunction
+
+    cc, sections = hopf_chart(0), hopf_sections(0)
+    section_transition = contact._section_transition
+
+    def shifted(cc, sections, i, j):
+        if (i, j) == (0, 1):
+            return {"u0": RationalFunction.from_poly(MultiPoly.variable("u1") + 1)}
+        return section_transition(cc, sections, i, j)
+
+    monkeypatch.setattr(contact, "_section_transition", shifted)
+    with pytest.raises(ValueError, match="^sections are not related by a scalar gauge$"):
+        reconstruct_cstructure(cc, sections)
+
+
 def test_reconstruct_reports_c2_through_one_path(monkeypatch):
     cc, sections = hopf_chart(1), hopf_sections(1)
     section_transition = contact._section_transition

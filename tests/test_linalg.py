@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from contactcheck.linalg import nullspace, rank, row_echelon, solve
-from contactcheck.scalars import GaussianRational, ZERO
-from oracles import dense_mat_vec, dense_rref
+from contactcheck.contact import projective_transition
+from contactcheck.linalg import determinant, nullspace, rank, row_echelon, solve
+from contactcheck.poly import MultiPoly
+from contactcheck.ratfunc import RationalFunction
+from contactcheck.scalars import GaussianRational, ONE, ZERO, gq
+from oracles import dense_mat_vec, dense_rref, leibniz_determinant
 
 SEEDS = range(8)
 KINDS = ["sparse", "dense", "zero-row-and-column", "rank-deficient", "wide", "zero"]
@@ -105,3 +108,53 @@ def test_empty_matrix():
     assert row_echelon([]) == ([], [])
     assert rank([]) == 0
     assert nullspace([]) == []
+
+
+@pytest.mark.parametrize("kind", SQUARE_KINDS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_determinant_matches_leibniz(seed, kind):
+    a = matrix(seed, kind, square=True)
+    det = determinant(a)
+    assert det == leibniz_determinant(a)
+    assert det.is_zero() == (len(dense_rref(a)[1]) < len(a))
+
+
+@pytest.mark.parametrize("rows,expected", [
+    ([], ONE),
+    ([[gq(3, -1)]], gq(3, -1)),
+    ([[gq(0), gq(2), gq(1)], [gq(3), gq(1), gq(0)], [gq(1), gq(0), gq(4)]], gq(-25)),
+    ([[gq(1), gq(1), gq(0)], [gq(1), gq(1), gq(1)], [gq(0), gq(1), gq(1)]], gq(-1)),
+    ([[gq(1), gq(2, 1)], [gq(2), gq(4, 2)]], ZERO),
+], ids=["0x0", "1x1", "zero-first-pivot", "zero-second-pivot", "singular"])
+def test_determinant_special_matrices(rows, expected):
+    assert determinant(rows) == leibniz_determinant(rows) == expected
+
+
+@pytest.mark.parametrize("i,j", [(i, j) for i in range(4) for j in range(4) if i != j])
+def test_determinant_of_transition_jacobians(i, j):
+    trans = projective_transition(4, i, j)
+    coords = [f"u{m}" for m in range(4) if m != i]
+    jac = [[trans[name].diff(u) for name in trans] for u in coords]
+    one = RationalFunction.const(1)
+    det = determinant(jac, one=one)
+    assert det == leibniz_determinant(jac, one=one)
+    # the Jacobian of u -> (1/u_j, u_m/u_j) on CP^3 is a unit times u_j^-4
+    assert det.num.is_constant() and det.den == MultiPoly.variable(f"u{j}") ** 4
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_determinant_of_polynomial_matrices(seed):
+    """Bareiss divides by non-monomial pivots; each division must be exact."""
+    rng = random.Random(f"{seed}-poly")
+    xy = ("x", "y")
+    x, y = MultiPoly.variable("x", xy), MultiPoly.variable("y", xy)
+    monomials = [MultiPoly.const(1, xy), x, y, x * y, x * x]
+
+    def entry():
+        return RationalFunction.from_poly(
+            sum((m.scale(rng.randint(-3, 3)) for m in monomials), MultiPoly.zero(xy))
+        )
+
+    rows = [[entry() for _ in range(3)] for _ in range(3)]
+    one = RationalFunction.const(1)
+    assert determinant(rows, one=one) == leibniz_determinant(rows, one=one)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactcheck.laurent import LaurentPoly
-from contactcheck.poly import MultiPoly, poly_gcd, try_divide
+from contactcheck.poly import MultiPoly, try_divide
 from contactcheck.ratfunc import RationalFunction, compose_rational
 from contactcheck.scalars import GaussianRational, gq
 
@@ -119,32 +119,12 @@ def test_substitution_composes(p):
     assert p.substitute(first).substitute(second) == p.substitute(composed)
 
 
-# -- division and gcd -------------------------------------------------------------
+# -- exact division ---------------------------------------------------------------
 
 
 def test_try_divide_exact_and_failing():
     assert try_divide(x * x - y * y, x + y) == x - y
     assert try_divide(x * x + 1, x + y) is None
-
-
-def test_gcd_common_factor():
-    g = poly_gcd((x + y) * (x - y), (x + y) * x)
-    assert g == x + y
-
-
-def test_gcd_coprime_is_one():
-    assert poly_gcd(x + 1, y + 1) == MultiPoly.const(1, ("x", "y"))
-
-
-@given(polys(max_terms=2, max_degree=2), polys(max_terms=2, max_degree=2), polys(max_terms=2, max_degree=1))
-@settings(max_examples=25, deadline=None)
-def test_gcd_divides_products(a, b, m):
-    if a.is_zero() or b.is_zero() or m.is_zero():
-        return
-    g = poly_gcd(a * m, b * m)
-    assert try_divide(g, poly_gcd(a, b) * m) is not None or try_divide(poly_gcd(a, b) * m, g) is not None
-    assert try_divide(a * m, g) is not None
-    assert try_divide(b * m, g) is not None
 
 
 # -- Laurent ----------------------------------------------------------------------
@@ -207,6 +187,25 @@ def test_compose_rational():
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         RationalFunction(x, MultiPoly.zero(("x",)))
+
+
+def test_rational_canonical_form_has_monomial_denominator():
+    r = RationalFunction(x * x * y + x * x * x, x * y * y * (x + y))
+    assert r.num == x and r.den == y * y
+    assert str(RationalFunction(x - y, x * y * 2)) == "(1/2*x - 1/2*y) / (x*y)"
+
+
+def test_rational_exact_division_by_non_unit():
+    assert (RationalFunction.from_poly(x * y + y * y) / (x + y)) == y
+
+
+def test_non_laurent_quotient_raises():
+    with pytest.raises(ArithmeticError, match="is not a Laurent polynomial"):
+        RationalFunction(x, x + y)
+    with pytest.raises(ArithmeticError, match="is not a Laurent polynomial"):
+        RationalFunction.from_poly(x) / (x + y)
+    with pytest.raises(ZeroDivisionError):
+        RationalFunction.from_poly(x) / MultiPoly.zero(("x",))
 
 
 @st.composite
