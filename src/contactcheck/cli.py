@@ -129,7 +129,7 @@ def run_verify_contact(config: Dict[str, object]) -> Report:
             "theta": str(cc.theta),
             "d_theta": str(cc.dtheta),
             # The solved field: on a corrupted theta the axiom suite reports the failure.
-            "euler_field": str(contact._solve_contraction(cc, -cc.theta)),
+            "euler_field": str(contact.solved_euler_field(cc)),
         }
     return report
 

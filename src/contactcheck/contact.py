@@ -48,7 +48,7 @@ RF_ZERO = RationalFunction.const(0)
 class ContactChart:
     """One trivializing chart of a principal contact bundle of degree delta."""
 
-    __slots__ = ("chart", "theta", "dtheta", "delta", "weights", "label", "_solver")
+    __slots__ = ("chart", "theta", "dtheta", "delta", "weights", "label", "_solver", "_euler")
 
     def __init__(
         self,
@@ -73,6 +73,7 @@ class ContactChart:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "_solver", None)
+        object.__setattr__(self, "_euler", None)
         parts = scaled_parts(self, theta)
         if set(parts) != {delta}:
             raise ValueError(
@@ -247,9 +248,20 @@ def _solve_contraction(cc: ContactChart, target: PolyForm) -> PolyVectorField:
     return PolyVectorField(cc.chart, comps)
 
 
+def solved_euler_field(cc: ContactChart) -> PolyVectorField:
+    """The solution of ``iota_X dtheta = -theta``, solved once and cached per chart.
+
+    It is the solved field, not checked against the closed form, so a corrupted
+    theta surfaces as failed checks downstream rather than as an exception.
+    """
+    if cc._euler is None:
+        object.__setattr__(cc, "_euler", _solve_contraction(cc, -cc.theta))
+    return cc._euler
+
+
 def euler_field(cc: ContactChart) -> PolyVectorField:
     """The field dual to -theta under dtheta; equals -(1/delta) * vertical field."""
-    solved = _solve_contraction(cc, -cc.theta)
+    solved = solved_euler_field(cc)
     candidate = cc.vertical_field().scale(GaussianRational(Fraction(-1, cc.delta)))
     if solved != candidate:
         raise ArithmeticError(
@@ -279,14 +291,15 @@ def poisson_function(cc: ContactChart, f: Coeff, g: Coeff) -> Coeff:
 def degree_of(cc: ContactChart, f: Coeff) -> Optional[int]:
     """Degree via the Euler operator: the integer ell with ``Xi f = -(ell/delta) f``.
 
-    Returns None when f is not homogeneous.  The independent combinatorial
-    route is :func:`scaling_degree`; the two must agree on every input.
+    ``Xi`` is the chart's cached :func:`solved_euler_field`, not
+    :func:`euler_field`'s checked one: on a corrupted theta the disagreement
+    must surface as a failed check, not an exception.  Returns None when f is
+    not homogeneous.  The independent combinatorial route is
+    :func:`scaling_degree`; the two must agree on every input.
     """
     if f.is_zero():
         return 0
-    # The solved field, not euler_field's checked one: on a corrupted theta the
-    # disagreement must surface as a failed check, not an exception.
-    xi = _solve_contraction(cc, -cc.theta)
+    xi = solved_euler_field(cc)
     image = xi.apply_to(f)
     # candidate scalar from any single matching term
     k0, poly0 = next(iter(f.parts.items()))
@@ -364,7 +377,8 @@ def check_scaling_identities(
     xg = hamiltonian_field(cc, g.coeff)
     lhs = pairing_with_theta(cc, xf)
     rhs = f.coeff.scale(GaussianRational(Fraction(f.ell, delta)))
-    results.append(check(f"{label}:theta-of-hamiltonian", lhs == rhs, lhs - rhs))
+    ok = lhs == rhs
+    results.append(check(f"{label}:theta-of-hamiltonian", ok, "" if ok else lhs - rhs))
     d_euler = degree_of(cc, f.coeff)
     d_scale = scaling_degree(cc, f.coeff)
     results.append(
@@ -377,13 +391,9 @@ def check_scaling_identities(
     bracket = xf.bracket(xg)
     pois = cc.dtheta.apply(xf, xg)
     x_pois = hamiltonian_field(cc, pois)
-    results.append(
-        check(
-            f"{label}:bracket-is-hamiltonian",
-            bracket == x_pois,
-            f"[Xf,Xg] = {bracket}; X_poisson = {x_pois}",
-        )
-    )
+    ok = bracket == x_pois
+    witness = "" if ok else f"[Xf,Xg] = {bracket}; X_poisson = {x_pois}"
+    results.append(check(f"{label}:bracket-is-hamiltonian", ok, witness))
     if pois.is_zero():
         results.append(check(f"{label}:poisson-degree", True))
     else:
@@ -395,17 +405,11 @@ def check_scaling_identities(
                 f"deg {dp} != {f.ell}+{g.ell}-{delta}",
             )
         )
-    expected = {
-        idx: [f.ell - delta]
-        for idx in xf.components
-    }
-    results.append(
-        check(
-            f"{label}:pushforward-scaling",
-            field_scaling_degrees(cc, xf) == expected,
-            f"{field_scaling_degrees(cc, xf)} != {expected}",
-        )
-    )
+    expected = {idx: [f.ell - delta] for idx in xf.components}
+    found = field_scaling_degrees(cc, xf)
+    ok = found == expected
+    witness = "" if ok else f"{found} != {expected}"
+    results.append(check(f"{label}:pushforward-scaling", ok, witness))
     return results
 
 
@@ -426,11 +430,13 @@ def check_invariance_identities(
         lie = lie_derivative(y, cc.theta)
         results.append(check(f"{label}:theta-invariance", lie.is_zero(), lie))
         g = pairing_with_theta(cc, y)
-        results.append(check(f"{label}:moment-recovers-f", g == f.coeff, g - f.coeff))
+        ok = g == f.coeff
+        results.append(check(f"{label}:moment-recovers-f", ok, "" if ok else g - f.coeff))
         dg = degree_of(cc, g)
         results.append(check(f"{label}:moment-degree", g.is_zero() or dg == cc.delta, dg))
         y2 = hamiltonian_field(cc, g)
-        results.append(check(f"{label}:round-trip", y2 == y, y2 - y))
+        ok = y2 == y
+        results.append(check(f"{label}:round-trip", ok, "" if ok else y2 - y))
     return results
 
 

@@ -6,6 +6,11 @@ ranges over (possibly negative) integers and each ``p_k`` is a
 variable is ever inverted; base variables stay polynomial.  Charts without a
 fiber variable use ``fiber=None`` and are restricted to exponent ``0``, so
 one coefficient type serves the whole exterior calculus.
+
+``parts`` never holds a zero polynomial.  The public constructor checks every
+part it is given (the fiber exponent, the fiber leak, the zero filter); the
+results of arithmetic are already in that canonical form and are wrapped by
+the private ``LaurentPoly._make`` without being checked again.
 """
 
 from __future__ import annotations
@@ -15,6 +20,11 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from .poly import MultiPoly
 from .scalars import GaussianRational, ScalarLike, ZERO
+
+
+def _check_no_leak(fiber: Optional[str], poly: MultiPoly) -> None:
+    if fiber is not None and fiber in poly.vars and poly.degree_in(fiber) > 0:
+        raise ValueError("fiber variable leaked into a base coefficient")
 
 
 class LaurentPoly:
@@ -29,11 +39,18 @@ class LaurentPoly:
             for k, poly in parts.items():
                 if fiber is None and k != 0:
                     raise ValueError("fiberless chart cannot carry fiber exponents")
-                if fiber is not None and fiber in poly.vars and poly.degree_in(fiber) > 0:
-                    raise ValueError("fiber variable leaked into a base coefficient")
+                _check_no_leak(fiber, poly)
                 if not poly.is_zero():
                     clean[k] = poly
         object.__setattr__(self, "parts", clean)
+
+    @staticmethod
+    def _make(fiber: Optional[str], parts: Dict[int, MultiPoly]) -> "LaurentPoly":
+        """Wrap canonical data unchecked: no zero part and no fiber inside a part."""
+        out = object.__new__(LaurentPoly)
+        object.__setattr__(out, "fiber", fiber)
+        object.__setattr__(out, "parts", parts)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -92,8 +109,14 @@ class LaurentPoly:
 
     def _coerce(self, other) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
-            if other.fiber != self.fiber and other.fiber is not None and self.fiber is not None:
-                raise ValueError(f"fiber mismatch: {self.fiber} vs {other.fiber}")
+            if other.fiber != self.fiber:
+                if other.fiber is not None and self.fiber is not None:
+                    raise ValueError(f"fiber mismatch: {self.fiber} vs {other.fiber}")
+                # Results are built unchecked, so the fiberless operand must not
+                # carry the other's fiber variable.
+                fiber, plain = (self.fiber, other) if other.fiber is None else (other.fiber, self)
+                for poly in plain.parts.values():
+                    _check_no_leak(fiber, poly)
             return other
         if isinstance(other, MultiPoly):
             return LaurentPoly.from_poly(other, self.fiber)
@@ -109,17 +132,20 @@ class LaurentPoly:
         parts = dict(self.parts)
         for k, poly in o.parts.items():
             acc = parts.get(k)
-            acc = poly if acc is None else acc + poly
+            if acc is None:
+                parts[k] = poly
+                continue
+            acc = acc + poly
             if acc.is_zero():
-                parts.pop(k, None)
+                del parts[k]
             else:
                 parts[k] = acc
-        return LaurentPoly(self._fiber_of(o), parts)
+        return LaurentPoly._make(self._fiber_of(o), parts)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.fiber, {k: -p for k, p in self.parts.items()})
+        return LaurentPoly._make(self.fiber, {k: -p for k, p in self.parts.items()})
 
     def __sub__(self, other) -> "LaurentPoly":
         return self + (-self._coerce(other))
@@ -133,14 +159,12 @@ class LaurentPoly:
         for k1, p1 in self.parts.items():
             for k2, p2 in o.parts.items():
                 k = k1 + k2
-                prod = p1 * p2
                 acc = parts.get(k)
-                acc = prod if acc is None else acc + prod
-                if acc.is_zero():
-                    parts.pop(k, None)
-                else:
-                    parts[k] = acc
-        return LaurentPoly(self._fiber_of(o), parts)
+                parts[k] = p1 * p2 if acc is None else acc + p1 * p2
+        # A product of nonzero polynomials is nonzero; only cancelled sums drop.
+        return LaurentPoly._make(
+            self._fiber_of(o), {k: p for k, p in parts.items() if not p.is_zero()}
+        )
 
     __rmul__ = __mul__
 
@@ -183,7 +207,7 @@ class LaurentPoly:
                 if k == 0:
                     continue
                 parts[k - 1] = poly.scale(k)
-            return LaurentPoly(self.fiber, parts)
+            return LaurentPoly._make(self.fiber, parts)
         out: Dict[int, MultiPoly] = {}
         for k, poly in self.parts.items():
             if var not in poly.vars:
@@ -191,7 +215,7 @@ class LaurentPoly:
             d = poly.diff(var)
             if not d.is_zero():
                 out[k] = d
-        return LaurentPoly(self.fiber, out)
+        return LaurentPoly._make(self.fiber, out)
 
     def substitute_base(self, bindings: Mapping[str, MultiPoly]) -> "LaurentPoly":
         """Substitute base variables only; the fiber exponent is untouched."""

@@ -7,6 +7,12 @@ polynomials over different variable lists are aligned on demand by taking the
 union of their names, so ``x + 1`` over ``(x,)`` and ``-x - 1`` over
 ``(x, y)`` add to the zero polynomial.
 
+``terms`` never holds a zero coefficient.  The public constructor checks every
+exponent and coefficient it is given; the results of arithmetic are already in
+that canonical form and are wrapped by the private ``MultiPoly._make`` without
+being checked again.  Sums store a monomial met for the first time as it is
+and add only where both operands carry it, so no sum starts from zero.
+
 Canonical textual serialization (used by the CLI and by failure witnesses):
 terms are sorted graded-lexicographically, highest first -- larger total
 degree wins, ties broken by the exponent tuple in the polynomial's variable
@@ -19,6 +25,7 @@ The format is stable across releases.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
@@ -57,6 +64,14 @@ class MultiPoly:
                 if not coeff.is_zero():
                     clean[tuple(expo)] = coeff
         object.__setattr__(self, "terms", clean)
+
+    @staticmethod
+    def _make(variables: Tuple[str, ...], terms: TermMap) -> "MultiPoly":
+        """Wrap canonical data unchecked: exponents of the right width and no zero."""
+        poly = object.__new__(MultiPoly)
+        object.__setattr__(poly, "vars", variables)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -101,7 +116,7 @@ class MultiPoly:
             for src, dst in enumerate(positions):
                 new[dst] = expo[src]
             terms[tuple(new)] = coeff
-        return MultiPoly(variables, terms)
+        return MultiPoly._make(variables, terms)
 
     def _aligned(self, other: "MultiPoly") -> Tuple["MultiPoly", "MultiPoly"]:
         if self.vars == other.vars:
@@ -134,17 +149,21 @@ class MultiPoly:
         a, b = self._aligned(other)
         terms = dict(a.terms)
         for expo, coeff in b.terms.items():
-            acc = terms.get(expo, ZERO) + coeff
+            acc = terms.get(expo)
+            if acc is None:
+                terms[expo] = coeff
+                continue
+            acc = acc + coeff
             if acc.is_zero():
-                terms.pop(expo, None)
+                del terms[expo]
             else:
                 terms[expo] = acc
-        return MultiPoly(a.vars, terms)
+        return MultiPoly._make(a.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._make(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
         return self + (-self._coerce_operand(other))
@@ -156,15 +175,14 @@ class MultiPoly:
         other = self._coerce_operand(other)
         a, b = self._aligned(other)
         terms: TermMap = {}
+        add = operator.add
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
-                expo = tuple(x + y for x, y in zip(e1, e2))
-                acc = terms.get(expo, ZERO) + c1 * c2
-                if acc.is_zero():
-                    terms.pop(expo, None)
-                else:
-                    terms[expo] = acc
-        return MultiPoly(a.vars, terms)
+                expo = tuple(map(add, e1, e2))
+                acc = terms.get(expo)
+                terms[expo] = c1 * c2 if acc is None else acc + c1 * c2
+        # A product of nonzero coefficients is nonzero; only cancelled sums drop.
+        return MultiPoly._make(a.vars, {e: c for e, c in terms.items() if not c.is_zero()})
 
     __rmul__ = __mul__
 
@@ -184,7 +202,7 @@ class MultiPoly:
         c = GaussianRational.coerce(value)
         if c.is_zero():
             return MultiPoly.zero(self.vars)
-        return MultiPoly(self.vars, {e: coeff * c for e, coeff in self.terms.items()})
+        return MultiPoly._make(self.vars, {e: coeff * c for e, coeff in self.terms.items()})
 
     def _coerce_operand(self, other) -> "MultiPoly":
         if isinstance(other, MultiPoly):
@@ -200,20 +218,14 @@ class MultiPoly:
         if var not in self.vars:
             raise ValueError(f"unknown variable {var!r}; have {self.vars}")
         idx = self.vars.index(var)
+        # Lowering one exponent is injective, so each term lands on its own key.
         terms: TermMap = {}
         for expo, coeff in self.terms.items():
             k = expo[idx]
-            if k == 0:
-                continue
-            new = list(expo)
-            new[idx] = k - 1
-            key = tuple(new)
-            acc = terms.get(key, ZERO) + coeff * k
-            if acc.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = acc
-        return MultiPoly(self.vars, terms)
+            if k:
+                key = expo[:idx] + (k - 1,) + expo[idx + 1 :]
+                terms[key] = coeff if k == 1 else coeff * k
+        return MultiPoly._make(self.vars, terms)
 
     def substitute(self, bindings: Mapping[str, "MultiPoly"]) -> "MultiPoly":
         """Ring homomorphism sending each bound variable to its image polynomial.
@@ -277,7 +289,7 @@ class MultiPoly:
         for expo, coeff in self.terms.items():
             deg = sum(wi * e for wi, e in zip(w, expo))
             parts.setdefault(deg, {})[expo] = coeff
-        return {deg: MultiPoly(self.vars, terms) for deg, terms in parts.items()}
+        return {deg: MultiPoly._make(self.vars, terms) for deg, terms in parts.items()}
 
     # -- comparison / display ---------------------------------------------------
 

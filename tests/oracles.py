@@ -9,7 +9,9 @@ on basis vectors, and a two-pass dense reduced row-echelon form (forward
 elimination below the pivots, then back substitution) instead of the
 library's one-pass support-only Gauss-Jordan, and a Killing form traced from
 dense ``ad`` matrices filled straight from the bracket table instead of the
-library's weight-compatible traces over its per-index rows.  They stay
+library's weight-compatible traces over its per-index rows, and polynomial
+sums, products and derivatives over plain dicts keyed by ``(name, exponent)``
+pairs instead of ``MultiPoly``'s aligned exponent tuples.  They stay
 deliberately naive.
 """
 
@@ -21,6 +23,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 from contactcheck.forms import PolyForm, PolyVectorField
 from contactcheck.lie import StructureConstants
+from contactcheck.poly import MultiPoly
 from contactcheck.rootsystem import CartanMatrix, Root
 from contactcheck.scalars import GaussianRational, ONE, ZERO
 
@@ -269,3 +272,57 @@ def dense_killing_form(
 ) -> GaussianRational:
     """``trace(ad x . ad y)`` from two dense ad matrices built from the table."""
     return dense_trace(dense_ad_from_table(sc, x), dense_ad_from_table(sc, y))
+
+
+# A monomial as its sorted ``(name, exponent)`` pairs with exponent > 0, so two
+# polynomials over different or permuted variable lists need no alignment.
+Monomial = Tuple[Tuple[str, int], ...]
+NaivePoly = Dict[Monomial, GaussianRational]
+
+
+def naive_poly(p: MultiPoly) -> NaivePoly:
+    """Read a polynomial's stored terms into name-keyed monomials, zeros included."""
+    return {
+        tuple(sorted((name, k) for name, k in zip(p.vars, expo) if k)): coeff
+        for expo, coeff in p.terms.items()
+    }
+
+
+def _nonzero(terms: NaivePoly) -> NaivePoly:
+    return {mono: c for mono, c in terms.items() if not c.is_zero()}
+
+
+def naive_poly_add(a: NaivePoly, b: NaivePoly) -> NaivePoly:
+    """``a + b``, every coefficient accumulated from zero."""
+    out: NaivePoly = {}
+    for terms in (a, b):
+        for mono, c in terms.items():
+            out[mono] = out.get(mono, ZERO) + c
+    return _nonzero(out)
+
+
+def naive_poly_mul(a: NaivePoly, b: NaivePoly) -> NaivePoly:
+    """``a * b`` as the full convolution of the two term dicts."""
+    out: NaivePoly = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            expo = dict(m1)
+            for name, k in m2:
+                expo[name] = expo.get(name, 0) + k
+            mono = tuple(sorted(expo.items()))
+            out[mono] = out.get(mono, ZERO) + c1 * c2
+    return _nonzero(out)
+
+
+def naive_poly_diff(a: NaivePoly, var: str) -> NaivePoly:
+    """``d a / d var`` term by term, accumulated from zero."""
+    out: NaivePoly = {}
+    for mono, c in a.items():
+        expo = dict(mono)
+        k = expo.get(var, 0)
+        if not k:
+            continue
+        expo[var] = k - 1
+        key = tuple(sorted((name, e) for name, e in expo.items() if e))
+        out[key] = out.get(key, ZERO) + c * k
+    return _nonzero(out)

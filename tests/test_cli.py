@@ -184,6 +184,41 @@ def test_corrupted_theta_fails_with_report(capsys, monkeypatch, command, failing
     assert all(r["witness"] for r in bad)
 
 
+@pytest.mark.parametrize("command, digest", [
+    ("verify-lemma21", "929d212a081d5036c6bdc74f22ffc9fcb21a7ee3041a8be5586159263203de0d"),
+    ("verify-lemma22", "7e177e12015ef083bb1035799c3824d2110b622264021660ce2a80cf0a559c2f"),
+])
+def test_corrupted_theta_report_text_is_pinned(capsys, monkeypatch, command, digest):
+    """The failure witnesses of a corrupted theta (hopf n=1, seed 2024) keep their exact text."""
+    import hashlib
+
+    monkeypatch.setattr(cli, "_chart_for", lambda model, n, delta: corrupted_hopf_chart(n))
+    code, out = run(capsys, command, "--model", "hopf", "--n", "1", "--seed", "2024")
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_lemma21_adds_no_zero_scalars(capsys, monkeypatch):
+    """No Gaussian-rational sum on the Hamiltonian path has a zero operand."""
+    from contactcheck.scalars import GaussianRational
+
+    add = GaussianRational.__add__
+    sums, zero_sums = [], []
+
+    def counting_add(self, other):
+        sums.append(self)
+        if self.is_zero() or GaussianRational.coerce(other).is_zero():
+            zero_sums.append((self, other))
+        return add(self, other)
+
+    monkeypatch.setattr(GaussianRational, "__add__", counting_add)
+    monkeypatch.setattr(GaussianRational, "__radd__", counting_add)
+    argv = ["verify-lemma21", "--model", "fibered", "--n", "1", "--delta", "3", "--samples", "2"]
+    code, _ = run(capsys, *argv)
+    assert code == 0
+    assert sums and zero_sums == []
+
+
 def test_dump_forms_on_corrupted_theta_reports_the_failure(capsys, monkeypatch):
     """--dump-forms writes the solved Euler field; the axiom suite reports the mismatch."""
     from contactcheck.contact import euler_field, hopf_chart

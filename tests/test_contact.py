@@ -28,6 +28,7 @@ from contactcheck.contact import (
     quotient_checks,
     reconstruct_cstructure,
     scaling_degree,
+    solved_euler_field,
     verify_axioms,
 )
 from contactcheck.forms import ChartSpace, PolyForm, PolyVectorField, exterior_derivative, lie_derivative
@@ -577,6 +578,22 @@ def test_corrupted_theta_fails_axiom_and_lemma_suites():
     # euler_field itself still refuses a solve that misses the closed form
     with pytest.raises(ArithmeticError, match="euler field solve disagrees"):
         euler_field(cc)
+
+
+@pytest.mark.parametrize("corrupted_first", [False, True], ids=["good-first", "corrupted-first"])
+def test_euler_solve_is_cached_per_chart_not_per_label(corrupted_first):
+    """A corrupted theta under the good chart's label keeps its own solved field."""
+    good = hopf_chart(1)
+    bad = corrupted_hopf_chart(1)
+    bad = ContactChart(bad.chart, bad.theta, bad.delta, bad.weights, label=good.label)
+    z0, z1 = good.chart.coeff_var("z0"), good.chart.coeff_var("z1")
+    f = z0 * z1
+    order = [(bad, None), (good, 2)] if corrupted_first else [(good, 2), (bad, None)]
+    for cc, expected in order + order:
+        assert degree_of(cc, f) == expected, cc
+    assert solved_euler_field(good) is solved_euler_field(good)
+    assert solved_euler_field(bad) != solved_euler_field(good)
+    assert str(solved_euler_field(good)) == str(euler_field(good))
 
 
 def test_corrupted_transition_fails_c2():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from contactcheck.laurent import LaurentPoly
 from contactcheck.poly import MultiPoly, try_divide
 from contactcheck.ratfunc import RationalFunction, compose_rational
 from contactcheck.scalars import GaussianRational, gq
+from oracles import naive_poly, naive_poly_add, naive_poly_diff, naive_poly_mul
 
 x = MultiPoly.variable("x")
 y = MultiPoly.variable("y")
@@ -260,3 +262,130 @@ def test_laurent_division_by_a_unit_is_exact(a, c, k):
 def test_laurent_division_by_a_non_unit_raises(divisor):
     with pytest.raises(ZeroDivisionError):
         LaurentPoly.from_poly(x, "lam") / divisor
+
+
+# -- sparse arithmetic against the dict oracle ---------------------------------------
+
+
+def _assert_canonical(p: MultiPoly) -> None:
+    """Every stored exponent has the right width and no stored coefficient is 0."""
+    for expo, coeff in p.terms.items():
+        assert len(expo) == len(p.vars) and min(expo, default=0) >= 0, (p.vars, expo)
+        assert isinstance(coeff, GaussianRational) and not coeff.is_zero(), (p.vars, expo)
+
+
+def _assert_canonical_laurent(f: LaurentPoly) -> None:
+    for k, part in f.parts.items():
+        assert not part.is_zero(), k
+        assert f.fiber is None or part.degree_in(f.fiber) <= 0, k
+        _assert_canonical(part)
+
+
+def _random_poly(rng: random.Random, variables, max_terms=5, max_degree=3) -> MultiPoly:
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        expo = tuple(rng.randint(0, max_degree) for _ in variables)
+        terms[expo] = gq(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2))
+    return MultiPoly(variables, terms)
+
+
+VAR_LISTS = [
+    (("x", "y", "z"), ("x", "y", "z")),
+    (("x", "y"), ("y", "x")),
+    (("x", "z"), ("y",)),
+    (("z", "y", "x"), ("x", "w")),
+]
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("va, vb", VAR_LISTS)
+def test_arithmetic_matches_dict_oracle(seed, va, vb):
+    rng = random.Random(seed)
+    a, b = _random_poly(rng, va), _random_poly(rng, vb)
+    na, nb = naive_poly(a), naive_poly(b)
+    neg_b = {mono: -c for mono, c in nb.items()}
+    cases = {
+        "+": (a + b, naive_poly_add(na, nb)),
+        "-": (a - b, naive_poly_add(na, neg_b)),
+        "*": (a * b, naive_poly_mul(na, nb)),
+        "a-a": (a - a, {}),
+    }
+    for var in va:
+        cases[f"d/d{var}"] = (a.diff(var), naive_poly_diff(na, var))
+    for name, (got, want) in cases.items():
+        _assert_canonical(got)
+        assert naive_poly(got) == want, name
+
+
+I = gq(0, 1)
+
+
+@pytest.mark.parametrize(
+    "product, expected",
+    [
+        ((x + y) * (x - y), {(("x", 2),): gq(1), (("y", 2),): gq(-1)}),
+        ((x + y.scale(I)) * (x - y.scale(I)), {(("x", 2),): gq(1), (("y", 2),): gq(1)}),
+        ((x * x + x * y + y * y) * (x - y), {(("x", 3),): gq(1), (("y", 3),): gq(-1)}),
+        ((x + 1) * (x - 1) + 1 - x * x, {}),
+    ],
+    ids=["(x+y)(x-y)", "(x+iy)(x-iy)", "x^3-y^3", "cancels-to-0"],
+)
+def test_cancelling_results_store_no_zero(product, expected):
+    _assert_canonical(product)
+    assert naive_poly(product) == expected
+
+
+def test_sum_over_permuted_variables_cancels_to_zero():
+    p = MultiPoly(("x", "y"), {(2, 1): gq(1, 1), (0, 3): gq(-2)})
+    q = MultiPoly(("y", "x"), {(1, 2): gq(-1, -1), (3, 0): gq(2)})
+    assert (p + q).terms == {} and (q + p).terms == {}
+
+
+def test_diff_on_exponent_one_and_higher():
+    p = MultiPoly(("x", "y"), {(1, 0): gq(3), (1, 2): gq(0, 1), (4, 1): gq(Fraction(1, 2))})
+    assert naive_poly(p.diff("x")) == {
+        (): gq(3),
+        (("y", 2),): gq(0, 1),
+        (("x", 3), ("y", 1)): gq(2),
+    }
+    assert naive_poly(p.diff("y")) == {
+        (("x", 1), ("y", 1)): gq(0, 2),
+        (("x", 4),): gq(Fraction(1, 2)),
+    }
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_laurent_arithmetic_stores_no_zero_part(seed):
+    rng = random.Random(seed)
+
+    def laurent():
+        parts = {k: _random_poly(rng, ("x", "y"), max_terms=3, max_degree=2) for k in (-1, 0, 2)}
+        return LaurentPoly("lam", parts)
+
+    a, b = laurent(), laurent()
+    results = [a + b, a - b, -a, a * b, a - a, a * (b - b), a.diff("x"), a.diff("lam")]
+    results.append((a + 1) * (a - 1) - a * a)
+    for f in results:
+        _assert_canonical_laurent(f)
+    assert (a - a).parts == {}
+
+
+def test_public_constructors_keep_their_checks():
+    with pytest.raises(ValueError, match="does not match variables"):
+        MultiPoly(("x", "y"), {(1,): 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        MultiPoly(("x",), {(-1,): 1})
+    p = MultiPoly(("x",), {(1,): 3, (2,): 0, (0,): GaussianRational(0)})
+    assert p.terms == {(1,): gq(3)} and isinstance(p.terms[(1,)], GaussianRational)
+    lam = MultiPoly.variable("lam")
+    with pytest.raises(ValueError, match="fiber variable leaked"):
+        LaurentPoly("lam", {0: lam * x})
+    plain, fibered = LaurentPoly(None, {0: lam}), LaurentPoly("lam", {1: x})
+    for combine in (lambda a, b: a + b, lambda a, b: a * b):
+        for a, b in ((plain, fibered), (fibered, plain)):
+            with pytest.raises(ValueError, match="fiber variable leaked"):
+                combine(a, b)
+    with pytest.raises(ValueError, match="fiberless chart"):
+        LaurentPoly(None, {1: x})
+    f = LaurentPoly("lam", {1: MultiPoly.zero(("x",)), 0: x})
+    assert f.parts == {0: x}
