@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import contact, orbits
 from .lie import build_algebra, chi_differential, g00_span_check, grade, killing
@@ -234,6 +234,8 @@ def run_adjoint(config: Dict[str, object]) -> Report:
         word = sampler.word(rs, 2)
         points.append(orbits.orbit_sample(sc, kd, word))
     for idx, pt in enumerate(points):
+        isotropy = kd.form(pt.vector, pt.vector)
+        isotropic = isotropy.is_zero()
         report.extend(
             [
                 check(
@@ -241,7 +243,9 @@ def run_adjoint(config: Dict[str, object]) -> Report:
                     orbits.kappa_round_trip(sc, kd, pt),
                 ),
                 check(
-                    f"adjoint:isotropic-{idx}", kd.form(pt.vector, pt.vector).is_zero()
+                    f"adjoint:isotropic-{idx}",
+                    isotropic,
+                    "" if isotropic else f"B(pt, pt) = {isotropy}",
                 ),
             ]
         )
@@ -249,10 +253,20 @@ def run_adjoint(config: Dict[str, object]) -> Report:
     auto = orbits.exp_ad(sc, *word[0])
     for root, t in word[1:]:
         auto = auto.compose(orbits.exp_ad(sc, root, t))
+    brackets_ok = auto.preserves_brackets()
+    form_ok = auto.preserves_form(kd)
     report.extend(
         [
-            check("adjoint:automorphism-brackets", auto.preserves_brackets()),
-            check("adjoint:automorphism-killing", auto.preserves_form(kd)),
+            check(
+                "adjoint:automorphism-brackets",
+                brackets_ok,
+                "" if brackets_ok else _pair_witness(sc, auto.bracket_defect()),
+            ),
+            check(
+                "adjoint:automorphism-killing",
+                form_ok,
+                "" if form_ok else _pair_witness(sc, auto.form_defect(kd)),
+            ),
         ]
     )
     ranks = [orbits.tangent_rank(sc, pt) for pt in points]
@@ -266,6 +280,13 @@ def run_adjoint(config: Dict[str, object]) -> Report:
         ],
     }
     return report
+
+
+def _pair_witness(sc, pair: Tuple[int, int]) -> str:
+    """Name the first basis pair an automorphism check failed on."""
+    i, j = pair
+    labels = sc.basis.labels
+    return f"first failing basis pair ({labels[i]}, {labels[j]})"
 
 
 def run_all(config: Dict[str, object]) -> Report:

@@ -20,6 +20,15 @@ two composed brackets read from the sparse table; it is never looked up as a
 table entry of its own, so it doubles as a self-test of the construction.
 After checking that the table is weight-homogeneous, :func:`killing` traces
 only the weight-compatible pairs (``w_i + w_j = 0``); every other trace is 0.
+The root duals follow by linearity from those of the simple roots, which
+come from one inverse of the r x r Cartan block of the Gram matrix.
+
+Everything else is read from the sparse table rather than from dense ``ad``
+matrices: the ``ad(H_rho)`` eigenvalues from the rows of the Cartan
+generators, the centralizer ``L0 = ker(ad e_rho)`` from the row of
+``e_rho`` (zero columns give unit vectors, the rest are eliminated over the
+coordinates they touch), and ``G00 = L0 intersect G_0`` as the combinations
+of that basis that vanish off ``G_0``.
 Note that the rescaled constants satisfy ``sign N_{a,b} = sign N_{-a,-b}``
 but not the stronger equality ``N_{a,b} = N_{-a,-b}``: that normalization
 needs square roots of root norms, which do not exist in Q(i).
@@ -45,6 +54,19 @@ _EMPTY: SparseVec = {}
 def _terms(vec: Sequence[GaussianRational]) -> Terms:
     """The ``(index, value)`` pairs of a vector's nonzero entries."""
     return [(k, c) for k, c in enumerate(vec) if not c.is_zero()]
+
+
+def _sum(values: Iterable[GaussianRational]) -> GaussianRational:
+    """The sum of ``values`` (``ZERO`` for none), with no addition seeded by zero."""
+    total: Optional[GaussianRational] = None
+    for v in values:
+        total = v if total is None else total + v
+    return ZERO if total is None else total
+
+
+def _dense(vec: SparseVec, dim: int) -> Vector:
+    """A sparse vector written out over all ``dim`` coordinates."""
+    return [vec.get(k, ZERO) for k in range(dim)]
 
 
 def _add_into(out: SparseVec, f: GaussianRational, terms: Iterable[Term]) -> None:
@@ -117,14 +139,17 @@ class StructureConstants:
     def bracket_basis(self, i: int, j: int) -> SparseVec:
         return self.rows[i].get(j, _EMPTY)
 
-    def unit_bracket(self, i: int, j: int) -> Vector:
-        """``[e_i, e_j]`` as a dense vector, read from the table."""
-        entry = self.bracket_basis(i, j)
-        return [entry.get(k, ZERO) for k in range(self.dim)]
-
     def bracket(self, x: Sequence[GaussianRational], y: Sequence[GaussianRational]) -> Vector:
-        out = self._bracket_terms(_terms(x), _terms(y))
-        return [out.get(k, ZERO) for k in range(self.dim)]
+        return _dense(self._bracket_terms(_terms(x), _terms(y)), self.dim)
+
+    def _ad_terms(self, i: int, ys: Iterable[Term]) -> SparseVec:
+        """``[e_i, y]`` from the nonzero ``(index, value)`` terms of y, read from row i."""
+        row = self.rows[i]
+        out: SparseVec = {}
+        for j, yj in ys:
+            if j in row:
+                _add_into(out, yj, row[j].items())
+        return out
 
     def _bracket_terms(self, xs: Terms, ys: Terms) -> SparseVec:
         """``[x, y]`` from the nonzero ``(index, value)`` terms of x and y."""
@@ -136,15 +161,6 @@ class StructureConstants:
                     _add_into(out, xi * yj, row[j].items())
         return out
 
-    def ad_matrix(self, x: Sequence[GaussianRational]) -> List[Vector]:
-        """Matrix of ad(x) acting on basis-coordinate column vectors."""
-        n = self.dim
-        cols: List[Vector] = []
-        for j in range(n):
-            unit = [ONE if k == j else ZERO for k in range(n)]
-            cols.append(self.bracket(x, unit))
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
-
     def unit(self, index: int) -> Vector:
         return [ONE if k == index else ZERO for k in range(self.dim)]
 
@@ -152,7 +168,7 @@ class StructureConstants:
 # -- Chevalley constants ----------------------------------------------------------
 
 
-def _coroot_coordinates(rs: RootSystem, alpha: Root, norms: Dict[Root, Fraction]) -> List[int]:
+def _coroot_coordinates(rs: RootSystem, alpha: Root, norms: Dict[Root, int]) -> List[int]:
     """Coordinates of alpha^v in the simple coroots; integral for root systems."""
     coords = []
     for i in range(rs.rank):
@@ -169,8 +185,15 @@ class _ChevalleyTable:
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        #: The root norms (r, r), computed once.
-        self.norms: Dict[Root, Fraction] = {r: rs.pairing(r, r) for r in rs.roots}
+        # (a_i, a_j) = d_j A[i][j] with the symmetrizer d, whose entries are
+        # the integers 1, 2 or 3 for every finite type.
+        cartan = rs.cartan
+        sym = [[int(d) * a for d, a in zip(cartan.symmetrizer, row)] for row in cartan.entries]
+        #: The root norms (r, r), computed once in integers.
+        self.norms: Dict[Root, int] = {
+            r: sum(ri * sum(rj * s for rj, s in zip(r, srow)) for ri, srow in zip(r, sym) if ri)
+            for r in rs.roots
+        }
         self.pos: Dict[Tuple[Root, Root], Fraction] = {}
         positives = rs.positive_roots()
         order = {r: i for i, r in enumerate(positives)}
@@ -230,10 +253,10 @@ class _ChevalleyTable:
         # a positive, b negative; use the cycle relation with c = -(a+b).
         if all(c >= 0 for c in s):
             # N_{a,b} = -((s,s)/(a,a)) N_{-b, s}
-            return -(self.norms[s] / self.norms[a]) * self.value(tuple(-c for c in b), s)
+            return -Fraction(self.norms[s], self.norms[a]) * self.value(tuple(-c for c in b), s)
         # N_{a,b} = ((c,c)/(b,b)) N_{c,a} with c = -s positive
         c = tuple(-x for x in s)
-        return (self.norms[c] / self.norms[b]) * self.value(c, a)
+        return Fraction(self.norms[c], self.norms[b]) * self.value(c, a)
 
 
 def chevalley_constants(rs: RootSystem) -> _ChevalleyTable:
@@ -275,23 +298,25 @@ def _chevalley_table(rs: RootSystem, basis: LieBasis) -> Dict[Tuple[int, int], S
 
 def _trace_form(sc: StructureConstants, i: int, j: int) -> GaussianRational:
     """``trace(ad e_i . ad e_j) = sum_k sum_l [e_j, e_k]_l [e_i, e_l]_k`` from the table."""
-    total = ZERO
     row_i = sc.rows[i]
-    for k, entry in sc.rows[j].items():
-        for l, c in entry.items():
-            d = row_i.get(l, _EMPTY).get(k)
-            if d is not None:
-                total = total + c * d
-    return total
+    return _sum(
+        c * row_i[l][k]
+        for k, entry in sc.rows[j].items()
+        for l, c in entry.items()
+        if k in row_i.get(l, _EMPTY)
+    )
 
 
 def build_algebra(rs: RootSystem) -> StructureConstants:
     """Construct the algebra and rescale so ``[e_a, e_{-a}] = -h_a`` for all roots."""
     basis = LieBasis(rs)
     chevalley = StructureConstants(basis, _chevalley_table(rs, basis))
-    # Scale factors: 1 on h_i and positive root vectors, -1/B(e_a, e_{-a}) on
-    # negative ones.  B is computed by trace on the Chevalley table.
-    scale: List[GaussianRational] = [ONE] * basis.dim
+    # Scale factors: -1/B(e_a, e_{-a}) on negative root vectors, with B
+    # computed by trace on the Chevalley table, and 1 (stored as None and
+    # skipped) on h_i and positive ones.  [s_i e_i, s_j e_j] = sum_k
+    # (s_i s_j c_k / s_k) (s_k e_k), and 1/s_k = -B is kept alongside s_k.
+    scale: List[Optional[GaussianRational]] = [None] * basis.dim
+    unscale: List[Optional[GaussianRational]] = [None] * basis.dim
     for a in rs.positive_roots():
         i = basis.root_index(a)
         j = basis.root_index(rs.negative(a))
@@ -299,16 +324,19 @@ def build_algebra(rs: RootSystem) -> StructureConstants:
         if k.is_zero():
             raise ArithmeticError(f"degenerate pairing B(e_{a}, e_{-a})")
         scale[j] = -k.inverse()
+        unscale[j] = -k
     table: Dict[Tuple[int, int], SparseVec] = {}
     for (i, j), entry in chevalley.table.items():
-        factor = scale[i] * scale[j]
+        # Every factor is nonzero, so no rescaled constant vanishes.
+        factors = [f for f in (scale[i], scale[j]) if f is not None]
         new_entry: SparseVec = {}
         for k, c in entry.items():
-            value = factor * c / scale[k]
-            if not value.is_zero():
-                new_entry[k] = value
-        if new_entry:
-            table[(i, j)] = new_entry
+            for f in factors:
+                c = c * f
+            if unscale[k] is not None:
+                c = c * unscale[k]
+            new_entry[k] = c
+        table[(i, j)] = new_entry
     return StructureConstants(basis, table)
 
 
@@ -339,13 +367,12 @@ class KillingData:
 
     def _form_terms(self, xs: Terms, y: Sequence[GaussianRational]) -> GaussianRational:
         """``B(x, y)`` from the nonzero ``(index, value)`` terms of x."""
-        total = ZERO
-        for i, xi in xs:
-            for j, g in self.gram_rows[i].items():
-                yj = y[j]
-                if not yj.is_zero():
-                    total = total + xi * yj * g
-        return total
+        return _sum(
+            xi * y[j] * g
+            for i, xi in xs
+            for j, g in self.gram_rows[i].items()
+            if not y[j].is_zero()
+        )
 
 
 def killing(sc: StructureConstants) -> KillingData:
@@ -379,18 +406,39 @@ def killing(sc: StructureConstants) -> KillingData:
         cartan_inverse = linalg.invert(cartan_gram)
     except ValueError:
         raise ArithmeticError("Killing form degenerate on the Cartan subalgebra") from None
-    coroots: Dict[Root, Vector] = {}
-    for root in rs.roots:
-        rhs = [GaussianRational(rs.cartan.coroot_pairing(root, i)) for i in range(rank)]
-        coroots[root] = linalg.mat_vec(cartan_inverse, rhs) + [ZERO] * (n - rank)
-    rho = rs.highest
-    h_rho = coroots[rho]
-    norm = ZERO
-    for i in range(rank):
-        for j in range(rank):
-            norm = norm + h_rho[i] * h_rho[j] * gram[i][j]
+    # h_b is linear in b: solve for the simple roots (B(h_{a_i}, h_j) =
+    # <a_i, a_j^v> = A[i][j]), then h_{b + a_i} = h_b + h_{a_i} up the
+    # positive roots in height order, and h_{-b} = -h_b.
+    simple: List[Vector] = [
+        [_sum(inv * a for inv, a in zip(inv_row, row) if a and not inv.is_zero())
+         for inv_row in cartan_inverse]
+        for row in rs.cartan.entries
+    ]
+    positives = rs.positive_roots()
+    cartan_coroots: Dict[Root, Vector] = {}
+    for root in positives:
+        if sum(root) == 1:
+            cartan_coroots[root] = simple[root.index(1)]
+            continue
+        for i, h_simple in enumerate(simple):
+            lower = root[:i] + (root[i] - 1,) + root[i + 1:]
+            if lower in cartan_coroots:
+                cartan_coroots[root] = [
+                    b if a.is_zero() else a if b.is_zero() else a + b
+                    for a, b in zip(cartan_coroots[lower], h_simple)
+                ]
+                break
+    pad = [ZERO] * (n - rank)
+    coroots: Dict[Root, Vector] = {root: cartan_coroots[root] + pad for root in positives}
+    for root in positives:
+        coroots[rs.negative(root)] = [-c for c in cartan_coroots[root]] + pad
+    h_rho = cartan_coroots[rs.highest]
+    h_terms = _terms(h_rho)
+    norm = _sum(
+        a * b * gram[i][j] for i, a in h_terms for j, b in h_terms if not gram[i][j].is_zero()
+    )
     factor = GaussianRational(2) / norm
-    hrho = [factor * c for c in h_rho]
+    hrho = [factor * c for c in h_rho] + pad
     return KillingData(sc, gram, coroots, hrho)
 
 
@@ -460,19 +508,43 @@ def grade(sc: StructureConstants, kd: KillingData) -> GradedDecomposition:
     l_span = units(pieces[0] + pieces[1] + pieces[2])
     gminus_span = units(pieces[-2] + pieces[-1])
     n_span = gminus_span + [list(kd.hrho)]
-    # L0 = ker(ad e_rho); G00 = that kernel inside G_0.
-    ad_rho = sc.ad_matrix(sc.unit(rho_idx))
-    l0_span = linalg.nullspace(ad_rho)
-    g0_basis = units(pieces[0])
-    g00_span = linalg.intersect_spans(g0_basis, l0_span)
+    # L0 = ker(ad e_rho), read from the table row of e_rho: column j of
+    # ad e_rho is [e_rho, e_j].
+    row_rho = sc.rows[rho_idx]
+    l0 = _column_kernel([row_rho.get(j, _EMPTY) for j in range(n)])
+    # G00 = L0 intersect G_0: the combinations of the L0 basis that vanish on
+    # every coordinate outside G_0.
+    g0 = set(pieces[0])
+    outside = [{k: c for k, c in vec.items() if k not in g0} for vec in l0]
+    g00 = []
+    for combo in _column_kernel(outside):
+        vec: SparseVec = {}
+        for m, c in combo.items():
+            _add_into(vec, c, l0[m].items())
+        g00.append(vec)
     spans = {
         "L": l_span,
-        "L0": l0_span,
-        "G00": g00_span,
+        "L0": [_dense(vec, n) for vec in l0],
+        "G00": [_dense(vec, n) for vec in g00],
         "Gminus": gminus_span,
         "N": n_span,
     }
     return GradedDecomposition(sc, kd, pieces, spans)
+
+
+def _column_kernel(columns: Sequence[SparseVec]) -> List[SparseVec]:
+    """A basis of ``{c : sum_j c_j columns[j] = 0}``, as sparse coefficient vectors.
+
+    Each zero column gives its unit vector; the nonzero columns are eliminated
+    over just the coordinates they touch.
+    """
+    live = [j for j, col in enumerate(columns) if col]
+    basis: List[SparseVec] = [{j: ONE} for j, col in enumerate(columns) if not col]
+    coords = sorted({k for j in live for k in columns[j]})
+    matrix = [[columns[j].get(k, ZERO) for j in live] for k in coords]
+    for vec in linalg.nullspace(matrix):
+        basis.append({live[m]: c for m, c in enumerate(vec) if not c.is_zero()})
+    return basis
 
 
 def g00_span_check(gd: GradedDecomposition, sc: StructureConstants) -> bool:
@@ -482,13 +554,16 @@ def g00_span_check(gd: GradedDecomposition, sc: StructureConstants) -> bool:
     span of ``[x, y]`` over ``x in G_{-1}``, ``y in G_{+1}``, intersected with
     the centralizer of ``e_rho``.  (The raw bracket span is all of ``G_0``
     whenever ``G_{+-1}`` is nonzero; its trace inside the centralizer is what
-    must reproduce G00.)
+    must reproduce G00.)  The up to ``|G_1|^2`` brackets are first reduced to
+    a basis, at most ``dim G_0`` vectors.
     """
     pieces = gd.pieces
-    brackets = [
-        sc.unit_bracket(i, j) for i in pieces[-1] for j in pieces[1] if sc.bracket_basis(i, j)
-    ]
-    bracket_g00 = linalg.intersect_spans(brackets, gd.spans["L0"]) if brackets else []
+    rows = sc.rows
+    brackets = linalg.sparse_basis(
+        rows[i][j] for i in pieces[-1] for j in pieces[1] if j in rows[i]
+    )
+    dense = [_dense(vec, sc.dim) for vec in brackets]
+    bracket_g00 = linalg.intersect_spans(dense, gd.spans["L0"]) if dense else []
     return linalg.same_span(bracket_g00, gd.spans["G00"])
 
 

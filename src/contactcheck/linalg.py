@@ -3,12 +3,17 @@
 Elimination works for :class:`~contactcheck.scalars.GaussianRational` and
 :class:`~contactcheck.laurent.LaurentPoly` alike: elements must support
 ``+``, ``-``, ``*``, ``/``, unary ``-`` and ``is_zero()``.  Matrices are
-plain lists of lists of modest size (up to a few dozen rows and columns, e.g.
-the 52 x 52 Gram matrix of F4), so no pivoting heuristics beyond "first
-nonzero" are needed over a field.  :func:`row_echelon` works in place on a
-copy of its input and touches only the pivot row's support: zeros in the pivot
-row are not divided, and each row update walks only the pivot row's nonzero
-columns.  ``0 / p = 0`` and ``a - f * 0 = a`` are exact, so the echelon form is
+plain lists of lists.  The Lie layer hands over blocks cut down by its sparse
+structure (the r x r Cartan block of the Killing form, the nonzero columns of
+``ad e_rho`` on the coordinates they touch) and spans in ``dim g``
+coordinates (248 for E8); the contact layer's Laurent systems are as large
+as a chart's coordinate count.  No pivoting heuristics beyond "first
+nonzero" are needed over a field.  :func:`sparse_basis` reduces families of
+sparse ``{index: value}`` vectors, such as the up to ``|G_1|^2`` brackets of
+the G00 check or an orbit's tangent vectors, to a basis without writing them
+out.  :func:`row_echelon` works in place on a copy of its input and touches
+only the pivot row's support: zeros in the pivot row are not divided, and
+each row update walks only the pivot row's nonzero columns.  ``0 / p = 0`` and ``a - f * 0 = a`` are exact, so the echelon form is
 the one full-row elimination gives, entry for entry.  LaurentPoly is a
 ring, not a field: it divides only by units ``c * fiber^k``.  Where an entry
 type has ``is_unit()``, a non-unit first pivot gives way to the first unit
@@ -17,7 +22,7 @@ further down its column; a column with no unit raises ``ZeroDivisionError``.
 
 from __future__ import annotations
 
-from typing import List, Sequence, TypeVar
+from typing import Dict, Iterable, List, Mapping, Sequence, TypeVar
 
 from .scalars import ONE, ZERO
 
@@ -156,6 +161,34 @@ def intersect_spans(
         return []
     echelon, pivots = row_echelon(candidates)
     return [echelon[r] for r in range(len(pivots))]
+
+
+def sparse_basis(vectors: Iterable[Mapping[int, T]], one: T = ONE) -> List[Dict[int, T]]:
+    """A basis of the span of sparse vectors ``{index: value}`` (no stored zeros).
+
+    The basis is in semi-echelon form: each row is 1 at its leading (smallest)
+    index, and no two rows lead at the same index.  A vector is reduced by the
+    row leading where it leads until it vanishes or leads at a new index,
+    where it is kept.  Each step walks only the supports of the two rows.
+    """
+    rows: Dict[int, Dict[int, T]] = {}
+    for vector in vectors:
+        v = dict(vector)
+        while v:
+            lead = min(v)
+            row = rows.get(lead)
+            if row is None:
+                inv = one / v[lead]
+                rows[lead] = {k: c * inv for k, c in v.items()}
+                break
+            f = v[lead]
+            for k, c in row.items():
+                acc = v[k] - f * c if k in v else -(f * c)
+                if acc.is_zero():
+                    v.pop(k, None)
+                else:
+                    v[k] = acc
+    return [rows[k] for k in sorted(rows)]
 
 
 def determinant(matrix: Sequence[Sequence[T]], one: T = ONE) -> T:

@@ -9,15 +9,32 @@ character value ``B([H_rho, e_rho], -e_{-rho}) = 2``, which pins the weight
 of the fiber action on the orbit cone.  Orbit membership is always certified by the
 generating word stored with each point; it is never decided for arbitrary
 vectors.
+
+Maps act through the sparse bracket table and the sparse Gram rows of
+:class:`~contactcheck.lie.KillingData`: ``exp_ad`` applies the table row of
+``e_root`` term by term, the tangent space ``[g, pt]`` is read from each
+table row, the moment pairing ``B(pt, e_i)`` from the Gram rows pt selects,
+and kappa solves the Gram system block by block (the Cartan block, then one
+division per root pair).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
-from .lie import GradedDecomposition, KillingData, StructureConstants, Vector, _add_into, _terms
+from .lie import (
+    GradedDecomposition,
+    KillingData,
+    SparseVec,
+    StructureConstants,
+    Vector,
+    _add_into,
+    _dense,
+    _sum,
+    _terms,
+)
 from .report import SKIPPED, CheckResult, check
 from .rootsystem import Root
 from .scalars import ONE, ZERO, GaussianRational
@@ -42,36 +59,43 @@ class AlgebraAutomorphism:
         raise AttributeError("AlgebraAutomorphism is immutable")
 
     def apply(self, vec: Sequence[GaussianRational]) -> Vector:
-        out = [ZERO] * self.sc.dim
+        out: SparseVec = {}
         for j, xj in _terms(vec):
-            for i, c in _terms(self.columns[j]):
-                out[i] = out[i] + c * xj
-        return out
+            _add_into(out, xj, _terms(self.columns[j]))
+        return _dense(out, self.sc.dim)
 
     def compose(self, other: "AlgebraAutomorphism") -> "AlgebraAutomorphism":
         return AlgebraAutomorphism(self.sc, [self.apply(col) for col in other.columns])
 
     def preserves_brackets(self) -> bool:
+        return self.bracket_defect() is None
+
+    def bracket_defect(self) -> Optional[Tuple[int, int]]:
+        """The first basis pair ``(i, j)``, ``i < j``, with ``M[e_i, e_j] != [M e_i, M e_j]``."""
         sc = self.sc
         terms = [_terms(col) for col in self.columns]
         for i in range(sc.dim):
             for j in range(i + 1, sc.dim):
                 # The image of [e_i, e_j], zero entries dropped like the bracket's.
-                lhs: Dict[int, GaussianRational] = {}
+                lhs: SparseVec = {}
                 for k, c in sc.bracket_basis(i, j).items():
                     _add_into(lhs, c, terms[k])
                 if lhs != sc._bracket_terms(terms[i], terms[j]):
-                    return False
-        return True
+                    return i, j
+        return None
 
     def preserves_form(self, kd: KillingData) -> bool:
+        return self.form_defect(kd) is None
+
+    def form_defect(self, kd: KillingData) -> Optional[Tuple[int, int]]:
+        """The first basis pair ``(i, j)``, ``i <= j``, with ``B(M e_i, M e_j) != B(e_i, e_j)``."""
         cols = self.columns
         for i in range(self.sc.dim):
             xs = _terms(cols[i])
             for j in range(i, self.sc.dim):
                 if kd._form_terms(xs, cols[j]) != kd.gram[i][j]:
-                    return False
-        return True
+                    return i, j
+        return None
 
 
 class OrbitPoint:
@@ -103,42 +127,43 @@ def exp_ad(sc: StructureConstants, root: Root, t: Fraction) -> AlgebraAutomorphi
     """``exp(t ad e_root)``, column by column: ``sum_k t^k/k! (ad e_root)^k e_j``.
 
     ``ad e_root`` is nilpotent, so each series terminates and every column is
-    exact; the powers are taken by bracketing with ``e_root`` through the table.
+    exact; each power applies ``e_root``'s table row to the previous term.
     """
     rs = sc.basis.rs
     if not rs.is_root(tuple(root)):
         raise ValueError(f"{root} is not a root; only nilpotent directions exponentiate")
     n = sc.dim
-    e = [(sc.basis.root_index(tuple(root)), ONE)]
+    e = sc.basis.root_index(tuple(root))
     scalar = GaussianRational(t)
     columns: List[Vector] = []
     for j in range(n):
-        column = sc.unit(j)
-        term = {j: ONE}
+        column: SparseVec = {j: ONE}
+        term: SparseVec = {j: ONE}
         factor = ONE
         for k in range(1, n + 1):
-            term = sc._bracket_terms(e, list(term.items()))
+            term = sc._ad_terms(e, term.items())
             if not term:
                 break
             factor = factor * scalar / GaussianRational(k)
-            for i, c in term.items():
-                column[i] = column[i] + factor * c
+            _add_into(column, factor, term.items())
         else:
             raise ArithmeticError("ad e_root failed to nilpotate; broken table")
-        columns.append(column)
+        columns.append(_dense(column, n))
     return AlgebraAutomorphism(sc, columns)
 
 
 def orbit_sample(sc: StructureConstants, kd: KillingData, word: Word) -> OrbitPoint:
-    """Apply the unipotent word to e_rho; checks ``B(pt, pt) = 0`` and pt != 0."""
+    """Apply the unipotent word to e_rho; checks pt != 0.
+
+    Isotropy ``B(pt, pt) = 0`` is a property to verify, not a precondition:
+    the ``adjoint:isotropic`` checks report it.
+    """
     rs = sc.basis.rs
     vec = sc.unit(sc.basis.root_index(rs.highest))
     for root, t in word:
         vec = exp_ad(sc, root, Fraction(t)).apply(vec)
     if all(c.is_zero() for c in vec):
         raise ArithmeticError("orbit point collapsed to zero")
-    if not kd.form(vec, vec).is_zero():
-        raise ArithmeticError("orbit point violates the isotropy condition B(pt, pt) = 0")
     return OrbitPoint(vec, word)
 
 
@@ -182,20 +207,49 @@ def rho_pairing_matrix(sc: StructureConstants, kd: KillingData) -> List[Vector]:
     """``B(e_rho, [e_i, e_j])`` for all basis pairs: the e_rho Gram row read against the table."""
     g_rho = kd.gram_rows[sc.basis.root_index(sc.basis.rs.highest)]
 
-    def pairing(entry: Dict[int, GaussianRational]) -> GaussianRational:
-        return sum((g_rho[k] * c for k, c in entry.items() if k in g_rho), ZERO)
+    def pairing(entry: SparseVec) -> GaussianRational:
+        return _sum(g_rho[k] * c for k, c in entry.items() if k in g_rho)
 
     return [[pairing(sc.bracket_basis(i, j)) for j in range(sc.dim)] for i in range(sc.dim)]
 
 
 def moment_map(sc: StructureConstants, kd: KillingData, pt: OrbitPoint) -> MomentVector:
-    """Coefficients ``B(pt, X_i)`` over the basis: the moment pairing at pt."""
-    return MomentVector([kd.form(pt.vector, sc.unit(i)) for i in range(sc.dim)])
+    """Coefficients ``B(pt, X_i)`` over the basis: the moment pairing at pt.
+
+    ``B(pt, e_i) = sum_j pt_j B(e_j, e_i)``, summed over pt's terms and the
+    Gram rows they select.
+    """
+    out: SparseVec = {}
+    for j, pj in _terms(pt.vector):
+        _add_into(out, pj, kd.gram_rows[j].items())
+    return MomentVector(_dense(out, sc.dim))
 
 
 def kappa(sc: StructureConstants, kd: KillingData, mv: MomentVector) -> Vector:
-    """Invert the musical isomorphism: solve ``Gram . x = coefficients``."""
-    return linalg.solve(kd.gram, list(mv.coefficients))
+    """Invert the musical isomorphism: solve ``Gram . x = coefficients``.
+
+    The Gram matrix :func:`~contactcheck.lie.killing` builds pairs the Cartan
+    block only with itself and ``e_a`` only with ``e_{-a}``, so the system
+    splits: an r x r solve on the Cartan block, then ``x_{-a} = c_a / B(e_a,
+    e_{-a})`` and ``x_a = c_{-a} / B(e_a, e_{-a})`` for each positive root a.
+    """
+    basis = sc.basis
+    rank = basis.rank
+    gram = kd.gram
+    coeffs = mv.coefficients
+    x = linalg.solve([row[:rank] for row in gram[:rank]], coeffs[:rank])
+    x += [ZERO] * (sc.dim - rank)
+    rs = basis.rs
+    for a in rs.positive_roots():
+        i = basis.root_index(a)
+        j = basis.root_index(rs.negative(a))
+        pairing = gram[i][j]
+        if pairing.is_zero():
+            raise ValueError("singular matrix")
+        inv = pairing.inverse()
+        x[j] = coeffs[i] * inv
+        x[i] = coeffs[j] * inv
+    return x
 
 
 def kappa_round_trip(sc: StructureConstants, kd: KillingData, pt: OrbitPoint) -> bool:
@@ -203,8 +257,12 @@ def kappa_round_trip(sc: StructureConstants, kd: KillingData, pt: OrbitPoint) ->
 
 
 def tangent_rank(sc: StructureConstants, pt: OrbitPoint) -> int:
-    """Dimension of the orbit's tangent space ``[g, pt]`` at pt."""
-    return linalg.rank([sc.bracket(sc.unit(i), pt.vector) for i in range(sc.dim)])
+    """Dimension of the orbit's tangent space ``[g, pt]`` at pt.
+
+    ``[e_i, pt] = sum_j pt_j [e_i, e_j]`` is read from table row i.
+    """
+    terms = _terms(pt.vector)
+    return len(linalg.sparse_basis(sc._ad_terms(i, terms) for i in range(sc.dim)))
 
 
 def embedding_checks(

@@ -14,9 +14,12 @@ being checked again.  Sums store a monomial met for the first time as it is
 and add only where both operands carry it, so no sum starts from zero.
 
 Canonical textual serialization (used by the CLI and by failure witnesses):
-terms are sorted graded-lexicographically, highest first -- larger total
-degree wins, ties broken by the exponent tuple in the polynomial's variable
-order -- and the imaginary unit prints as ``i``.  Example::
+variables print in their natural order -- names compared chunk by chunk,
+digit runs as numbers, so ``z2`` comes before ``z10`` -- whatever order the
+polynomial stores them in; terms are sorted graded-lexicographically, highest
+first -- larger total degree wins, ties broken by the exponents read in that
+natural variable order -- and the imaginary unit prints as ``i``.  Equal
+polynomials therefore print alike.  Example::
 
     (1/2+i)*x^2*y + (-3)*z + 2i
 
@@ -26,13 +29,19 @@ The format is stable across releases.
 from __future__ import annotations
 
 import operator
+import re
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .scalars import GaussianRational, ScalarLike, ZERO, ONE
 
 Exponent = Tuple[int, ...]
 TermMap = Dict[Exponent, GaussianRational]
+
+
+def _natural_key(name: str) -> List[object]:
+    """Sort key of a variable name: text chunks as text, digit runs as numbers."""
+    return [int(chunk) if k % 2 else chunk for k, chunk in enumerate(re.split(r"(\d+)", name))]
 
 
 def _merge_vars(a: Sequence[str], b: Sequence[str]) -> Tuple[str, ...]:
@@ -304,19 +313,29 @@ class MultiPoly:
     def __hash__(self):
         raise TypeError("MultiPoly is not hashable; compare canonical strings if needed")
 
+    def _natural_slots(self) -> List[int]:
+        """Variable slots in the natural order of their names."""
+        return sorted(range(len(self.vars)), key=lambda k: _natural_key(self.vars[k]))
+
     def sorted_terms(self) -> Iterable[Tuple[Exponent, GaussianRational]]:
-        """Terms in canonical graded-lex order, highest first."""
-        return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True)
+        """Terms in canonical graded-lex order (natural variable order), highest first."""
+        slots = self._natural_slots()
+        return sorted(
+            self.terms.items(),
+            key=lambda item: (sum(item[0]), [item[0][k] for k in slots]),
+            reverse=True,
+        )
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        slots = self._natural_slots()
         pieces = []
         for expo, coeff in self.sorted_terms():
             factors = [
-                name if k == 1 else f"{name}^{k}"
-                for name, k in zip(self.vars, expo)
-                if k
+                self.vars[s] if expo[s] == 1 else f"{self.vars[s]}^{expo[s]}"
+                for s in slots
+                if expo[s]
             ]
             if not factors:
                 pieces.append(str(coeff))

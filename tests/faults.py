@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from contactcheck.contact import ContactChart, hopf_chart
 from contactcheck.forms import PolyForm
+from contactcheck.lie import StructureConstants, build_algebra, grade, killing
+from contactcheck.rootsystem import builtin_root_system
 
 BAD_HOPF_LABEL = "bad-hopf"
 
@@ -27,3 +29,23 @@ def corrupted_hopf_chart(n: int = 1) -> ContactChart:
     return ContactChart(
         chart, PolyForm(chart, 1, terms), good.delta, good.weights, label=BAD_HOPF_LABEL
     )
+
+
+def doubled_constant(sc: StructureConstants) -> StructureConstants:
+    """``sc`` with its first root-root bracket (in table order) doubled.
+
+    The entry stays on its weight, so :func:`~contactcheck.lie.killing` and
+    :func:`~contactcheck.lie.grade` accept the table.
+    """
+    key = next(k for k in sc.table if min(k) >= sc.basis.rank)
+    table = dict(sc.table)
+    table[key] = {k: c + c for k, c in table[key].items()}
+    return StructureConstants(sc.basis, table)
+
+
+def corrupted_algebra_bundle(type_name: str):
+    """``cli._algebra_bundle`` on the table of :func:`doubled_constant`."""
+    rs = builtin_root_system(type_name)
+    sc = doubled_constant(build_algebra(rs))
+    kd = killing(sc)
+    return rs, sc, kd, grade(sc, kd)

@@ -3,16 +3,17 @@
 Each oracle recomputes a quantity along a different path than the library:
 reflection closure instead of root strings, permutation-expanded wedge
 instead of shuffle merging, full contraction summed over every index tuple
-instead of iterated interior products, a dense matrix exponential (powers of the
-``ad`` matrix by plain nested-loop products) instead of the library's series
-on basis vectors, and a two-pass dense reduced row-echelon form (forward
-elimination below the pivots, then back substitution) instead of the
-library's one-pass support-only Gauss-Jordan, and a Killing form traced from
-dense ``ad`` matrices filled straight from the bracket table instead of the
-library's weight-compatible traces over its per-index rows, and polynomial
-sums, products and derivatives over plain dicts keyed by ``(name, exponent)``
-pairs instead of ``MultiPoly``'s aligned exponent tuples.  They stay
-deliberately naive.
+instead of iterated interior products, the ``ad`` matrix filled by bracketing
+unit vectors instead of the library's reads of single table rows, a dense
+matrix exponential (powers of that matrix by plain nested-loop products)
+instead of the library's series on basis vectors, and a two-pass dense
+reduced row-echelon form (forward elimination below the pivots, then back
+substitution) instead of the library's one-pass support-only Gauss-Jordan,
+and a Killing form traced from dense ``ad`` matrices filled straight from the
+bracket table instead of the library's weight-compatible traces over its
+per-index rows, and polynomial sums, products and derivatives over plain
+dicts keyed by ``(name, exponent)`` pairs instead of ``MultiPoly``'s aligned
+exponent tuples.  They stay deliberately naive.
 """
 
 from __future__ import annotations
@@ -127,6 +128,13 @@ def _factorial(k: int) -> int:
     return out
 
 
+def ad_matrix(sc: StructureConstants, x: Sequence[GaussianRational]) -> List[List[GaussianRational]]:
+    """Matrix of ad(x) on basis-coordinate columns: column j is ``[x, e_j]``."""
+    n = sc.dim
+    cols = [sc.bracket(x, sc.unit(j)) for j in range(n)]
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
 def exp_ad_on_vector(
     sc: StructureConstants, root: Root, t: Fraction, vector: List[GaussianRational]
 ) -> List[GaussianRational]:
@@ -151,7 +159,7 @@ def exp_ad_matrix(
 ) -> List[List[GaussianRational]]:
     """exp(t ad e_root) as a dense matrix: sum of t^k/k! times powers of ad_matrix."""
     n = sc.dim
-    ad = sc.ad_matrix(sc.unit(sc.basis.root_index(tuple(root))))
+    ad = ad_matrix(sc, sc.unit(sc.basis.root_index(tuple(root))))
     scalar = GaussianRational(t)
     result = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     power = [row[:] for row in result]

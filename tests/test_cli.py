@@ -5,7 +5,7 @@ import pytest
 
 from contactcheck import cli
 from contactcheck.cli import main
-from faults import BAD_HOPF_LABEL, corrupted_hopf_chart
+from faults import BAD_HOPF_LABEL, corrupted_algebra_bundle, corrupted_hopf_chart
 
 GOLDEN = Path(__file__).parent / "golden"
 ALGEBRA_TYPES = ["A1", "A2", "A3", "B2", "C2", "B3", "C3", "G2"]
@@ -185,8 +185,8 @@ def test_corrupted_theta_fails_with_report(capsys, monkeypatch, command, failing
 
 
 @pytest.mark.parametrize("command, digest", [
-    ("verify-lemma21", "929d212a081d5036c6bdc74f22ffc9fcb21a7ee3041a8be5586159263203de0d"),
-    ("verify-lemma22", "7e177e12015ef083bb1035799c3824d2110b622264021660ce2a80cf0a559c2f"),
+    ("verify-lemma21", "562beebf50dc37fb962255e7358094410515eb1eb6998f2628ebe1e503523be0"),
+    ("verify-lemma22", "ba602f33e118e5bcc48eb435ec2b2284526ae307e3fb93decc7055446187090f"),
 ])
 def test_corrupted_theta_report_text_is_pinned(capsys, monkeypatch, command, digest):
     """The failure witnesses of a corrupted theta (hopf n=1, seed 2024) keep their exact text."""
@@ -238,6 +238,47 @@ def test_dump_forms_on_corrupted_theta_reports_the_failure(capsys, monkeypatch):
     assert report["config"]["payload"]["euler_field"] not in ("", good)
 
 
+#: Failing checks and witnesses of ``adjoint --seed 2024 --samples 3`` on a
+#: table with one doubled root-root constant.
+CORRUPTED_ADJOINT_FAILURES = {
+    "A2": {
+        "adjoint:automorphism-brackets": "first failing basis pair (e[0,1], e[1,0])",
+        "adjoint:automorphism-killing": "first failing basis pair (h1, e[1,0])",
+        "adjoint:isotropic-1": "B(pt, pt) = -25/10368",
+        "embedding:tangent-rank-1": "rank 5 != 4",
+    },
+    "G2": {
+        "adjoint:automorphism-brackets": "first failing basis pair (e[0,1], e[1,0])",
+        "adjoint:automorphism-killing": "first failing basis pair (e[0,1], e[2,1])",
+    },
+    "B3": {
+        "adjoint:automorphism-brackets": "first failing basis pair (e[0,0,1], e[0,1,0])",
+        "adjoint:automorphism-killing": "first failing basis pair (e[0,0,1], e[1,1,0])",
+        "embedding:tangent-rank-1": "rank 9 != 8",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTED_ADJOINT_FAILURES))
+def test_corrupted_constant_through_the_cli(capsys, monkeypatch, name):
+    """A doubled Chevalley constant gives written reports, never a traceback.
+
+    ``adjoint`` fails with rc 1 and names the point or basis pair.  None of
+    ``algebra``'s four checks sees this corruption, so it still exits 0.
+    """
+    monkeypatch.setattr(cli, "_algebra_bundle", corrupted_algebra_bundle)
+    code = main(["algebra", name])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert (code, report["schema"], report["ok"], captured.err) == (0, 1, True, "")
+    code = main(["adjoint", name, "--seed", "2024", "--samples", "3"])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert (code, report["schema"], report["ok"], captured.err) == (1, 1, False, "")
+    failures = {r["check_id"]: r["witness"] for r in report["results"] if r["status"] == "fail"}
+    assert failures == CORRUPTED_ADJOINT_FAILURES[name]
+
+
 def _benchmark_file(name: str) -> Path:
     return Path(__file__).resolve().parent.parent / "perfbench" / name
 
@@ -266,6 +307,19 @@ def test_exceptional_reports_match_benchmark_digests(name, monkeypatch):
     for key, report in reports.items():
         assert report.ok, key
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == digests[key], key
+
+
+def test_extra_test_types_match_the_benchmark_matrices():
+    """The test suite's D4 and F4 are the matrices the benchmark injects."""
+    import importlib.util
+
+    from conftest import EXTRA_CARTAN
+
+    spec = importlib.util.spec_from_file_location("_bench_workloads", _benchmark_file("workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name, entries in workloads.EXCEPTIONAL_CARTAN.items():
+        assert EXTRA_CARTAN[name] == entries, name
 
 
 def test_cocycle_n2_report_matches_benchmark_digest():

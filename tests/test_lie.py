@@ -265,10 +265,13 @@ def test_opposite_constants_share_signs(name, algebra_bundle):
 
 @pytest.mark.parametrize("name", ["A2", "B3", "G2"])
 def test_unit_bracket_matches_bracket_of_units(name, algebra_bundle):
+    """``[e_i, e_j]`` read from the table equals the bracket of the unit vectors."""
     _, sc, _, _ = algebra_bundle(name)
     for i in range(sc.dim):
         for j in range(sc.dim):
-            assert sc.unit_bracket(i, j) == sc.bracket(sc.unit(i), sc.unit(j)), (i, j)
+            entry = sc.bracket_basis(i, j)
+            dense = [entry.get(k, ZERO) for k in range(sc.dim)]
+            assert dense == sc.bracket(sc.unit(i), sc.unit(j)), (i, j)
 
 
 ORACLE_TYPES = ["A1", "A2", "B3", "G2"]
@@ -323,3 +326,108 @@ def test_killing_rejects_an_entry_off_its_weight(name, kind, algebra_bundle):
     pair = f"[{labels[key[0]]}, {labels[key[1]]}]"
     with pytest.raises(ArithmeticError, match=re.escape(pair)):
         killing(_moved_off_weight(sc, key))
+
+
+# -- the sparse routes against dense oracles, past the shipped types ----------------
+
+ALL_TYPES = ["A1", "A2", "A3", "B2", "C2", "B3", "C3", "G2", "D4", "F4", "E6"]
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_l0_is_the_kernel_of_the_dense_ad_matrix(name, algebra_bundle):
+    """L0, read from the table row of e_rho, is a basis of ker ad(e_rho)."""
+    from contactcheck import linalg
+    from oracles import ad_matrix
+
+    rs, sc, _, gd = algebra_bundle(name)
+    ad_rho = ad_matrix(sc, sc.unit(sc.basis.root_index(rs.highest)))
+    l0 = gd.spans["L0"]
+    assert len(l0) == sc.dim - linalg.rank(ad_rho) == linalg.rank(l0)
+    for vec in l0:
+        assert all(c.is_zero() for c in linalg.mat_vec(ad_rho, vec))
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_g00_routes_match_full_intersections(name, algebra_bundle):
+    """G00 and the reduced bracket route agree with intersections of the full spans."""
+    from contactcheck import linalg
+
+    _, sc, _, gd = algebra_bundle(name)
+    pieces = gd.pieces
+    g0_units = [sc.unit(i) for i in pieces[0]]
+    assert linalg.same_span(gd.spans["G00"], linalg.intersect_spans(g0_units, gd.spans["L0"]))
+    brackets = [sc.bracket(sc.unit(i), sc.unit(j)) for i in pieces[-1] for j in pieces[1]]
+    reduced = linalg.sparse_basis(
+        {k: c for k, c in enumerate(vec) if not c.is_zero()} for vec in brackets
+    )
+    assert len(reduced) <= len(pieces[0])
+    dense = [[vec.get(k, ZERO) for k in range(sc.dim)] for vec in reduced]
+    assert linalg.same_span(dense, [vec for vec in brackets if any(vec)])
+    full = linalg.intersect_spans(brackets, gd.spans["L0"]) if brackets else []
+    assert linalg.same_span(full, gd.spans["G00"])
+    assert g00_span_check(gd, sc)
+
+
+@pytest.mark.parametrize("name", ["A2", "G2", "F4"])
+def test_g00_check_fails_on_a_wrong_span(name, algebra_bundle):
+    from contactcheck.lie import GradedDecomposition
+
+    _, sc, kd, gd = algebra_bundle(name)
+    spans = dict(gd.spans, G00=gd.spans["G00"][:-1])
+    assert not g00_span_check(GradedDecomposition(sc, kd, gd.pieces, spans), sc)
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_linear_coroots_equal_the_cartan_solve(name, algebra_bundle):
+    from contactcheck import linalg
+
+    rs, sc, kd, _ = algebra_bundle(name)
+    rank = rs.rank
+    cartan_gram = [row[:rank] for row in kd.gram[:rank]]
+    for root in rs.roots:
+        rhs = [GaussianRational(rs.cartan.coroot_pairing(root, i)) for i in range(rank)]
+        expected = linalg.solve(cartan_gram, rhs) + [ZERO] * (sc.dim - rank)
+        assert kd.coroots[root] == expected, root
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_integer_root_norms_equal_the_pairing(name, algebra_bundle):
+    rs = algebra_bundle(name)[0]
+    norms = chevalley_constants(rs).norms
+    for root in rs.roots:
+        assert type(norms[root]) is int and norms[root] == rs.pairing(root, root), root
+
+
+#: Dual Coxeter numbers (Bourbaki's tables); dim g_1 = 2 h^v - 4 for the
+#: highest-root grading (Beauville, Fano contact manifolds and nilpotent
+#: orbits, 1998).
+DUAL_COXETER = {
+    "A1": 2, "A2": 3, "A3": 4, "B2": 3, "C2": 3, "B3": 5, "C3": 4, "G2": 4,
+    "D4": 6, "F4": 9, "E6": 12,
+}
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_g1_dimension_from_the_dual_coxeter_number(name, algebra_bundle):
+    _, _, _, gd = algebra_bundle(name)
+    assert len(gd.pieces[1]) == 2 * DUAL_COXETER[name] - 4
+
+
+def test_e6_grading_and_every_suite_check(algebra_bundle, monkeypatch):
+    """Injected E6: grading (1,20,36,20,1), and `algebra` and `adjoint` pass."""
+    from conftest import EXTRA_CARTAN
+    from contactcheck import cli, rootsystem
+
+    _, sc, _, gd = algebra_bundle("E6")
+    assert (sc.dim, gd.dims(), len(gd.pieces[1])) == (78, (1, 20, 36, 20, 1), 20)
+    monkeypatch.setitem(rootsystem.CARTAN_MATRICES, "E6", EXTRA_CARTAN["E6"])
+    algebra = cli.run_algebra({"command": "algebra", "type": "E6"})
+    adjoint = cli.run_adjoint({"command": "adjoint", "type": "E6", "samples": 3, "seed": 2024})
+    assert algebra.ok and adjoint.ok
+    assert algebra.config["payload"]["piece_dims"] == [1, 20, 36, 20, 1]
+
+
+def test_e6_positive_roots_match_sympy(algebra_bundle):
+    liealgebras = pytest.importorskip("sympy.liealgebras.cartan_type")
+    rs = algebra_bundle("E6")[0]
+    assert rs.n_positive == len(liealgebras.CartanType("E6").positive_roots()) == 36

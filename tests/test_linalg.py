@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from contactcheck.contact import projective_transition
-from contactcheck.linalg import determinant, nullspace, rank, row_echelon, solve
+from contactcheck.linalg import determinant, nullspace, rank, row_echelon, solve, sparse_basis
 from contactcheck.poly import MultiPoly
 from contactcheck.ratfunc import RationalFunction
 from contactcheck.scalars import GaussianRational, ONE, ZERO, gq
@@ -85,6 +85,22 @@ def test_nullspace_is_a_kernel_basis(seed, kind):
         assert all(v.is_zero() for v in dense_mat_vec(rows, vec))
     if basis:
         assert len(dense_rref(basis)[1]) == len(basis)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sparse_basis_spans_the_rows(seed, kind):
+    """A semi-echelon basis: as many rows as the rank, spanning the same space."""
+    rows = matrix(seed, kind)
+    ncols = len(rows[0])
+    sparse = [{k: c for k, c in enumerate(row) if not c.is_zero()} for row in rows]
+    basis = sparse_basis(sparse)
+    leads = [min(vec) for vec in basis]
+    assert leads == sorted(set(leads))
+    assert all(vec[min(vec)] == ONE and not any(c.is_zero() for c in vec.values()) for vec in basis)
+    dense = [[vec.get(k, ZERO) for k in range(ncols)] for vec in basis]
+    assert len(basis) == len(dense_rref(rows)[1])
+    assert len(dense_rref(dense + rows)[1]) == len(basis)
 
 
 @pytest.mark.parametrize("kind", SQUARE_KINDS)

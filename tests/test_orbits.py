@@ -328,3 +328,66 @@ def test_perturbed_exp_ad_column_fails_both_invariants(name, algebra_bundle):
         bad = _perturbed(auto, j)
         assert not bad.preserves_brackets(), root
         assert not bad.preserves_form(kd), root
+
+
+ALL_TYPES = ["A1", "A2", "A3", "B2", "C2", "B3", "C3", "G2", "D4", "F4", "E6"]
+
+
+def _sample_points(rs, sc, kd):
+    sampler = SeededSampler(41)
+    return [orbit_sample(sc, kd, [])] + [orbit_sample(sc, kd, sampler.word(rs, 2)) for _ in range(2)]
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_block_kappa_equals_the_full_gram_solve(name, algebra_bundle):
+    """kappa's Cartan-block and root-pair solve gives linalg.solve(Gram, .)."""
+    from contactcheck import linalg
+    from contactcheck.orbits import MomentVector
+
+    rs, sc, kd, _ = algebra_bundle(name)
+    coefficients = [moment_map(sc, kd, pt).coefficients for pt in _sample_points(rs, sc, kd)]
+    coefficients.append([gq(Fraction(k % 7 - 3, 1 + k % 4), k % 3 - 1) for k in range(sc.dim)])
+    for c in coefficients:
+        assert kappa(sc, kd, MomentVector(c)) == linalg.solve(kd.gram, c)
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_moment_map_and_tangent_rank_match_unit_routes(name, algebra_bundle):
+    """Gram-row moments and table-row tangent ranks equal the unit-vector routes."""
+    from contactcheck import linalg
+
+    rs, sc, kd, _ = algebra_bundle(name)
+    for pt in _sample_points(rs, sc, kd):
+        units = [sc.unit(i) for i in range(sc.dim)]
+        assert moment_map(sc, kd, pt).coefficients == [kd.form(pt.vector, u) for u in units]
+        assert tangent_rank(sc, pt) == linalg.rank([sc.bracket(u, pt.vector) for u in units])
+
+
+def test_lie_and_orbit_sums_are_not_seeded_with_zero(capsys, monkeypatch):
+    """No Gaussian-rational sum made in lie or orbits starts from ZERO or 0.
+
+    A partial sum that cancels to zero on the way is data, not a seed, so
+    only the ``ZERO`` constant itself and the int 0 are counted.
+    """
+    import sys
+
+    from contactcheck import cli
+    from contactcheck.scalars import ZERO
+
+    add = GaussianRational.__add__
+    sums, zero_sums = [], []
+
+    def counting_add(self, other):
+        caller = sys._getframe(1).f_code.co_filename
+        if caller.endswith(("lie.py", "orbits.py")):
+            sums.append(caller)
+            if self is ZERO or other is ZERO or (type(other) is int and other == 0):
+                zero_sums.append(caller)
+        return add(self, other)
+
+    monkeypatch.setattr(GaussianRational, "__add__", counting_add)
+    monkeypatch.setattr(GaussianRational, "__radd__", counting_add)
+    for argv in (["algebra", "G2"], ["adjoint", "G2", "--samples", "3"]):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert sums and zero_sums == []

@@ -87,6 +87,19 @@ def test_canonical_string_order():
     assert str(p) == "x^2 - y + 2i"
 
 
+def test_equal_polynomials_print_alike():
+    """Variables print in natural name order, whatever order the operands stored."""
+    z0, z1, z2, z10 = (MultiPoly.variable(f"z{k}") for k in (0, 1, 2, 10))
+    assert str(z1 * z0) == str(z0 * z1) == "z0*z1"
+    assert str(z10 * z2 + z10) == "z2*z10 + z10"
+    p = z10 * z10 * z2 - z2 * z2 * z10 + z1.scale(gq(0, 3)) + 1
+    q = MultiPoly(("z2", "z10", "z1", "x"), p.with_vars(("z2", "z10", "z1", "x")).terms)
+    r = MultiPoly(("z1", "z10", "z2"), p.with_vars(("z1", "z10", "z2")).terms)
+    assert p == q == r
+    assert str(p) == str(q) == str(r) == "-z2^2*z10 + z2*z10^2 + 3i*z1 + 1"
+    assert [c for _, c in q.sorted_terms()] == [c for _, c in r.sorted_terms()]
+
+
 def test_evaluate():
     p = x * x + y.scale(gq(0, 1))
     assert p.evaluate({"x": gq(2), "y": gq(3)}) == gq(4, 3)
