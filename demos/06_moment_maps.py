@@ -17,6 +17,7 @@ from contactcheck.orbits import (
     kappa_round_trip,
     moment_map,
     orbit_sample,
+    tangent_rank,
     theta_G_checks,
 )
 from contactcheck.rootsystem import builtin_root_system
@@ -46,7 +47,7 @@ print(f"moment vector of e_rho: single entry -1 against e_(-rho); round trip: "
 print(f"kappa round trip at the moved point: {kappa_round_trip(sc, kd, moved)}")
 
 points = [base, moved, orbit_sample(sc, kd, sampler.word(rs, 2))]
-results = embedding_checks(sc, kd, gd, points)
+results = embedding_checks(sc, kd, gd, points, [tangent_rank(sc, pt) for pt in points])
 ranks = [r for r in results if "tangent" in r.check_id]
 print(f"tangent ranks at {len(ranks)} samples: "
       + ("all equal dim G_1 + 2" if all(r.status == "pass" for r in ranks) else "FAILURES"))

@@ -233,13 +233,13 @@ class LaurentPoly:
             fiber_value = GaussianRational.coerce(point[self.fiber])
             if fiber_value.is_zero() and self.min_exp() < 0:
                 raise ZeroDivisionError("fiber value 0 with negative Laurent exponent")
-        out = ZERO
+        out: Optional[GaussianRational] = None
         for k, poly in self.parts.items():
             value = poly.evaluate(point)
             if k and fiber_value is not None:
                 value = value * fiber_value**k
-            out = out + value
-        return out
+            out = value if out is None else out + value
+        return ZERO if out is None else out
 
     # -- structure ------------------------------------------------------------
 

@@ -28,7 +28,10 @@ matrices: the ``ad(H_rho)`` eigenvalues from the rows of the Cartan
 generators, the centralizer ``L0 = ker(ad e_rho)`` from the row of
 ``e_rho`` (zero columns give unit vectors, the rest are eliminated over the
 coordinates they touch), and ``G00 = L0 intersect G_0`` as the combinations
-of that basis that vanish off ``G_0``.
+of that basis that vanish off ``G_0``.  Both spans stay sparse ``{index:
+value}`` vectors, and :func:`g00_span_check` compares them through
+:func:`~contactcheck.linalg.column_kernel` and
+:func:`~contactcheck.linalg.same_span` without writing them out.
 Note that the rescaled constants satisfy ``sign N_{a,b} = sign N_{-a,-b}``
 but not the stronger equality ``N_{a,b} = N_{-a,-b}``: that normalization
 needs square roots of root norms, which do not exist in Q(i).
@@ -77,6 +80,14 @@ def _add_into(out: SparseVec, f: GaussianRational, terms: Iterable[Term]) -> Non
             out.pop(k, None)
         else:
             out[k] = acc
+
+
+def _combine(coeffs: SparseVec, vectors: Sequence[SparseVec]) -> SparseVec:
+    """``sum_m coeffs[m] * vectors[m]``, a sparse combination of sparse vectors."""
+    out: SparseVec = {}
+    for m, c in coeffs.items():
+        _add_into(out, c, vectors[m].items())
+    return out
 
 
 class LieBasis:
@@ -257,11 +268,6 @@ class _ChevalleyTable:
         # N_{a,b} = ((c,c)/(b,b)) N_{c,a} with c = -s positive
         c = tuple(-x for x in s)
         return Fraction(self.norms[c], self.norms[b]) * self.value(c, a)
-
-
-def chevalley_constants(rs: RootSystem) -> _ChevalleyTable:
-    """The raw integer Chevalley table (exposed for the test oracles)."""
-    return _ChevalleyTable(rs)
 
 
 # -- algebra construction ----------------------------------------------------------
@@ -451,12 +457,17 @@ def root_action(kd: KillingData, root: Root, h: Sequence[GaussianRational]) -> G
 
 
 class GradedDecomposition:
-    """Eigenspace split of ad(H_rho) plus the derived subalgebra spans."""
+    """Eigenspace split of ad(H_rho) plus the two spans the grading derives.
+
+    ``pieces[i]`` lists the basis indices of ``G_i``.  ``spans["L0"]`` is a
+    basis of the centralizer ``ker(ad e_rho)`` and ``spans["G00"]`` one of
+    ``L0 intersect G_0``, both as sparse ``{index: value}`` vectors.
+    """
 
     __slots__ = ("sc", "kd", "pieces", "spans")
 
     def __init__(self, sc: StructureConstants, kd: KillingData,
-                 pieces: Dict[int, List[int]], spans: Dict[str, List[Vector]]):
+                 pieces: Dict[int, List[int]], spans: Dict[str, List[SparseVec]]):
         object.__setattr__(self, "sc", sc)
         object.__setattr__(self, "kd", kd)
         object.__setattr__(self, "pieces", pieces)
@@ -470,7 +481,7 @@ class GradedDecomposition:
 
 
 def grade(sc: StructureConstants, kd: KillingData) -> GradedDecomposition:
-    """Diagonalize ad(H_rho) over the basis and assemble the subalgebra lattice.
+    """Diagonalize ad(H_rho) over the basis and derive the L0 and G00 spans.
 
     Eigenvalues are read off the bracket table (the basis is already adapted),
     then validated: integers in {-2..2}, one-dimensional extremes.
@@ -501,50 +512,16 @@ def grade(sc: StructureConstants, kd: KillingData) -> GradedDecomposition:
     rho_idx = basis.root_index(rs.highest)
     if pieces[2] != [rho_idx]:
         raise ArithmeticError("G_2 piece is not spanned by e_rho")
-
-    def units(indices: List[int]) -> List[Vector]:
-        return [sc.unit(i) for i in indices]
-
-    l_span = units(pieces[0] + pieces[1] + pieces[2])
-    gminus_span = units(pieces[-2] + pieces[-1])
-    n_span = gminus_span + [list(kd.hrho)]
     # L0 = ker(ad e_rho), read from the table row of e_rho: column j of
     # ad e_rho is [e_rho, e_j].
     row_rho = sc.rows[rho_idx]
-    l0 = _column_kernel([row_rho.get(j, _EMPTY) for j in range(n)])
+    l0 = linalg.column_kernel([row_rho.get(j, _EMPTY) for j in range(n)])
     # G00 = L0 intersect G_0: the combinations of the L0 basis that vanish on
     # every coordinate outside G_0.
     g0 = set(pieces[0])
     outside = [{k: c for k, c in vec.items() if k not in g0} for vec in l0]
-    g00 = []
-    for combo in _column_kernel(outside):
-        vec: SparseVec = {}
-        for m, c in combo.items():
-            _add_into(vec, c, l0[m].items())
-        g00.append(vec)
-    spans = {
-        "L": l_span,
-        "L0": [_dense(vec, n) for vec in l0],
-        "G00": [_dense(vec, n) for vec in g00],
-        "Gminus": gminus_span,
-        "N": n_span,
-    }
-    return GradedDecomposition(sc, kd, pieces, spans)
-
-
-def _column_kernel(columns: Sequence[SparseVec]) -> List[SparseVec]:
-    """A basis of ``{c : sum_j c_j columns[j] = 0}``, as sparse coefficient vectors.
-
-    Each zero column gives its unit vector; the nonzero columns are eliminated
-    over just the coordinates they touch.
-    """
-    live = [j for j, col in enumerate(columns) if col]
-    basis: List[SparseVec] = [{j: ONE} for j, col in enumerate(columns) if not col]
-    coords = sorted({k for j in live for k in columns[j]})
-    matrix = [[columns[j].get(k, ZERO) for j in live] for k in coords]
-    for vec in linalg.nullspace(matrix):
-        basis.append({live[m]: c for m, c in enumerate(vec) if not c.is_zero()})
-    return basis
+    g00 = [_combine(combo, l0) for combo in linalg.column_kernel(outside)]
+    return GradedDecomposition(sc, kd, pieces, {"L0": l0, "G00": g00})
 
 
 def g00_span_check(gd: GradedDecomposition, sc: StructureConstants) -> bool:
@@ -555,16 +532,22 @@ def g00_span_check(gd: GradedDecomposition, sc: StructureConstants) -> bool:
     the centralizer of ``e_rho``.  (The raw bracket span is all of ``G_0``
     whenever ``G_{+-1}`` is nonzero; its trace inside the centralizer is what
     must reproduce G00.)  The up to ``|G_1|^2`` brackets are first reduced to
-    a basis, at most ``dim G_0`` vectors.
+    a basis, at most ``dim G_0`` vectors.  A kernel vector ``(x, y)`` of the
+    columns ``brackets + (-L0)`` has ``sum x_m brackets[m] = sum y_m L0[m]``,
+    so the bracket combinations of the kernel span the intersection.
     """
     pieces = gd.pieces
     rows = sc.rows
     brackets = linalg.sparse_basis(
         rows[i][j] for i in pieces[-1] for j in pieces[1] if j in rows[i]
     )
-    dense = [_dense(vec, sc.dim) for vec in brackets]
-    bracket_g00 = linalg.intersect_spans(dense, gd.spans["L0"]) if dense else []
-    return linalg.same_span(bracket_g00, gd.spans["G00"])
+    count = len(brackets)
+    columns = brackets + [{k: -c for k, c in vec.items()} for vec in gd.spans["L0"]]
+    meet = [
+        _combine({m: c for m, c in combo.items() if m < count}, brackets)
+        for combo in linalg.column_kernel(columns)
+    ]
+    return linalg.same_span(meet, gd.spans["G00"])
 
 
 def chi_differential(kd: KillingData, sc: StructureConstants) -> GaussianRational:

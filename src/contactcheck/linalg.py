@@ -4,17 +4,21 @@ Elimination works for :class:`~contactcheck.scalars.GaussianRational` and
 :class:`~contactcheck.laurent.LaurentPoly` alike: elements must support
 ``+``, ``-``, ``*``, ``/``, unary ``-`` and ``is_zero()``.  Matrices are
 plain lists of lists.  The Lie layer hands over blocks cut down by its sparse
-structure (the r x r Cartan block of the Killing form, the nonzero columns of
-``ad e_rho`` on the coordinates they touch) and spans in ``dim g``
-coordinates (248 for E8); the contact layer's Laurent systems are as large
-as a chart's coordinate count.  No pivoting heuristics beyond "first
-nonzero" are needed over a field.  :func:`sparse_basis` reduces families of
-sparse ``{index: value}`` vectors, such as the up to ``|G_1|^2`` brackets of
-the G00 check or an orbit's tangent vectors, to a basis without writing them
-out.  :func:`row_echelon` works in place on a copy of its input and touches
+structure: the r x r Cartan block of the Killing form, and the columns that
+:func:`column_kernel` eliminates over just the coordinates they touch (the
+table row of ``e_rho``, the bracket and centralizer spans of the G00 check,
+the ``e_rho`` pairing of the theta_G check).  Its spans stay sparse
+``{index: value}`` vectors and are never written out in ``dim g``
+coordinates; the contact layer's Laurent systems are as large as a chart's
+coordinate count.  No pivoting heuristics beyond "first nonzero" are needed
+over a field.  :func:`sparse_basis` reduces families of sparse vectors, such
+as the up to ``|G_1|^2`` brackets of the G00 check or an orbit's tangent
+vectors, to a basis, and :func:`same_span` compares two families through it.
+:func:`row_echelon` works in place on a copy of its input and touches
 only the pivot row's support: zeros in the pivot row are not divided, and
-each row update walks only the pivot row's nonzero columns.  ``0 / p = 0`` and ``a - f * 0 = a`` are exact, so the echelon form is
-the one full-row elimination gives, entry for entry.  LaurentPoly is a
+each row update walks only the pivot row's nonzero columns.  ``0 / p = 0``
+and ``a - f * 0 = a`` are exact, so the echelon form is the one full-row
+elimination gives, entry for entry.  LaurentPoly is a
 ring, not a field: it divides only by units ``c * fiber^k``.  Where an entry
 type has ``is_unit()``, a non-unit first pivot gives way to the first unit
 further down its column; a column with no unit raises ``ZeroDivisionError``.
@@ -128,41 +132,6 @@ def mat_vec(a: Sequence[Sequence[T]], x: Sequence[T], zero: T = ZERO) -> List[T]
     return out
 
 
-def same_span(a: Sequence[Sequence[T]], b: Sequence[Sequence[T]]) -> bool:
-    """Whether two row families span the same subspace."""
-    ra, rb = rank(a), rank(b)
-    if ra != rb:
-        return False
-    return rank(list(a) + list(b)) == ra
-
-
-def intersect_spans(
-    a: Sequence[Sequence[T]], b: Sequence[Sequence[T]], zero: T = ZERO
-) -> List[List[T]]:
-    """A basis of span(a) intersect span(b), rows as vectors."""
-    if not a or not b:
-        return []
-    dim = len(a[0])
-    # Columns: coefficients on a-vectors then b-vectors; kernel rows give
-    # combinations with sum_i x_i a_i = sum_j y_j b_j.
-    rows = [[a[i][d] for i in range(len(a))] + [-b[j][d] for j in range(len(b))] for d in range(dim)]
-    kernel = nullspace(rows, zero=zero)
-    supports = [[(d, ai) for d, ai in enumerate(row) if not ai.is_zero()] for row in a]
-    candidates: List[List[T]] = []
-    for combo in kernel:
-        vec = [zero] * dim
-        for i, coeff in enumerate(combo[: len(a)]):
-            if not coeff.is_zero():
-                for d, ai in supports[i]:
-                    vec[d] = vec[d] + coeff * ai
-        if any(not v.is_zero() for v in vec):
-            candidates.append(vec)
-    if not candidates:
-        return []
-    echelon, pivots = row_echelon(candidates)
-    return [echelon[r] for r in range(len(pivots))]
-
-
 def sparse_basis(vectors: Iterable[Mapping[int, T]], one: T = ONE) -> List[Dict[int, T]]:
     """A basis of the span of sparse vectors ``{index: value}`` (no stored zeros).
 
@@ -189,6 +158,27 @@ def sparse_basis(vectors: Iterable[Mapping[int, T]], one: T = ONE) -> List[Dict[
                 else:
                     v[k] = acc
     return [rows[k] for k in sorted(rows)]
+
+
+def same_span(a: Sequence[Mapping[int, T]], b: Sequence[Mapping[int, T]]) -> bool:
+    """Whether two families of sparse vectors span the same subspace."""
+    rank_a = len(sparse_basis(a))
+    return rank_a == len(sparse_basis(b)) == len(sparse_basis([*a, *b]))
+
+
+def column_kernel(columns: Sequence[Mapping[int, T]]) -> List[Dict[int, T]]:
+    """A basis of ``{c : sum_j c_j columns[j] = 0}``, as sparse coefficient vectors.
+
+    Each zero column gives its unit vector; the nonzero columns are eliminated
+    over just the coordinates they touch.
+    """
+    live = [j for j, col in enumerate(columns) if col]
+    basis: List[Dict[int, T]] = [{j: ONE} for j, col in enumerate(columns) if not col]
+    coords = sorted({k for j in live for k in columns[j]})
+    matrix = [[columns[j].get(k, ZERO) for j in live] for k in coords]
+    for vec in nullspace(matrix):
+        basis.append({live[m]: c for m, c in enumerate(vec) if not c.is_zero()})
+    return basis
 
 
 def determinant(matrix: Sequence[Sequence[T]], one: T = ONE) -> T:

@@ -15,7 +15,10 @@ Maps act through the sparse bracket table and the sparse Gram rows of
 ``e_root`` term by term, the tangent space ``[g, pt]`` is read from each
 table row, the moment pairing ``B(pt, e_i)`` from the Gram rows pt selects,
 and kappa solves the Gram system block by block (the Cartan block, then one
-division per root pair).
+division per root pair).  The theta_G kernel is eliminated from sparse
+columns, the ``e_rho`` Gram row read against each table row, and compared
+with the sparse centralizer span of
+:class:`~contactcheck.lie.GradedDecomposition`.
 """
 
 from __future__ import annotations
@@ -185,7 +188,7 @@ def theta_G_checks(sc: StructureConstants, kd: KillingData, gd: GradedDecomposit
     """
     e_rho = sc.unit(sc.basis.root_index(sc.basis.rs.highest))
     results: List[CheckResult] = []
-    kernel = linalg.nullspace(rho_pairing_matrix(sc, kd))
+    kernel = linalg.column_kernel(_rho_pairing_columns(sc, kd))
     ok = linalg.same_span(kernel, gd.spans["L0"])
     results.append(
         check(
@@ -203,14 +206,22 @@ def theta_G_checks(sc: StructureConstants, kd: KillingData, gd: GradedDecomposit
     return results
 
 
-def rho_pairing_matrix(sc: StructureConstants, kd: KillingData) -> List[Vector]:
-    """``B(e_rho, [e_i, e_j])`` for all basis pairs: the e_rho Gram row read against the table."""
+def _rho_pairing_columns(sc: StructureConstants, kd: KillingData) -> List[SparseVec]:
+    """Column j holds the nonzero ``B(e_rho, [e_j, e_i])`` over i.
+
+    It is the e_rho Gram row read against table row j, so the column kernel is
+    ``{X : B(e_rho, [X, Y]) = 0 for all Y}``.
+    """
     g_rho = kd.gram_rows[sc.basis.root_index(sc.basis.rs.highest)]
-
-    def pairing(entry: SparseVec) -> GaussianRational:
-        return _sum(g_rho[k] * c for k, c in entry.items() if k in g_rho)
-
-    return [[pairing(sc.bracket_basis(i, j)) for j in range(sc.dim)] for i in range(sc.dim)]
+    columns: List[SparseVec] = []
+    for row in sc.rows:
+        column: SparseVec = {}
+        for i, entry in row.items():
+            value = _sum(g_rho[k] * c for k, c in entry.items() if k in g_rho)
+            if not value.is_zero():
+                column[i] = value
+        columns.append(column)
+    return columns
 
 
 def moment_map(sc: StructureConstants, kd: KillingData, pt: OrbitPoint) -> MomentVector:
@@ -270,21 +281,18 @@ def embedding_checks(
     kd: KillingData,
     gd: GradedDecomposition,
     points: Sequence[OrbitPoint],
-    ranks: Optional[Sequence[int]] = None,
+    ranks: Sequence[int],
 ) -> List[CheckResult]:
     """Tangent-rank and projective-separation checks at sampled orbit points.
 
     The tangent space of the orbit at pt is ``[g, pt]``; its dimension must be
-    ``dim G_1 + 2`` everywhere (the cone dimension).  ``ranks`` holds the
-    points' :func:`tangent_rank` values when the caller has them already; they
-    are computed here otherwise.  Coordinate vectors of distinct sample points
-    must be pairwise non-proportional (injectivity of the projectivized linear
-    embedding on the sample); coincident points are reported as skipped
-    comparisons, not failures.
+    ``dim G_1 + 2`` everywhere (the cone dimension); ``ranks`` holds the
+    points' :func:`tangent_rank` values.  Coordinate vectors of distinct
+    sample points must be pairwise non-proportional (injectivity of the
+    projectivized linear embedding on the sample); coincident points are
+    reported as skipped comparisons, not failures.
     """
     expected = len(gd.pieces[1]) + 2
-    if ranks is None:
-        ranks = [tangent_rank(sc, pt) for pt in points]
     results: List[CheckResult] = []
     for idx, got in enumerate(ranks):
         results.append(
@@ -316,19 +324,3 @@ def _proportional(a: Sequence[GaussianRational], b: Sequence[GaussianRational]) 
         elif ratio != candidate:
             return False
     return True
-
-
-def nilpotency_degree_on(sc: StructureConstants, root_index: int) -> int:
-    """Smallest k with ``(ad e)^k = 0``; for the highest root this is 3."""
-    e = sc.unit(root_index)
-    degree = 0
-    for j in range(sc.dim):
-        vec = sc.unit(j)
-        k = 0
-        while any(not c.is_zero() for c in vec):
-            vec = sc.bracket(e, vec)
-            k += 1
-            if k > sc.dim:
-                raise ArithmeticError("ad e is not nilpotent")
-        degree = max(degree, k)
-    return degree

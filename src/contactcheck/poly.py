@@ -264,14 +264,14 @@ class MultiPoly:
         if missing:
             raise ValueError(f"no value supplied for {missing}")
         values = [GaussianRational.coerce(point[v]) for v in self.vars]
-        out = ZERO
+        out: Optional[GaussianRational] = None
         for expo, coeff in self.terms.items():
             acc = coeff
             for value, k in zip(values, expo):
                 if k:
                     acc = acc * value**k
-            out = out + acc
-        return out
+            out = acc if out is None else out + acc
+        return ZERO if out is None else out
 
     # -- degree bookkeeping -----------------------------------------------------
 

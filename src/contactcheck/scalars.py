@@ -141,8 +141,3 @@ class GaussianRational:
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
-
-
-def gq(re: RationalLike = 0, im: RationalLike = 0) -> GaussianRational:
-    """Shorthand constructor used all over the test suite."""
-    return GaussianRational(re, im)

@@ -11,6 +11,13 @@ settings.load_profile("deterministic")
 
 from contactcheck.lie import build_algebra, grade, killing
 from contactcheck.rootsystem import CARTAN_MATRICES, CartanMatrix, build_root_system
+from contactcheck.scalars import GaussianRational
+
+
+def gq(re=0, im=0) -> GaussianRational:
+    """Shorthand for ``GaussianRational(re, im)``."""
+    return GaussianRational(re, im)
+
 
 #: Types the library does not ship, for tests that run past the shipped eight:
 #: D4 and F4 exactly as the benchmark injects them, and E6 in Bourbaki order

@@ -11,7 +11,9 @@ reduced row-echelon form (forward elimination below the pivots, then back
 substitution) instead of the library's one-pass support-only Gauss-Jordan,
 and a Killing form traced from dense ``ad`` matrices filled straight from the
 bracket table instead of the library's weight-compatible traces over its
-per-index rows, and polynomial sums, products and derivatives over plain
+per-index rows, span comparisons and intersections by ranks of dense
+``dim g`` vectors instead of the library's sparse bases and column kernels,
+and polynomial sums, products and derivatives over plain
 dicts keyed by ``(name, exponent)`` pairs instead of ``MultiPoly``'s aligned
 exponent tuples.  They stay deliberately naive.
 """
@@ -184,6 +186,22 @@ def exp_ad_matrix(
             raise AssertionError("ad e_root is not nilpotent")
 
 
+def nilpotency_degree_on(sc: StructureConstants, root_index: int) -> int:
+    """Smallest k with ``(ad e)^k = 0``, by bracketing unit vectors until they vanish."""
+    e = sc.unit(root_index)
+    degree = 0
+    for j in range(sc.dim):
+        vec = sc.unit(j)
+        k = 0
+        while any(not c.is_zero() for c in vec):
+            vec = sc.bracket(e, vec)
+            k += 1
+            if k > sc.dim:
+                raise AssertionError("ad e is not nilpotent")
+        degree = max(degree, k)
+    return degree
+
+
 def ad_eigenvalue(sc: StructureConstants, kd, index: int) -> int:
     """Eigenvalue of ad(H_rho) on a root-vector basis element, from the table."""
     image = sc.bracket(kd.hrho, sc.unit(index))
@@ -233,6 +251,83 @@ def dense_rref(
             ratio = m[i][c]
             m[i] = [a - ratio * b for a, b in zip(m[i], m[r])]
     return m, pivots
+
+
+def dense_vector(vec: Dict[int, GaussianRational], dim: int) -> List[GaussianRational]:
+    """A sparse ``{index: value}`` vector written out over ``dim`` coordinates."""
+    return [vec.get(k, ZERO) for k in range(dim)]
+
+
+def _echelon(
+    rows: Sequence[Sequence[GaussianRational]],
+) -> Tuple[List[List[GaussianRational]], List[int]]:
+    """Reduced row-echelon rows (zero rows dropped) and pivots, one pass over whole rows.
+
+    Unlike :func:`dense_rref`, zeros are skipped: a row with a zero in the
+    pivot column is left alone, and so is an entry above a zero of the pivot
+    row, so the long sparse families of the span oracles stay cheap.
+    """
+    m = [list(row) for row in rows if any(not c.is_zero() for c in row)]
+    pivots: List[int] = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        found = next((i for i in range(r, len(m)) if not m[i][c].is_zero()), None)
+        if found is None:
+            continue
+        m[r], m[found] = m[found], m[r]
+        lead = m[r][c]
+        m[r] = [a if a.is_zero() else a / lead for a in m[r]]
+        for i in range(len(m)):
+            if i != r and not m[i][c].is_zero():
+                ratio = m[i][c]
+                m[i] = [a if b.is_zero() else a - ratio * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[: len(pivots)], pivots
+
+
+def dense_rank(rows: Sequence[Sequence[GaussianRational]]) -> int:
+    return len(_echelon(rows)[1])
+
+
+def dense_nullspace(rows: Sequence[Sequence[GaussianRational]]) -> List[List[GaussianRational]]:
+    """A basis of ``{x : rows @ x = 0}``: one vector per free column of the echelon form."""
+    ncols = len(rows[0])
+    echelon, pivots = _echelon(rows)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        x = [ONE if c == free else ZERO for c in range(ncols)]
+        for r, c in enumerate(pivots):
+            x[c] = -echelon[r][free]
+        basis.append(x)
+    return basis
+
+
+def same_span(a, b) -> bool:
+    """Whether two families of dense vectors span the same subspace, by ranks."""
+    rank_a = dense_rank(a)
+    return rank_a == dense_rank(b) == dense_rank(list(a) + list(b))
+
+
+def intersect_spans(a, b) -> List[List[GaussianRational]]:
+    """A basis of span(a) intersect span(b) for families of dense vectors.
+
+    Both families are first reduced to echelon bases.  A kernel vector
+    ``(x, y)`` of the columns ``a + (-b)`` then has ``sum x_i a_i = sum y_j
+    b_j``; the ``a``-combinations of a kernel basis span the intersection, and
+    their echelon form is returned.
+    """
+    a, b = _echelon(a)[0], _echelon(b)[0]
+    if not a or not b:
+        return []
+    dim = len(a[0])
+    kernel = dense_nullspace([[v[d] for v in a] + [-v[d] for v in b] for d in range(dim)])
+    meet = []
+    for x in kernel:
+        terms = [(xi, v) for xi, v in zip(x, a) if not xi.is_zero()]
+        meet.append(
+            [sum((xi * v[d] for xi, v in terms if not v[d].is_zero()), ZERO) for d in range(dim)]
+        )
+    return _echelon(meet)[0]
 
 
 def dense_mat_vec(

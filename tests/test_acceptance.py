@@ -34,6 +34,7 @@ from contactcheck.orbits import (
     exp_ad,
     kappa_round_trip,
     orbit_sample,
+    tangent_rank,
     theta_G_checks,
 )
 from contactcheck.sampling import SeededSampler
@@ -238,7 +239,7 @@ def test_criterion_9_adjoint_suite(algebra_bundle):
         results = theta_G_checks(sc, kd, gd)
         assert all(r.status == "pass" for r in results), (name, results)
         assert chi_differential(kd, sc) == GaussianRational(2), name
-        emb = embedding_checks(sc, kd, gd, points[:6])
+        emb = embedding_checks(sc, kd, gd, points[:6], [tangent_rank(sc, pt) for pt in points[:6]])
         assert all(r.status != "fail" for r in emb), (name, emb)
         expected_rank = len(gd.pieces[1]) + 2
         tangent = [sc.bracket(sc.unit(i), points[0].vector) for i in range(sc.dim)]

@@ -36,7 +36,8 @@ from contactcheck.laurent import LaurentPoly
 from contactcheck.linalg import rank
 from contactcheck.poly import MultiPoly
 from contactcheck.sampling import SeededSampler
-from contactcheck.scalars import GaussianRational, gq
+from contactcheck.scalars import GaussianRational
+from conftest import gq
 from faults import BAD_HOPF_LABEL, corrupted_hopf_chart
 
 

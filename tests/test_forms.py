@@ -15,7 +15,7 @@ from contactcheck.forms import (
 )
 from contactcheck.laurent import LaurentPoly
 from contactcheck.poly import MultiPoly
-from contactcheck.scalars import gq
+from conftest import gq
 from oracles import naive_contraction, naive_wedge
 
 C4 = ChartSpace(["z0", "z1", "z2", "z3"])

@@ -7,8 +7,8 @@ import pytest
 
 from contactcheck.lie import (
     StructureConstants,
+    _ChevalleyTable,
     build_algebra,
-    chevalley_constants,
     chi_differential,
     g00_span_check,
     grade,
@@ -16,8 +16,16 @@ from contactcheck.lie import (
     root_action,
 )
 from contactcheck.rootsystem import builtin_root_system
-from contactcheck.scalars import GaussianRational, ZERO
-from oracles import ad_eigenvalue, dense_ad_from_table, dense_killing_form, dense_trace
+from contactcheck.scalars import GaussianRational, ONE, ZERO
+from oracles import (
+    ad_eigenvalue,
+    dense_ad_from_table,
+    dense_killing_form,
+    dense_trace,
+    dense_vector,
+    intersect_spans,
+    same_span,
+)
 
 CORE_TYPES = ["A1", "A2", "C2", "G2"]
 
@@ -59,11 +67,11 @@ def test_dimensions(algebra_bundle):
 
 def test_chevalley_constants_are_signed_string_lengths():
     rs = builtin_root_system("A2")
-    table = chevalley_constants(rs)
+    table = _ChevalleyTable(rs)
     for (a, b), value in table.pos.items():
         assert value in (1, -1)  # all strings in A2 have p = 0
     g2 = builtin_root_system("G2")
-    g2_table = chevalley_constants(g2)
+    g2_table = _ChevalleyTable(g2)
     for (a, b), value in g2_table.pos.items():
         p = g2.string_down_count(a, b)
         assert abs(value) == p + 1
@@ -198,26 +206,23 @@ def test_bracket_grading(name, algebra_bundle):
 
 @pytest.mark.parametrize("name", CORE_TYPES)
 def test_subalgebra_lattice(name, algebra_bundle):
-    """dim relations: L0 = G00 + G1 + G2 and dim G = dim N + dim L0."""
+    """dim relations: L0 = G00 + G1 + G2 and dim G = (dim G_-2 + dim G_-1 + 1) + dim L0."""
     _, sc, kd, gd = algebra_bundle(name)
     d = gd.dims()
     g00 = len(gd.spans["G00"])
     assert g00 == d[2] - 1  # G0 = C H_rho + G00
     assert len(gd.spans["L0"]) == g00 + d[3] + d[4]
-    assert sc.dim == len(gd.spans["N"]) + len(gd.spans["L0"])
-    assert len(gd.spans["L"]) == d[2] + d[3] + d[4]
+    assert sc.dim == d[0] + d[1] + 1 + len(gd.spans["L0"])
 
 
 @pytest.mark.parametrize("name", CORE_TYPES)
 def test_l0_is_centralizer_decomposition(name, algebra_bundle):
     """ker(ad e_rho) equals G00 + G1 + G2 as subspaces."""
-    from contactcheck import linalg
-
     rs, sc, kd, gd = algebra_bundle(name)
-    combined = list(gd.spans["G00"])
+    combined = [dense_vector(vec, sc.dim) for vec in gd.spans["G00"]]
     for idx in gd.pieces[1] + gd.pieces[2]:
         combined.append(sc.unit(idx))
-    assert linalg.same_span(combined, gd.spans["L0"])
+    assert same_span(combined, [dense_vector(vec, sc.dim) for vec in gd.spans["L0"]])
 
 
 G00_DIMS = {"A1": 0, "A2": 1, "G2": 3}
@@ -341,7 +346,7 @@ def test_l0_is_the_kernel_of_the_dense_ad_matrix(name, algebra_bundle):
 
     rs, sc, _, gd = algebra_bundle(name)
     ad_rho = ad_matrix(sc, sc.unit(sc.basis.root_index(rs.highest)))
-    l0 = gd.spans["L0"]
+    l0 = [dense_vector(vec, sc.dim) for vec in gd.spans["L0"]]
     assert len(l0) == sc.dim - linalg.rank(ad_rho) == linalg.rank(l0)
     for vec in l0:
         assert all(c.is_zero() for c in linalg.mat_vec(ad_rho, vec))
@@ -354,17 +359,18 @@ def test_g00_routes_match_full_intersections(name, algebra_bundle):
 
     _, sc, _, gd = algebra_bundle(name)
     pieces = gd.pieces
+    l0 = [dense_vector(vec, sc.dim) for vec in gd.spans["L0"]]
+    g00 = [dense_vector(vec, sc.dim) for vec in gd.spans["G00"]]
     g0_units = [sc.unit(i) for i in pieces[0]]
-    assert linalg.same_span(gd.spans["G00"], linalg.intersect_spans(g0_units, gd.spans["L0"]))
+    assert same_span(g00, intersect_spans(g0_units, l0))
     brackets = [sc.bracket(sc.unit(i), sc.unit(j)) for i in pieces[-1] for j in pieces[1]]
     reduced = linalg.sparse_basis(
         {k: c for k, c in enumerate(vec) if not c.is_zero()} for vec in brackets
     )
     assert len(reduced) <= len(pieces[0])
-    dense = [[vec.get(k, ZERO) for k in range(sc.dim)] for vec in reduced]
-    assert linalg.same_span(dense, [vec for vec in brackets if any(vec)])
-    full = linalg.intersect_spans(brackets, gd.spans["L0"]) if brackets else []
-    assert linalg.same_span(full, gd.spans["G00"])
+    dense = [dense_vector(vec, sc.dim) for vec in reduced]
+    assert same_span(dense, [vec for vec in brackets if any(vec)])
+    assert same_span(intersect_spans(brackets, l0), g00)
     assert g00_span_check(gd, sc)
 
 
@@ -374,6 +380,17 @@ def test_g00_check_fails_on_a_wrong_span(name, algebra_bundle):
 
     _, sc, kd, gd = algebra_bundle(name)
     spans = dict(gd.spans, G00=gd.spans["G00"][:-1])
+    assert not g00_span_check(GradedDecomposition(sc, kd, gd.pieces, spans), sc)
+
+
+@pytest.mark.parametrize("name", ["A2", "G2", "F4"])
+def test_g00_check_fails_on_a_swapped_span(name, algebra_bundle):
+    """One G00 vector swapped for e_{-rho}: equal dims, a different span."""
+    from contactcheck.lie import GradedDecomposition
+
+    rs, sc, kd, gd = algebra_bundle(name)
+    e_neg = {sc.basis.root_index(rs.negative(rs.highest)): ONE}
+    spans = dict(gd.spans, G00=gd.spans["G00"][:-1] + [e_neg])
     assert not g00_span_check(GradedDecomposition(sc, kd, gd.pieces, spans), sc)
 
 
@@ -393,7 +410,7 @@ def test_linear_coroots_equal_the_cartan_solve(name, algebra_bundle):
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_integer_root_norms_equal_the_pairing(name, algebra_bundle):
     rs = algebra_bundle(name)[0]
-    norms = chevalley_constants(rs).norms
+    norms = _ChevalleyTable(rs).norms
     for root in rs.roots:
         assert type(norms[root]) is int and norms[root] == rs.pairing(root, root), root
 

@@ -1,16 +1,28 @@
 """Exact elimination against the dense oracle on seeded Q(i) matrices."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from contactcheck.contact import projective_transition
-from contactcheck.linalg import determinant, nullspace, rank, row_echelon, solve, sparse_basis
+from contactcheck.linalg import (
+    column_kernel,
+    determinant,
+    nullspace,
+    rank,
+    row_echelon,
+    same_span,
+    solve,
+    sparse_basis,
+)
 from contactcheck.poly import MultiPoly
 from contactcheck.ratfunc import RationalFunction
-from contactcheck.scalars import GaussianRational, ONE, ZERO, gq
+from contactcheck.scalars import GaussianRational, ONE, ZERO
+from conftest import gq
 from oracles import dense_mat_vec, dense_rref, leibniz_determinant
+from oracles import same_span as dense_same_span
 
 SEEDS = range(8)
 KINDS = ["sparse", "dense", "zero-row-and-column", "rank-deficient", "wide", "zero"]
@@ -101,6 +113,52 @@ def test_sparse_basis_spans_the_rows(seed, kind):
     dense = [[vec.get(k, ZERO) for k in range(ncols)] for vec in basis]
     assert len(basis) == len(dense_rref(rows)[1])
     assert len(dense_rref(dense + rows)[1]) == len(basis)
+
+
+def _sparse(rows):
+    return [{k: c for k, c in enumerate(row) if not c.is_zero()} for row in rows]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_same_span_matches_the_dense_oracle(seed, kind):
+    """Repeated, dependent, dropped and swapped families, compared both ways."""
+    rng = random.Random(f"span-{seed}-{kind}")
+    rows = matrix(seed, kind)
+    ncols = len(rows[0])
+    combos = [
+        [a + _entry(rng) * b for a, b in zip(rows[rng.randrange(len(rows))], row)]
+        for row in rows
+    ]
+    shuffled = rng.sample(rows, len(rows))
+    families = [
+        rows,
+        rows + rows,
+        shuffled + combos,
+        combos,
+        rows[:-1],
+        rows[:-1] + [_random_rows(rng, 1, ncols, 0.5)[0]],
+        [],
+    ]
+    for a, b in itertools.combinations(families, 2):
+        assert same_span(_sparse(a), _sparse(b)) == dense_same_span(a, b)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_column_kernel_is_a_kernel_basis(seed, kind):
+    """The sparse columns of a matrix have the kernel its dense nullspace has."""
+    rows = matrix(seed, kind)
+    ncols = len(rows[0])
+    columns = _sparse([[row[j] for row in rows] for j in range(ncols)])
+    basis = column_kernel(columns)
+    dense = [[vec.get(j, ZERO) for j in range(ncols)] for vec in basis]
+    assert len(basis) == ncols - len(dense_rref(rows)[1])
+    for vec in dense:
+        assert all(v.is_zero() for v in dense_mat_vec(rows, vec))
+    if basis:
+        assert len(dense_rref(dense)[1]) == len(basis)
+        assert not any(c.is_zero() for vec in basis for c in vec.values())
 
 
 @pytest.mark.parametrize("kind", SQUARE_KINDS)

@@ -11,15 +11,14 @@ from contactcheck.orbits import (
     kappa,
     kappa_round_trip,
     moment_map,
-    nilpotency_degree_on,
     orbit_sample,
     rescale_point,
-    rho_pairing_matrix,
     tangent_rank,
     theta_G_checks,
 )
 from contactcheck.sampling import SeededSampler
-from contactcheck.scalars import GaussianRational, gq
+from contactcheck.scalars import GaussianRational, ONE, ZERO
+from conftest import gq
 
 TYPES = ["A1", "A2", "G2"]
 
@@ -200,6 +199,28 @@ def test_theta_g_suite(name, algebra_bundle):
     assert all(r.status == "pass" for r in results), results
 
 
+def _with_l0(gd, l0):
+    from contactcheck.lie import GradedDecomposition
+
+    return GradedDecomposition(gd.sc, gd.kd, gd.pieces, dict(gd.spans, L0=l0))
+
+
+@pytest.mark.parametrize("name", TYPES)
+def test_theta_g_kernel_check_fails_on_a_wrong_centralizer(name, algebra_bundle):
+    """A dropped L0 vector gives unequal dims; one swapped for e_{-rho} equal dims."""
+    rs, sc, kd, gd = algebra_bundle(name)
+    l0 = gd.spans["L0"]
+    e_neg = {sc.basis.root_index(rs.negative(rs.highest)): ONE}
+    for wrong, witness in [
+        (l0[:-1], f"kernel dim {len(l0)}, centralizer dim {len(l0) - 1}"),
+        (l0[:-1] + [e_neg], f"kernel dim {len(l0)}, centralizer dim {len(l0)}"),
+    ]:
+        result = theta_G_checks(sc, kd, _with_l0(gd, wrong))[0]
+        assert (result.check_id, result.status, result.witness) == (
+            "theta_G:kernel-is-centralizer", "fail", witness
+        )
+
+
 CENTRALIZER_DIMS = {"A1": 1, "A2": 4, "G2": 8}
 
 
@@ -217,11 +238,10 @@ def test_embedding_ranks(name, algebra_bundle):
     points = [orbit_sample(sc, kd, [])] + [
         orbit_sample(sc, kd, sampler.word(rs, 2)) for _ in range(3)
     ]
-    results = embedding_checks(sc, kd, gd, points)
-    assert all(r.status != "fail" for r in results), [r for r in results if r.status == "fail"]
     ranks = [tangent_rank(sc, pt) for pt in points]
     assert ranks == [len(gd.pieces[1]) + 2] * len(points)
-    assert embedding_checks(sc, kd, gd, points, ranks) == results
+    results = embedding_checks(sc, kd, gd, points, ranks)
+    assert all(r.status != "fail" for r in results), [r for r in results if r.status == "fail"]
     wrong = embedding_checks(sc, kd, gd, points, [ranks[0] - 1] + ranks[1:])
     failed = [r for r in wrong if r.status == "fail"]
     assert [(r.check_id, r.witness) for r in failed] == [
@@ -232,13 +252,15 @@ def test_embedding_ranks(name, algebra_bundle):
 def test_duplicate_points_flagged_not_failed(algebra_bundle):
     rs, sc, kd, gd = algebra_bundle("A1")
     pt = orbit_sample(sc, kd, [])
-    results = embedding_checks(sc, kd, gd, [pt, pt])
+    results = embedding_checks(sc, kd, gd, [pt, pt], [tangent_rank(sc, pt)] * 2)
     separations = [r for r in results if r.check_id.startswith("embedding:separation")]
     assert separations and all(r.status == "skipped" for r in separations)
     assert all(r.status == "pass" for r in results if "tangent" in r.check_id)
 
 
 def test_ad_e_rho_cubed_vanishes(algebra_bundle):
+    from oracles import nilpotency_degree_on
+
     for name in TYPES:
         rs, sc, _, _ = algebra_bundle(name)
         assert nilpotency_degree_on(sc, sc.basis.root_index(rs.highest)) == 3
@@ -269,16 +291,27 @@ ORACLE_TYPES = ["A1", "A2", "B3", "G2"]
 
 @pytest.mark.parametrize("name", ORACLE_TYPES)
 def test_rho_pairing_matrix_matches_dense_oracle(name, algebra_bundle):
-    from oracles import dense_ad_from_table, dense_trace
+    """Sparse pairing column i holds ``B(e_rho, [e_i, e_j])`` over j, each a dense trace.
 
-    rs, sc, kd, _ = algebra_bundle(name)
+    The kernel of the dense pairing matrix spans the centralizer L0.
+    """
+    from contactcheck.orbits import _rho_pairing_columns
+    from oracles import dense_ad_from_table, dense_nullspace, dense_trace, dense_vector, same_span
+
+    rs, sc, kd, gd = algebra_bundle(name)
     ad_rho = dense_ad_from_table(sc, sc.unit(sc.basis.root_index(rs.highest)))
-    got = rho_pairing_matrix(sc, kd)
+    columns = _rho_pairing_columns(sc, kd)
+    pairing = []
     for i in range(sc.dim):
         ad_i = dense_ad_from_table(sc, sc.unit(i))
+        row = []
         for j in range(sc.dim):
             bracket = [ad_i[k][j] for k in range(sc.dim)]
-            assert got[i][j] == dense_trace(ad_rho, dense_ad_from_table(sc, bracket)), (i, j)
+            row.append(dense_trace(ad_rho, dense_ad_from_table(sc, bracket)))
+            assert columns[i].get(j, ZERO) == row[-1], (i, j)
+        pairing.append(row)
+    l0 = [dense_vector(vec, sc.dim) for vec in gd.spans["L0"]]
+    assert same_span(dense_nullspace(pairing), l0)
 
 
 def _oracle_preserves_form(sc, auto):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from contactcheck.laurent import LaurentPoly
 from contactcheck.poly import MultiPoly, try_divide
 from contactcheck.ratfunc import RationalFunction, compose_rational
-from contactcheck.scalars import GaussianRational, gq
+from contactcheck.scalars import GaussianRational
+from conftest import gq
 from oracles import naive_poly, naive_poly_add, naive_poly_diff, naive_poly_mul
 
 x = MultiPoly.variable("x")
@@ -402,3 +403,38 @@ def test_public_constructors_keep_their_checks():
         LaurentPoly(None, {1: x})
     f = LaurentPoly("lam", {1: MultiPoly.zero(("x",)), 0: x})
     assert f.parts == {0: x}
+
+
+def test_evaluate_sums_are_not_seeded_with_zero(capsys, monkeypatch):
+    """No Gaussian-rational sum made in poly or laurent starts from ZERO or 0.
+
+    ``evaluate`` seeds each sum with its first term; a zero polynomial
+    still evaluates to ZERO.
+    """
+    import sys
+
+    from contactcheck import cli
+    from contactcheck.scalars import ZERO
+
+    add = GaussianRational.__add__
+    sums, zero_sums = [], []
+
+    def counting_add(self, other):
+        caller = sys._getframe(1).f_code.co_filename
+        if caller.endswith(("poly.py", "laurent.py")):
+            sums.append(caller)
+            if self is ZERO or other is ZERO or (type(other) is int and other == 0):
+                zero_sums.append(caller)
+        return add(self, other)
+
+    monkeypatch.setattr(GaussianRational, "__add__", counting_add)
+    monkeypatch.setattr(GaussianRational, "__radd__", counting_add)
+    for argv in (
+        ["verify-contact", "--model", "fibered", "--n", "1", "--delta", "3", "--samples", "5"],
+        ["immersion", "--n", "1"],
+    ):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert sums and zero_sums == []
+    assert MultiPoly.zero(("x",)).evaluate({"x": gq(2)}) is ZERO
+    assert LaurentPoly("lam", {}).evaluate({"lam": gq(2)}) is ZERO

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactcheck.scalars import GaussianRational, gq
+from contactcheck.scalars import GaussianRational
+from conftest import gq
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
