@@ -8,6 +8,7 @@ character is exactly 2.  All of it is checkable by eye here for A2.
 
 from contactcheck.lie import build_algebra, chi_differential, grade, killing
 from contactcheck.rootsystem import builtin_root_system
+from contactcheck.scalars import ZERO
 
 rs = builtin_root_system("A2")
 sc = build_algebra(rs)
@@ -25,10 +26,10 @@ for i, j in [(0, 2), (2, 2 + rs.n_positive), (2, 3)]:
 print()
 print("Killing Gram on the Cartan block:")
 for row in kd.gram[: rs.rank]:
-    print("   ", [str(c) for c in row[: rs.rank]])
+    print("   ", [str(row.get(j, ZERO)) for j in range(rs.rank)])
 
 print()
-print(f"H_rho coordinates: {[str(c) for c in kd.hrho]}")
+print(f"H_rho coordinates: {[str(kd.hrho.get(k, ZERO)) for k in range(sc.dim)]}")
 print(f"grading piece dims (i = -2..2): {gd.dims()}")
 print(f"centralizer of e_rho has dim {len(gd.spans['L0'])}")
 print(f"middle-piece complement G00 has dim {len(gd.spans['G00'])}")

@@ -34,20 +34,20 @@ for result in theta_G_checks(sc, kd, gd):
     print(f"   {result.status:4s}  {result.check_id}")
 
 sampler = SeededSampler(21)
-base = orbit_sample(sc, kd, [])
+base = orbit_sample(sc, [])
 word = sampler.word(rs, 2)
-moved = orbit_sample(sc, kd, word)
+moved = orbit_sample(sc, word)
 print()
 print(f"word: {[(r, str(t)) for r, t in word]}")
 print(f"moved point (nonzero coords): "
-      f"{[(sc.basis.labels[i], str(c)) for i, c in enumerate(moved.vector) if not c.is_zero()][:6]} ...")
+      f"{[(sc.basis.labels[i], str(c)) for i, c in sorted(moved.vector.items())][:6]} ...")
 print(f"isotropy B(pt, pt) = {kd.form(moved.vector, moved.vector)}")
 print(f"moment vector of e_rho: single entry -1 against e_(-rho); round trip: "
-      f"{kappa(sc, kd, moment_map(sc, kd, base)) == list(base.vector)}")
+      f"{kappa(sc, kd, moment_map(kd, base)) == base.vector}")
 print(f"kappa round trip at the moved point: {kappa_round_trip(sc, kd, moved)}")
 
-points = [base, moved, orbit_sample(sc, kd, sampler.word(rs, 2))]
-results = embedding_checks(sc, kd, gd, points, [tangent_rank(sc, pt) for pt in points])
+points = [base, moved, orbit_sample(sc, sampler.word(rs, 2))]
+results = embedding_checks(gd, points, [tangent_rank(sc, pt) for pt in points])
 ranks = [r for r in results if "tangent" in r.check_id]
 print(f"tangent ranks at {len(ranks)} samples: "
       + ("all equal dim G_1 + 2" if all(r.status == "pass" for r in ranks) else "FAILURES"))

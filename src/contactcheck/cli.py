@@ -18,10 +18,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import contact, orbits
 from .lie import build_algebra, chi_differential, g00_span_check, grade, killing
-from .report import CheckResult, Report, check
+from .report import CheckResult, Report, check, failed
 from .rootsystem import CARTAN_MATRICES, builtin_root_system
 from .sampling import SeededSampler
-from .scalars import GaussianRational
+from .scalars import ZERO, GaussianRational
 
 DEFAULT_SEED = 2024
 FIBERED_DELTAS = (-2, -1, 1, 2, 3)
@@ -94,6 +94,10 @@ def run_algebra(config: Dict[str, object]) -> Report:
     table = []
     for (i, j), entry in sorted(sc.table.items()):
         table.append([i, j, {str(k): str(c) for k, c in sorted(entry.items())}])
+
+    def dense(vec):
+        return [str(vec.get(k, ZERO)) for k in range(sc.dim)]
+
     report.config["payload"] = {
         "dimension": sc.dim,
         "basis_labels": list(sc.basis.labels),
@@ -101,14 +105,14 @@ def run_algebra(config: Dict[str, object]) -> Report:
         "dim_contact_base": g1 + 1,
         "dim_cone": g1 + 2,
         "structure_constants": table,
-        "killing_gram": [[str(c) for c in row] for row in kd.gram],
-        "h_rho": [str(c) for c in kd.hrho],
+        "killing_gram": [dense(row) for row in kd.gram],
+        "h_rho": dense(kd.hrho),
     }
     report.extend(
         [
             check("algebra:grading-span", sum(dims) == sc.dim),
             check("algebra:extreme-dims", dims[0] == dims[4] == 1),
-            check("algebra:g00-span", g00_span_check(gd, sc)),
+            check("algebra:g00-span", g00_span_check(gd)),
             check(
                 "algebra:character-differential",
                 chi_differential(kd, sc) == GaussianRational(2),
@@ -178,11 +182,16 @@ def run_cocycle(config: Dict[str, object]) -> Report:
     n = int(config["n"])
     if not 0 <= n <= COCYCLE_MAX_N:
         raise ConfigError(f"cocycle instances ship for 0 <= n <= {COCYCLE_MAX_N}, got {n}")
-    if n == 0:
-        cs = contact.projective_line_cstructure()
-    else:
-        cs = contact.reconstruct_cstructure(contact.hopf_chart(n), contact.hopf_sections(n))
     report = Report(config)
+    try:
+        if n == 0:
+            cs = contact.projective_line_cstructure()
+        else:
+            cs = contact.reconstruct_cstructure(contact.hopf_chart(n), contact.hopf_sections(n))
+    except ValueError as exc:
+        # The message names the failing pair, chart or section.
+        report.extend([failed("cocycle:c-structure", exc)])
+        return report
     report.extend(contact.canonical_cocycle_check(cs, n))
     return report
 
@@ -229,10 +238,10 @@ def run_adjoint(config: Dict[str, object]) -> Report:
     sampler = SeededSampler(int(config["seed"]))
     report = Report(config)
     report.extend(orbits.theta_G_checks(sc, kd, gd))
-    points = [orbits.orbit_sample(sc, kd, [])]
+    points = [orbits.orbit_sample(sc, [])]
     for _ in range(count - 1):
         word = sampler.word(rs, 2)
-        points.append(orbits.orbit_sample(sc, kd, word))
+        points.append(orbits.orbit_sample(sc, word))
     for idx, pt in enumerate(points):
         isotropy = kd.form(pt.vector, pt.vector)
         isotropic = isotropy.is_zero()
@@ -270,7 +279,7 @@ def run_adjoint(config: Dict[str, object]) -> Report:
         ]
     )
     ranks = [orbits.tangent_rank(sc, pt) for pt in points]
-    report.extend(orbits.embedding_checks(sc, kd, gd, points, ranks))
+    report.extend(orbits.embedding_checks(gd, points, ranks))
     report.config["payload"] = {
         "orbit_dim": len(gd.pieces[1]) + 2,
         "centralizer_dim": len(gd.spans["L0"]),

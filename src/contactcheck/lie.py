@@ -23,13 +23,16 @@ only the weight-compatible pairs (``w_i + w_j = 0``); every other trace is 0.
 The root duals follow by linearity from those of the simple roots, which
 come from one inverse of the r x r Cartan block of the Gram matrix.
 
-Everything else is read from the sparse table rather than from dense ``ad``
-matrices: the ``ad(H_rho)`` eigenvalues from the rows of the Cartan
-generators, the centralizer ``L0 = ker(ad e_rho)`` from the row of
-``e_rho`` (zero columns give unit vectors, the rest are eliminated over the
-coordinates they touch), and ``G00 = L0 intersect G_0`` as the combinations
-of that basis that vanish off ``G_0``.  Both spans stay sparse ``{index:
-value}`` vectors, and :func:`g00_span_check` compares them through
+Every vector of the algebra -- bracket table entries, Gram rows, coroots,
+``H_rho`` and the spans -- is one sparse ``{index: value}`` dict that stores
+no zeros, so dict equality is vector equality; the arithmetic on them lives
+in :mod:`contactcheck.linalg`.  Everything is read from the sparse table
+rather than from dense ``ad`` matrices: the ``ad(H_rho)`` eigenvalues from
+the rows of the Cartan generators, the centralizer ``L0 = ker(ad e_rho)``
+from the row of ``e_rho`` (zero columns give unit vectors, the rest are
+eliminated over the coordinates they touch), and ``G00 = L0 intersect G_0``
+as the combinations of that basis that vanish off ``G_0``.
+:func:`g00_span_check` compares the spans through
 :func:`~contactcheck.linalg.column_kernel` and
 :func:`~contactcheck.linalg.same_span` without writing them out.
 Note that the rescaled constants satisfy ``sign N_{a,b} = sign N_{-a,-b}``
@@ -40,54 +43,16 @@ needs square roots of root norms, which do not exist in Q(i).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import linalg
+from .linalg import add_into, combine, total
 from .rootsystem import Root, RootSystem
 from .scalars import GaussianRational, ONE, ZERO
 
-Vector = List[GaussianRational]
 SparseVec = Dict[int, GaussianRational]
-Term = Tuple[int, GaussianRational]
-Terms = List[Term]
 
 _EMPTY: SparseVec = {}
-
-
-def _terms(vec: Sequence[GaussianRational]) -> Terms:
-    """The ``(index, value)`` pairs of a vector's nonzero entries."""
-    return [(k, c) for k, c in enumerate(vec) if not c.is_zero()]
-
-
-def _sum(values: Iterable[GaussianRational]) -> GaussianRational:
-    """The sum of ``values`` (``ZERO`` for none), with no addition seeded by zero."""
-    total: Optional[GaussianRational] = None
-    for v in values:
-        total = v if total is None else total + v
-    return ZERO if total is None else total
-
-
-def _dense(vec: SparseVec, dim: int) -> Vector:
-    """A sparse vector written out over all ``dim`` coordinates."""
-    return [vec.get(k, ZERO) for k in range(dim)]
-
-
-def _add_into(out: SparseVec, f: GaussianRational, terms: Iterable[Term]) -> None:
-    """``out += f * terms``, dropping entries that cancel to zero."""
-    for k, c in terms:
-        acc = out[k] + f * c if k in out else f * c
-        if acc.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = acc
-
-
-def _combine(coeffs: SparseVec, vectors: Sequence[SparseVec]) -> SparseVec:
-    """``sum_m coeffs[m] * vectors[m]``, a sparse combination of sparse vectors."""
-    out: SparseVec = {}
-    for m, c in coeffs.items():
-        _add_into(out, c, vectors[m].items())
-    return out
 
 
 class LieBasis:
@@ -127,6 +92,7 @@ class StructureConstants:
     ``table`` holds one orientation of each nonzero ``[e_i, e_j]``; ``rows[i][j]``
     holds ``[e_i, e_j]`` in both orientations, built once here.  The dicts in
     ``rows`` and those ``bracket_basis`` returns are shared: read-only.
+    Inputs and outputs are sparse ``{index: value}`` dicts with no zeros.
     """
 
     __slots__ = ("basis", "table", "rows")
@@ -150,30 +116,24 @@ class StructureConstants:
     def bracket_basis(self, i: int, j: int) -> SparseVec:
         return self.rows[i].get(j, _EMPTY)
 
-    def bracket(self, x: Sequence[GaussianRational], y: Sequence[GaussianRational]) -> Vector:
-        return _dense(self._bracket_terms(_terms(x), _terms(y)), self.dim)
+    def bracket(self, x: SparseVec, y: SparseVec) -> SparseVec:
+        """``[x, y]``, summed over the table rows of x's terms."""
+        out: SparseVec = {}
+        for i, xi in x.items():
+            row = self.rows[i]
+            for j, yj in y.items():
+                if j in row:
+                    add_into(out, xi * yj, row[j])
+        return out
 
-    def _ad_terms(self, i: int, ys: Iterable[Term]) -> SparseVec:
-        """``[e_i, y]`` from the nonzero ``(index, value)`` terms of y, read from row i."""
+    def ad(self, i: int, y: SparseVec) -> SparseVec:
+        """``[e_i, y]``, read from table row i."""
         row = self.rows[i]
         out: SparseVec = {}
-        for j, yj in ys:
+        for j, yj in y.items():
             if j in row:
-                _add_into(out, yj, row[j].items())
+                add_into(out, yj, row[j])
         return out
-
-    def _bracket_terms(self, xs: Terms, ys: Terms) -> SparseVec:
-        """``[x, y]`` from the nonzero ``(index, value)`` terms of x and y."""
-        out: SparseVec = {}
-        for i, xi in xs:
-            row = self.rows[i]
-            for j, yj in ys:
-                if j in row:
-                    _add_into(out, xi * yj, row[j].items())
-        return out
-
-    def unit(self, index: int) -> Vector:
-        return [ONE if k == index else ZERO for k in range(self.dim)]
 
 
 # -- Chevalley constants ----------------------------------------------------------
@@ -305,7 +265,7 @@ def _chevalley_table(rs: RootSystem, basis: LieBasis) -> Dict[Tuple[int, int], S
 def _trace_form(sc: StructureConstants, i: int, j: int) -> GaussianRational:
     """``trace(ad e_i . ad e_j) = sum_k sum_l [e_j, e_k]_l [e_i, e_l]_k`` from the table."""
     row_i = sc.rows[i]
-    return _sum(
+    return total(
         c * row_i[l][k]
         for k, entry in sc.rows[j].items()
         for l, c in entry.items()
@@ -352,32 +312,29 @@ def build_algebra(rs: RootSystem) -> StructureConstants:
 class KillingData:
     """Killing Gram matrix, root duals h_a, and the grading element H_rho.
 
-    ``gram_rows[i]`` holds the nonzero entries of Gram row i, built once.
+    ``gram[i]`` holds the nonzero entries of Gram row i; the coroots and
+    ``hrho`` are sparse vectors on the Cartan indices.
     """
 
-    __slots__ = ("sc", "gram", "gram_rows", "coroots", "hrho")
+    __slots__ = ("sc", "gram", "coroots", "hrho")
 
-    def __init__(self, sc: StructureConstants, gram: List[Vector],
-                 coroots: Dict[Root, Vector], hrho: Vector):
+    def __init__(self, sc: StructureConstants, gram: List[SparseVec],
+                 coroots: Dict[Root, SparseVec], hrho: SparseVec):
         object.__setattr__(self, "sc", sc)
         object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "gram_rows", [dict(_terms(row)) for row in gram])
         object.__setattr__(self, "coroots", coroots)
         object.__setattr__(self, "hrho", hrho)
 
     def __setattr__(self, name, value):
         raise AttributeError("KillingData is immutable")
 
-    def form(self, x: Sequence[GaussianRational], y: Sequence[GaussianRational]) -> GaussianRational:
-        return self._form_terms(_terms(x), y)
-
-    def _form_terms(self, xs: Terms, y: Sequence[GaussianRational]) -> GaussianRational:
-        """``B(x, y)`` from the nonzero ``(index, value)`` terms of x."""
-        return _sum(
+    def form(self, x: SparseVec, y: SparseVec) -> GaussianRational:
+        """``B(x, y)``, summed over the Gram rows of x's terms."""
+        return total(
             xi * y[j] * g
-            for i, xi in xs
-            for j, g in self.gram_rows[i].items()
-            if not y[j].is_zero()
+            for i, xi in x.items()
+            for j, g in self.gram[i].items()
+            if j in y
         )
 
 
@@ -390,7 +347,6 @@ def killing(sc: StructureConstants) -> KillingData:
     are traced; the traces still read the table, so the form stays a self-test.
     """
     basis = sc.basis
-    n = sc.dim
     rank = basis.rank
     rs = basis.rs
     weights: List[Root] = [(0,) * rank] * rank + list(rs.roots)
@@ -402,12 +358,14 @@ def killing(sc: StructureConstants) -> KillingData:
                     f"[{basis.labels[i]}, {basis.labels[j]}] has a component on "
                     f"{basis.labels[k]}, outside weight w_i + w_j"
                 )
-    gram: List[Vector] = [[ZERO] * n for _ in range(n)]
+    gram: List[SparseVec] = [{} for _ in range(sc.dim)]
     pairs = [(i, j) for i in range(rank) for j in range(i, rank)]
     pairs += [(basis.root_index(a), basis.root_index(rs.negative(a))) for a in rs.positive_roots()]
     for i, j in pairs:
-        gram[i][j] = gram[j][i] = _trace_form(sc, i, j)
-    cartan_gram = [[gram[i][j] for j in range(rank)] for i in range(rank)]
+        value = _trace_form(sc, i, j)
+        if not value.is_zero():
+            gram[i][j] = gram[j][i] = value
+    cartan_gram = [[gram[i].get(j, ZERO) for j in range(rank)] for i in range(rank)]
     try:
         cartan_inverse = linalg.invert(cartan_gram)
     except ValueError:
@@ -415,40 +373,36 @@ def killing(sc: StructureConstants) -> KillingData:
     # h_b is linear in b: solve for the simple roots (B(h_{a_i}, h_j) =
     # <a_i, a_j^v> = A[i][j]), then h_{b + a_i} = h_b + h_{a_i} up the
     # positive roots in height order, and h_{-b} = -h_b.
-    simple: List[Vector] = [
-        [_sum(inv * a for inv, a in zip(inv_row, row) if a and not inv.is_zero())
-         for inv_row in cartan_inverse]
+    inverse_rows = [{k: c for k, c in enumerate(row) if not c.is_zero()} for row in cartan_inverse]
+    simple = [
+        combine({m: GaussianRational(a) for m, a in enumerate(row) if a}, inverse_rows)
         for row in rs.cartan.entries
     ]
     positives = rs.positive_roots()
-    cartan_coroots: Dict[Root, Vector] = {}
+    coroots: Dict[Root, SparseVec] = {}
     for root in positives:
         if sum(root) == 1:
-            cartan_coroots[root] = simple[root.index(1)]
+            coroots[root] = simple[root.index(1)]
             continue
         for i, h_simple in enumerate(simple):
             lower = root[:i] + (root[i] - 1,) + root[i + 1:]
-            if lower in cartan_coroots:
-                cartan_coroots[root] = [
-                    b if a.is_zero() else a if b.is_zero() else a + b
-                    for a, b in zip(cartan_coroots[lower], h_simple)
-                ]
+            if lower in coroots:
+                h_sum = dict(coroots[lower])
+                add_into(h_sum, ONE, h_simple)
+                coroots[root] = h_sum
                 break
-    pad = [ZERO] * (n - rank)
-    coroots: Dict[Root, Vector] = {root: cartan_coroots[root] + pad for root in positives}
     for root in positives:
-        coroots[rs.negative(root)] = [-c for c in cartan_coroots[root]] + pad
-    h_rho = cartan_coroots[rs.highest]
-    h_terms = _terms(h_rho)
-    norm = _sum(
-        a * b * gram[i][j] for i, a in h_terms for j, b in h_terms if not gram[i][j].is_zero()
+        coroots[rs.negative(root)] = {k: -c for k, c in coroots[root].items()}
+    h_rho = coroots[rs.highest]
+    # B(h_rho, h_rho) = rho(h_rho), by the duality the solve above enforces.
+    norm = total(
+        c * GaussianRational(rs.cartan.coroot_pairing(rs.highest, k)) for k, c in h_rho.items()
     )
     factor = GaussianRational(2) / norm
-    hrho = [factor * c for c in h_rho] + pad
-    return KillingData(sc, gram, coroots, hrho)
+    return KillingData(sc, gram, coroots, {k: factor * c for k, c in h_rho.items()})
 
 
-def root_action(kd: KillingData, root: Root, h: Sequence[GaussianRational]) -> GaussianRational:
+def root_action(kd: KillingData, root: Root, h: SparseVec) -> GaussianRational:
     """The value root(h) for h in the Cartan span, via B(h_root, h)."""
     return kd.form(kd.coroots[root], h)
 
@@ -490,9 +444,8 @@ def grade(sc: StructureConstants, kd: KillingData) -> GradedDecomposition:
     rs = basis.rs
     n = sc.dim
     pieces: Dict[int, List[int]] = {i: [] for i in range(-2, 3)}
-    hrho = _terms(kd.hrho)
     for idx in range(n):
-        image = sc._bracket_terms(hrho, [(idx, ONE)])
+        image = sc.bracket(kd.hrho, {idx: ONE})
         if basis.root_of(idx) is None:
             if image:
                 raise ArithmeticError("ad(H_rho) does not annihilate the Cartan subalgebra")
@@ -520,11 +473,11 @@ def grade(sc: StructureConstants, kd: KillingData) -> GradedDecomposition:
     # every coordinate outside G_0.
     g0 = set(pieces[0])
     outside = [{k: c for k, c in vec.items() if k not in g0} for vec in l0]
-    g00 = [_combine(combo, l0) for combo in linalg.column_kernel(outside)]
+    g00 = [combine(combo, l0) for combo in linalg.column_kernel(outside)]
     return GradedDecomposition(sc, kd, pieces, {"L0": l0, "G00": g00})
 
 
-def g00_span_check(gd: GradedDecomposition, sc: StructureConstants) -> bool:
+def g00_span_check(gd: GradedDecomposition) -> bool:
     """Compare the two computations of G00.
 
     Kernel route: ``G00 = ker(ad e_rho) intersect G_0``.  Bracket route: the
@@ -537,14 +490,14 @@ def g00_span_check(gd: GradedDecomposition, sc: StructureConstants) -> bool:
     so the bracket combinations of the kernel span the intersection.
     """
     pieces = gd.pieces
-    rows = sc.rows
+    rows = gd.sc.rows
     brackets = linalg.sparse_basis(
         rows[i][j] for i in pieces[-1] for j in pieces[1] if j in rows[i]
     )
     count = len(brackets)
     columns = brackets + [{k: -c for k, c in vec.items()} for vec in gd.spans["L0"]]
     meet = [
-        _combine({m: c for m, c in combo.items() if m < count}, brackets)
+        combine({m: c for m, c in combo.items() if m < count}, brackets)
         for combo in linalg.column_kernel(columns)
     ]
     return linalg.same_span(meet, gd.spans["G00"])
@@ -554,7 +507,5 @@ def chi_differential(kd: KillingData, sc: StructureConstants) -> GaussianRationa
     """B([H_rho, e_rho], -e_{-rho}): the infinitesimal character on H_rho; equals 2."""
     rs = sc.basis.rs
     rho = rs.highest
-    e_rho = sc.unit(sc.basis.root_index(rho))
-    e_neg = sc.unit(sc.basis.root_index(rs.negative(rho)))
-    image = sc.bracket(kd.hrho, e_rho)
-    return kd.form(image, [-c for c in e_neg])
+    image = sc.bracket(kd.hrho, {sc.basis.root_index(rho): ONE})
+    return kd.form(image, {sc.basis.root_index(rs.negative(rho)): -ONE})

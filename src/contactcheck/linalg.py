@@ -3,17 +3,20 @@
 Elimination works for :class:`~contactcheck.scalars.GaussianRational` and
 :class:`~contactcheck.laurent.LaurentPoly` alike: elements must support
 ``+``, ``-``, ``*``, ``/``, unary ``-`` and ``is_zero()``.  Matrices are
-plain lists of lists.  The Lie layer hands over blocks cut down by its sparse
-structure: the r x r Cartan block of the Killing form, and the columns that
-:func:`column_kernel` eliminates over just the coordinates they touch (the
-table row of ``e_rho``, the bracket and centralizer spans of the G00 check,
-the ``e_rho`` pairing of the theta_G check).  Its spans stay sparse
-``{index: value}`` vectors and are never written out in ``dim g``
-coordinates; the contact layer's Laurent systems are as large as a chart's
-coordinate count.  No pivoting heuristics beyond "first nonzero" are needed
-over a field.  :func:`sparse_basis` reduces families of sparse vectors, such
-as the up to ``|G_1|^2`` brackets of the G00 check or an orbit's tangent
-vectors, to a basis, and :func:`same_span` compares two families through it.
+plain lists of lists.  Sparse vectors are ``{index: value}`` dicts that
+store no zeros, the one vector format of :mod:`contactcheck.lie` and
+:mod:`contactcheck.orbits`; :func:`add_into`, :func:`combine` and
+:func:`total` are their arithmetic.  The Lie layer hands over blocks cut
+down by its sparse structure: the r x r Cartan block of the Killing form,
+and the columns that :func:`column_kernel` eliminates over just the
+coordinates they touch (the table row of ``e_rho``, the bracket and
+centralizer spans of the G00 check, the ``e_rho`` pairing of the theta_G
+check).  Its vectors are never written out in ``dim g`` coordinates; the
+contact layer's Laurent systems are as large as a chart's coordinate count.
+No pivoting heuristics beyond "first nonzero" are needed over a field.
+:func:`sparse_basis` reduces families of sparse vectors, such as the up to
+``|G_1|^2`` brackets of the G00 check or an orbit's tangent vectors, to a
+basis, and :func:`same_span` compares two families through it.
 :func:`row_echelon` works in place on a copy of its input and touches
 only the pivot row's support: zeros in the pivot row are not divided, and
 each row update walks only the pivot row's nonzero columns.  ``0 / p = 0``
@@ -26,7 +29,7 @@ further down its column; a column with no unit raises ``ZeroDivisionError``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence, TypeVar
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, TypeVar
 
 from .scalars import ONE, ZERO
 
@@ -132,6 +135,32 @@ def mat_vec(a: Sequence[Sequence[T]], x: Sequence[T], zero: T = ZERO) -> List[T]
     return out
 
 
+def total(values: Iterable[T]) -> T:
+    """The sum of ``values`` (``ZERO`` for none), with no addition seeded by zero."""
+    out: Optional[T] = None
+    for v in values:
+        out = v if out is None else out + v
+    return ZERO if out is None else out
+
+
+def add_into(out: Dict[int, T], f: T, vec: Mapping[int, T]) -> None:
+    """``out += f * vec`` on sparse vectors, dropping entries that cancel to zero."""
+    for k, c in vec.items():
+        acc = out[k] + f * c if k in out else f * c
+        if acc.is_zero():
+            out.pop(k, None)
+        else:
+            out[k] = acc
+
+
+def combine(coeffs: Mapping[int, T], vectors: Sequence[Mapping[int, T]]) -> Dict[int, T]:
+    """``sum_m coeffs[m] * vectors[m]``, a sparse combination of sparse vectors."""
+    out: Dict[int, T] = {}
+    for m, c in coeffs.items():
+        add_into(out, c, vectors[m])
+    return out
+
+
 def sparse_basis(vectors: Iterable[Mapping[int, T]], one: T = ONE) -> List[Dict[int, T]]:
     """A basis of the span of sparse vectors ``{index: value}`` (no stored zeros).
 
@@ -150,13 +179,7 @@ def sparse_basis(vectors: Iterable[Mapping[int, T]], one: T = ONE) -> List[Dict[
                 inv = one / v[lead]
                 rows[lead] = {k: c * inv for k, c in v.items()}
                 break
-            f = v[lead]
-            for k, c in row.items():
-                acc = v[k] - f * c if k in v else -(f * c)
-                if acc.is_zero():
-                    v.pop(k, None)
-                else:
-                    v[k] = acc
+            add_into(v, -v[lead], row)
     return [rows[k] for k in sorted(rows)]
 
 

@@ -10,6 +10,8 @@ of the fiber action on the orbit cone.  Orbit membership is always certified by 
 generating word stored with each point; it is never decided for arbitrary
 vectors.
 
+Orbit points, automorphism columns and moment pairings are sparse
+``{index: value}`` vectors, like every vector of :mod:`contactcheck.lie`.
 Maps act through the sparse bracket table and the sparse Gram rows of
 :class:`~contactcheck.lie.KillingData`: ``exp_ad`` applies the table row of
 ``e_root`` term by term, the tangent space ``[g, pt]`` is read from each
@@ -27,17 +29,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
-from .lie import (
-    GradedDecomposition,
-    KillingData,
-    SparseVec,
-    StructureConstants,
-    Vector,
-    _add_into,
-    _dense,
-    _sum,
-    _terms,
-)
+from .lie import GradedDecomposition, KillingData, SparseVec, StructureConstants, chi_differential
+from .linalg import add_into, combine, total
 from .report import SKIPPED, CheckResult, check
 from .rootsystem import Root
 from .scalars import ONE, ZERO, GaussianRational
@@ -48,24 +41,21 @@ Word = Sequence[Tuple[Root, Fraction]]
 class AlgebraAutomorphism:
     """A bracket-preserving linear map, stored as the images of the basis vectors.
 
-    ``columns[j]`` is the image of ``e_j`` in basis coordinates, i.e. column
-    ``j`` of the map's matrix in the Lie basis.
+    ``columns[j]`` is the image of ``e_j``, i.e. column ``j`` of the map's
+    matrix in the Lie basis, as a sparse vector.
     """
 
     __slots__ = ("sc", "columns")
 
-    def __init__(self, sc: StructureConstants, columns: List[Vector]):
+    def __init__(self, sc: StructureConstants, columns: List[SparseVec]):
         object.__setattr__(self, "sc", sc)
         object.__setattr__(self, "columns", columns)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraAutomorphism is immutable")
 
-    def apply(self, vec: Sequence[GaussianRational]) -> Vector:
-        out: SparseVec = {}
-        for j, xj in _terms(vec):
-            _add_into(out, xj, _terms(self.columns[j]))
-        return _dense(out, self.sc.dim)
+    def apply(self, vec: SparseVec) -> SparseVec:
+        return combine(vec, self.columns)
 
     def compose(self, other: "AlgebraAutomorphism") -> "AlgebraAutomorphism":
         return AlgebraAutomorphism(self.sc, [self.apply(col) for col in other.columns])
@@ -76,14 +66,10 @@ class AlgebraAutomorphism:
     def bracket_defect(self) -> Optional[Tuple[int, int]]:
         """The first basis pair ``(i, j)``, ``i < j``, with ``M[e_i, e_j] != [M e_i, M e_j]``."""
         sc = self.sc
-        terms = [_terms(col) for col in self.columns]
+        cols = self.columns
         for i in range(sc.dim):
             for j in range(i + 1, sc.dim):
-                # The image of [e_i, e_j], zero entries dropped like the bracket's.
-                lhs: SparseVec = {}
-                for k, c in sc.bracket_basis(i, j).items():
-                    _add_into(lhs, c, terms[k])
-                if lhs != sc._bracket_terms(terms[i], terms[j]):
+                if self.apply(sc.bracket_basis(i, j)) != sc.bracket(cols[i], cols[j]):
                     return i, j
         return None
 
@@ -94,36 +80,24 @@ class AlgebraAutomorphism:
         """The first basis pair ``(i, j)``, ``i <= j``, with ``B(M e_i, M e_j) != B(e_i, e_j)``."""
         cols = self.columns
         for i in range(self.sc.dim):
-            xs = _terms(cols[i])
+            row = kd.gram[i]
             for j in range(i, self.sc.dim):
-                if kd._form_terms(xs, cols[j]) != kd.gram[i][j]:
+                if kd.form(cols[i], cols[j]) != row.get(j, ZERO):
                     return i, j
         return None
 
 
 class OrbitPoint:
-    """A point of the minimal nilpotent cone with its generating word."""
+    """A point of the minimal nilpotent cone, as a sparse vector, with its generating word."""
 
     __slots__ = ("vector", "word")
 
-    def __init__(self, vector: Vector, word: Word):
+    def __init__(self, vector: SparseVec, word: Word):
         object.__setattr__(self, "vector", vector)
         object.__setattr__(self, "word", tuple(word))
 
     def __setattr__(self, name, value):
         raise AttributeError("OrbitPoint is immutable")
-
-
-class MomentVector:
-    """Pairings B(point, basis element) for one orbit point."""
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients: Vector):
-        object.__setattr__(self, "coefficients", coefficients)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MomentVector is immutable")
 
 
 def exp_ad(sc: StructureConstants, root: Root, t: Fraction) -> AlgebraAutomorphism:
@@ -138,34 +112,33 @@ def exp_ad(sc: StructureConstants, root: Root, t: Fraction) -> AlgebraAutomorphi
     n = sc.dim
     e = sc.basis.root_index(tuple(root))
     scalar = GaussianRational(t)
-    columns: List[Vector] = []
+    columns: List[SparseVec] = []
     for j in range(n):
         column: SparseVec = {j: ONE}
         term: SparseVec = {j: ONE}
         factor = ONE
         for k in range(1, n + 1):
-            term = sc._ad_terms(e, term.items())
+            term = sc.ad(e, term)
             if not term:
                 break
             factor = factor * scalar / GaussianRational(k)
-            _add_into(column, factor, term.items())
+            add_into(column, factor, term)
         else:
             raise ArithmeticError("ad e_root failed to nilpotate; broken table")
-        columns.append(_dense(column, n))
+        columns.append(column)
     return AlgebraAutomorphism(sc, columns)
 
 
-def orbit_sample(sc: StructureConstants, kd: KillingData, word: Word) -> OrbitPoint:
+def orbit_sample(sc: StructureConstants, word: Word) -> OrbitPoint:
     """Apply the unipotent word to e_rho; checks pt != 0.
 
     Isotropy ``B(pt, pt) = 0`` is a property to verify, not a precondition:
     the ``adjoint:isotropic`` checks report it.
     """
-    rs = sc.basis.rs
-    vec = sc.unit(sc.basis.root_index(rs.highest))
+    vec: SparseVec = {sc.basis.root_index(sc.basis.rs.highest): ONE}
     for root, t in word:
         vec = exp_ad(sc, root, Fraction(t)).apply(vec)
-    if all(c.is_zero() for c in vec):
+    if not vec:
         raise ArithmeticError("orbit point collapsed to zero")
     return OrbitPoint(vec, word)
 
@@ -174,7 +147,7 @@ def rescale_point(pt: OrbitPoint, factor: GaussianRational) -> OrbitPoint:
     """The fiber action on the cone: scalar rescaling (kept separate from words)."""
     if factor.is_zero():
         raise ValueError("rescaling by zero leaves the punctured cone")
-    return OrbitPoint([factor * c for c in pt.vector], pt.word)
+    return OrbitPoint({k: factor * c for k, c in pt.vector.items()}, pt.word)
 
 
 def theta_G_checks(sc: StructureConstants, kd: KillingData, gd: GradedDecomposition) -> List[CheckResult]:
@@ -186,7 +159,7 @@ def theta_G_checks(sc: StructureConstants, kd: KillingData, gd: GradedDecomposit
     * ``B([H_rho, e_rho], -e_{-rho}) = 2``: the infinitesimal character of
       the fiber action (weight of the scaling on the cone).
     """
-    e_rho = sc.unit(sc.basis.root_index(sc.basis.rs.highest))
+    e_rho = {sc.basis.root_index(sc.basis.rs.highest): ONE}
     results: List[CheckResult] = []
     kernel = linalg.column_kernel(_rho_pairing_columns(sc, kd))
     ok = linalg.same_span(kernel, gd.spans["L0"])
@@ -199,8 +172,6 @@ def theta_G_checks(sc: StructureConstants, kd: KillingData, gd: GradedDecomposit
     )
     vertical = kd.form(e_rho, kd.hrho)
     results.append(check("theta_G:vertical-annihilation", vertical.is_zero(), vertical))
-    from .lie import chi_differential
-
     chi = chi_differential(kd, sc)
     results.append(check("theta_G:character-differential", chi == GaussianRational(2), chi))
     return results
@@ -212,32 +183,29 @@ def _rho_pairing_columns(sc: StructureConstants, kd: KillingData) -> List[Sparse
     It is the e_rho Gram row read against table row j, so the column kernel is
     ``{X : B(e_rho, [X, Y]) = 0 for all Y}``.
     """
-    g_rho = kd.gram_rows[sc.basis.root_index(sc.basis.rs.highest)]
+    g_rho = kd.gram[sc.basis.root_index(sc.basis.rs.highest)]
     columns: List[SparseVec] = []
     for row in sc.rows:
         column: SparseVec = {}
         for i, entry in row.items():
-            value = _sum(g_rho[k] * c for k, c in entry.items() if k in g_rho)
+            value = total(g_rho[k] * c for k, c in entry.items() if k in g_rho)
             if not value.is_zero():
                 column[i] = value
         columns.append(column)
     return columns
 
 
-def moment_map(sc: StructureConstants, kd: KillingData, pt: OrbitPoint) -> MomentVector:
-    """Coefficients ``B(pt, X_i)`` over the basis: the moment pairing at pt.
+def moment_map(kd: KillingData, pt: OrbitPoint) -> SparseVec:
+    """The moment pairing at pt: ``B(pt, e_i)`` over the basis, a sparse vector.
 
-    ``B(pt, e_i) = sum_j pt_j B(e_j, e_i)``, summed over pt's terms and the
-    Gram rows they select.
+    ``B(pt, e_i) = sum_j pt_j B(e_j, e_i)``, a combination of the Gram rows
+    pt selects.
     """
-    out: SparseVec = {}
-    for j, pj in _terms(pt.vector):
-        _add_into(out, pj, kd.gram_rows[j].items())
-    return MomentVector(_dense(out, sc.dim))
+    return combine(pt.vector, kd.gram)
 
 
-def kappa(sc: StructureConstants, kd: KillingData, mv: MomentVector) -> Vector:
-    """Invert the musical isomorphism: solve ``Gram . x = coefficients``.
+def kappa(sc: StructureConstants, kd: KillingData, coeffs: SparseVec) -> SparseVec:
+    """Invert the musical isomorphism: solve ``Gram . x = coeffs``.
 
     The Gram matrix :func:`~contactcheck.lie.killing` builds pairs the Cartan
     block only with itself and ``e_a`` only with ``e_{-a}``, so the system
@@ -247,24 +215,26 @@ def kappa(sc: StructureConstants, kd: KillingData, mv: MomentVector) -> Vector:
     basis = sc.basis
     rank = basis.rank
     gram = kd.gram
-    coeffs = mv.coefficients
-    x = linalg.solve([row[:rank] for row in gram[:rank]], coeffs[:rank])
-    x += [ZERO] * (sc.dim - rank)
+    block = [[gram[i].get(j, ZERO) for j in range(rank)] for i in range(rank)]
+    cartan = linalg.solve(block, [coeffs.get(i, ZERO) for i in range(rank)])
+    x: SparseVec = {i: c for i, c in enumerate(cartan) if not c.is_zero()}
     rs = basis.rs
     for a in rs.positive_roots():
         i = basis.root_index(a)
         j = basis.root_index(rs.negative(a))
-        pairing = gram[i][j]
-        if pairing.is_zero():
+        pairing = gram[i].get(j)
+        if pairing is None:
             raise ValueError("singular matrix")
         inv = pairing.inverse()
-        x[j] = coeffs[i] * inv
-        x[i] = coeffs[j] * inv
+        if i in coeffs:
+            x[j] = coeffs[i] * inv
+        if j in coeffs:
+            x[i] = coeffs[j] * inv
     return x
 
 
 def kappa_round_trip(sc: StructureConstants, kd: KillingData, pt: OrbitPoint) -> bool:
-    return kappa(sc, kd, moment_map(sc, kd, pt)) == list(pt.vector)
+    return kappa(sc, kd, moment_map(kd, pt)) == pt.vector
 
 
 def tangent_rank(sc: StructureConstants, pt: OrbitPoint) -> int:
@@ -272,16 +242,11 @@ def tangent_rank(sc: StructureConstants, pt: OrbitPoint) -> int:
 
     ``[e_i, pt] = sum_j pt_j [e_i, e_j]`` is read from table row i.
     """
-    terms = _terms(pt.vector)
-    return len(linalg.sparse_basis(sc._ad_terms(i, terms) for i in range(sc.dim)))
+    return len(linalg.sparse_basis(sc.ad(i, pt.vector) for i in range(sc.dim)))
 
 
 def embedding_checks(
-    sc: StructureConstants,
-    kd: KillingData,
-    gd: GradedDecomposition,
-    points: Sequence[OrbitPoint],
-    ranks: Sequence[int],
+    gd: GradedDecomposition, points: Sequence[OrbitPoint], ranks: Sequence[int]
 ) -> List[CheckResult]:
     """Tangent-rank and projective-separation checks at sampled orbit points.
 
@@ -311,16 +276,6 @@ def embedding_checks(
     return results
 
 
-def _proportional(a: Sequence[GaussianRational], b: Sequence[GaussianRational]) -> bool:
-    ratio: Optional[GaussianRational] = None
-    for x, y in zip(a, b):
-        if x.is_zero() and y.is_zero():
-            continue
-        if x.is_zero() or y.is_zero():
-            return False
-        candidate = x / y
-        if ratio is None:
-            ratio = candidate
-        elif ratio != candidate:
-            return False
-    return True
+def _proportional(a: SparseVec, b: SparseVec) -> bool:
+    """Whether a and b have one support and one ratio ``a_k / b_k`` on it."""
+    return a.keys() == b.keys() and len({x / b[k] for k, x in a.items()}) <= 1

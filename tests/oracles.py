@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Set, Tuple
 
 from contactcheck.forms import PolyForm, PolyVectorField
-from contactcheck.lie import StructureConstants
+from contactcheck.lie import SparseVec, StructureConstants
 from contactcheck.poly import MultiPoly
 from contactcheck.rootsystem import CartanMatrix, Root
 from contactcheck.scalars import GaussianRational, ONE, ZERO
@@ -130,30 +130,28 @@ def _factorial(k: int) -> int:
     return out
 
 
-def ad_matrix(sc: StructureConstants, x: Sequence[GaussianRational]) -> List[List[GaussianRational]]:
-    """Matrix of ad(x) on basis-coordinate columns: column j is ``[x, e_j]``."""
+def ad_matrix(sc: StructureConstants, x: SparseVec) -> List[List[GaussianRational]]:
+    """Dense matrix of ad(x) on basis-coordinate columns: column j is ``[x, e_j]``."""
     n = sc.dim
-    cols = [sc.bracket(x, sc.unit(j)) for j in range(n)]
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    cols = [sc.bracket(x, {j: ONE}) for j in range(n)]
+    return [[cols[j].get(i, ZERO) for j in range(n)] for i in range(n)]
 
 
-def exp_ad_on_vector(
-    sc: StructureConstants, root: Root, t: Fraction, vector: List[GaussianRational]
-) -> List[GaussianRational]:
-    """exp(t ad e_root) applied term by term to one vector (series on vectors)."""
+def exp_ad_on_vector(sc: StructureConstants, root: Root, t: Fraction, vector: SparseVec) -> SparseVec:
+    """exp(t ad e_root) applied to one vector: the series of dense ``ad_matrix`` products."""
     scalar = GaussianRational(t)
-    e = sc.unit(sc.basis.root_index(tuple(root)))
-    total = list(vector)
-    current = list(vector)
+    ad = ad_matrix(sc, {sc.basis.root_index(tuple(root)): ONE})
+    total = dense_vector(vector, sc.dim)
+    current = list(total)
     k = 1
     while any(not c.is_zero() for c in current):
-        current = sc.bracket(e, current)
+        current = dense_mat_vec(ad, current)
         factor = scalar**k / GaussianRational(_factorial(k))
         total = [a + factor * b for a, b in zip(total, current)]
         k += 1
         if k > sc.dim + 2:
             raise AssertionError("series did not terminate")
-    return total
+    return {i: c for i, c in enumerate(total) if not c.is_zero()}
 
 
 def exp_ad_matrix(
@@ -161,7 +159,7 @@ def exp_ad_matrix(
 ) -> List[List[GaussianRational]]:
     """exp(t ad e_root) as a dense matrix: sum of t^k/k! times powers of ad_matrix."""
     n = sc.dim
-    ad = ad_matrix(sc, sc.unit(sc.basis.root_index(tuple(root))))
+    ad = ad_matrix(sc, {sc.basis.root_index(tuple(root)): ONE})
     scalar = GaussianRational(t)
     result = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     power = [row[:] for row in result]
@@ -188,12 +186,12 @@ def exp_ad_matrix(
 
 def nilpotency_degree_on(sc: StructureConstants, root_index: int) -> int:
     """Smallest k with ``(ad e)^k = 0``, by bracketing unit vectors until they vanish."""
-    e = sc.unit(root_index)
+    e = {root_index: ONE}
     degree = 0
     for j in range(sc.dim):
-        vec = sc.unit(j)
+        vec = {j: ONE}
         k = 0
-        while any(not c.is_zero() for c in vec):
+        while vec:
             vec = sc.bracket(e, vec)
             k += 1
             if k > sc.dim:
@@ -204,14 +202,10 @@ def nilpotency_degree_on(sc: StructureConstants, root_index: int) -> int:
 
 def ad_eigenvalue(sc: StructureConstants, kd, index: int) -> int:
     """Eigenvalue of ad(H_rho) on a root-vector basis element, from the table."""
-    image = sc.bracket(kd.hrho, sc.unit(index))
-    unit = sc.unit(index)
-    value = ZERO
-    for k, c in enumerate(image):
-        if not unit[k].is_zero():
-            value = c
-        elif not c.is_zero():
-            raise AssertionError("not an eigenvector")
+    image = sc.bracket(kd.hrho, {index: ONE})
+    if set(image) - {index}:
+        raise AssertionError("not an eigenvector")
+    value = image.get(index, ZERO)
     assert value.is_real() and value.re.denominator == 1
     return int(value.re)
 
@@ -343,8 +337,8 @@ def dense_mat_vec(
     return out
 
 
-def dense_ad_from_table(sc: StructureConstants, x: Sequence[GaussianRational]):
-    """The matrix of ad x, filled by nested loops over ``sc.table`` alone.
+def dense_ad_from_table(sc: StructureConstants, x: SparseVec):
+    """The dense matrix of ad x, filled by nested loops over ``sc.table`` alone.
 
     Entry ``[k][l]`` is the ``e_k`` coefficient of ``[x, e_l]``; each table
     entry ``[e_i, e_j] = c e_k`` is used in both orientations by hand.
@@ -353,9 +347,9 @@ def dense_ad_from_table(sc: StructureConstants, x: Sequence[GaussianRational]):
     m = [[ZERO] * n for _ in range(n)]
     for (i, j), entry in sc.table.items():
         for k, c in entry.items():
-            if not x[i].is_zero():
+            if i in x:
                 m[k][j] = m[k][j] + x[i] * c
-            if not x[j].is_zero():
+            if j in x:
                 m[k][i] = m[k][i] - x[j] * c
     return m
 
@@ -370,9 +364,7 @@ def dense_trace(a, b) -> GaussianRational:
     return total
 
 
-def dense_killing_form(
-    sc: StructureConstants, x: Sequence[GaussianRational], y: Sequence[GaussianRational]
-) -> GaussianRational:
+def dense_killing_form(sc: StructureConstants, x: SparseVec, y: SparseVec) -> GaussianRational:
     """``trace(ad x . ad y)`` from two dense ad matrices built from the table."""
     return dense_trace(dense_ad_from_table(sc, x), dense_ad_from_table(sc, y))
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from contactcheck import cli
+from contactcheck import cli, contact
 from contactcheck.cli import main
 from faults import BAD_HOPF_LABEL, corrupted_algebra_bundle, corrupted_hopf_chart
 
@@ -277,6 +277,31 @@ def test_corrupted_constant_through_the_cli(capsys, monkeypatch, name):
     assert (code, report["schema"], report["ok"], captured.err) == (1, 1, False, "")
     failures = {r["check_id"]: r["witness"] for r in report["results"] if r["status"] == "fail"}
     assert failures == CORRUPTED_ADJOINT_FAILURES[name]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_invalid_cstructure_fails_one_check_through_the_cli(capsys, monkeypatch, n):
+    """A c-structure that fails validation is one failing check, never a traceback.
+
+    Doubling one image of the V0 -> V1 transition breaks (C.2) on that pair.
+    """
+    transition = contact.projective_transition
+
+    def doubled(n_vars, i, j):
+        images = transition(n_vars, i, j)
+        if (i, j) != (0, 1):
+            return images
+        name = min(images)
+        return dict(images, **{name: images[name] * 2})
+
+    monkeypatch.setattr(contact, "projective_transition", doubled)
+    code = main(["cocycle", "--n", str(n)])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert (code, report["schema"], report["ok"], captured.err) == (1, 1, False, "")
+    assert report["results"] == [
+        {"check_id": "cocycle:c-structure", "status": "fail", "witness": "(C.2) fails for pair (V0, V1)"}
+    ]
 
 
 def _benchmark_file(name: str) -> Path:

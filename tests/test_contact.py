@@ -667,3 +667,32 @@ def test_corrupted_factor_fails_cocycle():
     factors[(0, 1)] = factors[(0, 1)] * 2
     bad = CStructureData(cs.charts, cs.gammas, cs.transition_maps, factors, cs.gauges)
     assert _failed(canonical_cocycle_check(bad, 1)) == {"cocycle:V0->V1": "lhs -2 != rhs -8"}
+
+
+#: ``quotient_checks`` failures on hopf theta times z0 (degree 3, odd under z -> -z).
+ODD_THETA_FAILURES = {
+    0: {
+        "hopf(n=0):descended-form-degree-1": "scaling components [3]",
+        "hopf(n=0):theta-sign-invariance": "(2*z0*z1) dz0 + (-2*z0^2) dz1",
+    },
+    1: {
+        "hopf(n=1):descended-form-degree-1": "scaling components [3]",
+        "hopf(n=1):theta-sign-invariance": (
+            "(2*z0*z2) dz0 + (2*z0*z3) dz1 + (-2*z0^2) dz2 + (-2*z0*z1) dz3"
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_odd_theta_fails_sign_invariance_with_its_residual(monkeypatch, n):
+    """z0 * theta is odd under z -> -z: the witness is ``flipped - theta = -2 z0 theta``."""
+    hopf = contact.hopf_chart
+
+    def odd_chart(n):
+        cc = hopf(n)
+        theta = cc.theta.scale(cc.chart.coeff_var("z0"))
+        return ContactChart(cc.chart, theta, 3, cc.weights, label=cc.label)
+
+    monkeypatch.setattr(contact, "hopf_chart", odd_chart)
+    assert _failed(quotient_checks(n, [])) == ODD_THETA_FAILURES[n]

@@ -26,18 +26,14 @@ TYPES = ["A1", "A2", "G2"]
 def test_exp_zero_is_identity(algebra_bundle):
     rs, sc, kd, _ = algebra_bundle("A2")
     m = exp_ad(sc, rs.roots[0], Fraction(0))
-    assert all(
-        m.columns[j][i] == (1 if i == j else 0) for i in range(sc.dim) for j in range(sc.dim)
-    )
+    assert m.columns == [{j: ONE} for j in range(sc.dim)]
 
 
 def test_exp_inverse(algebra_bundle):
     rs, sc, kd, _ = algebra_bundle("G2")
     t = Fraction(3, 5)
     prod = exp_ad(sc, rs.highest, t).compose(exp_ad(sc, rs.highest, -t))
-    assert all(
-        prod.columns[j][i] == (1 if i == j else 0) for i in range(sc.dim) for j in range(sc.dim)
-    )
+    assert prod.columns == [{j: ONE} for j in range(sc.dim)]
 
 
 @pytest.mark.parametrize("name", TYPES)
@@ -50,7 +46,7 @@ def test_exp_columns_match_dense_matrix_oracle(name, algebra_bundle):
             columns = exp_ad(sc, root, t).columns
             oracle = exp_ad_matrix(sc, root, t)
             assert all(
-                columns[j][i] == oracle[i][j] for i in range(sc.dim) for j in range(sc.dim)
+                columns[j].get(i, ZERO) == oracle[i][j] for i in range(sc.dim) for j in range(sc.dim)
             ), (root, t)
 
 
@@ -67,26 +63,26 @@ def test_a1_lowering_curve_is_quadratic(algebra_bundle):
     and the quadratic term is rho(h_rho)/2 * e_{-rho}; the series-on-vector
     oracle recomputes the same curve.
     """
-    from oracles import exp_ad_on_vector
+    from oracles import dense_vector, exp_ad_on_vector
 
     rs, sc, kd, _ = algebra_bundle("A1")
     neg = rs.negative(rs.highest)
-    e_rho = sc.unit(sc.basis.root_index(rs.highest))
+    e_rho = {sc.basis.root_index(rs.highest): ONE}
+    e_neg = {sc.basis.root_index(neg): ONE}
     t = Fraction(2, 3)
     moved = exp_ad(sc, neg, t).apply(e_rho)
     assert moved == exp_ad_on_vector(sc, neg, t, e_rho)
     # degree-2 curve: linear coefficient = [e_-rho, e_rho] = h_rho-dual
-    linear = sc.bracket(sc.unit(sc.basis.root_index(neg)), e_rho)
-    quadratic = sc.bracket(sc.unit(sc.basis.root_index(neg)), linear)
-    cubic = sc.bracket(sc.unit(sc.basis.root_index(neg)), quadratic)
-    assert any(not c.is_zero() for c in quadratic)
-    assert all(c.is_zero() for c in cubic)
+    linear = sc.bracket(e_neg, e_rho)
+    quadratic = sc.bracket(e_neg, linear)
+    cubic = sc.bracket(e_neg, quadratic)
+    assert quadratic and not cubic
     scalar_t = GaussianRational(t)
     expected = [
         e + scalar_t * l + scalar_t * scalar_t * q / GaussianRational(2)
-        for e, l, q in zip(e_rho, linear, quadratic)
+        for e, l, q in zip(*(dense_vector(v, sc.dim) for v in (e_rho, linear, quadratic)))
     ]
-    assert moved == expected
+    assert dense_vector(moved, sc.dim) == expected
 
 
 @pytest.mark.parametrize("name", TYPES)
@@ -105,39 +101,36 @@ def test_orbit_points_isotropic(name, algebra_bundle):
     rs, sc, kd, _ = algebra_bundle(name)
     sampler = SeededSampler(11)
     for k in range(4):
-        pt = orbit_sample(sc, kd, sampler.word(rs, k % 3))
+        pt = orbit_sample(sc, sampler.word(rs, k % 3))
         assert kd.form(pt.vector, pt.vector).is_zero()
-        assert any(not c.is_zero() for c in pt.vector)
+        assert pt.vector
 
 
 def test_empty_word_is_e_rho(algebra_bundle):
     rs, sc, kd, _ = algebra_bundle("A2")
-    pt = orbit_sample(sc, kd, [])
-    assert pt.vector == sc.unit(sc.basis.root_index(rs.highest))
+    pt = orbit_sample(sc, [])
+    assert pt.vector == {sc.basis.root_index(rs.highest): ONE}
 
 
 def test_a2_one_letter_word_components(algebra_bundle):
     """exp(ad e_{-a1}) e_rho keeps its e_rho component and picks up e_{a2}."""
     rs, sc, kd, _ = algebra_bundle("A2")
     word = [((-1, 0), Fraction(1))]
-    pt = orbit_sample(sc, kd, word)
+    pt = orbit_sample(sc, word)
     rho_idx = sc.basis.root_index(rs.highest)
     a2_idx = sc.basis.root_index((0, 1))
-    assert not pt.vector[rho_idx].is_zero()
-    assert not pt.vector[a2_idx].is_zero()
+    assert rho_idx in pt.vector and a2_idx in pt.vector
     # the orbit point is the automorphism's image of e_rho
     m = exp_ad(sc, (-1, 0), Fraction(1))
-    assert pt.vector == m.apply(sc.unit(rho_idx))
+    assert pt.vector == m.apply({rho_idx: ONE})
 
 
 def test_moment_of_e_rho_single_entry(algebra_bundle):
     for name in TYPES:
         rs, sc, kd, _ = algebra_bundle(name)
-        pt = orbit_sample(sc, kd, [])
-        mv = moment_map(sc, kd, pt)
+        pt = orbit_sample(sc, [])
         neg_idx = sc.basis.root_index(rs.negative(rs.highest))
-        for i, c in enumerate(mv.coefficients):
-            assert c == (gq(-1) if i == neg_idx else gq(0))
+        assert moment_map(kd, pt) == {neg_idx: gq(-1)}
 
 
 @pytest.mark.parametrize("name", TYPES)
@@ -145,7 +138,7 @@ def test_kappa_round_trip(name, algebra_bundle):
     rs, sc, kd, _ = algebra_bundle(name)
     sampler = SeededSampler(13)
     for k in range(5):
-        pt = orbit_sample(sc, kd, sampler.word(rs, 1 + k % 2))
+        pt = orbit_sample(sc, sampler.word(rs, 1 + k % 2))
         assert kappa_round_trip(sc, kd, pt)
 
 
@@ -157,11 +150,11 @@ def test_moment_equivariance(name, algebra_bundle):
     (root, t), = sampler.word(rs, 1)
     m = exp_ad(sc, root, t)
     m_inv = exp_ad(sc, root, -t)
-    pt = orbit_sample(sc, kd, sampler.word(rs, 1))
+    pt = orbit_sample(sc, sampler.word(rs, 1))
     moved = m.apply(pt.vector)
     for i in range(sc.dim):
-        lhs = kd.form(moved, sc.unit(i))
-        rhs = kd.form(pt.vector, m_inv.apply(sc.unit(i)))
+        lhs = kd.form(moved, {i: ONE})
+        rhs = kd.form(pt.vector, m_inv.apply({i: ONE}))
         assert lhs == rhs
 
 
@@ -172,21 +165,21 @@ def test_kappa_intertwines_action(name, algebra_bundle):
     sampler = SeededSampler(23)
     (root, t), = sampler.word(rs, 1)
     m = exp_ad(sc, root, t)
-    pt = orbit_sample(sc, kd, sampler.word(rs, 2))
+    pt = orbit_sample(sc, sampler.word(rs, 2))
     moved_vector = m.apply(pt.vector)
-    from contactcheck.orbits import MomentVector, OrbitPoint
+    from contactcheck.orbits import OrbitPoint
 
     moved_pt = OrbitPoint(moved_vector, pt.word)
-    assert kappa(sc, kd, moment_map(sc, kd, moved_pt)) == m.apply(
-        kappa(sc, kd, moment_map(sc, kd, pt))
+    assert kappa(sc, kd, moment_map(kd, moved_pt)) == m.apply(
+        kappa(sc, kd, moment_map(kd, pt))
     )
 
 
 def test_rescaling_covers_the_fiber_direction(algebra_bundle):
     rs, sc, kd, _ = algebra_bundle("A2")
-    pt = orbit_sample(sc, kd, [])
+    pt = orbit_sample(sc, [])
     scaled = rescale_point(pt, gq(Fraction(9, 4)))  # t^2 e_rho for t = 3/2
-    assert scaled.vector == [gq(Fraction(9, 4)) * c for c in pt.vector]
+    assert scaled.vector == {k: gq(Fraction(9, 4)) * c for k, c in pt.vector.items()}
     assert chi_differential(kd, sc) == gq(2)
     with pytest.raises(ValueError):
         rescale_point(pt, gq(0))
@@ -235,14 +228,12 @@ def test_centralizer_dims(name, algebra_bundle):
 def test_embedding_ranks(name, algebra_bundle):
     rs, sc, kd, gd = algebra_bundle(name)
     sampler = SeededSampler(37)
-    points = [orbit_sample(sc, kd, [])] + [
-        orbit_sample(sc, kd, sampler.word(rs, 2)) for _ in range(3)
-    ]
+    points = [orbit_sample(sc, [])] + [orbit_sample(sc, sampler.word(rs, 2)) for _ in range(3)]
     ranks = [tangent_rank(sc, pt) for pt in points]
     assert ranks == [len(gd.pieces[1]) + 2] * len(points)
-    results = embedding_checks(sc, kd, gd, points, ranks)
+    results = embedding_checks(gd, points, ranks)
     assert all(r.status != "fail" for r in results), [r for r in results if r.status == "fail"]
-    wrong = embedding_checks(sc, kd, gd, points, [ranks[0] - 1] + ranks[1:])
+    wrong = embedding_checks(gd, points, [ranks[0] - 1] + ranks[1:])
     failed = [r for r in wrong if r.status == "fail"]
     assert [(r.check_id, r.witness) for r in failed] == [
         ("embedding:tangent-rank-0", f"rank {ranks[0] - 1} != {ranks[0]}")
@@ -251,8 +242,8 @@ def test_embedding_ranks(name, algebra_bundle):
 
 def test_duplicate_points_flagged_not_failed(algebra_bundle):
     rs, sc, kd, gd = algebra_bundle("A1")
-    pt = orbit_sample(sc, kd, [])
-    results = embedding_checks(sc, kd, gd, [pt, pt], [tangent_rank(sc, pt)] * 2)
+    pt = orbit_sample(sc, [])
+    results = embedding_checks(gd, [pt, pt], [tangent_rank(sc, pt)] * 2)
     separations = [r for r in results if r.check_id.startswith("embedding:separation")]
     assert separations and all(r.status == "skipped" for r in separations)
     assert all(r.status == "pass" for r in results if "tangent" in r.check_id)
@@ -299,14 +290,14 @@ def test_rho_pairing_matrix_matches_dense_oracle(name, algebra_bundle):
     from oracles import dense_ad_from_table, dense_nullspace, dense_trace, dense_vector, same_span
 
     rs, sc, kd, gd = algebra_bundle(name)
-    ad_rho = dense_ad_from_table(sc, sc.unit(sc.basis.root_index(rs.highest)))
+    ad_rho = dense_ad_from_table(sc, {sc.basis.root_index(rs.highest): ONE})
     columns = _rho_pairing_columns(sc, kd)
     pairing = []
     for i in range(sc.dim):
-        ad_i = dense_ad_from_table(sc, sc.unit(i))
+        ad_i = dense_ad_from_table(sc, {i: ONE})
         row = []
         for j in range(sc.dim):
-            bracket = [ad_i[k][j] for k in range(sc.dim)]
+            bracket = {k: ad_i[k][j] for k in range(sc.dim) if not ad_i[k][j].is_zero()}
             row.append(dense_trace(ad_rho, dense_ad_from_table(sc, bracket)))
             assert columns[i].get(j, ZERO) == row[-1], (i, j)
         pairing.append(row)
@@ -318,7 +309,7 @@ def _oracle_preserves_form(sc, auto):
     """Every pair of images keeps its dense Killing trace."""
     from oracles import dense_ad_from_table, dense_trace
 
-    units = [dense_ad_from_table(sc, sc.unit(i)) for i in range(sc.dim)]
+    units = [dense_ad_from_table(sc, {i: ONE}) for i in range(sc.dim)]
     images = [dense_ad_from_table(sc, col) for col in auto.columns]
     return all(
         dense_trace(images[i], images[j]) == dense_trace(units[i], units[j])
@@ -329,9 +320,13 @@ def _oracle_preserves_form(sc, auto):
 
 def _perturbed(auto, j):
     """``auto`` with one nonzero off-diagonal entry of column j raised by 1."""
-    columns = [list(col) for col in auto.columns]
-    i = next(i for i, c in enumerate(columns[j]) if i != j and not c.is_zero())
-    columns[j][i] = columns[j][i] + 1
+    columns = [dict(col) for col in auto.columns]
+    i = min(i for i in columns[j] if i != j)
+    value = columns[j][i] + 1
+    if value.is_zero():
+        del columns[j][i]
+    else:
+        columns[j][i] = value
     return AlgebraAutomorphism(auto.sc, columns)
 
 
@@ -346,7 +341,7 @@ def test_preserves_form_matches_dense_oracle(name, algebra_bundle):
     # off-diagonal pairs can catch it.
     rho_idx = sc.basis.root_index(rs.highest)
     doubled = AlgebraAutomorphism(
-        sc, [[c + c for c in col] if j == rho_idx else col for j, col in enumerate(auto.columns)]
+        sc, [{k: c + c for k, c in col.items()} if j == rho_idx else col for j, col in enumerate(auto.columns)]
     )
     assert not doubled.preserves_form(kd) and not _oracle_preserves_form(sc, doubled)
 
@@ -368,36 +363,41 @@ ALL_TYPES = ["A1", "A2", "A3", "B2", "C2", "B3", "C3", "G2", "D4", "F4", "E6"]
 
 def _sample_points(rs, sc, kd):
     sampler = SeededSampler(41)
-    return [orbit_sample(sc, kd, [])] + [orbit_sample(sc, kd, sampler.word(rs, 2)) for _ in range(2)]
+    return [orbit_sample(sc, [])] + [orbit_sample(sc, sampler.word(rs, 2)) for _ in range(2)]
 
 
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_block_kappa_equals_the_full_gram_solve(name, algebra_bundle):
     """kappa's Cartan-block and root-pair solve gives linalg.solve(Gram, .)."""
     from contactcheck import linalg
-    from contactcheck.orbits import MomentVector
+    from oracles import dense_vector
 
     rs, sc, kd, _ = algebra_bundle(name)
-    coefficients = [moment_map(sc, kd, pt).coefficients for pt in _sample_points(rs, sc, kd)]
-    coefficients.append([gq(Fraction(k % 7 - 3, 1 + k % 4), k % 3 - 1) for k in range(sc.dim)])
+    gram = [dense_vector(row, sc.dim) for row in kd.gram]
+    coefficients = [moment_map(kd, pt) for pt in _sample_points(rs, sc, kd)]
+    drawn = [gq(Fraction(k % 7 - 3, 1 + k % 4), k % 3 - 1) for k in range(sc.dim)]
+    coefficients.append({k: c for k, c in enumerate(drawn) if not c.is_zero()})
     for c in coefficients:
-        assert kappa(sc, kd, MomentVector(c)) == linalg.solve(kd.gram, c)
+        solved = linalg.solve(gram, dense_vector(c, sc.dim))
+        assert kappa(sc, kd, c) == {k: x for k, x in enumerate(solved) if not x.is_zero()}
 
 
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_moment_map_and_tangent_rank_match_unit_routes(name, algebra_bundle):
     """Gram-row moments and table-row tangent ranks equal the unit-vector routes."""
     from contactcheck import linalg
+    from oracles import dense_vector
 
     rs, sc, kd, _ = algebra_bundle(name)
     for pt in _sample_points(rs, sc, kd):
-        units = [sc.unit(i) for i in range(sc.dim)]
-        assert moment_map(sc, kd, pt).coefficients == [kd.form(pt.vector, u) for u in units]
-        assert tangent_rank(sc, pt) == linalg.rank([sc.bracket(u, pt.vector) for u in units])
+        pairings = [kd.form(pt.vector, {i: ONE}) for i in range(sc.dim)]
+        assert dense_vector(moment_map(kd, pt), sc.dim) == pairings
+        tangent = [dense_vector(sc.bracket({i: ONE}, pt.vector), sc.dim) for i in range(sc.dim)]
+        assert tangent_rank(sc, pt) == linalg.rank(tangent)
 
 
 def test_lie_and_orbit_sums_are_not_seeded_with_zero(capsys, monkeypatch):
-    """No Gaussian-rational sum made in lie or orbits starts from ZERO or 0.
+    """No Gaussian-rational sum made in lie, orbits or linalg starts from ZERO or 0.
 
     A partial sum that cancels to zero on the way is data, not a seed, so
     only the ``ZERO`` constant itself and the int 0 are counted.
@@ -412,7 +412,7 @@ def test_lie_and_orbit_sums_are_not_seeded_with_zero(capsys, monkeypatch):
 
     def counting_add(self, other):
         caller = sys._getframe(1).f_code.co_filename
-        if caller.endswith(("lie.py", "orbits.py")):
+        if caller.endswith(("lie.py", "orbits.py", "linalg.py")):
             sums.append(caller)
             if self is ZERO or other is ZERO or (type(other) is int and other == 0):
                 zero_sums.append(caller)
@@ -424,3 +424,34 @@ def test_lie_and_orbit_sums_are_not_seeded_with_zero(capsys, monkeypatch):
         assert cli.main(argv) == 0
     capsys.readouterr()
     assert sums and zero_sums == []
+
+
+@pytest.mark.parametrize("name", ["A2", "G2", "D4", "F4", "E6"])
+def test_no_sparse_vector_stores_a_zero(name, algebra_bundle):
+    """Dict equality is vector equality only while no vector stores a zero."""
+    rs, sc, kd, gd = algebra_bundle(name)
+    word = SeededSampler(43).word(rs, 2)
+    autos = [exp_ad(sc, root, t) for root, t in word]
+    composed = autos[0].compose(autos[1])
+    points = [orbit_sample(sc, []), orbit_sample(sc, word), orbit_sample(sc, word[:1])]
+    moments = [moment_map(kd, pt) for pt in points]
+    families = {
+        "table rows": [entry for row in sc.rows for entry in row.values()],
+        "gram rows": kd.gram,
+        "coroots": list(kd.coroots.values()),
+        "hrho": [kd.hrho],
+        "exp_ad columns": [col for auto in autos for col in auto.columns],
+        "compose": composed.columns,
+        "apply": [composed.apply(pt.vector) for pt in points],
+        "orbit points": [pt.vector for pt in points],
+        "moment_map": moments,
+        "kappa": [kappa(sc, kd, mv) for mv in moments],
+        "L0": gd.spans["L0"],
+        "G00": gd.spans["G00"],
+    }
+    stored = {
+        key: sum(c.is_zero() for vec in vectors for c in vec.values())
+        for key, vectors in families.items()
+    }
+    assert all(vectors for vectors in families.values())
+    assert stored == dict.fromkeys(families, 0)
