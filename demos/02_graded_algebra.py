@@ -33,4 +33,4 @@ print(f"H_rho coordinates: {[str(kd.hrho.get(k, ZERO)) for k in range(sc.dim)]}"
 print(f"grading piece dims (i = -2..2): {gd.dims()}")
 print(f"centralizer of e_rho has dim {len(gd.spans['L0'])}")
 print(f"middle-piece complement G00 has dim {len(gd.spans['G00'])}")
-print(f"character differential on H_rho: {chi_differential(kd, sc)}  (always 2)")
+print(f"character differential on H_rho: {chi_differential(kd)}  (always 2)")

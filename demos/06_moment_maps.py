@@ -30,7 +30,7 @@ gd = grade(sc, kd)
 
 print(f"G2: dim {sc.dim}, grading {gd.dims()}, cone dim = {len(gd.pieces[1]) + 2}")
 print()
-for result in theta_G_checks(sc, kd, gd):
+for result in theta_G_checks(gd):
     print(f"   {result.status:4s}  {result.check_id}")
 
 sampler = SeededSampler(21)
@@ -43,8 +43,8 @@ print(f"moved point (nonzero coords): "
       f"{[(sc.basis.labels[i], str(c)) for i, c in sorted(moved.vector.items())][:6]} ...")
 print(f"isotropy B(pt, pt) = {kd.form(moved.vector, moved.vector)}")
 print(f"moment vector of e_rho: single entry -1 against e_(-rho); round trip: "
-      f"{kappa(sc, kd, moment_map(kd, base)) == base.vector}")
-print(f"kappa round trip at the moved point: {kappa_round_trip(sc, kd, moved)}")
+      f"{kappa(kd, moment_map(kd, base)) == base.vector}")
+print(f"kappa round trip at the moved point: {kappa_round_trip(kd, moved)}")
 
 points = [base, moved, orbit_sample(sc, sampler.word(rs, 2))]
 results = embedding_checks(gd, points, [tangent_rank(sc, pt) for pt in points])

@@ -7,8 +7,8 @@ forms), never a floating-point comparison.
 
 All value types are immutable after construction and all operations are
 pure, so readers may share objects across threads freely; the only internal
-cache (a per-chart solver matrix) is idempotent, making its benign race
-harmless.
+caches (a chart's solver columns and solved Euler field) are idempotent,
+making their benign race harmless.
 
 Subpackage map:
 
@@ -17,6 +17,9 @@ Subpackage map:
   polynomial arithmetic kernels: Q(i), polynomials, Laurent polynomials in
   one fiber variable, and the multivariate Laurent ring Q(i)[u^±1] that
   holds chart transitions and cocycles.
+* :mod:`contactcheck.linalg` -- exact linear algebra on sparse rows: one
+  elimination loop for ranks, spans, kernels and inverses, with unit pivots
+  over the Laurent ring, and the Bareiss ring determinant.
 * :mod:`contactcheck.rootsystem` -- finite root systems from Cartan matrices.
 * :mod:`contactcheck.lie` -- structure constants, Killing form, highest-root
   grading of the simple Lie algebras.
@@ -25,6 +28,10 @@ Subpackage map:
   vector fields and the identity suites built on them.
 * :mod:`contactcheck.orbits` -- unipotent orbits through the highest root
   vector, moment maps, embedding rank checks.
+* :mod:`contactcheck.sampling` -- seeded generators of sample points,
+  homogeneous functions and unipotent words.
+* :mod:`contactcheck.report` -- check results and the deterministic JSON
+  report.
 * :mod:`contactcheck.cli` -- the ``contactcheck`` command line front end.
 """
 

@@ -115,7 +115,7 @@ def run_algebra(config: Dict[str, object]) -> Report:
             check("algebra:g00-span", g00_span_check(gd)),
             check(
                 "algebra:character-differential",
-                chi_differential(kd, sc) == GaussianRational(2),
+                chi_differential(kd) == GaussianRational(2),
             ),
         ]
     )
@@ -237,7 +237,7 @@ def run_adjoint(config: Dict[str, object]) -> Report:
     count = _samples(config)
     sampler = SeededSampler(int(config["seed"]))
     report = Report(config)
-    report.extend(orbits.theta_G_checks(sc, kd, gd))
+    report.extend(orbits.theta_G_checks(gd))
     points = [orbits.orbit_sample(sc, [])]
     for _ in range(count - 1):
         word = sampler.word(rs, 2)
@@ -249,7 +249,7 @@ def run_adjoint(config: Dict[str, object]) -> Report:
             [
                 check(
                     f"adjoint:moment-round-trip-{idx}",
-                    orbits.kappa_round_trip(sc, kd, pt),
+                    orbits.kappa_round_trip(kd, pt),
                 ),
                 check(
                     f"adjoint:isotropic-{idx}",

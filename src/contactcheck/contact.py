@@ -191,22 +191,23 @@ def field_scaling_degrees(cc: ContactChart, field: PolyVectorField) -> Dict[int,
 # -- the symplectic solver ---------------------------------------------------------
 
 
-def _dtheta_matrix(cc: ContactChart) -> List[List[Coeff]]:
-    """Matrix of ``X -> iota_X dtheta`` on components: row k gives ``dx_k``.
+def _contraction_rows(cc: ContactChart) -> List[Dict[int, Coeff]]:
+    """Row i holds the components of ``iota_{d/dx_i} dtheta``, a sparse vector.
 
-    For ``dtheta = sum_{i<j} c_ij dx_i ^ dx_j`` the entries are
-    ``M[j][i] = c_ij`` and ``M[i][j] = -c_ij``.
+    For ``dtheta = sum_{i<j} c_ij dx_i ^ dx_j`` row i is ``c_ij`` at j and row
+    j is ``-c_ij`` at i.  The rows are the columns of the matrix M of ``X ->
+    iota_X dtheta`` on components, so the rows of their inverse are the
+    columns of ``M^-1``.
     """
-    zero = cc.chart.coeff_zero()
-    matrix = [[zero] * cc.dim for _ in range(cc.dim)]
+    rows: List[Dict[int, Coeff]] = [{} for _ in range(cc.dim)]
     for (i, j), coeff in cc.dtheta.terms.items():
-        matrix[j][i] = coeff
-        matrix[i][j] = -coeff
-    return matrix
+        rows[i][j] = coeff
+        rows[j][i] = -coeff
+    return rows
 
 
-def _symplectic_solver(cc: ContactChart) -> List[List[Coeff]]:
-    """Inverse of :func:`_dtheta_matrix` over the Laurent ring, cached per chart.
+def _symplectic_solver(cc: ContactChart) -> List[Dict[int, Coeff]]:
+    """The columns of ``M^-1`` over the Laurent ring, cached per chart.
 
     Its determinant is a unit ``c * fiber^k`` exactly when dtheta is
     nondegenerate on the whole chart, so any other determinant violates the
@@ -214,36 +215,30 @@ def _symplectic_solver(cc: ContactChart) -> List[List[Coeff]]:
     so a non-unit entry above it does not stop the solve.
 
     Concurrent first calls may both compute the inverse; they produce the
-    same immutable matrix, so last-write-wins is safe.
+    same immutable columns, so last-write-wins is safe.
     """
     if cc._solver is not None:
         return cc._solver
     try:
-        inverse = linalg.invert(
-            _dtheta_matrix(cc), one=cc.chart.coeff_const(1), zero=cc.chart.coeff_zero()
-        )
+        columns = linalg.inverse(_contraction_rows(cc), one=cc.chart.coeff_const(1))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(
             f"dtheta is not invertible over the Laurent ring on {cc.label}: {exc}"
         ) from exc
-    object.__setattr__(cc, "_solver", inverse)
-    return inverse
+    object.__setattr__(cc, "_solver", columns)
+    return columns
 
 
 def _solve_contraction(cc: ContactChart, target: PolyForm) -> PolyVectorField:
     """The field X with ``iota_X dtheta = target`` (exact, Laurent components)."""
-    zero = cc.chart.coeff_zero()
-    rhs = [zero] * cc.dim
-    for (i,), coeff in target.terms.items():
-        rhs[i] = coeff
-    solution = linalg.mat_vec(_symplectic_solver(cc), rhs, zero=zero)
+    coeffs = {i: coeff for (i,), coeff in target.terms.items()}
+    solution = linalg.combine(coeffs, _symplectic_solver(cc))
     # Spell every component over the chart's base variables, in chart order,
     # so a field prints the same whichever variables its input mentioned.
     base = cc.chart.base_vars
     comps = {
         i: LaurentPoly(c.fiber, {k: p.with_vars(base) for k, p in c.parts.items()})
-        for i, c in enumerate(solution)
-        if not c.is_zero()
+        for i, c in sorted(solution.items())
     }
     return PolyVectorField(cc.chart, comps)
 
@@ -341,9 +336,9 @@ def verify_axioms(cc: ContactChart, points: Sequence[Mapping[str, GaussianRation
     results.append(check(f"{label}:scaling-degree-{cc.delta}", scaling_ok, witness))
     top = cc.dtheta.wedge_power(cc.dim // 2)
     results.append(check(f"{label}:symplectic-top-form", not top.is_zero(), "top power vanished"))
-    matrix = _dtheta_matrix(cc)
+    rows = _contraction_rows(cc)
     for idx, point in enumerate(points):
-        values = [[entry.evaluate(point) for entry in row] for row in matrix]
+        values = ({j: entry.evaluate(point) for j, entry in row.items()} for row in rows)
         ok = linalg.rank(values) == cc.dim
         results.append(check(f"{label}:symplectic-at-point-{idx}", ok, _point_str(point)))
     return results
@@ -502,10 +497,7 @@ def rational_pullback_one_form(
     out: Dict[str, RationalFunction] = {}
     for (idx,), coeff in form.terms.items():
         name = form.chart.all_vars[idx]
-        if coeff.min_exp() < 0 or coeff.max_exp() > 0:
-            raise ValueError("rational pullback expects fiber-free coefficients")
-        poly = coeff.parts.get(0, MultiPoly.zero(()))
-        pulled = compose_rational(poly, images)
+        pulled = compose_rational(coeff.base_part(), images)
         differential = images[name]
         for var in _rational_vars(images):
             d = differential.diff(var)
@@ -527,9 +519,7 @@ def _rational_vars(images: Mapping[str, RationalFunction]) -> List[str]:
 def _form_to_rational(form: PolyForm) -> Dict[str, RationalFunction]:
     out: Dict[str, RationalFunction] = {}
     for (idx,), coeff in form.terms.items():
-        name = form.chart.all_vars[idx]
-        poly = coeff.parts.get(0, MultiPoly.zero(()))
-        out[name] = RationalFunction.from_poly(poly)
+        out[form.chart.all_vars[idx]] = RationalFunction.from_poly(coeff.base_part())
     return out
 
 
@@ -595,10 +585,11 @@ def section_is_valid(cc: ContactChart, section: SectionMap) -> bool:
 
 def _single_variable_of(image: Coeff, scale: GaussianRational) -> Optional[str]:
     """The source variable v with image = scale * v, if the image has that shape."""
-    if image.min_exp() != 0 or image.max_exp() != 0:
+    try:
+        poly = image.base_part()
+    except ValueError:
         return None
-    poly = image.parts.get(0)
-    if poly is None or len(poly.terms) != 1:
+    if len(poly.terms) != 1:
         return None
     ((expo, coeff),) = poly.terms.items()
     if coeff != scale or sum(expo) != 1:
@@ -697,11 +688,8 @@ def _gauge_ratio(
     deferred: List[Tuple[int, RationalFunction, RationalFunction]] = []
     ratio: Optional[RationalFunction] = None
     for name in cc.chart.all_vars:
-        img_j = sec_j.images[name]
-        if img_j.min_exp() < 0 or img_j.max_exp() > 0:
-            raise ValueError("gauge extraction expects polynomial section images")
-        moved = compose_rational(img_j.parts.get(0, MultiPoly.zero(())), trans)
-        img_i_rf = RationalFunction.from_poly(sec_i.images[name].parts.get(0, MultiPoly.zero(())))
+        moved = compose_rational(sec_j.images[name].base_part(), trans)
+        img_i_rf = RationalFunction.from_poly(sec_i.images[name].base_part())
         weight = cc.weights[name]
         if moved.is_zero():
             if not img_i_rf.is_zero():
@@ -743,7 +731,7 @@ def canonical_cocycle_check(cs: CStructureData, n: int) -> List[CheckResult]:
         ((key, coeff),) = top.terms.items()
         if list(key) != list(range(top.chart.dim)):
             raise AssertionError("top form key must be the full variable tuple")
-        tops.append(coeff.parts[0])
+        tops.append(coeff.base_part())
         orders.append(list(top.chart.all_vars))
     for (i, j), trans in cs.transition_maps.items():
         f_ij = cs.factors[(i, j)]
@@ -875,17 +863,11 @@ def immersion_rank(
     rows: List[dict] = []
     for point in points:
         _require_admissible_point(cc, point)
-        jac = []
-        for f in fs:
-            jac.append(
-                [f.coeff.diff(name).evaluate(point) for name in chart.all_vars]
-            )
-        jac_rank = linalg.rank(jac)
-        span = []
-        for field in fields:
-            values = field.evaluate(point)
-            span.append([values.get(i, ZERO) for i in range(chart.dim)])
-        span_rank = linalg.rank(span)
+        jac_rank = linalg.rank(
+            {k: f.coeff.diff(name).evaluate(point) for k, name in enumerate(chart.all_vars)}
+            for f in fs
+        )
+        span_rank = linalg.rank(field.evaluate(point) for field in fields)
         values_f = [f.coeff.evaluate(point) for f in fs]
         rows.append(
             {

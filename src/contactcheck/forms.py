@@ -466,10 +466,7 @@ def _pull_coeff(
 ) -> Coeff:
     base_bindings: Dict[str, MultiPoly] = {}
     for name in target.base_vars:
-        image = images[name]
-        if image.fiber is not None and (image.min_exp() < 0 or image.max_exp() > 0):
-            raise ValueError(f"base variable {name!r} mapped to a fiber-dependent image")
-        base_bindings[name] = image.parts.get(0, MultiPoly.zero(()))
+        base_bindings[name] = images[name].base_part()
     fiber_image: Optional[Coeff] = None
     fiber_inverse: Optional[Coeff] = None
     if target.fiber_var is not None:

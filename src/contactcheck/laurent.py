@@ -95,6 +95,12 @@ class LaurentPoly:
             return ZERO
         return self.parts[0].constant_value()
 
+    def base_part(self) -> MultiPoly:
+        """The base polynomial of an element free of the fiber; ``ValueError`` otherwise."""
+        if self.parts.keys() - {0}:
+            raise ValueError(f"{self} depends on the fiber variable {self.fiber}")
+        return self.parts.get(0, MultiPoly.zero(()))
+
     def is_unit(self) -> bool:
         """Whether this is ``c * fiber^k`` with ``c != 0``, a unit of the Laurent ring."""
         return len(self.parts) == 1 and next(iter(self.parts.values())).is_constant()

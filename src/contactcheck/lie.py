@@ -312,16 +312,19 @@ def build_algebra(rs: RootSystem) -> StructureConstants:
 class KillingData:
     """Killing Gram matrix, root duals h_a, and the grading element H_rho.
 
-    ``gram[i]`` holds the nonzero entries of Gram row i; the coroots and
-    ``hrho`` are sparse vectors on the Cartan indices.
+    ``gram[i]`` holds the nonzero entries of Gram row i, and
+    ``cartan_inverse`` the sparse rows of the inverse of its r x r Cartan
+    block; the coroots and ``hrho`` are sparse vectors on the Cartan indices.
     """
 
-    __slots__ = ("sc", "gram", "coroots", "hrho")
+    __slots__ = ("sc", "gram", "cartan_inverse", "coroots", "hrho")
 
     def __init__(self, sc: StructureConstants, gram: List[SparseVec],
-                 coroots: Dict[Root, SparseVec], hrho: SparseVec):
+                 cartan_inverse: List[SparseVec], coroots: Dict[Root, SparseVec],
+                 hrho: SparseVec):
         object.__setattr__(self, "sc", sc)
         object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "cartan_inverse", cartan_inverse)
         object.__setattr__(self, "coroots", coroots)
         object.__setattr__(self, "hrho", hrho)
 
@@ -365,17 +368,15 @@ def killing(sc: StructureConstants) -> KillingData:
         value = _trace_form(sc, i, j)
         if not value.is_zero():
             gram[i][j] = gram[j][i] = value
-    cartan_gram = [[gram[i].get(j, ZERO) for j in range(rank)] for i in range(rank)]
     try:
-        cartan_inverse = linalg.invert(cartan_gram)
+        cartan_inverse = linalg.inverse(gram[:rank])
     except ValueError:
         raise ArithmeticError("Killing form degenerate on the Cartan subalgebra") from None
     # h_b is linear in b: solve for the simple roots (B(h_{a_i}, h_j) =
     # <a_i, a_j^v> = A[i][j]), then h_{b + a_i} = h_b + h_{a_i} up the
     # positive roots in height order, and h_{-b} = -h_b.
-    inverse_rows = [{k: c for k, c in enumerate(row) if not c.is_zero()} for row in cartan_inverse]
     simple = [
-        combine({m: GaussianRational(a) for m, a in enumerate(row) if a}, inverse_rows)
+        combine({m: GaussianRational(a) for m, a in enumerate(row) if a}, cartan_inverse)
         for row in rs.cartan.entries
     ]
     positives = rs.positive_roots()
@@ -399,7 +400,8 @@ def killing(sc: StructureConstants) -> KillingData:
         c * GaussianRational(rs.cartan.coroot_pairing(rs.highest, k)) for k, c in h_rho.items()
     )
     factor = GaussianRational(2) / norm
-    return KillingData(sc, gram, coroots, {k: factor * c for k, c in h_rho.items()})
+    hrho = {k: factor * c for k, c in h_rho.items()}
+    return KillingData(sc, gram, cartan_inverse, coroots, hrho)
 
 
 def root_action(kd: KillingData, root: Root, h: SparseVec) -> GaussianRational:
@@ -503,8 +505,9 @@ def g00_span_check(gd: GradedDecomposition) -> bool:
     return linalg.same_span(meet, gd.spans["G00"])
 
 
-def chi_differential(kd: KillingData, sc: StructureConstants) -> GaussianRational:
+def chi_differential(kd: KillingData) -> GaussianRational:
     """B([H_rho, e_rho], -e_{-rho}): the infinitesimal character on H_rho; equals 2."""
+    sc = kd.sc
     rs = sc.basis.rs
     rho = rs.highest
     image = sc.bracket(kd.hrho, {sc.basis.root_index(rho): ONE})

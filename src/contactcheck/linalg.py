@@ -1,30 +1,31 @@
 """Exact linear algebra over Q(i) and over Laurent polynomial rings.
 
-Elimination works for :class:`~contactcheck.scalars.GaussianRational` and
-:class:`~contactcheck.laurent.LaurentPoly` alike: elements must support
-``+``, ``-``, ``*``, ``/``, unary ``-`` and ``is_zero()``.  Matrices are
-plain lists of lists.  Sparse vectors are ``{index: value}`` dicts that
-store no zeros, the one vector format of :mod:`contactcheck.lie` and
-:mod:`contactcheck.orbits`; :func:`add_into`, :func:`combine` and
-:func:`total` are their arithmetic.  The Lie layer hands over blocks cut
-down by its sparse structure: the r x r Cartan block of the Killing form,
-and the columns that :func:`column_kernel` eliminates over just the
-coordinates they touch (the table row of ``e_rho``, the bracket and
-centralizer spans of the G00 check, the ``e_rho`` pairing of the theta_G
-check).  Its vectors are never written out in ``dim g`` coordinates; the
-contact layer's Laurent systems are as large as a chart's coordinate count.
-No pivoting heuristics beyond "first nonzero" are needed over a field.
-:func:`sparse_basis` reduces families of sparse vectors, such as the up to
-``|G_1|^2`` brackets of the G00 check or an orbit's tangent vectors, to a
-basis, and :func:`same_span` compares two families through it.
-:func:`row_echelon` works in place on a copy of its input and touches
-only the pivot row's support: zeros in the pivot row are not divided, and
-each row update walks only the pivot row's nonzero columns.  ``0 / p = 0``
-and ``a - f * 0 = a`` are exact, so the echelon form is the one full-row
-elimination gives, entry for entry.  LaurentPoly is a
-ring, not a field: it divides only by units ``c * fiber^k``.  Where an entry
-type has ``is_unit()``, a non-unit first pivot gives way to the first unit
-further down its column; a column with no unit raises ``ZeroDivisionError``.
+One matrix format: a list of sparse rows (or columns), each an ``{index:
+value}`` dict that stores no zeros, the one vector format of
+:mod:`contactcheck.lie`, :mod:`contactcheck.orbits` and the contact solver.
+:func:`add_into`, :func:`combine` and :func:`total` are its arithmetic.
+Entries must support ``+``, ``-``, ``*``, ``/``, unary ``-`` and
+``is_zero()``.
+
+One elimination loop, :func:`echelon`: it walks the indices the vectors
+touch in increasing order, keeps at each one the first vector with a unit
+there, scaled to 1, and reduces every vector still waiting by it, so each
+kept row is 1 at its pivot and 0 at every earlier pivot.  Each step walks only the
+supports of the two rows.  Everything else is a few lines on top of it:
+:func:`sparse_basis` and :func:`rank` read the kept rows, :func:`same_span`
+compares ranks, and :func:`column_kernel` and :func:`inverse`
+back-substitute the kept rows to the reduced form, over just the coordinates
+their inputs touch.
+
+Ring rule.  LaurentPoly is a ring, not a field: it divides only by units
+``c * fiber^k``.  Where an entry type has ``is_unit()``, the loop pivots only
+on units: a non-unit entry gives way to the first unit further down its
+column, and a column with no unit raises ``ZeroDivisionError``.  Over a
+field every nonzero entry is a unit, so the pivot is always the first
+nonzero entry.
+
+:func:`determinant` is the one ring determinant, Bareiss over dense rows,
+for matrices with no unit pivot such as the cocycle Jacobians.
 """
 
 from __future__ import annotations
@@ -35,104 +36,7 @@ from .scalars import ONE, ZERO
 
 T = TypeVar("T")
 
-Matrix = List[List[T]]
-
-
-def _clone(rows: Sequence[Sequence[T]]) -> Matrix:
-    return [list(row) for row in rows]
-
-
-def row_echelon(rows: Sequence[Sequence[T]]) -> tuple[Matrix, List[int]]:
-    """Reduced row-echelon form and the list of pivot columns."""
-    m = _clone(rows)
-    if not m:
-        return m, []
-    ncols = len(m[0])
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if not m[i][c].is_zero()), None)
-        if pivot is None:
-            continue
-        if hasattr(m[pivot][c], "is_unit") and not m[pivot][c].is_unit():
-            pivot = next((i for i in range(pivot + 1, len(m)) if m[i][c].is_unit()), pivot)
-        m[r], m[pivot] = m[pivot], m[r]
-        row = m[r]
-        inv = row[c]
-        # The pivot row is already zero left of c.
-        support = [k for k in range(c, ncols) if not row[k].is_zero()]
-        for k in support:
-            row[k] = row[k] / inv
-        for i, other in enumerate(m):
-            if i != r and not other[c].is_zero():
-                factor = other[c]
-                for k in support:
-                    other[k] = other[k] - factor * row[k]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
-
-
-def rank(rows: Sequence[Sequence[T]]) -> int:
-    if not rows:
-        return 0
-    _, pivots = row_echelon(rows)
-    return len(pivots)
-
-
-def solve(matrix: Sequence[Sequence[T]], rhs: Sequence[T]) -> List[T]:
-    """Solve the square system ``matrix @ x = rhs``; raises on singularity."""
-    n = len(matrix)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    echelon, pivots = row_echelon(aug)
-    if pivots and pivots[-1] == n:
-        raise ValueError("inconsistent linear system")
-    if len(pivots) < n:
-        raise ValueError("singular matrix")
-    return [echelon[i][n] for i in range(n)]
-
-
-def invert(matrix: Sequence[Sequence[T]], one: T = ONE, zero: T = ZERO) -> Matrix:
-    """Inverse of a square matrix; raises on singularity."""
-    n = len(matrix)
-    aug = [
-        list(row) + [one if i == j else zero for j in range(n)]
-        for i, row in enumerate(matrix)
-    ]
-    echelon, pivots = row_echelon(aug)
-    if pivots[: n] != list(range(n)):
-        raise ValueError("singular matrix")
-    return [row[n:] for row in echelon[:n]]
-
-
-def nullspace(rows: Sequence[Sequence[T]], one: T = ONE, zero: T = ZERO) -> List[List[T]]:
-    """A basis of the right kernel ``{x : rows @ x = 0}``."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    echelon, pivots = row_echelon(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis: List[List[T]] = []
-    for f in free:
-        vec = [zero] * ncols
-        vec[f] = one
-        for r, c in enumerate(pivots):
-            vec[c] = -echelon[r][f]
-        basis.append(vec)
-    return basis
-
-
-def mat_vec(a: Sequence[Sequence[T]], x: Sequence[T], zero: T = ZERO) -> List[T]:
-    out = []
-    for row in a:
-        acc = zero
-        for v, xi in zip(row, x):
-            if not v.is_zero():
-                acc = acc + v * xi
-        out.append(acc)
-    return out
+SparseRow = Dict[int, T]
 
 
 def total(values: Iterable[T]) -> T:
@@ -161,47 +65,109 @@ def combine(coeffs: Mapping[int, T], vectors: Sequence[Mapping[int, T]]) -> Dict
     return out
 
 
-def sparse_basis(vectors: Iterable[Mapping[int, T]], one: T = ONE) -> List[Dict[int, T]]:
-    """A basis of the span of sparse vectors ``{index: value}`` (no stored zeros).
+def _is_unit(value) -> bool:
+    is_unit = getattr(value, "is_unit", None)
+    return is_unit is None or is_unit()
 
-    The basis is in semi-echelon form: each row is 1 at its leading (smallest)
-    index, and no two rows lead at the same index.  A vector is reduced by the
-    row leading where it leads until it vanishes or leads at a new index,
-    where it is kept.  Each step walks only the supports of the two rows.
+
+def echelon(
+    vectors: Iterable[Mapping[int, T]], one: T = ONE, width: Optional[int] = None
+) -> Dict[int, SparseRow]:
+    """The elimination loop: kept rows keyed by pivot, in increasing pivot order.
+
+    The vectors (zero entries dropped) wait in their given order.  The loop
+    walks the indices they touch below ``width`` (default: all) in
+    increasing order.  At index c it searches down the column for the first
+    waiting vector whose entry there is a unit, swaps it with the first
+    waiting vector as row-swapping elimination does, keeps it scaled to 1 at
+    pivot c, and reduces every vector still waiting by it at c.  So each kept
+    row is 0 at every earlier pivot and at every index below its own.  A
+    column whose waiting entries include no unit raises ``ZeroDivisionError``.
     """
-    rows: Dict[int, Dict[int, T]] = {}
-    for vector in vectors:
-        v = dict(vector)
-        while v:
-            lead = min(v)
-            row = rows.get(lead)
-            if row is None:
-                inv = one / v[lead]
-                rows[lead] = {k: c * inv for k, c in v.items()}
-                break
-            add_into(v, -v[lead], row)
-    return [rows[k] for k in sorted(rows)]
+    waiting = [{k: c for k, c in vector.items() if not c.is_zero()} for vector in vectors]
+    columns = sorted({k for v in waiting for k in v if width is None or k < width})
+    rows: Dict[int, SparseRow] = {}
+    for c in columns:
+        hits = [i for i, v in enumerate(waiting) if c in v]
+        if not hits:
+            continue
+        i = next((i for i in hits if _is_unit(waiting[i][c])), None)
+        if i is None:
+            raise ZeroDivisionError(f"no unit pivot in column {c}")
+        waiting[0], waiting[i] = waiting[i], waiting[0]
+        v = waiting.pop(0)
+        inv = one / v[c]
+        row = rows[c] = {k: x * inv for k, x in v.items()}
+        for other in waiting:
+            if c in other:
+                add_into(other, -other[c], row)
+    return rows
+
+
+def _reduced(
+    vectors: Iterable[Mapping[int, T]], one: T = ONE, width: Optional[int] = None
+) -> Dict[int, SparseRow]:
+    """The kept rows of :func:`echelon`, each then also 0 at every later pivot."""
+    rows = echelon(vectors, one, width)
+    kept = list(rows.items())
+    for j in range(len(kept) - 1, 0, -1):
+        p, row = kept[j]
+        for _, other in kept[:j]:
+            if p in other:
+                add_into(other, -other[p], row)
+    return rows
+
+
+def sparse_basis(vectors: Iterable[Mapping[int, T]], one: T = ONE) -> List[SparseRow]:
+    """A basis of the span of sparse vectors: the kept rows, by increasing pivot."""
+    return list(echelon(vectors, one).values())
+
+
+def rank(vectors: Iterable[Mapping[int, T]]) -> int:
+    """The dimension of the span of sparse vectors: the number of rows kept."""
+    return len(echelon(vectors))
 
 
 def same_span(a: Sequence[Mapping[int, T]], b: Sequence[Mapping[int, T]]) -> bool:
     """Whether two families of sparse vectors span the same subspace."""
-    rank_a = len(sparse_basis(a))
-    return rank_a == len(sparse_basis(b)) == len(sparse_basis([*a, *b]))
+    rank_a = rank(a)
+    return rank_a == rank(b) == rank([*a, *b])
 
 
-def column_kernel(columns: Sequence[Mapping[int, T]]) -> List[Dict[int, T]]:
+def column_kernel(columns: Sequence[Mapping[int, T]]) -> List[SparseRow]:
     """A basis of ``{c : sum_j c_j columns[j] = 0}``, as sparse coefficient vectors.
 
-    Each zero column gives its unit vector; the nonzero columns are eliminated
-    over just the coordinates they touch.
+    Each zero column gives its unit vector, first; then each free column f of
+    the reduced form, over just the coordinates the columns touch, gives the
+    vector that is 1 at f and ``-row[f]`` at each row's pivot.
     """
-    live = [j for j, col in enumerate(columns) if col]
-    basis: List[Dict[int, T]] = [{j: ONE} for j, col in enumerate(columns) if not col]
-    coords = sorted({k for j in live for k in columns[j]})
-    matrix = [[columns[j].get(k, ZERO) for j in live] for k in coords]
-    for vec in nullspace(matrix):
-        basis.append({live[m]: c for m, c in enumerate(vec) if not c.is_zero()})
+    basis: List[SparseRow] = [{j: ONE} for j, col in enumerate(columns) if not col]
+    coords: Dict[int, SparseRow] = {}
+    for j, col in enumerate(columns):
+        for k, c in col.items():
+            coords.setdefault(k, {})[j] = c
+    rows = _reduced(coords.values())
+    for f, col in enumerate(columns):
+        if col and f not in rows:
+            vec = {f: ONE}
+            for p, row in rows.items():
+                if f in row:
+                    vec[p] = -row[f]
+            basis.append(dict(sorted(vec.items())))
     return basis
+
+
+def inverse(rows: Sequence[Mapping[int, T]], one: T = ONE) -> List[SparseRow]:
+    """The rows of the inverse of a square matrix: the reduced form of ``[M | I]``.
+
+    Raises ``ValueError`` if the matrix is singular, and ``ZeroDivisionError``
+    (the ring rule) if elimination finds no unit pivot.
+    """
+    n = len(rows)
+    reduced = _reduced(({**row, n + i: one} for i, row in enumerate(rows)), one, n)
+    if len(reduced) < n:
+        raise ValueError("singular matrix")
+    return [dict(sorted((k - n, c) for k, c in reduced[p].items() if k >= n)) for p in range(n)]
 
 
 def determinant(matrix: Sequence[Sequence[T]], one: T = ONE) -> T:
@@ -212,7 +178,7 @@ def determinant(matrix: Sequence[Sequence[T]], one: T = ONE) -> T:
     Every division is exact in an integral domain, so Q(i) and the Laurent
     ring of :mod:`contactcheck.ratfunc` share it.
     """
-    m = _clone(matrix)
+    m = [list(row) for row in matrix]
     n = len(m)
     negate = False
     prev = one

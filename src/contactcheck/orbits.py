@@ -16,11 +16,11 @@ Maps act through the sparse bracket table and the sparse Gram rows of
 :class:`~contactcheck.lie.KillingData`: ``exp_ad`` applies the table row of
 ``e_root`` term by term, the tangent space ``[g, pt]`` is read from each
 table row, the moment pairing ``B(pt, e_i)`` from the Gram rows pt selects,
-and kappa solves the Gram system block by block (the Cartan block, then one
-division per root pair).  The theta_G kernel is eliminated from sparse
-columns, the ``e_rho`` Gram row read against each table row, and compared
-with the sparse centralizer span of
-:class:`~contactcheck.lie.GradedDecomposition`.
+and kappa solves the Gram system block by block (one combination of the
+stored Cartan-block inverse's rows, then one division per root pair).  The
+theta_G kernel is eliminated from sparse columns, the ``e_rho`` Gram row
+read against each table row, and compared with the sparse centralizer span
+of :class:`~contactcheck.lie.GradedDecomposition`.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ def rescale_point(pt: OrbitPoint, factor: GaussianRational) -> OrbitPoint:
     return OrbitPoint({k: factor * c for k, c in pt.vector.items()}, pt.word)
 
 
-def theta_G_checks(sc: StructureConstants, kd: KillingData, gd: GradedDecomposition) -> List[CheckResult]:
+def theta_G_checks(gd: GradedDecomposition) -> List[CheckResult]:
     """Exact checks of the canonical one-form data on the group model.
 
     * the kernel of ``(X, Y) -> B(e_rho, [X, Y])`` is the centralizer of
@@ -159,9 +159,10 @@ def theta_G_checks(sc: StructureConstants, kd: KillingData, gd: GradedDecomposit
     * ``B([H_rho, e_rho], -e_{-rho}) = 2``: the infinitesimal character of
       the fiber action (weight of the scaling on the cone).
     """
+    sc, kd = gd.sc, gd.kd
     e_rho = {sc.basis.root_index(sc.basis.rs.highest): ONE}
     results: List[CheckResult] = []
-    kernel = linalg.column_kernel(_rho_pairing_columns(sc, kd))
+    kernel = linalg.column_kernel(_rho_pairing_columns(kd))
     ok = linalg.same_span(kernel, gd.spans["L0"])
     results.append(
         check(
@@ -172,17 +173,18 @@ def theta_G_checks(sc: StructureConstants, kd: KillingData, gd: GradedDecomposit
     )
     vertical = kd.form(e_rho, kd.hrho)
     results.append(check("theta_G:vertical-annihilation", vertical.is_zero(), vertical))
-    chi = chi_differential(kd, sc)
+    chi = chi_differential(kd)
     results.append(check("theta_G:character-differential", chi == GaussianRational(2), chi))
     return results
 
 
-def _rho_pairing_columns(sc: StructureConstants, kd: KillingData) -> List[SparseVec]:
+def _rho_pairing_columns(kd: KillingData) -> List[SparseVec]:
     """Column j holds the nonzero ``B(e_rho, [e_j, e_i])`` over i.
 
     It is the e_rho Gram row read against table row j, so the column kernel is
     ``{X : B(e_rho, [X, Y]) = 0 for all Y}``.
     """
+    sc = kd.sc
     g_rho = kd.gram[sc.basis.root_index(sc.basis.rs.highest)]
     columns: List[SparseVec] = []
     for row in sc.rows:
@@ -204,20 +206,20 @@ def moment_map(kd: KillingData, pt: OrbitPoint) -> SparseVec:
     return combine(pt.vector, kd.gram)
 
 
-def kappa(sc: StructureConstants, kd: KillingData, coeffs: SparseVec) -> SparseVec:
+def kappa(kd: KillingData, coeffs: SparseVec) -> SparseVec:
     """Invert the musical isomorphism: solve ``Gram . x = coeffs``.
 
     The Gram matrix :func:`~contactcheck.lie.killing` builds pairs the Cartan
     block only with itself and ``e_a`` only with ``e_{-a}``, so the system
-    splits: an r x r solve on the Cartan block, then ``x_{-a} = c_a / B(e_a,
-    e_{-a})`` and ``x_a = c_{-a} / B(e_a, e_{-a})`` for each positive root a.
+    splits: on the Cartan block, the combination of the stored inverse's
+    (symmetric) rows that the Cartan coordinates of ``coeffs`` select, then
+    ``x_{-a} = c_a / B(e_a, e_{-a})`` and ``x_a = c_{-a} / B(e_a, e_{-a})``
+    for each positive root a.
     """
-    basis = sc.basis
+    basis = kd.sc.basis
     rank = basis.rank
     gram = kd.gram
-    block = [[gram[i].get(j, ZERO) for j in range(rank)] for i in range(rank)]
-    cartan = linalg.solve(block, [coeffs.get(i, ZERO) for i in range(rank)])
-    x: SparseVec = {i: c for i, c in enumerate(cartan) if not c.is_zero()}
+    x = combine({i: c for i, c in coeffs.items() if i < rank}, kd.cartan_inverse)
     rs = basis.rs
     for a in rs.positive_roots():
         i = basis.root_index(a)
@@ -233,8 +235,8 @@ def kappa(sc: StructureConstants, kd: KillingData, coeffs: SparseVec) -> SparseV
     return x
 
 
-def kappa_round_trip(sc: StructureConstants, kd: KillingData, pt: OrbitPoint) -> bool:
-    return kappa(sc, kd, moment_map(kd, pt)) == pt.vector
+def kappa_round_trip(kd: KillingData, pt: OrbitPoint) -> bool:
+    return kappa(kd, moment_map(kd, pt)) == pt.vector
 
 
 def tangent_rank(sc: StructureConstants, pt: OrbitPoint) -> int:
@@ -242,7 +244,7 @@ def tangent_rank(sc: StructureConstants, pt: OrbitPoint) -> int:
 
     ``[e_i, pt] = sum_j pt_j [e_i, e_j]`` is read from table row i.
     """
-    return len(linalg.sparse_basis(sc.ad(i, pt.vector) for i in range(sc.dim)))
+    return linalg.rank(sc.ad(i, pt.vector) for i in range(sc.dim))
 
 
 def embedding_checks(

@@ -127,7 +127,8 @@ class MultiPoly:
             terms[tuple(new)] = coeff
         return MultiPoly._make(variables, terms)
 
-    def _aligned(self, other: "MultiPoly") -> Tuple["MultiPoly", "MultiPoly"]:
+    def aligned(self, other: "MultiPoly") -> Tuple["MultiPoly", "MultiPoly"]:
+        """Both polynomials over one variable tuple: this one's, then ``other``'s new names."""
         if self.vars == other.vars:
             return self, other
         union = _merge_vars(self.vars, other.vars)
@@ -155,7 +156,7 @@ class MultiPoly:
 
     def __add__(self, other) -> "MultiPoly":
         other = self._coerce_operand(other)
-        a, b = self._aligned(other)
+        a, b = self.aligned(other)
         terms = dict(a.terms)
         for expo, coeff in b.terms.items():
             acc = terms.get(expo)
@@ -182,7 +183,7 @@ class MultiPoly:
 
     def __mul__(self, other) -> "MultiPoly":
         other = self._coerce_operand(other)
-        a, b = self._aligned(other)
+        a, b = self.aligned(other)
         terms: TermMap = {}
         add = operator.add
         for e1, c1 in a.terms.items():
@@ -307,7 +308,7 @@ class MultiPoly:
             other = MultiPoly.const(other, self.vars)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        a, b = self._aligned(other)
+        a, b = self.aligned(other)
         return a.terms == b.terms
 
     def __hash__(self):
@@ -380,7 +381,7 @@ def try_divide(num: MultiPoly, den: MultiPoly) -> Optional[MultiPoly]:
     """Return ``num / den`` when the division is exact, else ``None``."""
     if den.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    num, den = num._aligned(den)
+    num, den = num.aligned(den)
     if num.is_zero():
         return num
     quot = MultiPoly.zero(num.vars)

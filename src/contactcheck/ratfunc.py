@@ -41,7 +41,7 @@ class RationalFunction:
     def __init__(self, num: MultiPoly, den: MultiPoly):
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        num, den = num._aligned(den)
+        num, den = num.aligned(den)
         low = (0,) * len(num.vars)
         if not num.is_zero():
             low = _low_exponent(den)

@@ -279,6 +279,22 @@ def _echelon(
     return m[: len(pivots)], pivots
 
 
+def dense_solve(
+    matrix: Sequence[Sequence[GaussianRational]], rhs: Sequence[GaussianRational]
+) -> List[GaussianRational]:
+    """The solution of the square system ``matrix @ x = rhs``; ``ValueError`` if singular.
+
+    It is read off the reduced form of ``[matrix | rhs]`` by the elimination
+    that skips zeros: on the 78 x 78 Gram matrix of E6, :func:`dense_rref`
+    takes about ten seconds a solve.
+    """
+    n = len(matrix)
+    echelon, pivots = _echelon([list(row) + [b] for row, b in zip(matrix, rhs)])
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return [row[n] for row in echelon]
+
+
 def dense_rank(rows: Sequence[Sequence[GaussianRational]]) -> int:
     return len(_echelon(rows)[1])
 

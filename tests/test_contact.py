@@ -33,12 +33,12 @@ from contactcheck.contact import (
 )
 from contactcheck.forms import ChartSpace, PolyForm, PolyVectorField, exterior_derivative, lie_derivative
 from contactcheck.laurent import LaurentPoly
-from contactcheck.linalg import rank
 from contactcheck.poly import MultiPoly
 from contactcheck.sampling import SeededSampler
 from contactcheck.scalars import GaussianRational
 from conftest import gq
 from faults import BAD_HOPF_LABEL, corrupted_hopf_chart
+from oracles import dense_rank
 
 
 def all_pass(results):
@@ -234,10 +234,10 @@ def test_quadratic_bracket_algebra_dimension():
         return out
 
     basis = [flat(X) for X in fields]
-    assert rank(basis) == 3
+    assert dense_rank(basis) == 3
     for a in fields:
         for b in fields:
-            assert rank(basis + [flat(a.bracket(b))]) == 3
+            assert dense_rank(basis + [flat(a.bracket(b))]) == 3
 
 
 def test_invariance_suite():
@@ -618,6 +618,18 @@ def test_c2_rejects_a_factor_with_a_pole_on_the_overlap():
         (1, 0): {"u1": RationalFunction(MultiPoly.const(1, ("u0",)), u0)},
     }
     with pytest.raises(ValueError, match=r"^\(C\.2\) fails for pair \(V0, V1\)$"):
+        cstructure_from_charts(["V0", "V1"], [gamma0, gamma1], maps, 0)
+
+
+def test_c2_rejects_a_chart_form_that_depends_on_the_fiber():
+    """gamma0 = lam du1 is no form on the base; it once gave the factor f_01 = 0."""
+    from contactcheck.ratfunc import RationalFunction
+
+    c0, c1 = ChartSpace(["u1"], "lam"), ChartSpace(["u0"])
+    gamma0 = PolyForm.d_var(c0, "u1").scale(c0.coeff_var("lam"))
+    gamma1 = PolyForm.d_var(c1, "u0")
+    maps = {(0, 1): {"u0": RationalFunction(MultiPoly.const(1, ("u1",)), MultiPoly.variable("u1"))}}
+    with pytest.raises(ValueError, match="depends on the fiber variable lam"):
         cstructure_from_charts(["V0", "V1"], [gamma0, gamma1], maps, 0)
 
 

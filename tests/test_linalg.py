@@ -7,21 +7,22 @@ from fractions import Fraction
 import pytest
 
 from contactcheck.contact import projective_transition
+from contactcheck.laurent import LaurentPoly
 from contactcheck.linalg import (
     column_kernel,
+    combine,
     determinant,
-    nullspace,
+    echelon,
+    inverse,
     rank,
-    row_echelon,
     same_span,
-    solve,
     sparse_basis,
 )
 from contactcheck.poly import MultiPoly
 from contactcheck.ratfunc import RationalFunction
 from contactcheck.scalars import GaussianRational, ONE, ZERO
 from conftest import gq
-from oracles import dense_mat_vec, dense_rref, leibniz_determinant
+from oracles import dense_mat_vec, dense_nullspace, dense_rref, leibniz_determinant
 from oracles import same_span as dense_same_span
 
 SEEDS = range(8)
@@ -75,28 +76,52 @@ def matrix(seed, kind, square=False):
     return [[ZERO] * ncols for _ in range(nrows)]
 
 
+def _sparse(rows):
+    return [{k: c for k, c in enumerate(row) if not c.is_zero()} for row in rows]
+
+
+def _columns(rows):
+    return _sparse([[row[j] for row in rows] for j in range(len(rows[0]))])
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_row_echelon_and_rank_match_oracle(seed, kind):
-    rows = matrix(seed, kind)
-    before = [list(row) for row in rows]
-    echelon, pivots = row_echelon(rows)
-    assert (echelon, pivots) == dense_rref(rows)
+    """The loop keeps one row per pivot of the reduced form, and leaves its input alone."""
+    rows = _sparse(matrix(seed, kind))
+    before = [dict(row) for row in rows]
+    _, pivots = dense_rref(matrix(seed, kind))
+    assert sorted(echelon(rows)) == pivots
     assert rank(rows) == len(pivots)
     assert rows == before
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("seed", SEEDS)
+def test_every_kept_row_is_one_at_its_pivot_and_zero_at_earlier_pivots(seed, kind):
+    rows = echelon(_sparse(matrix(seed, kind)))
+    kept = list(rows.items())
+    assert [p for p, _ in kept] == sorted(rows)
+    for m, (pivot, row) in enumerate(kept):
+        assert row[pivot] == ONE and pivot == min(row)
+        assert not any(p in row for p, _ in kept[:m])
+        assert not any(c.is_zero() for c in row.values())
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("seed", SEEDS)
 def test_nullspace_is_a_kernel_basis(seed, kind):
+    """column_kernel gives exactly the free-column vectors of the reduced form."""
     rows = matrix(seed, kind)
     ncols = len(rows[0])
-    basis = nullspace(rows)
+    basis = [[vec.get(j, ZERO) for j in range(ncols)] for vec in column_kernel(_columns(rows))]
     assert len(basis) == ncols - len(dense_rref(rows)[1])
     for vec in basis:
         assert all(v.is_zero() for v in dense_mat_vec(rows, vec))
     if basis:
         assert len(dense_rref(basis)[1]) == len(basis)
+    oracle = dense_nullspace(rows)
+    assert len(oracle) == len(basis) and all(vec in oracle for vec in basis)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -113,10 +138,6 @@ def test_sparse_basis_spans_the_rows(seed, kind):
     dense = [[vec.get(k, ZERO) for k in range(ncols)] for vec in basis]
     assert len(basis) == len(dense_rref(rows)[1])
     assert len(dense_rref(dense + rows)[1]) == len(basis)
-
-
-def _sparse(rows):
-    return [{k: c for k, c in enumerate(row) if not c.is_zero()} for row in rows]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -150,8 +171,7 @@ def test_column_kernel_is_a_kernel_basis(seed, kind):
     """The sparse columns of a matrix have the kernel its dense nullspace has."""
     rows = matrix(seed, kind)
     ncols = len(rows[0])
-    columns = _sparse([[row[j] for row in rows] for j in range(ncols)])
-    basis = column_kernel(columns)
+    basis = column_kernel(_columns(rows))
     dense = [[vec.get(j, ZERO) for j in range(ncols)] for vec in basis]
     assert len(basis) == ncols - len(dense_rref(rows)[1])
     for vec in dense:
@@ -164,24 +184,62 @@ def test_column_kernel_is_a_kernel_basis(seed, kind):
 @pytest.mark.parametrize("kind", SQUARE_KINDS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_solve_matches_oracle(seed, kind):
+    """The inverse is the right half of the reduced ``[a | I]``, and solves ``a x = b``."""
     a = matrix(seed, kind, square=True)
     rng = random.Random(seed)
     b = [_entry(rng) for _ in a]
     n = len(a)
     if len(dense_rref(a)[1]) < n:
-        with pytest.raises(ValueError):
-            solve(a, b)
+        with pytest.raises(ValueError, match="singular matrix"):
+            inverse(_sparse(a))
         return
-    x = solve(a, b)
-    echelon, _ = dense_rref([row + [bi] for row, bi in zip(a, b)])
-    assert x == [echelon[i][n] for i in range(n)]
+    inv = inverse(_sparse(a))
+    identity = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    echelon_form, _ = dense_rref([row + unit for row, unit in zip(a, identity)])
+    assert inv == _sparse([row[n:] for row in echelon_form])
+    # x = sum_i b_i (column i of a^-1), the columns being the rows of inverse(a^T)
+    x = combine(dict(enumerate(b)), inverse(_columns(a)))
+    x = [x.get(i, ZERO) for i in range(n)]
+    echelon_form, _ = dense_rref([row + [bi] for row, bi in zip(a, b)])
+    assert x == [echelon_form[i][n] for i in range(n)]
     assert dense_mat_vec(a, x) == b
 
 
 def test_empty_matrix():
-    assert row_echelon([]) == ([], [])
+    assert echelon([]) == {}
     assert rank([]) == 0
-    assert nullspace([]) == []
+    assert sparse_basis([]) == []
+    assert column_kernel([]) == []
+    assert inverse([]) == []
+
+
+FIBER = "lam"
+Z = LaurentPoly.from_poly(MultiPoly.variable("z"), FIBER)
+LAM = LaurentPoly.fiber_power(FIBER, 1)
+L1 = LaurentPoly.const(1, FIBER)
+
+
+def _laurent_rows(rows):
+    return [{j: c for j, c in enumerate(row) if not c.is_zero()} for row in rows]
+
+
+@pytest.mark.parametrize("rows,expected", [
+    ([[Z, L1 + Z], [L1, L1]], [["-1", "z + 1"], ["1", "-z"]]),
+    ([[LAM, Z], [L1 - L1, LAM * LAM]], [["lam^-1", "lam^-3*(-z)"], ["0", "lam^-2"]]),
+], ids=["non-unit-first-pivot", "unit-diagonal"])
+def test_inverse_over_the_laurent_ring(rows, expected):
+    """A non-unit entry gives way to the first unit further down its column."""
+    inv = inverse(_laurent_rows(rows), one=L1)
+    assert [[str(row.get(j, "0")) for j in range(len(rows))] for row in inv] == expected
+
+
+@pytest.mark.parametrize("rows,error", [
+    ([[Z, L1 - L1], [L1 - L1, L1]], ZeroDivisionError),
+    ([[Z, Z], [L1, L1]], ValueError),
+], ids=["no-unit", "singular"])
+def test_inverse_over_the_laurent_ring_raises(rows, error):
+    with pytest.raises(error):
+        inverse(_laurent_rows(rows), one=L1)
 
 
 @pytest.mark.parametrize("kind", SQUARE_KINDS)

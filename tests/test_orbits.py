@@ -139,7 +139,7 @@ def test_kappa_round_trip(name, algebra_bundle):
     sampler = SeededSampler(13)
     for k in range(5):
         pt = orbit_sample(sc, sampler.word(rs, 1 + k % 2))
-        assert kappa_round_trip(sc, kd, pt)
+        assert kappa_round_trip(kd, pt)
 
 
 @pytest.mark.parametrize("name", TYPES)
@@ -170,8 +170,8 @@ def test_kappa_intertwines_action(name, algebra_bundle):
     from contactcheck.orbits import OrbitPoint
 
     moved_pt = OrbitPoint(moved_vector, pt.word)
-    assert kappa(sc, kd, moment_map(kd, moved_pt)) == m.apply(
-        kappa(sc, kd, moment_map(kd, pt))
+    assert kappa(kd, moment_map(kd, moved_pt)) == m.apply(
+        kappa(kd, moment_map(kd, pt))
     )
 
 
@@ -180,7 +180,7 @@ def test_rescaling_covers_the_fiber_direction(algebra_bundle):
     pt = orbit_sample(sc, [])
     scaled = rescale_point(pt, gq(Fraction(9, 4)))  # t^2 e_rho for t = 3/2
     assert scaled.vector == {k: gq(Fraction(9, 4)) * c for k, c in pt.vector.items()}
-    assert chi_differential(kd, sc) == gq(2)
+    assert chi_differential(kd) == gq(2)
     with pytest.raises(ValueError):
         rescale_point(pt, gq(0))
 
@@ -188,7 +188,7 @@ def test_rescaling_covers_the_fiber_direction(algebra_bundle):
 @pytest.mark.parametrize("name", TYPES)
 def test_theta_g_suite(name, algebra_bundle):
     rs, sc, kd, gd = algebra_bundle(name)
-    results = theta_G_checks(sc, kd, gd)
+    results = theta_G_checks(gd)
     assert all(r.status == "pass" for r in results), results
 
 
@@ -208,7 +208,7 @@ def test_theta_g_kernel_check_fails_on_a_wrong_centralizer(name, algebra_bundle)
         (l0[:-1], f"kernel dim {len(l0)}, centralizer dim {len(l0) - 1}"),
         (l0[:-1] + [e_neg], f"kernel dim {len(l0)}, centralizer dim {len(l0)}"),
     ]:
-        result = theta_G_checks(sc, kd, _with_l0(gd, wrong))[0]
+        result = theta_G_checks(_with_l0(gd, wrong))[0]
         assert (result.check_id, result.status, result.witness) == (
             "theta_G:kernel-is-centralizer", "fail", witness
         )
@@ -291,7 +291,7 @@ def test_rho_pairing_matrix_matches_dense_oracle(name, algebra_bundle):
 
     rs, sc, kd, gd = algebra_bundle(name)
     ad_rho = dense_ad_from_table(sc, {sc.basis.root_index(rs.highest): ONE})
-    columns = _rho_pairing_columns(sc, kd)
+    columns = _rho_pairing_columns(kd)
     pairing = []
     for i in range(sc.dim):
         ad_i = dense_ad_from_table(sc, {i: ONE})
@@ -368,9 +368,8 @@ def _sample_points(rs, sc, kd):
 
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_block_kappa_equals_the_full_gram_solve(name, algebra_bundle):
-    """kappa's Cartan-block and root-pair solve gives linalg.solve(Gram, .)."""
-    from contactcheck import linalg
-    from oracles import dense_vector
+    """kappa's Cartan-block and root-pair solve gives the dense solve of Gram."""
+    from oracles import dense_solve, dense_vector
 
     rs, sc, kd, _ = algebra_bundle(name)
     gram = [dense_vector(row, sc.dim) for row in kd.gram]
@@ -378,22 +377,21 @@ def test_block_kappa_equals_the_full_gram_solve(name, algebra_bundle):
     drawn = [gq(Fraction(k % 7 - 3, 1 + k % 4), k % 3 - 1) for k in range(sc.dim)]
     coefficients.append({k: c for k, c in enumerate(drawn) if not c.is_zero()})
     for c in coefficients:
-        solved = linalg.solve(gram, dense_vector(c, sc.dim))
-        assert kappa(sc, kd, c) == {k: x for k, x in enumerate(solved) if not x.is_zero()}
+        solved = dense_solve(gram, dense_vector(c, sc.dim))
+        assert kappa(kd, c) == {k: x for k, x in enumerate(solved) if not x.is_zero()}
 
 
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_moment_map_and_tangent_rank_match_unit_routes(name, algebra_bundle):
     """Gram-row moments and table-row tangent ranks equal the unit-vector routes."""
-    from contactcheck import linalg
-    from oracles import dense_vector
+    from oracles import dense_rank, dense_vector
 
     rs, sc, kd, _ = algebra_bundle(name)
     for pt in _sample_points(rs, sc, kd):
         pairings = [kd.form(pt.vector, {i: ONE}) for i in range(sc.dim)]
         assert dense_vector(moment_map(kd, pt), sc.dim) == pairings
         tangent = [dense_vector(sc.bracket({i: ONE}, pt.vector), sc.dim) for i in range(sc.dim)]
-        assert tangent_rank(sc, pt) == linalg.rank(tangent)
+        assert tangent_rank(sc, pt) == dense_rank(tangent)
 
 
 def test_lie_and_orbit_sums_are_not_seeded_with_zero(capsys, monkeypatch):
@@ -429,6 +427,9 @@ def test_lie_and_orbit_sums_are_not_seeded_with_zero(capsys, monkeypatch):
 @pytest.mark.parametrize("name", ["A2", "G2", "D4", "F4", "E6"])
 def test_no_sparse_vector_stores_a_zero(name, algebra_bundle):
     """Dict equality is vector equality only while no vector stores a zero."""
+    from contactcheck.linalg import column_kernel
+    from contactcheck.orbits import _rho_pairing_columns
+
     rs, sc, kd, gd = algebra_bundle(name)
     word = SeededSampler(43).word(rs, 2)
     autos = [exp_ad(sc, root, t) for root, t in word]
@@ -445,9 +446,11 @@ def test_no_sparse_vector_stores_a_zero(name, algebra_bundle):
         "apply": [composed.apply(pt.vector) for pt in points],
         "orbit points": [pt.vector for pt in points],
         "moment_map": moments,
-        "kappa": [kappa(sc, kd, mv) for mv in moments],
+        "kappa": [kappa(kd, mv) for mv in moments],
         "L0": gd.spans["L0"],
         "G00": gd.spans["G00"],
+        "cartan inverse": kd.cartan_inverse,
+        "column_kernel": column_kernel(_rho_pairing_columns(kd)),
     }
     stored = {
         key: sum(c.is_zero() for vec in vectors for c in vec.values())
