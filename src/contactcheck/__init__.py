@@ -13,10 +13,10 @@ making their benign race harmless.
 Subpackage map:
 
 * :mod:`contactcheck.scalars`, :mod:`contactcheck.poly`,
-  :mod:`contactcheck.laurent`, :mod:`contactcheck.ratfunc` -- scalar and
-  polynomial arithmetic kernels: Q(i), polynomials, Laurent polynomials in
-  one fiber variable, and the multivariate Laurent ring Q(i)[u^±1] that
-  holds chart transitions and cocycles.
+  :mod:`contactcheck.laurent` -- scalar and polynomial arithmetic kernels:
+  Q(i), the multivariate Laurent ring Q(i)[u^±1] (polynomials are its
+  elements with no negative exponent) that also holds chart transitions and
+  cocycles, and Laurent polynomials in one fiber variable.
 * :mod:`contactcheck.linalg` -- exact linear algebra on sparse rows: one
   elimination loop for ranks, spans, kernels and inverses, with unit pivots
   over the Laurent ring, and the Bareiss ring determinant.

@@ -37,12 +37,8 @@ from .forms import (
 )
 from .laurent import LaurentPoly
 from .poly import MultiPoly
-from .ratfunc import RationalFunction, compose_rational
 from .report import CheckResult, check
 from .scalars import GaussianRational, ONE, ZERO
-
-RF_ONE = RationalFunction.const(1)
-RF_ZERO = RationalFunction.const(0)
 
 
 class ContactChart:
@@ -488,51 +484,33 @@ class CStructureData:
 
 
 def rational_pullback_one_form(
-    form: PolyForm, images: Mapping[str, RationalFunction]
-) -> Dict[str, RationalFunction]:
-    """Pull a lam-free polynomial 1-form back along a rational map.
+    form: PolyForm, images: Mapping[str, MultiPoly]
+) -> Dict[str, MultiPoly]:
+    """Pull a lam-free polynomial 1-form back along a Laurent map.
 
     Returns the coefficient of ``d(new_var)`` for each source variable name.
     """
-    out: Dict[str, RationalFunction] = {}
+    out: Dict[str, MultiPoly] = {}
     for (idx,), coeff in form.terms.items():
-        name = form.chart.all_vars[idx]
-        pulled = compose_rational(coeff.base_part(), images)
-        differential = images[name]
-        for var in _rational_vars(images):
+        pulled = coeff.base_part().substitute(images)
+        differential = images[form.chart.all_vars[idx]]
+        for var in differential.vars:
             d = differential.diff(var)
-            if d.is_zero():
-                continue
-            out[var] = out.get(var, RF_ZERO) + pulled * d
+            if not d.is_zero():
+                out[var] = out[var] + pulled * d if var in out else pulled * d
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
-def _rational_vars(images: Mapping[str, RationalFunction]) -> List[str]:
-    seen: List[str] = []
-    for rf in images.values():
-        for name in rf.num.vars:
-            if name not in seen:
-                seen.append(name)
-    return seen
-
-
-def _form_to_rational(form: PolyForm) -> Dict[str, RationalFunction]:
-    out: Dict[str, RationalFunction] = {}
-    for (idx,), coeff in form.terms.items():
-        out[form.chart.all_vars[idx]] = RationalFunction.from_poly(coeff.base_part())
-    return out
-
-
 def _proportionality_factor(
-    target: Mapping[str, RationalFunction], source: Mapping[str, RationalFunction]
-) -> Optional[RationalFunction]:
+    target: Mapping[str, MultiPoly], source: Mapping[str, MultiPoly]
+) -> Optional[MultiPoly]:
     """f with target = f * source, or None when no such Laurent factor exists."""
-    factor: Optional[RationalFunction] = None
+    factor: Optional[MultiPoly] = None
     for name, value in source.items():
         if value.is_zero():
             continue
         try:
-            candidate = target.get(name, RF_ZERO) / value
+            candidate = target.get(name, MultiPoly.zero()) / value
         except ArithmeticError:
             return None
         if factor is None:
@@ -542,7 +520,7 @@ def _proportionality_factor(
     if factor is None:
         return None
     for name, t in target.items():
-        if source.get(name, RF_ZERO) * factor != t:
+        if source.get(name, MultiPoly.zero()) * factor != t:
             return None
     return factor
 
@@ -614,22 +592,15 @@ def hopf_sections(n: int) -> List[SectionMap]:
     return sections
 
 
-def projective_transition(n_vars: int, i: int, j: int) -> Dict[str, RationalFunction]:
+def projective_transition(n_vars: int, i: int, j: int) -> Dict[str, MultiPoly]:
     """Chart-j affine coordinates of projective space in terms of chart-i ones.
 
     Convention: chart k uses coordinates ``u_m = zeta_m / zeta_k`` for m != k.
     """
     u = {m: MultiPoly.variable(f"u{m}") for m in range(n_vars) if m != i}
-    out: Dict[str, RationalFunction] = {}
-    denom = u[j]
-    for m in range(n_vars):
-        if m == j:
-            continue
-        if m == i:
-            out[f"u{m}"] = RationalFunction(MultiPoly.const(1, denom.vars), denom)
-        else:
-            out[f"u{m}"] = RationalFunction(u[m], denom)
-    return out
+    return {
+        f"u{m}": u[j] ** -1 if m == i else u[m] / u[j] for m in range(n_vars) if m != j
+    }
 
 
 def reconstruct_cstructure(cc: ContactChart, sections: Sequence[SectionMap]) -> CStructureData:
@@ -649,7 +620,7 @@ def reconstruct_cstructure(cc: ContactChart, sections: Sequence[SectionMap]) -> 
     pairs = [(i, j) for i in range(len(sections)) for j in range(len(sections)) if i != j]
     transition_maps = {(i, j): _section_transition(cc, sections, i, j) for i, j in pairs}
     cs = cstructure_from_charts(labels, gammas, transition_maps, (cc.dim - 2) // 2)
-    gauges: Dict[Tuple[int, int], RationalFunction] = {}
+    gauges: Dict[Tuple[int, int], MultiPoly] = {}
     for i, j in pairs:
         gauges[(i, j)] = _gauge_ratio(cc, sections[i], sections[j], transition_maps[(i, j)])
         if cs.factors[(i, j)] != gauges[(i, j)] ** cc.delta:
@@ -659,13 +630,13 @@ def reconstruct_cstructure(cc: ContactChart, sections: Sequence[SectionMap]) -> 
 
 def _section_transition(
     cc: ContactChart, sections: Sequence[SectionMap], i: int, j: int
-) -> Dict[str, RationalFunction]:
+) -> Dict[str, MultiPoly]:
     if cc.chart.fiber_var is not None:
         # Same base coordinates on a fibered chart: the transition is the identity
         # renaming chart-j names to chart-i names.
         src = sections[i].source
         return {
-            name_j: RationalFunction.from_poly(MultiPoly.variable(name_i))
+            name_j: MultiPoly.variable(name_i)
             for name_j, name_i in zip(sections[j].source.all_vars, src.all_vars)
         }
     unit_i = int(sections[i].unit_var[1:])
@@ -677,31 +648,31 @@ def _gauge_ratio(
     cc: ContactChart,
     sec_i: SectionMap,
     sec_j: SectionMap,
-    trans: Mapping[str, RationalFunction],
-) -> RationalFunction:
+    trans: Mapping[str, MultiPoly],
+) -> MultiPoly:
     """g with sigma_i = R_g sigma_j after the coordinate change.
 
     The action scales the component named ``x`` by ``g^{w_x}``: weight-0
     components must agree outright, weight-1 components each determine g,
     and any other weight is cross-checked against the extracted g.
     """
-    deferred: List[Tuple[int, RationalFunction, RationalFunction]] = []
-    ratio: Optional[RationalFunction] = None
+    deferred: List[Tuple[int, MultiPoly, MultiPoly]] = []
+    ratio: Optional[MultiPoly] = None
     for name in cc.chart.all_vars:
-        moved = compose_rational(sec_j.images[name].base_part(), trans)
-        img_i_rf = RationalFunction.from_poly(sec_i.images[name].base_part())
+        moved = sec_j.images[name].base_part().substitute(trans)
+        img_i = sec_i.images[name].base_part()
         weight = cc.weights[name]
         if moved.is_zero():
-            if not img_i_rf.is_zero():
+            if not img_i.is_zero():
                 raise ValueError("sections are not related by a scalar gauge")
             continue
         if weight == 0:
-            if img_i_rf != moved:
+            if img_i != moved:
                 raise ValueError("weight-0 section components must match on the overlap")
             continue
         if weight == 1:
             try:
-                candidate = img_i_rf / moved
+                candidate = img_i / moved
             except ArithmeticError:
                 raise ValueError("sections are not related by a scalar gauge") from None
             if ratio is None:
@@ -709,11 +680,11 @@ def _gauge_ratio(
             elif ratio != candidate:
                 raise ValueError("section components give inconsistent gauges")
         else:
-            deferred.append((weight, img_i_rf, moved))
+            deferred.append((weight, img_i, moved))
     if ratio is None:
         raise ValueError("cannot extract a gauge (no weight-1 component present)")
-    for weight, img_i_rf, moved in deferred:
-        if moved * ratio**weight != img_i_rf:
+    for weight, img_i, moved in deferred:
+        if moved * ratio**weight != img_i:
             raise ValueError("section components give inconsistent gauges")
     return ratio
 
@@ -735,14 +706,14 @@ def canonical_cocycle_check(cs: CStructureData, n: int) -> List[CheckResult]:
         orders.append(list(top.chart.all_vars))
     for (i, j), trans in cs.transition_maps.items():
         f_ij = cs.factors[(i, j)]
+        # Sparse rows: an image without the variable u has a 0 entry (diff rejects u).
         jac = [
-            [trans[var].diff(u) for var in orders[j]]
+            {c: trans[var].diff(u) for c, var in enumerate(orders[j]) if u in trans[var].vars}
             for u in orders[i]
         ]
-        det = linalg.determinant(jac, one=RF_ONE)
-        moved = compose_rational(tops[j], trans)
-        lhs = RationalFunction.from_poly(tops[i])
-        rhs = f_ij ** (n + 1) * moved * det
+        det = linalg.determinant(jac)
+        lhs = tops[i]
+        rhs = f_ij ** (n + 1) * tops[j].substitute(trans) * det
         ok = lhs == rhs
         results.append(
             check(f"cocycle:{cs.charts[i]}->{cs.charts[j]}", ok, "" if ok else f"lhs {lhs} != rhs {rhs}")
@@ -933,7 +904,7 @@ def evaluation_pairing(phi: MultiPoly, eta: Mapping[str, GaussianRational]) -> G
 def cstructure_from_charts(
     labels: Sequence[str],
     gammas: Sequence[PolyForm],
-    transition_maps: Mapping[Tuple[int, int], Mapping[str, RationalFunction]],
+    transition_maps: Mapping[Tuple[int, int], Mapping[str, MultiPoly]],
     n: int,
 ) -> CStructureData:
     """Assemble c-structure data from raw chart forms and coordinate changes.
@@ -946,9 +917,12 @@ def cstructure_from_charts(
         top = gamma.wedge(exterior_derivative(gamma).wedge_power(n))
         if top.is_zero():
             raise ValueError(f"(C.1) fails for {label}: gamma ^ (d gamma)^{n} = 0")
-    factors: Dict[Tuple[int, int], RationalFunction] = {}
+    factors: Dict[Tuple[int, int], MultiPoly] = {}
     for (i, j), trans in transition_maps.items():
-        target = _form_to_rational(gammas[i])
+        target = {
+            gammas[i].chart.all_vars[idx]: coeff.base_part()
+            for (idx,), coeff in gammas[i].terms.items()
+        }
         source = rational_pullback_one_form(gammas[j], dict(trans))
         factor = _proportionality_factor(target, source)
         if factor is None:
@@ -963,12 +937,8 @@ def projective_line_cstructure() -> CStructureData:
     c1 = ChartSpace(["u0"])
     gamma0 = PolyForm.d_var(c0, "u1")
     gamma1 = PolyForm.d_var(c1, "u0")
-    u1 = MultiPoly.variable("u1")
-    u0 = MultiPoly.variable("u0")
-    one = MultiPoly.const(1, ("u1",))
-    one0 = MultiPoly.const(1, ("u0",))
     maps = {
-        (0, 1): {"u0": RationalFunction(one, u1)},
-        (1, 0): {"u1": RationalFunction(one0, u0)},
+        (0, 1): {"u0": MultiPoly.variable("u1") ** -1},
+        (1, 0): {"u1": MultiPoly.variable("u0") ** -1},
     }
     return cstructure_from_charts(["V0", "V1"], [gamma0, gamma1], maps, 0)

@@ -8,9 +8,10 @@ fiber variable use ``fiber=None`` and are restricted to exponent ``0``, so
 one coefficient type serves the whole exterior calculus.
 
 ``parts`` never holds a zero polynomial.  The public constructor checks every
-part it is given (the fiber exponent, the fiber leak, the zero filter); the
-results of arithmetic are already in that canonical form and are wrapped by
-the private ``LaurentPoly._make`` without being checked again.
+part it is given (the fiber exponent, the fiber leak, a negative base
+exponent, the zero filter); the results of arithmetic are already in that
+canonical form and are wrapped by the private ``LaurentPoly._make`` without
+being checked again.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ class LaurentPoly:
                 if fiber is None and k != 0:
                     raise ValueError("fiberless chart cannot carry fiber exponents")
                 _check_no_leak(fiber, poly)
+                if any(e < 0 for expo in poly.terms for e in expo):
+                    raise ValueError(f"negative exponent in the base part {poly}")
                 if not poly.is_zero():
                     clean[k] = poly
         object.__setattr__(self, "parts", clean)
@@ -91,9 +94,7 @@ class LaurentPoly:
         return self.is_zero() or (set(self.parts) == {0} and self.parts[0].is_constant())
 
     def constant_value(self) -> GaussianRational:
-        if self.is_zero():
-            return ZERO
-        return self.parts[0].constant_value()
+        return self.base_part().constant_value()
 
     def base_part(self) -> MultiPoly:
         """The base polynomial of an element free of the fiber; ``ValueError`` otherwise."""
@@ -107,9 +108,6 @@ class LaurentPoly:
 
     def min_exp(self) -> int:
         return 0 if self.is_zero() else min(self.parts)
-
-    def max_exp(self) -> int:
-        return 0 if self.is_zero() else max(self.parts)
 
     # -- arithmetic -----------------------------------------------------------
 

@@ -24,8 +24,8 @@ column, and a column with no unit raises ``ZeroDivisionError``.  Over a
 field every nonzero entry is a unit, so the pivot is always the first
 nonzero entry.
 
-:func:`determinant` is the one ring determinant, Bareiss over dense rows,
-for matrices with no unit pivot such as the cocycle Jacobians.
+:func:`determinant` is the one ring determinant, Bareiss over the same
+sparse rows, for matrices with no unit pivot such as the cocycle Jacobians.
 """
 
 from __future__ import annotations
@@ -170,29 +170,45 @@ def inverse(rows: Sequence[Mapping[int, T]], one: T = ONE) -> List[SparseRow]:
     return [dict(sorted((k - n, c) for k, c in reduced[p].items() if k >= n)) for p in range(n)]
 
 
-def determinant(matrix: Sequence[Sequence[T]], one: T = ONE) -> T:
-    """Determinant by Bareiss fraction-free elimination (Math. Comp. 22, 1968).
+def determinant(rows: Sequence[Mapping[int, T]], one: T = ONE) -> T:
+    """Determinant of a square matrix of sparse rows, by Bareiss fraction-free
+    elimination (Math. Comp. 22, 1968).
 
     Each step sets ``m[i][j] = (m[i][j] * p - m[i][c] * m[c][j]) / prev`` for
-    pivot ``p`` and previous pivot ``prev``, swapping rows on a zero pivot.
-    Every division is exact in an integral domain, so Q(i) and the Laurent
-    ring of :mod:`contactcheck.ratfunc` share it.
+    pivot ``p`` and previous pivot ``prev``, swapping rows on a zero pivot.  It
+    updates only the indices ``j > c`` where row i or the pivot row is
+    nonzero: every other entry stays 0.  Every division is exact in an
+    integral domain, so Q(i) and the Laurent ring Q(i)[u^±1] of
+    :class:`~contactcheck.poly.MultiPoly` share it.
     """
-    m = [list(row) for row in matrix]
+    m = [{k: x for k, x in row.items() if not x.is_zero()} for row in rows]
     n = len(m)
     negate = False
     prev = one
     for c in range(n):
-        pivot = next((i for i in range(c, n) if not m[i][c].is_zero()), None)
+        pivot = next((i for i in range(c, n) if c in m[i]), None)
         if pivot is None:
             return one - one  # zero of the ring
         if pivot != c:
             m[c], m[pivot] = m[pivot], m[c]
             negate = not negate
-        p = m[c][c]
+        top = m[c]
+        p = top[c]
         for i in range(c + 1, n):
-            row, lead = m[i], m[i][c]
-            for j in range(c + 1, n):
-                row[j] = (row[j] * p - lead * m[c][j]) / prev
+            row, lead = m[i], m[i].get(c)
+            new = {}
+            for j in row.keys() if lead is None else row.keys() | top.keys():
+                if j <= c:
+                    continue
+                if lead is None or j not in top:
+                    value = row[j] * p
+                elif j in row:
+                    value = row[j] * p - lead * top[j]
+                else:
+                    value = -(lead * top[j])
+                value = value / prev
+                if not value.is_zero():
+                    new[j] = value
+            m[i] = new
         prev = p
     return -prev if negate else prev

@@ -1,11 +1,19 @@
-"""Sparse multivariate polynomials over the Gaussian rationals.
+"""Sparse Laurent polynomials over the Gaussian rationals: the ring Q(i)[u^±1].
 
 A :class:`MultiPoly` stores an ordered variable tuple and a dictionary from
-exponent vectors (tuples of non-negative ints, one slot per variable) to
-nonzero :class:`~contactcheck.scalars.GaussianRational` coefficients.  Two
-polynomials over different variable lists are aligned on demand by taking the
+exponent vectors (tuples of ints, one slot per variable) to nonzero
+:class:`~contactcheck.scalars.GaussianRational` coefficients.  An exponent
+may be negative; a polynomial is the case where none is.  Chart transitions,
+compatibility factors and canonical-bundle cocycles live in this ring, on
+chart overlaps, where the only denominators are coordinate monomials.  Two
+elements over different variable lists are aligned on demand by taking the
 union of their names, so ``x + 1`` over ``(x,)`` and ``-x - 1`` over
 ``(x, y)`` add to the zero polynomial.
+
+Division is exact: ``a / b`` is the Laurent polynomial ``q`` with ``a = q *
+b``.  When there is none it raises ``ArithmeticError``, and a zero divisor
+raises ``ZeroDivisionError``.  A negative power exists exactly for a unit,
+a single term ``c * u^e``.
 
 ``terms`` never holds a zero coefficient.  The public constructor checks every
 exponent and coefficient it is given; the results of arithmetic are already in
@@ -22,6 +30,11 @@ natural variable order -- and the imaginary unit prints as ``i``.  Equal
 polynomials therefore print alike.  Example::
 
     (1/2+i)*x^2*y + (-3)*z + 2i
+
+An element with a negative exponent prints as ``(num) / (den)``: ``den`` is
+the monic monomial that clears the negative exponents, so ``num`` is a
+polynomial sharing no variable with it in its monomial content, as in
+``(1/2*x - 1/2*y) / (x*y)``.
 
 The format is stable across releases.
 """
@@ -55,7 +68,7 @@ def _merge_vars(a: Sequence[str], b: Sequence[str]) -> Tuple[str, ...]:
 
 
 class MultiPoly:
-    """Sparse polynomial in named variables with Gaussian-rational coefficients."""
+    """Sparse Laurent polynomial in named variables with Gaussian-rational coefficients."""
 
     __slots__ = ("vars", "terms")
 
@@ -67,8 +80,6 @@ class MultiPoly:
             for expo, coeff in terms.items():
                 if len(expo) != width:
                     raise ValueError(f"exponent {expo} does not match variables {self.vars}")
-                if any(e < 0 for e in expo):
-                    raise ValueError(f"negative exponent in {expo}")
                 coeff = GaussianRational.coerce(coeff)
                 if not coeff.is_zero():
                     clean[tuple(expo)] = coeff
@@ -196,9 +207,28 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other) -> "MultiPoly":
+        """The exact Laurent quotient; ``ArithmeticError`` when there is none.
+
+        The divisor's monomial content is a unit and shifts out.  What is left
+        is not divisible by any variable, so it must divide the dividend, made
+        a polynomial by its own monomial content, exactly.
+        """
+        other = self._coerce_operand(other)
+        if other.is_zero():
+            raise ZeroDivisionError("Laurent division by zero")
+        num, den = self.aligned(other)
+        if num.is_zero():
+            return num
+        low_num, low_den = _low_exponent(num), _low_exponent(den)
+        quotient = try_divide(_shifted(num, low_num), _shifted(den, low_den))
+        if quotient is None:
+            raise ArithmeticError(f"({self}) / ({other}) is not a Laurent polynomial")
+        return _shifted(quotient, tuple(map(operator.sub, low_den, low_num)))
+
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
-            raise ValueError("negative power of a polynomial")
+            return (MultiPoly.const(1, self.vars) / self) ** -k
         out = MultiPoly.const(1, self.vars)
         base = self
         while k:
@@ -330,6 +360,10 @@ class MultiPoly:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        den = tuple(max(0, -e) for e in _low_exponent(self))
+        if any(den):
+            num = _shifted(self, tuple(-e for e in den))
+            return f"({num}) / ({MultiPoly._make(self.vars, {den: ONE})})"
         slots = self._natural_slots()
         pieces = []
         for expo, coeff in self.sorted_terms():
@@ -366,6 +400,20 @@ class MultiPoly:
 # -- exact division ------------------------------------------------------------
 
 
+def _low_exponent(p: MultiPoly) -> Exponent:
+    """The exponent of the monomial content of the nonzero ``p``: each variable's lowest."""
+    return tuple(map(min, zip(*p.terms)))
+
+
+def _shifted(p: MultiPoly, expo: Exponent) -> MultiPoly:
+    """``p`` divided by the monomial with exponent ``expo``."""
+    if not any(expo):
+        return p
+    return MultiPoly._make(
+        p.vars, {tuple(map(operator.sub, k, expo)): c for k, c in p.terms.items()}
+    )
+
+
 def _grlex_key(expo: Exponent) -> Tuple[int, Exponent]:
     return (sum(expo), expo)
 
@@ -378,7 +426,7 @@ def leading_term(p: MultiPoly) -> Tuple[Exponent, GaussianRational]:
 
 
 def try_divide(num: MultiPoly, den: MultiPoly) -> Optional[MultiPoly]:
-    """Return ``num / den`` when the division is exact, else ``None``."""
+    """Return the polynomial ``num / den`` of two polynomials when it exists, else ``None``."""
     if den.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     num, den = num.aligned(den)

@@ -80,14 +80,13 @@ class CartanMatrix:
         return tuple(v / scale for v in d)  # type: ignore[operator]
 
     def _check_positive_definite(self) -> None:
-        n = self.rank
         sym = [
-            [GaussianRational(self.symmetrizer[j] * self.entries[i][j]) for j in range(n)]
-            for i in range(n)
+            {j: GaussianRational(self.symmetrizer[j] * a) for j, a in enumerate(row) if a}
+            for row in self.entries
         ]
         # Leading principal minors of the symmetrization must all be positive.
-        for k in range(1, n + 1):
-            det = linalg.determinant([row[:k] for row in sym[:k]])
+        for k in range(1, self.rank + 1):
+            det = linalg.determinant([{j: a for j, a in row.items() if j < k} for row in sym[:k]])
             if det.re <= 0:
                 raise ValueError("Cartan matrix is not of finite type")
 

@@ -70,3 +70,29 @@ def private_attribute_reads(path: Path):
 def test_no_module_reads_a_private_attribute_of_another():
     modules = sorted(PACKAGE.glob("*.py"))
     assert [line for path in modules for line in private_attribute_reads(path)] == []
+
+
+def imports_of(path: Path, name: str):
+    """Imports of the package module ``name`` (or of names out of it) in one file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            modules = [source] + [f"{source}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(module.split(".")[-1] == name for module in modules):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_ratfunc_defines_nothing_and_nothing_imports_it():
+    """The Laurent ring Q(i)[u^±1] is ``MultiPoly``; no second Laurent type grows back."""
+    tree = ast.parse((PACKAGE / "ratfunc.py").read_text())
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Assign, ast.AnnAssign)
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, definitions)] == []
+    root = PACKAGE.parent.parent
+    files = [*PACKAGE.glob("*.py"), *(root / "demos").glob("*.py"), *(root / "tests").glob("*.py")]
+    assert [line for path in sorted(files) for line in imports_of(path, "ratfunc")] == []

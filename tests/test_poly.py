@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from contactcheck.laurent import LaurentPoly
 from contactcheck.poly import MultiPoly, try_divide
-from contactcheck.ratfunc import RationalFunction, compose_rational
 from contactcheck.scalars import GaussianRational
 from conftest import gq
 from oracles import naive_poly, naive_poly_add, naive_poly_diff, naive_poly_mul
@@ -26,11 +25,11 @@ coeffs = st.builds(
 
 
 @st.composite
-def polys(draw, variables=("x", "y", "z"), max_terms=4, max_degree=3):
+def polys(draw, variables=("x", "y", "z"), max_terms=4, max_degree=3, min_degree=0):
     n_terms = draw(st.integers(0, max_terms))
     terms = {}
     for _ in range(n_terms):
-        expo = tuple(draw(st.integers(0, max_degree)) for _ in variables)
+        expo = tuple(draw(st.integers(min_degree, max_degree)) for _ in variables)
         terms[expo] = draw(coeffs)
     return MultiPoly(variables, terms)
 
@@ -167,6 +166,14 @@ def test_laurent_weighted_degree():
     assert mixed.weighted_degree({"x": 0, "lam": 1}) is None
 
 
+def test_laurent_constant_value_reads_the_fiber_free_part():
+    assert LaurentPoly.const(3, "lam").constant_value() == gq(3)
+    assert LaurentPoly("lam", {}).constant_value() == gq(0)
+    for f in (LaurentPoly.fiber_power("lam", 1), LaurentPoly.from_poly(x, "lam")):
+        with pytest.raises(ValueError):
+            f.constant_value()
+
+
 def test_laurent_evaluate_rejects_zero_fiber():
     f = LaurentPoly.fiber_power("lam", -1)
     with pytest.raises(ZeroDivisionError):
@@ -174,54 +181,93 @@ def test_laurent_evaluate_rejects_zero_fiber():
     assert f.evaluate({"lam": gq(2)}) == gq(Fraction(1, 2))
 
 
-# -- rational functions -------------------------------------------------------------
+# -- the Laurent ring Q(i)[u^±1] -------------------------------------------------------
+
+laurent_polys = polys(max_terms=3, max_degree=2, min_degree=-2)
 
 
 def test_rational_reduction():
-    r = RationalFunction(x * x - y * y, x + y)
-    assert r.is_polynomial()
+    r = (x * x - y * y) / (x + y)
+    assert all(e >= 0 for expo in r.terms for e in expo)
     assert r == x - y
 
 
 def test_rational_equality_cross_multiplies():
-    a = RationalFunction(x, y)
-    b = RationalFunction(x * (x + y), y * (x + y))
+    a = x / y
+    b = (x * (x + y)) / (y * (x + y))
     assert a == b
 
 
 def test_rational_derivative_quotient_rule():
-    r = RationalFunction(MultiPoly.const(1, ("x",)), x)
+    r = MultiPoly.const(1, ("x",)) / x
     d = r.diff("x")
-    assert d == RationalFunction(MultiPoly.const(-1, ("x",)), x * x)
+    assert d == MultiPoly.const(-1, ("x",)) / (x * x)
 
 
 def test_compose_rational():
-    f = compose_rational(x * y, {"x": RationalFunction(MultiPoly.const(1, ("y",)), y)})
-    assert f == RationalFunction.const(1)
+    f = (x * y).substitute({"x": MultiPoly.const(1, ("y",)) / y})
+    assert f == MultiPoly.const(1)
 
 
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
-        RationalFunction(x, MultiPoly.zero(("x",)))
+        x / MultiPoly.zero(("x",))
 
 
 def test_rational_canonical_form_has_monomial_denominator():
-    r = RationalFunction(x * x * y + x * x * x, x * y * y * (x + y))
-    assert r.num == x and r.den == y * y
-    assert str(RationalFunction(x - y, x * y * 2)) == "(1/2*x - 1/2*y) / (x*y)"
+    r = (x * x * y + x * x * x) / (x * y * y * (x + y))
+    assert r == x * y**-2 and str(r) == "(x) / (y^2)"
+    assert str((x - y) / (x * y * 2)) == "(1/2*x - 1/2*y) / (x*y)"
 
 
 def test_rational_exact_division_by_non_unit():
-    assert (RationalFunction.from_poly(x * y + y * y) / (x + y)) == y
+    assert (x * y + y * y) / (x + y) == y
 
 
 def test_non_laurent_quotient_raises():
     with pytest.raises(ArithmeticError, match="is not a Laurent polynomial"):
-        RationalFunction(x, x + y)
+        x / (x + y)
     with pytest.raises(ArithmeticError, match="is not a Laurent polynomial"):
-        RationalFunction.from_poly(x) / (x + y)
+        (x * y**-1) / (x + y)
+    with pytest.raises(ArithmeticError, match="is not a Laurent polynomial"):
+        (x + y) ** -1
     with pytest.raises(ZeroDivisionError):
-        RationalFunction.from_poly(x) / MultiPoly.zero(("x",))
+        x / MultiPoly.zero(("x",))
+
+
+@given(laurent_polys, laurent_polys, laurent_polys)
+@settings(max_examples=40, deadline=None)
+def test_laurent_multipoly_ring_axioms(a, b, c):
+    assert (a + b) * c == a * c + b * c
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert (a - a).is_zero()
+
+
+@given(laurent_polys, laurent_polys)
+@settings(max_examples=40, deadline=None)
+def test_laurent_multipoly_leibniz(a, b):
+    for var in ("x", "y", "z"):
+        assert (a * b).diff(var) == a.diff(var) * b + a * b.diff(var)
+
+
+@given(
+    laurent_polys,
+    coeffs.filter(lambda c: not c.is_zero()),
+    st.tuples(*[st.integers(-2, 2)] * 3),
+    st.integers(-3, 3),
+)
+@settings(max_examples=40, deadline=None)
+def test_laurent_multipoly_division_by_a_monomial(a, c, expo, k):
+    b = MultiPoly(("x", "y", "z"), {expo: c})
+    assert (a * b) / b == a
+    assert b**k * b**-k == 1
+
+
+@given(laurent_polys, laurent_polys.filter(lambda b: len(b.terms) > 1))
+@settings(max_examples=40, deadline=None)
+def test_laurent_multipoly_exact_division_by_a_non_monomial(a, b):
+    assert (a * b) / b == a
 
 
 @st.composite
@@ -387,8 +433,7 @@ def test_laurent_arithmetic_stores_no_zero_part(seed):
 def test_public_constructors_keep_their_checks():
     with pytest.raises(ValueError, match="does not match variables"):
         MultiPoly(("x", "y"), {(1,): 1})
-    with pytest.raises(ValueError, match="negative exponent"):
-        MultiPoly(("x",), {(-1,): 1})
+    assert MultiPoly(("x",), {(-1,): 1}) == x**-1
     p = MultiPoly(("x",), {(1,): 3, (2,): 0, (0,): GaussianRational(0)})
     assert p.terms == {(1,): gq(3)} and isinstance(p.terms[(1,)], GaussianRational)
     lam = MultiPoly.variable("lam")
@@ -401,6 +446,9 @@ def test_public_constructors_keep_their_checks():
                 combine(a, b)
     with pytest.raises(ValueError, match="fiberless chart"):
         LaurentPoly(None, {1: x})
+    for fiber in (None, "lam"):
+        with pytest.raises(ValueError, match="negative exponent"):
+            LaurentPoly(fiber, {0: x**-1})
     f = LaurentPoly("lam", {1: MultiPoly.zero(("x",)), 0: x})
     assert f.parts == {0: x}
 
