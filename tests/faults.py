@@ -7,12 +7,13 @@ the constructors, must catch it.
 
 from __future__ import annotations
 
-from contactcheck.contact import ContactChart, hopf_chart
+from contactcheck.contact import ContactChart, fibered_chart, hopf_chart
 from contactcheck.forms import PolyForm
 from contactcheck.lie import StructureConstants, build_algebra, grade, killing
 from contactcheck.rootsystem import builtin_root_system
 
 BAD_HOPF_LABEL = "bad-hopf"
+BAD_FIBERED_LABEL = "bad-fibered"
 
 
 def corrupted_hopf_chart(n: int = 1) -> ContactChart:
@@ -28,6 +29,26 @@ def corrupted_hopf_chart(n: int = 1) -> ContactChart:
     terms[slot] = terms[slot].scale(2)
     return ContactChart(
         chart, PolyForm(chart, 1, terms), good.delta, good.weights, label=BAD_HOPF_LABEL
+    )
+
+
+def corrupted_fibered_chart(n: int = 1, delta: int = 3) -> ContactChart:
+    """fibered(n, delta) with the coefficient of dlam, 0 on the good chart, set
+    to ``lam^(delta-1) * z0``.
+
+    Doubling a coefficient, as :func:`corrupted_hopf_chart` does, would only
+    rescale a coordinate here and break nothing.  The new term keeps theta
+    weight-homogeneous of degree delta, so the chart is accepted, but theta
+    no longer kills the scaling generator ``lam d/dlam``.
+    """
+    good = fibered_chart(n, delta)
+    chart = good.chart
+    terms = dict(good.theta.terms)
+    terms[(chart.var_index("lam"),)] = (
+        good.theta.terms[(0,)] * chart.coeff_var("z0") / chart.coeff_var("lam")
+    )
+    return ContactChart(
+        chart, PolyForm(chart, 1, terms), good.delta, good.weights, label=BAD_FIBERED_LABEL
     )
 
 

@@ -5,7 +5,13 @@ import pytest
 
 from contactcheck import cli, contact
 from contactcheck.cli import main
-from faults import BAD_HOPF_LABEL, corrupted_algebra_bundle, corrupted_hopf_chart
+from faults import (
+    BAD_FIBERED_LABEL,
+    BAD_HOPF_LABEL,
+    corrupted_algebra_bundle,
+    corrupted_fibered_chart,
+    corrupted_hopf_chart,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 ALGEBRA_TYPES = ["A1", "A2", "A3", "B2", "C2", "B3", "C3", "G2"]
@@ -195,6 +201,42 @@ def test_corrupted_theta_report_text_is_pinned(capsys, monkeypatch, command, dig
     monkeypatch.setattr(cli, "_chart_for", lambda model, n, delta: corrupted_hopf_chart(n))
     code, out = run(capsys, command, "--model", "hopf", "--n", "1", "--seed", "2024")
     assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n, delta, digest", [
+    (1, 3, "2a0a91b918cdcd93a825a40c9b3a66fe7deac1c2f8ec01721a9155dbd875f68c"),
+    (2, -1, "1aee108a65e73d69dbc7683f849fd4eece4fc1cc08a33c749839da152e44bd1b"),
+])
+def test_fibered_dump_forms_text_is_pinned(capsys, n, delta, digest):
+    """--dump-forms on a fibered chart keeps its exact lam^k*(...) text."""
+    import hashlib
+
+    argv = ["verify-contact", "--model", "fibered", "--n", str(n), "--delta", str(delta)]
+    code, out = run(capsys, *argv, "--dump-forms", "--seed", "2024")
+    assert code == 0
+    assert "lam^" in json.loads(out)["config"]["payload"]["d_theta"]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n, delta, command, digest", [
+    (1, 3, "verify-lemma21", "92d217a683d0c8cebeb071d985600d61382417ef3aa873feb4d2be446ca99337"),
+    (1, 3, "verify-lemma22", "0f06ed26fb634156e8b77e1b5c89e98094bc16d3a9edd41ba9b7de3ef1423b30"),
+    (2, -1, "verify-lemma21", "6a13fa0e62ddec431cb6bd6341e12b4532e6ddca0c05791ef8379c80ade84bbe"),
+    (2, -1, "verify-lemma22", "c124fd27fdb3808ea64be7277df9c59c489f6a35cf2e82cc83fdd68b3d967ded"),
+])
+def test_corrupted_fibered_report_text_is_pinned(capsys, monkeypatch, n, delta, command, digest):
+    """The failure witnesses of a corrupted fibered theta (seed 2024) keep their exact
+    text, including coefficients printed as lam^k*(...)."""
+    import hashlib
+
+    monkeypatch.setattr(cli, "_chart_for", lambda model, n, delta: corrupted_fibered_chart(n, delta))
+    argv = [command, "--model", "fibered", "--n", str(n), "--delta", str(delta), "--seed", "2024"]
+    code, out = run(capsys, *argv)
+    assert code == 1
+    bad = [r for r in json.loads(out)["results"] if r["status"] == "fail"]
+    assert bad and all(r["check_id"].startswith(f"{BAD_FIBERED_LABEL}:") for r in bad)
+    assert any("lam^" in r["witness"] and "*(" in r["witness"] for r in bad)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
