@@ -12,18 +12,19 @@ making their benign race harmless.
 
 Subpackage map:
 
-* :mod:`contactcheck.scalars`, :mod:`contactcheck.poly`,
-  :mod:`contactcheck.laurent` -- scalar and polynomial arithmetic kernels:
-  Q(i), the multivariate Laurent ring Q(i)[u^±1] (polynomials are its
-  elements with no negative exponent) that also holds chart transitions and
-  cocycles, and Laurent polynomials in one fiber variable.
+* :mod:`contactcheck.scalars`, :mod:`contactcheck.poly` -- scalar and
+  polynomial arithmetic kernels: Q(i) and the multivariate Laurent ring
+  Q(i)[u^±1] (polynomials are its elements with no negative exponent), the
+  one coefficient ring of chart coefficients, transitions and cocycles.
 * :mod:`contactcheck.linalg` -- exact linear algebra on sparse rows: one
-  elimination loop for ranks, spans, kernels and inverses, with unit pivots
-  over the Laurent ring, and the Bareiss ring determinant.
+  elimination loop for ranks, spans, kernels and inverses, with a pivot rule
+  for rings (the chart ring's units in the dtheta solve), and the Bareiss
+  ring determinant.
 * :mod:`contactcheck.rootsystem` -- finite root systems from Cartan matrices.
 * :mod:`contactcheck.lie` -- structure constants, Killing form, highest-root
   grading of the simple Lie algebras.
-* :mod:`contactcheck.forms` -- polynomial exterior calculus on a chart.
+* :mod:`contactcheck.forms` -- polynomial exterior calculus on a chart, and
+  the rules of the chart ring Q(i)[base][fiber^±1] on ``ChartSpace``.
 * :mod:`contactcheck.contact` -- contact charts, Euler operator, Hamiltonian
   vector fields and the identity suites built on them.
 * :mod:`contactcheck.orbits` -- unipotent orbits through the highest root

@@ -215,7 +215,7 @@ def run_immersion(config: Dict[str, object]) -> Report:
     sampler = SeededSampler(int(config["seed"]))
     basis = contact.monomial_basis(2 * n + 1, 2)
     fs = [
-        contact.HomogeneousFunction(cc, cc.chart.coeff_from_poly(p), 2) for p in basis
+        contact.HomogeneousFunction(cc, cc.chart.coeff(p), 2) for p in basis
     ]
     points = [sampler.point(cc) for _ in range(_samples(config))]
     rep = contact.immersion_rank(cc, fs, points)

@@ -35,10 +35,9 @@ from .forms import (
     lie_derivative,
     pullback,
 )
-from .laurent import LaurentPoly
 from .poly import MultiPoly
 from .report import CheckResult, check
-from .scalars import GaussianRational, ONE, ZERO
+from .scalars import GaussianRational, ONE
 
 
 class ContactChart:
@@ -97,7 +96,7 @@ class ContactChart:
 
 
 class HomogeneousFunction:
-    """A Laurent-polynomial function of exact scaling degree ``ell``."""
+    """A chart-ring function of exact scaling degree ``ell``."""
 
     __slots__ = ("cc", "coeff", "ell")
 
@@ -113,7 +112,7 @@ class HomogeneousFunction:
         raise AttributeError("HomogeneousFunction is immutable")
 
     def __repr__(self) -> str:
-        return f"HomogeneousFunction(deg {self.ell}: {self.coeff})"
+        return f"HomogeneousFunction(deg {self.ell}: {self.cc.chart.format(self.coeff)})"
 
 
 # -- shipped chart models ---------------------------------------------------------
@@ -141,7 +140,7 @@ def fibered_chart(n: int, delta: int) -> ContactChart:
         raise ValueError("n must be non-negative")
     names = [f"z{i}" for i in range(2 * n + 1)]
     chart = ChartSpace(names, "lam")
-    lam_pow = LaurentPoly.fiber_power("lam", delta) if delta else chart.coeff_const(1)
+    lam_pow = chart.coeff_var("lam") ** delta
     theta = PolyForm.d_var(chart, "z0").scale(lam_pow)
     for k in range(1, n + 1):
         zk = chart.coeff_var(names[k])
@@ -203,12 +202,13 @@ def _contraction_rows(cc: ContactChart) -> List[Dict[int, Coeff]]:
 
 
 def _symplectic_solver(cc: ContactChart) -> List[Dict[int, Coeff]]:
-    """The columns of ``M^-1`` over the Laurent ring, cached per chart.
+    """The columns of ``M^-1`` over the chart ring, cached per chart.
 
     Its determinant is a unit ``c * fiber^k`` exactly when dtheta is
     nondegenerate on the whole chart, so any other determinant violates the
-    symplectic axiom.  Elimination pivots on the first unit of each column,
-    so a non-unit entry above it does not stop the solve.
+    symplectic axiom.  Elimination pivots on the first chart-ring unit of
+    each column (:meth:`ChartSpace.is_unit`), so a non-unit entry above it
+    does not stop the solve.
 
     Concurrent first calls may both compute the inverse; they produce the
     same immutable columns, so last-write-wins is safe.
@@ -216,7 +216,8 @@ def _symplectic_solver(cc: ContactChart) -> List[Dict[int, Coeff]]:
     if cc._solver is not None:
         return cc._solver
     try:
-        columns = linalg.inverse(_contraction_rows(cc), one=cc.chart.coeff_const(1))
+        chart = cc.chart
+        columns = linalg.inverse(_contraction_rows(cc), chart.coeff_const(1), chart.is_unit)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(
             f"dtheta is not invertible over the Laurent ring on {cc.label}: {exc}"
@@ -226,17 +227,9 @@ def _symplectic_solver(cc: ContactChart) -> List[Dict[int, Coeff]]:
 
 
 def _solve_contraction(cc: ContactChart, target: PolyForm) -> PolyVectorField:
-    """The field X with ``iota_X dtheta = target`` (exact, Laurent components)."""
+    """The field X with ``iota_X dtheta = target`` (exact, chart-ring components)."""
     coeffs = {i: coeff for (i,), coeff in target.terms.items()}
-    solution = linalg.combine(coeffs, _symplectic_solver(cc))
-    # Spell every component over the chart's base variables, in chart order,
-    # so a field prints the same whichever variables its input mentioned.
-    base = cc.chart.base_vars
-    comps = {
-        i: LaurentPoly(c.fiber, {k: p.with_vars(base) for k, p in c.parts.items()})
-        for i, c in sorted(solution.items())
-    }
-    return PolyVectorField(cc.chart, comps)
+    return PolyVectorField(cc.chart, linalg.combine(coeffs, _symplectic_solver(cc)))
 
 
 def solved_euler_field(cc: ContactChart) -> PolyVectorField:
@@ -293,11 +286,8 @@ def degree_of(cc: ContactChart, f: Coeff) -> Optional[int]:
     xi = solved_euler_field(cc)
     image = xi.apply_to(f)
     # candidate scalar from any single matching term
-    k0, poly0 = next(iter(f.parts.items()))
-    expo0, c0 = next(iter(poly0.terms.items()))
-    named = dict(zip(poly0.vars, expo0))
-    image_part = image.parts.get(k0)
-    ratio = ZERO if image_part is None else image_part.coefficient_of(named) / c0
+    expo0, c0 = next(iter(f.terms.items()))
+    ratio = image.coefficient_of(dict(zip(f.vars, expo0))) / c0
     if image != f.scale(ratio):
         return None
     ell = ratio * GaussianRational(-cc.delta)
@@ -325,7 +315,9 @@ def verify_axioms(cc: ContactChart, points: Sequence[Mapping[str, GaussianRation
     label = cc.label
     results: List[CheckResult] = []
     vertical = pairing_with_theta(cc, cc.vertical_field())
-    results.append(check(f"{label}:vertical-annihilation", vertical.is_zero(), vertical))
+    results.append(
+        check(f"{label}:vertical-annihilation", vertical.is_zero(), cc.chart.format(vertical))
+    )
     parts = scaled_parts(cc, cc.theta)
     scaling_ok = set(parts) == {cc.delta} and parts[cc.delta] == cc.theta
     witness = "" if scaling_ok else ", ".join(f"t^{d}: {p}" for d, p in sorted(parts.items()))
@@ -369,7 +361,8 @@ def check_scaling_identities(
     lhs = pairing_with_theta(cc, xf)
     rhs = f.coeff.scale(GaussianRational(Fraction(f.ell, delta)))
     ok = lhs == rhs
-    results.append(check(f"{label}:theta-of-hamiltonian", ok, "" if ok else lhs - rhs))
+    witness = "" if ok else cc.chart.format(lhs - rhs)
+    results.append(check(f"{label}:theta-of-hamiltonian", ok, witness))
     d_euler = degree_of(cc, f.coeff)
     d_scale = scaling_degree(cc, f.coeff)
     results.append(
@@ -422,7 +415,8 @@ def check_invariance_identities(
         results.append(check(f"{label}:theta-invariance", lie.is_zero(), lie))
         g = pairing_with_theta(cc, y)
         ok = g == f.coeff
-        results.append(check(f"{label}:moment-recovers-f", ok, "" if ok else g - f.coeff))
+        witness = "" if ok else cc.chart.format(g - f.coeff)
+        results.append(check(f"{label}:moment-recovers-f", ok, witness))
         dg = degree_of(cc, g)
         results.append(check(f"{label}:moment-degree", g.is_zero() or dg == cc.delta, dg))
         y2 = hamiltonian_field(cc, g)
@@ -492,7 +486,7 @@ def rational_pullback_one_form(
     """
     out: Dict[str, MultiPoly] = {}
     for (idx,), coeff in form.terms.items():
-        pulled = coeff.base_part().substitute(images)
+        pulled = form.chart.base_part(coeff).substitute(images)
         differential = images[form.chart.all_vars[idx]]
         for var in differential.vars:
             d = differential.diff(var)
@@ -539,8 +533,7 @@ def section_is_valid(cc: ContactChart, section: SectionMap) -> bool:
         return False
     if chart.fiber_var is not None:
         for name in chart.base_vars:
-            expected = LaurentPoly.from_poly(MultiPoly.variable(name), images[name].fiber)
-            if images[name] != expected:
+            if images[name] != MultiPoly.variable(name):
                 return False
         lam_image = images[chart.fiber_var]
         return lam_image.is_constant() and not lam_image.constant_value().is_zero()
@@ -563,16 +556,12 @@ def section_is_valid(cc: ContactChart, section: SectionMap) -> bool:
 
 def _single_variable_of(image: Coeff, scale: GaussianRational) -> Optional[str]:
     """The source variable v with image = scale * v, if the image has that shape."""
-    try:
-        poly = image.base_part()
-    except ValueError:
+    if len(image.terms) != 1:
         return None
-    if len(poly.terms) != 1:
+    ((expo, coeff),) = image.terms.items()
+    if coeff != scale or sum(expo) != 1 or min(expo) < 0:
         return None
-    ((expo, coeff),) = poly.terms.items()
-    if coeff != scale or sum(expo) != 1:
-        return None
-    return poly.vars[expo.index(1)]
+    return image.vars[expo.index(1)]
 
 
 def hopf_sections(n: int) -> List[SectionMap]:
@@ -659,8 +648,8 @@ def _gauge_ratio(
     deferred: List[Tuple[int, MultiPoly, MultiPoly]] = []
     ratio: Optional[MultiPoly] = None
     for name in cc.chart.all_vars:
-        moved = sec_j.images[name].base_part().substitute(trans)
-        img_i = sec_i.images[name].base_part()
+        moved = sec_j.source.base_part(sec_j.images[name]).substitute(trans)
+        img_i = sec_i.source.base_part(sec_i.images[name])
         weight = cc.weights[name]
         if moved.is_zero():
             if not img_i.is_zero():
@@ -702,7 +691,7 @@ def canonical_cocycle_check(cs: CStructureData, n: int) -> List[CheckResult]:
         ((key, coeff),) = top.terms.items()
         if list(key) != list(range(top.chart.dim)):
             raise AssertionError("top form key must be the full variable tuple")
-        tops.append(coeff.base_part())
+        tops.append(top.chart.base_part(coeff))
         orders.append(list(top.chart.all_vars))
     for (i, j), trans in cs.transition_maps.items():
         f_ij = cs.factors[(i, j)]
@@ -759,9 +748,7 @@ def quotient_checks(n: int, monomials: Sequence[Coeff], max_m: int = 3) -> List[
         degree = mono.weighted_degree(cc.weights)
         if degree is None:
             raise ValueError("quotient suite expects monomial samples")
-        flipped_f = mono.substitute_base(
-            {name: -MultiPoly.variable(name) for name in chart.base_vars}
-        )
+        flipped_f = mono.substitute({name: -MultiPoly.variable(name) for name in chart.base_vars})
         descends = flipped_f == mono
         parity_ok = descends == (degree % 2 == 0)
         results.append(
@@ -920,7 +907,7 @@ def cstructure_from_charts(
     factors: Dict[Tuple[int, int], MultiPoly] = {}
     for (i, j), trans in transition_maps.items():
         target = {
-            gammas[i].chart.all_vars[idx]: coeff.base_part()
+            gammas[i].chart.all_vars[idx]: gammas[i].chart.base_part(coeff)
             for (idx,), coeff in gammas[i].terms.items()
         }
         source = rational_pullback_one_form(gammas[j], dict(trans))

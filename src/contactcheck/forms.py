@@ -1,24 +1,31 @@
 """Polynomial exterior calculus on a coordinate chart.
 
-Holomorphic (p,0)-forms and vector fields with exact Laurent-polynomial
-coefficients.  A chart has ordered base variables plus an optional
-distinguished fiber variable (always the last slot) in which coefficients may
-be Laurent.  Forms store only strictly increasing index tuples, so
-antisymmetry is structural; the interior product contracts on the left slot
-with alternating signs, and full contraction ``omega(X_1, ..., X_p)`` is the
-iterated interior product ``iota_{X_p} ... iota_{X_1} omega``.
+Holomorphic (p,0)-forms and vector fields with exact coefficients in the
+chart ring Q(i)[base][fiber^±1].  A chart has ordered base variables plus an
+optional distinguished fiber variable (always the last slot), the only one a
+coefficient may invert.  The chart ring is a subring of the Laurent ring
+Q(i)[u^±1], so a coefficient is a :class:`~contactcheck.poly.MultiPoly`
+spelled over the chart's ``all_vars``, and :class:`ChartSpace` holds the
+rules that belong to the subring: which elements belong to it
+(:meth:`ChartSpace.coeff`), which are its units ``c * fiber^k``
+(:meth:`ChartSpace.is_unit`, the pivot rule of the dtheta solve), the text
+of a coefficient (:meth:`ChartSpace.format`) and its fiber-free part
+(:meth:`ChartSpace.base_part`).
+
+Forms store only strictly increasing index tuples, so antisymmetry is
+structural; the interior product contracts on the left slot with alternating
+signs, and full contraction ``omega(X_1, ..., X_p)`` is the iterated interior
+product ``iota_{X_p} ... iota_{X_1} omega``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from .laurent import LaurentPoly
 from .poly import MultiPoly
 from .scalars import GaussianRational, ScalarLike
 
-Coeff = LaurentPoly
+Coeff = MultiPoly
 Key = Tuple[int, ...]
 
 
@@ -58,23 +65,88 @@ class ChartSpace:
     def __repr__(self) -> str:
         return f"ChartSpace({self.base_vars!r}, fiber={self.fiber_var!r})"
 
-    # -- coefficient builders -------------------------------------------------
+    # -- the chart ring ---------------------------------------------------------
+
+    def coeff(self, poly: MultiPoly) -> Coeff:
+        """``poly`` as a coefficient of the chart ring, spelled over ``all_vars``.
+
+        The one checked way in: a variable outside the chart, or a negative
+        exponent outside the fiber slot, raises ``ValueError``.
+        """
+        slots = {name: k for k, name in enumerate(self.all_vars)}
+        terms = {}
+        for expo, value in poly.terms.items():
+            spelled = [0] * len(slots)
+            for name, e in zip(poly.vars, expo):
+                if not e:
+                    continue
+                if name not in slots:
+                    raise ValueError(f"{name} is not a variable of the chart {self.all_vars}")
+                if e < 0 and name != self.fiber_var:
+                    raise ValueError(f"negative exponent of the base variable {name} in {poly}")
+                spelled[slots[name]] = e
+            terms[tuple(spelled)] = value
+        return MultiPoly(self.all_vars, terms)
 
     def coeff_zero(self) -> Coeff:
-        return LaurentPoly(self.fiber_var, {})
+        return MultiPoly.zero(self.all_vars)
 
     def coeff_const(self, value: ScalarLike) -> Coeff:
-        return LaurentPoly.const(value, self.fiber_var)
+        return MultiPoly.const(value, self.all_vars)
 
     def coeff_var(self, name: str) -> Coeff:
-        if name == self.fiber_var:
-            return LaurentPoly.fiber_power(name, 1)
-        if name not in self.base_vars:
+        if name not in self.all_vars:
             raise ValueError(f"unknown variable {name!r}")
-        return LaurentPoly.from_poly(MultiPoly.variable(name), self.fiber_var)
+        return MultiPoly.variable(name, self.all_vars)
 
-    def coeff_from_poly(self, poly: MultiPoly) -> Coeff:
-        return LaurentPoly.from_poly(poly, self.fiber_var)
+    def is_unit(self, c: Coeff) -> bool:
+        """Whether ``c`` is ``a * fiber^k`` with ``a != 0``, a unit of the chart ring."""
+        if len(c.terms) != 1:
+            return False
+        (expo,) = c.terms
+        return all(not e or name == self.fiber_var for name, e in zip(c.vars, expo))
+
+    def _fiber_parts(self, c: Coeff) -> Dict[int, MultiPoly]:
+        """``c`` as ``sum_k p_k * fiber^k``: the nonzero ``p_k`` by fiber exponent."""
+        if self.fiber_var not in c.vars:
+            return {0: c} if c else {}
+        idx = c.vars.index(self.fiber_var)
+        rest = c.vars[:idx] + c.vars[idx + 1 :]
+        parts: Dict[int, Dict[Key, GaussianRational]] = {}
+        for expo, value in c.terms.items():
+            parts.setdefault(expo[idx], {})[expo[:idx] + expo[idx + 1 :]] = value
+        return {k: MultiPoly(rest, terms) for k, terms in parts.items()}
+
+    def base_part(self, c: Coeff) -> MultiPoly:
+        """``c`` without the fiber slot; ``ValueError`` if it depends on the fiber."""
+        parts = self._fiber_parts(c)
+        if parts.keys() - {0}:
+            raise ValueError(f"{self.format(c)} depends on the fiber variable {self.fiber_var}")
+        return parts.get(0, MultiPoly.zero(self.base_vars))
+
+    def format(self, c: Coeff) -> str:
+        """The text of a coefficient: ``fiber^k*(p_k)`` pieces, highest ``k`` first.
+
+        ``p_k`` prints in the polynomial text format of
+        :mod:`contactcheck.poly`; ``fiber^1`` prints as ``fiber``, and a
+        constant ``p_k`` of 1 or -1 as ``fiber^k`` or ``-fiber^k``.
+        """
+        parts = self._fiber_parts(c)
+        if not parts:
+            return "0"
+        pieces = []
+        for k in sorted(parts, reverse=True):
+            poly = parts[k]
+            head = self.fiber_var if k == 1 else f"{self.fiber_var}^{k}"
+            if k == 0:
+                pieces.append(str(poly))
+            elif poly == 1:
+                pieces.append(head)
+            elif poly == -1:
+                pieces.append(f"-{head}")
+            else:
+                pieces.append(f"{head}*({poly})")
+        return " + ".join(pieces)
 
 
 def _check_same_chart(a, b) -> None:
@@ -154,8 +226,6 @@ class PolyForm:
         return self + (-other)
 
     def scale(self, value) -> "PolyForm":
-        if isinstance(value, (int, Fraction, GaussianRational)):
-            value = self.chart.coeff_const(value)
         return PolyForm(self.chart, self.degree, {k: c * value for k, c in self.terms.items()})
 
     # -- multiplicative structure ------------------------------------------------------
@@ -237,7 +307,7 @@ class PolyForm:
         for key in sorted(self.terms):
             coeff = self.terms[key]
             monom = "^".join(f"d{names[i]}" for i in key) if key else ""
-            body = str(coeff)
+            body = self.chart.format(coeff)
             if monom:
                 pieces.append(f"({body}) {monom}")
             else:
@@ -308,8 +378,6 @@ class PolyVectorField:
         return self + (-other)
 
     def scale(self, value) -> "PolyVectorField":
-        if isinstance(value, (int, Fraction, GaussianRational)):
-            value = self.chart.coeff_const(value)
         return PolyVectorField(self.chart, {i: c * value for i, c in self.components.items()})
 
     def apply_to(self, coeff: Coeff) -> Coeff:
@@ -361,7 +429,10 @@ class PolyVectorField:
         if not self.components:
             return "0"
         names = self.chart.all_vars
-        return " + ".join(f"({self.components[i]}) d/d{names[i]}" for i in sorted(self.components))
+        return " + ".join(
+            f"({self.chart.format(self.components[i])}) d/d{names[i]}"
+            for i in sorted(self.components)
+        )
 
     def __repr__(self) -> str:
         return f"PolyVectorField({self})"
@@ -450,41 +521,12 @@ def pullback(
     }
     out = PolyForm.zero(source, form.degree)
     for key, coeff in form.terms.items():
-        pulled = _pull_coeff(source, images, target, coeff)
-        piece = PolyForm.function(source, pulled)
+        if any(min(expo, default=0) < 0 for expo in coeff.terms) and not source.is_unit(
+            images[target.fiber_var]
+        ):
+            raise ValueError("negative fiber exponents need a unit fiber image c * fiber^k")
+        piece = PolyForm.function(source, source.coeff(coeff.substitute(images)))
         for idx in key:
             piece = piece.wedge(differentials[target.all_vars[idx]])
-        out = out + piece
-    return out
-
-
-def _pull_coeff(
-    source: ChartSpace,
-    images: Mapping[str, Coeff],
-    target: ChartSpace,
-    coeff: Coeff,
-) -> Coeff:
-    base_bindings: Dict[str, MultiPoly] = {}
-    for name in target.base_vars:
-        base_bindings[name] = images[name].base_part()
-    fiber_image: Optional[Coeff] = None
-    fiber_inverse: Optional[Coeff] = None
-    if target.fiber_var is not None:
-        fiber_image = images[target.fiber_var]
-        if coeff.min_exp() < 0:
-            if not fiber_image.is_unit():
-                raise ValueError(
-                    "negative fiber exponents need a unit fiber image c * fiber^k"
-                )
-            fiber_inverse = source.coeff_const(1) / fiber_image
-    out = source.coeff_zero()
-    for k, poly in coeff.parts.items():
-        piece = source.coeff_from_poly(poly.substitute(base_bindings))
-        if k > 0:
-            assert fiber_image is not None
-            piece = piece * fiber_image**k
-        elif k < 0:
-            assert fiber_inverse is not None
-            piece = piece * fiber_inverse ** (-k)
         out = out + piece
     return out

@@ -17,12 +17,13 @@ compares ranks, and :func:`column_kernel` and :func:`inverse`
 back-substitute the kept rows to the reduced form, over just the coordinates
 their inputs touch.
 
-Ring rule.  LaurentPoly is a ring, not a field: it divides only by units
-``c * fiber^k``.  Where an entry type has ``is_unit()``, the loop pivots only
-on units: a non-unit entry gives way to the first unit further down its
-column, and a column with no unit raises ``ZeroDivisionError``.  Over a
-field every nonzero entry is a unit, so the pivot is always the first
-nonzero entry.
+Ring rule.  The pivot rule ``is_unit`` says which entries may be divided
+by.  The loop pivots only on units: a non-unit entry gives way to the first
+unit further down its column, and a column with no unit raises
+``ZeroDivisionError``.  Without a rule every nonzero entry is a unit, the
+field case, so the pivot is always the first nonzero entry.  The dtheta
+solve of :mod:`contactcheck.contact` passes the chart ring's rule
+:meth:`~contactcheck.forms.ChartSpace.is_unit`, true for ``c * fiber^k``.
 
 :func:`determinant` is the one ring determinant, Bareiss over the same
 sparse rows, for matrices with no unit pivot such as the cocycle Jacobians.
@@ -30,13 +31,14 @@ sparse rows, for matrices with no unit pivot such as the cocycle Jacobians.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, TypeVar
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, TypeVar
 
 from .scalars import ONE, ZERO
 
 T = TypeVar("T")
 
 SparseRow = Dict[int, T]
+UnitRule = Callable[[T], bool]
 
 
 def total(values: Iterable[T]) -> T:
@@ -65,24 +67,23 @@ def combine(coeffs: Mapping[int, T], vectors: Sequence[Mapping[int, T]]) -> Dict
     return out
 
 
-def _is_unit(value) -> bool:
-    is_unit = getattr(value, "is_unit", None)
-    return is_unit is None or is_unit()
-
-
 def echelon(
-    vectors: Iterable[Mapping[int, T]], one: T = ONE, width: Optional[int] = None
+    vectors: Iterable[Mapping[int, T]],
+    one: T = ONE,
+    width: Optional[int] = None,
+    is_unit: Optional[UnitRule] = None,
 ) -> Dict[int, SparseRow]:
     """The elimination loop: kept rows keyed by pivot, in increasing pivot order.
 
     The vectors (zero entries dropped) wait in their given order.  The loop
     walks the indices they touch below ``width`` (default: all) in
     increasing order.  At index c it searches down the column for the first
-    waiting vector whose entry there is a unit, swaps it with the first
-    waiting vector as row-swapping elimination does, keeps it scaled to 1 at
-    pivot c, and reduces every vector still waiting by it at c.  So each kept
-    row is 0 at every earlier pivot and at every index below its own.  A
-    column whose waiting entries include no unit raises ``ZeroDivisionError``.
+    waiting vector whose entry there ``is_unit`` accepts (any entry when it is
+    None), swaps it with the first waiting vector as row-swapping elimination
+    does, keeps it scaled to 1 at pivot c, and reduces every vector still
+    waiting by it at c.  So each kept row is 0 at every earlier pivot and at
+    every index below its own.  A column whose waiting entries include no
+    unit raises ``ZeroDivisionError``.
     """
     waiting = [{k: c for k, c in vector.items() if not c.is_zero()} for vector in vectors]
     columns = sorted({k for v in waiting for k in v if width is None or k < width})
@@ -91,7 +92,7 @@ def echelon(
         hits = [i for i, v in enumerate(waiting) if c in v]
         if not hits:
             continue
-        i = next((i for i in hits if _is_unit(waiting[i][c])), None)
+        i = next((i for i in hits if is_unit is None or is_unit(waiting[i][c])), None)
         if i is None:
             raise ZeroDivisionError(f"no unit pivot in column {c}")
         waiting[0], waiting[i] = waiting[i], waiting[0]
@@ -105,10 +106,13 @@ def echelon(
 
 
 def _reduced(
-    vectors: Iterable[Mapping[int, T]], one: T = ONE, width: Optional[int] = None
+    vectors: Iterable[Mapping[int, T]],
+    one: T = ONE,
+    width: Optional[int] = None,
+    is_unit: Optional[UnitRule] = None,
 ) -> Dict[int, SparseRow]:
     """The kept rows of :func:`echelon`, each then also 0 at every later pivot."""
-    rows = echelon(vectors, one, width)
+    rows = echelon(vectors, one, width, is_unit)
     kept = list(rows.items())
     for j in range(len(kept) - 1, 0, -1):
         p, row = kept[j]
@@ -157,14 +161,16 @@ def column_kernel(columns: Sequence[Mapping[int, T]]) -> List[SparseRow]:
     return basis
 
 
-def inverse(rows: Sequence[Mapping[int, T]], one: T = ONE) -> List[SparseRow]:
+def inverse(
+    rows: Sequence[Mapping[int, T]], one: T = ONE, is_unit: Optional[UnitRule] = None
+) -> List[SparseRow]:
     """The rows of the inverse of a square matrix: the reduced form of ``[M | I]``.
 
     Raises ``ValueError`` if the matrix is singular, and ``ZeroDivisionError``
-    (the ring rule) if elimination finds no unit pivot.
+    (the ring rule) if elimination finds no pivot that ``is_unit`` accepts.
     """
     n = len(rows)
-    reduced = _reduced(({**row, n + i: one} for i, row in enumerate(rows)), one, n)
+    reduced = _reduced(({**row, n + i: one} for i, row in enumerate(rows)), one, n, is_unit)
     if len(reduced) < n:
         raise ValueError("singular matrix")
     return [dict(sorted((k - n, c) for k, c in reduced[p].items() if k >= n)) for p in range(n)]

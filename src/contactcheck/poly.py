@@ -3,17 +3,21 @@
 A :class:`MultiPoly` stores an ordered variable tuple and a dictionary from
 exponent vectors (tuples of ints, one slot per variable) to nonzero
 :class:`~contactcheck.scalars.GaussianRational` coefficients.  An exponent
-may be negative; a polynomial is the case where none is.  Chart transitions,
-compatibility factors and canonical-bundle cocycles live in this ring, on
-chart overlaps, where the only denominators are coordinate monomials.  Two
-elements over different variable lists are aligned on demand by taking the
-union of their names, so ``x + 1`` over ``(x,)`` and ``-x - 1`` over
-``(x, y)`` add to the zero polynomial.
+may be negative; a polynomial is the case where none is.  It is the one
+coefficient ring of the package.  Chart transitions, compatibility factors
+and canonical-bundle cocycles live in it, on chart overlaps, where the only
+denominators are coordinate monomials; so do chart coefficients, elements of
+the subring Q(i)[base][fiber^±1] spelled over their chart's variables (see
+:class:`~contactcheck.forms.ChartSpace`).  Two elements over different
+variable lists are aligned on demand by taking the union of their names, so
+``x + 1`` over ``(x,)`` and ``-x - 1`` over ``(x, y)`` add to the zero
+polynomial.
 
 Division is exact: ``a / b`` is the Laurent polynomial ``q`` with ``a = q *
 b``.  When there is none it raises ``ArithmeticError``, and a zero divisor
-raises ``ZeroDivisionError``.  A negative power exists exactly for a unit,
-a single term ``c * u^e``.
+raises ``ZeroDivisionError``.  A single-term divisor ``c * u^e`` is a unit, so
+dividing by it is a shift and a scale; a negative power exists exactly for
+such a unit.
 
 ``terms`` never holds a zero coefficient.  The public constructor checks every
 exponent and coefficient it is given; the results of arithmetic are already in
@@ -210,9 +214,11 @@ class MultiPoly:
     def __truediv__(self, other) -> "MultiPoly":
         """The exact Laurent quotient; ``ArithmeticError`` when there is none.
 
-        The divisor's monomial content is a unit and shifts out.  What is left
-        is not divisible by any variable, so it must divide the dividend, made
-        a polynomial by its own monomial content, exactly.
+        A single-term divisor ``c * u^e`` is a unit: the quotient is a shift by
+        ``-e`` and a scale by ``1/c``.  Otherwise the divisor's monomial content
+        shifts out, and what is left is not divisible by any variable, so it
+        must divide the dividend, made a polynomial by its own monomial
+        content, exactly.
         """
         other = self._coerce_operand(other)
         if other.is_zero():
@@ -220,6 +226,13 @@ class MultiPoly:
         num, den = self.aligned(other)
         if num.is_zero():
             return num
+        if len(den.terms) == 1:
+            ((expo, c),) = den.terms.items()
+            inv = c.inverse()
+            sub = operator.sub
+            return MultiPoly._make(
+                num.vars, {tuple(map(sub, k, expo)): v * inv for k, v in num.terms.items()}
+            )
         low_num, low_den = _low_exponent(num), _low_exponent(den)
         quotient = try_divide(_shifted(num, low_num), _shifted(den, low_den))
         if quotient is None:
@@ -330,6 +343,13 @@ class MultiPoly:
             deg = sum(wi * e for wi, e in zip(w, expo))
             parts.setdefault(deg, {})[expo] = coeff
         return {deg: MultiPoly._make(self.vars, terms) for deg, terms in parts.items()}
+
+    def weighted_degree(self, weights: Mapping[str, int]) -> Optional[int]:
+        """The weighted degree if homogeneous, ``None`` otherwise (0 for the zero polynomial)."""
+        parts = self.weighted_parts(weights)
+        if len(parts) > 1:
+            return None
+        return next(iter(parts), 0)
 
     # -- comparison / display ---------------------------------------------------
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .contact import ContactChart, HomogeneousFunction
-from .laurent import LaurentPoly
+from .forms import Coeff
 from .poly import MultiPoly
 from .rootsystem import Root, RootSystem
 from .scalars import GaussianRational
@@ -75,20 +75,18 @@ class SeededSampler:
             coeff = acc
         return HomogeneousFunction(cc, coeff, ell)
 
-    def monomial(self, cc: ContactChart, ell: int, max_base_degree: int = 3) -> LaurentPoly:
+    def monomial(self, cc: ContactChart, ell: int, max_base_degree: int = 3) -> Coeff:
         chart = cc.chart
         scalar = self.gaussian(nonzero=True)
         if chart.fiber_var is None:
             if ell < 0:
                 raise ValueError("global charts carry no negative-degree functions")
             expo = self._composition(ell, len(chart.base_vars))
-            poly = MultiPoly(chart.base_vars, {tuple(expo): scalar})
-            return LaurentPoly.from_poly(poly, None)
-        # fibered: weight sits entirely on the fiber exponent
-        total = self._rng.randint(0, max_base_degree)
-        expo = self._composition(total, len(chart.base_vars))
-        poly = MultiPoly(chart.base_vars, {tuple(expo): scalar})
-        return LaurentPoly(chart.fiber_var, {ell: poly})
+        else:
+            # fibered: weight sits entirely on the fiber exponent
+            total = self._rng.randint(0, max_base_degree)
+            expo = self._composition(total, len(chart.base_vars)) + [ell]
+        return MultiPoly(chart.all_vars, {tuple(expo): scalar})
 
     def _composition(self, total: int, slots: int) -> List[int]:
         expo = [0] * slots

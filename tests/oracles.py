@@ -420,7 +420,7 @@ def naive_poly_mul(a: NaivePoly, b: NaivePoly) -> NaivePoly:
             expo = dict(m1)
             for name, k in m2:
                 expo[name] = expo.get(name, 0) + k
-            mono = tuple(sorted(expo.items()))
+            mono = tuple(sorted((name, k) for name, k in expo.items() if k))
             out[mono] = out.get(mono, ZERO) + c1 * c2
     return _nonzero(out)
 
@@ -437,3 +437,17 @@ def naive_poly_diff(a: NaivePoly, var: str) -> NaivePoly:
         key = tuple(sorted((name, e) for name, e in expo.items() if e))
         out[key] = out.get(key, ZERO) + c * k
     return _nonzero(out)
+
+
+def naive_poly_evaluate(a: NaivePoly, point) -> GaussianRational:
+    """The value at ``point``: each monomial a product of repeated factors (of
+    ``1 / value`` for a negative exponent), the sum accumulated from zero."""
+    out = ZERO
+    for mono, c in a.items():
+        value = c
+        for name, k in mono:
+            factor = point[name] if k > 0 else ONE / point[name]
+            for _ in range(abs(k)):
+                value = value * factor
+        out = out + value
+    return out

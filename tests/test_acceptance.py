@@ -203,7 +203,7 @@ def test_criterion_8_immersion_suite():
     for n in (0, 1):
         cc = hopf_chart(n)
         basis = monomial_basis(2 * n + 1, 2)
-        fs = [HomogeneousFunction(cc, cc.chart.coeff_from_poly(p), 2) for p in basis]
+        fs = [HomogeneousFunction(cc, cc.chart.coeff(p), 2) for p in basis]
         points = [sampler.point(cc) for _ in range(25)]
         rep = immersion_rank(cc, fs, points)
         assert rep.full_rank == 2 * n + 2

@@ -261,6 +261,30 @@ def test_lemma21_adds_no_zero_scalars(capsys, monkeypatch):
     assert sums and zero_sums == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-lemma21", "--model", "fibered", "--n", "2", "--delta", "-1", "--samples", "7"],
+    ["verify-lemma22", "--model", "fibered", "--n", "2", "--delta", "-2", "--samples", "5"],
+], ids=["lemma21", "lemma22"])
+def test_hamiltonian_path_aligns_no_variable_tuples(capsys, monkeypatch, argv):
+    """Every chart coefficient is spelled over the chart's variables, so no
+    ``MultiPoly`` operation on the Hamiltonian path re-spells an operand."""
+    from contactcheck.poly import MultiPoly
+
+    aligned = MultiPoly.aligned
+    calls, differing = [], []
+
+    def counting_aligned(self, other):
+        calls.append(self)
+        if self.vars != other.vars:
+            differing.append((self.vars, other.vars))
+        return aligned(self, other)
+
+    monkeypatch.setattr(MultiPoly, "aligned", counting_aligned)
+    code, _ = run(capsys, *argv, "--seed", "2024")
+    assert code == 0
+    assert calls and differing == []
+
+
 def test_dump_forms_on_corrupted_theta_reports_the_failure(capsys, monkeypatch):
     """--dump-forms writes the solved Euler field; the axiom suite reports the mismatch."""
     from contactcheck.contact import euler_field, hopf_chart

@@ -88,11 +88,36 @@ def imports_of(path: Path, name: str):
     return found
 
 
-def test_ratfunc_defines_nothing_and_nothing_imports_it():
-    """The Laurent ring Q(i)[u^±1] is ``MultiPoly``; no second Laurent type grows back."""
-    tree = ast.parse((PACKAGE / "ratfunc.py").read_text())
+def names_in(path: Path):
+    """Every identifier one file defines, reads or imports."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+
+
+def assert_retired(module: str, retired: str) -> None:
+    """``module`` defines nothing, nothing imports it, and no file names ``retired``."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
     definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Assign, ast.AnnAssign)
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, definitions)] == []
     root = PACKAGE.parent.parent
-    files = [*PACKAGE.glob("*.py"), *(root / "demos").glob("*.py"), *(root / "tests").glob("*.py")]
-    assert [line for path in sorted(files) for line in imports_of(path, "ratfunc")] == []
+    files = sorted([*PACKAGE.glob("*.py"), *(root / "demos").glob("*.py"), *(root / "tests").glob("*.py")])
+    assert [line for path in files for line in imports_of(path, module)] == []
+    assert [path.name for path in files if retired in set(names_in(path))] == []
+
+
+def test_ratfunc_defines_nothing_and_nothing_imports_it():
+    """The Laurent ring Q(i)[u^±1] is ``MultiPoly``; no second Laurent type grows back."""
+    assert_retired("ratfunc", "RationalFunction")
+
+
+def test_laurent_defines_nothing_and_nothing_imports_it():
+    """A chart coefficient is a ``MultiPoly`` over the chart's variables; the
+    fiber-only Laurent type does not grow back."""
+    assert_retired("laurent", "LaurentPoly")

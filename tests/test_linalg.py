@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from contactcheck.contact import projective_transition
-from contactcheck.laurent import LaurentPoly
+from contactcheck.forms import ChartSpace
 from contactcheck.linalg import (
     column_kernel,
     combine,
@@ -212,10 +212,10 @@ def test_empty_matrix():
     assert inverse([]) == []
 
 
-FIBER = "lam"
-Z = LaurentPoly.from_poly(MultiPoly.variable("z"), FIBER)
-LAM = LaurentPoly.fiber_power(FIBER, 1)
-L1 = LaurentPoly.const(1, FIBER)
+CHART = ChartSpace(["z"], "lam")
+Z = CHART.coeff_var("z")
+LAM = CHART.coeff_var("lam")
+L1 = CHART.coeff_const(1)
 
 
 def _laurent_rows(rows):
@@ -228,8 +228,9 @@ def _laurent_rows(rows):
 ], ids=["non-unit-first-pivot", "unit-diagonal"])
 def test_inverse_over_the_laurent_ring(rows, expected):
     """A non-unit entry gives way to the first unit further down its column."""
-    inv = inverse(_laurent_rows(rows), one=L1)
-    assert [[str(row.get(j, "0")) for j in range(len(rows))] for row in inv] == expected
+    inv = inverse(_laurent_rows(rows), one=L1, is_unit=CHART.is_unit)
+    text = [[CHART.format(row[j]) if j in row else "0" for j in range(len(rows))] for row in inv]
+    assert text == expected
 
 
 @pytest.mark.parametrize("rows,error", [
@@ -238,7 +239,7 @@ def test_inverse_over_the_laurent_ring(rows, expected):
 ], ids=["no-unit", "singular"])
 def test_inverse_over_the_laurent_ring_raises(rows, error):
     with pytest.raises(error):
-        inverse(_laurent_rows(rows), one=L1)
+        inverse(_laurent_rows(rows), one=L1, is_unit=CHART.is_unit)
 
 
 @pytest.mark.parametrize("kind", SQUARE_KINDS)

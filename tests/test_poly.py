@@ -5,11 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactcheck.laurent import LaurentPoly
+from contactcheck.forms import ChartSpace
 from contactcheck.poly import MultiPoly, try_divide
 from contactcheck.scalars import GaussianRational
 from conftest import gq
-from oracles import naive_poly, naive_poly_add, naive_poly_diff, naive_poly_mul
+from oracles import (
+    naive_poly,
+    naive_poly_add,
+    naive_poly_diff,
+    naive_poly_evaluate,
+    naive_poly_mul,
+)
 
 x = MultiPoly.variable("x")
 y = MultiPoly.variable("y")
@@ -142,43 +148,44 @@ def test_try_divide_exact_and_failing():
     assert try_divide(x * x + 1, x + y) is None
 
 
-# -- Laurent ----------------------------------------------------------------------
+# -- the chart ring Q(i)[x, y][lam^±1] ---------------------------------------------
+
+CHART = ChartSpace(("x", "y"), "lam")
+LAM = CHART.coeff_var("lam")
 
 
 def test_laurent_embedding_of_inverse():
-    lam_inv = LaurentPoly.fiber_power("lam", -1)
-    ly = LaurentPoly.from_poly(y, "lam")
-    prod = lam_inv * ly
-    assert prod.parts == {-1: y}
+    prod = LAM**-1 * CHART.coeff(y)
+    assert prod.vars == CHART.all_vars and prod.terms == {(0, 1, -1): gq(1)}
 
 
 def test_laurent_diff_shifts_exponent():
-    f = LaurentPoly.fiber_power("lam", -2) * LaurentPoly.from_poly(x, "lam")
+    f = LAM**-2 * CHART.coeff(x)
     d = f.diff("lam")
-    assert d == LaurentPoly("lam", {-3: x.scale(-2)})
+    assert d == (LAM**-3 * CHART.coeff(x)).scale(-2)
 
 
 def test_laurent_weighted_degree():
-    f = LaurentPoly("lam", {3: x * x})
+    f = LAM**3 * CHART.coeff(x * x)
     assert f.weighted_degree({"x": 0, "lam": 1}) == 3
     assert f.weighted_degree({"x": 1, "lam": 1}) == 5
-    mixed = f + LaurentPoly("lam", {1: y})
+    mixed = f + LAM * CHART.coeff(y)
     assert mixed.weighted_degree({"x": 0, "lam": 1}) is None
 
 
 def test_laurent_constant_value_reads_the_fiber_free_part():
-    assert LaurentPoly.const(3, "lam").constant_value() == gq(3)
-    assert LaurentPoly("lam", {}).constant_value() == gq(0)
-    for f in (LaurentPoly.fiber_power("lam", 1), LaurentPoly.from_poly(x, "lam")):
+    assert CHART.base_part(CHART.coeff_const(3)).constant_value() == gq(3)
+    assert CHART.base_part(CHART.coeff_zero()).constant_value() == gq(0)
+    for f in (LAM, CHART.coeff(x)):
         with pytest.raises(ValueError):
-            f.constant_value()
+            CHART.base_part(f).constant_value()
 
 
 def test_laurent_evaluate_rejects_zero_fiber():
-    f = LaurentPoly.fiber_power("lam", -1)
+    f = LAM**-1
     with pytest.raises(ZeroDivisionError):
-        f.evaluate({"lam": gq(0)})
-    assert f.evaluate({"lam": gq(2)}) == gq(Fraction(1, 2))
+        f.evaluate({"x": gq(1), "y": gq(1), "lam": gq(0)})
+    assert f.evaluate({"x": gq(1), "y": gq(1), "lam": gq(2)}) == gq(Fraction(1, 2))
 
 
 # -- the Laurent ring Q(i)[u^±1] -------------------------------------------------------
@@ -271,14 +278,14 @@ def test_laurent_multipoly_exact_division_by_a_non_monomial(a, b):
 
 
 @st.composite
-def laurents(draw, base=("x", "y"), fiber="lam"):
-    n_parts = draw(st.integers(0, 3))
-    parts = {}
-    for _ in range(n_parts):
+def laurents(draw, chart=CHART):
+    n_terms = draw(st.integers(0, 3))
+    terms = {}
+    for _ in range(n_terms):
         k = draw(st.integers(-3, 3))
-        expo = tuple(draw(st.integers(0, 2)) for _ in base)
-        parts[k] = MultiPoly(base, {expo: draw(coeffs)})
-    return LaurentPoly(fiber, parts)
+        expo = tuple(draw(st.integers(0, 2)) for _ in chart.base_vars)
+        terms[expo + (k,)] = draw(coeffs)
+    return chart.coeff(MultiPoly(chart.all_vars, terms))
 
 
 @given(laurents(), laurents(), laurents())
@@ -306,22 +313,47 @@ def test_laurent_mixed_partials_commute(f):
 @given(laurents(), coeffs.filter(lambda c: not c.is_zero()), st.integers(-3, 3))
 @settings(max_examples=40, deadline=None)
 def test_laurent_division_by_a_unit_is_exact(a, c, k):
-    u = LaurentPoly.fiber_power("lam", k, c)
+    u = (LAM**k).scale(c)
+    assert CHART.is_unit(u)
     assert (a * u) / u == a
+
+
+DIVISION_CHART = ChartSpace(("x", "z0"), "lam")
 
 
 @pytest.mark.parametrize(
     "divisor",
     [
-        LaurentPoly.fiber_power("lam", 1) + 1,
-        LaurentPoly.from_poly(MultiPoly.variable("z0"), "lam"),
-        LaurentPoly("lam", {}),
+        DIVISION_CHART.coeff_var("lam") + 1,
+        DIVISION_CHART.coeff_var("z0"),
+        DIVISION_CHART.coeff_zero(),
     ],
     ids=["lam+1", "z0", "zero"],
 )
 def test_laurent_division_by_a_non_unit_raises(divisor):
-    with pytest.raises(ZeroDivisionError):
-        LaurentPoly.from_poly(x, "lam") / divisor
+    """Only a unit ``c * lam^k`` divides in the chart ring."""
+    chart = DIVISION_CHART
+    assert not chart.is_unit(divisor)
+    with pytest.raises((ArithmeticError, ValueError)):
+        chart.coeff(chart.coeff_var("x") / divisor)
+
+
+def test_division_by_a_single_term_is_a_shift_and_a_scale(monkeypatch):
+    """A monomial divisor is a unit of the Laurent ring: no long division runs."""
+    from contactcheck import poly
+
+    def refuse(num, den):
+        raise AssertionError(f"long division of {num} by the monomial {den}")
+
+    monkeypatch.setattr(poly, "try_divide", refuse)
+    m = MultiPoly(("x", "y"), {(2, -1): gq(3, 1)})
+    a = x * x * y - y**-2 + 5
+    assert (a * m) / m == a
+    assert a / m * m == a
+    assert (x * y) / y.scale(2) == x.scale(Fraction(1, 2))
+    assert m**-2 * m**2 == 1
+    f = LAM**-2 * CHART.coeff(x) - CHART.coeff(y)
+    assert (f * LAM**3) / LAM**3 == f
 
 
 # -- sparse arithmetic against the dict oracle ---------------------------------------
@@ -334,11 +366,12 @@ def _assert_canonical(p: MultiPoly) -> None:
         assert isinstance(coeff, GaussianRational) and not coeff.is_zero(), (p.vars, expo)
 
 
-def _assert_canonical_laurent(f: LaurentPoly) -> None:
-    for k, part in f.parts.items():
-        assert not part.is_zero(), k
-        assert f.fiber is None or part.degree_in(f.fiber) <= 0, k
-        _assert_canonical(part)
+def _assert_canonical_laurent(f: MultiPoly) -> None:
+    """Spelled over the chart's variables, negative exponents only on the fiber, no stored 0."""
+    assert f.vars == CHART.all_vars
+    for expo, coeff in f.terms.items():
+        assert min(expo[:-1]) >= 0, expo
+        assert isinstance(coeff, GaussianRational) and not coeff.is_zero(), expo
 
 
 def _random_poly(rng: random.Random, variables, max_terms=5, max_degree=3) -> MultiPoly:
@@ -420,14 +453,48 @@ def test_laurent_arithmetic_stores_no_zero_part(seed):
 
     def laurent():
         parts = {k: _random_poly(rng, ("x", "y"), max_terms=3, max_degree=2) for k in (-1, 0, 2)}
-        return LaurentPoly("lam", parts)
+        out = CHART.coeff_zero()
+        for k, part in parts.items():
+            out = out + LAM**k * CHART.coeff(part)
+        return out
 
     a, b = laurent(), laurent()
     results = [a + b, a - b, -a, a * b, a - a, a * (b - b), a.diff("x"), a.diff("lam")]
     results.append((a + 1) * (a - 1) - a * a)
     for f in results:
         _assert_canonical_laurent(f)
-    assert (a - a).parts == {}
+    assert (a - a).terms == {}
+
+
+def _chart_coefficient(rng: random.Random) -> MultiPoly:
+    """A seeded coefficient of ``CHART``: fiber exponents from -3 to 3, the first negative."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        expo = (rng.randint(0, 2), rng.randint(0, 2), rng.randint(-3, 3 if terms else -1))
+        terms[expo] = gq(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2))
+    return CHART.coeff(MultiPoly(CHART.all_vars, terms))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_chart_ring_matches_dict_oracle(seed):
+    """The chart ring's arithmetic, derivatives and values against the dict oracle."""
+    rng = random.Random(seed)
+    a, b = _chart_coefficient(rng), _chart_coefficient(rng)
+    na, nb = naive_poly(a), naive_poly(b)
+    cases = {
+        "+": (a + b, naive_poly_add(na, nb)),
+        "-": (a - b, naive_poly_add(na, {mono: -c for mono, c in nb.items()})),
+        "*": (a * b, naive_poly_mul(na, nb)),
+    }
+    for var in ("x", "lam"):
+        cases[f"d/d{var}"] = (b.diff(var), naive_poly_diff(nb, var))
+    for name, (got, want) in cases.items():
+        _assert_canonical_laurent(got)
+        assert naive_poly(got) == want, name
+    point = {name: gq(Fraction(rng.randint(1, 5), rng.randint(1, 3)), rng.randint(-2, 2))
+             for name in CHART.all_vars}
+    for f, nf in ((a, na), (b, nb), (a * b, naive_poly_mul(na, nb))):
+        assert f.evaluate(point) == naive_poly_evaluate(nf, point)
 
 
 def test_public_constructors_keep_their_checks():
@@ -437,24 +504,19 @@ def test_public_constructors_keep_their_checks():
     p = MultiPoly(("x",), {(1,): 3, (2,): 0, (0,): GaussianRational(0)})
     assert p.terms == {(1,): gq(3)} and isinstance(p.terms[(1,)], GaussianRational)
     lam = MultiPoly.variable("lam")
-    with pytest.raises(ValueError, match="fiber variable leaked"):
-        LaurentPoly("lam", {0: lam * x})
-    plain, fibered = LaurentPoly(None, {0: lam}), LaurentPoly("lam", {1: x})
-    for combine in (lambda a, b: a + b, lambda a, b: a * b):
-        for a, b in ((plain, fibered), (fibered, plain)):
-            with pytest.raises(ValueError, match="fiber variable leaked"):
-                combine(a, b)
-    with pytest.raises(ValueError, match="fiberless chart"):
-        LaurentPoly(None, {1: x})
-    for fiber in (None, "lam"):
+    plain = ChartSpace(("x", "y"))
+    for outside in (lam * x, lam, lam**-1):
+        with pytest.raises(ValueError, match="is not a variable of the chart"):
+            plain.coeff(outside)
+    for chart in (plain, CHART):
         with pytest.raises(ValueError, match="negative exponent"):
-            LaurentPoly(fiber, {0: x**-1})
-    f = LaurentPoly("lam", {1: MultiPoly.zero(("x",)), 0: x})
-    assert f.parts == {0: x}
+            chart.coeff(x**-1)
+    f = CHART.coeff(MultiPoly(("lam", "x"), {(1, 0): 0, (0, 1): 1}))
+    assert f.vars == CHART.all_vars and f.terms == {(1, 0, 0): gq(1)}
 
 
 def test_evaluate_sums_are_not_seeded_with_zero(capsys, monkeypatch):
-    """No Gaussian-rational sum made in poly or laurent starts from ZERO or 0.
+    """No Gaussian-rational sum made in poly starts from ZERO or 0.
 
     ``evaluate`` seeds each sum with its first term; a zero polynomial
     still evaluates to ZERO.
@@ -469,7 +531,7 @@ def test_evaluate_sums_are_not_seeded_with_zero(capsys, monkeypatch):
 
     def counting_add(self, other):
         caller = sys._getframe(1).f_code.co_filename
-        if caller.endswith(("poly.py", "laurent.py")):
+        if caller.endswith("poly.py"):
             sums.append(caller)
             if self is ZERO or other is ZERO or (type(other) is int and other == 0):
                 zero_sums.append(caller)
@@ -485,4 +547,4 @@ def test_evaluate_sums_are_not_seeded_with_zero(capsys, monkeypatch):
     capsys.readouterr()
     assert sums and zero_sums == []
     assert MultiPoly.zero(("x",)).evaluate({"x": gq(2)}) is ZERO
-    assert LaurentPoly("lam", {}).evaluate({"lam": gq(2)}) is ZERO
+    assert CHART.coeff_zero().evaluate({"x": gq(1), "y": gq(1), "lam": gq(2)}) is ZERO
