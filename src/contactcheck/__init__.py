@@ -17,9 +17,10 @@ Subpackage map:
   Q(i)[u^±1] (polynomials are its elements with no negative exponent), the
   one coefficient ring of chart coefficients, transitions and cocycles.
 * :mod:`contactcheck.linalg` -- exact linear algebra on sparse rows: one
-  elimination loop for ranks, spans, kernels and inverses, with a pivot rule
-  for rings (the chart ring's units in the dtheta solve), and the Bareiss
-  ring determinant.
+  elimination loop for ranks, spans, kernels, inverses and determinants (the
+  signed product of its pivots), with a pivot rule for rings, so that only
+  units divide (the chart ring's in the dtheta solve, the Laurent ring's in
+  the cocycle check).
 * :mod:`contactcheck.rootsystem` -- finite root systems from Cartan matrices.
 * :mod:`contactcheck.lie` -- structure constants, Killing form, highest-root
   grading of the simple Lie algebras.

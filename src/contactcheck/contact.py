@@ -101,6 +101,7 @@ class HomogeneousFunction:
     __slots__ = ("cc", "coeff", "ell")
 
     def __init__(self, cc: ContactChart, coeff: Coeff, ell: int):
+        cc.chart.require_spelled(coeff)
         degree = coeff.weighted_degree(cc.weights)
         if not coeff.is_zero() and degree != ell:
             raise ValueError(f"function is not homogeneous of degree {ell} (got {degree})")
@@ -495,26 +496,34 @@ def rational_pullback_one_form(
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
+def _unit_ratio(a: MultiPoly, b: MultiPoly) -> Optional[MultiPoly]:
+    """The unit u = c * x^e with a = u * b, or None when there is none.
+
+    A unit shifts every exponent alike, so it sends the lexicographically
+    largest term of b to that of a: their ratio is the one candidate, and
+    one multiplication checks it.
+    """
+    if a.is_zero() or b.is_zero():
+        return None
+    a, b = a.aligned(b)
+    top_a, top_b = max(a.terms), max(b.terms)
+    u = MultiPoly(a.vars, {top_a: a.terms[top_a]}) / MultiPoly(b.vars, {top_b: b.terms[top_b]})
+    return u if u * b == a else None
+
+
 def _proportionality_factor(
     target: Mapping[str, MultiPoly], source: Mapping[str, MultiPoly]
 ) -> Optional[MultiPoly]:
-    """f with target = f * source, or None when no such Laurent factor exists."""
-    factor: Optional[MultiPoly] = None
-    for name, value in source.items():
-        if value.is_zero():
-            continue
-        try:
-            candidate = target.get(name, MultiPoly.zero()) / value
-        except ArithmeticError:
-            return None
-        if factor is None:
-            factor = candidate
-        elif factor != candidate:
-            return None
+    """The unit f with target = f * source, or None when there is none."""
+    name = next((name for name, value in source.items() if not value.is_zero()), None)
+    if name is None:
+        return None
+    zero = MultiPoly.zero()
+    factor = _unit_ratio(target.get(name, zero), source[name])
     if factor is None:
         return None
-    for name, t in target.items():
-        if source.get(name, MultiPoly.zero()) * factor != t:
+    for name in target.keys() | source.keys():
+        if source.get(name, zero) * factor != target.get(name, zero):
             return None
     return factor
 
@@ -598,8 +607,8 @@ def reconstruct_cstructure(cc: ContactChart, sections: Sequence[SectionMap]) -> 
     Verifies, exactly: each section is a right inverse of the projection;
     the (C.1) and (C.2) checks of :func:`cstructure_from_charts` on the
     pulled-back forms; the gauge ``g_ij`` with ``sigma_i = R_(g_ij) sigma_j``
-    exists as a single Laurent polynomial; and each compatibility factor is
-    ``g_ij^delta``.
+    exists as a unit ``c * u^e`` of the Laurent ring, nowhere zero on the
+    overlap; and each compatibility factor is ``g_ij^delta``.
     """
     for section in sections:
         if not section_is_valid(cc, section):
@@ -639,7 +648,7 @@ def _gauge_ratio(
     sec_j: SectionMap,
     trans: Mapping[str, MultiPoly],
 ) -> MultiPoly:
-    """g with sigma_i = R_g sigma_j after the coordinate change.
+    """The unit g with sigma_i = R_g sigma_j after the coordinate change.
 
     The action scales the component named ``x`` by ``g^{w_x}``: weight-0
     components must agree outright, weight-1 components each determine g,
@@ -660,10 +669,9 @@ def _gauge_ratio(
                 raise ValueError("weight-0 section components must match on the overlap")
             continue
         if weight == 1:
-            try:
-                candidate = img_i / moved
-            except ArithmeticError:
-                raise ValueError("sections are not related by a scalar gauge") from None
+            candidate = _unit_ratio(img_i, moved)
+            if candidate is None:
+                raise ValueError("sections are not related by a scalar gauge")
             if ratio is None:
                 ratio = candidate
             elif ratio != candidate:
@@ -682,6 +690,12 @@ def canonical_cocycle_check(cs: CStructureData, n: int) -> List[CheckResult]:
     """Canonical-bundle compatibility: on every overlap,
     ``c_i = f_ij^(n+1) * (c_j o transition) * det(Jacobian of transition)``
     where ``c_k`` is the coefficient of the top form ``gamma_k ^ (d gamma_k)^n``.
+
+    The determinant is the signed product of the pivots of the one
+    elimination loop, which divides only by units ``c * u^e``
+    (:meth:`MultiPoly.is_unit`).  A Jacobian with no unit pivot is outside the
+    domain of this check: ``linalg.determinant`` raises ``ZeroDivisionError``
+    on it.  The transitions of the shipped charts are inside it.
     """
     results: List[CheckResult] = []
     tops: List[MultiPoly] = []
@@ -700,7 +714,7 @@ def canonical_cocycle_check(cs: CStructureData, n: int) -> List[CheckResult]:
             {c: trans[var].diff(u) for c, var in enumerate(orders[j]) if u in trans[var].vars}
             for u in orders[i]
         ]
-        det = linalg.determinant(jac)
+        det = linalg.determinant(jac, MultiPoly.const(1), MultiPoly.is_unit)
         lhs = tops[i]
         rhs = f_ij ** (n + 1) * tops[j].substitute(trans) * det
         ok = lhs == rhs
@@ -898,7 +912,9 @@ def cstructure_from_charts(
 
     The compatibility factors f_ij are extracted from the proportionality
     ``gamma_i = f_ij * (transition)^* gamma_j`` and their existence is the
-    (C.2) check; the top-form nonvanishing is the (C.1) check.
+    (C.2) check; the top-form nonvanishing is the (C.1) check.  A factor must
+    be nowhere zero on the overlap, so (C.2) asks for a unit ``c * u^e`` of the
+    Laurent ring: a proportionality by any other Laurent polynomial fails it.
     """
     for label, gamma in zip(labels, gammas):
         top = gamma.wedge(exterior_derivative(gamma).wedge_power(n))

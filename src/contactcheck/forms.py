@@ -88,6 +88,11 @@ class ChartSpace:
             terms[tuple(spelled)] = value
         return MultiPoly(self.all_vars, terms)
 
+    def require_spelled(self, c: Coeff) -> None:
+        """``ValueError`` unless ``c`` is spelled over ``all_vars``, as :meth:`coeff` spells it."""
+        if c.vars != self.all_vars:
+            raise ValueError(f"{c} is spelled over {c.vars}, not over the chart {self!r}")
+
     def coeff_zero(self) -> Coeff:
         return MultiPoly.zero(self.all_vars)
 
@@ -189,6 +194,7 @@ class PolyForm:
 
     @staticmethod
     def function(chart: ChartSpace, coeff: Coeff) -> "PolyForm":
+        chart.require_spelled(coeff)
         return PolyForm(chart, 0, {(): coeff})
 
     @staticmethod

@@ -7,31 +7,31 @@ value}`` dict that stores no zeros, the one vector format of
 Entries must support ``+``, ``-``, ``*``, ``/``, unary ``-`` and
 ``is_zero()``.
 
-One elimination loop, :func:`echelon`: it walks the indices the vectors
-touch in increasing order, keeps at each one the first vector with a unit
-there, scaled to 1, and reduces every vector still waiting by it, so each
-kept row is 1 at its pivot and 0 at every earlier pivot.  Each step walks only the
-supports of the two rows.  Everything else is a few lines on top of it:
-:func:`sparse_basis` and :func:`rank` read the kept rows, :func:`same_span`
-compares ranks, and :func:`column_kernel` and :func:`inverse`
+One elimination loop: it walks the indices the vectors touch in increasing
+order, keeps at each one the first vector with a unit there, scaled to 1,
+and reduces every vector still waiting by it, so each kept row is 1 at its
+pivot and 0 at every earlier pivot.  Each step walks only the supports of the
+two rows.  Everything else is a few lines on top of it: :func:`echelon`
+collects the kept rows, :func:`sparse_basis` and :func:`rank` read them,
+:func:`same_span` compares ranks, :func:`column_kernel` and :func:`inverse`
 back-substitute the kept rows to the reduced form, over just the coordinates
-their inputs touch.
+their inputs touch, and :func:`determinant` is the signed product of the
+pivots.
 
-Ring rule.  The pivot rule ``is_unit`` says which entries may be divided
-by.  The loop pivots only on units: a non-unit entry gives way to the first
-unit further down its column, and a column with no unit raises
-``ZeroDivisionError``.  Without a rule every nonzero entry is a unit, the
-field case, so the pivot is always the first nonzero entry.  The dtheta
+Ring rule.  Only units divide.  The pivot rule ``is_unit`` says which
+entries are units.  The loop pivots only on units: a non-unit entry gives
+way to the first unit further down its column, and a column with no unit
+raises ``ZeroDivisionError``.  Without a rule every nonzero entry is a unit,
+the field case, so the pivot is always the first nonzero entry.  The dtheta
 solve of :mod:`contactcheck.contact` passes the chart ring's rule
-:meth:`~contactcheck.forms.ChartSpace.is_unit`, true for ``c * fiber^k``.
-
-:func:`determinant` is the one ring determinant, Bareiss over the same
-sparse rows, for matrices with no unit pivot such as the cocycle Jacobians.
+:meth:`~contactcheck.forms.ChartSpace.is_unit`, true for ``c * fiber^k``,
+and the cocycle check passes the Laurent ring's
+:meth:`~contactcheck.poly.MultiPoly.is_unit`, true for ``c * u^e``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, TypeVar
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
 from .scalars import ONE, ZERO
 
@@ -67,27 +67,27 @@ def combine(coeffs: Mapping[int, T], vectors: Sequence[Mapping[int, T]]) -> Dict
     return out
 
 
-def echelon(
+def _pivots(
     vectors: Iterable[Mapping[int, T]],
-    one: T = ONE,
-    width: Optional[int] = None,
-    is_unit: Optional[UnitRule] = None,
-) -> Dict[int, SparseRow]:
-    """The elimination loop: kept rows keyed by pivot, in increasing pivot order.
+    one: T,
+    width: Optional[int],
+    is_unit: Optional[UnitRule],
+) -> Iterator[Tuple[int, T, SparseRow, bool]]:
+    """The elimination loop: ``(c, entry, row, swapped)`` for each kept row.
 
     The vectors (zero entries dropped) wait in their given order.  The loop
     walks the indices they touch below ``width`` (default: all) in
     increasing order.  At index c it searches down the column for the first
     waiting vector whose entry there ``is_unit`` accepts (any entry when it is
     None), swaps it with the first waiting vector as row-swapping elimination
-    does, keeps it scaled to 1 at pivot c, and reduces every vector still
-    waiting by it at c.  So each kept row is 0 at every earlier pivot and at
-    every index below its own.  A column whose waiting entries include no
-    unit raises ``ZeroDivisionError``.
+    does (``swapped`` says whether that moved it), keeps it scaled to 1 at
+    pivot c as ``row``, and reduces every vector still waiting by it at c.  So
+    each kept row is 0 at every earlier pivot and at every index below its
+    own.  A column whose waiting entries include no unit raises
+    ``ZeroDivisionError``.
     """
     waiting = [{k: c for k, c in vector.items() if not c.is_zero()} for vector in vectors]
     columns = sorted({k for v in waiting for k in v if width is None or k < width})
-    rows: Dict[int, SparseRow] = {}
     for c in columns:
         hits = [i for i, v in enumerate(waiting) if c in v]
         if not hits:
@@ -97,12 +97,23 @@ def echelon(
             raise ZeroDivisionError(f"no unit pivot in column {c}")
         waiting[0], waiting[i] = waiting[i], waiting[0]
         v = waiting.pop(0)
-        inv = one / v[c]
-        row = rows[c] = {k: x * inv for k, x in v.items()}
+        entry = v[c]
+        inv = one / entry
+        row = {k: x * inv for k, x in v.items()}
         for other in waiting:
             if c in other:
                 add_into(other, -other[c], row)
-    return rows
+        yield c, entry, row, i != 0
+
+
+def echelon(
+    vectors: Iterable[Mapping[int, T]],
+    one: T = ONE,
+    width: Optional[int] = None,
+    is_unit: Optional[UnitRule] = None,
+) -> Dict[int, SparseRow]:
+    """The kept rows of the elimination loop, keyed by pivot in increasing order."""
+    return {c: row for c, _, row, _ in _pivots(vectors, one, width, is_unit)}
 
 
 def _reduced(
@@ -176,45 +187,19 @@ def inverse(
     return [dict(sorted((k - n, c) for k, c in reduced[p].items() if k >= n)) for p in range(n)]
 
 
-def determinant(rows: Sequence[Mapping[int, T]], one: T = ONE) -> T:
-    """Determinant of a square matrix of sparse rows, by Bareiss fraction-free
-    elimination (Math. Comp. 22, 1968).
+def determinant(
+    rows: Sequence[Mapping[int, T]], one: T = ONE, is_unit: Optional[UnitRule] = None
+) -> T:
+    """Determinant of a square matrix of sparse rows: the signed product of the pivots.
 
-    Each step sets ``m[i][j] = (m[i][j] * p - m[i][c] * m[c][j]) / prev`` for
-    pivot ``p`` and previous pivot ``prev``, swapping rows on a zero pivot.  It
-    updates only the indices ``j > c`` where row i or the pivot row is
-    nonzero: every other entry stays 0.  Every division is exact in an
-    integral domain, so Q(i) and the Laurent ring Q(i)[u^±1] of
-    :class:`~contactcheck.poly.MultiPoly` share it.
+    Adding a multiple of one row to another keeps the determinant, and each
+    row swap negates it, so it is the product of the pivot entries of the
+    elimination loop, negated once per swap, and 0 when fewer rows than the
+    matrix has are kept.  Raises ``ZeroDivisionError`` (the ring rule) if
+    elimination finds no pivot that ``is_unit`` accepts.
     """
-    m = [{k: x for k, x in row.items() if not x.is_zero()} for row in rows]
-    n = len(m)
-    negate = False
-    prev = one
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if c in m[i]), None)
-        if pivot is None:
-            return one - one  # zero of the ring
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            negate = not negate
-        top = m[c]
-        p = top[c]
-        for i in range(c + 1, n):
-            row, lead = m[i], m[i].get(c)
-            new = {}
-            for j in row.keys() if lead is None else row.keys() | top.keys():
-                if j <= c:
-                    continue
-                if lead is None or j not in top:
-                    value = row[j] * p
-                elif j in row:
-                    value = row[j] * p - lead * top[j]
-                else:
-                    value = -(lead * top[j])
-                value = value / prev
-                if not value.is_zero():
-                    new[j] = value
-            m[i] = new
-        prev = p
-    return -prev if negate else prev
+    det, kept = one, 0
+    for _, entry, _, swapped in _pivots(rows, one, None, is_unit):
+        det = -(det * entry) if swapped else det * entry
+        kept += 1
+    return det if kept == len(rows) else one - one

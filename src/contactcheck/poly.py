@@ -13,11 +13,14 @@ variable lists are aligned on demand by taking the union of their names, so
 ``x + 1`` over ``(x,)`` and ``-x - 1`` over ``(x, y)`` add to the zero
 polynomial.
 
-Division is exact: ``a / b`` is the Laurent polynomial ``q`` with ``a = q *
-b``.  When there is none it raises ``ArithmeticError``, and a zero divisor
-raises ``ZeroDivisionError``.  A single-term divisor ``c * u^e`` is a unit, so
-dividing by it is a shift and a scale; a negative power exists exactly for
-such a unit.
+Only units divide.  The units of the ring are its single terms ``c * u^e``
+(:meth:`MultiPoly.is_unit`), and ``a / b`` by a unit ``b`` is a shift of
+every exponent of ``a`` by ``-e`` and a scale by ``1/c``.  Any other divisor
+raises ``ArithmeticError``, and zero raises ``ZeroDivisionError``; so a
+negative power exists exactly for a unit.  Nothing else is needed: the
+package divides by coordinate monomials, by the pivots that its elimination
+loop accepts as units, and by one term of another when it reads off a unit
+ratio.
 
 ``terms`` never holds a zero coefficient.  The public constructor checks every
 exponent and coefficient it is given; the results of arithmetic are already in
@@ -157,6 +160,10 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return all(not any(expo) for expo in self.terms)
 
+    def is_unit(self) -> bool:
+        """Whether this is a single term ``c * u^e``, a unit of the Laurent ring."""
+        return len(self.terms) == 1
+
     def constant_value(self) -> GaussianRational:
         if self.is_zero():
             return ZERO
@@ -212,32 +219,19 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "MultiPoly":
-        """The exact Laurent quotient; ``ArithmeticError`` when there is none.
+        """The quotient by a unit ``c * u^e``: a shift by ``-e`` and a scale by ``1/c``.
 
-        A single-term divisor ``c * u^e`` is a unit: the quotient is a shift by
-        ``-e`` and a scale by ``1/c``.  Otherwise the divisor's monomial content
-        shifts out, and what is left is not divisible by any variable, so it
-        must divide the dividend, made a polynomial by its own monomial
-        content, exactly.
+        Any other divisor raises ``ArithmeticError``, and zero raises
+        ``ZeroDivisionError``.
         """
         other = self._coerce_operand(other)
         if other.is_zero():
             raise ZeroDivisionError("Laurent division by zero")
+        if not other.is_unit():
+            raise ArithmeticError(f"({self}) / ({other}): the divisor is not a unit")
         num, den = self.aligned(other)
-        if num.is_zero():
-            return num
-        if len(den.terms) == 1:
-            ((expo, c),) = den.terms.items()
-            inv = c.inverse()
-            sub = operator.sub
-            return MultiPoly._make(
-                num.vars, {tuple(map(sub, k, expo)): v * inv for k, v in num.terms.items()}
-            )
-        low_num, low_den = _low_exponent(num), _low_exponent(den)
-        quotient = try_divide(_shifted(num, low_num), _shifted(den, low_den))
-        if quotient is None:
-            raise ArithmeticError(f"({self}) / ({other}) is not a Laurent polynomial")
-        return _shifted(quotient, tuple(map(operator.sub, low_den, low_num)))
+        ((expo, c),) = den.terms.items()
+        return _shifted(num, expo).scale(c.inverse())
 
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
@@ -318,14 +312,6 @@ class MultiPoly:
         return ZERO if out is None else out
 
     # -- degree bookkeeping -----------------------------------------------------
-
-    def degree_in(self, var: str) -> int:
-        if var not in self.vars:
-            return 0
-        idx = self.vars.index(var)
-        if not self.terms:
-            return -1
-        return max(expo[idx] for expo in self.terms)
 
     def coefficient_of(self, exponents: Mapping[str, int]) -> GaussianRational:
         """Coefficient of the monomial given by a name -> exponent map."""
@@ -417,7 +403,7 @@ class MultiPoly:
         return f"MultiPoly({self.vars!r}, {self!s})"
 
 
-# -- exact division ------------------------------------------------------------
+# -- monomial content ----------------------------------------------------------
 
 
 def _low_exponent(p: MultiPoly) -> Exponent:
@@ -432,36 +418,3 @@ def _shifted(p: MultiPoly, expo: Exponent) -> MultiPoly:
     return MultiPoly._make(
         p.vars, {tuple(map(operator.sub, k, expo)): c for k, c in p.terms.items()}
     )
-
-
-def _grlex_key(expo: Exponent) -> Tuple[int, Exponent]:
-    return (sum(expo), expo)
-
-
-def leading_term(p: MultiPoly) -> Tuple[Exponent, GaussianRational]:
-    if p.is_zero():
-        raise ValueError("zero polynomial has no leading term")
-    expo = max(p.terms, key=_grlex_key)
-    return expo, p.terms[expo]
-
-
-def try_divide(num: MultiPoly, den: MultiPoly) -> Optional[MultiPoly]:
-    """Return the polynomial ``num / den`` of two polynomials when it exists, else ``None``."""
-    if den.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    num, den = num.aligned(den)
-    if num.is_zero():
-        return num
-    quot = MultiPoly.zero(num.vars)
-    rem = num
-    d_expo, d_coeff = leading_term(den)
-    d_inv = d_coeff.inverse()
-    while not rem.is_zero():
-        r_expo, r_coeff = leading_term(rem)
-        diff = tuple(r - d for r, d in zip(r_expo, d_expo))
-        if any(e < 0 for e in diff):
-            return None
-        piece = MultiPoly(num.vars, {diff: r_coeff * d_inv})
-        quot = quot + piece
-        rem = rem - piece * den
-    return quot

@@ -413,12 +413,13 @@ def test_extra_test_types_match_the_benchmark_matrices():
         assert EXTRA_CARTAN[name] == entries, name
 
 
-def test_cocycle_n2_report_matches_benchmark_digest():
-    """cocycle --n 2 reproduces the sha256 digest recorded for the benchmark."""
+@pytest.mark.parametrize("n", [2, 3])
+def test_cocycle_report_matches_benchmark_digest(n):
+    """cocycle --n 2 and 3 reproduce the sha256 digests recorded for the benchmark."""
     import hashlib
 
     reference = json.loads(_benchmark_file("reference.json").read_text())
-    digest = reference["seed_independent"]["cocycle"]["cocycle[n=2]"]
-    report = cli.run_cocycle({"command": "cocycle", "n": 2})
+    digest = reference["seed_independent"]["cocycle"][f"cocycle[n={n}]"]
+    report = cli.run_cocycle({"command": "cocycle", "n": n})
     assert report.ok
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest

@@ -130,6 +130,22 @@ def test_hamiltonian_examples_hopf0():
     assert hamiltonian_field(cc, z0 * z1) == expected
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda cc, f: hamiltonian_field(cc, f),
+        lambda cc, f: HomogeneousFunction(cc, f, 2),
+        lambda cc, f: PolyForm.function(cc.chart, f),
+    ],
+    ids=["hamiltonian_field", "HomogeneousFunction", "PolyForm.function"],
+)
+def test_a_coefficient_not_spelled_over_its_chart_is_rejected_where_it_enters(entry):
+    """z0^2 over (z0,) once failed later, in d/dz1, with "unknown variable 'z1'"."""
+    cc = hopf_chart(0)
+    with pytest.raises(ValueError, match=r"not over the chart ChartSpace\(\('z0', 'z1'\)"):
+        entry(cc, MultiPoly.variable("z0") ** 2)
+
+
 def test_hamiltonian_fibered_closed_form():
     # f = lam^delta g(z): X = -(lam g'/delta) dlam + g dz
     cc = fibered_chart(0, 3)
@@ -612,6 +628,29 @@ def test_c2_rejects_a_factor_with_a_pole_on_the_overlap():
     }
     with pytest.raises(ValueError, match=r"^\(C\.2\) fails for pair \(V0, V1\)$"):
         cstructure_from_charts(["V0", "V1"], [gamma0, gamma1], maps, 0)
+
+
+def test_c2_requires_a_unit_factor():
+    """gamma1 = u0^2 du0 would give f_01 = -u1^5 - u1^4, which vanishes at u1 = -1."""
+    c0, c1 = ChartSpace(["u1"]), ChartSpace(["u0"])
+    gamma0 = PolyForm.d_var(c0, "u1").scale(c0.coeff_var("u1") + c0.coeff_const(1))
+    gamma1 = PolyForm.d_var(c1, "u0").scale(c1.coeff_var("u0") ** 2)
+    maps = {(0, 1): {"u0": MultiPoly.variable("u1") ** -1}}
+    with pytest.raises(ValueError, match=r"^\(C\.2\) fails for pair \(V0, V1\)$"):
+        cstructure_from_charts(["V0", "V1"], [gamma0, gamma1], maps, 0)
+
+
+def test_c2_accepts_a_unit_ratio_of_multi_term_forms():
+    """gamma_k = (1 + u) du on both charts: the ratio of two two-term forms is -u1^3."""
+    c0, c1 = ChartSpace(["u1"]), ChartSpace(["u0"])
+    gamma0 = PolyForm.d_var(c0, "u1").scale(c0.coeff_var("u1") + c0.coeff_const(1))
+    gamma1 = PolyForm.d_var(c1, "u0").scale(c1.coeff_var("u0") + c1.coeff_const(1))
+    u0, u1 = MultiPoly.variable("u0"), MultiPoly.variable("u1")
+    maps = {(0, 1): {"u0": u1**-1}, (1, 0): {"u1": u0**-1}}
+    cs = cstructure_from_charts(["V0", "V1"], [gamma0, gamma1], maps, 0)
+    assert cs.factors[(0, 1)] == -(u1**3) and cs.factors[(1, 0)] == -(u0**3)
+    results = canonical_cocycle_check(cs, 0)
+    assert [r.status for r in results] == ["pass", "pass"]
 
 
 def test_c2_rejects_a_chart_form_that_depends_on_the_fiber():

@@ -17,6 +17,7 @@ from contactcheck.linalg import (
     rank,
     same_span,
     sparse_basis,
+    total,
 )
 from contactcheck.poly import MultiPoly
 from contactcheck.scalars import GaussianRational, ONE, ZERO
@@ -262,35 +263,48 @@ def test_determinant_special_matrices(rows, expected):
     assert determinant(_sparse(rows)) == leibniz_determinant(rows) == expected
 
 
-@pytest.mark.parametrize("i,j", [(i, j) for i in range(4) for j in range(4) if i != j])
-def test_determinant_of_transition_jacobians(i, j):
-    trans = projective_transition(4, i, j)
-    coords = [f"u{m}" for m in range(4) if m != i]
+# Chart pairs of CP^3, CP^5 and CP^7; the CP^3 ids are the bare pair "i-j".
+TRANSITIONS = [
+    pytest.param(n_vars, i, j, id=f"{i}-{j}" if n_vars == 4 else f"cp{n_vars - 1}-{i}-{j}")
+    for n_vars in (4, 6, 8)
+    for i in range(n_vars)
+    for j in range(n_vars)
+    if i != j
+]
+
+
+@pytest.mark.parametrize("n_vars,i,j", TRANSITIONS)
+def test_determinant_of_transition_jacobians(n_vars, i, j):
+    trans = projective_transition(n_vars, i, j)
+    coords = [f"u{m}" for m in range(n_vars) if m != i]
     # Sparse rows: an image without the variable u has a 0 entry (diff rejects u).
     jac = [
         {c: trans[name].diff(u) for c, name in enumerate(trans) if u in trans[name].vars}
         for u in coords
     ]
     one = MultiPoly.const(1)
-    det = determinant(jac, one=one)
-    dense = [[row.get(c, one - one) for c in range(len(trans))] for row in jac]
-    assert det == leibniz_determinant(dense, one=one)
-    # the Jacobian of u -> (1/u_j, u_m/u_j) on CP^3 is a unit times u_j^-4
-    unit = (det * MultiPoly.variable(f"u{j}") ** 4).constant_value()
-    assert not unit.is_zero() and det == (MultiPoly.variable(f"u{j}") ** -4).scale(unit)
+    det = determinant(jac, one=one, is_unit=MultiPoly.is_unit)
+    if n_vars <= 6:
+        dense = [[row.get(c, one - one) for c in range(len(trans))] for row in jac]
+        assert det == leibniz_determinant(dense, one=one)
+    # the Jacobian of u -> (1/u_j, u_m/u_j) on CP^m is a unit times u_j^-(m+1)
+    u_j = MultiPoly.variable(f"u{j}")
+    unit = (det * u_j**n_vars).constant_value()
+    assert not unit.is_zero() and det == (u_j**-n_vars).scale(unit)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_determinant_of_polynomial_matrices(seed):
-    """Bareiss divides by non-monomial pivots; each division must be exact."""
+    """Only units divide: past a unit pivot in column 0, column 1 has no unit left."""
     rng = random.Random(f"{seed}-poly")
     xy = ("x", "y")
     x, y = MultiPoly.variable("x", xy), MultiPoly.variable("y", xy)
     monomials = [MultiPoly.const(1, xy), x, y, x * y, x * x]
 
     def entry():
-        return sum((m.scale(rng.randint(-3, 3)) for m in monomials), MultiPoly.zero(xy))
+        return total(m.scale(rng.choice([-3, -2, -1, 1, 2, 3])) for m in monomials)
 
     rows = [[entry() for _ in range(3)] for _ in range(3)]
-    one = MultiPoly.const(1)
-    assert determinant(_sparse(rows), one=one) == leibniz_determinant(rows, one=one)
+    rows[0][0] = rng.choice(monomials).scale(rng.randint(1, 3))
+    with pytest.raises(ZeroDivisionError, match="no unit pivot in column 1"):
+        determinant(_sparse(rows), one=MultiPoly.const(1), is_unit=MultiPoly.is_unit)

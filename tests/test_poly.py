@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactcheck.forms import ChartSpace
-from contactcheck.poly import MultiPoly, try_divide
+from contactcheck.poly import MultiPoly
 from contactcheck.scalars import GaussianRational
 from conftest import gq
 from oracles import (
@@ -140,14 +140,6 @@ def test_substitution_composes(p):
     assert p.substitute(first).substitute(second) == p.substitute(composed)
 
 
-# -- exact division ---------------------------------------------------------------
-
-
-def test_try_divide_exact_and_failing():
-    assert try_divide(x * x - y * y, x + y) == x - y
-    assert try_divide(x * x + 1, x + y) is None
-
-
 # -- the chart ring Q(i)[x, y][lam^±1] ---------------------------------------------
 
 CHART = ChartSpace(("x", "y"), "lam")
@@ -193,18 +185,6 @@ def test_laurent_evaluate_rejects_zero_fiber():
 laurent_polys = polys(max_terms=3, max_degree=2, min_degree=-2)
 
 
-def test_rational_reduction():
-    r = (x * x - y * y) / (x + y)
-    assert all(e >= 0 for expo in r.terms for e in expo)
-    assert r == x - y
-
-
-def test_rational_equality_cross_multiplies():
-    a = x / y
-    b = (x * (x + y)) / (y * (x + y))
-    assert a == b
-
-
 def test_rational_derivative_quotient_rule():
     r = MultiPoly.const(1, ("x",)) / x
     d = r.diff("x")
@@ -222,21 +202,17 @@ def test_zero_denominator_rejected():
 
 
 def test_rational_canonical_form_has_monomial_denominator():
-    r = (x * x * y + x * x * x) / (x * y * y * (x + y))
-    assert r == x * y**-2 and str(r) == "(x) / (y^2)"
+    r = (x * x * y + x * x * x) / (x * y * y)
+    assert r == x * y**-1 + x * x * y**-2 and str(r) == "(x^2 + x*y) / (y^2)"
     assert str((x - y) / (x * y * 2)) == "(1/2*x - 1/2*y) / (x*y)"
 
 
-def test_rational_exact_division_by_non_unit():
-    assert (x * y + y * y) / (x + y) == y
-
-
 def test_non_laurent_quotient_raises():
-    with pytest.raises(ArithmeticError, match="is not a Laurent polynomial"):
+    with pytest.raises(ArithmeticError, match="the divisor is not a unit"):
         x / (x + y)
-    with pytest.raises(ArithmeticError, match="is not a Laurent polynomial"):
+    with pytest.raises(ArithmeticError, match="the divisor is not a unit"):
         (x * y**-1) / (x + y)
-    with pytest.raises(ArithmeticError, match="is not a Laurent polynomial"):
+    with pytest.raises(ArithmeticError, match="the divisor is not a unit"):
         (x + y) ** -1
     with pytest.raises(ZeroDivisionError):
         x / MultiPoly.zero(("x",))
@@ -269,12 +245,6 @@ def test_laurent_multipoly_division_by_a_monomial(a, c, expo, k):
     b = MultiPoly(("x", "y", "z"), {expo: c})
     assert (a * b) / b == a
     assert b**k * b**-k == 1
-
-
-@given(laurent_polys, laurent_polys.filter(lambda b: len(b.terms) > 1))
-@settings(max_examples=40, deadline=None)
-def test_laurent_multipoly_exact_division_by_a_non_monomial(a, b):
-    assert (a * b) / b == a
 
 
 @st.composite
@@ -338,14 +308,8 @@ def test_laurent_division_by_a_non_unit_raises(divisor):
         chart.coeff(chart.coeff_var("x") / divisor)
 
 
-def test_division_by_a_single_term_is_a_shift_and_a_scale(monkeypatch):
-    """A monomial divisor is a unit of the Laurent ring: no long division runs."""
-    from contactcheck import poly
-
-    def refuse(num, den):
-        raise AssertionError(f"long division of {num} by the monomial {den}")
-
-    monkeypatch.setattr(poly, "try_divide", refuse)
+def test_division_by_a_single_term_is_a_shift_and_a_scale():
+    """A monomial divisor is a unit of the Laurent ring: the quotient is a shift and a scale."""
     m = MultiPoly(("x", "y"), {(2, -1): gq(3, 1)})
     a = x * x * y - y**-2 + 5
     assert (a * m) / m == a
