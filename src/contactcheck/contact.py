@@ -37,7 +37,7 @@ from .forms import (
 )
 from .poly import MultiPoly
 from .report import CheckResult, check
-from .scalars import GaussianRational, ONE
+from .scalars import GaussianRational, ONE, ZERO
 
 
 class ContactChart:
@@ -288,7 +288,7 @@ def degree_of(cc: ContactChart, f: Coeff) -> Optional[int]:
     image = xi.apply_to(f)
     # candidate scalar from any single matching term
     expo0, c0 = next(iter(f.terms.items()))
-    ratio = image.coefficient_of(dict(zip(f.vars, expo0))) / c0
+    ratio = image.terms.get(expo0, ZERO) / c0
     if image != f.scale(ratio):
         return None
     ell = ratio * GaussianRational(-cc.delta)
@@ -462,7 +462,8 @@ class CStructureData:
     ``transition_maps[(i, j)]`` expresses chart-j coordinates as Laurent
     polynomials in chart-i coordinates; ``factors[(i, j)]`` is the Laurent
     polynomial (holomorphic on the overlap) with
-    ``gamma_i = f_ij * (coordinate change)^* gamma_j``.
+    ``gamma_i = f_ij * (coordinate change)^* gamma_j``.  Everything on the
+    overlap of charts i and j is spelled over chart i's coordinates.
     """
 
     __slots__ = ("charts", "gammas", "transition_maps", "factors", "gauges")
@@ -505,7 +506,6 @@ def _unit_ratio(a: MultiPoly, b: MultiPoly) -> Optional[MultiPoly]:
     """
     if a.is_zero() or b.is_zero():
         return None
-    a, b = a.aligned(b)
     top_a, top_b = max(a.terms), max(b.terms)
     u = MultiPoly(a.vars, {top_a: a.terms[top_a]}) / MultiPoly(b.vars, {top_b: b.terms[top_b]})
     return u if u * b == a else None
@@ -518,7 +518,7 @@ def _proportionality_factor(
     name = next((name for name, value in source.items() if not value.is_zero()), None)
     if name is None:
         return None
-    zero = MultiPoly.zero()
+    zero = MultiPoly.zero(source[name].vars)
     factor = _unit_ratio(target.get(name, zero), source[name])
     if factor is None:
         return None
@@ -540,9 +540,10 @@ def section_is_valid(cc: ContactChart, section: SectionMap) -> bool:
     images = section.images
     if set(images) != set(chart.all_vars):
         return False
+    source = section.source
     if chart.fiber_var is not None:
         for name in chart.base_vars:
-            if images[name] != MultiPoly.variable(name):
+            if name not in source.all_vars or images[name] != source.coeff_var(name):
                 return False
         lam_image = images[chart.fiber_var]
         return lam_image.is_constant() and not lam_image.constant_value().is_zero()
@@ -557,10 +558,10 @@ def section_is_valid(cc: ContactChart, section: SectionMap) -> bool:
         if name == section.unit_var:
             continue
         coord = _single_variable_of(images[name], c)
-        if coord is None or coord in used or coord not in section.source.base_vars:
+        if coord is None or coord in used or coord not in source.base_vars:
             return False
         used.add(coord)
-    return used == set(section.source.base_vars)
+    return used == set(source.base_vars)
 
 
 def _single_variable_of(image: Coeff, scale: GaussianRational) -> Optional[str]:
@@ -594,8 +595,10 @@ def projective_transition(n_vars: int, i: int, j: int) -> Dict[str, MultiPoly]:
     """Chart-j affine coordinates of projective space in terms of chart-i ones.
 
     Convention: chart k uses coordinates ``u_m = zeta_m / zeta_k`` for m != k.
+    The images are spelled over chart i's coordinates, in that order.
     """
-    u = {m: MultiPoly.variable(f"u{m}") for m in range(n_vars) if m != i}
+    coords = tuple(f"u{m}" for m in range(n_vars) if m != i)
+    u = {m: MultiPoly.variable(f"u{m}", coords) for m in range(n_vars) if m != i}
     return {
         f"u{m}": u[j] ** -1 if m == i else u[m] / u[j] for m in range(n_vars) if m != j
     }
@@ -634,7 +637,7 @@ def _section_transition(
         # renaming chart-j names to chart-i names.
         src = sections[i].source
         return {
-            name_j: MultiPoly.variable(name_i)
+            name_j: src.coeff_var(name_i)
             for name_j, name_i in zip(sections[j].source.all_vars, src.all_vars)
         }
     unit_i = int(sections[i].unit_var[1:])
@@ -699,22 +702,19 @@ def canonical_cocycle_check(cs: CStructureData, n: int) -> List[CheckResult]:
     """
     results: List[CheckResult] = []
     tops: List[MultiPoly] = []
-    orders: List[List[str]] = []
+    orders: List[Tuple[str, ...]] = []
     for gamma in cs.gammas:
         top = gamma.wedge(exterior_derivative(gamma).wedge_power(n))
         ((key, coeff),) = top.terms.items()
         if list(key) != list(range(top.chart.dim)):
             raise AssertionError("top form key must be the full variable tuple")
         tops.append(top.chart.base_part(coeff))
-        orders.append(list(top.chart.all_vars))
+        orders.append(top.chart.all_vars)
     for (i, j), trans in cs.transition_maps.items():
         f_ij = cs.factors[(i, j)]
-        # Sparse rows: an image without the variable u has a 0 entry (diff rejects u).
-        jac = [
-            {c: trans[var].diff(u) for c, var in enumerate(orders[j]) if u in trans[var].vars}
-            for u in orders[i]
-        ]
-        det = linalg.determinant(jac, MultiPoly.const(1), MultiPoly.is_unit)
+        # The images are spelled over chart i; the elimination loop drops 0 entries.
+        jac = [{c: trans[var].diff(u) for c, var in enumerate(orders[j])} for u in orders[i]]
+        det = linalg.determinant(jac, MultiPoly.const(1, orders[i]), MultiPoly.is_unit)
         lhs = tops[i]
         rhs = f_ij ** (n + 1) * tops[j].substitute(trans) * det
         ok = lhs == rhs
@@ -762,7 +762,7 @@ def quotient_checks(n: int, monomials: Sequence[Coeff], max_m: int = 3) -> List[
         degree = mono.weighted_degree(cc.weights)
         if degree is None:
             raise ValueError("quotient suite expects monomial samples")
-        flipped_f = mono.substitute({name: -MultiPoly.variable(name) for name in chart.base_vars})
+        flipped_f = mono.substitute(flip)
         descends = flipped_f == mono
         parity_ok = descends == (degree % 2 == 0)
         results.append(
@@ -915,6 +915,7 @@ def cstructure_from_charts(
     (C.2) check; the top-form nonvanishing is the (C.1) check.  A factor must
     be nowhere zero on the overlap, so (C.2) asks for a unit ``c * u^e`` of the
     Laurent ring: a proportionality by any other Laurent polynomial fails it.
+    Each transition image must be spelled over the chart of ``gamma_i``.
     """
     for label, gamma in zip(labels, gammas):
         top = gamma.wedge(exterior_derivative(gamma).wedge_power(n))
@@ -922,6 +923,11 @@ def cstructure_from_charts(
             raise ValueError(f"(C.1) fails for {label}: gamma ^ (d gamma)^{n} = 0")
     factors: Dict[Tuple[int, int], MultiPoly] = {}
     for (i, j), trans in transition_maps.items():
+        try:
+            for image in trans.values():
+                gammas[i].chart.require_spelled(image)
+        except ValueError as exc:
+            raise ValueError(f"transition ({labels[i]}, {labels[j]}): {exc}") from None
         target = {
             gammas[i].chart.all_vars[idx]: gammas[i].chart.base_part(coeff)
             for (idx,), coeff in gammas[i].terms.items()
@@ -940,8 +946,5 @@ def projective_line_cstructure() -> CStructureData:
     c1 = ChartSpace(["u0"])
     gamma0 = PolyForm.d_var(c0, "u1")
     gamma1 = PolyForm.d_var(c1, "u0")
-    maps = {
-        (0, 1): {"u0": MultiPoly.variable("u1") ** -1},
-        (1, 0): {"u1": MultiPoly.variable("u0") ** -1},
-    }
+    maps = {(0, 1): {"u0": c0.coeff_var("u1") ** -1}, (1, 0): {"u1": c1.coeff_var("u0") ** -1}}
     return cstructure_from_charts(["V0", "V1"], [gamma0, gamma1], maps, 0)

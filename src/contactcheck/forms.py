@@ -5,7 +5,8 @@ chart ring Q(i)[base][fiber^±1].  A chart has ordered base variables plus an
 optional distinguished fiber variable (always the last slot), the only one a
 coefficient may invert.  The chart ring is a subring of the Laurent ring
 Q(i)[u^±1], so a coefficient is a :class:`~contactcheck.poly.MultiPoly`
-spelled over the chart's ``all_vars``, and :class:`ChartSpace` holds the
+spelled over the chart's ``all_vars`` (forms and fields reject any other
+spelling when they are built), and :class:`ChartSpace` holds the
 rules that belong to the subring: which elements belong to it
 (:meth:`ChartSpace.coeff`), which are its units ``c * fiber^k``
 (:meth:`ChartSpace.is_unit`, the pivot rule of the dtheta solve), the text
@@ -179,6 +180,7 @@ class PolyForm:
                     raise ValueError(f"key {key} must be strictly increasing")
                 if key and (key[0] < 0 or key[-1] >= chart.dim):
                     raise ValueError(f"key {key} out of range for chart of dim {chart.dim}")
+                chart.require_spelled(coeff)
                 if not coeff.is_zero():
                     clean[key] = coeff
         object.__setattr__(self, "terms", clean)
@@ -194,7 +196,6 @@ class PolyForm:
 
     @staticmethod
     def function(chart: ChartSpace, coeff: Coeff) -> "PolyForm":
-        chart.require_spelled(coeff)
         return PolyForm(chart, 0, {(): coeff})
 
     @staticmethod
@@ -351,6 +352,7 @@ class PolyVectorField:
             for idx, coeff in components.items():
                 if not 0 <= idx < chart.dim:
                     raise ValueError(f"component index {idx} out of range")
+                chart.require_spelled(coeff)
                 if not coeff.is_zero():
                     clean[idx] = coeff
         object.__setattr__(self, "components", clean)

@@ -8,10 +8,14 @@ coefficient ring of the package.  Chart transitions, compatibility factors
 and canonical-bundle cocycles live in it, on chart overlaps, where the only
 denominators are coordinate monomials; so do chart coefficients, elements of
 the subring Q(i)[base][fiber^±1] spelled over their chart's variables (see
-:class:`~contactcheck.forms.ChartSpace`).  Two elements over different
-variable lists are aligned on demand by taking the union of their names, so
-``x + 1`` over ``(x,)`` and ``-x - 1`` over ``(x, y)`` add to the zero
-polynomial.
+:class:`~contactcheck.forms.ChartSpace`).
+
+One spelling per operation.  ``+``, ``-``, ``*``, ``/`` and ``==`` take two
+elements spelled over the same variable tuple, and raise ``ValueError``
+naming both tuples otherwise; an int or a scalar is read as a constant over
+the polynomial's own tuple.  So ``x + 1`` over ``(x,)`` and ``-x - 1`` over
+``(x, y)`` do not add: re-spell one first, through
+:meth:`~contactcheck.forms.ChartSpace.coeff`.
 
 Only units divide.  The units of the ring are its single terms ``c * u^e``
 (:meth:`MultiPoly.is_unit`), and ``a / b`` by a unit ``b`` is a shift of
@@ -62,16 +66,6 @@ TermMap = Dict[Exponent, GaussianRational]
 def _natural_key(name: str) -> List[object]:
     """Sort key of a variable name: text chunks as text, digit runs as numbers."""
     return [int(chunk) if k % 2 else chunk for k, chunk in enumerate(re.split(r"(\d+)", name))]
-
-
-def _merge_vars(a: Sequence[str], b: Sequence[str]) -> Tuple[str, ...]:
-    out = list(a)
-    seen = set(a)
-    for name in b:
-        if name not in seen:
-            out.append(name)
-            seen.add(name)
-    return tuple(out)
 
 
 class MultiPoly:
@@ -126,32 +120,6 @@ class MultiPoly:
         expo[variables.index(name)] = 1
         return MultiPoly(variables, {tuple(expo): ONE})
 
-    def with_vars(self, variables: Sequence[str]) -> "MultiPoly":
-        """Re-express this polynomial over a superset of its variables."""
-        variables = tuple(variables)
-        if variables == self.vars:
-            return self
-        positions = []
-        for name in self.vars:
-            if name not in variables:
-                raise ValueError(f"variable {name} missing from target list {variables}")
-            positions.append(variables.index(name))
-        width = len(variables)
-        terms: TermMap = {}
-        for expo, coeff in self.terms.items():
-            new = [0] * width
-            for src, dst in enumerate(positions):
-                new[dst] = expo[src]
-            terms[tuple(new)] = coeff
-        return MultiPoly._make(variables, terms)
-
-    def aligned(self, other: "MultiPoly") -> Tuple["MultiPoly", "MultiPoly"]:
-        """Both polynomials over one variable tuple: this one's, then ``other``'s new names."""
-        if self.vars == other.vars:
-            return self, other
-        union = _merge_vars(self.vars, other.vars)
-        return self.with_vars(union), other.with_vars(union)
-
     # -- predicates -----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -178,9 +146,8 @@ class MultiPoly:
 
     def __add__(self, other) -> "MultiPoly":
         other = self._coerce_operand(other)
-        a, b = self.aligned(other)
-        terms = dict(a.terms)
-        for expo, coeff in b.terms.items():
+        terms = dict(self.terms)
+        for expo, coeff in other.terms.items():
             acc = terms.get(expo)
             if acc is None:
                 terms[expo] = coeff
@@ -190,7 +157,7 @@ class MultiPoly:
                 del terms[expo]
             else:
                 terms[expo] = acc
-        return MultiPoly._make(a.vars, terms)
+        return MultiPoly._make(self.vars, terms)
 
     __radd__ = __add__
 
@@ -205,16 +172,15 @@ class MultiPoly:
 
     def __mul__(self, other) -> "MultiPoly":
         other = self._coerce_operand(other)
-        a, b = self.aligned(other)
         terms: TermMap = {}
         add = operator.add
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
                 expo = tuple(map(add, e1, e2))
                 acc = terms.get(expo)
                 terms[expo] = c1 * c2 if acc is None else acc + c1 * c2
         # A product of nonzero coefficients is nonzero; only cancelled sums drop.
-        return MultiPoly._make(a.vars, {e: c for e, c in terms.items() if not c.is_zero()})
+        return MultiPoly._make(self.vars, {e: c for e, c in terms.items() if not c.is_zero()})
 
     __rmul__ = __mul__
 
@@ -229,9 +195,8 @@ class MultiPoly:
             raise ZeroDivisionError("Laurent division by zero")
         if not other.is_unit():
             raise ArithmeticError(f"({self}) / ({other}): the divisor is not a unit")
-        num, den = self.aligned(other)
-        ((expo, c),) = den.terms.items()
-        return _shifted(num, expo).scale(c.inverse())
+        ((expo, c),) = other.terms.items()
+        return _shifted(self, expo).scale(c.inverse())
 
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
@@ -252,7 +217,10 @@ class MultiPoly:
         return MultiPoly._make(self.vars, {e: coeff * c for e, coeff in self.terms.items()})
 
     def _coerce_operand(self, other) -> "MultiPoly":
+        """``other`` spelled as this polynomial is; ``ValueError`` for another spelling."""
         if isinstance(other, MultiPoly):
+            if other.vars != self.vars:
+                raise ValueError(f"operands spelled over {self.vars} and {other.vars}")
             return other
         if isinstance(other, (int, Fraction, GaussianRational)):
             return MultiPoly.const(other, self.vars)
@@ -277,23 +245,30 @@ class MultiPoly:
     def substitute(self, bindings: Mapping[str, "MultiPoly"]) -> "MultiPoly":
         """Ring homomorphism sending each bound variable to its image polynomial.
 
-        Unbound variables map to themselves.  The result lives over the union
-        of the surviving variables and the image variables.
+        The images are spelled over one variable tuple, and so is the result.
+        An unbound variable maps to itself, so it must be a name of that
+        tuple; with no bindings the result is this polynomial.
         """
-        images: Dict[str, MultiPoly] = {}
-        result_vars: Tuple[str, ...] = ()
+        spellings = {img.vars for img in bindings.values()}
+        if len(spellings) > 1:
+            raise ValueError(f"images spelled over {sorted(spellings)}")
+        if not spellings:
+            return self
+        (target,) = spellings
+        images = []
         for name in self.vars:
             img = bindings.get(name)
             if img is None:
-                img = MultiPoly.variable(name)
-            images[name] = img
-            result_vars = _merge_vars(result_vars, img.vars)
-        out = MultiPoly.zero(result_vars)
+                if name not in target:
+                    raise ValueError(f"unbound variable {name!r} is not in {target}")
+                img = MultiPoly.variable(name, target)
+            images.append(img)
+        out = MultiPoly.zero(target)
         for expo, coeff in self.terms.items():
-            term = MultiPoly.const(coeff, result_vars)
-            for idx, k in enumerate(expo):
+            term = MultiPoly.const(coeff, target)
+            for img, k in zip(images, expo):
                 if k:
-                    term = term * images[self.vars[idx]] ** k
+                    term = term * img**k
             out = out + term
         return out
 
@@ -312,14 +287,6 @@ class MultiPoly:
         return ZERO if out is None else out
 
     # -- degree bookkeeping -----------------------------------------------------
-
-    def coefficient_of(self, exponents: Mapping[str, int]) -> GaussianRational:
-        """Coefficient of the monomial given by a name -> exponent map."""
-        for name in exponents:
-            if exponents[name] and name not in self.vars:
-                return ZERO
-        key = tuple(exponents.get(name, 0) for name in self.vars)
-        return self.terms.get(key, ZERO)
 
     def weighted_parts(self, weights: Mapping[str, int]) -> Dict[int, "MultiPoly"]:
         """Split into weighted-homogeneous components keyed by weighted degree."""
@@ -340,12 +307,9 @@ class MultiPoly:
     # -- comparison / display ---------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = MultiPoly.const(other, self.vars)
-        if not isinstance(other, MultiPoly):
+        if not isinstance(other, (MultiPoly, int, Fraction, GaussianRational)):
             return NotImplemented
-        a, b = self.aligned(other)
-        return a.terms == b.terms
+        return self.terms == self._coerce_operand(other).terms
 
     def __hash__(self):
         raise TypeError("MultiPoly is not hashable; compare canonical strings if needed")

@@ -14,8 +14,8 @@ bracket table instead of the library's weight-compatible traces over its
 per-index rows, span comparisons and intersections by ranks of dense
 ``dim g`` vectors instead of the library's sparse bases and column kernels,
 and polynomial sums, products and derivatives over plain
-dicts keyed by ``(name, exponent)`` pairs instead of ``MultiPoly``'s aligned
-exponent tuples.  They stay deliberately naive.
+dicts keyed by ``(name, exponent)`` pairs instead of ``MultiPoly``'s
+exponent tuples over one variable tuple.  They stay deliberately naive.
 """
 
 from __future__ import annotations
@@ -386,7 +386,8 @@ def dense_killing_form(sc: StructureConstants, x: SparseVec, y: SparseVec) -> Ga
 
 
 # A monomial as its sorted ``(name, exponent)`` pairs with exponent > 0, so two
-# polynomials over different or permuted variable lists need no alignment.
+# polynomials over different or permuted variable lists compare without
+# re-spelling either.
 Monomial = Tuple[Tuple[str, int], ...]
 NaivePoly = Dict[Monomial, GaussianRational]
 

@@ -262,27 +262,15 @@ def test_lemma21_adds_no_zero_scalars(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify-lemma21", "--model", "fibered", "--n", "2", "--delta", "-1", "--samples", "7"],
-    ["verify-lemma22", "--model", "fibered", "--n", "2", "--delta", "-2", "--samples", "5"],
-], ids=["lemma21", "lemma22"])
-def test_hamiltonian_path_aligns_no_variable_tuples(capsys, monkeypatch, argv):
-    """Every chart coefficient is spelled over the chart's variables, so no
-    ``MultiPoly`` operation on the Hamiltonian path re-spells an operand."""
-    from contactcheck.poly import MultiPoly
-
-    aligned = MultiPoly.aligned
-    calls, differing = [], []
-
-    def counting_aligned(self, other):
-        calls.append(self)
-        if self.vars != other.vars:
-            differing.append((self.vars, other.vars))
-        return aligned(self, other)
-
-    monkeypatch.setattr(MultiPoly, "aligned", counting_aligned)
-    code, _ = run(capsys, *argv, "--seed", "2024")
+    ["verify-lemma21", "--model", "fibered", "--n", "2", "--delta", "-1", "--samples", "7", "--seed", "2024"],
+    ["verify-lemma22", "--model", "fibered", "--n", "2", "--delta", "-2", "--samples", "5", "--seed", "2024"],
+    ["cocycle", "--n", "2"],
+], ids=["lemma21", "lemma22", "cocycle"])
+def test_one_spelling_paths_exit_zero(capsys, argv):
+    """A ``MultiPoly`` operation on two spellings raises (test_poly pins it), so
+    exit 0 says that the Hamiltonian and cocycle paths spell every operand alike."""
+    code, _ = run(capsys, *argv)
     assert code == 0
-    assert calls and differing == []
 
 
 def test_dump_forms_on_corrupted_theta_reports_the_failure(capsys, monkeypatch):
@@ -422,4 +410,21 @@ def test_cocycle_report_matches_benchmark_digest(n):
     digest = reference["seed_independent"]["cocycle"][f"cocycle[n={n}]"]
     report = cli.run_cocycle({"command": "cocycle", "n": n})
     assert report.ok
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n, checks, digest", [
+    (4, 90, "342d4a21171dd3558905a6c1f4411e719136310ab4b99ea56a7f1ebe3a19c496"),
+    (5, 132, "45d181a5a0f1860114ef0a2a95346ac6034aaa0a1c6fe7db9005c31772fa042d"),
+])
+def test_library_cocycle_report_is_pinned(n, checks, digest):
+    """Cocycles past the CLI cap, through the library, keep their exact report."""
+    import hashlib
+
+    from contactcheck.report import Report
+
+    cs = contact.reconstruct_cstructure(contact.hopf_chart(n), contact.hopf_sections(n))
+    report = Report({"command": "cocycle", "n": n})
+    report.extend(contact.canonical_cocycle_check(cs, n))
+    assert report.ok and len(report.results) == checks
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest

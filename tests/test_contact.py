@@ -28,6 +28,7 @@ from contactcheck.contact import (
     quotient_checks,
     reconstruct_cstructure,
     scaling_degree,
+    section_is_valid,
     solved_euler_field,
     verify_axioms,
 )
@@ -136,8 +137,10 @@ def test_hamiltonian_examples_hopf0():
         lambda cc, f: hamiltonian_field(cc, f),
         lambda cc, f: HomogeneousFunction(cc, f, 2),
         lambda cc, f: PolyForm.function(cc.chart, f),
+        lambda cc, f: exterior_derivative(PolyForm(cc.chart, 1, {(0,): f})),
+        lambda cc, f: PolyVectorField(cc.chart, {0: f}),
     ],
-    ids=["hamiltonian_field", "HomogeneousFunction", "PolyForm.function"],
+    ids=["hamiltonian_field", "HomogeneousFunction", "PolyForm.function", "PolyForm", "PolyVectorField"],
 )
 def test_a_coefficient_not_spelled_over_its_chart_is_rejected_where_it_enters(entry):
     """z0^2 over (z0,) once failed later, in d/dz1, with "unknown variable 'z1'"."""
@@ -246,7 +249,7 @@ def test_quadratic_bracket_algebra_dimension():
         out = []
         for i in range(2):
             comp = X.components.get(i, cc.chart.coeff_zero())
-            poly = cc.chart.base_part(comp).with_vars(("z0", "z1"))
+            poly = cc.chart.base_part(comp)
             out.extend([poly.terms.get((1, 0), gq(0)), poly.terms.get((0, 1), gq(0))])
         return out
 
@@ -341,8 +344,8 @@ def test_constant_gauge_sections():
     s1 = SectionMap("S1", src, {"z0": src.coeff_var("z0"), "lam": src.coeff_const(2)}, "lam")
     s2 = SectionMap("S2", src, {"z0": src.coeff_var("z0"), "lam": src.coeff_const(1)}, "lam")
     cs = reconstruct_cstructure(cc, [s1, s2])
-    assert cs.gauges[(0, 1)] == MultiPoly.const(2)
-    assert cs.factors[(0, 1)] == MultiPoly.const(8)  # c^delta
+    assert cs.gauges[(0, 1)] == src.coeff_const(2)
+    assert cs.factors[(0, 1)] == src.coeff_const(8)  # c^delta
 
 
 def test_bad_section_rejected():
@@ -369,7 +372,7 @@ def test_quotient_suite(n):
 def test_quotient_descent_classification():
     cc = hopf_chart(0)
     z0, z1 = cc.chart.coeff_var("z0"), cc.chart.coeff_var("z1")
-    flip = {name: -MultiPoly.variable(name) for name in cc.chart.base_vars}
+    flip = {name: -cc.chart.coeff_var(name) for name in cc.chart.base_vars}
     assert (z0 * z1).substitute(flip) == z0 * z1  # even descends
     assert (z0).substitute(flip) == -z0  # odd does not
     assert len(monomial_basis(1, 2)) == 3  # even quadratics on C^2
@@ -658,9 +661,26 @@ def test_c2_rejects_a_chart_form_that_depends_on_the_fiber():
     c0, c1 = ChartSpace(["u1"], "lam"), ChartSpace(["u0"])
     gamma0 = PolyForm.d_var(c0, "u1").scale(c0.coeff_var("lam"))
     gamma1 = PolyForm.d_var(c1, "u0")
-    maps = {(0, 1): {"u0": MultiPoly.variable("u1") ** -1}}
+    maps = {(0, 1): {"u0": c0.coeff_var("u1") ** -1}}
     with pytest.raises(ValueError, match="depends on the fiber variable lam"):
         cstructure_from_charts(["V0", "V1"], [gamma0, gamma1], maps, 0)
+
+
+def test_a_transition_spelled_off_its_source_chart_is_rejected_by_pair():
+    """A transition image lives on chart i: spelled over anything else, the pair is named."""
+    c0, c1 = ChartSpace(["u1"]), ChartSpace(["u0"])
+    gamma0, gamma1 = PolyForm.d_var(c0, "u1"), PolyForm.d_var(c1, "u0")
+    maps = {(0, 1): {"u0": MultiPoly.variable("u1", ("u1", "w")) ** -1}}
+    with pytest.raises(ValueError, match=r"^transition \(V0, V1\): .* not over the chart ChartSpace\(\('u1',\)"):
+        cstructure_from_charts(["V0", "V1"], [gamma0, gamma1], maps, 0)
+
+
+def test_a_section_naming_no_source_variable_is_invalid():
+    """A fibered base coordinate that is not a source variable fails the check, without raising."""
+    cc = fibered_chart(0, 2)
+    src = ChartSpace(["w"])
+    section = SectionMap("S", src, {"z0": src.coeff_var("w"), "lam": src.coeff_const(1)}, "lam")
+    assert not section_is_valid(cc, section)
 
 
 def test_gauge_with_a_pole_on_the_overlap_is_rejected(monkeypatch):

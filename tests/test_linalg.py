@@ -277,18 +277,15 @@ TRANSITIONS = [
 def test_determinant_of_transition_jacobians(n_vars, i, j):
     trans = projective_transition(n_vars, i, j)
     coords = [f"u{m}" for m in range(n_vars) if m != i]
-    # Sparse rows: an image without the variable u has a 0 entry (diff rejects u).
-    jac = [
-        {c: trans[name].diff(u) for c, name in enumerate(trans) if u in trans[name].vars}
-        for u in coords
-    ]
-    one = MultiPoly.const(1)
+    # Every image is spelled over chart i; the elimination loop drops 0 entries.
+    jac = [{c: trans[name].diff(u) for c, name in enumerate(trans)} for u in coords]
+    one = MultiPoly.const(1, coords)
     det = determinant(jac, one=one, is_unit=MultiPoly.is_unit)
     if n_vars <= 6:
         dense = [[row.get(c, one - one) for c in range(len(trans))] for row in jac]
         assert det == leibniz_determinant(dense, one=one)
     # the Jacobian of u -> (1/u_j, u_m/u_j) on CP^m is a unit times u_j^-(m+1)
-    u_j = MultiPoly.variable(f"u{j}")
+    u_j = MultiPoly.variable(f"u{j}", coords)
     unit = (det * u_j**n_vars).constant_value()
     assert not unit.is_zero() and det == (u_j**-n_vars).scale(unit)
 
@@ -307,4 +304,4 @@ def test_determinant_of_polynomial_matrices(seed):
     rows = [[entry() for _ in range(3)] for _ in range(3)]
     rows[0][0] = rng.choice(monomials).scale(rng.randint(1, 3))
     with pytest.raises(ZeroDivisionError, match="no unit pivot in column 1"):
-        determinant(_sparse(rows), one=MultiPoly.const(1), is_unit=MultiPoly.is_unit)
+        determinant(_sparse(rows), one=MultiPoly.const(1, xy), is_unit=MultiPoly.is_unit)
