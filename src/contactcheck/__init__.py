@@ -1,14 +1,15 @@
 """Exact-arithmetic verification of contact bundles, graded Lie algebras and moment maps.
 
-Everything in this package computes over the Gaussian rationals: scalars are
-pairs of ``fractions.Fraction``, polynomials are sparse exponent dictionaries,
-and every verification is an exact identity check (equality of canonical
-forms), never a floating-point comparison.
+Everything in this package computes over the Gaussian rationals: a scalar is
+``(a + b*i) / d`` stored as three ints in lowest terms, its parts read out as
+``fractions.Fraction``; polynomials are sparse exponent dictionaries, and
+every verification is an exact identity check (equality of canonical forms),
+never a floating-point comparison.
 
 All value types are immutable after construction and all operations are
 pure, so readers may share objects across threads freely; the only internal
-caches (a chart's solver columns and solved Euler field) are idempotent,
-making their benign race harmless.
+caches (a chart's solver columns and solved Euler field, a scalar's
+``Fraction`` parts) are idempotent, making their benign race harmless.
 
 Subpackage map:
 

@@ -291,10 +291,7 @@ def degree_of(cc: ContactChart, f: Coeff) -> Optional[int]:
     ratio = image.terms.get(expo0, ZERO) / c0
     if image != f.scale(ratio):
         return None
-    ell = ratio * GaussianRational(-cc.delta)
-    if not ell.is_real() or ell.re.denominator != 1:
-        return None
-    return int(ell.re)
+    return (ratio * GaussianRational(-cc.delta)).integer()
 
 
 def scaling_degree(cc: ContactChart, f: Coeff) -> Optional[int]:
@@ -433,7 +430,8 @@ class SectionMap:
     """A holomorphic local section over one base chart.
 
     ``images`` sends every total-space variable to a coefficient function on
-    the section's own base coordinates; for global charts the distinguished
+    the section's own base coordinates, spelled over ``source`` (else
+    ``ValueError`` naming the section); for global charts the distinguished
     ``unit_var`` names the coordinate normalized to 1 (affine section of the
     projectivization), for fibered charts it is the fiber variable.
     """
@@ -447,6 +445,11 @@ class SectionMap:
         images: Mapping[str, Coeff],
         unit_var: str,
     ):
+        try:
+            for image in images.values():
+                source.require_spelled(image)
+        except ValueError as exc:
+            raise ValueError(f"section {label}: {exc}") from None
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "images", dict(images))
@@ -915,8 +918,20 @@ def cstructure_from_charts(
     (C.2) check; the top-form nonvanishing is the (C.1) check.  A factor must
     be nowhere zero on the overlap, so (C.2) asks for a unit ``c * u^e`` of the
     Laurent ring: a proportionality by any other Laurent polynomial fails it.
-    Each transition image must be spelled over the chart of ``gamma_i``.
+    Each transition image must be spelled over the chart of ``gamma_i``.  A
+    chart form lives on the base, so a chart with a fiber variable is rejected
+    by its label, naming the form's fiber dependence if it has one.
     """
+    for label, gamma in zip(labels, gammas):
+        chart = gamma.chart
+        if chart.fiber_var is None:
+            continue
+        try:
+            for coeff in gamma.terms.values():
+                chart.base_part(coeff)
+        except ValueError as exc:
+            raise ValueError(f"{label}: {exc}") from None
+        raise ValueError(f"{label}: a c-structure chart form lives on the base, not on {chart!r}")
     for label, gamma in zip(labels, gammas):
         top = gamma.wedge(exterior_derivative(gamma).wedge_power(n))
         if top.is_zero():
@@ -928,10 +943,7 @@ def cstructure_from_charts(
                 gammas[i].chart.require_spelled(image)
         except ValueError as exc:
             raise ValueError(f"transition ({labels[i]}, {labels[j]}): {exc}") from None
-        target = {
-            gammas[i].chart.all_vars[idx]: gammas[i].chart.base_part(coeff)
-            for (idx,), coeff in gammas[i].terms.items()
-        }
+        target = {gammas[i].chart.all_vars[idx]: coeff for (idx,), coeff in gammas[i].terms.items()}
         source = rational_pullback_one_form(gammas[j], dict(trans))
         factor = _proportionality_factor(target, source)
         if factor is None:

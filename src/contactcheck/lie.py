@@ -456,9 +456,9 @@ def grade(sc: StructureConstants, kd: KillingData) -> GradedDecomposition:
         if any(k != idx for k in image):
             raise ArithmeticError(f"ad(H_rho) not diagonal at basis index {idx}")
         eig = image.get(idx, ZERO)
-        if not eig.is_real() or eig.re.denominator != 1:
+        value = eig.integer()
+        if value is None:
             raise ArithmeticError(f"non-integer ad(H_rho) eigenvalue {eig}")
-        value = int(eig.re)
         if not -2 <= value <= 2:
             raise ArithmeticError(f"eigenvalue {value} outside the contact grading")
         pieces[value].append(idx)

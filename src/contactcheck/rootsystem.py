@@ -80,14 +80,13 @@ class CartanMatrix:
         return tuple(v / scale for v in d)  # type: ignore[operator]
 
     def _check_positive_definite(self) -> None:
-        sym = [
-            {j: GaussianRational(self.symmetrizer[j] * a) for j, a in enumerate(row) if a}
-            for row in self.entries
-        ]
-        # Leading principal minors of the symmetrization must all be positive.
+        # The symmetrization A*diag(d) is positive definite iff its leading
+        # principal minors are positive.  Each is the integer minor of A times
+        # d_0 * ... * d_(k-1) > 0, so the integer minors of A carry the signs.
+        rows = [{j: GaussianRational(a) for j, a in enumerate(row) if a} for row in self.entries]
         for k in range(1, self.rank + 1):
-            det = linalg.determinant([{j: a for j, a in row.items() if j < k} for row in sym[:k]])
-            if det.re <= 0:
+            det = linalg.determinant([{j: a for j, a in row.items() if j < k} for row in rows[:k]])
+            if det.integer() <= 0:
                 raise ValueError("Cartan matrix is not of finite type")
 
     def pairing(self, a: Root, b: Root) -> Fraction:

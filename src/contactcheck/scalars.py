@@ -1,32 +1,53 @@
 """Gaussian rational scalars: the exact coefficient field for the whole package.
 
-A :class:`GaussianRational` is ``re + im*i`` with both parts
-``fractions.Fraction``.  ``Fraction`` keeps denominators positive and in
-lowest terms, so equality of two scalars is equality of their canonical
-forms and every computation downstream is bit-exact.
+A :class:`GaussianRational` is ``(a + b*i) / d`` stored as three ints with
+``d > 0`` and ``gcd(a, b, d) == 1``.  That form is canonical, so equality of
+two scalars is equality of their integer triples and every computation
+downstream is bit-exact.  Each operation does its integer arithmetic and at
+most one ``math.gcd(a, b, d)``, skipped when ``d == 1``; results are built
+without going through ``__init__``.  The ``fractions.Fraction`` parts
+``re`` and ``im`` are built on first read and cached; they and ``str``,
+``repr`` and ``hash`` read exactly as for a pair of ``Fraction`` parts.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from math import gcd
+from typing import Optional, Tuple, Union
 
 RationalLike = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, "GaussianRational"]
+Triple = Tuple[int, int, int]
 
 
 class GaussianRational:
-    """An element of Q(i), stored as exact real and imaginary parts."""
+    """An element of Q(i), stored as the canonical triple ``(a, b, d)``."""
 
-    __slots__ = ("re", "im")
+    # ``_v`` is the triple; ``_re`` and ``_im`` cache the Fraction parts and
+    # stay unset until first read.
+    __slots__ = ("_v", "_re", "_im")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        # A part that is exactly a Fraction is kept; anything else (int, bool,
-        # a Fraction subclass) is converted, so both parts are plain Fractions.
-        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
+        # A part that is exactly a Fraction is kept as its cached part; anything
+        # else (int, bool, a Fraction subclass) reads back as a plain Fraction.
+        a, p = _ratio(re)
+        b, q = _ratio(im)
+        if p == q:
+            _set_v(self, (a, b, p))
+        else:
+            # Both parts are in lowest terms, so over their lcm the triple is too.
+            g = gcd(p, q)
+            _set_v(self, (a * (q // g), b * (p // g), p // g * q))
+        if type(re) is Fraction:
+            _set_re(self, re)
+        if type(im) is Fraction:
+            _set_im(self, im)
 
     def __setattr__(self, name, value):
+        raise AttributeError("GaussianRational is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("GaussianRational is immutable")
 
     @staticmethod
@@ -35,61 +56,111 @@ class GaussianRational:
             return value
         return GaussianRational(value)
 
+    # -- parts --------------------------------------------------------------
+
+    @property
+    def re(self) -> Fraction:
+        try:
+            return self._re
+        except AttributeError:
+            a, _, d = self._v
+            part = Fraction(a, d)
+            _set_re(self, part)
+            return part
+
+    @property
+    def im(self) -> Fraction:
+        try:
+            return self._im
+        except AttributeError:
+            _, b, d = self._v
+            part = Fraction(b, d)
+            _set_im(self, part)
+            return part
+
+    def integer(self) -> Optional[int]:
+        """The value as an ``int`` when it is a rational integer, else None."""
+        a, b, d = self._v
+        return a if not b and d == 1 else None
+
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return self._v == _ZERO_V
 
     def is_real(self) -> bool:
-        return not self.im
+        return not self._v[1]
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return self._v != _ZERO_V
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: ScalarLike) -> "GaussianRational":
-        o = GaussianRational.coerce(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        a1, b1, d1 = self._v
+        if type(other) is int:
+            # gcd(a + o*d, b, d) == gcd(a, b, d) == 1: nothing to reduce.
+            return _make(a1 + other * d1, b1, d1) if other else self
+        a2, b2, d2 = other._v if type(other) is GaussianRational else _triple(other)
+        if d1 == d2:
+            return _reduced(a1 + a2, b1 + b2, d1)
+        return _reduced(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        a, b, d = self._v
+        return _make(-a, -b, d)
 
     def __sub__(self, other: ScalarLike) -> "GaussianRational":
-        o = GaussianRational.coerce(other)
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        a1, b1, d1 = self._v
+        a2, b2, d2 = other._v if type(other) is GaussianRational else _triple(other)
+        if d1 == d2:
+            return _reduced(a1 - a2, b1 - b2, d1)
+        return _reduced(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2)
 
     def __rsub__(self, other: ScalarLike) -> "GaussianRational":
-        return GaussianRational.coerce(other) - self
+        a1, b1, d1 = _triple(other)
+        a2, b2, d2 = self._v
+        return _reduced(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2)
 
     def __mul__(self, other: ScalarLike) -> "GaussianRational":
-        o = GaussianRational.coerce(other)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        a1, b1, d1 = self._v
+        a2, b2, d2 = other._v if type(other) is GaussianRational else _triple(other)
+        if not b1 and not b2:
+            a, d = a1 * a2, d1 * d2
+            if d != 1:
+                g = gcd(a, d)
+                if g != 1:
+                    a //= g
+                    d //= g
+            return _make(a, 0, d)
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        a, b, d = self._v
+        return _make(a, -b, d)
 
     def norm_sq(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._v
+        return Fraction(a * a + b * b, d * d)
 
     def inverse(self) -> "GaussianRational":
-        n = self.norm_sq()
-        if not n:
-            raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussianRational(self.re / n, -self.im / n)
+        a, b, d = self._v
+        if not b:
+            if not a:
+                raise ZeroDivisionError("inverse of zero Gaussian rational")
+            # gcd(d, a) == 1 already.
+            return _make(d, 0, a) if a > 0 else _make(-d, 0, -a)
+        return _reduced(d * a, -d * b, a * a + b * b)
 
     def __truediv__(self, other: ScalarLike) -> "GaussianRational":
-        return self * GaussianRational.coerce(other).inverse()
+        return _quotient(self._v, other._v if type(other) is GaussianRational else _triple(other))
 
     def __rtruediv__(self, other: ScalarLike) -> "GaussianRational":
-        return GaussianRational.coerce(other) * self.inverse()
+        return _quotient(_triple(other), self._v)
 
     def __pow__(self, k: int) -> "GaussianRational":
         if k < 0:
@@ -106,36 +177,111 @@ class GaussianRational:
     # -- comparison / hashing -----------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if isinstance(other, GaussianRational):
+            return self._v == other._v
+        if isinstance(other, int):
+            return self._v == (other, 0, 1)
+        if isinstance(other, Fraction):
+            return self._v == (other.numerator, 0, other.denominator)
+        return NotImplemented
 
     def __hash__(self) -> int:
+        a, b, d = self._v
+        if d == 1:
+            # hash(Fraction(n)) == hash(n), so this is hash((re, im)).
+            return hash((a, b))
         return hash((self.re, self.im))
 
     # -- display ------------------------------------------------------------
 
     def __str__(self) -> str:
         # Canonical textual form: "0", "3/2", "i", "-2i", "1/2+3i", "1/2-3i".
-        if self.is_zero():
-            return "0"
-        if not self.im:
-            return str(self.re)
-        if self.im == 1:
+        a, b, d = self._v
+        if not b:
+            return _ratio_str(a, d)
+        if b == d:
             imag = "i"
-        elif self.im == -1:
+        elif b == -d:
             imag = "-i"
         else:
-            imag = f"{self.im}i"
-        if not self.re:
+            imag = f"{_ratio_str(b, d)}i"
+        if not a:
             return imag
-        sign = "+" if self.im > 0 else ""
-        return f"{self.re}{sign}{imag}"
+        sign = "+" if b > 0 else ""
+        return f"{_ratio_str(a, d)}{sign}{imag}"
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+_new = object.__new__
+_set_v = GaussianRational._v.__set__
+_set_re = GaussianRational._re.__set__
+_set_im = GaussianRational._im.__set__
+_ZERO_V = (0, 0, 1)
+
+
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """A scalar from a triple that is already canonical."""
+    z = _new(GaussianRational)
+    _set_v(z, (a, b, d))
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """A scalar from a triple with ``d > 0``, divided through by its gcd."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _make(a, b, d)
+
+
+def _quotient(num: Triple, den: Triple) -> GaussianRational:
+    """``num / den``: (a1 + b1 i)/d1 over (a2 + b2 i)/d2, with one gcd."""
+    a1, b1, d1 = num
+    a2, b2, d2 = den
+    if not b2:
+        if not a2:
+            raise ZeroDivisionError("inverse of zero Gaussian rational")
+        if a2 < 0:
+            a2, d2 = -a2, -d2
+        return _reduced(a1 * d2, b1 * d2, d1 * a2)
+    # (a1 + b1 i)(a2 - b2 i) d2 / (d1 (a2^2 + b2^2))
+    return _reduced(
+        (a1 * a2 + b1 * b2) * d2,
+        (b1 * a2 - a1 * b2) * d2,
+        d1 * (a2 * a2 + b2 * b2),
+    )
+
+
+def _ratio(value: RationalLike) -> Tuple[int, int]:
+    """A rational part as ``(numerator, denominator)`` in lowest terms."""
+    if type(value) is int:
+        return value, 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    if isinstance(value, int):
+        return int(value), 1
+    value = Fraction(value)
+    return value.numerator, value.denominator
+
+
+def _triple(value: RationalLike) -> Triple:
+    """The canonical triple of a rational operand."""
+    a, d = _ratio(value)
+    return a, 0, d
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` without building the Fraction."""
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 ZERO = GaussianRational(0)

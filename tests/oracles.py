@@ -15,7 +15,9 @@ per-index rows, span comparisons and intersections by ranks of dense
 ``dim g`` vectors instead of the library's sparse bases and column kernels,
 and polynomial sums, products and derivatives over plain
 dicts keyed by ``(name, exponent)`` pairs instead of ``MultiPoly``'s
-exponent tuples over one variable tuple.  They stay deliberately naive.
+exponent tuples over one variable tuple, and Q(i) arithmetic on a pair of
+plain ``Fraction`` parts instead of the library's integer triples.  They stay
+deliberately naive.
 """
 
 from __future__ import annotations
@@ -452,3 +454,67 @@ def naive_poly_evaluate(a: NaivePoly, point) -> GaussianRational:
                 value = value * factor
         out = out + value
     return out
+
+
+class FractionPair:
+    """Q(i) as a pair of plain ``Fraction`` parts, with schoolbook arithmetic.
+
+    The reference for :class:`~contactcheck.scalars.GaussianRational`: it
+    shares no code with the integer kernel, divides by way of ``re/n, -im/n``
+    with ``n = re^2 + im^2``, and takes powers by repeated multiplication.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    def __add__(self, other: "FractionPair") -> "FractionPair":
+        return FractionPair(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other: "FractionPair") -> "FractionPair":
+        return FractionPair(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other: "FractionPair") -> "FractionPair":
+        return FractionPair(
+            self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re
+        )
+
+    def __neg__(self) -> "FractionPair":
+        return FractionPair(-self.re, -self.im)
+
+    def conjugate(self) -> "FractionPair":
+        return FractionPair(self.re, -self.im)
+
+    def norm_sq(self) -> Fraction:
+        return self.re * self.re + self.im * self.im
+
+    def inverse(self) -> "FractionPair":
+        n = self.norm_sq()
+        return FractionPair(self.re / n, -self.im / n)
+
+    def __truediv__(self, other: "FractionPair") -> "FractionPair":
+        return self * other.inverse()
+
+    def __pow__(self, k: int) -> "FractionPair":
+        out = FractionPair(1)
+        for _ in range(abs(k)):
+            out = out * self
+        return out.inverse() if k < 0 else out
+
+    def is_zero(self) -> bool:
+        return self.re == 0 and self.im == 0
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
+
+    def __str__(self) -> str:
+        if self.is_zero():
+            return "0"
+        if not self.im:
+            return str(self.re)
+        imag = {1: "i", -1: "-i"}.get(self.im, f"{self.im}i")
+        if not self.re:
+            return imag
+        return f"{self.re}{'+' if self.im > 0 else ''}{imag}"

@@ -675,6 +675,23 @@ def test_a_transition_spelled_off_its_source_chart_is_rejected_by_pair():
         cstructure_from_charts(["V0", "V1"], [gamma0, gamma1], maps, 0)
 
 
+def test_a_chart_form_on_a_fibered_chart_is_rejected_by_label():
+    """gamma0 = du1 does not depend on lam, but its chart carries the fiber: a c-structure form lives on the base."""
+    c0, c1 = ChartSpace(["u1"], "lam"), ChartSpace(["u0"])
+    gamma0, gamma1 = PolyForm.d_var(c0, "u1"), PolyForm.d_var(c1, "u0")
+    maps = {(0, 1): {"u0": c0.coeff_var("u1") ** -1}}
+    with pytest.raises(ValueError, match=r"^V0: a c-structure chart form lives on the base, not on ChartSpace\(\('u1',\), fiber='lam'\)$"):
+        cstructure_from_charts(["V0", "V1"], [gamma0, gamma1], maps, 0)
+
+
+def test_a_section_image_spelled_off_its_source_chart_is_rejected_by_label():
+    """A section's images live on its source chart: spelled over anything else, the section is named."""
+    src = ChartSpace(["u1"])
+    images = {"z0": src.coeff_const(1), "z1": MultiPoly.variable("u1", ("u1", "w"))}
+    with pytest.raises(ValueError, match=r"^section B: u1 is spelled over \('u1', 'w'\), not over the chart ChartSpace\(\('u1',\)"):
+        SectionMap("B", src, images, "z0")
+
+
 def test_a_section_naming_no_source_variable_is_invalid():
     """A fibered base coordinate that is not a source variable fails the check, without raising."""
     cc = fibered_chart(0, 2)

@@ -1,3 +1,5 @@
+import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from contactcheck.scalars import GaussianRational
 from conftest import gq
+from oracles import FractionPair
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
@@ -83,3 +86,135 @@ def test_field_axioms(a, b, c):
 def test_conjugation_norm(a):
     assert (a * a.conjugate()).is_real()
     assert (a * a.conjugate()).re == a.norm_sq()
+
+
+# -- the integer kernel against a Fraction-pair reference -------------------------
+
+#: Rational parts of every type the constructor takes: zero, negative parts,
+#: bools, Fractions written unreduced, and a Fraction subclass.
+SPECIAL_PARTS = [0, 1, -1, 2, -7, True, False, Fraction(6, 8), Fraction(-10, 12), Fraction(5, 3), _Rational(-9, 6)]
+
+
+def seeded_parts(seed: int, count: int):
+    rng = random.Random(seed)
+    kinds = [int, Fraction, _Rational, bool]
+    parts = []
+    for _ in range(count):
+        kind = rng.choice(kinds)
+        num, den = rng.randint(-30, 30), rng.randint(1, 12) * rng.choice((1, 1, 2))
+        if kind is int:
+            parts.append(num)
+        elif kind is bool:
+            parts.append(rng.random() < 0.5)
+        else:
+            parts.append(kind(num, den))
+    return parts
+
+
+def operands():
+    parts = SPECIAL_PARTS + seeded_parts(2024, 13)
+    rng = random.Random(7)
+    pairs = [(re, im) for re in SPECIAL_PARTS for im in (0, Fraction(1, 6), -1)]
+    pairs += [(rng.choice(parts), rng.choice(parts)) for _ in range(20)]
+    return pairs
+
+
+OPERANDS = operands()
+BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+part_values = st.one_of(
+    st.integers(-60, 60), st.booleans(), rationals, rationals.map(lambda q: _Rational(q))
+)
+
+
+def assert_agrees(z: GaussianRational, ref: FractionPair) -> None:
+    """``z`` reads, prints and hashes exactly like the reference value."""
+    assert type(z) is GaussianRational
+    assert str(z) == str(ref)
+    assert hash(z) == hash(ref)
+    assert (z.re, z.im) == (ref.re, ref.im)
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert repr(z) == f"GaussianRational({ref.re!r}, {ref.im!r})"
+    # Equal values compare equal whichever way they were built: the stored
+    # form is canonical.
+    assert z == GaussianRational(ref.re, ref.im)
+    assert bool(z) is not ref.is_zero() and z.is_zero() is ref.is_zero()
+    assert z.is_real() is (ref.im == 0)
+    integral = ref.im == 0 and ref.re.denominator == 1
+    assert z.integer() == (int(ref.re) if integral else None)
+    assert (z == ref.re) is (ref.im == 0)
+    assert (z == int(ref.re)) is integral
+    assert z != z + 1
+
+
+def check_unary(re, im) -> None:
+    z, ref = GaussianRational(re, im), FractionPair(re, im)
+    assert_agrees(z, ref)
+    assert_agrees(-z, -ref)
+    assert_agrees(z.conjugate(), ref.conjugate())
+    assert z.norm_sq() == ref.norm_sq() and type(z.norm_sq()) is Fraction
+    for k in range(0, 5):
+        assert_agrees(z**k, ref**k)
+    if ref.is_zero():
+        for call in (z.inverse, lambda: z**-1, lambda: 1 / z, lambda: z / z):
+            with pytest.raises(ZeroDivisionError):
+                call()
+        return
+    assert_agrees(z.inverse(), ref.inverse())
+    for k in range(-3, 0):
+        assert_agrees(z**k, ref**k)
+
+
+def check_binary(x, y) -> None:
+    (xr, xi), (yr, yi) = x, y
+    zx, zy = GaussianRational(xr, xi), GaussianRational(yr, yi)
+    rx, ry = FractionPair(xr, xi), FractionPair(yr, yi)
+    assert (zx == zy) is (rx.re == ry.re and rx.im == ry.im)
+    # A bare rational on either side reads as a real scalar.
+    cases = [(zx, zy, rx, ry), (zx, yr, rx, FractionPair(yr)), (yr, zx, FractionPair(yr), rx)]
+    for name, op in BINARY.items():
+        for left, right, ref_left, ref_right in cases:
+            if name == "/" and ref_right.is_zero():
+                with pytest.raises(ZeroDivisionError):
+                    op(left, right)
+            else:
+                assert_agrees(op(left, right), op(ref_left, ref_right))
+
+
+def test_seeded_operands_cover_every_part_type():
+    kinds = {type(part) for pair in OPERANDS for part in pair}
+    assert kinds == {int, bool, Fraction, _Rational}
+    assert any(GaussianRational(*pair).is_zero() for pair in OPERANDS)
+
+
+@pytest.mark.parametrize("operand", OPERANDS, ids=lambda pair: f"{pair[0]!s}|{pair[1]!s}")
+def test_unary_operations_match_fraction_pairs(operand):
+    check_unary(*operand)
+
+
+def test_binary_operations_match_fraction_pairs():
+    for x in OPERANDS:
+        for y in OPERANDS:
+            check_binary(x, y)
+
+
+@given(part_values, part_values)
+@settings(max_examples=150, deadline=None)
+def test_unary_operations_match_fraction_pairs_on_drawn_operands(re, im):
+    check_unary(re, im)
+
+
+@given(part_values, part_values, part_values, part_values)
+@settings(max_examples=150, deadline=None)
+def test_binary_operations_match_fraction_pairs_on_drawn_operands(xr, xi, yr, yi):
+    check_binary((xr, xi), (yr, yi))
+
+
+@pytest.mark.parametrize("name", ["re", "im", "_v", "_re", "_im", "other"])
+def test_setting_any_attribute_raises(name):
+    built = GaussianRational(Fraction(1, 2), 3)
+    for z in (built, built * built, built + 1, -built, built.inverse()):
+        with pytest.raises(AttributeError):
+            setattr(z, name, Fraction(1))
+        with pytest.raises(AttributeError):
+            delattr(z, name)
+    assert built == GaussianRational(Fraction(1, 2), 3) and str(built) == "1/2+3i"
