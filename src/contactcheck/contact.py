@@ -21,7 +21,6 @@ format of :mod:`contactcheck.poly`.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -247,7 +246,7 @@ def solved_euler_field(cc: ContactChart) -> PolyVectorField:
 def euler_field(cc: ContactChart) -> PolyVectorField:
     """The field dual to -theta under dtheta; equals -(1/delta) * vertical field."""
     solved = solved_euler_field(cc)
-    candidate = cc.vertical_field().scale(GaussianRational(Fraction(-1, cc.delta)))
+    candidate = cc.vertical_field().scale(-ONE / cc.delta)
     if solved != candidate:
         raise ArithmeticError(
             f"euler field solve disagrees with the closed form: {solved} vs {candidate}"
@@ -357,7 +356,7 @@ def check_scaling_identities(
     xf = hamiltonian_field(cc, f.coeff)
     xg = hamiltonian_field(cc, g.coeff)
     lhs = pairing_with_theta(cc, xf)
-    rhs = f.coeff.scale(GaussianRational(Fraction(f.ell, delta)))
+    rhs = f.coeff.scale(GaussianRational(f.ell) / delta)
     ok = lhs == rhs
     witness = "" if ok else cc.chart.format(lhs - rhs)
     results.append(check(f"{label}:theta-of-hamiltonian", ok, witness))

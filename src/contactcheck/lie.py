@@ -4,11 +4,15 @@ The basis is ``h_1 .. h_r`` (simple coroots) followed by one root vector per
 root, in root-system order.  Construction happens in two stages:
 
 1. A Chevalley basis: ``[e_a, e_{-a}] = a^v`` (the coroot) and
-   ``[e_a, e_b] = N_{a,b} e_{a+b}`` with integer ``N_{a,b} = +-(p+1)``, signs
-   fixed by the extraspecial-pair convention.  Constants for non-extraspecial
-   pairs follow from the Jacobi identity, processed by increasing root
-   height; mixed-sign pairs reduce through the three-root cycle relation
+   ``[e_a, e_b] = N_{a,b} e_{a+b}`` with ``N_{a,b} = +-(p+1)``, one table of
+   ``int`` constants, signs fixed by the extraspecial-pair convention.  The
+   table is filled by increasing height of ``a+b``: the extraspecial pair gets
+   ``p+1``, the other positive pairs follow from the Jacobi identity, and
+   each positive pair writes its whole orbit at once, by antisymmetry,
+   ``N_{-a,-b} = -N_{a,b}`` and the three-root cycle relation
    ``N_{a,b}/(c,c) = N_{b,c}/(a,a) = N_{c,a}/(b,b)`` for ``a+b+c = 0``.
+   Root norms are the integer pairing of the root system, and every
+   division is an exact integer quotient.
 
 2. A rescaling ``e_{-a} -> -e_{-a}/B(e_a, e_{-a})`` for positive ``a``, after
    which ``[e_a, e_{-a}] = -h_a`` where ``h_a`` is the Killing-form dual of
@@ -42,7 +46,6 @@ needs square roots of root norms, which do not exist in Q(i).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
@@ -139,95 +142,75 @@ class StructureConstants:
 # -- Chevalley constants ----------------------------------------------------------
 
 
-def _coroot_coordinates(rs: RootSystem, alpha: Root, norms: Dict[Root, int]) -> List[int]:
-    """Coordinates of alpha^v in the simple coroots; integral for root systems."""
+def _exact(num: int, den: int, what: str) -> int:
+    """The integer ``num / den``; a remainder raises ``ArithmeticError`` naming ``what``."""
+    quotient, remainder = divmod(num, den)
+    if remainder:
+        raise ArithmeticError(f"{what}: {num}/{den} is not an integer")
+    return quotient
+
+
+def _coroot_coordinates(rs: RootSystem, alpha: Root) -> List[int]:
+    """Coordinates ``alpha_i (a_i, a_i) / (alpha, alpha)`` of alpha^v in the simple coroots."""
+    norm = rs.pairing(alpha, alpha)
     coords = []
-    for i in range(rs.rank):
+    for i, a in enumerate(alpha):
         simple = tuple(1 if j == i else 0 for j in range(rs.rank))
-        value = Fraction(alpha[i]) * norms[simple] / norms[alpha]
-        if value.denominator != 1:
-            raise ValueError(f"non-integral coroot coordinate for {alpha}")
-        coords.append(int(value))
+        what = f"coroot coordinate {i} of {alpha}"
+        coords.append(_exact(a * rs.pairing(simple, simple), norm, what))
     return coords
 
 
-class _ChevalleyTable:
-    """Integer constants N_{a,b} for positive pairs, extended on demand."""
+def _chevalley_constants(rs: RootSystem) -> Dict[Tuple[Root, Root], int]:
+    """``N_{a,b}`` for every pair of roots whose sum is a root.
 
-    def __init__(self, rs: RootSystem):
-        self.rs = rs
-        # (a_i, a_j) = d_j A[i][j] with the symmetrizer d, whose entries are
-        # the integers 1, 2 or 3 for every finite type.
-        cartan = rs.cartan
-        sym = [[int(d) * a for d, a in zip(cartan.symmetrizer, row)] for row in cartan.entries]
-        #: The root norms (r, r), computed once in integers.
-        self.norms: Dict[Root, int] = {
-            r: sum(ri * sum(rj * s for rj, s in zip(r, srow)) for ri, srow in zip(r, sym) if ri)
-            for r in rs.roots
-        }
-        self.pos: Dict[Tuple[Root, Root], Fraction] = {}
-        positives = rs.positive_roots()
-        order = {r: i for i, r in enumerate(positives)}
-        for gamma in positives:
-            if sum(gamma) == 1:
-                continue
-            # Extraspecial pair: minimal first component in root order.
-            pairs = []
-            for alpha in positives:
-                beta = tuple(g - a for g, a in zip(gamma, alpha))
-                if beta in order and order[alpha] < order[beta]:
-                    pairs.append((alpha, beta))
-            pairs.sort(key=lambda ab: order[ab[0]])
-            extra_alpha, extra_beta = pairs[0]
-            p = rs.string_down_count(extra_alpha, extra_beta)
-            self.pos[(extra_alpha, extra_beta)] = Fraction(p + 1)
-            for alpha, beta in pairs[1:]:
-                self.pos[(alpha, beta)] = self._special(alpha, beta, extra_alpha, extra_beta)
+    Positive pairs are fixed by increasing height of their sum; each one
+    writes its whole orbit of 12 entries at once, so the Jacobi step only
+    reads constants of lower height or of the current extraspecial pair.
+    """
+    constants: Dict[Tuple[Root, Root], int] = {}
 
-    def _special(self, alpha: Root, beta: Root, eps: Root, eta: Root) -> Fraction:
-        # Jacobi identity on (e_{-eps}, e_alpha, e_beta); all three brackets land
-        # on e_{gamma - eps} = e_eta, and the other pairs sum to roots of smaller
-        # height, so their constants are already available.
-        rs = self.rs
-        gamma = tuple(a + b for a, b in zip(alpha, beta))
-        neg_eps = tuple(-c for c in eps)
-        lead = self.value(neg_eps, gamma)
+    def write_orbit(x: Root, y: Root, n: int) -> None:
+        # With c = -(x+y): N_{x,y}/(c,c) = N_{y,c}/(x,x) = N_{c,x}/(y,y), and
+        # N_{b,a} = N_{-a,-b} = -N_{a,b} for each of the three pairs.
+        c = tuple(-a - b for a, b in zip(x, y))
+        norm = rs.pairing(c, c)
+        what = f"cycle ratio of {x}, {y}"
+        for a, b, value in (
+            (x, y, n),
+            (y, c, _exact(n * rs.pairing(x, x), norm, what)),
+            (c, x, _exact(n * rs.pairing(y, y), norm, what)),
+        ):
+            neg_a, neg_b = rs.negative(a), rs.negative(b)
+            constants[(a, b)] = constants[(neg_b, neg_a)] = value
+            constants[(b, a)] = constants[(neg_a, neg_b)] = -value
+
+    positives = rs.positive_roots()
+    order = {r: i for i, r in enumerate(positives)}
+    for gamma in positives:
+        if sum(gamma) == 1:
+            continue
+        pairs = []
+        for alpha in positives:
+            beta = tuple(g - a for g, a in zip(gamma, alpha))
+            if beta in order and order[alpha] < order[beta]:
+                pairs.append((alpha, beta))
+        # Extraspecial pair: minimal first component in root order.
+        eps, eta = pairs[0]
+        write_orbit(eps, eta, rs.string_down_count(eps, eta) + 1)
+        neg_eps = rs.negative(eps)
+        lead = constants[(neg_eps, gamma)]
         if lead == 0:
             raise ArithmeticError("extraspecial pair produced a vanishing leading constant")
-        total = Fraction(0)
-        beta_minus = tuple(b - c for b, c in zip(beta, eps))
-        if rs.is_root(beta_minus):
-            total += self.value(beta, neg_eps) * self.value(alpha, beta_minus)
-        alpha_minus = tuple(a - c for a, c in zip(alpha, eps))
-        if rs.is_root(alpha_minus):
-            total += self.value(neg_eps, alpha) * self.value(beta, alpha_minus)
-        return -total / lead
-
-    def value(self, a: Root, b: Root) -> Fraction:
-        """N_{a,b} for arbitrary roots a, b with a+b a root."""
-        rs = self.rs
-        s = tuple(x + y for x, y in zip(a, b))
-        if not rs.is_root(s):
-            return Fraction(0)
-        a_pos = all(c >= 0 for c in a)
-        b_pos = all(c >= 0 for c in b)
-        if a_pos and b_pos:
-            if (a, b) in self.pos:
-                return self.pos[(a, b)]
-            if (b, a) in self.pos:
-                return -self.pos[(b, a)]
-            raise KeyError(f"positive pair {a}, {b} not yet computed")
-        if not a_pos and not b_pos:
-            return -self.value(tuple(-c for c in a), tuple(-c for c in b))
-        if not a_pos:
-            return -self.value(b, a)
-        # a positive, b negative; use the cycle relation with c = -(a+b).
-        if all(c >= 0 for c in s):
-            # N_{a,b} = -((s,s)/(a,a)) N_{-b, s}
-            return -Fraction(self.norms[s], self.norms[a]) * self.value(tuple(-c for c in b), s)
-        # N_{a,b} = ((c,c)/(b,b)) N_{c,a} with c = -s positive
-        c = tuple(-x for x in s)
-        return Fraction(self.norms[c], self.norms[b]) * self.value(c, a)
+        for alpha, beta in pairs[1:]:
+            # Jacobi identity on (e_{-eps}, e_alpha, e_beta): all three brackets
+            # land on e_eta, and the other pairs sum to roots of smaller height.
+            beta_minus = tuple(b - c for b, c in zip(beta, eps))
+            alpha_minus = tuple(a - c for a, c in zip(alpha, eps))
+            total = constants.get((beta, neg_eps), 0) * constants.get((alpha, beta_minus), 0)
+            total += constants.get((neg_eps, alpha), 0) * constants.get((beta, alpha_minus), 0)
+            write_orbit(alpha, beta, _exact(-total, lead, f"Jacobi quotient of {alpha}, {beta}"))
+    return constants
 
 
 # -- algebra construction ----------------------------------------------------------
@@ -235,7 +218,7 @@ class _ChevalleyTable:
 
 def _chevalley_table(rs: RootSystem, basis: LieBasis) -> Dict[Tuple[int, int], SparseVec]:
     rank = rs.rank
-    nconst = _ChevalleyTable(rs)
+    constants = _chevalley_constants(rs)
     table: Dict[Tuple[int, int], SparseVec] = {}
     # [h_i, e_b] = <b, a_i^v> e_b
     for i in range(rank):
@@ -250,15 +233,14 @@ def _chevalley_table(rs: RootSystem, basis: LieBasis) -> Dict[Tuple[int, int], S
             i, j = basis.root_index(a), basis.root_index(b)
             s = tuple(x + y for x, y in zip(a, b))
             if not any(s):
-                coro = _coroot_coordinates(rs, a, nconst.norms)
+                coro = _coroot_coordinates(rs, a)
                 entry = {k: GaussianRational(c) for k, c in enumerate(coro) if c}
                 if entry:
                     table[(i, j)] = entry
                 continue
-            if rs.is_root(s):
-                n = nconst.value(a, b)
-                if n:
-                    table[(i, j)] = {basis.root_index(s): GaussianRational(n)}
+            n = constants.get((a, b))
+            if n:
+                table[(i, j)] = {basis.root_index(s): GaussianRational(n)}
     return table
 
 

@@ -25,7 +25,6 @@ of :class:`~contactcheck.lie.GradedDecomposition`.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -33,9 +32,9 @@ from .lie import GradedDecomposition, KillingData, SparseVec, StructureConstants
 from .linalg import add_into, combine, total
 from .report import SKIPPED, CheckResult, check
 from .rootsystem import Root
-from .scalars import ONE, ZERO, GaussianRational
+from .scalars import ONE, ZERO, GaussianRational, ScalarLike
 
-Word = Sequence[Tuple[Root, Fraction]]
+Word = Sequence[Tuple[Root, ScalarLike]]
 
 
 class AlgebraAutomorphism:
@@ -100,7 +99,7 @@ class OrbitPoint:
         raise AttributeError("OrbitPoint is immutable")
 
 
-def exp_ad(sc: StructureConstants, root: Root, t: Fraction) -> AlgebraAutomorphism:
+def exp_ad(sc: StructureConstants, root: Root, t: ScalarLike) -> AlgebraAutomorphism:
     """``exp(t ad e_root)``, column by column: ``sum_k t^k/k! (ad e_root)^k e_j``.
 
     ``ad e_root`` is nilpotent, so each series terminates and every column is
@@ -111,7 +110,7 @@ def exp_ad(sc: StructureConstants, root: Root, t: Fraction) -> AlgebraAutomorphi
         raise ValueError(f"{root} is not a root; only nilpotent directions exponentiate")
     n = sc.dim
     e = sc.basis.root_index(tuple(root))
-    scalar = GaussianRational(t)
+    scalar = GaussianRational.coerce(t)
     columns: List[SparseVec] = []
     for j in range(n):
         column: SparseVec = {j: ONE}
@@ -121,7 +120,7 @@ def exp_ad(sc: StructureConstants, root: Root, t: Fraction) -> AlgebraAutomorphi
             term = sc.ad(e, term)
             if not term:
                 break
-            factor = factor * scalar / GaussianRational(k)
+            factor = factor * scalar / k
             add_into(column, factor, term)
         else:
             raise ArithmeticError("ad e_root failed to nilpotate; broken table")
@@ -137,7 +136,7 @@ def orbit_sample(sc: StructureConstants, word: Word) -> OrbitPoint:
     """
     vec: SparseVec = {sc.basis.root_index(sc.basis.rs.highest): ONE}
     for root, t in word:
-        vec = exp_ad(sc, root, Fraction(t)).apply(vec)
+        vec = exp_ad(sc, root, t).apply(vec)
     if not vec:
         raise ArithmeticError("orbit point collapsed to zero")
     return OrbitPoint(vec, word)

@@ -13,8 +13,8 @@ independent oracle.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import gcd
+from typing import Container, Dict, List, Sequence, Tuple
 
 from . import linalg
 from .scalars import GaussianRational
@@ -61,23 +61,29 @@ class CartanMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("CartanMatrix is immutable")
 
-    def _symmetrize(self) -> Tuple[Fraction, ...]:
+    def _symmetrize(self) -> Tuple[int, ...]:
         # d[j] plays the role of (a_j, a_j)/2; d[j]*A[i][j] must be symmetric.
+        # Propagated in integers from d[0] = 1: where a ratio does not divide,
+        # every entry assigned so far is scaled by the least factor that makes
+        # it divide, so the entries keep gcd 1 throughout.
         n = self.rank
-        d: List[Optional[Fraction]] = [None] * n
-        d[0] = Fraction(1)
+        d = [1] + [0] * (n - 1)
         stack = [0]
         while stack:
             i = stack.pop()
             for j in range(n):
-                if j != i and self.entries[i][j] != 0 and d[j] is None:
+                if j != i and self.entries[i][j] != 0 and not d[j]:
                     # d_j A[i][j] = d_i A[j][i]
-                    d[j] = d[i] * Fraction(self.entries[j][i], self.entries[i][j])
+                    num, den = d[i] * self.entries[j][i], self.entries[i][j]
+                    if num % den:
+                        scale = abs(den) // gcd(num, den)
+                        d = [v * scale for v in d]
+                        num *= scale
+                    d[j] = num // den
                     stack.append(j)
-        if any(v is None for v in d):
+        if not all(d):
             raise ValueError("Cartan matrix is decomposable; a single simple algebra is required")
-        scale = min(v for v in d if v is not None)
-        return tuple(v / scale for v in d)  # type: ignore[operator]
+        return tuple(d)
 
     def _check_positive_definite(self) -> None:
         # The symmetrization A*diag(d) is positive definite iff its leading
@@ -89,9 +95,9 @@ class CartanMatrix:
             if det.integer() <= 0:
                 raise ValueError("Cartan matrix is not of finite type")
 
-    def pairing(self, a: Root, b: Root) -> Fraction:
+    def pairing(self, a: Root, b: Root) -> int:
         """Symmetrized bilinear form (a, b) on root-lattice vectors."""
-        total = Fraction(0)
+        total = 0
         for i, ai in enumerate(a):
             if not ai:
                 continue
@@ -152,7 +158,7 @@ class RootSystem:
     def negative(self, coords: Root) -> Root:
         return tuple(-c for c in coords)
 
-    def pairing(self, a: Root, b: Root) -> Fraction:
+    def pairing(self, a: Root, b: Root) -> int:
         return self.cartan.pairing(a, b)
 
     def rho_height(self, alpha: Root) -> int:
@@ -161,22 +167,16 @@ class RootSystem:
         if alpha not in self._index:
             raise ValueError(f"{alpha} is not a root")
         rho = self.highest
-        value = 2 * self.pairing(alpha, rho) / self.pairing(rho, rho)
-        if value.denominator != 1:
-            raise ValueError(f"non-integer height for {alpha}: {value}")
-        height = int(value)
+        height, remainder = divmod(2 * self.pairing(alpha, rho), self.pairing(rho, rho))
+        if remainder:
+            raise ArithmeticError(f"non-integer height for {alpha}")
         if not -2 <= height <= 2:
             raise ValueError(f"height {height} outside the contact grading range")
         return height
 
     def string_down_count(self, alpha: Root, beta: Root) -> int:
         """Largest k with beta - k*alpha a root (the 'p' of the alpha-string)."""
-        k = 0
-        current = tuple(b - a for a, b in zip(alpha, beta))
-        while current in self._index:
-            k += 1
-            current = tuple(c - a for a, c in zip(alpha, current))
-        return k
+        return _down_count(alpha, beta, self._index)
 
     def to_dict(self) -> dict:
         return {
@@ -187,6 +187,16 @@ class RootSystem:
             "highest_root_index": self.highest_index,
             "highest_root": list(self.highest),
         }
+
+
+def _down_count(alpha: Root, beta: Root, roots: Container[Root]) -> int:
+    """Largest k with beta - k*alpha in ``roots``."""
+    k = 0
+    current = tuple(b - a for a, b in zip(alpha, beta))
+    while current in roots:
+        k += 1
+        current = tuple(c - a for a, c in zip(alpha, current))
+    return k
 
 
 def build_root_system(cartan: CartanMatrix) -> RootSystem:
@@ -205,12 +215,7 @@ def build_root_system(cartan: CartanMatrix) -> RootSystem:
             for i, alpha in enumerate(simple):
                 # Down-strings from a positive root only meet positive roots,
                 # all of strictly smaller height, hence already in `known`.
-                p = 0
-                current = tuple(b - a for b, a in zip(beta, alpha))
-                while current in known:
-                    p += 1
-                    current = tuple(c - a for c, a in zip(current, alpha))
-                q = p - cartan.coroot_pairing(beta, i)
+                q = _down_count(alpha, beta, known) - cartan.coroot_pairing(beta, i)
                 if q > 0:
                     candidate = tuple(b + a for b, a in zip(beta, alpha))
                     if candidate not in known:

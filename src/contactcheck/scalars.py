@@ -6,8 +6,10 @@ two scalars is equality of their integer triples and every computation
 downstream is bit-exact.  Each operation does its integer arithmetic and at
 most one ``math.gcd(a, b, d)``, skipped when ``d == 1``; results are built
 without going through ``__init__``.  The ``fractions.Fraction`` parts
-``re`` and ``im`` are built on first read and cached; they and ``str``,
-``repr`` and ``hash`` read exactly as for a pair of ``Fraction`` parts.
+``re`` and ``im`` are built on first read and cached; they and ``str`` and
+``repr`` read exactly as for a pair of ``Fraction`` parts.  ``hash`` agrees
+with ``==``: a real scalar hashes as its rational value, any other as the
+pair ``(re, im)``.
 """
 
 from __future__ import annotations
@@ -186,7 +188,10 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # A real scalar equals its rational value, so it hashes as that value.
         a, b, d = self._v
+        if not b:
+            return hash(a) if d == 1 else hash(self.re)
         if d == 1:
             # hash(Fraction(n)) == hash(n), so this is hash((re, im)).
             return hash((a, b))

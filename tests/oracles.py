@@ -507,7 +507,8 @@ class FractionPair:
         return self.re == 0 and self.im == 0
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        # A real value equals its rational part, so it hashes as that part.
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def __str__(self) -> str:
         if self.is_zero():

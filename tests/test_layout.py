@@ -121,3 +121,28 @@ def test_laurent_defines_nothing_and_nothing_imports_it():
     """A chart coefficient is a ``MultiPoly`` over the chart's variables; the
     fiber-only Laurent type does not grow back."""
     assert_retired("laurent", "LaurentPoly")
+
+
+#: The modules that build ``Fraction``s: the scalar field's own parts and the
+#: sampler's draws.  Everything else computes in ``int`` or in Q(i).
+FRACTION_MODULES = {"scalars.py", "sampling.py"}
+
+
+def fraction_calls(path: Path):
+    """``Fraction(...)`` calls in one module, bare or as ``fractions.Fraction(...)``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "Fraction":
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_only_the_scalar_and_sampler_modules_build_fractions():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert FRACTION_MODULES <= {path.name for path in modules}
+    others = [path for path in modules if path.name not in FRACTION_MODULES]
+    assert [line for path in others for line in fraction_calls(path)] == []

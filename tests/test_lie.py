@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import re
@@ -7,7 +8,7 @@ import pytest
 
 from contactcheck.lie import (
     StructureConstants,
-    _ChevalleyTable,
+    _chevalley_constants,
     build_algebra,
     chi_differential,
     g00_span_check,
@@ -15,7 +16,6 @@ from contactcheck.lie import (
     killing,
     root_action,
 )
-from contactcheck.rootsystem import builtin_root_system
 from contactcheck.scalars import GaussianRational, ONE, ZERO
 from oracles import (
     ad_eigenvalue,
@@ -58,18 +58,6 @@ def test_dimensions(algebra_bundle):
     assert algebra_bundle("A1")[1].dim == 3
     assert algebra_bundle("A2")[1].dim == 8
     assert algebra_bundle("G2")[1].dim == 14
-
-
-def test_chevalley_constants_are_signed_string_lengths():
-    rs = builtin_root_system("A2")
-    table = _ChevalleyTable(rs)
-    for (a, b), value in table.pos.items():
-        assert value in (1, -1)  # all strings in A2 have p = 0
-    g2 = builtin_root_system("G2")
-    g2_table = _ChevalleyTable(g2)
-    for (a, b), value in g2_table.pos.items():
-        p = g2.string_down_count(a, b)
-        assert abs(value) == p + 1
 
 
 def test_cartan_action_on_root_vectors(algebra_bundle):
@@ -397,12 +385,59 @@ def test_linear_coroots_equal_the_cartan_solve(name, algebra_bundle):
         assert kd.coroots[root] == {k: c for k, c in enumerate(solved) if not c.is_zero()}, root
 
 
+def fraction_form(cartan):
+    """The symmetrized form ``(a, b) = sum a_i b_j d_j A[i][j]``, in Fractions.
+
+    ``d`` propagates ``d_j A[i][j] = d_i A[j][i]`` from ``d_0 = 1`` along the
+    Dynkin diagram and is then scaled so its least entry is 1.
+    """
+    n, entries = cartan.rank, cartan.entries
+    d = {0: Fraction(1)}
+    while len(d) < n:
+        for i, j in itertools.product(list(d), range(n)):
+            if j not in d and entries[i][j]:
+                d[j] = d[i] * Fraction(entries[j][i], entries[i][j])
+    low = min(d.values())
+    sym = [(i, j, d[j] / low * entries[i][j]) for i in range(n) for j in range(n) if entries[i][j]]
+    return lambda a, b: sum(a[i] * b[j] * s for i, j, s in sym if a[i] and b[j])
+
+
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_integer_root_norms_equal_the_pairing(name, algebra_bundle):
     rs = algebra_bundle(name)[0]
-    norms = _ChevalleyTable(rs).norms
-    for root in rs.roots:
-        assert type(norms[root]) is int and norms[root] == rs.pairing(root, root), root
+    assert all(type(d) is int for d in rs.cartan.symmetrizer)
+    form = fraction_form(rs.cartan)
+    for a in rs.roots:
+        for b in rs.roots:
+            value = rs.pairing(a, b)
+            assert type(value) is int and value == form(a, b), (a, b)
+
+
+def test_chevalley_constants_are_signed_string_lengths(algebra_bundle):
+    """One int ``N_{a,b} = +-(p+1)`` exactly for the pairs with ``a+b`` a root,
+    with ``N_{-a,-b} = -N_{a,b}`` and ``N_{a,b}/(c,c) = N_{b,c}/(a,a) =
+    N_{c,a}/(b,b)`` for ``c = -(a+b)``, on every type."""
+    for name in ALL_TYPES:
+        rs = algebra_bundle(name)[0]
+        roots = set(rs.roots)
+        form = fraction_form(rs.cartan)
+        norm = {r: form(r, r) for r in rs.roots}
+        constants = _chevalley_constants(rs)
+        summing = {
+            (a, b) for a in rs.roots for b in rs.roots
+            if tuple(x + y for x, y in zip(a, b)) in roots
+        }
+        assert set(constants) == summing, name
+        for (a, b), n in constants.items():
+            p = 0
+            while tuple(y - (p + 1) * x for x, y in zip(a, b)) in roots:
+                p += 1
+            assert type(n) is int and abs(n) == p + 1, (name, a, b)
+            neg_a, neg_b = tuple(-x for x in a), tuple(-y for y in b)
+            assert constants[(neg_a, neg_b)] == -n, (name, a, b)
+            c = tuple(-x - y for x, y in zip(a, b))
+            assert n * norm[a] == constants[(b, c)] * norm[c], (name, a, b)
+            assert n * norm[b] == constants[(c, a)] * norm[c], (name, a, b)
 
 
 #: Dual Coxeter numbers (Bourbaki's tables); dim g_1 = 2 h^v - 4 for the
@@ -432,6 +467,11 @@ def test_e6_grading_and_every_suite_check(algebra_bundle, monkeypatch):
     adjoint = cli.run_adjoint({"command": "adjoint", "type": "E6", "samples": 3, "seed": 2024})
     assert algebra.ok and adjoint.ok
     assert algebra.config["payload"]["piece_dims"] == [1, 20, 36, 20, 1]
+    digests = [hashlib.sha256(r.to_json().encode()).hexdigest() for r in (algebra, adjoint)]
+    assert digests == [
+        "5943d1e0e965361297945db096d05ded12a01e58c18e4b8ee1238ba2d27af656",
+        "4d3a79acae86ac8a53c8ceadafd64dfd189a360d03561cd4a80a95d8dd6de2e5",
+    ]
 
 
 def test_e6_positive_roots_match_sympy(algebra_bundle):

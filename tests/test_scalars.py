@@ -32,6 +32,14 @@ def test_equality_is_canonical():
     assert hash(gq(Fraction(2, 4), 0)) == hash(gq(Fraction(1, 2)))
 
 
+@pytest.mark.parametrize("value", [0, 1, -7, True, Fraction(1, 2), Fraction(-9, 4), Fraction(6, 3)])
+def test_a_real_scalar_hashes_as_the_rational_it_equals(value):
+    z = GaussianRational(value)
+    assert z == value and hash(z) == hash(value)
+    assert value in {z} and z in {value}
+    assert {z: "x"}[value] == "x"
+
+
 class _Rational(Fraction):
     pass
 
