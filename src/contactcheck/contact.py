@@ -430,9 +430,15 @@ class SectionMap:
 
     ``images`` sends every total-space variable to a coefficient function on
     the section's own base coordinates, spelled over ``source`` (else
-    ``ValueError`` naming the section); for global charts the distinguished
-    ``unit_var`` names the coordinate normalized to 1 (affine section of the
-    projectivization), for fibered charts it is the fiber variable.
+    ``ValueError`` naming the section).  A section of the projection follows
+    one rule on both chart flavors: ``unit_var`` has weight 1 and a nonzero
+    constant image c, and every other chart variable x maps to ``c^(w_x) *
+    v`` for its own source coordinate v, the v's covering the source's base
+    variables.  On a global chart (all weights 1) that is an affine section
+    of the projectivization; on a fibered chart (base weight 0, fiber weight
+    1) ``unit_var`` is the fiber and the base variables map to coordinates.
+    The transitions and gauges of :func:`reconstruct_cstructure` are read
+    off the sections by that rule.
     """
 
     __slots__ = ("label", "source", "images", "unit_var")
@@ -530,50 +536,35 @@ def _proportionality_factor(
     return factor
 
 
-def section_is_valid(cc: ContactChart, section: SectionMap) -> bool:
-    """Symbolic right-inverse check of the bundle projection.
-
-    Global charts: the unit coordinate's image is a nonzero constant c and
-    every other image equals c times the matching base coordinate, so the
-    projectivization returns the chart point.  Fibered charts: the base
-    images are the identity and the fiber image is a nonvanishing constant.
-    """
-    chart = cc.chart
-    images = section.images
-    if set(images) != set(chart.all_vars):
-        return False
+def _section_coordinates(cc: ContactChart, section: SectionMap) -> Optional[Dict[str, str]]:
+    """The source coordinate ``v`` of each chart variable ``x`` but the unit
+    one, or None when the section breaks the rule of :class:`SectionMap`."""
+    images, unit = section.images, section.unit_var
+    if set(images) != set(cc.chart.all_vars) or cc.weights.get(unit) != 1:
+        return None
+    c = images[unit].constant_value() if images[unit].is_constant() else ZERO
+    if c.is_zero():
+        return None
     source = section.source
-    if chart.fiber_var is not None:
-        for name in chart.base_vars:
-            if name not in source.all_vars or images[name] != source.coeff_var(name):
-                return False
-        lam_image = images[chart.fiber_var]
-        return lam_image.is_constant() and not lam_image.constant_value().is_zero()
-    unit_image = images[section.unit_var]
-    if not unit_image.is_constant() or unit_image.constant_value().is_zero():
-        return False
-    c = unit_image.constant_value()
-    # Each remaining image must be c times a distinct source coordinate, so
-    # that dividing by the unit slot returns exactly the chart point.
-    used: set = set()
-    for name in chart.all_vars:
-        if name == section.unit_var:
+    coords: Dict[str, str] = {}
+    for name in cc.chart.all_vars:
+        if name == unit:
             continue
-        coord = _single_variable_of(images[name], c)
-        if coord is None or coord in used or coord not in source.base_vars:
-            return False
-        used.add(coord)
-    return used == set(source.base_vars)
+        image = images[name]
+        expo = next(iter(image.terms), ())
+        v = image.vars[expo.index(1)] if 1 in expo else None
+        if v not in source.base_vars or v in coords.values():
+            return None
+        if image != source.coeff_var(v).scale(c ** cc.weights[name]):
+            return None
+        coords[name] = v
+    return coords if len(coords) == len(source.base_vars) else None
 
 
-def _single_variable_of(image: Coeff, scale: GaussianRational) -> Optional[str]:
-    """The source variable v with image = scale * v, if the image has that shape."""
-    if len(image.terms) != 1:
-        return None
-    ((expo, coeff),) = image.terms.items()
-    if coeff != scale or sum(expo) != 1 or min(expo) < 0:
-        return None
-    return image.vars[expo.index(1)]
+def section_is_valid(cc: ContactChart, section: SectionMap) -> bool:
+    """Symbolic right-inverse check of the bundle projection: the section
+    follows the unit-variable rule of :class:`SectionMap`."""
+    return _section_coordinates(cc, section) is not None
 
 
 def hopf_sections(n: int) -> List[SectionMap]:
@@ -593,27 +584,16 @@ def hopf_sections(n: int) -> List[SectionMap]:
     return sections
 
 
-def projective_transition(n_vars: int, i: int, j: int) -> Dict[str, MultiPoly]:
-    """Chart-j affine coordinates of projective space in terms of chart-i ones.
-
-    Convention: chart k uses coordinates ``u_m = zeta_m / zeta_k`` for m != k.
-    The images are spelled over chart i's coordinates, in that order.
-    """
-    coords = tuple(f"u{m}" for m in range(n_vars) if m != i)
-    u = {m: MultiPoly.variable(f"u{m}", coords) for m in range(n_vars) if m != i}
-    return {
-        f"u{m}": u[j] ** -1 if m == i else u[m] / u[j] for m in range(n_vars) if m != j
-    }
-
-
 def reconstruct_cstructure(cc: ContactChart, sections: Sequence[SectionMap]) -> CStructureData:
     """Pull theta back along each section and assemble the transition data.
 
-    Verifies, exactly: each section is a right inverse of the projection;
-    the (C.1) and (C.2) checks of :func:`cstructure_from_charts` on the
-    pulled-back forms; the gauge ``g_ij`` with ``sigma_i = R_(g_ij) sigma_j``
-    exists as a unit ``c * u^e`` of the Laurent ring, nowhere zero on the
-    overlap; and each compatibility factor is ``g_ij^delta``.
+    The transition of the pair (i, j) is ``pi_j o sigma_i``, read off the
+    sections by the rule of :class:`SectionMap`.  Verifies, exactly: each
+    section is a right inverse of the projection; the (C.1) and (C.2) checks
+    of :func:`cstructure_from_charts` on the pulled-back forms; the gauge
+    ``g_ij`` with ``sigma_i = R_(g_ij) sigma_j`` exists as a unit ``c * u^e``
+    of the Laurent ring, nowhere zero on the overlap; and each compatibility
+    factor is ``g_ij^delta``.
     """
     for section in sections:
         if not section_is_valid(cc, section):
@@ -634,17 +614,17 @@ def reconstruct_cstructure(cc: ContactChart, sections: Sequence[SectionMap]) -> 
 def _section_transition(
     cc: ContactChart, sections: Sequence[SectionMap], i: int, j: int
 ) -> Dict[str, MultiPoly]:
-    if cc.chart.fiber_var is not None:
-        # Same base coordinates on a fibered chart: the transition is the identity
-        # renaming chart-j names to chart-i names.
-        src = sections[i].source
-        return {
-            name_j: src.coeff_var(name_i)
-            for name_j, name_i in zip(sections[j].source.all_vars, src.all_vars)
-        }
-    unit_i = int(sections[i].unit_var[1:])
-    unit_j = int(sections[j].unit_var[1:])
-    return projective_transition(cc.dim, unit_i, unit_j)
+    """``pi_j o sigma_i``: chart j's coordinates spelled over chart i's.
+
+    Chart j reads its coordinate ``v`` of ``x`` back as ``x / unit_j^(w_x)``,
+    which undoes its own section, so ``v -> sigma_i(x) / sigma_i(unit_j)^(w_x)``.
+    """
+    images = sections[i].images
+    unit = images[sections[j].unit_var]
+    return {
+        v: images[x] / unit ** cc.weights[x]
+        for x, v in _section_coordinates(cc, sections[j]).items()
+    }
 
 
 def _gauge_ratio(
@@ -655,40 +635,18 @@ def _gauge_ratio(
 ) -> MultiPoly:
     """The unit g with sigma_i = R_g sigma_j after the coordinate change.
 
-    The action scales the component named ``x`` by ``g^{w_x}``: weight-0
-    components must agree outright, weight-1 components each determine g,
-    and any other weight is cross-checked against the extracted g.
+    The action scales the component named ``x`` by ``g^(w_x)``.  Chart j's
+    unit variable has weight 1, so its two images give the one candidate g,
+    and every component is checked against it.
     """
-    deferred: List[Tuple[int, MultiPoly, MultiPoly]] = []
-    ratio: Optional[MultiPoly] = None
-    for name in cc.chart.all_vars:
-        moved = sec_j.source.base_part(sec_j.images[name]).substitute(trans)
-        img_i = sec_i.source.base_part(sec_i.images[name])
-        weight = cc.weights[name]
-        if moved.is_zero():
-            if not img_i.is_zero():
-                raise ValueError("sections are not related by a scalar gauge")
-            continue
-        if weight == 0:
-            if img_i != moved:
-                raise ValueError("weight-0 section components must match on the overlap")
-            continue
-        if weight == 1:
-            candidate = _unit_ratio(img_i, moved)
-            if candidate is None:
-                raise ValueError("sections are not related by a scalar gauge")
-            if ratio is None:
-                ratio = candidate
-            elif ratio != candidate:
-                raise ValueError("section components give inconsistent gauges")
-        else:
-            deferred.append((weight, img_i, moved))
-    if ratio is None:
-        raise ValueError("cannot extract a gauge (no weight-1 component present)")
-    for weight, img_i, moved in deferred:
-        if moved * ratio**weight != img_i:
-            raise ValueError("section components give inconsistent gauges")
-    return ratio
+    unit = sec_j.unit_var
+    g = _unit_ratio(sec_i.images[unit], sec_j.images[unit].substitute(trans))
+    if g is not None and all(
+        sec_i.images[x] == g ** cc.weights[x] * sec_j.images[x].substitute(trans)
+        for x in cc.chart.all_vars
+    ):
+        return g
+    raise ValueError("sections are not related by a scalar gauge")
 
 
 def canonical_cocycle_check(cs: CStructureData, n: int) -> List[CheckResult]:
@@ -869,8 +827,7 @@ def _require_admissible_point(cc: ContactChart, point: Mapping[str, GaussianRati
 def homogeneous_space_dim(n_proj: int, m: int) -> int:
     """Dimension of the degree-m homogeneous functions on C^{N+1} minus 0,
     N = n_proj: binomial(N + m, N).  These realize the order-m section space
-    of the hyperplane-class bundle, with the tautological pairing realized by
-    :func:`evaluation_pairing`.
+    of the hyperplane-class bundle.
     """
     if n_proj < 1:
         raise ValueError("projective dimension must be >= 1 (the punctured line has extra functions)")
@@ -896,12 +853,6 @@ def _compositions(total: int, slots: int) -> List[Tuple[int, ...]]:
         for rest in _compositions(total - head, slots - 1):
             out.append((head,) + rest)
     return out
-
-
-def evaluation_pairing(phi: MultiPoly, eta: Mapping[str, GaussianRational]) -> GaussianRational:
-    """Value of a section at a frame point: the pairing of ``eta^(x m)`` with
-    the symmetric tensor of ``phi`` is plain polynomial evaluation."""
-    return phi.evaluate(eta)
 
 
 def cstructure_from_charts(

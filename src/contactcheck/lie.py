@@ -226,21 +226,21 @@ def _chevalley_table(rs: RootSystem, basis: LieBasis) -> Dict[Tuple[int, int], S
             pairing = rs.cartan.coroot_pairing(b, i)
             if pairing:
                 table[(i, basis.root_index(b))] = {basis.root_index(b): GaussianRational(pairing)}
-    # root-root brackets
-    for idx_a, a in enumerate(rs.roots):
-        for idx_b in range(idx_a + 1, len(rs.roots)):
-            b = rs.roots[idx_b]
-            i, j = basis.root_index(a), basis.root_index(b)
+    # root-root brackets: [e_a, e_-a] = a^v for positive a (positives come
+    # first), and N_{a,b} e_{a+b} for the constants, each in table order i < j
+    root_root: Dict[Tuple[int, int], SparseVec] = {}
+    for a in rs.positive_roots():
+        coro = _coroot_coordinates(rs, a)
+        entry = {k: GaussianRational(c) for k, c in enumerate(coro) if c}
+        if entry:
+            root_root[(basis.root_index(a), basis.root_index(rs.negative(a)))] = entry
+    for (a, b), n in constants.items():
+        i, j = basis.root_index(a), basis.root_index(b)
+        if i < j:
             s = tuple(x + y for x, y in zip(a, b))
-            if not any(s):
-                coro = _coroot_coordinates(rs, a)
-                entry = {k: GaussianRational(c) for k, c in enumerate(coro) if c}
-                if entry:
-                    table[(i, j)] = entry
-                continue
-            n = constants.get((a, b))
-            if n:
-                table[(i, j)] = {basis.root_index(s): GaussianRational(n)}
+            root_root[(i, j)] = {basis.root_index(s): GaussianRational(n)}
+    for key in sorted(root_root):
+        table[key] = root_root[key]
     return table
 
 

@@ -339,16 +339,16 @@ def test_invalid_cstructure_fails_one_check_through_the_cli(capsys, monkeypatch,
 
     Doubling one image of the V0 -> V1 transition breaks (C.2) on that pair.
     """
-    transition = contact.projective_transition
+    transition = contact._section_transition
 
-    def doubled(n_vars, i, j):
-        images = transition(n_vars, i, j)
+    def doubled(cc, sections, i, j):
+        images = transition(cc, sections, i, j)
         if (i, j) != (0, 1):
             return images
         name = min(images)
         return dict(images, **{name: images[name] * 2})
 
-    monkeypatch.setattr(contact, "projective_transition", doubled)
+    monkeypatch.setattr(contact, "_section_transition", doubled)
     code = main(["cocycle", "--n", str(n)])
     captured = capsys.readouterr()
     report = json.loads(captured.out)

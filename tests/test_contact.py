@@ -14,7 +14,6 @@ from contactcheck.contact import (
     cstructure_from_charts,
     degree_of,
     euler_field,
-    evaluation_pairing,
     fibered_chart,
     hamiltonian_field,
     homogeneous_space_dim,
@@ -452,14 +451,6 @@ def test_homogeneous_space_dims():
         homogeneous_space_dim(2, -1)
 
 
-def test_evaluation_pairing_matches_evaluate():
-    basis = monomial_basis(2, 3)
-    sampler = SeededSampler(31)
-    point = {f"z{i}": sampler.gaussian() for i in range(3)}
-    for phi in basis[:5]:
-        assert evaluation_pairing(phi, point) == phi.evaluate(point)
-
-
 def test_section_space_injectivity_on_samples():
     """A nonzero section has a nonzero value at some small rational point."""
     from itertools import product
@@ -693,11 +684,67 @@ def test_a_section_image_spelled_off_its_source_chart_is_rejected_by_label():
 
 
 def test_a_section_naming_no_source_variable_is_invalid():
-    """A fibered base coordinate that is not a source variable fails the check, without raising."""
+    """A fibered base coordinate that is not a bare source variable fails the check, without raising.
+
+    The base has weight 0, so its image must be ``c^0 * w = w`` itself.
+    """
     cc = fibered_chart(0, 2)
     src = ChartSpace(["w"])
-    section = SectionMap("S", src, {"z0": src.coeff_var("w"), "lam": src.coeff_const(1)}, "lam")
-    assert not section_is_valid(cc, section)
+    for image in (src.coeff_var("w").scale(2), src.coeff_const(1), src.coeff_var("w") ** 2):
+        section = SectionMap("S", src, {"z0": image, "lam": src.coeff_const(1)}, "lam")
+        assert not section_is_valid(cc, section)
+        with pytest.raises(ValueError, match="^S is not a section of the projection$"):
+            reconstruct_cstructure(cc, [section])
+
+
+def test_a_fibered_section_may_rename_its_base_coordinate():
+    """z0 -> w, lam -> 3 is a section; its pair with z0 -> z0, lam -> 1 has the gauge 3."""
+    cc = fibered_chart(0, 2)
+    src_w, src_z = ChartSpace(["w"]), ChartSpace(["z0"])
+    s_w = SectionMap("W", src_w, {"z0": src_w.coeff_var("w"), "lam": src_w.coeff_const(3)}, "lam")
+    s_z = SectionMap("Z", src_z, {"z0": src_z.coeff_var("z0"), "lam": src_z.coeff_const(1)}, "lam")
+    assert section_is_valid(cc, s_w)
+    cs = reconstruct_cstructure(cc, [s_w, s_z])
+    assert cs.transition_maps[(0, 1)] == {"z0": src_w.coeff_var("w")}
+    assert cs.transition_maps[(1, 0)] == {"w": src_z.coeff_var("z0")}
+    assert cs.gauges[(0, 1)] == src_w.coeff_const(3)
+    assert cs.factors[(0, 1)] == src_w.coeff_const(9)  # c^delta
+    assert cs.gammas[0] == PolyForm.d_var(src_w, "w").scale(9)
+
+
+def test_a_fibered_section_needs_the_fiber_as_its_unit():
+    """The unit variable has weight 1: on a fibered chart only the fiber qualifies."""
+    cc = fibered_chart(0, 2)
+    src = ChartSpace(["z0"])
+    images = {"z0": src.coeff_var("z0"), "lam": src.coeff_const(1)}
+    assert section_is_valid(cc, SectionMap("S", src, images, "lam"))
+    assert not section_is_valid(cc, SectionMap("S", src, images, "z0"))
+
+
+def _renamed_sections(n, prefix):
+    """hopf_sections(n) with each source coordinate u<m> renamed <prefix><m>."""
+    out = []
+    for section in hopf_sections(n):
+        source = ChartSpace([prefix + name[1:] for name in section.source.all_vars])
+        images = {x: MultiPoly(source.all_vars, image.terms) for x, image in section.images.items()}
+        out.append(SectionMap(section.label, source, images, section.unit_var))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_renamed_hopf_sections_give_the_same_cstructure(n):
+    """The transitions come from the sections, not from their coordinate names."""
+    cc = hopf_chart(n)
+    cs = reconstruct_cstructure(cc, hopf_sections(n))
+    renamed = reconstruct_cstructure(cc, _renamed_sections(n, "x"))
+    results = canonical_cocycle_check(renamed, n)
+    all_pass(results)
+    assert [r.check_id for r in results] == [r.check_id for r in canonical_cocycle_check(cs, n)]
+    assert renamed.factors.keys() == cs.factors.keys()
+    for (i, j), factor in cs.factors.items():
+        chart_i = renamed.gammas[i].chart.all_vars
+        assert renamed.factors[(i, j)] == MultiPoly(chart_i, factor.terms)
+        assert renamed.gauges[(i, j)] == MultiPoly(chart_i, cs.gauges[(i, j)].terms)
 
 
 def test_gauge_with_a_pole_on_the_overlap_is_rejected(monkeypatch):

@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 
 from contactcheck.lie import (
+    LieBasis,
     StructureConstants,
     _chevalley_constants,
+    _chevalley_table,
     build_algebra,
     chi_differential,
     g00_span_check,
@@ -439,6 +441,29 @@ def test_chevalley_constants_are_signed_string_lengths(algebra_bundle):
             assert n * norm[a] == constants[(b, c)] * norm[c], (name, a, b)
             assert n * norm[b] == constants[(c, a)] * norm[c], (name, a, b)
 
+
+
+def test_chevalley_table_equals_the_walk_over_every_root_pair(algebra_bundle):
+    """The root-root entries are those of a walk over all pairs i < j, in that
+    order: ``[e_a, e_-a]`` is the coroot of the earlier root and ``[e_a, e_b]``
+    is ``N_{a,b} e_{a+b}``.  The whole table is in key order."""
+    for name in ALL_TYPES:
+        rs = algebra_bundle(name)[0]
+        form = fraction_form(rs.cartan)
+        constants = _chevalley_constants(rs)
+        simple = [tuple(int(k == i) for k in range(rs.rank)) for i in range(rs.rank)]
+        expected = {}
+        for (ia, a), (ib, b) in itertools.combinations(enumerate(rs.roots), 2):
+            key = (rs.rank + ia, rs.rank + ib)
+            s = tuple(x + y for x, y in zip(a, b))
+            if not any(s):
+                coroot = [a[k] * form(e, e) / form(a, a) for k, e in enumerate(simple)]
+                expected[key] = {k: GaussianRational(c) for k, c in enumerate(coroot) if c}
+            elif (a, b) in constants:
+                expected[key] = {rs.rank + rs.index(s): GaussianRational(constants[(a, b)])}
+        table = _chevalley_table(rs, LieBasis(rs))
+        assert [(k, v) for k, v in table.items() if min(k) >= rs.rank] == list(expected.items()), name
+        assert list(table) == sorted(table), name
 
 #: Dual Coxeter numbers (Bourbaki's tables); dim g_1 = 2 h^v - 4 for the
 #: highest-root grading (Beauville, Fano contact manifolds and nilpotent

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from contactcheck.contact import projective_transition
 from contactcheck.forms import ChartSpace
 from contactcheck.linalg import (
     column_kernel,
@@ -275,8 +274,14 @@ TRANSITIONS = [
 
 @pytest.mark.parametrize("n_vars,i,j", TRANSITIONS)
 def test_determinant_of_transition_jacobians(n_vars, i, j):
-    trans = projective_transition(n_vars, i, j)
+    # Chart k of projective space has the coordinates u_m = zeta_m / zeta_k,
+    # m != k, so chart j's read on chart i are u_i -> 1/u_j and u_m -> u_m/u_j.
     coords = [f"u{m}" for m in range(n_vars) if m != i]
+    u = {m: MultiPoly.variable(f"u{m}", coords) for m in range(n_vars) if m != i}
+    inverse_u_j = MultiPoly(coords, {tuple(-(name == f"u{j}") for name in coords): ONE})
+    trans = {
+        f"u{m}": inverse_u_j if m == i else u[m] * inverse_u_j for m in range(n_vars) if m != j
+    }
     # Every image is spelled over chart i; the elimination loop drops 0 entries.
     jac = [{c: trans[name].diff(u) for c, name in enumerate(trans)} for u in coords]
     one = MultiPoly.const(1, coords)
