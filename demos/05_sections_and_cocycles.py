@@ -4,19 +4,19 @@ Pulling theta back along the affine sections of projective space produces
 one contact form per chart; any two sections differ by a gauge g, the chart
 forms differ by g^delta, and the top forms gamma ^ (d gamma)^n transform by
 the (n+1)-st power of that factor times the coordinate-change Jacobian --
-an exact rational-function identity on every overlap.
+an exact identity of Laurent polynomials on every overlap.
 """
 
 from contactcheck.contact import (
     canonical_cocycle_check,
     hopf_chart,
     hopf_sections,
-    projective_line_cstructure,
     reconstruct_cstructure,
 )
 
-print("== the projective line with charts gamma_i = dz_i")
-line = projective_line_cstructure()
+print("== the projective line from the two sections of C^2 minus 0")
+line = reconstruct_cstructure(hopf_chart(0), hopf_sections(0))
+print(f"   gamma_0 = {line.gammas[0]},  gamma_1 = {line.gammas[1]}")
 print(f"   f_01 = {line.factors[(0, 1)]}   (the canonical-bundle cocycle, n = 0)")
 for result in canonical_cocycle_check(line, 0):
     print(f"   {result.status:4s}  {result.check_id}")

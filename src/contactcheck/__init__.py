@@ -18,17 +18,18 @@ Subpackage map:
   Q(i)[u^±1] (polynomials are its elements with no negative exponent), the
   one coefficient ring of chart coefficients, transitions and cocycles.
 * :mod:`contactcheck.linalg` -- exact linear algebra on sparse rows: one
-  elimination loop for ranks, spans, kernels, inverses and determinants (the
-  signed product of its pivots), with a pivot rule for rings, so that only
-  units divide (the chart ring's in the dtheta solve, the Laurent ring's in
-  the cocycle check).
+  elimination loop for ranks, spans, kernels, inverses and Q(i)
+  determinants (the signed product of its pivots), with a pivot rule for
+  rings, so that only units divide (the chart ring's in the dtheta solve).
 * :mod:`contactcheck.rootsystem` -- finite root systems from Cartan matrices.
 * :mod:`contactcheck.lie` -- structure constants, Killing form, highest-root
   grading of the simple Lie algebras.
-* :mod:`contactcheck.forms` -- polynomial exterior calculus on a chart, and
-  the rules of the chart ring Q(i)[base][fiber^±1] on ``ChartSpace``.
+* :mod:`contactcheck.forms` -- polynomial exterior calculus on a chart, the
+  rules of the chart ring Q(i)[base][fiber^±1] on ``ChartSpace``, and the one
+  pullback, along sections and along Laurent chart transitions.
 * :mod:`contactcheck.contact` -- contact charts, Euler operator, Hamiltonian
-  vector fields and the identity suites built on them.
+  vector fields and the identity suites built on them; c-structures from
+  sections, with (C.2) factors and canonical cocycles read off pullbacks.
 * :mod:`contactcheck.orbits` -- unipotent orbits through the highest root
   vector, moment maps, embedding rank checks.
 * :mod:`contactcheck.sampling` -- seeded generators of sample points,

@@ -184,10 +184,7 @@ def run_cocycle(config: Dict[str, object]) -> Report:
         raise ConfigError(f"cocycle instances ship for 0 <= n <= {COCYCLE_MAX_N}, got {n}")
     report = Report(config)
     try:
-        if n == 0:
-            cs = contact.projective_line_cstructure()
-        else:
-            cs = contact.reconstruct_cstructure(contact.hopf_chart(n), contact.hopf_sections(n))
+        cs = contact.reconstruct_cstructure(contact.hopf_chart(n), contact.hopf_sections(n))
     except ValueError as exc:
         # The message names the failing pair, chart or section.
         report.extend([failed("cocycle:c-structure", exc)])

@@ -487,24 +487,6 @@ class CStructureData:
         raise AttributeError("CStructureData is immutable")
 
 
-def rational_pullback_one_form(
-    form: PolyForm, images: Mapping[str, MultiPoly]
-) -> Dict[str, MultiPoly]:
-    """Pull a lam-free polynomial 1-form back along a Laurent map.
-
-    Returns the coefficient of ``d(new_var)`` for each source variable name.
-    """
-    out: Dict[str, MultiPoly] = {}
-    for (idx,), coeff in form.terms.items():
-        pulled = form.chart.base_part(coeff).substitute(images)
-        differential = images[form.chart.all_vars[idx]]
-        for var in differential.vars:
-            d = differential.diff(var)
-            if not d.is_zero():
-                out[var] = out[var] + pulled * d if var in out else pulled * d
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
 def _unit_ratio(a: MultiPoly, b: MultiPoly) -> Optional[MultiPoly]:
     """The unit u = c * x^e with a = u * b, or None when there is none.
 
@@ -519,21 +501,16 @@ def _unit_ratio(a: MultiPoly, b: MultiPoly) -> Optional[MultiPoly]:
     return u if u * b == a else None
 
 
-def _proportionality_factor(
-    target: Mapping[str, MultiPoly], source: Mapping[str, MultiPoly]
-) -> Optional[MultiPoly]:
-    """The unit f with target = f * source, or None when there is none."""
-    name = next((name for name, value in source.items() if not value.is_zero()), None)
-    if name is None:
+def _proportionality_factor(target: PolyForm, source: PolyForm) -> Optional[MultiPoly]:
+    """The unit f with target = f * source, or None when there is none.
+
+    Any one term of ``source`` gives the one candidate, by :func:`_unit_ratio`.
+    """
+    key = next(iter(source.terms), None)
+    if key is None:
         return None
-    zero = MultiPoly.zero(source[name].vars)
-    factor = _unit_ratio(target.get(name, zero), source[name])
-    if factor is None:
-        return None
-    for name in target.keys() | source.keys():
-        if source.get(name, zero) * factor != target.get(name, zero):
-            return None
-    return factor
+    factor = _unit_ratio(target.terms.get(key, source.chart.coeff_zero()), source.terms[key])
+    return factor if factor is not None and source.scale(factor) == target else None
 
 
 def _section_coordinates(cc: ContactChart, section: SectionMap) -> Optional[Dict[str, str]]:
@@ -654,29 +631,23 @@ def canonical_cocycle_check(cs: CStructureData, n: int) -> List[CheckResult]:
     ``c_i = f_ij^(n+1) * (c_j o transition) * det(Jacobian of transition)``
     where ``c_k`` is the coefficient of the top form ``gamma_k ^ (d gamma_k)^n``.
 
-    The determinant is the signed product of the pivots of the one
-    elimination loop, which divides only by units ``c * u^e``
-    (:meth:`MultiPoly.is_unit`).  A Jacobian with no unit pivot is outside the
-    domain of this check: ``linalg.determinant`` raises ``ZeroDivisionError``
-    on it.  The transitions of the shipped charts are inside it.
+    The right side is ``f_ij^(n+1)`` times the coefficient of the pullback of
+    chart j's top form along the transition: pulling back ``c_j dv_0 ^ ... ^
+    dv_2n`` gives ``(c_j o transition) * dT_0 ^ ... ^ dT_2n``, and the wedge
+    products expand the Jacobian determinant.  A chart whose dimension is not
+    ``2n + 1`` carries no such top form, and raises ``ValueError``.
     """
+    for label, gamma in zip(cs.charts, cs.gammas):
+        if gamma.chart.dim != 2 * n + 1:
+            raise ValueError(f"{label}: gamma ^ (d gamma)^{n} is no top form on {gamma.chart!r}")
     results: List[CheckResult] = []
-    tops: List[MultiPoly] = []
-    orders: List[Tuple[str, ...]] = []
-    for gamma in cs.gammas:
-        top = gamma.wedge(exterior_derivative(gamma).wedge_power(n))
-        ((key, coeff),) = top.terms.items()
-        if list(key) != list(range(top.chart.dim)):
-            raise AssertionError("top form key must be the full variable tuple")
-        tops.append(top.chart.base_part(coeff))
-        orders.append(top.chart.all_vars)
+    tops = [gamma.wedge(exterior_derivative(gamma).wedge_power(n)) for gamma in cs.gammas]
     for (i, j), trans in cs.transition_maps.items():
-        f_ij = cs.factors[(i, j)]
-        # The images are spelled over chart i; the elimination loop drops 0 entries.
-        jac = [{c: trans[var].diff(u) for c, var in enumerate(orders[j])} for u in orders[i]]
-        det = linalg.determinant(jac, MultiPoly.const(1, orders[i]), MultiPoly.is_unit)
-        lhs = tops[i]
-        rhs = f_ij ** (n + 1) * tops[j].substitute(trans) * det
+        chart = tops[i].chart
+        full = tuple(range(chart.dim))
+        lhs = tops[i].terms.get(full, chart.coeff_zero())
+        pulled = pullback(chart, trans, tops[j]).terms.get(full, chart.coeff_zero())
+        rhs = cs.factors[(i, j)] ** (n + 1) * pulled
         ok = lhs == rhs
         results.append(
             check(f"cocycle:{cs.charts[i]}->{cs.charts[j]}", ok, "" if ok else f"lhs {lhs} != rhs {rhs}")
@@ -864,7 +835,8 @@ def cstructure_from_charts(
     """Assemble c-structure data from raw chart forms and coordinate changes.
 
     The compatibility factors f_ij are extracted from the proportionality
-    ``gamma_i = f_ij * (transition)^* gamma_j`` and their existence is the
+    ``gamma_i = f_ij * (transition)^* gamma_j``, the pullback taken by
+    :func:`~contactcheck.forms.pullback`, and their existence is the
     (C.2) check; the top-form nonvanishing is the (C.1) check.  A factor must
     be nowhere zero on the overlap, so (C.2) asks for a unit ``c * u^e`` of the
     Laurent ring: a proportionality by any other Laurent polynomial fails it.
@@ -893,20 +865,8 @@ def cstructure_from_charts(
                 gammas[i].chart.require_spelled(image)
         except ValueError as exc:
             raise ValueError(f"transition ({labels[i]}, {labels[j]}): {exc}") from None
-        target = {gammas[i].chart.all_vars[idx]: coeff for (idx,), coeff in gammas[i].terms.items()}
-        source = rational_pullback_one_form(gammas[j], dict(trans))
-        factor = _proportionality_factor(target, source)
+        factor = _proportionality_factor(gammas[i], pullback(gammas[i].chart, trans, gammas[j]))
         if factor is None:
             raise ValueError(f"(C.2) fails for pair ({labels[i]}, {labels[j]})")
         factors[(i, j)] = factor
     return CStructureData(list(labels), list(gammas), dict(transition_maps), factors)
-
-
-def projective_line_cstructure() -> CStructureData:
-    """The two-chart structure gamma_i = dz_i on the projective line."""
-    c0 = ChartSpace(["u1"])
-    c1 = ChartSpace(["u0"])
-    gamma0 = PolyForm.d_var(c0, "u1")
-    gamma1 = PolyForm.d_var(c1, "u0")
-    maps = {(0, 1): {"u0": c0.coeff_var("u1") ** -1}, (1, 0): {"u1": c1.coeff_var("u0") ** -1}}
-    return cstructure_from_charts(["V0", "V1"], [gamma0, gamma1], maps, 0)

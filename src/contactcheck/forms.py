@@ -17,12 +17,20 @@ Forms store only strictly increasing index tuples, so antisymmetry is
 structural; the interior product contracts on the left slot with alternating
 signs, and full contraction ``omega(X_1, ..., X_p)`` is the iterated interior
 product ``iota_{X_p} ... iota_{X_1} omega``.
+
+:func:`pullback` is the one pullback of the package: along a section, and
+along a chart transition on an overlap, whose images may invert the source
+coordinates (they are Laurent, spelled over the source chart).  A form with
+negative powers of the target fiber pulls back only along a unit fiber image
+``c * fiber^k``.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
+from .linalg import add_into
 from .poly import MultiPoly
 from .scalars import GaussianRational, ScalarLike
 
@@ -515,9 +523,12 @@ def pullback(
 ) -> PolyForm:
     """Pull a form back along the map whose target-variable images are given.
 
-    ``images`` assigns to every target chart variable a coefficient function
-    on ``source``.  Laurent coefficients in the target fiber variable require
-    its image to be a unit: a constant times a power of the source fiber.
+    ``images`` assigns to every target chart variable an element of the
+    Laurent ring spelled over ``source.all_vars``: a coefficient function on
+    ``source``, or on an overlap a transition that inverts coordinates, such
+    as ``u0 -> u1^-1``.  Laurent coefficients in the target fiber variable
+    require its image to be a unit: a constant times a power of the source
+    fiber.
     """
     target = form.chart
     missing = [v for v in target.all_vars if v not in images]
@@ -527,14 +538,14 @@ def pullback(
         name: exterior_derivative(PolyForm.function(source, images[name]))
         for name in target.all_vars
     }
-    out = PolyForm.zero(source, form.degree)
+    no_differential = {(): source.coeff_const(1)}
+    terms: Dict[Key, Coeff] = {}
     for key, coeff in form.terms.items():
-        if any(min(expo, default=0) < 0 for expo in coeff.terms) and not source.is_unit(
-            images[target.fiber_var]
-        ):
+        fiber_inverted = target.fiber_var and any(expo[-1] < 0 for expo in coeff.terms)
+        if fiber_inverted and not source.is_unit(images[target.fiber_var]):
             raise ValueError("negative fiber exponents need a unit fiber image c * fiber^k")
-        piece = PolyForm.function(source, source.coeff(coeff.substitute(images)))
-        for idx in key:
-            piece = piece.wedge(differentials[target.all_vars[idx]])
-        out = out + piece
-    return out
+        # dx_I pulls back to the wedge of the differentials of its images.
+        factors = [differentials[target.all_vars[idx]] for idx in key]
+        dx = reduce(PolyForm.wedge, factors).terms if factors else no_differential
+        add_into(terms, coeff.substitute(images), dx)
+    return PolyForm(source, form.degree, terms)

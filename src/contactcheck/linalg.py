@@ -16,7 +16,7 @@ collects the kept rows, :func:`sparse_basis` and :func:`rank` read them,
 :func:`same_span` compares ranks, :func:`column_kernel` and :func:`inverse`
 back-substitute the kept rows to the reduced form, over just the coordinates
 their inputs touch, and :func:`determinant` is the signed product of the
-pivots.
+pivots, over Q(i) only.
 
 Ring rule.  Only units divide.  The pivot rule ``is_unit`` says which
 entries are units.  The loop pivots only on units: a non-unit entry gives
@@ -25,8 +25,7 @@ raises ``ZeroDivisionError``.  Without a rule every nonzero entry is a unit,
 the field case, so the pivot is always the first nonzero entry.  The dtheta
 solve of :mod:`contactcheck.contact` passes the chart ring's rule
 :meth:`~contactcheck.forms.ChartSpace.is_unit`, true for ``c * fiber^k``,
-and the cocycle check passes the Laurent ring's
-:meth:`~contactcheck.poly.MultiPoly.is_unit`, true for ``c * u^e``.
+to :func:`inverse`.
 """
 
 from __future__ import annotations
@@ -187,19 +186,16 @@ def inverse(
     return [dict(sorted((k - n, c) for k, c in reduced[p].items() if k >= n)) for p in range(n)]
 
 
-def determinant(
-    rows: Sequence[Mapping[int, T]], one: T = ONE, is_unit: Optional[UnitRule] = None
-) -> T:
-    """Determinant of a square matrix of sparse rows: the signed product of the pivots.
+def determinant(rows: Sequence[Mapping[int, T]]) -> T:
+    """Determinant of a square matrix over Q(i): the signed product of the pivots.
 
     Adding a multiple of one row to another keeps the determinant, and each
     row swap negates it, so it is the product of the pivot entries of the
     elimination loop, negated once per swap, and 0 when fewer rows than the
-    matrix has are kept.  Raises ``ZeroDivisionError`` (the ring rule) if
-    elimination finds no pivot that ``is_unit`` accepts.
+    matrix has are kept.
     """
-    det, kept = one, 0
-    for _, entry, _, swapped in _pivots(rows, one, None, is_unit):
+    det, kept = ONE, 0
+    for _, entry, _, swapped in _pivots(rows, ONE, None, None):
         det = -(det * entry) if swapped else det * entry
         kept += 1
-    return det if kept == len(rows) else one - one
+    return det if kept == len(rows) else ZERO

@@ -8,7 +8,6 @@ after a few multiplications.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .contact import ContactChart, HomogeneousFunction
@@ -29,19 +28,23 @@ class SeededSampler:
 
     # -- scalars -----------------------------------------------------------------
 
-    def fraction(self, nonzero: bool = False) -> Fraction:
+    def _ratio(self) -> Tuple[int, int]:
+        """One draw: a numerator and a positive denominator."""
+        return self._rng.randint(-MAX_MAGNITUDE, MAX_MAGNITUDE), self._rng.randint(1, MAX_MAGNITUDE)
+
+    def fraction(self, nonzero: bool = False) -> GaussianRational:
+        """A real scalar p / q."""
         while True:
-            p = self._rng.randint(-MAX_MAGNITUDE, MAX_MAGNITUDE)
-            q = self._rng.randint(1, MAX_MAGNITUDE)
-            value = Fraction(p, q)
-            if value or not nonzero:
-                return value
+            p, q = self._ratio()
+            if p or not nonzero:
+                return GaussianRational(p) / q
 
     def gaussian(self, nonzero: bool = False) -> GaussianRational:
+        """A scalar p / q + (r / s) i."""
         while True:
-            value = GaussianRational(self.fraction(), self.fraction())
-            if not value.is_zero() or not nonzero:
-                return value
+            (p, q), (r, s) = self._ratio(), self._ratio()
+            if p or r or not nonzero:
+                return GaussianRational(p * s, r * q) / (q * s)
 
     # -- chart data --------------------------------------------------------------
 
@@ -96,7 +99,7 @@ class SeededSampler:
 
     # -- Lie data ----------------------------------------------------------------
 
-    def word(self, rs: RootSystem, length: int) -> List[Tuple[Root, Fraction]]:
+    def word(self, rs: RootSystem, length: int) -> List[Tuple[Root, GaussianRational]]:
         return [
             (self._rng.choice(rs.roots), self.fraction(nonzero=True))
             for _ in range(max(1, length))

@@ -23,7 +23,6 @@ from contactcheck.contact import (
     monomial_basis,
     pairing_with_theta,
     poisson_function,
-    projective_line_cstructure,
     quotient_checks,
     reconstruct_cstructure,
     scaling_degree,
@@ -306,10 +305,31 @@ def test_poisson_jacobi_randomized():
 
 
 def test_projective_line_cocycle():
-    cs = projective_line_cstructure()
+    cs = reconstruct_cstructure(hopf_chart(0), hopf_sections(0))
     u1 = MultiPoly.variable("u1")
-    assert cs.factors[(0, 1)] == -(u1 * u1)
+    assert cs.factors[(0, 1)] == u1 * u1
     all_pass(canonical_cocycle_check(cs, 0))
+
+
+def test_cocycle_of_a_transition_with_no_unit_jacobian_entry_fails_with_a_witness():
+    """x -> u + u^2 has Jacobian 1 + 2u: the identity fails, and says where."""
+    cu, cx = ChartSpace(["u"]), ChartSpace(["x"])
+    u = cu.coeff_var("u")
+    cs = CStructureData(
+        ["V0", "V1"],
+        [PolyForm.d_var(cu, "u"), PolyForm.d_var(cx, "x")],
+        {(0, 1): {"x": u + u * u}},
+        {(0, 1): cu.coeff_const(1)},
+    )
+    assert _failed(canonical_cocycle_check(cs, 0)) == {"cocycle:V0->V1": "lhs 1 != rhs 2*u + 1"}
+
+
+def test_cocycle_check_rejects_an_n_that_does_not_fit_the_charts():
+    """On 3-dimensional charts the top form is gamma ^ d gamma, so n = 0 or 2 has no identity to check."""
+    cs = reconstruct_cstructure(hopf_chart(1), hopf_sections(1))
+    for n in (0, 2):
+        with pytest.raises(ValueError, match=rf"^V0: gamma \^ \(d gamma\)\^{n} is no top form on ChartSpace"):
+            canonical_cocycle_check(cs, n)
 
 
 def test_hopf_sections_give_contact_forms():

@@ -21,7 +21,7 @@ STDOUT_SHA256 = {
     "02_graded_algebra.py": "2723558edf2edd94da32538d9a53969f3126833f2ceac6230374df928431dbc3",
     "03_contact_models.py": "76662d5c154bf65224d3a252e93677a975de87ea97c81b31a6fd3a1c12ac1697",
     "04_hamiltonian_fields.py": "409c7b02515409b35256b765763adbdf3f628a871eed8857f23a67d7651a9439",
-    "05_sections_and_cocycles.py": "01da2ae3cb746bbfe0c97b5e849c4e72e17f943779e9e78135e1e4dc124fcfa8",
+    "05_sections_and_cocycles.py": "427dbec94d5cd84bfdbf9f06743c5cd29feebb64b7432f6659b21bc1d25f0eea",
     "06_moment_maps.py": "6c1cd36d6ed98b41cf8f4b3bc99bc3008eee19255c6cd9a8e0d5fec684c1ac9d",
 }
 

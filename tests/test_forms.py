@@ -350,6 +350,28 @@ def test_pullback_rejects_nonmonomial_fiber_for_laurent():
     )
 
 
+def test_pullback_along_an_overlap_inverts_coordinates():
+    """Chart changes of projective space: u0 -> 1/u1, and u_m -> u_m/u1 on CP^3."""
+    line0, line1 = ChartSpace(["u1"]), ChartSpace(["u0"])
+    u1 = line0.coeff_var("u1")
+    pulled = pullback(line0, {"u0": u1**-1}, PolyForm.d_var(line1, "u0"))
+    assert pulled == PolyForm(line0, 1, {(0,): -(u1**-2)})
+
+    src, target = ChartSpace(["u1", "u2", "u3"]), ChartSpace(["u0", "u2", "u3"])
+    u1, u2, u3 = (src.coeff_var(name) for name in src.all_vars)
+    images = {"u0": u1**-1, "u2": u2 * u1**-1, "u3": u3 * u1**-1}
+    gamma = (
+        PolyForm.d_var(target, "u2")
+        + PolyForm.d_var(target, "u3").scale(target.coeff_var("u0"))
+        - PolyForm.d_var(target, "u0").scale(target.coeff_var("u3"))
+    )
+    assert pullback(src, images, gamma) == PolyForm(
+        src, 1, {(0,): -u2 * u1**-2, (1,): u1**-1, (2,): u1**-2}
+    )
+    top = PolyForm(target, 3, {(0, 1, 2): target.coeff_const(1)})
+    assert pullback(src, images, top) == PolyForm(src, 3, {(0, 1, 2): -(u1**-4)})
+
+
 # -- evaluation --------------------------------------------------------------------------
 
 

@@ -123,9 +123,9 @@ def test_laurent_defines_nothing_and_nothing_imports_it():
     assert_retired("laurent", "LaurentPoly")
 
 
-#: The modules that build ``Fraction``s: the scalar field's own parts and the
-#: sampler's draws.  Everything else computes in ``int`` or in Q(i).
-FRACTION_MODULES = {"scalars.py", "sampling.py"}
+#: The modules that build ``Fraction``s: the scalar field's own parts.  The
+#: sampler draws int pairs, and everything else computes in ``int`` or in Q(i).
+FRACTION_MODULES = {"scalars.py"}
 
 
 def fraction_calls(path: Path):

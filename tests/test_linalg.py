@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from contactcheck.forms import ChartSpace
+from contactcheck.forms import ChartSpace, PolyForm, pullback
 from contactcheck.linalg import (
     column_kernel,
     combine,
@@ -16,7 +16,6 @@ from contactcheck.linalg import (
     rank,
     same_span,
     sparse_basis,
-    total,
 )
 from contactcheck.poly import MultiPoly
 from contactcheck.scalars import GaussianRational, ONE, ZERO
@@ -282,31 +281,17 @@ def test_determinant_of_transition_jacobians(n_vars, i, j):
     trans = {
         f"u{m}": inverse_u_j if m == i else u[m] * inverse_u_j for m in range(n_vars) if m != j
     }
-    # Every image is spelled over chart i; the elimination loop drops 0 entries.
-    jac = [{c: trans[name].diff(u) for c, name in enumerate(trans)} for u in coords]
-    one = MultiPoly.const(1, coords)
-    det = determinant(jac, one=one, is_unit=MultiPoly.is_unit)
+    # The pullback of chart j's dv_0 ^ ... ^ dv_m along the transition is the
+    # Jacobian determinant times chart i's, read off the full key.
+    source, target = ChartSpace(coords), ChartSpace(list(trans))
+    full = tuple(range(len(coords)))
+    pulled = pullback(source, trans, PolyForm(target, len(full), {full: target.coeff_const(1)}))
+    assert set(pulled.terms) == {full}
+    det = pulled.terms[full]
     if n_vars <= 6:
-        dense = [[row.get(c, one - one) for c in range(len(trans))] for row in jac]
-        assert det == leibniz_determinant(dense, one=one)
+        jac = [[trans[name].diff(v) for name in trans] for v in coords]
+        assert det == leibniz_determinant(jac, one=MultiPoly.const(1, coords))
     # the Jacobian of u -> (1/u_j, u_m/u_j) on CP^m is a unit times u_j^-(m+1)
     u_j = MultiPoly.variable(f"u{j}", coords)
     unit = (det * u_j**n_vars).constant_value()
     assert not unit.is_zero() and det == (u_j**-n_vars).scale(unit)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_determinant_of_polynomial_matrices(seed):
-    """Only units divide: past a unit pivot in column 0, column 1 has no unit left."""
-    rng = random.Random(f"{seed}-poly")
-    xy = ("x", "y")
-    x, y = MultiPoly.variable("x", xy), MultiPoly.variable("y", xy)
-    monomials = [MultiPoly.const(1, xy), x, y, x * y, x * x]
-
-    def entry():
-        return total(m.scale(rng.choice([-3, -2, -1, 1, 2, 3])) for m in monomials)
-
-    rows = [[entry() for _ in range(3)] for _ in range(3)]
-    rows[0][0] = rng.choice(monomials).scale(rng.randint(1, 3))
-    with pytest.raises(ZeroDivisionError, match="no unit pivot in column 1"):
-        determinant(_sparse(rows), one=MultiPoly.const(1, xy), is_unit=MultiPoly.is_unit)
