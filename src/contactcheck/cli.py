@@ -7,14 +7,16 @@ failed, 2 configuration error.
 
 The default seed comes from the ``CONTACTCHECK_SEED`` environment variable
 when set, else 2024.
+
+``argparse`` is imported by :func:`_build_parser` alone: the ``run_*``
+functions that library callers use directly never load it.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from . import contact, orbits
 from .lie import build_algebra, chi_differential, g00_span_check, grade, killing
@@ -22,6 +24,9 @@ from .report import CheckResult, Report, check, failed
 from .rootsystem import CARTAN_MATRICES, builtin_root_system
 from .sampling import SeededSampler
 from .scalars import ZERO, GaussianRational
+
+if TYPE_CHECKING:
+    import argparse
 
 DEFAULT_SEED = 2024
 FIBERED_DELTAS = (-2, -1, 1, 2, 3)
@@ -379,6 +384,8 @@ def run_all(config: Dict[str, object]) -> Report:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="contactcheck",
         description="Exact verification suites for contact bundles and graded Lie algebras.",
@@ -476,15 +483,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     output = getattr(args, "output", None)
     if output:
         try:
-            handle = open(output, "w")
+            with open(output, "w") as handle:
+                handle.write(text)
         except OSError as exc:
             print(
                 f"configuration error: cannot write --output {output}: {exc.strerror}",
                 file=sys.stderr,
             )
             return 2
-        with handle:
-            handle.write(text)
     else:
         sys.stdout.write(text)
     return 0 if report.ok else 1

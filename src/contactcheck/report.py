@@ -3,13 +3,17 @@
 Every verification suite returns a list of :class:`CheckResult`; the CLI
 wraps them in a :class:`Report` whose JSON serialization is byte-identical
 for identical configurations (sorted keys, sorted check ids, no timestamps).
+
+A ``CheckResult`` is an immutable named tuple, equal and hashed by its
+fields; a ``Report`` is a plain class holding the echoed config and its own
+results list.  Neither needs ``dataclasses``, which would pull ``inspect``
+and ``ast`` into every interpreter that imports the CLI.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from . import __version__
 
@@ -20,8 +24,7 @@ FAIL = "fail"
 SKIPPED = "skipped"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     status: str
     witness: Optional[str] = None
@@ -46,10 +49,10 @@ def check(check_id: str, ok: bool, witness: object = "") -> CheckResult:
     return passed(check_id) if ok else failed(check_id, witness)
 
 
-@dataclass
 class Report:
-    config: Dict[str, object]
-    results: List[CheckResult] = field(default_factory=list)
+    def __init__(self, config: Dict[str, object], results: Optional[List[CheckResult]] = None) -> None:
+        self.config = config
+        self.results: List[CheckResult] = [] if results is None else results
 
     def extend(self, results: List[CheckResult]) -> None:
         self.results.extend(results)

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import os
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactcheck import cli, contact
 from contactcheck.cli import main
@@ -115,6 +120,17 @@ def test_output_flag(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert json.loads(target.read_text())["ok"] is True
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_output_write_error_is_config_error(capsys):
+    """A failed write or close of --output exits 2 with the one message, not 1."""
+    code = main(["roots", "A1", "--output", "/dev/full"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("configuration error: cannot write --output /dev/full:")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_algebra_a2_contact_base_dim(capsys):
@@ -428,3 +444,73 @@ def test_library_cocycle_report_is_pinned(n, checks, digest):
     report.extend(contact.canonical_cocycle_check(cs, n))
     assert report.ok and len(report.results) == checks
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
+#: Argv fuzz: each command's options with cheap valid values (rank <= 3,
+#: n <= 2, samples <= 2); the first entry of a command is always given.
+FUZZ_VALUES = {
+    "type": st.sampled_from(ALGEBRA_TYPES),
+    "--model": st.sampled_from(["hopf", "fibered"]),
+    "--n": st.integers(0, 2),
+    "--delta": st.sampled_from([-2, -1, 1, 2, 3]),
+    "--fdeg": st.integers(-2, 3),
+    "--gdeg": st.integers(-2, 3),
+    "--samples": st.integers(0, 2),
+    "--seed": st.integers(0, 3),
+}
+FUZZ_COMMANDS = {
+    "roots": ("type",),
+    "algebra": ("type",),
+    "verify-contact": ("--model", "--n", "--delta", "--samples", "--seed", "--dump-forms"),
+    "verify-lemma21": ("--model", "--n", "--delta", "--fdeg", "--gdeg", "--samples", "--seed"),
+    "verify-lemma22": ("--model", "--n", "--delta", "--samples", "--seed"),
+    "cocycle": ("--n",),
+    "quotient": ("--n", "--samples", "--seed"),
+    "immersion": ("--n", "--samples", "--seed"),
+    "adjoint": ("type", "--samples", "--seed"),
+    "all": ("--samples", "--seed"),
+}
+#: Tokens that replace one argv entry, or are appended, in a bad argv.
+FUZZ_BAD = ["-1", "0", "x", "", "1.5", "Z9", "torus", "--bogus", "bogus", "/nonexistent/x.json"]
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    argv = [command]
+    for index, arg in enumerate(FUZZ_COMMANDS[command]):
+        if index and not draw(st.booleans()):
+            continue
+        if arg == "type":
+            argv.append(draw(FUZZ_VALUES[arg]))
+        elif arg == "--dump-forms":
+            argv.append(arg)
+        else:
+            argv += [arg, str(draw(FUZZ_VALUES[arg]))]
+    if draw(st.integers(0, 3)) == 0:
+        bad = draw(st.sampled_from(FUZZ_BAD))
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at + 1] = [bad]
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(argv=fuzz_argv())
+def test_argv_fuzz_keeps_the_exit_code_contract(argv):
+    """rc 0/1/2 for every argv; 1 exactly when the report has a fail; schema-1
+    JSON on stdout below 2; never a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    assert rc in (0, 1, 2), (argv, rc)
+    assert "Traceback" not in err.getvalue()
+    if rc == 2:
+        assert out.getvalue() == "" and err.getvalue(), argv
+        return
+    report = json.loads(out.getvalue())
+    assert report["schema"] == 1
+    has_fail = any(r["status"] == "fail" for r in report["results"])
+    assert (rc == 1) == has_fail == (report["ok"] is False), argv

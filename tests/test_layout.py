@@ -8,6 +8,8 @@ elsewhere.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "contactcheck"
@@ -146,3 +148,21 @@ def test_only_the_scalar_and_sampler_modules_build_fractions():
     assert FRACTION_MODULES <= {path.name for path in modules}
     others = [path for path in modules if path.name not in FRACTION_MODULES]
     assert [line for path in others for line in fraction_calls(path)] == []
+
+
+#: Modules the CLI import must not load: ``dataclasses`` drags in ``inspect``
+#: (and with it ``ast``, ``dis``, ``tokenize``), and ``argparse`` is for the
+#: argv path alone.  Each costs every verdict start-up time.
+HEAVY_IMPORTS = ("dataclasses", "inspect", "argparse")
+
+
+def test_importing_the_cli_loads_no_heavy_module():
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import contactcheck.cli; "
+        f"print(sorted(m for m in {HEAVY_IMPORTS!r} if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", probe, str(PACKAGE.parent)],
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "[]"
