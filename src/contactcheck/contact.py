@@ -158,14 +158,13 @@ def scaled_parts(cc: ContactChart, form: PolyForm) -> Dict[int, PolyForm]:
 
     ``dx_i`` contributes weight ``w_i`` on top of the coefficient's weight, so
     a form is scaling-homogeneous of degree d iff this map has the single key d.
+    A key's shift is fixed, so each (key, degree) slot is written once.
     """
     out: Dict[int, Dict[Tuple[int, ...], Coeff]] = {}
     for key, coeff in form.terms.items():
         shift = sum(cc.weights[cc.chart.all_vars[i]] for i in key)
         for deg, part in coeff.weighted_parts(cc.weights).items():
-            slot = out.setdefault(deg + shift, {})
-            acc = slot.get(key)
-            slot[key] = part if acc is None else acc + part
+            out.setdefault(deg + shift, {})[key] = part
     return {deg: PolyForm(cc.chart, form.degree, terms) for deg, terms in out.items()}
 
 

@@ -18,6 +18,11 @@ structural; the interior product contracts on the left slot with alternating
 signs, and full contraction ``omega(X_1, ..., X_p)`` is the iterated interior
 product ``iota_{X_p} ... iota_{X_1} omega``.
 
+One sum rule: forms and fields store no zero coefficient, and every sparse
+sum here (``+``, the wedge, d, iota, the bracket, the pullback) feeds its
+``(key, coefficient)`` pieces to one accumulate loop that skips a zero piece
+and drops a key whose sum cancels.  No sum starts from the zero polynomial.
+
 :func:`pullback` is the one pullback of the package: along a section, and
 along a chart transition on an overlap, whose images may invert the source
 coordinates (they are Laurent, spelled over the source chart).  A form with
@@ -28,14 +33,29 @@ negative powers of the target fiber pulls back only along a unit fiber image
 from __future__ import annotations
 
 from functools import reduce
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Mapping, Optional, Sequence, Tuple
 
-from .linalg import add_into
 from .poly import MultiPoly
 from .scalars import GaussianRational, ScalarLike
 
 Coeff = MultiPoly
 Key = Tuple[int, ...]
+
+
+def _collect(pieces: Iterable[Tuple[Hashable, Coeff]]) -> Dict[Hashable, Coeff]:
+    """The sum of ``(key, coefficient)`` pieces by key, with no zero stored."""
+    out: Dict[Hashable, Coeff] = {}
+    for key, c in pieces:
+        if c.is_zero():
+            continue
+        acc = out.get(key)
+        if acc is not None:
+            c = acc + c
+            if c.is_zero():
+                del out[key]
+                continue
+        out[key] = c
+    return out
 
 
 class ChartSpace:
@@ -224,15 +244,7 @@ class PolyForm:
         _check_same_chart(self, other)
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degree")
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc = terms.get(key)
-            acc = coeff if acc is None else acc + coeff
-            if acc.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = acc
-        return PolyForm(self.chart, self.degree, terms)
+        return PolyForm(self.chart, self.degree, _collect([*self.terms.items(), *other.terms.items()]))
 
     def __neg__(self) -> "PolyForm":
         return PolyForm(self.chart, self.degree, {k: -c for k, c in self.terms.items()})
@@ -247,27 +259,18 @@ class PolyForm:
 
     def wedge(self, other: "PolyForm") -> "PolyForm":
         _check_same_chart(self, other)
-        degree = self.degree + other.degree
-        if degree > self.chart.dim:
-            # Beyond top degree everything is structurally zero.
-            return PolyForm(self.chart, degree, {})
-        terms: Dict[Key, Coeff] = {}
-        for k1, c1 in self.terms.items():
-            set1 = set(k1)
-            for k2, c2 in other.terms.items():
-                if set1 & set(k2):
-                    continue
-                key, sign = _merge_sorted(k1, k2)
-                prod = c1 * c2
-                if sign < 0:
-                    prod = -prod
-                acc = terms.get(key)
-                acc = prod if acc is None else acc + prod
-                if acc.is_zero():
-                    terms.pop(key, None)
-                else:
-                    terms[key] = acc
-        return PolyForm(self.chart, degree, terms)
+
+        def pieces():
+            # Past the top degree every key pair overlaps, so none is yielded.
+            for k1, c1 in self.terms.items():
+                set1 = set(k1)
+                for k2, c2 in other.terms.items():
+                    if set1.isdisjoint(k2):
+                        key, sign = _merge_sorted(k1, k2)
+                        prod = c1 * c2
+                        yield key, prod if sign > 0 else -prod
+
+        return PolyForm(self.chart, self.degree + other.degree, _collect(pieces()))
 
     def wedge_power(self, k: int) -> "PolyForm":
         out = PolyForm.function(self.chart, self.chart.coeff_const(1))
@@ -293,23 +296,14 @@ class PolyForm:
 
     def evaluate(self, point: Mapping[str, ScalarLike]) -> Dict[Key, GaussianRational]:
         """Exact values of all coefficients at a point; zero entries dropped."""
-        out: Dict[Key, GaussianRational] = {}
-        for key, coeff in self.terms.items():
-            value = coeff.evaluate(point)
-            if not value.is_zero():
-                out[key] = value
-        return out
+        return _evaluate(self.terms, point)
 
     # -- comparison / display -------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyForm):
             return NotImplemented
-        if self.chart != other.chart or self.degree != other.degree:
-            return False
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[k] == other.terms[k] for k in self.terms)
+        return self.chart == other.chart and self.degree == other.degree and self.terms == other.terms
 
     def __hash__(self):
         raise TypeError("PolyForm is not hashable")
@@ -331,6 +325,16 @@ class PolyForm:
 
     def __repr__(self) -> str:
         return f"PolyForm(deg {self.degree}: {self})"
+
+
+def _evaluate(coeffs: Mapping[Hashable, Coeff], point: Mapping[str, ScalarLike]) -> Dict:
+    """The nonzero values of ``coeffs`` at a point, by key."""
+    out = {}
+    for key, coeff in coeffs.items():
+        value = coeff.evaluate(point)
+        if not value.is_zero():
+            out[key] = value
+    return out
 
 
 def _merge_sorted(k1: Key, k2: Key) -> Tuple[Key, int]:
@@ -368,24 +372,12 @@ class PolyVectorField:
     def __setattr__(self, name, value):
         raise AttributeError("PolyVectorField is immutable")
 
-    @staticmethod
-    def zero(chart: ChartSpace) -> "PolyVectorField":
-        return PolyVectorField(chart)
-
     def is_zero(self) -> bool:
         return not self.components
 
     def __add__(self, other: "PolyVectorField") -> "PolyVectorField":
         _check_same_chart(self, other)
-        comps = dict(self.components)
-        for idx, coeff in other.components.items():
-            acc = comps.get(idx)
-            acc = coeff if acc is None else acc + coeff
-            if acc.is_zero():
-                comps.pop(idx, None)
-            else:
-                comps[idx] = acc
-        return PolyVectorField(self.chart, comps)
+        return PolyVectorField(self.chart, _collect([*self.components.items(), *other.components.items()]))
 
     def __neg__(self) -> "PolyVectorField":
         return PolyVectorField(self.chart, {i: -c for i, c in self.components.items()})
@@ -398,45 +390,33 @@ class PolyVectorField:
 
     def apply_to(self, coeff: Coeff) -> Coeff:
         """Directional derivative X(f) of a coefficient function."""
-        out = self.chart.coeff_zero()
+        out = None
         for idx, comp in self.components.items():
             d = coeff.diff(self.chart.all_vars[idx])
             if not d.is_zero():
-                out = out + comp * d
-        return out
+                out = comp * d if out is None else out + comp * d
+        return self.chart.coeff_zero() if out is None else out
 
     def bracket(self, other: "PolyVectorField") -> "PolyVectorField":
         """Lie bracket [self, other] of vector fields."""
         _check_same_chart(self, other)
-        comps: Dict[int, Coeff] = {}
-        for idx in range(self.chart.dim):
-            a = other.components.get(idx)
-            b = self.components.get(idx)
-            total = self.chart.coeff_zero()
-            if a is not None:
-                total = total + self.apply_to(a)
-            if b is not None:
-                total = total - other.apply_to(b)
-            if not total.is_zero():
-                comps[idx] = total
-        return PolyVectorField(self.chart, comps)
+
+        def pieces():
+            for idx in range(self.chart.dim):
+                if idx in other.components:
+                    yield idx, self.apply_to(other.components[idx])
+                if idx in self.components:
+                    yield idx, -other.apply_to(self.components[idx])
+
+        return PolyVectorField(self.chart, _collect(pieces()))
 
     def evaluate(self, point: Mapping[str, ScalarLike]) -> Dict[int, GaussianRational]:
-        out: Dict[int, GaussianRational] = {}
-        for idx, coeff in self.components.items():
-            value = coeff.evaluate(point)
-            if not value.is_zero():
-                out[idx] = value
-        return out
+        return _evaluate(self.components, point)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyVectorField):
             return NotImplemented
-        if self.chart != other.chart:
-            return False
-        if set(self.components) != set(other.components):
-            return False
-        return all(self.components[i] == other.components[i] for i in self.components)
+        return self.chart == other.chart and self.components == other.components
 
     def __hash__(self):
         raise TypeError("PolyVectorField is not hashable")
@@ -460,50 +440,34 @@ class PolyVectorField:
 def exterior_derivative(form: PolyForm) -> PolyForm:
     """d: differentiates each coefficient; d(c dx_I) = sum_v (dc/dv) dv ^ dx_I."""
     chart = form.chart
-    terms: Dict[Key, Coeff] = {}
-    for key, coeff in form.terms.items():
-        key_set = set(key)
-        for v, name in enumerate(chart.all_vars):
-            if v in key_set:
-                continue
-            d = coeff.diff(name)
-            if d.is_zero():
-                continue
-            new_key, sign = _merge_sorted((v,), key)
-            if sign < 0:
-                d = -d
-            acc = terms.get(new_key)
-            acc = d if acc is None else acc + d
-            if acc.is_zero():
-                terms.pop(new_key, None)
-            else:
-                terms[new_key] = acc
-    return PolyForm(chart, form.degree + 1, terms)
+
+    def pieces():
+        for key, coeff in form.terms.items():
+            for v, name in enumerate(chart.all_vars):
+                if v not in key:
+                    d = coeff.diff(name)
+                    if not d.is_zero():
+                        new_key, sign = _merge_sorted((v,), key)
+                        yield new_key, d if sign > 0 else -d
+
+    return PolyForm(chart, form.degree + 1, _collect(pieces()))
 
 
 def interior_product(field: PolyVectorField, form: PolyForm) -> PolyForm:
     """iota_X: contraction on the left slot with alternating signs."""
     _check_same_chart(field, form)
-    chart = form.chart
     if form.degree == 0:
-        return PolyForm.zero(chart, 0)
-    terms: Dict[Key, Coeff] = {}
-    for key, coeff in form.terms.items():
-        for pos, idx in enumerate(key):
-            comp = field.components.get(idx)
-            if comp is None or comp.is_zero():
-                continue
-            value = coeff * comp
-            if pos % 2:
-                value = -value
-            new_key = key[:pos] + key[pos + 1 :]
-            acc = terms.get(new_key)
-            acc = value if acc is None else acc + value
-            if acc.is_zero():
-                terms.pop(new_key, None)
-            else:
-                terms[new_key] = acc
-    return PolyForm(chart, form.degree - 1, terms)
+        return PolyForm.zero(form.chart, 0)
+
+    def pieces():
+        for key, coeff in form.terms.items():
+            for pos, idx in enumerate(key):
+                comp = field.components.get(idx)
+                if comp is not None:
+                    value = coeff * comp
+                    yield key[:pos] + key[pos + 1 :], -value if pos % 2 else value
+
+    return PolyForm(form.chart, form.degree - 1, _collect(pieces()))
 
 
 def lie_derivative(field: PolyVectorField, form: PolyForm) -> PolyForm:
@@ -539,13 +503,17 @@ def pullback(
         for name in target.all_vars
     }
     no_differential = {(): source.coeff_const(1)}
-    terms: Dict[Key, Coeff] = {}
-    for key, coeff in form.terms.items():
-        fiber_inverted = target.fiber_var and any(expo[-1] < 0 for expo in coeff.terms)
-        if fiber_inverted and not source.is_unit(images[target.fiber_var]):
-            raise ValueError("negative fiber exponents need a unit fiber image c * fiber^k")
-        # dx_I pulls back to the wedge of the differentials of its images.
-        factors = [differentials[target.all_vars[idx]] for idx in key]
-        dx = reduce(PolyForm.wedge, factors).terms if factors else no_differential
-        add_into(terms, coeff.substitute(images), dx)
-    return PolyForm(source, form.degree, terms)
+
+    def pieces():
+        for key, coeff in form.terms.items():
+            fiber_inverted = target.fiber_var and any(expo[-1] < 0 for expo in coeff.terms)
+            if fiber_inverted and not source.is_unit(images[target.fiber_var]):
+                raise ValueError("negative fiber exponents need a unit fiber image c * fiber^k")
+            # dx_I pulls back to the wedge of the differentials of its images.
+            factors = [differentials[target.all_vars[idx]] for idx in key]
+            dx = reduce(PolyForm.wedge, factors).terms if factors else no_differential
+            f = coeff.substitute(images)
+            for k, c in dx.items():
+                yield k, f * c
+
+    return PolyForm(source, form.degree, _collect(pieces()))

@@ -8,10 +8,11 @@ after a few multiplications.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .contact import ContactChart, HomogeneousFunction
 from .forms import Coeff
+from .linalg import total
 from .poly import MultiPoly
 from .rootsystem import Root, RootSystem
 from .scalars import GaussianRational
@@ -65,18 +66,11 @@ class SeededSampler:
         self, cc: ContactChart, ell: int, terms: int = 2, max_base_degree: int = 3
     ) -> HomogeneousFunction:
         """A random homogeneous function of exact degree ``ell`` on the chart."""
-        chart = cc.chart
-        coeff = chart.coeff_zero()
-        attempts = 0
-        while coeff.is_zero():
-            attempts += 1
-            if attempts > 50:
-                raise ValueError(f"cannot sample degree {ell} on {cc.label}")
-            acc = chart.coeff_zero()
-            for _ in range(terms):
-                acc = acc + self.monomial(cc, ell, max_base_degree)
-            coeff = acc
-        return HomogeneousFunction(cc, coeff, ell)
+        for _ in range(50):
+            coeff = total(self.monomial(cc, ell, max_base_degree) for _ in range(terms))
+            if not coeff.is_zero():
+                return HomogeneousFunction(cc, coeff, ell)
+        raise ValueError(f"cannot sample degree {ell} on {cc.label}")
 
     def monomial(self, cc: ContactChart, ell: int, max_base_degree: int = 3) -> Coeff:
         chart = cc.chart
@@ -104,6 +98,3 @@ class SeededSampler:
             (self._rng.choice(rs.roots), self.fraction(nonzero=True))
             for _ in range(max(1, length))
         ]
-
-    def choice(self, seq: Sequence):
-        return self._rng.choice(seq)

@@ -2,8 +2,9 @@
 
 Each oracle recomputes a quantity along a different path than the library:
 reflection closure instead of root strings, permutation-expanded wedge
-instead of shuffle merging, full contraction summed over every index tuple
-instead of iterated interior products, the ``ad`` matrix filled by bracketing
+instead of shuffle merging, d as a sum of such wedges ``dc/dv dv ^ dx_I``
+instead of the library's merge of each ``v`` into each key, full contraction
+summed over every index tuple instead of iterated interior products, the ``ad`` matrix filled by bracketing
 unit vectors instead of the library's reads of single table rows, a dense
 matrix exponential (powers of that matrix by plain nested-loop products)
 instead of the library's series on basis vectors, and a two-pass dense
@@ -103,6 +104,21 @@ def naive_wedge(a: PolyForm, b: PolyForm) -> PolyForm:
                 acc[key] = piece
     terms = {k: v for k, v in acc.items() if not v.is_zero()}
     return PolyForm(chart, degree, terms)
+
+
+def naive_exterior_derivative(form: PolyForm) -> PolyForm:
+    """d as ``sum_v (dc/dv) dv ^ dx_I`` over every term, each a :func:`naive_wedge`."""
+    chart = form.chart
+    one = chart.coeff_const(1)
+    acc: Dict[Tuple[int, ...], object] = {}
+    for key, coeff in form.terms.items():
+        dx = PolyForm(chart, form.degree, {key: one})
+        for v, name in enumerate(chart.all_vars):
+            dc_dv = PolyForm(chart, 1, {(v,): coeff.diff(name)})
+            for k, c in naive_wedge(dc_dv, dx).terms.items():
+                acc[k] = acc[k] + c if k in acc else c
+    terms = {k: v for k, v in acc.items() if not v.is_zero()}
+    return PolyForm(chart, form.degree + 1, terms)
 
 
 def _perm_sign(perm: Sequence[int]) -> int:

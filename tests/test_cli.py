@@ -277,6 +277,49 @@ def test_lemma21_adds_no_zero_scalars(capsys, monkeypatch):
     assert sums and zero_sums == []
 
 
+#: Modules whose sparse sums must not start from the zero polynomial.
+ZERO_SEED_GUARDED = ("forms.py", "contact.py", "sampling.py")
+SUM_HELPERS = {("poly.py", "__sub__"), ("poly.py", "__rsub__"), ("linalg.py", "total")}
+
+
+def test_chart_calculus_adds_no_zero_polynomials(capsys, monkeypatch):
+    """No polynomial sum written in forms, contact or sampling has a zero operand.
+
+    A sum made inside ``MultiPoly.__sub__`` or ``linalg.total`` is charged to
+    the caller of the subtraction or of ``total``.
+    """
+    import sys
+
+    from contactcheck.poly import MultiPoly
+
+    add = MultiPoly.__add__
+    sums, zero_sums = [], []
+
+    def counting_add(self, other):
+        frame = sys._getframe(1)
+        while (Path(frame.f_code.co_filename).name, frame.f_code.co_name) in SUM_HELPERS:
+            frame = frame.f_back
+        caller = Path(frame.f_code.co_filename).name
+        if caller in ZERO_SEED_GUARDED:
+            sums.append(caller)
+            if self == 0 or other == 0:
+                zero_sums.append(f"{caller}:{frame.f_code.co_name}")
+        return add(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__add__", counting_add)
+    monkeypatch.setattr(MultiPoly, "__radd__", counting_add)
+    for argv in (
+        ["verify-lemma21", "--model", "fibered", "--n", "1", "--delta", "3", "--samples", "2"],
+        ["verify-lemma22", "--model", "hopf", "--n", "1", "--samples", "2"],
+        ["cocycle", "--n", "1"],
+        ["immersion", "--n", "1"],
+    ):
+        code, _ = run(capsys, *argv)
+        assert code == 0, argv
+    assert {"forms.py", "sampling.py"} <= set(sums)
+    assert zero_sums == []
+
+
 @pytest.mark.parametrize("argv", [
     ["verify-lemma21", "--model", "fibered", "--n", "2", "--delta", "-1", "--samples", "7", "--seed", "2024"],
     ["verify-lemma22", "--model", "fibered", "--n", "2", "--delta", "-2", "--samples", "5", "--seed", "2024"],
@@ -427,6 +470,71 @@ def test_cocycle_report_matches_benchmark_digest(n):
     report = cli.run_cocycle({"command": "cocycle", "n": n})
     assert report.ok
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
+#: The benchmark's suites, as its workloads run them at seed 2024: D4 and F4
+#: ``algebra`` and ``adjoint`` reports (the types injected into
+#: ``CARTAN_MATRICES``), and the five contact-hamiltonian argvs.
+HASH_ORDER_SUITES = {
+    "lie-exceptional": [
+        {"command": "algebra", "type": "D4"},
+        {"command": "adjoint", "type": "D4", "samples": 3, "seed": 2024},
+        {"command": "algebra", "type": "F4"},
+        {"command": "adjoint", "type": "F4", "samples": 3, "seed": 2024},
+    ],
+    "contact-hamiltonian": [
+        ["verify-lemma21", "--model", "hopf", "--n", "2", "--delta", "2", "--samples", "7", "--seed", "2024"],
+        ["verify-lemma21", "--model", "fibered", "--n", "1", "--delta", "3", "--samples", "7", "--seed", "2024"],
+        ["verify-lemma21", "--model", "fibered", "--n", "1", "--delta", "-2", "--samples", "7", "--seed", "2024"],
+        ["verify-lemma21", "--model", "fibered", "--n", "2", "--delta", "-1", "--samples", "7", "--seed", "2024"],
+        ["verify-lemma22", "--model", "fibered", "--n", "2", "--delta", "-2", "--samples", "5", "--seed", "2024"],
+    ],
+}
+
+#: Runs a list of suites (a config dict for a ``run_*`` call, or an argv for
+#: ``cli.main``) and prints each report, then ``-- exit <code>``.
+HASH_ORDER_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from contactcheck import cli, rootsystem
+rootsystem.CARTAN_MATRICES.update(json.loads(sys.argv[2]))
+for suite in json.loads(sys.argv[3]):
+    if isinstance(suite, dict):
+        report = getattr(cli, "run_" + suite["command"])(suite)
+        print(report.to_json())
+        code = 0 if report.ok else 1
+    else:
+        code = cli.main(suite)
+    print("-- exit", code)
+"""
+
+
+@pytest.mark.parametrize("workload", sorted(HASH_ORDER_SUITES))
+def test_benchmark_suites_do_not_depend_on_string_hash_order(workload):
+    """Each benchmark suite prints the same bytes under two string-hash seeds.
+
+    The benchmark runs its passes under ``python -I``, where every process
+    draws its own hash seed, so an iteration over a str-keyed set or dict
+    must not reach a report.
+    """
+    import subprocess
+    import sys
+
+    from conftest import EXTRA_CARTAN
+
+    src = Path(cli.__file__).resolve().parent.parent
+    types = json.dumps({name: EXTRA_CARTAN[name] for name in ("D4", "F4")})
+    outputs = []
+    for hash_seed in ("0", "1"):
+        done = subprocess.run(
+            [sys.executable, "-c", HASH_ORDER_PROBE, str(src), types, json.dumps(HASH_ORDER_SUITES[workload])],
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed),
+            capture_output=True, text=True, check=True, timeout=600,
+        )
+        outputs.append(done.stdout)
+    exits = [line for line in outputs[0].splitlines() if line.startswith("-- exit")]
+    assert exits == ["-- exit 0"] * len(HASH_ORDER_SUITES[workload])
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("n, checks, digest", [

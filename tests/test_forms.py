@@ -15,7 +15,7 @@ from contactcheck.forms import (
 )
 from contactcheck.poly import MultiPoly
 from conftest import gq
-from oracles import naive_contraction, naive_wedge
+from oracles import naive_contraction, naive_exterior_derivative, naive_wedge
 
 C4 = ChartSpace(["z0", "z1", "z2", "z3"])
 FIB = ChartSpace(["z"], "lam")
@@ -49,6 +49,12 @@ def rand_form(chart, p, rnd):
     keys = list(itertools.combinations(range(chart.dim), p))
     picks = rnd.sample(keys, min(2, len(keys)))
     return PolyForm(chart, p, {k: rand_coeff(chart, rnd) for k in picks})
+
+
+def full_form(chart, p, rnd):
+    """A p-form with a coefficient on every key, so pieces of d collide."""
+    keys = itertools.combinations(range(chart.dim), p)
+    return PolyForm(chart, p, {k: rand_coeff(chart, rnd) for k in keys})
 
 
 def rand_field(chart, rnd):
@@ -122,6 +128,31 @@ def test_dd_zero_randomized():
         for p in (0, 1, 2):
             for _ in range(4):
                 assert d(d(rand_form(chart, p, rnd))).is_zero()
+
+
+@pytest.mark.parametrize("chart", [C4, FIB], ids=["C4", "FIB"])
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_d_of_full_forms_against_naive_oracle(chart, p):
+    """Every key filled: pieces of d collide on each new key, and on an exact
+    form ``d eta`` they all cancel."""
+    rnd = random.Random(31 + p)
+    for _ in range(3):
+        omega = full_form(chart, p, rnd)
+        assert d(omega) == naive_exterior_derivative(omega)
+        if p:
+            exact = d(full_form(chart, p - 1, rnd))
+            assert not exact.is_zero()
+            assert d(exact).is_zero() and naive_exterior_derivative(exact).is_zero()
+
+
+@pytest.mark.parametrize("chart", [C4, FIB], ids=["C4", "FIB"])
+def test_sum_with_negative_is_empty(chart):
+    rnd = random.Random(5)
+    for p in range(chart.dim + 1):
+        omega = full_form(chart, p, rnd)
+        assert (omega + (-omega)).terms == {}
+    field = rand_field(chart, rnd)
+    assert (field + (-field)).components == {}
 
 
 def test_top_power_of_hopf_symplectic_form():
