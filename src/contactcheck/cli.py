@@ -9,7 +9,9 @@ The default seed comes from the ``CONTACTCHECK_SEED`` environment variable
 when set, else 2024.
 
 ``argparse`` is imported by :func:`_build_parser` alone: the ``run_*``
-functions that library callers use directly never load it.
+functions that library callers use directly never load it.  The parser is
+built on the first :func:`main` call and reused by every later call in the
+process; parsing leaves it unchanged, since each call gets a fresh namespace.
 """
 
 from __future__ import annotations
@@ -461,9 +463,14 @@ RUNNERS = {
 }
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     config: Dict[str, object] = {"command": args.command}
     if getattr(args, "dump_forms", False):
         config["dump_forms"] = True

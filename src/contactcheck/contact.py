@@ -186,22 +186,23 @@ def field_scaling_degrees(cc: ContactChart, field: PolyVectorField) -> Dict[int,
 
 
 def _contraction_rows(cc: ContactChart) -> List[Dict[int, Coeff]]:
-    """Row i holds the components of ``iota_{d/dx_i} dtheta``, a sparse vector.
+    """Row i holds the components of ``iota_{d/dx_i} (-dtheta)``, a sparse vector.
 
-    For ``dtheta = sum_{i<j} c_ij dx_i ^ dx_j`` row i is ``c_ij`` at j and row
-    j is ``-c_ij`` at i.  The rows are the columns of the matrix M of ``X ->
-    iota_X dtheta`` on components, so the rows of their inverse are the
-    columns of ``M^-1``.
+    For ``dtheta = sum_{i<j} c_ij dx_i ^ dx_j`` row i is ``-c_ij`` at j and
+    row j is ``c_ij`` at i.  The rows are the columns of the matrix ``-M``,
+    where M is ``X -> iota_X dtheta`` on components, so the rows of their
+    inverse are the columns of ``-M^-1``.  The sign is the solve's: the rank
+    that :func:`verify_axioms` reads does not see it.
     """
     rows: List[Dict[int, Coeff]] = [{} for _ in range(cc.dim)]
     for (i, j), coeff in cc.dtheta.terms.items():
-        rows[i][j] = coeff
-        rows[j][i] = -coeff
+        rows[i][j] = -coeff
+        rows[j][i] = coeff
     return rows
 
 
 def _symplectic_solver(cc: ContactChart) -> List[Dict[int, Coeff]]:
-    """The columns of ``M^-1`` over the chart ring, cached per chart.
+    """The columns of ``-M^-1`` over the chart ring, cached per chart.
 
     Its determinant is a unit ``c * fiber^k`` exactly when dtheta is
     nondegenerate on the whole chart, so any other determinant violates the
@@ -226,7 +227,11 @@ def _symplectic_solver(cc: ContactChart) -> List[Dict[int, Coeff]]:
 
 
 def _solve_contraction(cc: ContactChart, target: PolyForm) -> PolyVectorField:
-    """The field X with ``iota_X dtheta = target`` (exact, chart-ring components)."""
+    """The field X with ``iota_X dtheta = -target`` (exact, chart-ring components).
+
+    X is ``-M^-1`` applied to the components of ``target``: the combination of
+    the solver's columns, so no negated target is built.
+    """
     coeffs = {i: coeff for (i,), coeff in target.terms.items()}
     return PolyVectorField(cc.chart, linalg.combine(coeffs, _symplectic_solver(cc)))
 
@@ -238,7 +243,7 @@ def solved_euler_field(cc: ContactChart) -> PolyVectorField:
     theta surfaces as failed checks downstream rather than as an exception.
     """
     if cc._euler is None:
-        object.__setattr__(cc, "_euler", _solve_contraction(cc, -cc.theta))
+        object.__setattr__(cc, "_euler", _solve_contraction(cc, cc.theta))
     return cc._euler
 
 
@@ -256,7 +261,7 @@ def euler_field(cc: ContactChart) -> PolyVectorField:
 def hamiltonian_field(cc: ContactChart, f: Coeff) -> PolyVectorField:
     """(1,0)-part of the Hamiltonian field: solves ``iota_X dtheta = -df``."""
     df = exterior_derivative(PolyForm.function(cc.chart, f))
-    return _solve_contraction(cc, -df)
+    return _solve_contraction(cc, df)
 
 
 def pairing_with_theta(cc: ContactChart, field: PolyVectorField) -> Coeff:

@@ -23,6 +23,19 @@ sum here (``+``, the wedge, d, iota, the bracket, the pullback) feeds its
 ``(key, coefficient)`` pieces to one accumulate loop that skips a zero piece
 and drops a key whose sum cancels.  No sum starts from the zero polynomial.
 
+Checked once.  The public constructors check every key (length, strictly
+increasing, in range) and every coefficient (chart spelling; zeros dropped).
+The results of ``+``, unary ``-``, the wedge, d, iota and the bracket are
+already canonical -- their keys come out increasing and in range, their
+coefficients are products and sums of chart-spelled ones, and the accumulate
+loop stores no zero -- so the private ``PolyForm._make`` and
+``PolyVectorField._make`` wrap them unchecked.  Three kinds of site keep the
+checked constructors: the public ones, which take caller data; ``scale``,
+whose scalar may be zero; and :func:`pullback`, where the caller's images are
+checked for their spelling.  Modules above this one, such as
+:mod:`contactcheck.contact`, build forms and fields through the public
+constructors alone, since a private name is its own module's business.
+
 :func:`pullback` is the one pullback of the package: along a section, and
 along a chart transition on an overlap, whose images may invert the source
 coordinates (they are Laurent, spelled over the source chart).  A form with
@@ -213,6 +226,15 @@ class PolyForm:
                     clean[key] = coeff
         object.__setattr__(self, "terms", clean)
 
+    @staticmethod
+    def _make(chart: ChartSpace, degree: int, terms: Dict[Key, Coeff]) -> "PolyForm":
+        """Wrap canonical data unchecked: increasing in-range keys, chart spelling, no zero."""
+        form = object.__new__(PolyForm)
+        object.__setattr__(form, "chart", chart)
+        object.__setattr__(form, "degree", degree)
+        object.__setattr__(form, "terms", terms)
+        return form
+
     def __setattr__(self, name, value):
         raise AttributeError("PolyForm is immutable")
 
@@ -244,10 +266,11 @@ class PolyForm:
         _check_same_chart(self, other)
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degree")
-        return PolyForm(self.chart, self.degree, _collect([*self.terms.items(), *other.terms.items()]))
+        terms = _collect([*self.terms.items(), *other.terms.items()])
+        return PolyForm._make(self.chart, self.degree, terms)
 
     def __neg__(self) -> "PolyForm":
-        return PolyForm(self.chart, self.degree, {k: -c for k, c in self.terms.items()})
+        return PolyForm._make(self.chart, self.degree, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "PolyForm") -> "PolyForm":
         return self + (-other)
@@ -270,7 +293,7 @@ class PolyForm:
                         prod = c1 * c2
                         yield key, prod if sign > 0 else -prod
 
-        return PolyForm(self.chart, self.degree + other.degree, _collect(pieces()))
+        return PolyForm._make(self.chart, self.degree + other.degree, _collect(pieces()))
 
     def wedge_power(self, k: int) -> "PolyForm":
         out = PolyForm.function(self.chart, self.chart.coeff_const(1))
@@ -369,6 +392,14 @@ class PolyVectorField:
                     clean[idx] = coeff
         object.__setattr__(self, "components", clean)
 
+    @staticmethod
+    def _make(chart: ChartSpace, components: Dict[int, Coeff]) -> "PolyVectorField":
+        """Wrap canonical data unchecked: in-range indices, chart spelling, no zero."""
+        field = object.__new__(PolyVectorField)
+        object.__setattr__(field, "chart", chart)
+        object.__setattr__(field, "components", components)
+        return field
+
     def __setattr__(self, name, value):
         raise AttributeError("PolyVectorField is immutable")
 
@@ -377,10 +408,11 @@ class PolyVectorField:
 
     def __add__(self, other: "PolyVectorField") -> "PolyVectorField":
         _check_same_chart(self, other)
-        return PolyVectorField(self.chart, _collect([*self.components.items(), *other.components.items()]))
+        components = _collect([*self.components.items(), *other.components.items()])
+        return PolyVectorField._make(self.chart, components)
 
     def __neg__(self) -> "PolyVectorField":
-        return PolyVectorField(self.chart, {i: -c for i, c in self.components.items()})
+        return PolyVectorField._make(self.chart, {i: -c for i, c in self.components.items()})
 
     def __sub__(self, other: "PolyVectorField") -> "PolyVectorField":
         return self + (-other)
@@ -408,7 +440,7 @@ class PolyVectorField:
                 if idx in self.components:
                     yield idx, -other.apply_to(self.components[idx])
 
-        return PolyVectorField(self.chart, _collect(pieces()))
+        return PolyVectorField._make(self.chart, _collect(pieces()))
 
     def evaluate(self, point: Mapping[str, ScalarLike]) -> Dict[int, GaussianRational]:
         return _evaluate(self.components, point)
@@ -450,7 +482,7 @@ def exterior_derivative(form: PolyForm) -> PolyForm:
                         new_key, sign = _merge_sorted((v,), key)
                         yield new_key, d if sign > 0 else -d
 
-    return PolyForm(chart, form.degree + 1, _collect(pieces()))
+    return PolyForm._make(chart, form.degree + 1, _collect(pieces()))
 
 
 def interior_product(field: PolyVectorField, form: PolyForm) -> PolyForm:
@@ -467,7 +499,7 @@ def interior_product(field: PolyVectorField, form: PolyForm) -> PolyForm:
                     value = coeff * comp
                     yield key[:pos] + key[pos + 1 :], -value if pos % 2 else value
 
-    return PolyForm(form.chart, form.degree - 1, _collect(pieces()))
+    return PolyForm._make(form.chart, form.degree - 1, _collect(pieces()))
 
 
 def lie_derivative(field: PolyVectorField, form: PolyForm) -> PolyForm:

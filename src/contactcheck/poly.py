@@ -30,7 +30,10 @@ ratio.
 exponent and coefficient it is given; the results of arithmetic are already in
 that canonical form and are wrapped by the private ``MultiPoly._make`` without
 being checked again.  Sums store a monomial met for the first time as it is
-and add only where both operands carry it, so no sum starts from zero.
+and add only where both operands carry it, so no sum starts from zero.  A
+product with a unit ``c * u^e`` on either side is a shift by ``e`` and a
+scale by ``c``: no two terms land on one monomial and no coefficient
+vanishes, so it merges nothing and filters nothing.
 
 Canonical textual serialization (used by the CLI and by failure witnesses):
 variables print in their natural order -- names compared chunk by chunk,
@@ -172,8 +175,16 @@ class MultiPoly:
 
     def __mul__(self, other) -> "MultiPoly":
         other = self._coerce_operand(other)
-        terms: TermMap = {}
         add = operator.add
+        if len(other.terms) == 1 or len(self.terms) == 1:
+            # By a unit c * u^e: the shift by e is injective and c * c' != 0,
+            # so the product has no merge and no zero.
+            poly, unit = (self, other) if len(other.terms) == 1 else (other, self)
+            ((e, c),) = unit.terms.items()
+            return MultiPoly._make(
+                self.vars, {tuple(map(add, k, e)): ck * c for k, ck in poly.terms.items()}
+            )
+        terms: TermMap = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 expo = tuple(map(add, e1, e2))

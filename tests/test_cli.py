@@ -320,6 +320,48 @@ def test_chart_calculus_adds_no_zero_polynomials(capsys, monkeypatch):
     assert zero_sums == []
 
 
+#: The sites in forms.py that build forms and fields through the checked
+#: constructors: the public constructors, ``scale`` (its scalar may be zero)
+#: and ``pullback`` (it checks the spelling of the caller's images).
+CHECKED_FORMS_SITES = {"zero", "function", "d_var", "scale", "pullback"}
+
+
+def test_calculus_results_are_not_checked_again(capsys, monkeypatch):
+    """No result of the forms arithmetic goes through a checked constructor.
+
+    Counts the ``PolyForm.__init__`` and ``PolyVectorField.__init__`` calls
+    made from forms.py outside :data:`CHECKED_FORMS_SITES` during the two
+    Hamiltonian suites; contact.py builds its forms through the same
+    constructors and must still reach them.
+    """
+    import sys
+
+    from contactcheck.forms import PolyForm, PolyVectorField
+
+    calls = {"forms.py": [], "contact.py": []}
+
+    def counting(init):
+        def checked_init(self, *args, **kwargs):
+            code = sys._getframe(1).f_code
+            name = Path(code.co_filename).name
+            if name == "contact.py" or (name == "forms.py" and code.co_name not in CHECKED_FORMS_SITES):
+                calls[name].append(code.co_name)
+            init(self, *args, **kwargs)
+
+        return checked_init
+
+    for cls in (PolyForm, PolyVectorField):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    for argv in (
+        ["verify-lemma21", "--model", "fibered", "--n", "1", "--delta", "3", "--samples", "2"],
+        ["verify-lemma22", "--model", "hopf", "--n", "1", "--samples", "2"],
+    ):
+        code, _ = run(capsys, *argv)
+        assert code == 0, argv
+    assert calls["contact.py"]
+    assert calls["forms.py"] == []
+
+
 @pytest.mark.parametrize("argv", [
     ["verify-lemma21", "--model", "fibered", "--n", "2", "--delta", "-1", "--samples", "7", "--seed", "2024"],
     ["verify-lemma22", "--model", "fibered", "--n", "2", "--delta", "-2", "--samples", "5", "--seed", "2024"],
@@ -622,3 +664,53 @@ def test_argv_fuzz_keeps_the_exit_code_contract(argv):
     assert report["schema"] == 1
     has_fail = any(r["status"] == "fail" for r in report["results"])
     assert (rc == 1) == has_fail == (report["ok"] is False), argv
+
+
+#: One process's calls: an argparse error and a ConfigError (both rc 2) between
+#: passing suites, and ``--dump-forms`` before a call without it.
+REUSE_ARGVS = [
+    ["verify-lemma21", "--model", "hopf", "--n", "1", "--samples", "2"],
+    ["verify-lemma21", "--model", "sphere"],
+    ["verify-contact", "--model", "hopf", "--n", "1", "--dump-forms"],
+    ["verify-contact", "--model", "fibered", "--delta", "0"],
+    ["verify-contact", "--model", "hopf", "--n", "1"],
+    ["cocycle", "--n", "1"],
+    ["verify-lemma22", "--model", "fibered", "--n", "1", "--delta", "-2", "--samples", "2"],
+]
+
+FRESH_MAIN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from contactcheck.cli import main
+raise SystemExit(main(sys.argv[2:]))
+"""
+
+
+def test_one_parser_serves_every_call_in_a_process(monkeypatch):
+    """Calls in one process print what fresh processes print, and build one parser."""
+    import subprocess
+    import sys
+
+    monkeypatch.delenv("CONTACTCHECK_SEED", raising=False)
+    monkeypatch.setattr(cli, "_parser", None)
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build())
+    in_process = []
+    for argv in REUSE_ARGVS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+        in_process.append((out.getvalue(), rc))
+    assert len(built) == 1
+    assert [rc for _, rc in in_process] == [0, 2, 0, 2, 0, 0, 0]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    for argv, (out, rc) in zip(REUSE_ARGVS, in_process):
+        fresh = subprocess.run(
+            [sys.executable, "-I", "-c", FRESH_MAIN, src, *argv],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert (fresh.stdout, fresh.returncode) == (out, rc), argv

@@ -501,8 +501,27 @@ def test_dual_field_lie_derivative_of_symplectic():
         for i in range(4):
             terms[(i,)] = sampler.homogeneous(cc, sampler.integer(0, 3)).coeff
         omega = PolyForm(cc.chart, 1, terms)
-        dual = _solve_contraction(cc, -omega)
+        dual = _solve_contraction(cc, omega)
         assert lie_derivative(dual, d(cc.theta)) == -d(omega)
+
+
+@pytest.mark.parametrize(
+    "make, args",
+    [(hopf_chart, (1,)), (hopf_chart, (2,)), (fibered_chart, (1, 3)), (fibered_chart, (2, -1))],
+    ids=["hopf1", "hopf2", "fibered1,3", "fibered2,-1"],
+)
+def test_solved_fields_contract_dtheta_to_minus_their_targets(make, args):
+    """iota_{X'_f} dtheta = -df and iota_Xi dtheta = -theta, read off the contraction."""
+    from contactcheck.forms import interior_product
+
+    cc = make(*args)
+    sampler = SeededSampler(sum(args) + 11)
+    degrees = range(-2 if cc.chart.fiber_var else 0, 4)
+    for ell in degrees:
+        f = sampler.homogeneous(cc, ell).coeff
+        df = exterior_derivative(PolyForm.function(cc.chart, f))
+        assert interior_product(hamiltonian_field(cc, f), cc.dtheta) == -df
+    assert interior_product(solved_euler_field(cc), cc.dtheta) == -cc.theta
 
 
 def test_fibered_top_power_exact_coefficient():

@@ -155,6 +155,33 @@ def test_sum_with_negative_is_empty(chart):
     assert (field + (-field)).components == {}
 
 
+def _checked_copy(result):
+    """``result`` rebuilt by its public, checked constructor."""
+    if isinstance(result, PolyForm):
+        return PolyForm(result.chart, result.degree, result.terms)
+    return PolyVectorField(result.chart, result.components)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("chart", [C4, FIB], ids=["C4", "FIB"])
+def test_unchecked_results_pass_the_checked_constructors(chart, seed):
+    """Every result of the calculus is canonical: rebuilding it checked changes nothing."""
+    rnd = random.Random(seed)
+    X, Y = rand_field(chart, rnd), rand_field(chart, rnd)
+    results = [X + Y, X - Y, X - X, -X, X.bracket(Y), X.bracket(X)]
+    for p in range(chart.dim + 1):
+        a, b = rand_form(chart, p, rnd), full_form(chart, p, rnd)
+        results += [a + b, a - b, b - b, -a, d(a), d(b), iota(X, a), iota(X, b)]
+        results += [lie_derivative(X, a), lie_derivative(Y, b)]
+        for q in range(chart.dim + 1 - p):
+            c = rand_form(chart, q, rnd)
+            results += [a.wedge(c), b.wedge(c), c.wedge(b)]
+    results.append(b.wedge(rand_form(chart, 1, rnd)))
+    assert any(r.is_zero() for r in results) and not all(r.is_zero() for r in results)
+    for r in results:
+        assert _checked_copy(r) == r, r
+
+
 def test_top_power_of_hopf_symplectic_form():
     # (d theta)^(n+1) = +-(n+1)! 2^(n+1) * volume
     for n in (0, 1, 2):

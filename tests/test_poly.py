@@ -545,3 +545,24 @@ def test_evaluate_sums_are_not_seeded_with_zero(capsys, monkeypatch):
     assert sums and zero_sums == []
     assert MultiPoly.zero(("x",)).evaluate({"x": gq(2)}) is ZERO
     assert CHART.coeff_zero().evaluate({"x": gq(1), "y": gq(1), "lam": gq(2)}) is ZERO
+
+
+UNIT_SCALARS = [gq(1), gq(-1), gq(Fraction(-3, 4), Fraction(5, 2))]
+UNIT_EXPONENTS = [(0, 0, 0), (1, 0, -1), (0, 2, -3), (2, 1, 2)]
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("expo", UNIT_EXPONENTS, ids=["const", "x/lam", "y^2/lam^3", "x^2*y*lam^2"])
+@pytest.mark.parametrize("c", UNIT_SCALARS, ids=["1", "-1", "gaussian"])
+def test_unit_products_against_dict_oracle(seed, expo, c):
+    """A product by a unit ``c * u^e``, on either side, is the full convolution."""
+    rng = random.Random(seed)
+    unit = MultiPoly(CHART.all_vars, {expo: c})
+    assert unit.is_unit()
+    others = [_chart_coefficient(rng), CHART.coeff_zero(), CHART.coeff_const(c), unit]
+    nu = naive_poly(unit)
+    for a in others:
+        want = naive_poly_mul(naive_poly(a), nu)
+        for got in (a * unit, unit * a):
+            _assert_canonical_laurent(got)
+            assert naive_poly(got) == want, (a, unit)
