@@ -25,7 +25,7 @@ from .lie import build_algebra, chi_differential, g00_span_check, grade, killing
 from .report import CheckResult, Report, check, failed
 from .rootsystem import CARTAN_MATRICES, builtin_root_system
 from .sampling import SeededSampler
-from .scalars import ZERO, GaussianRational
+from .scalars import GaussianRational
 
 if TYPE_CHECKING:
     import argparse
@@ -103,7 +103,7 @@ def run_algebra(config: Dict[str, object]) -> Report:
         table.append([i, j, {str(k): str(c) for k, c in sorted(entry.items())}])
 
     def dense(vec):
-        return [str(vec.get(k, ZERO)) for k in range(sc.dim)]
+        return [str(vec[k]) if k in vec else "0" for k in range(sc.dim)]
 
     report.config["payload"] = {
         "dimension": sc.dim,

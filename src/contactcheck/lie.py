@@ -3,25 +3,30 @@
 The basis is ``h_1 .. h_r`` (simple coroots) followed by one root vector per
 root, in root-system order.  Construction happens in two stages:
 
-1. A Chevalley basis: ``[e_a, e_{-a}] = a^v`` (the coroot) and
-   ``[e_a, e_b] = N_{a,b} e_{a+b}`` with ``N_{a,b} = +-(p+1)``, one table of
-   ``int`` constants, signs fixed by the extraspecial-pair convention.  The
-   table is filled by increasing height of ``a+b``: the extraspecial pair gets
-   ``p+1``, the other positive pairs follow from the Jacobi identity, and
-   each positive pair writes its whole orbit at once, by antisymmetry,
+1. A Chevalley basis, in integers: ``[h_i, e_b] = <b, a_i^v> e_b``,
+   ``[e_a, e_{-a}] = a^v`` (the coroot) and ``[e_a, e_b] = N_{a,b} e_{a+b}``
+   with ``N_{a,b} = +-(p+1)``, one table of ``int`` entries, signs fixed by
+   the extraspecial-pair convention.  The constants are filled by
+   increasing height of ``a+b``: the extraspecial pair gets ``p+1``, the
+   other positive pairs follow from the Jacobi identity, and each positive
+   pair writes its whole orbit at once, by antisymmetry,
    ``N_{-a,-b} = -N_{a,b}`` and the three-root cycle relation
    ``N_{a,b}/(c,c) = N_{b,c}/(a,a) = N_{c,a}/(b,b)`` for ``a+b+c = 0``.
-   Root norms are the integer pairing of the root system, and every
-   division is an exact integer quotient.
+   Root norms are the integer pairing of the root system, computed once per
+   root, and every division is an exact integer quotient.
 
 2. A rescaling ``e_{-a} -> -e_{-a}/B(e_a, e_{-a})`` for positive ``a``, after
    which ``[e_a, e_{-a}] = -h_a`` where ``h_a`` is the Killing-form dual of
    the root ``a`` (``B(h_a, H) = a(H)``).  In particular
-   ``B(e_rho, -e_{-rho}) = 1`` for the highest root ``rho``.
+   ``B(e_rho, -e_{-rho}) = 1`` for the highest root ``rho``.  The integer
+   ``B(e_a, e_{-a})`` is traced on the rows of the stage-1 table, and each
+   Q(i) entry of the final table is written once, as an integer quotient;
+   only the final table becomes a :class:`StructureConstants`.
 
 The Killing form is always computed as ``trace(ad x . ad y)``, the trace of
 two composed brackets read from the sparse table; it is never looked up as a
-table entry of its own, so it doubles as a self-test of the construction.
+table entry of its own, so it doubles as a self-test of the construction:
+:func:`killing` traces the final Q(i) table again, not the stage-1 values.
 After checking that the table is weight-homogeneous, :func:`killing` traces
 only the weight-compatible pairs (``w_i + w_j = 0``); every other trace is 0.
 The root duals follow by linearity from those of the simple roots, which
@@ -49,7 +54,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
-from .linalg import add_into, combine, total
+from .linalg import T, add_into, combine, total
 from .rootsystem import Root, RootSystem
 from .scalars import GaussianRational, ONE, ZERO
 
@@ -101,13 +106,9 @@ class StructureConstants:
     __slots__ = ("basis", "table", "rows")
 
     def __init__(self, basis: LieBasis, table: Dict[Tuple[int, int], SparseVec]):
-        rows: List[Dict[int, SparseVec]] = [{} for _ in range(basis.dim)]
-        for (i, j), entry in table.items():
-            rows[i][j] = entry
-            rows[j][i] = {k: -c for k, c in entry.items()}
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "table", table)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", _rows(basis.dim, table))
 
     def __setattr__(self, name, value):
         raise AttributeError("StructureConstants is immutable")
@@ -139,6 +140,15 @@ class StructureConstants:
         return out
 
 
+def _rows(dim: int, table: Dict[Tuple[int, int], Dict[int, T]]) -> List[Dict[int, Dict[int, T]]]:
+    """``rows[i][j] = [e_i, e_j]`` in both orientations, for ``int`` or Q(i) entries."""
+    rows: List[Dict[int, Dict[int, T]]] = [{} for _ in range(dim)]
+    for (i, j), entry in table.items():
+        rows[i][j] = entry
+        rows[j][i] = {k: -c for k, c in entry.items()}
+    return rows
+
+
 # -- Chevalley constants ----------------------------------------------------------
 
 
@@ -150,23 +160,21 @@ def _exact(num: int, den: int, what: str) -> int:
     return quotient
 
 
-def _coroot_coordinates(rs: RootSystem, alpha: Root) -> List[int]:
-    """Coordinates ``alpha_i (a_i, a_i) / (alpha, alpha)`` of alpha^v in the simple coroots."""
-    norm = rs.pairing(alpha, alpha)
-    coords = []
-    for i, a in enumerate(alpha):
-        simple = tuple(1 if j == i else 0 for j in range(rs.rank))
-        what = f"coroot coordinate {i} of {alpha}"
-        coords.append(_exact(a * rs.pairing(simple, simple), norm, what))
-    return coords
+def _root_norms(rs: RootSystem) -> Dict[Root, int]:
+    """``(a, a)`` for every root, one integer pairing per positive root."""
+    norms: Dict[Root, int] = {}
+    for a in rs.positive_roots():
+        norms[a] = norms[rs.negative(a)] = rs.pairing(a, a)
+    return norms
 
 
-def _chevalley_constants(rs: RootSystem) -> Dict[Tuple[Root, Root], int]:
+def _chevalley_constants(rs: RootSystem, norms: Dict[Root, int]) -> Dict[Tuple[Root, Root], int]:
     """``N_{a,b}`` for every pair of roots whose sum is a root.
 
     Positive pairs are fixed by increasing height of their sum; each one
     writes its whole orbit of 12 entries at once, so the Jacobi step only
     reads constants of lower height or of the current extraspecial pair.
+    ``norms`` holds the :func:`_root_norms` of ``rs``.
     """
     constants: Dict[Tuple[Root, Root], int] = {}
 
@@ -174,12 +182,12 @@ def _chevalley_constants(rs: RootSystem) -> Dict[Tuple[Root, Root], int]:
         # With c = -(x+y): N_{x,y}/(c,c) = N_{y,c}/(x,x) = N_{c,x}/(y,y), and
         # N_{b,a} = N_{-a,-b} = -N_{a,b} for each of the three pairs.
         c = tuple(-a - b for a, b in zip(x, y))
-        norm = rs.pairing(c, c)
+        norm = norms[c]
         what = f"cycle ratio of {x}, {y}"
         for a, b, value in (
             (x, y, n),
-            (y, c, _exact(n * rs.pairing(x, x), norm, what)),
-            (c, x, _exact(n * rs.pairing(y, y), norm, what)),
+            (y, c, _exact(n * norms[x], norm, what)),
+            (c, x, _exact(n * norms[y], norm, what)),
         ):
             neg_a, neg_b = rs.negative(a), rs.negative(b)
             constants[(a, b)] = constants[(neg_b, neg_a)] = value
@@ -216,74 +224,86 @@ def _chevalley_constants(rs: RootSystem) -> Dict[Tuple[Root, Root], int]:
 # -- algebra construction ----------------------------------------------------------
 
 
-def _chevalley_table(rs: RootSystem, basis: LieBasis) -> Dict[Tuple[int, int], SparseVec]:
+def _chevalley_table(rs: RootSystem, basis: LieBasis) -> Dict[Tuple[int, int], Dict[int, int]]:
+    """The Chevalley basis bracket table, ``int`` entries, keys in sorted order.
+
+    ``[h_i, e_b] = <b, a_i^v> e_b``; ``[e_a, e_{-a}] = a^v`` for positive a,
+    with coordinates ``a_i (a_i, a_i) / (a, a)`` in the simple coroots; and
+    ``[e_a, e_b] = N_{a,b} e_{a+b}``.
+    """
     rank = rs.rank
-    constants = _chevalley_constants(rs)
-    table: Dict[Tuple[int, int], SparseVec] = {}
-    # [h_i, e_b] = <b, a_i^v> e_b
+    index = {r: rank + k for k, r in enumerate(rs.roots)}
+    norms = _root_norms(rs)
+    table: Dict[Tuple[int, int], Dict[int, int]] = {}
     for i in range(rank):
         for b in rs.roots:
             pairing = rs.cartan.coroot_pairing(b, i)
             if pairing:
-                table[(i, basis.root_index(b))] = {basis.root_index(b): GaussianRational(pairing)}
-    # root-root brackets: [e_a, e_-a] = a^v for positive a (positives come
-    # first), and N_{a,b} e_{a+b} for the constants, each in table order i < j
-    root_root: Dict[Tuple[int, int], SparseVec] = {}
+                k = index[b]
+                table[(i, k)] = {k: pairing}
+    # Root-root keys come after every (h_i, e_b) key; they are gathered and
+    # written in sorted order, each with i < j (positives come first).
+    simple_norms = [norms[tuple(int(k == i) for k in range(rank))] for i in range(rank)]
+    root_root: Dict[Tuple[int, int], Dict[int, int]] = {}
     for a in rs.positive_roots():
-        coro = _coroot_coordinates(rs, a)
-        entry = {k: GaussianRational(c) for k, c in enumerate(coro) if c}
-        if entry:
-            root_root[(basis.root_index(a), basis.root_index(rs.negative(a)))] = entry
-    for (a, b), n in constants.items():
-        i, j = basis.root_index(a), basis.root_index(b)
+        what = f"coroot coordinates of {a}"
+        root_root[(index[a], index[rs.negative(a)])] = {
+            k: _exact(c * simple_norms[k], norms[a], what) for k, c in enumerate(a) if c
+        }
+    for (a, b), n in _chevalley_constants(rs, norms).items():
+        i, j = index[a], index[b]
         if i < j:
-            s = tuple(x + y for x, y in zip(a, b))
-            root_root[(i, j)] = {basis.root_index(s): GaussianRational(n)}
+            root_root[(i, j)] = {index[tuple(x + y for x, y in zip(a, b))]: n}
     for key in sorted(root_root):
         table[key] = root_root[key]
     return table
 
 
-def _trace_form(sc: StructureConstants, i: int, j: int) -> GaussianRational:
-    """``trace(ad e_i . ad e_j) = sum_k sum_l [e_j, e_k]_l [e_i, e_l]_k`` from the table."""
-    row_i = sc.rows[i]
+def _trace_form(rows: List[Dict[int, Dict[int, T]]], i: int, j: int) -> T:
+    """``trace(ad e_i . ad e_j) = sum_k sum_l [e_j, e_k]_l [e_i, e_l]_k`` from table rows."""
+    row_i = rows[i]
     return total(
         c * row_i[l][k]
-        for k, entry in sc.rows[j].items()
+        for k, entry in rows[j].items()
         for l, c in entry.items()
         if k in row_i.get(l, _EMPTY)
     )
 
 
 def build_algebra(rs: RootSystem) -> StructureConstants:
-    """Construct the algebra and rescale so ``[e_a, e_{-a}] = -h_a`` for all roots."""
+    """Construct the algebra and rescale so ``[e_a, e_{-a}] = -h_a`` for all roots.
+
+    The Chevalley stage stays in integers: ``B(e_a, e_{-a})`` is traced on
+    the rows of the ``int`` table, and each rescaled entry is written once,
+    as the integer quotient below.
+    """
     basis = LieBasis(rs)
-    chevalley = StructureConstants(basis, _chevalley_table(rs, basis))
-    # Scale factors: -1/B(e_a, e_{-a}) on negative root vectors, with B
-    # computed by trace on the Chevalley table, and 1 (stored as None and
-    # skipped) on h_i and positive ones.  [s_i e_i, s_j e_j] = sum_k
-    # (s_i s_j c_k / s_k) (s_k e_k), and 1/s_k = -B is kept alongside s_k.
-    scale: List[Optional[GaussianRational]] = [None] * basis.dim
-    unscale: List[Optional[GaussianRational]] = [None] * basis.dim
+    chevalley = _chevalley_table(rs, basis)
+    rows = _rows(basis.dim, chevalley)
+    # e_{-a} -> s e_{-a} with s = -1/B(e_a, e_{-a}) for positive a; every
+    # other basis vector keeps s = 1.  With m = 1/s (an integer, -B or 1),
+    # [s_i e_i, s_j e_j] = sum_k (s_i s_j c_k / s_k) (s_k e_k), so the entry
+    # c_k becomes c_k m_k / (m_i m_j): nonzero, as no factor vanishes.
+    m = [1] * basis.dim
     for a in rs.positive_roots():
-        i = basis.root_index(a)
         j = basis.root_index(rs.negative(a))
-        k = _trace_form(chevalley, i, j)
-        if k.is_zero():
-            raise ArithmeticError(f"degenerate pairing B(e_{a}, e_{-a})")
-        scale[j] = -k.inverse()
-        unscale[j] = -k
+        pairing = _trace_form(rows, basis.root_index(a), j)
+        if not pairing:
+            raise ArithmeticError(f"degenerate pairing B(e_{a}, e_{rs.negative(a)})")
+        m[j] = -pairing
+    # A few distinct quotients recur across the table: each is built once
+    # and shared, as scalars are immutable.
+    values: Dict[Tuple[int, int], GaussianRational] = {}
     table: Dict[Tuple[int, int], SparseVec] = {}
-    for (i, j), entry in chevalley.table.items():
-        # Every factor is nonzero, so no rescaled constant vanishes.
-        factors = [f for f in (scale[i], scale[j]) if f is not None]
+    for (i, j), entry in chevalley.items():
+        den = m[i] * m[j]
         new_entry: SparseVec = {}
         for k, c in entry.items():
-            for f in factors:
-                c = c * f
-            if unscale[k] is not None:
-                c = c * unscale[k]
-            new_entry[k] = c
+            num = c * m[k]
+            value = values.get((num, den))
+            if value is None:
+                value = values[(num, den)] = GaussianRational(num) / den
+            new_entry[k] = value
         table[(i, j)] = new_entry
     return StructureConstants(basis, table)
 
@@ -347,7 +367,7 @@ def killing(sc: StructureConstants) -> KillingData:
     pairs = [(i, j) for i in range(rank) for j in range(i, rank)]
     pairs += [(basis.root_index(a), basis.root_index(rs.negative(a))) for a in rs.positive_roots()]
     for i, j in pairs:
-        value = _trace_form(sc, i, j)
+        value = _trace_form(sc.rows, i, j)
         if not value.is_zero():
             gram[i][j] = gram[j][i] = value
     try:

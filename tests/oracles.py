@@ -7,12 +7,13 @@ instead of the library's merge of each ``v`` into each key, full contraction
 summed over every index tuple instead of iterated interior products, the ``ad`` matrix filled by bracketing
 unit vectors instead of the library's reads of single table rows, a dense
 matrix exponential (powers of that matrix by plain nested-loop products)
-instead of the library's series on basis vectors, and a two-pass dense
+instead of the library's series on single vectors, and a two-pass dense
 reduced row-echelon form (forward elimination below the pivots, then back
 substitution) instead of the library's one-pass support-only Gauss-Jordan,
 and a Killing form traced from dense ``ad`` matrices filled straight from the
 bracket table instead of the library's weight-compatible traces over its
-per-index rows, span comparisons and intersections by ranks of dense
+per-index rows, the rescaled algebra from Q(i) scale factors of such dense
+traces instead of the library's integer traces and quotients, span comparisons and intersections by ranks of dense
 ``dim g`` vectors instead of the library's sparse bases and column kernels,
 and polynomial sums, products and derivatives over plain
 dicts keyed by ``(name, exponent)`` pairs instead of ``MultiPoly``'s
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Dict, List, Sequence, Set, Tuple
 
 from contactcheck.forms import PolyForm, PolyVectorField
@@ -401,6 +403,26 @@ def dense_trace(a, b) -> GaussianRational:
 def dense_killing_form(sc: StructureConstants, x: SparseVec, y: SparseVec) -> GaussianRational:
     """``trace(ad x . ad y)`` from two dense ad matrices built from the table."""
     return dense_trace(dense_ad_from_table(sc, x), dense_ad_from_table(sc, y))
+
+
+def rescaled_chevalley_table(rs, basis, chevalley) -> Dict[Tuple[int, int], SparseVec]:
+    """``build_algebra``'s table from the ``int`` Chevalley table, in Q(i) throughout.
+
+    ``B(e_a, e_{-a})`` is the :func:`dense_trace` of two dense ad matrices of
+    the Chevalley table; each negative root vector is scaled by ``s = -1/B``,
+    and an entry ``c`` of ``[e_i, e_j]`` on ``e_k`` becomes ``s_i s_j c / s_k``
+    by Q(i) products and one division.  Keys keep the Chevalley table's order.
+    """
+    table = SimpleNamespace(dim=basis.dim, table=chevalley)
+    scale = [ONE] * basis.dim
+    for a in rs.positive_roots():
+        i, j = basis.root_index(a), basis.root_index(rs.negative(a))
+        pairing = dense_trace(dense_ad_from_table(table, {i: ONE}), dense_ad_from_table(table, {j: ONE}))
+        scale[j] = -pairing.inverse()
+    return {
+        (i, j): {k: scale[i] * scale[j] * GaussianRational(c) / scale[k] for k, c in entry.items()}
+        for (i, j), entry in chevalley.items()
+    }
 
 
 # A monomial as its sorted ``(name, exponent)`` pairs with exponent > 0, so two

@@ -714,3 +714,62 @@ def test_one_parser_serves_every_call_in_a_process(monkeypatch):
             capture_output=True, text=True, timeout=300,
         )
         assert (fresh.stdout, fresh.returncode) == (out, rc), argv
+
+
+def _every_report_made(monkeypatch, run):
+    """The ``Report`` objects the CLI builds while ``run()`` runs, sub-suites included."""
+    made = []
+
+    class Recorded(cli.Report):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(cli, "Report", Recorded)
+    run()
+    monkeypatch.undo()
+    return made
+
+
+@pytest.mark.parametrize("argv", [
+    ["all", "--seed", "2024"],
+    ["all", "--seed", "7", "--samples", "5"],
+], ids=["all-2024", "all-7-samples-5"])
+def test_report_writer_equals_json_dumps_on_every_all_report(argv, capsys, monkeypatch):
+    """The `all` report and each sub-suite report it merges: the writer's text
+    is ``json.dumps(sort_keys=True, indent=2)`` plus a newline."""
+    reports = _every_report_made(monkeypatch, lambda: main(argv))
+    printed = capsys.readouterr().out
+    assert len(reports) > 30 and reports[0].to_json() == printed
+    for report in reports:
+        assert report.to_json() == json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("workload", sorted(HASH_ORDER_SUITES))
+def test_report_writer_equals_json_dumps_on_the_benchmark_suites(workload, capsys, monkeypatch):
+    from conftest import EXTRA_CARTAN
+    from contactcheck import rootsystem
+
+    def run_suites():
+        for name in ("D4", "F4"):
+            monkeypatch.setitem(rootsystem.CARTAN_MATRICES, name, EXTRA_CARTAN[name])
+        for suite in HASH_ORDER_SUITES[workload]:
+            if isinstance(suite, dict):
+                getattr(cli, "run_" + suite["command"])(suite)
+            else:
+                main(suite)
+
+    reports = _every_report_made(monkeypatch, run_suites)
+    capsys.readouterr()
+    assert len(reports) == len(HASH_ORDER_SUITES[workload])
+    for report in reports:
+        assert report.ok
+        assert report.to_json() == json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", ALGEBRA_TYPES)
+def test_report_writer_reproduces_each_golden(name):
+    from contactcheck.report import _json_text
+
+    text = (GOLDEN / f"algebra_{name}.json").read_text()
+    assert _json_text(json.loads(text)) + "\n" == text

@@ -11,6 +11,7 @@ from contactcheck.lie import (
     StructureConstants,
     _chevalley_constants,
     _chevalley_table,
+    _root_norms,
     build_algebra,
     chi_differential,
     g00_span_check,
@@ -424,7 +425,7 @@ def test_chevalley_constants_are_signed_string_lengths(algebra_bundle):
         roots = set(rs.roots)
         form = fraction_form(rs.cartan)
         norm = {r: form(r, r) for r in rs.roots}
-        constants = _chevalley_constants(rs)
+        constants = _chevalley_constants(rs, _root_norms(rs))
         summing = {
             (a, b) for a in rs.roots for b in rs.roots
             if tuple(x + y for x, y in zip(a, b)) in roots
@@ -450,7 +451,7 @@ def test_chevalley_table_equals_the_walk_over_every_root_pair(algebra_bundle):
     for name in ALL_TYPES:
         rs = algebra_bundle(name)[0]
         form = fraction_form(rs.cartan)
-        constants = _chevalley_constants(rs)
+        constants = _chevalley_constants(rs, _root_norms(rs))
         simple = [tuple(int(k == i) for k in range(rs.rank)) for i in range(rs.rank)]
         expected = {}
         for (ia, a), (ib, b) in itertools.combinations(enumerate(rs.roots), 2):
@@ -503,3 +504,42 @@ def test_e6_positive_roots_match_sympy(algebra_bundle):
     liealgebras = pytest.importorskip("sympy.liealgebras.cartan_type")
     rs = algebra_bundle("E6")[0]
     assert rs.n_positive == len(liealgebras.CartanType("E6").positive_roots()) == 36
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_integer_build_equals_the_dense_rescaling_oracle(name, algebra_bundle):
+    """``build_algebra``'s table is the ``int`` Chevalley table rescaled by the
+    dense-trace oracle, entry for entry, in key order and in entry order."""
+    from oracles import rescaled_chevalley_table
+
+    rs, sc, _, _ = algebra_bundle(name)
+    basis = LieBasis(rs)
+    chevalley = _chevalley_table(rs, basis)
+    assert all(type(c) is int for entry in chevalley.values() for c in entry.values())
+    expected = rescaled_chevalley_table(rs, basis, chevalley)
+    got = build_algebra(rs).table
+    assert [(key, list(entry.items())) for key, entry in got.items()] == [
+        (key, list(entry.items())) for key, entry in expected.items()
+    ]
+    assert got == sc.table
+
+
+def test_degenerate_pairing_names_both_roots(monkeypatch):
+    """A Chevalley table with no entry on e_a for the first positive root a
+    pairs e_a with nothing: ``ArithmeticError`` names a and -a."""
+    from contactcheck import lie
+    from contactcheck.rootsystem import builtin_root_system
+
+    table = lie._chevalley_table
+
+    def without_first_root(rs, basis):
+        e = basis.root_index(rs.positive_roots()[0])
+        return {
+            key: entry for key, entry in table(rs, basis).items() if e not in key and e not in entry
+        }
+
+    monkeypatch.setattr(lie, "_chevalley_table", without_first_root)
+    rs = builtin_root_system("A2")
+    assert rs.positive_roots()[0] == (0, 1)
+    with pytest.raises(ArithmeticError, match=re.escape("degenerate pairing B(e_(0, 1), e_(0, -1))")):
+        build_algebra(rs)

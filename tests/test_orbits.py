@@ -458,3 +458,59 @@ def test_no_sparse_vector_stores_a_zero(name, algebra_bundle):
     }
     assert all(vectors for vectors in families.values())
     assert stored == dict.fromkeys(families, 0)
+
+
+@pytest.mark.parametrize("name", ["A2", "G2", "B3"])
+def test_orbit_points_equal_the_chained_vector_oracle(name, algebra_bundle):
+    """Every root, t in {3/5, -2}: one-letter words at both t, two-letter words
+    over every ordered pair of roots, and a three-letter word through each root
+    move e_rho as the dense series oracle does, letter by letter."""
+    from oracles import exp_ad_on_vector
+
+    rs, sc, _, _ = algebra_bundle(name)
+    roots, ts = rs.roots, (Fraction(3, 5), Fraction(-2))
+    words = [[(a, t)] for a in roots for t in ts]
+    words += [[(a, ts[0]), (b, ts[1])] for a in roots for b in roots]
+    words += [
+        [(a, ts[p % 2]), (roots[-1 - p], ts[1]), (roots[(p + len(roots) // 3) % len(roots)], ts[0])]
+        for p, a in enumerate(roots)
+    ]
+    e_rho = {sc.basis.root_index(rs.highest): ONE}
+    for word in words:
+        expected = e_rho
+        for root, t in word:
+            expected = exp_ad_on_vector(sc, root, t, expected)
+        pt = orbit_sample(sc, word)
+        assert (pt.vector, pt.word) == (expected, tuple(word)), word
+
+
+@pytest.mark.parametrize("name, fixing, total", [
+    ("A2", 3, 6), ("G2", 7, 12), ("B3", 11, 18), ("D4", 15, 24), ("F4", 33, 48), ("E6", 51, 72),
+])
+def test_letters_of_nonnegative_height_fix_e_rho(name, fixing, total, algebra_bundle):
+    """exp(t ad e_a) fixes e_rho when a(H_rho) >= 0, so a word of only such
+    letters returns exactly e_rho, the point of the empty word."""
+    rs, sc, _, _ = algebra_bundle(name)
+    letters = [a for a in rs.roots if rs.rho_height(a) >= 0]
+    assert (len(letters), len(rs.roots)) == (fixing, total)
+    word = [(a, Fraction(3 + k, 5) if k % 2 else Fraction(-2 - k)) for k, a in enumerate(letters)]
+    e_rho = {sc.basis.root_index(rs.highest): ONE}
+    assert orbit_sample(sc, word).vector == e_rho
+    assert all(orbit_sample(sc, [letter]).vector == e_rho for letter in word)
+    lowering = [a for a in rs.roots if rs.rho_height(a) < 0]
+    assert all(orbit_sample(sc, [(a, Fraction(1))]).vector != e_rho for a in lowering)
+
+
+def test_e6_seed_2024_coincident_sample_is_such_a_word(algebra_bundle):
+    """`adjoint E6 --samples 3` at seed 2024 skips separation-0-2: its second
+    drawn word has letters of heights 0 and 1, so point 2 is e_rho, point 0."""
+    rs, sc, _, gd = algebra_bundle("E6")
+    sampler = SeededSampler(2024)
+    words = [sampler.word(rs, 2) for _ in range(2)]
+    assert [a for a, _ in words[1]] == [(0, 0, -1, -1, -1, -1), (1, 1, 2, 2, 2, 1)]
+    assert [rs.rho_height(a) for a, _ in words[1]] == [0, 1]
+    points = [orbit_sample(sc, [])] + [orbit_sample(sc, w) for w in words]
+    assert points[2].vector == points[0].vector != points[1].vector
+    results = embedding_checks(gd, points, [tangent_rank(sc, pt) for pt in points])
+    skipped = [(r.check_id, r.witness) for r in results if r.status == "skipped"]
+    assert skipped == [("embedding:separation-0-2", "coincident sample")]

@@ -1,8 +1,12 @@
 """The behaviour of ``CheckResult`` and ``Report`` that suites and callers rely on."""
 
-import pytest
+import json
 
-from contactcheck.report import FAIL, PASS, CheckResult, Report, failed, passed
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from contactcheck.report import FAIL, PASS, CheckResult, Report, _json_text, failed, passed
 
 
 def test_check_result_keyword_construction_and_fields():
@@ -48,3 +52,49 @@ def test_report_keeps_the_given_config_and_results():
     assert report.config is config
     assert report.results is results
 
+
+
+# -- the JSON writer -------------------------------------------------------------------
+
+#: Strings with every character class the writer must escape as ``json`` does:
+#: quotes, backslashes, control characters, non-ASCII, astral and lone
+#: surrogate code points.
+TEXT = st.text(
+    st.characters(exclude_categories=(), include_characters='"\\\x00\x08\x0c\n\r\t\x1f\x7f'),
+    max_size=12,
+)
+LEAVES = st.none() | st.booleans() | st.integers() | TEXT
+TREES = st.recursive(
+    LEAVES,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(TEXT, children, max_size=4),
+    max_leaves=30,
+)
+
+
+def stdlib_text(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+@settings(max_examples=400)
+@given(TREES)
+def test_writer_equals_json_dumps_on_report_trees(tree):
+    assert _json_text(tree) == stdlib_text(tree)
+
+
+@pytest.mark.parametrize("tree", [
+    {}, [], "", [[]], [{}], {"": {}}, {"a": [[], {}, [[{}]]]},
+    [True, 1, False, 0, None], {"1": True, "b": 1, "a": [1, True]},
+    {"é": "☃", "\"": "\\", "\n": "\x00\x1f\ud800\U0001f600"},
+    {"z": 1, "a": 2, "A": 3, "_": 4, "aa": 5, "aé": 6},
+    [-(10**40), 10**40, -1, 0],
+])
+def test_writer_equals_json_dumps_on_edge_cases(tree):
+    assert _json_text(tree) == stdlib_text(tree)
+
+
+@pytest.mark.parametrize("tree", [
+    1.5, [0.0], {"a": float("nan")}, {1: "a"}, {"a": {None: 1}}, {("a",): 1}, (1, 2), {"a": {1, 2}},
+])
+def test_writer_rejects_floats_non_str_keys_and_other_types(tree):
+    with pytest.raises(TypeError):
+        _json_text(tree)
