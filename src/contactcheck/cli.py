@@ -5,6 +5,10 @@ stdout (or ``--output``), and two runs with the same configuration produce
 byte-identical reports.  Exit codes: 0 all checks pass, 1 at least one check
 failed, 2 configuration error.
 
+:data:`ALL_SUITES` is the one list of what ``all`` runs: each entry names a
+command, its configuration, the prefix its check ids take in the merged
+report, and how ``all``'s ``--samples`` maps to the suite's.
+
 The default seed comes from the ``CONTACTCHECK_SEED`` environment variable
 when set, else 2024.
 
@@ -31,7 +35,6 @@ if TYPE_CHECKING:
     import argparse
 
 DEFAULT_SEED = 2024
-FIBERED_DELTAS = (-2, -1, 1, 2, 3)
 #: Largest n the ``cocycle`` command accepts.
 COCYCLE_MAX_N = 3
 ALGEBRA_TYPES = tuple(sorted(CARTAN_MATRICES))
@@ -302,83 +305,65 @@ def _pair_witness(sc, pair: Tuple[int, int]) -> str:
     return f"first failing basis pair ({labels[i]}, {labels[j]})"
 
 
+#: Every suite ``all`` runs, in order: (prefix, command, config, samples rule).
+#: The rule maps ``all``'s ``--samples`` to the suite's; a suite whose rule is
+#: None takes neither a seed nor a sample count.
+ALL_SUITES = (
+    *(
+        entry
+        for t in ALGEBRA_TYPES
+        for entry in (
+            (f"algebra[{t}]", "algebra", {"type": t}, None),
+            (f"adjoint[{t}]", "adjoint", {"type": t}, lambda s: min(s, 3)),
+        )
+    ),
+    *(
+        (f"contact[hopf,n={n}]", "verify-contact", {"model": "hopf", "n": n, "delta": 2}, rule)
+        for n, rule in ((0, lambda s: s), (1, lambda s: s), (2, lambda s: max(1, s // 2)))
+    ),
+    *(
+        (
+            f"contact[fibered,n={n},delta={delta}]",
+            "verify-contact",
+            {"model": "fibered", "n": n, "delta": delta},
+            lambda s: s,
+        )
+        for delta in (-2, -1, 1, 2, 3)
+        for n in (0, 1)
+    ),
+    *(
+        (prefix, command, {"model": model, "n": n, "delta": delta}, rule)
+        for prefix, command, model, n, delta, rule in (
+            ("lemma21[hopf,n=0]", "verify-lemma21", "hopf", 0, 2, lambda s: 1),
+            ("lemma21[fibered,n=0,delta=3]", "verify-lemma21", "fibered", 0, 3, lambda s: 1),
+            ("lemma22[hopf,n=0]", "verify-lemma22", "hopf", 0, 2, lambda s: s),
+            ("lemma22[fibered,n=1,delta=-2]", "verify-lemma22", "fibered", 1, -2, lambda s: s),
+        )
+    ),
+    *(
+        entry
+        for n in (0, 1)
+        for entry in (
+            (f"cocycle[n={n}]", "cocycle", {"n": n}, None),
+            (f"quotient[n={n}]", "quotient", {"n": n}, lambda s: s),
+            (f"immersion[n={n}]", "immersion", {"n": n}, lambda s: min(s, 5)),
+        )
+    ),
+)
+
+
 def run_all(config: Dict[str, object]) -> Report:
     seed = int(config["seed"])
     samples = int(config["samples"])
     report = Report(config)
-
-    def merge(sub: Report, prefix: str) -> None:
-        for result in sub.results:
+    for prefix, command, suite_config, rule in ALL_SUITES:
+        suite_config = dict(suite_config)
+        if rule is not None:
+            suite_config.update(seed=seed, samples=rule(samples))
+        for result in RUNNERS[command](suite_config).results:
             report.results.append(
                 CheckResult(f"{prefix}/{result.check_id}", result.status, result.witness)
             )
-
-    for type_name in ALGEBRA_TYPES:
-        merge(run_algebra({"type": type_name}), f"algebra[{type_name}]")
-        merge(
-            run_adjoint({"type": type_name, "seed": seed, "samples": min(samples, 3)}),
-            f"adjoint[{type_name}]",
-        )
-    for n in (0, 1):
-        merge(
-            run_verify_contact(
-                {"model": "hopf", "n": n, "delta": 2, "seed": seed, "samples": samples}
-            ),
-            f"contact[hopf,n={n}]",
-        )
-    merge(
-        run_verify_contact(
-            {"model": "hopf", "n": 2, "delta": 2, "seed": seed, "samples": max(1, samples // 2)}
-        ),
-        "contact[hopf,n=2]",
-    )
-    for delta in FIBERED_DELTAS:
-        for n in (0, 1):
-            merge(
-                run_verify_contact(
-                    {
-                        "model": "fibered",
-                        "n": n,
-                        "delta": delta,
-                        "seed": seed,
-                        "samples": samples,
-                    }
-                ),
-                f"contact[fibered,n={n},delta={delta}]",
-            )
-    merge(
-        run_verify_lemma21(
-            {"model": "hopf", "n": 0, "delta": 2, "seed": seed, "samples": 1}
-        ),
-        "lemma21[hopf,n=0]",
-    )
-    merge(
-        run_verify_lemma21(
-            {"model": "fibered", "n": 0, "delta": 3, "seed": seed, "samples": 1}
-        ),
-        "lemma21[fibered,n=0,delta=3]",
-    )
-    merge(
-        run_verify_lemma22(
-            {"model": "hopf", "n": 0, "delta": 2, "seed": seed, "samples": samples}
-        ),
-        "lemma22[hopf,n=0]",
-    )
-    merge(
-        run_verify_lemma22(
-            {"model": "fibered", "n": 1, "delta": -2, "seed": seed, "samples": samples}
-        ),
-        "lemma22[fibered,n=1,delta=-2]",
-    )
-    for n in (0, 1):
-        merge(run_cocycle({"n": n}), f"cocycle[n={n}]")
-        merge(
-            run_quotient({"n": n, "seed": seed, "samples": samples}), f"quotient[n={n}]"
-        )
-        merge(
-            run_immersion({"n": n, "seed": seed, "samples": min(samples, 5)}),
-            f"immersion[n={n}]",
-        )
     return report
 
 
@@ -444,7 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("type", choices=ALGEBRA_TYPES)
     common(p)
 
-    p = sub.add_parser("all", help="run every suite")
+    p = sub.add_parser("all", help="run every suite but roots on fixed configurations")
     common(p)
     return parser
 
@@ -471,12 +456,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if _parser is None:
         _parser = _build_parser()
     args = _parser.parse_args(argv)
-    config: Dict[str, object] = {"command": args.command}
-    if getattr(args, "dump_forms", False):
-        config["dump_forms"] = True
-    for key in ("type", "model", "n", "delta", "fdeg", "gdeg", "samples"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            config[key] = getattr(args, key)
+    # Every parsed option but --output and --seed; `is not False`, since 0 == False.
+    config: Dict[str, object] = {
+        key: value
+        for key, value in vars(args).items()
+        if key not in ("output", "seed") and value is not None and value is not False
+    }
     try:
         if getattr(args, "samples", 0) < 0:
             raise ConfigError(f"--samples must be >= 0, got {args.samples}")

@@ -256,6 +256,56 @@ def test_corrupted_fibered_report_text_is_pinned(capsys, monkeypatch, n, delta, 
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("seed, samples, digest", [
+    (2024, 5, "ba586ed1897f49ce4597be93e31faeb64201bdff16b111e09cb37e7737ef3dbe"),
+    (7, 5, "2e17c823082c5c96ae4b666cf0bf0795b3caea892fc18f52c8c62542dde4a3e0"),
+    (11, 5, "e8020d427309712d350250f6af571e789540184607e0eceb8ba2d2c7a6541f3f"),
+    (2024, 1, "d1fe982792c4f5b074585ad841d591f3391845b2a8fbc11d7a643fcb28688e77"),
+    (2024, 2, "de3f419c4e1c68beca122b6ba4604b4b4d1db4eb245358e2eb894517709f0952"),
+    (2024, 3, "2b902e455a98a8b41ad1f175479da389c49b98319600c60b35c29a1025b1abb2"),
+    (2024, 7, "ae836b0c5973d44642a6928e73eb24cb79dd3d6aafc00a754654be2a34ac8c11"),
+])
+def test_all_report_text_is_pinned(capsys, seed, samples, digest):
+    """`all` keeps its exact bytes on both sides of every samples rule: adjoint
+    takes at most 3, immersion at most 5, hopf n=2 half (at least 1), lemma21 1."""
+    import hashlib
+
+    code, out = run(capsys, "all", "--seed", str(seed), "--samples", str(samples))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _suite_argv(command, config, rule, seed, samples):
+    """The argv that runs one ``ALL_SUITES`` entry as its own command."""
+    argv = [command]
+    for key, value in config.items():
+        argv += [str(value)] if key == "type" else [f"--{key}", str(value)]
+    if rule is not None:
+        argv += ["--seed", str(seed), "--samples", str(rule(samples))]
+    return argv
+
+
+@pytest.mark.parametrize("samples", [5, 1])
+def test_all_is_the_sum_of_its_suites(capsys, samples):
+    """Each `all` entry, run as its own command, gives exactly the results `all`
+    merges under its prefix, and `all` merges nothing else."""
+
+    def results(argv):
+        code, out = run(capsys, *argv)
+        assert code == 0, argv
+        return [(r["check_id"], r["status"], r.get("witness")) for r in json.loads(out)["results"]]
+
+    merged = {}
+    for check_id, status, witness in results(["all", "--seed", "2024", "--samples", str(samples)]):
+        prefix, _, inner = check_id.partition("/")
+        merged.setdefault(prefix, []).append((inner, status, witness))
+    prefixes = [prefix for prefix, *_ in cli.ALL_SUITES]
+    assert sorted(merged) == sorted(prefixes) and len(set(prefixes)) == len(prefixes)
+    for prefix, command, config, rule in cli.ALL_SUITES:
+        argv = _suite_argv(command, config, rule, 2024, samples)
+        assert results(argv) == merged[prefix], argv
+
+
 def test_lemma21_adds_no_zero_scalars(capsys, monkeypatch):
     """No Gaussian-rational sum on the Hamiltonian path has a zero operand."""
     from contactcheck.scalars import GaussianRational
@@ -740,7 +790,7 @@ def test_report_writer_equals_json_dumps_on_every_all_report(argv, capsys, monke
     is ``json.dumps(sort_keys=True, indent=2)`` plus a newline."""
     reports = _every_report_made(monkeypatch, lambda: main(argv))
     printed = capsys.readouterr().out
-    assert len(reports) > 30 and reports[0].to_json() == printed
+    assert len(reports) == len(cli.ALL_SUITES) + 1 and reports[0].to_json() == printed
     for report in reports:
         assert report.to_json() == json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
 
