@@ -9,7 +9,9 @@ never a floating-point comparison.
 All value types are immutable after construction and all operations are
 pure, so readers may share objects across threads freely; the only internal
 caches (a chart's solver columns and solved Euler field, a scalar's
-``Fraction`` parts) are idempotent, making their benign race harmless.
+``Fraction`` parts, and the CLI's argument parser, built on the first
+``main`` call of a process) are idempotent, making their benign race
+harmless.
 
 Subpackage map:
 

@@ -21,8 +21,10 @@ format of :mod:`contactcheck.poly`.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from functools import partial
 from math import comb
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
 from .forms import (
@@ -34,7 +36,7 @@ from .forms import (
     lie_derivative,
     pullback,
 )
-from .poly import MultiPoly
+from .poly import Exponent, MultiPoly, ProductSum
 from .report import CheckResult, check
 from .scalars import GaussianRational, ONE, ZERO
 
@@ -171,9 +173,10 @@ def scaled_parts(cc: ContactChart, form: PolyForm) -> Dict[int, PolyForm]:
 def field_scaling_degrees(cc: ContactChart, field: PolyVectorField) -> Dict[int, List[int]]:
     """For each component i, the weighted degrees present, shifted by -w_i.
 
-    A field satisfies ``R_{t*} X = t^{-d} X`` iff every component index maps
-    to the single degree ``-d`` here (components of weight w_i - d... scale
-    as t^{w_i + d'}); the Euler field has all entries equal to 0.
+    A component of weighted degree ``w_i + d`` enters here as ``d``, and a
+    field satisfies ``R_{t*} X = t^{-d} X`` iff every component index maps
+    to the single degree ``d``: a Hamiltonian field ``X'_f`` of degree ell
+    has ``d = ell - delta``, and the Euler field has all entries equal to 0.
     """
     out: Dict[int, List[int]] = {}
     for idx, coeff in field.components.items():
@@ -226,14 +229,28 @@ def _symplectic_solver(cc: ContactChart) -> List[Dict[int, Coeff]]:
     return columns
 
 
-def _solve_contraction(cc: ContactChart, target: PolyForm) -> PolyVectorField:
+def _solve_pieces(
+    cc: ContactChart, pieces: Iterable[Tuple[int, GaussianRational, Exponent]]
+) -> PolyVectorField:
     """The field X with ``iota_X dtheta = -target`` (exact, chart-ring components).
 
-    X is ``-M^-1`` applied to the components of ``target``: the combination of
-    the solver's columns, so no negated target is built.
+    ``target`` is the 1-form ``sum c * u^e dx_i`` over its monomial ``pieces``
+    ``(i, c, e)``.  X is ``-M^-1`` applied to its components, the combination
+    ``X_m = sum c * u^e * S_i[m]`` of the solver's columns S_i, summed where
+    the products are made: no target form and no negated target is built.
     """
-    coeffs = {i: coeff for (i,), coeff in target.terms.items()}
-    return PolyVectorField(cc.chart, linalg.combine(coeffs, _symplectic_solver(cc)))
+    columns = _symplectic_solver(cc)
+    sums: Dict[int, ProductSum] = defaultdict(partial(ProductSum, cc.chart.all_vars))
+    for i, c, e in pieces:
+        for m, entry in columns[i].items():
+            sums[m].add(c, e, entry.terms)
+    return PolyVectorField(cc.chart, {m: total.poly() for m, total in sums.items()})
+
+
+def _solve_contraction(cc: ContactChart, target: PolyForm) -> PolyVectorField:
+    """The field X with ``iota_X dtheta = -target``, for a 1-form ``target``."""
+    terms = target.terms.items()
+    return _solve_pieces(cc, ((i, c, e) for (i,), coeff in terms for e, c in coeff.terms.items()))
 
 
 def solved_euler_field(cc: ContactChart) -> PolyVectorField:
@@ -259,9 +276,13 @@ def euler_field(cc: ContactChart) -> PolyVectorField:
 
 
 def hamiltonian_field(cc: ContactChart, f: Coeff) -> PolyVectorField:
-    """(1,0)-part of the Hamiltonian field: solves ``iota_X dtheta = -df``."""
-    df = exterior_derivative(PolyForm.function(cc.chart, f))
-    return _solve_contraction(cc, df)
+    """(1,0)-part of the Hamiltonian field: solves ``iota_X dtheta = -df``.
+
+    The pieces of ``df = sum_i df/dx_i dx_i`` are the partials' terms, read
+    one at a time, so no df form is built.
+    """
+    cc.chart.require_spelled(f)
+    return _solve_pieces(cc, ((i, c, e) for i in range(cc.dim) for c, e in f.partial_terms(i)))
 
 
 def pairing_with_theta(cc: ContactChart, field: PolyVectorField) -> Coeff:

@@ -18,23 +18,30 @@ structural; the interior product contracts on the left slot with alternating
 signs, and full contraction ``omega(X_1, ..., X_p)`` is the iterated interior
 product ``iota_{X_p} ... iota_{X_1} omega``.
 
-One sum rule: forms and fields store no zero coefficient, and every sparse
-sum here (``+``, the wedge, d, iota, the bracket, the pullback) feeds its
-``(key, coefficient)`` pieces to one accumulate loop that skips a zero piece
-and drops a key whose sum cancels.  No sum starts from the zero polynomial.
+One sum rule: forms and fields store no zero coefficient, and no sum starts
+from the zero polynomial or keeps a key whose sum cancels.  Every sum of
+products here -- the wedge, d, iota, the derivation ``X(h)``, the bracket
+and the pullback -- is summed where its products are made: each form key or
+field index gets one :class:`~contactcheck.poly.ProductSum`, fed pieces
+``c * u^e * p`` that are the terms of one factor against the other factor,
+with a partial derivative read term by term (``a * x^e`` gives ``e_v * a``
+at ``e`` lowered in slot v), so no product, partial or negated polynomial is
+built.  ``+`` of forms and fields adds whole coefficients key by key and
+drops a key whose sum cancels.
 
 Checked once.  The public constructors check every key (length, strictly
 increasing, in range) and every coefficient (chart spelling; zeros dropped).
 The results of ``+``, unary ``-``, the wedge, d, iota and the bracket are
 already canonical -- their keys come out increasing and in range, their
-coefficients are products and sums of chart-spelled ones, and the accumulate
-loop stores no zero -- so the private ``PolyForm._make`` and
-``PolyVectorField._make`` wrap them unchecked.  Three kinds of site keep the
-checked constructors: the public ones, which take caller data; ``scale``,
-whose scalar may be zero; and :func:`pullback`, where the caller's images are
-checked for their spelling.  Modules above this one, such as
-:mod:`contactcheck.contact`, build forms and fields through the public
-constructors alone, since a private name is its own module's business.
+coefficients are spelled over the chart's ``all_vars`` by construction, and
+no zero coefficient or empty sum is kept -- so the private
+``PolyForm._make`` and ``PolyVectorField._make`` wrap them unchecked.  Three
+kinds of site keep the checked constructors: the public ones, which take
+caller data; ``scale``, whose scalar may be zero; and :func:`pullback`,
+where the caller's images are checked for their spelling.  Modules above
+this one, such as :mod:`contactcheck.contact`, build forms and fields
+through the public constructors alone, since a private name is its own
+module's business.
 
 :func:`pullback` is the one pullback of the package: along a section, and
 along a chart transition on an overlap, whose images may invert the source
@@ -45,29 +52,30 @@ negative powers of the target fiber pulls back only along a unit fiber image
 
 from __future__ import annotations
 
-from functools import reduce
-from typing import Dict, Hashable, Iterable, Mapping, Optional, Sequence, Tuple
+from collections import defaultdict
+from functools import partial, reduce
+from typing import DefaultDict, Dict, Hashable, Mapping, Optional, Sequence, Tuple
 
-from .poly import MultiPoly
-from .scalars import GaussianRational, ScalarLike
+from .poly import MultiPoly, ProductSum
+from .scalars import ONE, GaussianRational, ScalarLike
 
 Coeff = MultiPoly
 Key = Tuple[int, ...]
 
 
-def _collect(pieces: Iterable[Tuple[Hashable, Coeff]]) -> Dict[Hashable, Coeff]:
-    """The sum of ``(key, coefficient)`` pieces by key, with no zero stored."""
-    out: Dict[Hashable, Coeff] = {}
-    for key, c in pieces:
-        if c.is_zero():
-            continue
+def _add_coeffs(a: Mapping[Hashable, Coeff], b: Mapping[Hashable, Coeff]) -> Dict[Hashable, Coeff]:
+    """``a + b`` by key, for maps that store no zero: a key whose sum cancels is dropped."""
+    out = dict(a)
+    for key, c in b.items():
         acc = out.get(key)
-        if acc is not None:
-            c = acc + c
-            if c.is_zero():
-                del out[key]
-                continue
-        out[key] = c
+        if acc is None:
+            out[key] = c
+            continue
+        c = acc + c
+        if c.is_zero():
+            del out[key]
+        else:
+            out[key] = c
     return out
 
 
@@ -266,7 +274,7 @@ class PolyForm:
         _check_same_chart(self, other)
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degree")
-        terms = _collect([*self.terms.items(), *other.terms.items()])
+        terms = _add_coeffs(self.terms, other.terms)
         return PolyForm._make(self.chart, self.degree, terms)
 
     def __neg__(self) -> "PolyForm":
@@ -283,17 +291,15 @@ class PolyForm:
     def wedge(self, other: "PolyForm") -> "PolyForm":
         _check_same_chart(self, other)
 
-        def pieces():
-            # Past the top degree every key pair overlaps, so none is yielded.
-            for k1, c1 in self.terms.items():
-                set1 = set(k1)
-                for k2, c2 in other.terms.items():
-                    if set1.isdisjoint(k2):
-                        key, sign = _merge_sorted(k1, k2)
-                        prod = c1 * c2
-                        yield key, prod if sign > 0 else -prod
-
-        return PolyForm._make(self.chart, self.degree + other.degree, _collect(pieces()))
+        sums = _product_sums(self.chart)
+        # Past the top degree every key pair overlaps, so nothing is added.
+        for k1, c1 in self.terms.items():
+            set1 = set(k1)
+            for k2, c2 in other.terms.items():
+                if set1.isdisjoint(k2):
+                    key, sign = _merge_sorted(k1, k2)
+                    sums[key].add_product(c1, c2, sign)
+        return PolyForm._make(self.chart, self.degree + other.degree, _nonzero_sums(sums))
 
     def wedge_power(self, k: int) -> "PolyForm":
         out = PolyForm.function(self.chart, self.chart.coeff_const(1))
@@ -375,6 +381,23 @@ def _merge_sorted(k1: Key, k2: Key) -> Tuple[Key, int]:
     return tuple(merged), sign
 
 
+def _product_sums(chart: ChartSpace) -> DefaultDict[Hashable, ProductSum]:
+    """One :class:`~contactcheck.poly.ProductSum` per form key or field index, made on first use."""
+    return defaultdict(partial(ProductSum, chart.all_vars))
+
+
+def _nonzero_sums(sums: Mapping[Hashable, ProductSum]) -> Dict[Hashable, Coeff]:
+    """The nonzero sums by key."""
+    return {key: coeff for key, total in sums.items() if (coeff := total.poly())}
+
+
+def _derive_into(total: ProductSum, field: "PolyVectorField", h: Coeff, sign: int) -> None:
+    """Add ``sign * X(h) = sign * sum_j X_j dh/dx_j`` to ``total``, partials read term by term."""
+    for j, comp in field.components.items():
+        for c, e in h.partial_terms(j):
+            total.add(c if sign > 0 else -c, e, comp.terms)
+
+
 class PolyVectorField:
     """Holomorphic vector field: map from variable index to Laurent coefficient."""
 
@@ -408,7 +431,7 @@ class PolyVectorField:
 
     def __add__(self, other: "PolyVectorField") -> "PolyVectorField":
         _check_same_chart(self, other)
-        components = _collect([*self.components.items(), *other.components.items()])
+        components = _add_coeffs(self.components, other.components)
         return PolyVectorField._make(self.chart, components)
 
     def __neg__(self) -> "PolyVectorField":
@@ -421,26 +444,25 @@ class PolyVectorField:
         return PolyVectorField(self.chart, {i: c * value for i, c in self.components.items()})
 
     def apply_to(self, coeff: Coeff) -> Coeff:
-        """Directional derivative X(f) of a coefficient function."""
-        out = None
-        for idx, comp in self.components.items():
-            d = coeff.diff(self.chart.all_vars[idx])
-            if not d.is_zero():
-                out = comp * d if out is None else out + comp * d
-        return self.chart.coeff_zero() if out is None else out
+        """Directional derivative X(f) = sum_j X_j df/dx_j of a coefficient function."""
+        total = ProductSum(self.chart.all_vars)
+        _derive_into(total, self, coeff, 1)
+        return total.poly()
 
     def bracket(self, other: "PolyVectorField") -> "PolyVectorField":
-        """Lie bracket [self, other] of vector fields."""
+        """Lie bracket [self, other] of vector fields: component i is X(Y_i) - Y(X_i)."""
         _check_same_chart(self, other)
-
-        def pieces():
-            for idx in range(self.chart.dim):
-                if idx in other.components:
-                    yield idx, self.apply_to(other.components[idx])
-                if idx in self.components:
-                    yield idx, -other.apply_to(self.components[idx])
-
-        return PolyVectorField._make(self.chart, _collect(pieces()))
+        components: Dict[int, Coeff] = {}
+        total = ProductSum(self.chart.all_vars)
+        for idx in range(self.chart.dim):
+            if idx in other.components:
+                _derive_into(total, self, other.components[idx], 1)
+            if idx in self.components:
+                _derive_into(total, other, self.components[idx], -1)
+            component = total.poly()
+            if component:
+                components[idx] = component
+        return PolyVectorField._make(self.chart, components)
 
     def evaluate(self, point: Mapping[str, ScalarLike]) -> Dict[int, GaussianRational]:
         return _evaluate(self.components, point)
@@ -472,17 +494,17 @@ class PolyVectorField:
 def exterior_derivative(form: PolyForm) -> PolyForm:
     """d: differentiates each coefficient; d(c dx_I) = sum_v (dc/dv) dv ^ dx_I."""
     chart = form.chart
-
-    def pieces():
-        for key, coeff in form.terms.items():
-            for v, name in enumerate(chart.all_vars):
-                if v not in key:
-                    d = coeff.diff(name)
-                    if not d.is_zero():
-                        new_key, sign = _merge_sorted((v,), key)
-                        yield new_key, d if sign > 0 else -d
-
-    return PolyForm._make(chart, form.degree + 1, _collect(pieces()))
+    one = {(0,) * chart.dim: ONE}
+    sums = _product_sums(chart)
+    for key, coeff in form.terms.items():
+        for v in range(chart.dim):
+            dc_dv = () if v in key else list(coeff.partial_terms(v))
+            if dc_dv:
+                new_key, sign = _merge_sorted((v,), key)
+                add = sums[new_key].add
+                for c, e in dc_dv:
+                    add(c if sign > 0 else -c, e, one)
+    return PolyForm._make(chart, form.degree + 1, _nonzero_sums(sums))
 
 
 def interior_product(field: PolyVectorField, form: PolyForm) -> PolyForm:
@@ -490,16 +512,13 @@ def interior_product(field: PolyVectorField, form: PolyForm) -> PolyForm:
     _check_same_chart(field, form)
     if form.degree == 0:
         return PolyForm.zero(form.chart, 0)
-
-    def pieces():
-        for key, coeff in form.terms.items():
-            for pos, idx in enumerate(key):
-                comp = field.components.get(idx)
-                if comp is not None:
-                    value = coeff * comp
-                    yield key[:pos] + key[pos + 1 :], -value if pos % 2 else value
-
-    return PolyForm._make(form.chart, form.degree - 1, _collect(pieces()))
+    sums = _product_sums(form.chart)
+    for key, coeff in form.terms.items():
+        for pos, idx in enumerate(key):
+            comp = field.components.get(idx)
+            if comp is not None:
+                sums[key[:pos] + key[pos + 1 :]].add_product(coeff, comp, -1 if pos % 2 else 1)
+    return PolyForm._make(form.chart, form.degree - 1, _nonzero_sums(sums))
 
 
 def lie_derivative(field: PolyVectorField, form: PolyForm) -> PolyForm:
@@ -535,17 +554,15 @@ def pullback(
         for name in target.all_vars
     }
     no_differential = {(): source.coeff_const(1)}
-
-    def pieces():
-        for key, coeff in form.terms.items():
-            fiber_inverted = target.fiber_var and any(expo[-1] < 0 for expo in coeff.terms)
-            if fiber_inverted and not source.is_unit(images[target.fiber_var]):
-                raise ValueError("negative fiber exponents need a unit fiber image c * fiber^k")
-            # dx_I pulls back to the wedge of the differentials of its images.
-            factors = [differentials[target.all_vars[idx]] for idx in key]
-            dx = reduce(PolyForm.wedge, factors).terms if factors else no_differential
-            f = coeff.substitute(images)
-            for k, c in dx.items():
-                yield k, f * c
-
-    return PolyForm(source, form.degree, _collect(pieces()))
+    sums = _product_sums(source)
+    for key, coeff in form.terms.items():
+        fiber_inverted = target.fiber_var and any(expo[-1] < 0 for expo in coeff.terms)
+        if fiber_inverted and not source.is_unit(images[target.fiber_var]):
+            raise ValueError("negative fiber exponents need a unit fiber image c * fiber^k")
+        # dx_I pulls back to the wedge of the differentials of its images.
+        factors = [differentials[target.all_vars[idx]] for idx in key]
+        dx = reduce(PolyForm.wedge, factors).terms if factors else no_differential
+        f = coeff.substitute(images)
+        for k, c in dx.items():
+            sums[k].add_product(f, c)
+    return PolyForm(source, form.degree, _nonzero_sums(sums))

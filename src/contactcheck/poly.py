@@ -30,10 +30,20 @@ ratio.
 exponent and coefficient it is given; the results of arithmetic are already in
 that canonical form and are wrapped by the private ``MultiPoly._make`` without
 being checked again.  Sums store a monomial met for the first time as it is
-and add only where both operands carry it, so no sum starts from zero.  A
-product with a unit ``c * u^e`` on either side is a shift by ``e`` and a
-scale by ``c``: no two terms land on one monomial and no coefficient
-vanishes, so it merges nothing and filters nothing.
+and add only where both operands carry it, so no sum starts from zero.
+
+One product loop.  :class:`ProductSum` is the multiply-accumulate kernel of
+the ring: it adds ``c * u^shift * p`` for the terms of ``p`` straight into
+one exponent -> scalar dict, stores a monomial met for the first time as it
+is, and drops a monomial the moment its sum cancels, so a sum never starts
+from zero and a monomial added again after cancelling starts afresh.  It
+wraps its dict once, when the sum is read.  ``*`` is one such sum
+(:meth:`ProductSum.add_product`), a piece per term of the shorter factor, so
+a product by a unit ``c * u^e`` is one shift.  The chart calculus of
+:mod:`contactcheck.forms` and the dtheta solve of :mod:`contactcheck.contact`
+feed it the pieces of their sums of products, with partial derivatives read
+term by term (:meth:`MultiPoly.partial_terms`), so no intermediate
+polynomial is built.
 
 Canonical textual serialization (used by the CLI and by failure witnesses):
 variables print in their natural order -- names compared chunk by chunk,
@@ -58,7 +68,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .scalars import GaussianRational, ScalarLike, ZERO, ONE
 
@@ -175,23 +185,9 @@ class MultiPoly:
 
     def __mul__(self, other) -> "MultiPoly":
         other = self._coerce_operand(other)
-        add = operator.add
-        if len(other.terms) == 1 or len(self.terms) == 1:
-            # By a unit c * u^e: the shift by e is injective and c * c' != 0,
-            # so the product has no merge and no zero.
-            poly, unit = (self, other) if len(other.terms) == 1 else (other, self)
-            ((e, c),) = unit.terms.items()
-            return MultiPoly._make(
-                self.vars, {tuple(map(add, k, e)): ck * c for k, ck in poly.terms.items()}
-            )
-        terms: TermMap = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(map(add, e1, e2))
-                acc = terms.get(expo)
-                terms[expo] = c1 * c2 if acc is None else acc + c1 * c2
-        # A product of nonzero coefficients is nonzero; only cancelled sums drop.
-        return MultiPoly._make(self.vars, {e: c for e, c in terms.items() if not c.is_zero()})
+        total = ProductSum(self.vars)
+        total.add_product(self, other)
+        return total.poly()
 
     __rmul__ = __mul__
 
@@ -212,14 +208,19 @@ class MultiPoly:
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
             return (MultiPoly.const(1, self.vars) / self) ** -k
-        out = MultiPoly.const(1, self.vars)
+        if not k:
+            return MultiPoly.const(1, self.vars)
+        # Square and multiply from the lowest bit, with no product by the
+        # starting 1 and no square past the highest bit: x^1 is x itself.
+        out = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if not k:
+                return out
+            base = base * base
 
     def scale(self, value: ScalarLike) -> "MultiPoly":
         c = GaussianRational.coerce(value)
@@ -243,15 +244,20 @@ class MultiPoly:
         """Formal partial derivative with respect to ``var``."""
         if var not in self.vars:
             raise ValueError(f"unknown variable {var!r}; have {self.vars}")
-        idx = self.vars.index(var)
-        # Lowering one exponent is injective, so each term lands on its own key.
-        terms: TermMap = {}
+        slot = self.vars.index(var)
+        return MultiPoly._make(self.vars, {e: c for c, e in self.partial_terms(slot)})
+
+    def partial_terms(self, slot: int) -> Iterator[Tuple[GaussianRational, Exponent]]:
+        """The terms ``(c, e)`` of the partial derivative in variable ``slot``, one at a time.
+
+        A term ``a * u^e`` with ``k = e[slot] != 0`` gives ``k * a`` at ``e``
+        lowered by 1 in that slot.  Lowering one exponent is injective, so no
+        two terms land on one exponent.
+        """
         for expo, coeff in self.terms.items():
-            k = expo[idx]
+            k = expo[slot]
             if k:
-                key = expo[:idx] + (k - 1,) + expo[idx + 1 :]
-                terms[key] = coeff if k == 1 else coeff * k
-        return MultiPoly._make(self.vars, terms)
+                yield coeff if k == 1 else coeff * k, expo[:slot] + (k - 1,) + expo[slot + 1 :]
 
     def substitute(self, bindings: Mapping[str, "MultiPoly"]) -> "MultiPoly":
         """Ring homomorphism sending each bound variable to its image polynomial.
@@ -393,3 +399,54 @@ def _shifted(p: MultiPoly, expo: Exponent) -> MultiPoly:
     return MultiPoly._make(
         p.vars, {tuple(map(operator.sub, k, expo)): c for k, c in p.terms.items()}
     )
+
+
+# -- the multiply-accumulate kernel ----------------------------------------------
+
+
+class ProductSum:
+    """A sum of products ``c * u^shift * p``, built in one exponent -> scalar dict.
+
+    :meth:`add` is the one product loop of the ring.  Its scalar ``c`` is
+    nonzero and so are the coefficients of ``p``, so every product it adds is
+    nonzero: a monomial met for the first time is stored as it is, and one
+    whose sum cancels is dropped at once.  :meth:`poly` wraps the dict,
+    already canonical, without checking it again.
+    """
+
+    __slots__ = ("vars", "terms")
+
+    def __init__(self, variables: Tuple[str, ...]):
+        self.vars = variables
+        self.terms: TermMap = {}
+
+    def add(self, c: GaussianRational, shift: Exponent, terms: TermMap) -> None:
+        """Add ``c * u^shift * p``, where ``terms`` are the terms of ``p`` and ``c != 0``."""
+        out = self.terms
+        add = operator.add
+        for expo, value in terms.items():
+            key = tuple(map(add, expo, shift))
+            value = c * value
+            acc = out.get(key)
+            if acc is None:
+                out[key] = value
+                continue
+            acc = acc + value
+            if acc.is_zero():
+                del out[key]
+            else:
+                out[key] = acc
+
+    def add_product(self, p: MultiPoly, q: MultiPoly, sign: int = 1) -> None:
+        """Add ``sign * p * q`` for ``sign`` 1 or -1: a piece per term of the
+        shorter factor, so a product by a unit ``c * u^e`` is one shift."""
+        if len(p.terms) > len(q.terms):
+            p, q = q, p
+        inner = q.terms
+        for e, c in p.terms.items():
+            self.add(c if sign > 0 else -c, e, inner)
+
+    def poly(self) -> MultiPoly:
+        """The sum so far as a :class:`MultiPoly`; the accumulator starts again from 0."""
+        terms, self.terms = self.terms, {}
+        return MultiPoly._make(self.vars, terms)

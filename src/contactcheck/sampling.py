@@ -12,10 +12,9 @@ from typing import Dict, List, Tuple
 
 from .contact import ContactChart, HomogeneousFunction
 from .forms import Coeff
-from .linalg import total
-from .poly import MultiPoly
+from .poly import Exponent, MultiPoly, ProductSum
 from .rootsystem import Root, RootSystem
-from .scalars import GaussianRational
+from .scalars import ONE, GaussianRational
 
 MAX_MAGNITUDE = 7
 
@@ -65,14 +64,30 @@ class SeededSampler:
     def homogeneous(
         self, cc: ContactChart, ell: int, terms: int = 2, max_base_degree: int = 3
     ) -> HomogeneousFunction:
-        """A random homogeneous function of exact degree ``ell`` on the chart."""
+        """A random homogeneous function of exact degree ``ell`` on the chart.
+
+        The sum of ``terms`` drawn monomials ``c * u^e``, each added as the
+        product ``c * u^e * 1``.
+        """
+        total = ProductSum(cc.chart.all_vars)
+        one = {(0,) * cc.chart.dim: ONE}
         for _ in range(50):
-            coeff = total(self.monomial(cc, ell, max_base_degree) for _ in range(terms))
+            for _ in range(terms):
+                scalar, expo = self._monomial_term(cc, ell, max_base_degree)
+                total.add(scalar, expo, one)
+            coeff = total.poly()
             if not coeff.is_zero():
                 return HomogeneousFunction(cc, coeff, ell)
         raise ValueError(f"cannot sample degree {ell} on {cc.label}")
 
     def monomial(self, cc: ContactChart, ell: int, max_base_degree: int = 3) -> Coeff:
+        scalar, expo = self._monomial_term(cc, ell, max_base_degree)
+        return MultiPoly(cc.chart.all_vars, {expo: scalar})
+
+    def _monomial_term(
+        self, cc: ContactChart, ell: int, max_base_degree: int
+    ) -> Tuple[GaussianRational, Exponent]:
+        """One draw of a degree-``ell`` monomial: its scalar, then its exponent."""
         chart = cc.chart
         scalar = self.gaussian(nonzero=True)
         if chart.fiber_var is None:
@@ -83,7 +98,7 @@ class SeededSampler:
             # fibered: weight sits entirely on the fiber exponent
             total = self._rng.randint(0, max_base_degree)
             expo = self._composition(total, len(chart.base_vars)) + [ell]
-        return MultiPoly(chart.all_vars, {tuple(expo): scalar})
+        return scalar, tuple(expo)
 
     def _composition(self, total: int, slots: int) -> List[int]:
         expo = [0] * slots

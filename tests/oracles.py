@@ -17,7 +17,9 @@ traces instead of the library's integer traces and quotients, span comparisons a
 ``dim g`` vectors instead of the library's sparse bases and column kernels,
 and polynomial sums, products and derivatives over plain
 dicts keyed by ``(name, exponent)`` pairs instead of ``MultiPoly``'s
-exponent tuples over one variable tuple, and Q(i) arithmetic on a pair of
+exponent tuples over one variable tuple (with directional derivatives and
+field brackets built from whole partials and products of them instead of the
+library's partials read term by term into one running sum), and Q(i) arithmetic on a pair of
 plain ``Fraction`` parts instead of the library's integer triples.  They stay
 deliberately naive.
 """
@@ -478,6 +480,29 @@ def naive_poly_diff(a: NaivePoly, var: str) -> NaivePoly:
         key = tuple(sorted((name, e) for name, e in expo.items() if e))
         out[key] = out.get(key, ZERO) + c * k
     return _nonzero(out)
+
+
+def naive_directional_derivative(field: PolyVectorField, h: MultiPoly) -> NaivePoly:
+    """``X(h) = sum_j X_j * dh/dx_j``: one full product per component, summed from zero."""
+    out: NaivePoly = {}
+    for j, comp in field.components.items():
+        dh = naive_poly_diff(naive_poly(h), field.chart.all_vars[j])
+        out = naive_poly_add(out, naive_poly_mul(naive_poly(comp), dh))
+    return out
+
+
+def naive_bracket(x: PolyVectorField, y: PolyVectorField) -> Dict[int, NaivePoly]:
+    """``[X, Y]_i = X(Y_i) - Y(X_i)`` by index, the nonzero components only."""
+    minus_one: NaivePoly = {(): GaussianRational(-1)}
+    zero = x.chart.coeff_zero()
+    out: Dict[int, NaivePoly] = {}
+    for i in range(x.chart.dim):
+        forward = naive_directional_derivative(x, y.components.get(i, zero))
+        backward = naive_directional_derivative(y, x.components.get(i, zero))
+        component = naive_poly_add(forward, naive_poly_mul(minus_one, backward))
+        if component:
+            out[i] = component
+    return out
 
 
 def naive_poly_evaluate(a: NaivePoly, point) -> GaussianRational:

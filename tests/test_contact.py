@@ -36,7 +36,7 @@ from contactcheck.sampling import SeededSampler
 from contactcheck.scalars import GaussianRational
 from conftest import gq
 from faults import BAD_HOPF_LABEL, corrupted_hopf_chart
-from oracles import dense_rank
+from oracles import dense_rank, naive_contraction, naive_poly, naive_poly_diff, naive_poly_mul
 
 
 def all_pass(results):
@@ -145,6 +145,34 @@ def test_a_coefficient_not_spelled_over_its_chart_is_rejected_where_it_enters(en
     cc = hopf_chart(0)
     with pytest.raises(ValueError, match=r"not over the chart ChartSpace\(\('z0', 'z1'\)"):
         entry(cc, MultiPoly.variable("z0") ** 2)
+
+
+@pytest.mark.parametrize(
+    "make, args",
+    [(hopf_chart, (1,)), (fibered_chart, (1, 3)), (fibered_chart, (1, -2)), (fibered_chart, (2, -1))],
+    ids=["hopf1", "fibered1,3", "fibered1,-2", "fibered2,-1"],
+)
+def test_hamiltonian_field_against_the_oracle_contraction(make, args):
+    """iota_X dtheta = -df, read through the oracles: ``dtheta(X, d/dx_j)`` is
+    the naive contraction, and ``-df/dx_j`` the naive partial, for every j."""
+    cc = make(*args)
+    chart = cc.chart
+    one = chart.coeff_const(1)
+    units = [PolyVectorField(chart, {j: one}) for j in range(chart.dim)]
+    minus_one = {(): GaussianRational(-1)}
+    sampler = SeededSampler(sum(args) + 5)
+    lo = -2 if chart.fiber_var else 0
+    functions = [sampler.homogeneous(cc, ell, terms=3).coeff for ell in range(lo, 4)]
+    functions.append(chart.coeff_zero())
+    if chart.fiber_var:
+        assert any(e[-1] < 0 for f in functions for e in f.terms)
+        # The pieces of d(z1 * lam^delta) cancel in one component of X.
+        functions.append(chart.coeff_var("z1") * chart.coeff_var("lam") ** cc.delta)
+    for f in functions:
+        X = hamiltonian_field(cc, f)
+        for j, name in enumerate(chart.all_vars):
+            lhs = naive_poly(naive_contraction(cc.dtheta, [X, units[j]]))
+            assert lhs == naive_poly_mul(minus_one, naive_poly_diff(naive_poly(f), name)), (f, j)
 
 
 def test_hamiltonian_fibered_closed_form():

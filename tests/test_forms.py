@@ -15,7 +15,14 @@ from contactcheck.forms import (
 )
 from contactcheck.poly import MultiPoly
 from conftest import gq
-from oracles import naive_contraction, naive_exterior_derivative, naive_wedge
+from oracles import (
+    naive_bracket,
+    naive_contraction,
+    naive_directional_derivative,
+    naive_exterior_derivative,
+    naive_poly,
+    naive_wedge,
+)
 
 C4 = ChartSpace(["z0", "z1", "z2", "z3"])
 FIB = ChartSpace(["z"], "lam")
@@ -305,6 +312,104 @@ def test_field_bracket_against_derivative_action():
     lhs = X.bracket(Y).apply_to(f)
     rhs = X.apply_to(Y.apply_to(f)) - Y.apply_to(X.apply_to(f))
     assert lhs == rhs
+
+
+# -- derivations and contraction against the oracles ----------------------------------
+#
+# FIB3 coefficients carry fiber exponents in -2..2.  The fixed cases make a
+# sum cancel to zero, or cancel one monomial and then add it again, in the
+# order the library accumulates its pieces.
+
+
+def test_derivations_have_negative_fiber_exponents_to_read():
+    rnd = random.Random(41)
+    exponents = {e[-1] for _ in range(6) for e in rand_coeff(FIB3, rnd).terms}
+    assert min(exponents) < 0 < max(exponents)
+
+
+@pytest.mark.parametrize("chart", [C4, FIB3], ids=["hopf", "fibered"])
+def test_apply_to_matches_naive_directional_derivative(chart):
+    rnd = random.Random(41)
+    for _ in range(6):
+        X, h = rand_field(chart, rnd), rand_coeff(chart, rnd)
+        assert naive_poly(X.apply_to(h)) == naive_directional_derivative(X, h)
+
+
+@pytest.mark.parametrize("chart", [C4, FIB3], ids=["hopf", "fibered"])
+def test_bracket_matches_naive_bracket(chart):
+    rnd = random.Random(43)
+    for _ in range(4):
+        X, Y = rand_field(chart, rnd), rand_field(chart, rnd)
+        bracket = X.bracket(Y)
+        assert {i: naive_poly(c) for i, c in bracket.components.items()} == naive_bracket(X, Y)
+
+
+def _field(chart, **components):
+    return PolyVectorField(chart, {chart.var_index(name): c for name, c in components.items()})
+
+
+def test_derivations_that_cancel_against_the_oracles():
+    one, lam = FIB3.coeff_const(1), FIB3.coeff_var("lam")
+    z0, z1 = FIB3.coeff_var("z0"), FIB3.coeff_var("z1")
+    # X(h) = 0: z0 d/dz0 - lam d/dlam kills z0 * lam.
+    X = _field(FIB3, z0=z0, lam=-lam)
+    h = z0 * lam
+    assert X.apply_to(h).is_zero() and naive_directional_derivative(X, h) == {}
+    # The constant monomial gets 1, then -1 (it cancels), then 1 again.
+    X = _field(FIB3, z0=one, z1=-one, z2=one)
+    h = z0 + z1 + FIB3.coeff_var("z2")
+    assert X.apply_to(h) == one and naive_directional_derivative(X, h) == naive_poly(one)
+    # [X, X] = 0: every component cancels.
+    X = _field(FIB3, z0=z0 * lam**-2, lam=z1 * lam)
+    assert X.bracket(X).is_zero() and naive_bracket(X, X) == {}
+    # [X, Y]_2 = X(z0 + z1) - Y(z0): 1 - 1 cancels, then -1 comes back.
+    X = _field(FIB3, z0=one, z1=-one, z2=z0)
+    Y = _field(FIB3, z0=one, z2=z0 + z1)
+    bracket = X.bracket(Y)
+    assert bracket == _field(FIB3, z2=-one)
+    assert {i: naive_poly(c) for i, c in bracket.components.items()} == naive_bracket(X, Y)
+
+
+def _coordinate_fields(chart):
+    one = chart.coeff_const(1)
+    return [PolyVectorField(chart, {j: one}) for j in range(chart.dim)]
+
+
+def _contraction_by_oracle(X, form):
+    """The terms of ``iota_X form``, each coefficient read off the oracle as
+    ``form(X, d/dx_j1, ..., d/dx_jq)`` for every increasing key ``j``."""
+    units = _coordinate_fields(form.chart)
+    terms = {}
+    for key in itertools.combinations(range(form.chart.dim), form.degree - 1):
+        value = naive_contraction(form, [X, *(units[j] for j in key)])
+        if not value.is_zero():
+            terms[key] = value
+    return terms
+
+
+@pytest.mark.parametrize("chart", [C4, FIB3], ids=["hopf", "fibered"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_interior_product_matches_naive_contraction(chart, p):
+    rnd = random.Random(200 + p)
+    for _ in range(3):
+        X = rand_field(chart, rnd)
+        for form in (rand_form(chart, p, rnd), full_form(chart, p, rnd)):
+            assert iota(X, form).terms == _contraction_by_oracle(X, form)
+
+
+def test_contractions_that_cancel_against_the_oracle():
+    one = FIB3.coeff_const(1)
+    lam = FIB3.coeff_var("lam")
+    # Key (0,) gets -lam^-1 from dz0^dz1 and +lam^-1 from dz0^dz2: the sum is 0.
+    omega = PolyForm(FIB3, 2, {(0, 1): lam**-1, (0, 2): lam**-1})
+    X = _field(FIB3, z1=one, z2=-one)
+    assert iota(X, omega).is_zero() and _contraction_by_oracle(X, omega) == {}
+    assert omega.apply(X, _coordinate_fields(FIB3)[0]).is_zero()
+    # A third key brings (0,) back after it cancelled.
+    omega = PolyForm(FIB3, 2, {(0, 1): lam**-1, (0, 2): lam**-1, (0, 3): lam**-1})
+    X = _field(FIB3, z1=one, z2=-one, lam=one)
+    assert iota(X, omega) == PolyForm(FIB3, 1, {(0,): -(lam**-1)})
+    assert iota(X, omega).terms == _contraction_by_oracle(X, omega)
 
 
 # -- pullback ---------------------------------------------------------------------------

@@ -90,6 +90,19 @@ def test_power_rule():
     assert q.diff("y") == 2 * x * y
 
 
+@pytest.mark.parametrize("k", range(8))
+def test_powers_against_repeated_oracle_products(k):
+    """Square and multiply with no product by the starting 1 and no square past
+    the top bit: ``p^k`` is the oracle's k-fold product, ``p^1`` is ``p``."""
+    p = x * y - (y**-1).scale(gq(1, 2)) + 3
+    want = {(): gq(1)}
+    for _ in range(k):
+        want = naive_poly_mul(want, naive_poly(p))
+    assert naive_poly(p**k) == want
+    unit = x * y.scale(2)
+    assert unit**-k * unit**k == 1
+
+
 def test_diff_unknown_variable_rejected():
     with pytest.raises(ValueError):
         x.diff("w")
