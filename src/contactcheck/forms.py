@@ -26,7 +26,8 @@ field index gets one :class:`~contactcheck.poly.ProductSum`, fed pieces
 ``c * u^e * p`` that are the terms of one factor against the other factor,
 with a partial derivative read term by term (``a * x^e`` gives ``e_v * a``
 at ``e`` lowered in slot v), so no product, partial or negated polynomial is
-built.  ``+`` of forms and fields adds whole coefficients key by key and
+built.  d, whose pieces are those partial terms alone, adds them as bare
+monomials.  ``+`` of forms and fields adds whole coefficients key by key and
 drops a key whose sum cancels.
 
 Checked once.  The public constructors check every key (length, strictly
@@ -57,7 +58,7 @@ from functools import partial, reduce
 from typing import DefaultDict, Dict, Hashable, Mapping, Optional, Sequence, Tuple
 
 from .poly import MultiPoly, ProductSum
-from .scalars import ONE, GaussianRational, ScalarLike
+from .scalars import GaussianRational, ScalarLike
 
 Coeff = MultiPoly
 Key = Tuple[int, ...]
@@ -494,16 +495,15 @@ class PolyVectorField:
 def exterior_derivative(form: PolyForm) -> PolyForm:
     """d: differentiates each coefficient; d(c dx_I) = sum_v (dc/dv) dv ^ dx_I."""
     chart = form.chart
-    one = {(0,) * chart.dim: ONE}
     sums = _product_sums(chart)
     for key, coeff in form.terms.items():
         for v in range(chart.dim):
             dc_dv = () if v in key else list(coeff.partial_terms(v))
             if dc_dv:
                 new_key, sign = _merge_sorted((v,), key)
-                add = sums[new_key].add
+                add = sums[new_key].add_monomial
                 for c, e in dc_dv:
-                    add(c if sign > 0 else -c, e, one)
+                    add(c if sign > 0 else -c, e)
     return PolyForm._make(chart, form.degree + 1, _nonzero_sums(sums))
 
 

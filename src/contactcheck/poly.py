@@ -43,7 +43,18 @@ a product by a unit ``c * u^e`` is one shift.  The chart calculus of
 :mod:`contactcheck.forms` and the dtheta solve of :mod:`contactcheck.contact`
 feed it the pieces of their sums of products, with partial derivatives read
 term by term (:meth:`MultiPoly.partial_terms`), so no intermediate
-polynomial is built.
+polynomial is built.  A bare monomial ``c * u^e``, such as a term of a
+partial derivative in d or a drawn sample, goes in by
+:meth:`ProductSum.add_monomial` under the same rules, with no product by 1;
+:meth:`MultiPoly.substitute` feeds each term's product of image powers to one
+such sum.
+
+Degrees are read, not built.  Under weights ``w`` (0 for a variable not
+named), a term ``c * u^e`` has weighted degree ``sum w_k e_k``;
+:meth:`MultiPoly.weighted_degrees` is the set of them, read off the
+exponents, and a polynomial is homogeneous when the set has at most one
+element (:meth:`MultiPoly.weighted_degree`).  The scaling degrees of forms
+and fields in :mod:`contactcheck.contact` are read the same way.
 
 Canonical textual serialization (used by the CLI and by failure witnesses):
 variables print in their natural order -- names compared chunk by chunk,
@@ -68,7 +79,8 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from functools import reduce
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .scalars import GaussianRational, ScalarLike, ZERO, ONE
 
@@ -280,14 +292,15 @@ class MultiPoly:
                     raise ValueError(f"unbound variable {name!r} is not in {target}")
                 img = MultiPoly.variable(name, target)
             images.append(img)
-        out = MultiPoly.zero(target)
+        total = ProductSum(target)
+        origin = (0,) * len(target)
         for expo, coeff in self.terms.items():
-            term = MultiPoly.const(coeff, target)
-            for img, k in zip(images, expo):
-                if k:
-                    term = term * img**k
-            out = out + term
-        return out
+            powers = [img**k for img, k in zip(images, expo) if k]
+            if powers:
+                total.add(coeff, origin, reduce(operator.mul, powers).terms)
+            else:
+                total.add_monomial(coeff, origin)
+        return total.poly()
 
     def evaluate(self, point: Mapping[str, ScalarLike]) -> GaussianRational:
         missing = [v for v in self.vars if v not in point]
@@ -305,21 +318,15 @@ class MultiPoly:
 
     # -- degree bookkeeping -----------------------------------------------------
 
-    def weighted_parts(self, weights: Mapping[str, int]) -> Dict[int, "MultiPoly"]:
-        """Split into weighted-homogeneous components keyed by weighted degree."""
+    def weighted_degrees(self, weights: Mapping[str, int]) -> Set[int]:
+        """The weighted degrees of the terms, read off their exponents (none for 0)."""
         w = [weights.get(name, 0) for name in self.vars]
-        parts: Dict[int, TermMap] = {}
-        for expo, coeff in self.terms.items():
-            deg = sum(wi * e for wi, e in zip(w, expo))
-            parts.setdefault(deg, {})[expo] = coeff
-        return {deg: MultiPoly._make(self.vars, terms) for deg, terms in parts.items()}
+        return {sum(map(operator.mul, w, expo)) for expo in self.terms}
 
     def weighted_degree(self, weights: Mapping[str, int]) -> Optional[int]:
         """The weighted degree if homogeneous, ``None`` otherwise (0 for the zero polynomial)."""
-        parts = self.weighted_parts(weights)
-        if len(parts) > 1:
-            return None
-        return next(iter(parts), 0)
+        degrees = self.weighted_degrees(weights)
+        return None if len(degrees) > 1 else next(iter(degrees), 0)
 
     # -- comparison / display ---------------------------------------------------
 
@@ -410,8 +417,9 @@ class ProductSum:
     :meth:`add` is the one product loop of the ring.  Its scalar ``c`` is
     nonzero and so are the coefficients of ``p``, so every product it adds is
     nonzero: a monomial met for the first time is stored as it is, and one
-    whose sum cancels is dropped at once.  :meth:`poly` wraps the dict,
-    already canonical, without checking it again.
+    whose sum cancels is dropped at once.  :meth:`add_monomial` adds a bare
+    monomial by the same rules.  :meth:`poly` wraps the dict, already
+    canonical, without checking it again.
     """
 
     __slots__ = ("vars", "terms")
@@ -436,6 +444,19 @@ class ProductSum:
                 del out[key]
             else:
                 out[key] = acc
+
+    def add_monomial(self, c: GaussianRational, expo: Exponent) -> None:
+        """Add the bare monomial ``c * u^expo``, ``c != 0``, by :meth:`add`'s rules."""
+        out = self.terms
+        acc = out.get(expo)
+        if acc is None:
+            out[expo] = c
+            return
+        acc = acc + c
+        if acc.is_zero():
+            del out[expo]
+        else:
+            out[expo] = acc
 
     def add_product(self, p: MultiPoly, q: MultiPoly, sign: int = 1) -> None:
         """Add ``sign * p * q`` for ``sign`` 1 or -1: a piece per term of the

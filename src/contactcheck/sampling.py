@@ -14,7 +14,7 @@ from .contact import ContactChart, HomogeneousFunction
 from .forms import Coeff
 from .poly import Exponent, MultiPoly, ProductSum
 from .rootsystem import Root, RootSystem
-from .scalars import ONE, GaussianRational
+from .scalars import GaussianRational
 
 MAX_MAGNITUDE = 7
 
@@ -66,15 +66,13 @@ class SeededSampler:
     ) -> HomogeneousFunction:
         """A random homogeneous function of exact degree ``ell`` on the chart.
 
-        The sum of ``terms`` drawn monomials ``c * u^e``, each added as the
-        product ``c * u^e * 1``.
+        The sum of ``terms`` drawn monomials ``c * u^e``, added as they are
+        drawn.
         """
         total = ProductSum(cc.chart.all_vars)
-        one = {(0,) * cc.chart.dim: ONE}
         for _ in range(50):
             for _ in range(terms):
-                scalar, expo = self._monomial_term(cc, ell, max_base_degree)
-                total.add(scalar, expo, one)
+                total.add_monomial(*self._monomial_term(cc, ell, max_base_degree))
             coeff = total.poly()
             if not coeff.is_zero():
                 return HomogeneousFunction(cc, coeff, ell)

@@ -19,7 +19,11 @@ and polynomial sums, products and derivatives over plain
 dicts keyed by ``(name, exponent)`` pairs instead of ``MultiPoly``'s
 exponent tuples over one variable tuple (with directional derivatives and
 field brackets built from whole partials and products of them instead of the
-library's partials read term by term into one running sum), and Q(i) arithmetic on a pair of
+library's partials read term by term into one running sum, substitution
+by repeated products of the images instead of the library's powers summed in
+one accumulator, and weighted degrees read from the t-exponents of the
+substitution ``x -> t^w x`` instead of the library's reads of the
+exponents), and Q(i) arithmetic on a pair of
 plain ``Fraction`` parts instead of the library's integer triples.  They stay
 deliberately naive.
 """
@@ -503,6 +507,50 @@ def naive_bracket(x: PolyVectorField, y: PolyVectorField) -> Dict[int, NaivePoly
         if component:
             out[i] = component
     return out
+
+
+def _naive_power(base: NaivePoly, k: int, inverse: NaivePoly) -> NaivePoly:
+    """``base^k`` by repeated products, of ``inverse`` when ``k < 0``."""
+    out: NaivePoly = {(): ONE}
+    for _ in range(abs(k)):
+        out = naive_poly_mul(out, base if k > 0 else inverse)
+    return out
+
+
+def naive_substitute(p: MultiPoly, images: Dict[str, MultiPoly]) -> NaivePoly:
+    """``p`` with each variable replaced by its image, term by term from zero.
+
+    A negative power needs a single-term image ``c * m``, inverted as
+    ``c^-1 * m^-1``; an unbound variable maps to itself.
+    """
+    out: NaivePoly = {}
+    for mono, c in naive_poly(p).items():
+        term: NaivePoly = {(): c}
+        for name, k in mono:
+            image = naive_poly(images[name]) if name in images else {((name, 1),): ONE}
+            inverse = {
+                tuple((v, -e) for v, e in m): ONE / value for m, value in image.items()
+            } if len(image) == 1 else {}
+            term = naive_poly_mul(term, _naive_power(image, k, inverse))
+        out = naive_poly_add(out, term)
+    return out
+
+
+def naive_scaling_degrees(p: MultiPoly, weights: Dict[str, int]) -> Set[int]:
+    """The t-degrees of ``p(t^w x)``.
+
+    Each variable x becomes the product ``t^{w_x} * x`` over the variables of
+    ``p`` and one more, ``t``; the powers are multiplied out factor by factor,
+    and t's exponent is read off each monomial of the result.
+    """
+    t = "t"
+    assert t not in p.vars
+    images = {
+        name: MultiPoly(p.vars + (t,), {tuple(int(v == name) for v in p.vars) + (weights.get(name, 0),): ONE})
+        for name in p.vars
+    }
+    widened = MultiPoly(p.vars + (t,), {expo + (0,): c for expo, c in p.terms.items()})
+    return {dict(mono).get(t, 0) for mono in naive_substitute(widened, images)}
 
 
 def naive_poly_evaluate(a: NaivePoly, point) -> GaussianRational:

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from contactcheck import contact
 from contactcheck.contact import (
@@ -36,7 +38,14 @@ from contactcheck.sampling import SeededSampler
 from contactcheck.scalars import GaussianRational
 from conftest import gq
 from faults import BAD_HOPF_LABEL, corrupted_hopf_chart
-from oracles import dense_rank, naive_contraction, naive_poly, naive_poly_diff, naive_poly_mul
+from oracles import (
+    dense_rank,
+    naive_contraction,
+    naive_poly,
+    naive_poly_diff,
+    naive_poly_mul,
+    naive_scaling_degrees,
+)
 
 
 def all_pass(results):
@@ -115,6 +124,48 @@ def test_euler_field_properties():
 
         degrees = field_scaling_degrees(cc, xi)
         assert all(v == [0] for v in degrees.values())
+
+
+def test_inhomogeneous_theta_is_rejected_with_its_degrees():
+    """The constructor names the t-degrees it found: dz0 adds degree 1 to hopf's 2."""
+    cc = hopf_chart(1)
+    theta = cc.theta + PolyForm.d_var(cc.chart, "z0")
+    with pytest.raises(
+        ValueError, match=r"^theta is not weight-homogeneous of degree 2: components \[1, 2\]$"
+    ):
+        ContactChart(cc.chart, theta, 2, cc.weights)
+    with pytest.raises(ValueError, match=r"of degree 2: components \[\]$"):
+        ContactChart(cc.chart, PolyForm.zero(cc.chart, 1), 2, cc.weights)
+
+
+@st.composite
+def weighted_fields(draw):
+    """A chart (z0, z1; lam) with weights drawn from -1..2 (lam's nonzero), theta
+    = dlam of degree w_lam, and a field with Laurent components (lam^-2..lam^2)."""
+    weights = {"z0": draw(st.integers(-1, 2)), "z1": draw(st.integers(-1, 2)), "lam": draw(st.integers(1, 2))}
+    chart = ChartSpace(["z0", "z1"], "lam")
+    cc = ContactChart(chart, PolyForm.d_var(chart, "lam"), weights["lam"], weights)
+    components = {}
+    for idx in draw(st.sets(st.integers(0, 2), max_size=3)):
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            expo = (draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(-2, 2)))
+            terms[expo] = gq(draw(st.integers(-3, 3)), draw(st.integers(-1, 1)))
+        components[idx] = MultiPoly(chart.all_vars, terms)
+    return cc, PolyVectorField(chart, components)
+
+
+@given(weighted_fields())
+def test_field_scaling_degrees_match_the_substitution_oracle(case):
+    """Component i lists the t-degrees of X_i(t^w x), each shifted by -w_i."""
+    from contactcheck.contact import field_scaling_degrees
+
+    cc, field = case
+    want = {
+        idx: sorted(d - cc.weights[cc.chart.all_vars[idx]] for d in naive_scaling_degrees(coeff, cc.weights))
+        for idx, coeff in field.components.items()
+    }
+    assert field_scaling_degrees(cc, field) == want
 
 
 # -- Hamiltonian fields -----------------------------------------------------------------
@@ -578,12 +629,30 @@ def test_single_chart_cocycle_vacuous():
     assert canonical_cocycle_check(cs, 0) == []
 
 
+def degenerate_chart() -> ContactChart:
+    """theta = z0^2 dz1: dtheta = 2 z0 dz0 ^ dz1 has the non-unit Pfaffian 2 z0."""
+    chart = ChartSpace(["z0", "z1"])
+    z0 = chart.coeff_var("z0")
+    theta = PolyForm.d_var(chart, "z1").scale(z0 * z0)
+    return ContactChart(chart, theta, 3, {"z0": 1, "z1": 1}, label="degenerate")
+
+
+def unit_pivot_chart() -> ContactChart:
+    """dtheta = z0 dz0^dz1 + dz0^dz2 - dz1^dz3, Pfaffian 1, first pivot z0 no unit."""
+    chart = ChartSpace(["z0", "z1", "z2", "z3"])
+    z0, z1 = chart.coeff_var("z0"), chart.coeff_var("z1")
+    theta = (
+        PolyForm.d_var(chart, "z1").scale(z0 * z0 * Fraction(1, 2))
+        + PolyForm.d_var(chart, "z2").scale(z0)
+        - PolyForm.d_var(chart, "z3").scale(z1)
+    )
+    return ContactChart(chart, theta, 2, {"z0": 1, "z1": 0, "z2": 1, "z3": 2}, label="unit-pivot")
+
+
 def test_degenerate_dtheta_is_rejected_by_name():
     """dtheta = 2 z0 dz0 ^ dz1 degenerates on z0 = 0: no Hamiltonian field exists."""
-    chart = ChartSpace(["z0", "z1"])
-    z0, z1 = chart.coeff_var("z0"), chart.coeff_var("z1")
-    theta = PolyForm.d_var(chart, "z1").scale(z0 * z0)
-    cc = ContactChart(chart, theta, 3, {"z0": 1, "z1": 1}, label="degenerate")
+    cc = degenerate_chart()
+    z0, z1 = cc.chart.coeff_var("z0"), cc.chart.coeff_var("z1")
     for f in (z0 * z0, z1 * z1):
         with pytest.raises(ValueError, match="not invertible over the Laurent ring on degenerate"):
             hamiltonian_field(cc, f)
@@ -593,18 +662,77 @@ def test_non_unit_first_pivot_is_passed_over():
     """dtheta = z0 dz0^dz1 + dz0^dz2 - dz1^dz3 has Pfaffian 1; the first pivot z0 is no unit."""
     from contactcheck.forms import interior_product
 
-    chart = ChartSpace(["z0", "z1", "z2", "z3"])
-    z0, z1 = chart.coeff_var("z0"), chart.coeff_var("z1")
-    theta = (
-        PolyForm.d_var(chart, "z1").scale(z0 * z0 * Fraction(1, 2))
-        + PolyForm.d_var(chart, "z2").scale(z0)
-        - PolyForm.d_var(chart, "z3").scale(z1)
-    )
-    cc = ContactChart(chart, theta, 2, {"z0": 1, "z1": 0, "z2": 1, "z3": 2}, label="unit-pivot")
+    cc = unit_pivot_chart()
+    z1 = cc.chart.coeff_var("z1")
     X = hamiltonian_field(cc, z1)
     assert str(X) == "(-1) d/dz3"
-    df = exterior_derivative(PolyForm.function(chart, z1))
-    assert interior_product(X, exterior_derivative(theta)) == -df
+    df = exterior_derivative(PolyForm.function(cc.chart, z1))
+    assert interior_product(X, cc.dtheta) == -df
+
+
+# -- nondegeneracy: the solver's loop decides symplectic-top-form -----------------------
+
+
+def hopf_without_first_pair(n: int = 2) -> ContactChart:
+    """hopf(n) with the (z0, z_{n+1}) pair of theta dropped: dtheta misses dz0 ^ dz_{n+1}."""
+    cc = hopf_chart(n)
+    theta = PolyForm(cc.chart, 1, {k: c for k, c in cc.theta.terms.items() if k not in ((0,), (n + 1,))})
+    return ContactChart(cc.chart, theta, 2, cc.weights, label="cut")
+
+
+def _top_form_result(cc):
+    (result,) = [r for r in verify_axioms(cc) if r.check_id.endswith(":symplectic-top-form")]
+    return result
+
+
+NONDEGENERACY_CHARTS = {
+    **{f"hopf{n}": (hopf_chart, (n,)) for n in range(6)},
+    **{f"fibered{n},{d}": (fibered_chart, (n, d)) for n in range(3) for d in (-2, -1, 1, 2, 3)},
+    "degenerate": (degenerate_chart, ()),
+    "unit-pivot": (unit_pivot_chart, ()),
+    "cut": (hopf_without_first_pair, ()),
+}
+
+
+@pytest.mark.parametrize("make, args", NONDEGENERACY_CHARTS.values(), ids=NONDEGENERACY_CHARTS.keys())
+def test_symplectic_top_form_passes_exactly_when_the_solver_does(make, args):
+    """The check passes iff ``hamiltonian_field`` solves on the chart, and iff
+    the wedge-power top ``(dtheta)^(n+1)``, the Pfaffian times (n+1)!, has a
+    unit coefficient ``c * fiber^k``.  Every chart here but ``degenerate`` has
+    a unit or a zero Pfaffian, where that says: iff the top is nonzero."""
+    cc = make(*args)
+    passed = _top_form_result(cc).status == "pass"
+    try:
+        hamiltonian_field(cc, cc.chart.coeff_var(cc.chart.all_vars[0]))
+        solves = True
+    except ValueError:
+        solves = False
+    top = cc.dtheta.wedge_power(cc.dim // 2)
+    top_coeff = top.terms.get(tuple(range(cc.dim)), cc.chart.coeff_zero())
+    assert passed == solves == cc.chart.is_unit(top_coeff)
+
+
+def test_a_dropped_pair_fails_symplectic_top_form_by_name():
+    assert _top_form_result(hopf_without_first_pair(2)).witness == "no pivot on dz0, dz3"
+
+
+def test_a_non_unit_pfaffian_fails_symplectic_top_form():
+    """Declared: the top 2 z0 dz0 ^ dz1 is nonzero, but the Pfaffian 2 z0 is no unit."""
+    cc = degenerate_chart()
+    assert not cc.dtheta.wedge_power(1).is_zero()
+    assert _top_form_result(cc).witness == "no unit pivot in column 0"
+
+
+def test_verify_axioms_builds_no_wedge(monkeypatch):
+    """No wedge product is built by the axiom suite, up to hopf(20) (42 variables)."""
+    def no_wedge(self, other):
+        raise AssertionError("PolyForm.wedge called")
+
+    sampler = SeededSampler(5)
+    charts = [hopf_chart(20), fibered_chart(2, -1), fibered_chart(1, 3)]
+    monkeypatch.setattr(PolyForm, "wedge", no_wedge)
+    for cc in charts:
+        all_pass(verify_axioms(cc, [sampler.point(cc)]))
 
 
 @pytest.mark.parametrize("cc", [fibered_chart(1, 2), hopf_chart(1)], ids=["fibered", "hopf"])

@@ -561,3 +561,35 @@ def test_constant_symplectic_matrix():
     v1 = dtheta.evaluate({f"z{i}": gq(i) for i in range(4)})
     v2 = dtheta.evaluate({f"z{i}": gq(7 - i) for i in range(4)})
     assert v1 == v2
+
+
+def test_d_and_the_sampler_make_no_scalar_product_by_one(monkeypatch):
+    """The terms of a partial derivative in d, and the sampler's drawn
+    monomials, are added as bare monomials: no product of two Gaussian
+    rationals has an operand equal to 1.  Products of a coefficient by an
+    exponent k >= 2 still happen, so the wrapper is seen to run."""
+    from contactcheck.contact import fibered_chart, hopf_chart
+    from contactcheck.sampling import SeededSampler
+    from contactcheck.scalars import GaussianRational
+
+    mul = GaussianRational.__mul__
+    products, by_one = [], []
+
+    def counting_mul(self, other):
+        products.append(self)
+        if type(other) is GaussianRational and (1, 0, 1) in (self._v, other._v):
+            by_one.append((self, other))
+        return mul(self, other)
+
+    charts = [hopf_chart(1), fibered_chart(1, 3), fibered_chart(2, -2)]
+    z = C4.coeff_var("z0")
+    forms = [cc.theta for cc in charts] + [PolyForm.function(C4, z * z * z - z), hopf_theta(C4, 1)]
+    monkeypatch.setattr(GaussianRational, "__mul__", counting_mul)
+    monkeypatch.setattr(GaussianRational, "__rmul__", counting_mul)
+    for form in forms:
+        d(d(form))
+    sampler = SeededSampler(2024)
+    for cc in charts:
+        for ell in range(-2 if cc.chart.fiber_var else 0, 4):
+            sampler.homogeneous(cc, ell, terms=3)
+    assert products and by_one == []

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactcheck.forms import ChartSpace
-from contactcheck.poly import MultiPoly
+from contactcheck.poly import MultiPoly, ProductSum
 from contactcheck.scalars import GaussianRational
 from conftest import gq
 from oracles import (
@@ -15,6 +15,8 @@ from oracles import (
     naive_poly_diff,
     naive_poly_evaluate,
     naive_poly_mul,
+    naive_scaling_degrees,
+    naive_substitute,
 )
 
 XYZ = ("x", "y", "z")
@@ -579,3 +581,99 @@ def test_unit_products_against_dict_oracle(seed, expo, c):
         for got in (a * unit, unit * a):
             _assert_canonical_laurent(got)
             assert naive_poly(got) == want, (a, unit)
+
+
+# -- bare monomials, substitution and weighted degrees ---------------------------------
+
+
+def test_add_monomial_stores_cancels_and_starts_afresh():
+    """A new monomial is stored as given, a cancelling one is dropped, and one
+    added again after cancelling starts afresh."""
+    total = ProductSum(XYZ)
+    c = gq(Fraction(3, 2), -1)
+    total.add_monomial(c, (1, 0, -2))
+    assert total.terms[(1, 0, -2)] is c
+    total.add(gq(2), (0, 1, 0), x.terms)
+    total.add_monomial(gq(-2), (1, 1, 0))
+    assert total.terms == {(1, 0, -2): c}
+    total.add_monomial(-c, (1, 0, -2))
+    assert total.terms == {}
+    total.add_monomial(gq(5), (1, 0, -2))
+    assert total.poly() == MultiPoly(XYZ, {(1, 0, -2): gq(5)})
+    assert total.terms == {}
+
+
+UV = ("u", "v")
+
+
+@st.composite
+def substitutions(draw):
+    """A polynomial in x, y, z (z may have negative powers) and images over (u, v):
+    x and y go to any Laurent polynomials, z to a unit ``c * u^a * v^b``."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        expo = (draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(-2, 2)))
+        terms[expo] = draw(coeffs)
+    unit = {tuple(draw(st.integers(-2, 2)) for _ in UV): draw(coeffs.filter(lambda c: not c.is_zero()))}
+    images = {
+        "x": draw(polys(UV, max_terms=3, max_degree=2, min_degree=-1)),
+        "y": draw(polys(UV, max_terms=2, max_degree=2)),
+        "z": MultiPoly(UV, unit),
+    }
+    return MultiPoly(XYZ, terms), images
+
+
+@given(substitutions())
+@settings(max_examples=60)
+def test_substitute_matches_the_repeated_product_oracle(case):
+    p, images = case
+    got = p.substitute(images)
+    assert got.vars == UV
+    assert naive_poly(got) == naive_substitute(p, images)
+
+
+def test_substitute_sums_in_one_accumulator(monkeypatch):
+    """``substitute`` itself builds no polynomial sum and no constant polynomial;
+    a constant term and a cancelling pair are summed in the accumulator."""
+    import sys
+
+    calls = []
+    for name in ("__add__", "__radd__", "const"):
+        method = getattr(MultiPoly, name)
+
+        def counted(*args, _name=name, _method=method):
+            if sys._getframe(1).f_code.co_name == "substitute":
+                calls.append(_name)
+            return _method(*args)
+
+        monkeypatch.setattr(MultiPoly, name, staticmethod(counted) if name == "const" else counted)
+    u, v = (MultiPoly(UV, {e: gq(1)}) for e in ((1, 0), (0, 1)))
+    p = MultiPoly(XYZ, {(2, 0, 0): gq(1), (0, 1, 0): gq(-1), (0, 0, 0): gq(3), (0, 0, -1): gq(2)})
+    images = {"x": MultiPoly(UV, {(1, 0): gq(1), (0, 1): gq(1)}), "y": u * u, "z": v.scale(2)}
+    calls.clear()
+    got = p.substitute(images)
+    assert calls == []
+    assert str(got) == "(2*u*v^2 + v^3 + 3*v + 1) / (v)"
+
+
+WEIGHTED_VARS = ("z0", "z1", "lam")
+
+
+@st.composite
+def weighted_laurents(draw):
+    """A Laurent polynomial in z0, z1 (exponents 0..3) and lam (-2..2), with weights."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        expo = (draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(-2, 2)))
+        terms[expo] = draw(coeffs)
+    weights = {name: draw(st.integers(-1, 2)) for name in WEIGHTED_VARS}
+    return MultiPoly(WEIGHTED_VARS, terms), weights
+
+
+@given(weighted_laurents())
+@settings(max_examples=80)
+def test_weighted_degrees_match_the_substitution_oracle(case):
+    p, weights = case
+    want = naive_scaling_degrees(p, weights)
+    assert p.weighted_degrees(weights) == want
+    assert p.weighted_degree(weights) == (None if len(want) > 1 else next(iter(want), 0))
