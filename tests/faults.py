@@ -32,6 +32,22 @@ def corrupted_hopf_chart(n: int = 1) -> ContactChart:
     )
 
 
+def exact_shifted_hopf_chart(n: int = 1) -> ContactChart:
+    """hopf(n) with theta shifted by the exact form d(z0 z1) = z1 dz0 + z0 dz1.
+
+    d(theta) is unchanged and the shift has weight 2, so the chart is
+    accepted, but the forms pulled back along ``hopf_sections(n)`` change: on
+    hopf(0) theta becomes 2 z0 dz1, which vanishes along V1 and breaks (C.1);
+    on larger n the pullbacks are no longer related by the section gauges,
+    which breaks (C.2) on the pair (V0, V1).
+    """
+    good = hopf_chart(n)
+    chart = good.chart
+    z0, z1 = chart.coeff_var("z0"), chart.coeff_var("z1")
+    shift = PolyForm.d_var(chart, "z0").scale(z1) + PolyForm.d_var(chart, "z1").scale(z0)
+    return ContactChart(chart, good.theta + shift, good.delta, good.weights, label=good.label)
+
+
 def corrupted_fibered_chart(n: int = 1, delta: int = 3) -> ContactChart:
     """fibered(n, delta) with the coefficient of dlam, 0 on the good chart, set
     to ``lam^(delta-1) * z0``.

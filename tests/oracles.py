@@ -23,7 +23,9 @@ library's partials read term by term into one running sum, substitution
 by repeated products of the images instead of the library's powers summed in
 one accumulator, and weighted degrees read from the t-exponents of the
 substitution ``x -> t^w x`` instead of the library's reads of the
-exponents), and Q(i) arithmetic on a pair of
+exponents), section gauges found by substituting each transition into every
+image of a section and comparing component by component instead of the
+library's one quotient of unit images, and Q(i) arithmetic on a pair of
 plain ``Fraction`` parts instead of the library's integer triples.  They stay
 deliberately naive.
 """
@@ -33,7 +35,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from contactcheck.forms import PolyForm, PolyVectorField
 from contactcheck.lie import SparseVec, StructureConstants
@@ -534,6 +536,33 @@ def naive_substitute(p: MultiPoly, images: Dict[str, MultiPoly]) -> NaivePoly:
             term = naive_poly_mul(term, _naive_power(image, k, inverse))
         out = naive_poly_add(out, term)
     return out
+
+
+def _naive_unit_inverse(unit: NaivePoly) -> NaivePoly:
+    """``1 / (c * m)`` as ``c^-1 * m^-1``."""
+    ((mono, c),) = unit.items()
+    return {tuple((v, -e) for v, e in mono): ONE / c}
+
+
+def naive_gauge(weights: Dict[str, int], sec_i, sec_j, trans: Dict[str, MultiPoly]) -> Optional[NaivePoly]:
+    """The g with ``sigma_i(x) = g^(w_x) * sigma_j(x)(trans)`` for every chart
+    variable x, or None when there is no such single-term g.
+
+    Substitute and compare: every image of ``sigma_j`` is carried to chart i
+    by :func:`naive_substitute`; chart j's unit variable has weight 1, so its
+    two images give the one candidate, and every component is compared with
+    ``g^(w_x)`` times its carried image by repeated products.
+    """
+    moved = {x: naive_substitute(image, trans) for x, image in sec_j.images.items()}
+    num, den = naive_poly(sec_i.images[sec_j.unit_var]), moved[sec_j.unit_var]
+    if len(num) != 1 or len(den) != 1:
+        return None
+    g = naive_poly_mul(num, _naive_unit_inverse(den))
+    for x, image in sec_i.images.items():
+        power = _naive_power(g, weights[x], _naive_unit_inverse(g))
+        if naive_poly(image) != naive_poly_mul(power, moved[x]):
+            return None
+    return g
 
 
 def naive_scaling_degrees(p: MultiPoly, weights: Dict[str, int]) -> Set[int]:

@@ -16,6 +16,7 @@ from faults import (
     corrupted_algebra_bundle,
     corrupted_fibered_chart,
     corrupted_hopf_chart,
+    exact_shifted_hopf_chart,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -545,18 +546,10 @@ def test_corrupted_constant_through_the_cli(capsys, monkeypatch, name):
 def test_invalid_cstructure_fails_one_check_through_the_cli(capsys, monkeypatch, n):
     """A c-structure that fails validation is one failing check, never a traceback.
 
-    Doubling one image of the V0 -> V1 transition breaks (C.2) on that pair.
+    Shifting theta by d(z0 z1) keeps the chart valid but breaks (C.2) on the pair (V0, V1).
     """
-    transition = contact._section_transition
-
-    def doubled(cc, sections, i, j):
-        images = transition(cc, sections, i, j)
-        if (i, j) != (0, 1):
-            return images
-        name = min(images)
-        return dict(images, **{name: images[name] * 2})
-
-    monkeypatch.setattr(contact, "_section_transition", doubled)
+    shifted = exact_shifted_hopf_chart(n)
+    monkeypatch.setattr(contact, "hopf_chart", lambda _n: shifted)
     code = main(["cocycle", "--n", str(n)])
     captured = capsys.readouterr()
     report = json.loads(captured.out)

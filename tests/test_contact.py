@@ -32,15 +32,23 @@ from contactcheck.contact import (
     solved_euler_field,
     verify_axioms,
 )
-from contactcheck.forms import ChartSpace, PolyForm, PolyVectorField, exterior_derivative, lie_derivative
+from contactcheck.forms import (
+    ChartSpace,
+    PolyForm,
+    PolyVectorField,
+    exterior_derivative,
+    lie_derivative,
+    pullback,
+)
 from contactcheck.poly import MultiPoly
 from contactcheck.sampling import SeededSampler
 from contactcheck.scalars import GaussianRational
 from conftest import gq
-from faults import BAD_HOPF_LABEL, corrupted_hopf_chart
+from faults import BAD_HOPF_LABEL, corrupted_hopf_chart, exact_shifted_hopf_chart
 from oracles import (
     dense_rank,
     naive_contraction,
+    naive_gauge,
     naive_poly,
     naive_poly_diff,
     naive_poly_mul,
@@ -942,42 +950,72 @@ def test_renamed_hopf_sections_give_the_same_cstructure(n):
         assert renamed.gauges[(i, j)] == MultiPoly(chart_i, cs.gauges[(i, j)].terms)
 
 
-def test_gauge_with_a_pole_on_the_overlap_is_rejected(monkeypatch):
-    """u0 -> u1 + 1 keeps (C.2) (f_01 = -1) but makes the gauge 1 / (u1 + 1)."""
-    cc, sections = hopf_chart(0), hopf_sections(0)
-    section_transition = contact._section_transition
-
-    def shifted(cc, sections, i, j):
-        if (i, j) == (0, 1):
-            return {"u0": MultiPoly.variable("u1") + 1}
-        return section_transition(cc, sections, i, j)
-
-    monkeypatch.setattr(contact, "_section_transition", shifted)
-    with pytest.raises(ValueError, match="^sections are not related by a scalar gauge$"):
-        reconstruct_cstructure(cc, sections)
-
-
-def test_reconstruct_reports_c2_through_one_path(monkeypatch):
-    cc, sections = hopf_chart(1), hopf_sections(1)
-    section_transition = contact._section_transition
-
-    def doubled_u0(cc, sections, i, j):
-        trans = section_transition(cc, sections, i, j)
-        return dict(trans, u0=trans["u0"] * 2) if (i, j) == (0, 1) else trans
-
-    monkeypatch.setattr(contact, "_section_transition", doubled_u0)
+def test_reconstruct_reports_c2_through_one_path():
+    """theta = d(z0 z1) pulls back to du1 and du0: (C.2) holds with f_01 = -u1^2, but the gauge is u1."""
+    chart = ChartSpace(["z0", "z1"])
+    z0, z1 = chart.coeff_var("z0"), chart.coeff_var("z1")
+    theta = PolyForm.d_var(chart, "z0").scale(z1) + PolyForm.d_var(chart, "z1").scale(z0)
+    cc = ContactChart(chart, theta, 2, {"z0": 1, "z1": 1}, label="exact")
+    u1 = MultiPoly.variable("u1")
+    maps = {(0, 1): {"u0": u1**-1}, (1, 0): {"u1": MultiPoly.variable("u0") ** -1}}
+    gammas = [pullback(s.source, s.images, theta) for s in hopf_sections(0)]
+    assert cstructure_from_charts(["V0", "V1"], gammas, maps, 0).factors[(0, 1)] == -(u1**2)
     with pytest.raises(ValueError, match=r"^\(C\.2\) fails for pair \(V0, V1\)$"):
-        reconstruct_cstructure(cc, sections)
-    monkeypatch.undo()
-    gauge_ratio = contact._gauge_ratio
+        reconstruct_cstructure(cc, hopf_sections(0))
 
-    def doubled_gauge(cc, sec_i, sec_j, trans):
-        g = gauge_ratio(cc, sec_i, sec_j, trans)
-        return g * 2 if (sec_i.label, sec_j.label) == ("V1", "V2") else g
 
-    monkeypatch.setattr(contact, "_gauge_ratio", doubled_gauge)
-    with pytest.raises(ValueError, match=r"^\(C\.2\) fails for pair \(V1, V2\)$"):
-        reconstruct_cstructure(cc, sections)
+def test_a_vanishing_chart_form_fails_c1():
+    """On hopf(0), theta + d(z0 z1) = 2 z0 dz1 pulls back to 2 u0 d(1) = 0 along V1."""
+    with pytest.raises(ValueError, match=r"^\(C\.1\) fails for V1: gamma \^ \(d gamma\)\^0 = 0$"):
+        reconstruct_cstructure(exact_shifted_hopf_chart(0), hopf_sections(0))
+
+
+def _fibered_pair(delta, c, base):
+    """fibered(0, delta) with z0 -> base, lam -> c against z0 -> z0, lam -> 1: the gauge is c."""
+    src, src_z = ChartSpace([base]), ChartSpace(["z0"])
+    s = SectionMap("S", src, {"z0": src.coeff_var(base), "lam": src.coeff_const(c)}, "lam")
+    z = SectionMap("Z", src_z, {"z0": src_z.coeff_var("z0"), "lam": src_z.coeff_const(1)}, "lam")
+    return fibered_chart(0, delta), [s, z]
+
+
+GAUGE_CASES = {
+    **{f"hopf{n}": (hopf_chart(n), hopf_sections(n)) for n in range(4)},
+    **{f"renamed-hopf{n}": (hopf_chart(n), _renamed_sections(n, "x")) for n in (1, 2)},
+    "fibered-gauge2": _fibered_pair(3, 2, "z0"),
+    "fibered-gauge3": _fibered_pair(2, 3, "w"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GAUGE_CASES))
+def test_gauges_match_the_substitute_and_compare_oracle(case):
+    """Each gauge read off the unit images is the one g with sigma_i = g^w * (sigma_j o T_ij)."""
+    cc, sections = GAUGE_CASES[case]
+    cs = reconstruct_cstructure(cc, sections)
+    assert len(cs.gauges) == len(sections) * (len(sections) - 1)
+    for (i, j), trans in cs.transition_maps.items():
+        g = naive_gauge(cc.weights, sections[i], sections[j], trans)
+        assert g is not None and naive_poly(cs.gauges[(i, j)]) == g
+
+
+def test_the_gauge_oracle_rejects_a_transition_off_the_sections():
+    """u0 -> u1 + 1 is no transition of hopf(0)'s sections: no gauge relates them."""
+    v0, v1 = hopf_sections(0)
+    assert naive_gauge({"z0": 1, "z1": 1}, v0, v1, {"u0": MultiPoly.variable("u1") + 1}) is None
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_reconstruct_reads_each_section_once(monkeypatch, n):
+    """The 2n+2 sections' coordinates are derived once each, not once per pair."""
+    calls = []
+    coordinates = contact._section_coordinates
+
+    def counted(cc, section):
+        calls.append(section.label)
+        return coordinates(cc, section)
+
+    monkeypatch.setattr(contact, "_section_coordinates", counted)
+    reconstruct_cstructure(hopf_chart(n), hopf_sections(n))
+    assert len(calls) == 2 * n + 2
 
 
 def test_corrupted_factor_fails_cocycle():
