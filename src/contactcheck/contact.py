@@ -512,16 +512,28 @@ class CStructureData:
     polynomial (holomorphic on the overlap) with
     ``gamma_i = f_ij * (coordinate change)^* gamma_j``.  Everything on the
     overlap of charts i and j is spelled over chart i's coordinates.
+
+    The forms share one odd dimension 2n + 1, which fixes n, and each top form
+    ``gamma_i ^ (d gamma_i)^n`` is built here, once, into ``tops``.  (C.1): its
+    coefficient is a unit of the chart ring, so the top is nowhere zero.
     """
 
-    __slots__ = ("charts", "gammas", "transition_maps", "factors", "gauges")
+    __slots__ = ("charts", "gammas", "transition_maps", "factors", "gauges", "tops")
 
     def __init__(self, charts, gammas, transition_maps, factors, gauges=None):
+        dims = {gamma.chart.dim for gamma in gammas}
+        if len(dims) > 1 or any(dim % 2 == 0 for dim in dims):
+            raise ValueError(f"c-structure chart forms need one odd dimension 2n + 1, not {sorted(dims)}")
+        tops = [gamma.wedge(exterior_derivative(gamma).wedge_power(gamma.chart.dim // 2)) for gamma in gammas]
+        for label, top in zip(charts, tops, strict=True):
+            if not top.chart.is_unit(top.terms.get(tuple(range(top.chart.dim)), top.chart.coeff_zero())):
+                raise ValueError(f"(C.1) fails for {label}: gamma ^ (d gamma)^{top.degree // 2} = {top}")
         object.__setattr__(self, "charts", charts)
         object.__setattr__(self, "gammas", gammas)
         object.__setattr__(self, "transition_maps", transition_maps)
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "gauges", gauges or {})
+        object.__setattr__(self, "tops", tops)
 
     def __setattr__(self, name, value):
         raise AttributeError("CStructureData is immutable")
@@ -569,25 +581,14 @@ def _section_coordinates(cc: ContactChart, section: SectionMap) -> Optional[Dict
     return coords if len(coords) == len(source.base_vars) else None
 
 
-def section_is_valid(cc: ContactChart, section: SectionMap) -> bool:
-    """Symbolic right-inverse check of the bundle projection: the section
-    follows the unit-variable rule of :class:`SectionMap`."""
-    return _section_coordinates(cc, section) is not None
-
-
 def hopf_sections(n: int) -> List[SectionMap]:
     """The 2n+2 affine sections of the punctured-space chart over projective space."""
     cc_names = [f"z{i}" for i in range(2 * n + 2)]
     sections = []
     for i in range(2 * n + 2):
-        coords = [f"u{j}" for j in range(2 * n + 2) if j != i]
-        source = ChartSpace(coords)
-        images: Dict[str, Coeff] = {}
-        for j in range(2 * n + 2):
-            if j == i:
-                images[cc_names[j]] = source.coeff_const(1)
-            else:
-                images[cc_names[j]] = source.coeff_var(f"u{j}")
+        source = ChartSpace([f"u{j}" for j in range(2 * n + 2) if j != i])
+        one = source.coeff_const(1)
+        images = {x: one if j == i else source.coeff_var(f"u{j}") for j, x in enumerate(cc_names)}
         sections.append(SectionMap(f"V{i}", source, images, unit_var=cc_names[i]))
     return sections
 
@@ -603,10 +604,10 @@ def reconstruct_cstructure(cc: ContactChart, sections: Sequence[SectionMap]) -> 
     ``sigma_i = R_(g_ij) sigma_j`` is ``sigma_i(unit_j) / sigma_j(unit_j)``:
     the image of a chart variable is a nonzero monomial, so ``g_ij`` is a unit
     ``c * u^e`` of the Laurent ring, nowhere zero on the overlap.  Verifies,
-    exactly: each section is a right inverse of the projection; the (C.1) and
-    (C.2) checks of :func:`cstructure_from_charts` on the pulled-back forms;
-    and, as the cross-check of those forms against the section rule, that
-    each compatibility factor is ``f_ij = g_ij^delta``.
+    exactly: each section is a right inverse of the projection; the (C.2)
+    checks of :func:`cstructure_from_charts` on the pulled-back forms, and, as
+    their cross-check against the section rule, ``f_ij = g_ij^delta``; then
+    the (C.1) check of the one :class:`CStructureData` it builds.
     """
     coords = [_section_coordinates(cc, section) for section in sections]
     for section, coord in zip(sections, coords):
@@ -625,34 +626,32 @@ def reconstruct_cstructure(cc: ContactChart, sections: Sequence[SectionMap]) -> 
                 v: sec_i.images[x] / unit ** cc.weights[x] for x, v in coords[j].items()
             }
             gauges[(i, j)] = unit / sec_j.images[sec_j.unit_var].constant_value()
-    cs = cstructure_from_charts(labels, gammas, transition_maps, (cc.dim - 2) // 2)
+    factors = _compatibility_factors(labels, gammas, transition_maps)
     for (i, j), g in gauges.items():
-        if cs.factors[(i, j)] != g ** cc.delta:
+        if factors[(i, j)] != g ** cc.delta:
             raise ValueError(f"(C.2) fails for pair ({labels[i]}, {labels[j]})")
-    return CStructureData(cs.charts, cs.gammas, cs.transition_maps, cs.factors, gauges)
+    return CStructureData(labels, gammas, transition_maps, factors, gauges)
 
 
 def canonical_cocycle_check(cs: CStructureData, n: int) -> List[CheckResult]:
     """Canonical-bundle compatibility: on every overlap,
     ``c_i = f_ij^(n+1) * (c_j o transition) * det(Jacobian of transition)``
-    where ``c_k`` is the coefficient of the top form ``gamma_k ^ (d gamma_k)^n``.
+    where ``c_k`` is the coefficient of the top ``cs.tops[k] = gamma_k ^ (d gamma_k)^n``.
 
     The right side is ``f_ij^(n+1)`` times the coefficient of the pullback of
     chart j's top form along the transition: pulling back ``c_j dv_0 ^ ... ^
     dv_2n`` gives ``(c_j o transition) * dT_0 ^ ... ^ dT_2n``, and the wedge
-    products expand the Jacobian determinant.  A chart whose dimension is not
-    ``2n + 1`` carries no such top form, and raises ``ValueError``.
+    products expand the Jacobian determinant.  The charts fix n: any other
+    ``n`` names no top form, and raises ``ValueError``.
     """
-    for label, gamma in zip(cs.charts, cs.gammas):
-        if gamma.chart.dim != 2 * n + 1:
-            raise ValueError(f"{label}: gamma ^ (d gamma)^{n} is no top form on {gamma.chart!r}")
+    if cs.tops and cs.tops[0].degree != 2 * n + 1:
+        raise ValueError(f"{cs.charts[0]}: gamma ^ (d gamma)^{n} is no top form on {cs.tops[0].chart!r}")
     results: List[CheckResult] = []
-    tops = [gamma.wedge(exterior_derivative(gamma).wedge_power(n)) for gamma in cs.gammas]
     for (i, j), trans in cs.transition_maps.items():
-        chart = tops[i].chart
+        chart = cs.tops[i].chart
         full = tuple(range(chart.dim))
-        lhs = tops[i].terms.get(full, chart.coeff_zero())
-        pulled = pullback(chart, trans, tops[j]).terms.get(full, chart.coeff_zero())
+        lhs = cs.tops[i].terms.get(full, chart.coeff_zero())
+        pulled = pullback(chart, trans, cs.tops[j]).terms.get(full, chart.coeff_zero())
         rhs = cs.factors[(i, j)] ** (n + 1) * pulled
         ok = lhs == rhs
         results.append(
@@ -664,7 +663,7 @@ def canonical_cocycle_check(cs: CStructureData, n: int) -> List[CheckResult]:
 # -- quotient by the sign action ------------------------------------------------------
 
 
-def quotient_checks(n: int, monomials: Sequence[Coeff], max_m: int = 3) -> List[CheckResult]:
+def quotient_checks(n: int, monomials: Sequence[Coeff]) -> List[CheckResult]:
     """The degree-2 chart descends to a degree-1 bundle under the sign action.
 
     * theta is invariant under ``z -> -z`` (an even form);
@@ -716,7 +715,7 @@ def quotient_checks(n: int, monomials: Sequence[Coeff], max_m: int = 3) -> List[
                     f"degree {degree}",
                 )
             )
-    for m in range(max_m + 1):
+    for m in range(4):  # the section degrees m = 0..3
         upstairs = len(monomial_basis(2 * n + 1, 2 * m))
         downstairs = homogeneous_space_dim(2 * n + 1, 2 * m)
         results.append(
@@ -838,34 +837,39 @@ def cstructure_from_charts(
     labels: Sequence[str],
     gammas: Sequence[PolyForm],
     transition_maps: Mapping[Tuple[int, int], Mapping[str, MultiPoly]],
-    n: int,
 ) -> CStructureData:
     """Assemble c-structure data from raw chart forms and coordinate changes.
 
     The compatibility factors f_ij are extracted from the proportionality
     ``gamma_i = f_ij * (transition)^* gamma_j``, the pullback taken by
     :func:`~contactcheck.forms.pullback`, and their existence is the
-    (C.2) check; the top-form nonvanishing is the (C.1) check.  A factor must
-    be nowhere zero on the overlap, so (C.2) asks for a unit ``c * u^e`` of the
-    Laurent ring: a proportionality by any other Laurent polynomial fails it.
-    Each transition image must be spelled over the chart of ``gamma_i``.  A
-    chart form lives on the base, so a chart with a fiber variable is rejected
-    by its label, naming the form's fiber dependence if it has one.
+    (C.2) check.  A factor must be nowhere zero on the overlap, so (C.2) asks
+    for a unit ``c * u^e`` of the Laurent ring: a proportionality by any other
+    Laurent polynomial fails it.  The pairs are checked before the record makes
+    the (C.1) check, so a form failing both reports (C.2).  Each label names
+    one form, each transition key two charts, and each transition image is
+    spelled over the chart of ``gamma_i``.  A chart with a fiber variable is
+    rejected by its label, naming the form's fiber dependence if it has one.
     """
+    factors = _compatibility_factors(labels, gammas, transition_maps)
+    return CStructureData(list(labels), list(gammas), dict(transition_maps), factors)
+
+
+def _compatibility_factors(labels, gammas, transition_maps) -> Dict[Tuple[int, int], MultiPoly]:
+    """The (C.2) factor of every pair, after the input checks of :func:`cstructure_from_charts`."""
+    if len(labels) != len(gammas):
+        raise ValueError(f"{len(gammas)} chart forms need as many labels, not {len(labels)}")
+    for i, j in transition_maps:
+        if not (0 <= i < len(gammas) and 0 <= j < len(gammas)):
+            raise ValueError(f"transition ({i}, {j}) names a chart outside 0..{len(gammas) - 1}")
     for label, gamma in zip(labels, gammas):
-        chart = gamma.chart
-        if chart.fiber_var is None:
-            continue
-        try:
-            for coeff in gamma.terms.values():
-                chart.base_part(coeff)
-        except ValueError as exc:
-            raise ValueError(f"{label}: {exc}") from None
-        raise ValueError(f"{label}: a c-structure chart form lives on the base, not on {chart!r}")
-    for label, gamma in zip(labels, gammas):
-        top = gamma.wedge(exterior_derivative(gamma).wedge_power(n))
-        if top.is_zero():
-            raise ValueError(f"(C.1) fails for {label}: gamma ^ (d gamma)^{n} = 0")
+        if gamma.chart.fiber_var is not None:
+            try:
+                for coeff in gamma.terms.values():
+                    gamma.chart.base_part(coeff)
+            except ValueError as exc:
+                raise ValueError(f"{label}: {exc}") from None
+            raise ValueError(f"{label}: a c-structure chart form lives on the base, not on {gamma.chart!r}")
     factors: Dict[Tuple[int, int], MultiPoly] = {}
     for (i, j), trans in transition_maps.items():
         try:
@@ -877,4 +881,4 @@ def cstructure_from_charts(
         if factor is None:
             raise ValueError(f"(C.2) fails for pair ({labels[i]}, {labels[j]})")
         factors[(i, j)] = factor
-    return CStructureData(list(labels), list(gammas), dict(transition_maps), factors)
+    return factors

@@ -37,8 +37,9 @@ def exact_shifted_hopf_chart(n: int = 1) -> ContactChart:
 
     d(theta) is unchanged and the shift has weight 2, so the chart is
     accepted, but the forms pulled back along ``hopf_sections(n)`` change: on
-    hopf(0) theta becomes 2 z0 dz1, which vanishes along V1 and breaks (C.1);
-    on larger n the pullbacks are no longer related by the section gauges,
+    hopf(0) theta becomes 2 z0 dz1, which vanishes along V1, so V1 alone
+    breaks (C.1) and beside V0 breaks (C.2) on the pair (V0, V1) first; on
+    larger n the pullbacks are no longer related by the section gauges,
     which breaks (C.2) on the pair (V0, V1).
     """
     good = hopf_chart(n)

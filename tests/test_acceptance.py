@@ -184,7 +184,7 @@ def test_criterion_7_quotient_suite():
         monomials = [
             sampler.monomial(cc, sampler.integer(0, 6), 6) for _ in range(count)
         ]
-        results = quotient_checks(n, monomials, max_m=3)
+        results = quotient_checks(n, monomials)
         bad = [r for r in results if r.status != "pass"]
         assert not bad, (n, bad[:3])
     for n in (0, 1, 2):

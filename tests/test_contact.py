@@ -28,7 +28,6 @@ from contactcheck.contact import (
     quotient_checks,
     reconstruct_cstructure,
     scaling_degree,
-    section_is_valid,
     solved_euler_field,
     verify_axioms,
 )
@@ -633,7 +632,7 @@ def test_single_chart_cocycle_vacuous():
     gamma = PolyForm.d_var(src, "u1")
     from contactcheck.contact import cstructure_from_charts
 
-    cs = cstructure_from_charts(["only"], [gamma], {}, 0)
+    cs = cstructure_from_charts(["only"], [gamma], {})
     assert canonical_cocycle_check(cs, 0) == []
 
 
@@ -810,7 +809,7 @@ def test_corrupted_transition_fails_c2():
     maps = dict(cs.transition_maps)
     maps[(0, 1)] = dict(maps[(0, 1)], u0=maps[(0, 1)]["u0"] * 2)
     with pytest.raises(ValueError, match=r"^\(C\.2\) fails for pair \(V0, V1\)$"):
-        cstructure_from_charts(cs.charts, cs.gammas, maps, 1)
+        cstructure_from_charts(cs.charts, cs.gammas, maps)
 
 
 def test_c2_rejects_a_factor_with_a_pole_on_the_overlap():
@@ -824,7 +823,7 @@ def test_c2_rejects_a_factor_with_a_pole_on_the_overlap():
         (1, 0): {"u1": u0**-1},
     }
     with pytest.raises(ValueError, match=r"^\(C\.2\) fails for pair \(V0, V1\)$"):
-        cstructure_from_charts(["V0", "V1"], [gamma0, gamma1], maps, 0)
+        cstructure_from_charts(["V0", "V1"], [gamma0, gamma1], maps)
 
 
 def test_c2_requires_a_unit_factor():
@@ -834,20 +833,73 @@ def test_c2_requires_a_unit_factor():
     gamma1 = PolyForm.d_var(c1, "u0").scale(c1.coeff_var("u0") ** 2)
     maps = {(0, 1): {"u0": MultiPoly.variable("u1") ** -1}}
     with pytest.raises(ValueError, match=r"^\(C\.2\) fails for pair \(V0, V1\)$"):
-        cstructure_from_charts(["V0", "V1"], [gamma0, gamma1], maps, 0)
+        cstructure_from_charts(["V0", "V1"], [gamma0, gamma1], maps)
 
 
 def test_c2_accepts_a_unit_ratio_of_multi_term_forms():
-    """gamma_k = (1 + u) du on both charts: the ratio of two two-term forms is -u1^3."""
-    c0, c1 = ChartSpace(["u1"]), ChartSpace(["u0"])
-    gamma0 = PolyForm.d_var(c0, "u1").scale(c0.coeff_var("u1") + c0.coeff_const(1))
-    gamma1 = PolyForm.d_var(c1, "u0").scale(c1.coeff_var("u0") + c1.coeff_const(1))
-    u0, u1 = MultiPoly.variable("u0"), MultiPoly.variable("u1")
-    maps = {(0, 1): {"u0": u1**-1}, (1, 0): {"u1": u0**-1}}
-    cs = cstructure_from_charts(["V0", "V1"], [gamma0, gamma1], maps, 0)
-    assert cs.factors[(0, 1)] == -(u1**3) and cs.factors[(1, 0)] == -(u0**3)
-    results = canonical_cocycle_check(cs, 0)
+    """gamma_0 = dz + (1 + x) dy and gamma_1 = dc + (1 + a) db have unit tops, and across
+    a = -(1 + x) / z^2 - 1, b = y, c = 1 / z the ratio of the two two-term forms is -z^2."""
+    c0, c1 = ChartSpace(["x", "y", "z"]), ChartSpace(["a", "b", "c"])
+    x, y, z = (c0.coeff_var(v) for v in "xyz")
+    a, b, c = (c1.coeff_var(v) for v in "abc")
+    one0, one1 = c0.coeff_const(1), c1.coeff_const(1)
+    gamma0 = PolyForm.d_var(c0, "z") + PolyForm.d_var(c0, "y").scale(x + one0)
+    gamma1 = PolyForm.d_var(c1, "c") + PolyForm.d_var(c1, "b").scale(a + one1)
+    maps = {
+        (0, 1): {"a": -(x + one0) * z**-2 - one0, "b": y, "c": z**-1},
+        (1, 0): {"x": -(a + one1) * c**-2 - one1, "y": b, "z": c**-1},
+    }
+    cs = cstructure_from_charts(["V0", "V1"], [gamma0, gamma1], maps)
+    assert cs.factors[(0, 1)] == -(z**2) and cs.factors[(1, 0)] == -(c**2)
+    assert [str(top) for top in cs.tops] == ["(1) dx^dy^dz", "(1) da^db^dc"]
+    results = canonical_cocycle_check(cs, 1)
     assert [r.status for r in results] == ["pass", "pass"]
+
+
+def test_c1_requires_a_unit_top():
+    """Declared: (1 + u) du is nonzero but vanishes at u = -1, so it fails (C.1) like the zero top."""
+    chart = ChartSpace(["u"])
+    du = PolyForm.d_var(chart, "u")
+    with pytest.raises(ValueError, match=r"^\(C\.1\) fails for V0: gamma \^ \(d gamma\)\^0 = \(u \+ 1\) du$"):
+        cstructure_from_charts(["V0"], [du.scale(chart.coeff_var("u") + chart.coeff_const(1))], {})
+    with pytest.raises(ValueError, match=r"^\(C\.1\) fails for V0: gamma \^ \(d gamma\)\^0 = 0$"):
+        cstructure_from_charts(["V0"], [PolyForm.zero(chart, 1)], {})
+
+
+def test_n_is_read_off_the_charts():
+    """du1 on a 3-dimensional chart has gamma ^ d gamma = 0: no n can make it pass (C.1)."""
+    chart = ChartSpace(["u0", "u1", "u2"])
+    with pytest.raises(ValueError, match=r"^\(C\.1\) fails for A: gamma \^ \(d gamma\)\^1 = 0$"):
+        cstructure_from_charts(["A"], [PolyForm.d_var(chart, "u1")], {})
+
+
+@pytest.mark.parametrize(
+    "names, witness",
+    [([["u"], ["u0", "u1", "u2"]], r"\[1, 3\]"), ([["u0", "u1"]], r"\[2\]")],
+    ids=["two-dimensions", "even-dimension"],
+)
+def test_chart_forms_share_one_odd_dimension(names, witness):
+    charts = [ChartSpace(chart_vars) for chart_vars in names]
+    gammas = [PolyForm.d_var(chart, chart.all_vars[0]) for chart in charts]
+    with pytest.raises(ValueError, match=rf"^c-structure chart forms need one odd dimension 2n \+ 1, not {witness}$"):
+        cstructure_from_charts([f"V{k}" for k in range(len(gammas))], gammas, {})
+
+
+def test_a_label_count_that_differs_from_the_form_count_is_rejected():
+    """A second form with no label would never have its top checked."""
+    chart = ChartSpace(["u"])
+    gammas = [PolyForm.d_var(chart, "u"), PolyForm.zero(chart, 1)]
+    with pytest.raises(ValueError, match=r"^2 chart forms need as many labels, not 1$"):
+        cstructure_from_charts(["A"], gammas, {})
+
+
+@pytest.mark.parametrize("key", [(0, 2), (-1, 0)])
+def test_a_transition_key_outside_the_charts_is_rejected_by_pair(key):
+    c0, c1 = ChartSpace(["u1"]), ChartSpace(["u0"])
+    gammas = [PolyForm.d_var(c0, "u1"), PolyForm.d_var(c1, "u0")]
+    maps = {key: {"u0": c0.coeff_var("u1") ** -1}}
+    with pytest.raises(ValueError, match=rf"^transition \({key[0]}, {key[1]}\) names a chart outside 0\.\.1$"):
+        cstructure_from_charts(["V0", "V1"], gammas, maps)
 
 
 def test_c2_rejects_a_chart_form_that_depends_on_the_fiber():
@@ -857,7 +909,7 @@ def test_c2_rejects_a_chart_form_that_depends_on_the_fiber():
     gamma1 = PolyForm.d_var(c1, "u0")
     maps = {(0, 1): {"u0": c0.coeff_var("u1") ** -1}}
     with pytest.raises(ValueError, match="depends on the fiber variable lam"):
-        cstructure_from_charts(["V0", "V1"], [gamma0, gamma1], maps, 0)
+        cstructure_from_charts(["V0", "V1"], [gamma0, gamma1], maps)
 
 
 def test_a_transition_spelled_off_its_source_chart_is_rejected_by_pair():
@@ -866,7 +918,7 @@ def test_a_transition_spelled_off_its_source_chart_is_rejected_by_pair():
     gamma0, gamma1 = PolyForm.d_var(c0, "u1"), PolyForm.d_var(c1, "u0")
     maps = {(0, 1): {"u0": MultiPoly.variable("u1", ("u1", "w")) ** -1}}
     with pytest.raises(ValueError, match=r"^transition \(V0, V1\): .* not over the chart ChartSpace\(\('u1',\)"):
-        cstructure_from_charts(["V0", "V1"], [gamma0, gamma1], maps, 0)
+        cstructure_from_charts(["V0", "V1"], [gamma0, gamma1], maps)
 
 
 def test_a_chart_form_on_a_fibered_chart_is_rejected_by_label():
@@ -875,7 +927,7 @@ def test_a_chart_form_on_a_fibered_chart_is_rejected_by_label():
     gamma0, gamma1 = PolyForm.d_var(c0, "u1"), PolyForm.d_var(c1, "u0")
     maps = {(0, 1): {"u0": c0.coeff_var("u1") ** -1}}
     with pytest.raises(ValueError, match=r"^V0: a c-structure chart form lives on the base, not on ChartSpace\(\('u1',\), fiber='lam'\)$"):
-        cstructure_from_charts(["V0", "V1"], [gamma0, gamma1], maps, 0)
+        cstructure_from_charts(["V0", "V1"], [gamma0, gamma1], maps)
 
 
 def test_a_section_image_spelled_off_its_source_chart_is_rejected_by_label():
@@ -895,7 +947,6 @@ def test_a_section_naming_no_source_variable_is_invalid():
     src = ChartSpace(["w"])
     for image in (src.coeff_var("w").scale(2), src.coeff_const(1), src.coeff_var("w") ** 2):
         section = SectionMap("S", src, {"z0": image, "lam": src.coeff_const(1)}, "lam")
-        assert not section_is_valid(cc, section)
         with pytest.raises(ValueError, match="^S is not a section of the projection$"):
             reconstruct_cstructure(cc, [section])
 
@@ -906,7 +957,6 @@ def test_a_fibered_section_may_rename_its_base_coordinate():
     src_w, src_z = ChartSpace(["w"]), ChartSpace(["z0"])
     s_w = SectionMap("W", src_w, {"z0": src_w.coeff_var("w"), "lam": src_w.coeff_const(3)}, "lam")
     s_z = SectionMap("Z", src_z, {"z0": src_z.coeff_var("z0"), "lam": src_z.coeff_const(1)}, "lam")
-    assert section_is_valid(cc, s_w)
     cs = reconstruct_cstructure(cc, [s_w, s_z])
     assert cs.transition_maps[(0, 1)] == {"z0": src_w.coeff_var("w")}
     assert cs.transition_maps[(1, 0)] == {"w": src_z.coeff_var("z0")}
@@ -920,8 +970,10 @@ def test_a_fibered_section_needs_the_fiber_as_its_unit():
     cc = fibered_chart(0, 2)
     src = ChartSpace(["z0"])
     images = {"z0": src.coeff_var("z0"), "lam": src.coeff_const(1)}
-    assert section_is_valid(cc, SectionMap("S", src, images, "lam"))
-    assert not section_is_valid(cc, SectionMap("S", src, images, "z0"))
+    cs = reconstruct_cstructure(cc, [SectionMap("S", src, images, "lam")])
+    assert cs.gammas == [PolyForm.d_var(src, "z0")]
+    with pytest.raises(ValueError, match="^S is not a section of the projection$"):
+        reconstruct_cstructure(cc, [SectionMap("S", src, images, "z0")])
 
 
 def _renamed_sections(n, prefix):
@@ -959,14 +1011,23 @@ def test_reconstruct_reports_c2_through_one_path():
     u1 = MultiPoly.variable("u1")
     maps = {(0, 1): {"u0": u1**-1}, (1, 0): {"u1": MultiPoly.variable("u0") ** -1}}
     gammas = [pullback(s.source, s.images, theta) for s in hopf_sections(0)]
-    assert cstructure_from_charts(["V0", "V1"], gammas, maps, 0).factors[(0, 1)] == -(u1**2)
+    assert cstructure_from_charts(["V0", "V1"], gammas, maps).factors[(0, 1)] == -(u1**2)
     with pytest.raises(ValueError, match=r"^\(C\.2\) fails for pair \(V0, V1\)$"):
         reconstruct_cstructure(cc, hopf_sections(0))
 
 
 def test_a_vanishing_chart_form_fails_c1():
-    """On hopf(0), theta + d(z0 z1) = 2 z0 dz1 pulls back to 2 u0 d(1) = 0 along V1."""
+    """On hopf(0), theta + d(z0 z1) = 2 z0 dz1 pulls back to 2 u0 d(1) = 0 along V1.
+
+    V1 alone has no pair, so the record's (C.1) check is what fails.
+    """
     with pytest.raises(ValueError, match=r"^\(C\.1\) fails for V1: gamma \^ \(d gamma\)\^0 = 0$"):
+        reconstruct_cstructure(exact_shifted_hopf_chart(0), hopf_sections(0)[1:])
+
+
+def test_the_pairs_are_checked_before_c1():
+    """Declared: with V0 beside it, the vanishing form of V1 fails (C.2) on the pair first."""
+    with pytest.raises(ValueError, match=r"^\(C\.2\) fails for pair \(V0, V1\)$"):
         reconstruct_cstructure(exact_shifted_hopf_chart(0), hopf_sections(0))
 
 
@@ -1016,6 +1077,27 @@ def test_reconstruct_reads_each_section_once(monkeypatch, n):
     monkeypatch.setattr(contact, "_section_coordinates", counted)
     reconstruct_cstructure(hopf_chart(n), hopf_sections(n))
     assert len(calls) == 2 * n + 2
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_reconstruct_and_cocycle_build_each_top_once(monkeypatch, n):
+    """One record, and one wedge power per chart: the 2n + 2 tops serve (C.1) and the cocycle."""
+    powers, records = [], []
+    wedge_power, init = PolyForm.wedge_power, CStructureData.__init__
+
+    def counted_power(self, k):
+        powers.append(k)
+        return wedge_power(self, k)
+
+    def counted_init(self, *args, **kwargs):
+        records.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PolyForm, "wedge_power", counted_power)
+    monkeypatch.setattr(CStructureData, "__init__", counted_init)
+    all_pass(canonical_cocycle_check(reconstruct_cstructure(hopf_chart(n), hopf_sections(n)), n))
+    assert powers == [n] * (2 * n + 2)
+    assert len(records) == 1
 
 
 def test_corrupted_factor_fails_cocycle():

@@ -166,3 +166,26 @@ def test_importing_the_cli_loads_no_heavy_module():
         capture_output=True, text=True, check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+def foreign_imports(path: Path):
+    """Imports in one module of anything but the standard library and the package."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        for module in modules:
+            root = module.split(".")[0]
+            if root != "contactcheck" and root not in sys.stdlib_module_names:
+                found.append(f"{path.name}:{node.lineno}: {module}")
+    return found
+
+
+def test_the_package_imports_only_the_standard_library():
+    """``pyproject.toml`` declares ``dependencies = []``; every import keeps to it."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert [line for path in modules for line in foreign_imports(path)] == []
