@@ -38,10 +38,10 @@ from .forms import (
 )
 from .poly import Exponent, MultiPoly, ProductSum
 from .report import CheckResult, check
-from .scalars import GaussianRational, ONE, ZERO
+from .scalars import GaussianRational, Immutable, ONE, ZERO
 
 
-class ContactChart:
+class ContactChart(Immutable):
     """One trivializing chart of a principal contact bundle of degree delta."""
 
     __slots__ = ("chart", "theta", "dtheta", "delta", "weights", "label", "_solver", "_euler")
@@ -76,9 +76,6 @@ class ContactChart:
                 f"theta is not weight-homogeneous of degree {delta}: components {sorted(degrees)}"
             )
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ContactChart is immutable")
-
     @property
     def dim(self) -> int:
         return self.chart.dim
@@ -96,7 +93,7 @@ class ContactChart:
         return f"ContactChart({self.label}, delta={self.delta})"
 
 
-class HomogeneousFunction:
+class HomogeneousFunction(Immutable):
     """A chart-ring function of exact scaling degree ``ell``."""
 
     __slots__ = ("cc", "coeff", "ell")
@@ -109,9 +106,6 @@ class HomogeneousFunction:
         object.__setattr__(self, "cc", cc)
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "ell", ell)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HomogeneousFunction is immutable")
 
     def __repr__(self) -> str:
         return f"HomogeneousFunction(deg {self.ell}: {self.cc.chart.format(self.coeff)})"
@@ -463,7 +457,7 @@ def check_invariance_identities(
 # -- sections, induced structures on the base, cocycles -------------------------------
 
 
-class SectionMap:
+class SectionMap(Immutable):
     """A holomorphic local section over one base chart.
 
     ``images`` sends every total-space variable to a coefficient function on
@@ -500,11 +494,8 @@ class SectionMap:
         object.__setattr__(self, "images", dict(images))
         object.__setattr__(self, "unit_var", unit_var)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SectionMap is immutable")
 
-
-class CStructureData:
+class CStructureData(Immutable):
     """Chart forms gamma_i with Laurent transition data on the overlaps.
 
     ``transition_maps[(i, j)]`` expresses chart-j coordinates as Laurent
@@ -534,9 +525,6 @@ class CStructureData:
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "gauges", gauges or {})
         object.__setattr__(self, "tops", tops)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CStructureData is immutable")
 
 
 def _proportionality_factor(target: PolyForm, source: PolyForm) -> Optional[MultiPoly]:
@@ -731,7 +719,7 @@ def quotient_checks(n: int, monomials: Sequence[Coeff]) -> List[CheckResult]:
 # -- immersion rank data --------------------------------------------------------------
 
 
-class RankReport:
+class RankReport(Immutable):
     """Per-point Jacobian and tangent-span ranks for an associated map."""
 
     __slots__ = ("rows", "full_rank")
@@ -739,9 +727,6 @@ class RankReport:
     def __init__(self, rows: List[dict], full_rank: int):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "full_rank", full_rank)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RankReport is immutable")
 
     def all_full(self) -> bool:
         return all(r["jacobian_rank"] == self.full_rank for r in self.rows)

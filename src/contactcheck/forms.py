@@ -58,7 +58,7 @@ from functools import partial, reduce
 from typing import DefaultDict, Dict, Hashable, Mapping, Optional, Sequence, Tuple
 
 from .poly import MultiPoly, ProductSum
-from .scalars import GaussianRational, ScalarLike
+from .scalars import GaussianRational, Immutable, ScalarLike
 
 Coeff = MultiPoly
 Key = Tuple[int, ...]
@@ -80,7 +80,7 @@ def _add_coeffs(a: Mapping[Hashable, Coeff], b: Mapping[Hashable, Coeff]) -> Dic
     return out
 
 
-class ChartSpace:
+class ChartSpace(Immutable):
     """Named coordinates: base variables plus an optional Laurent fiber variable."""
 
     __slots__ = ("base_vars", "fiber_var", "all_vars")
@@ -94,9 +94,6 @@ class ChartSpace:
         object.__setattr__(self, "base_vars", base)
         object.__setattr__(self, "fiber_var", fiber_var)
         object.__setattr__(self, "all_vars", base + ((fiber_var,) if fiber_var else ()))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ChartSpace is immutable")
 
     @property
     def dim(self) -> int:
@@ -210,7 +207,7 @@ def _check_same_chart(a, b) -> None:
         raise ValueError(f"chart mismatch: {a.chart!r} vs {b.chart!r}")
 
 
-class PolyForm:
+class PolyForm(Immutable):
     """Alternating (p,0)-form: map from increasing index tuples to coefficients."""
 
     __slots__ = ("chart", "degree", "terms")
@@ -243,9 +240,6 @@ class PolyForm:
         object.__setattr__(form, "degree", degree)
         object.__setattr__(form, "terms", terms)
         return form
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyForm is immutable")
 
     # -- constructors -----------------------------------------------------------
 
@@ -335,9 +329,6 @@ class PolyForm:
             return NotImplemented
         return self.chart == other.chart and self.degree == other.degree and self.terms == other.terms
 
-    def __hash__(self):
-        raise TypeError("PolyForm is not hashable")
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -399,7 +390,7 @@ def _derive_into(total: ProductSum, field: "PolyVectorField", h: Coeff, sign: in
             total.add(c if sign > 0 else -c, e, comp.terms)
 
 
-class PolyVectorField:
+class PolyVectorField(Immutable):
     """Holomorphic vector field: map from variable index to Laurent coefficient."""
 
     __slots__ = ("chart", "components")
@@ -423,9 +414,6 @@ class PolyVectorField:
         object.__setattr__(field, "chart", chart)
         object.__setattr__(field, "components", components)
         return field
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyVectorField is immutable")
 
     def is_zero(self) -> bool:
         return not self.components
@@ -472,9 +460,6 @@ class PolyVectorField:
         if not isinstance(other, PolyVectorField):
             return NotImplemented
         return self.chart == other.chart and self.components == other.components
-
-    def __hash__(self):
-        raise TypeError("PolyVectorField is not hashable")
 
     def __str__(self) -> str:
         if not self.components:

@@ -56,14 +56,14 @@ from typing import Dict, List, Optional, Tuple
 from . import linalg
 from .linalg import T, add_into, combine, total
 from .rootsystem import Root, RootSystem
-from .scalars import GaussianRational, ONE, ZERO
+from .scalars import GaussianRational, Immutable, ONE, ZERO
 
 SparseVec = Dict[int, GaussianRational]
 
 _EMPTY: SparseVec = {}
 
 
-class LieBasis:
+class LieBasis(Immutable):
     """Ordered labels: Cartan generators first, then e_alpha per root."""
 
     __slots__ = ("rs", "labels", "rank", "dim")
@@ -76,9 +76,6 @@ class LieBasis:
         object.__setattr__(self, "labels", tuple(labels))
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "dim", rank + len(rs.roots))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LieBasis is immutable")
 
     def root_index(self, root: Root) -> int:
         """Basis index of e_root."""
@@ -94,7 +91,7 @@ def _root_label(root: Root) -> str:
     return "e[" + ",".join(str(c) for c in root) + "]"
 
 
-class StructureConstants:
+class StructureConstants(Immutable):
     """Sparse antisymmetric bracket table over a LieBasis.
 
     ``table`` holds one orientation of each nonzero ``[e_i, e_j]``; ``rows[i][j]``
@@ -109,9 +106,6 @@ class StructureConstants:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "rows", _rows(basis.dim, table))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StructureConstants is immutable")
 
     @property
     def dim(self) -> int:
@@ -311,7 +305,7 @@ def build_algebra(rs: RootSystem) -> StructureConstants:
 # -- Killing data -------------------------------------------------------------------
 
 
-class KillingData:
+class KillingData(Immutable):
     """Killing Gram matrix, root duals h_a, and the grading element H_rho.
 
     ``gram[i]`` holds the nonzero entries of Gram row i, and
@@ -329,9 +323,6 @@ class KillingData:
         object.__setattr__(self, "cartan_inverse", cartan_inverse)
         object.__setattr__(self, "coroots", coroots)
         object.__setattr__(self, "hrho", hrho)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KillingData is immutable")
 
     def form(self, x: SparseVec, y: SparseVec) -> GaussianRational:
         """``B(x, y)``, summed over the Gram rows of x's terms."""
@@ -414,7 +405,7 @@ def root_action(kd: KillingData, root: Root, h: SparseVec) -> GaussianRational:
 # -- grading ------------------------------------------------------------------------
 
 
-class GradedDecomposition:
+class GradedDecomposition(Immutable):
     """Eigenspace split of ad(H_rho) plus the two spans the grading derives.
 
     ``pieces[i]`` lists the basis indices of ``G_i``.  ``spans["L0"]`` is a
@@ -430,9 +421,6 @@ class GradedDecomposition:
         object.__setattr__(self, "kd", kd)
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "spans", spans)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedDecomposition is immutable")
 
     def dims(self) -> Tuple[int, int, int, int, int]:
         return tuple(len(self.pieces.get(i, [])) for i in range(-2, 3))  # type: ignore[return-value]

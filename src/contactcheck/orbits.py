@@ -35,12 +35,12 @@ from .lie import GradedDecomposition, KillingData, SparseVec, StructureConstants
 from .linalg import add_into, combine, total
 from .report import SKIPPED, CheckResult, check
 from .rootsystem import Root
-from .scalars import ONE, ZERO, GaussianRational, ScalarLike
+from .scalars import ONE, ZERO, GaussianRational, Immutable, ScalarLike
 
 Word = Sequence[Tuple[Root, ScalarLike]]
 
 
-class AlgebraAutomorphism:
+class AlgebraAutomorphism(Immutable):
     """A bracket-preserving linear map, stored as the images of the basis vectors.
 
     ``columns[j]`` is the image of ``e_j``, i.e. column ``j`` of the map's
@@ -52,9 +52,6 @@ class AlgebraAutomorphism:
     def __init__(self, sc: StructureConstants, columns: List[SparseVec]):
         object.__setattr__(self, "sc", sc)
         object.__setattr__(self, "columns", columns)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraAutomorphism is immutable")
 
     def apply(self, vec: SparseVec) -> SparseVec:
         return combine(vec, self.columns)
@@ -89,7 +86,7 @@ class AlgebraAutomorphism:
         return None
 
 
-class OrbitPoint:
+class OrbitPoint(Immutable):
     """A point of the minimal nilpotent cone, as a sparse vector, with its generating word."""
 
     __slots__ = ("vector", "word")
@@ -97,9 +94,6 @@ class OrbitPoint:
     def __init__(self, vector: SparseVec, word: Word):
         object.__setattr__(self, "vector", vector)
         object.__setattr__(self, "word", tuple(word))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OrbitPoint is immutable")
 
 
 def exp_ad(sc: StructureConstants, root: Root, t: ScalarLike) -> AlgebraAutomorphism:

@@ -82,7 +82,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .scalars import GaussianRational, ScalarLike, ZERO, ONE
+from .scalars import GaussianRational, Immutable, ScalarLike, ZERO, ONE
 
 Exponent = Tuple[int, ...]
 TermMap = Dict[Exponent, GaussianRational]
@@ -93,7 +93,7 @@ def _natural_key(name: str) -> List[object]:
     return [int(chunk) if k % 2 else chunk for k, chunk in enumerate(re.split(r"(\d+)", name))]
 
 
-class MultiPoly:
+class MultiPoly(Immutable):
     """Sparse Laurent polynomial in named variables with Gaussian-rational coefficients."""
 
     __slots__ = ("vars", "terms")
@@ -118,9 +118,6 @@ class MultiPoly:
         object.__setattr__(poly, "vars", variables)
         object.__setattr__(poly, "terms", terms)
         return poly
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
 
     # -- constructors ---------------------------------------------------------
 
@@ -334,9 +331,6 @@ class MultiPoly:
         if not isinstance(other, (MultiPoly, int, Fraction, GaussianRational)):
             return NotImplemented
         return self.terms == self._coerce_operand(other).terms
-
-    def __hash__(self):
-        raise TypeError("MultiPoly is not hashable; compare canonical strings if needed")
 
     def _natural_slots(self) -> List[int]:
         """Variable slots in the natural order of their names."""

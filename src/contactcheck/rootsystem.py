@@ -17,7 +17,7 @@ from math import gcd
 from typing import Container, Dict, List, Sequence, Tuple
 
 from . import linalg
-from .scalars import GaussianRational
+from .scalars import GaussianRational, Immutable
 
 Root = Tuple[int, ...]
 
@@ -35,7 +35,7 @@ CARTAN_MATRICES: Dict[str, List[List[int]]] = {
 }
 
 
-class CartanMatrix:
+class CartanMatrix(Immutable):
     """A validated indecomposable Cartan matrix of finite type."""
 
     __slots__ = ("entries", "rank", "symmetrizer")
@@ -57,9 +57,6 @@ class CartanMatrix:
         object.__setattr__(self, "rank", n)
         object.__setattr__(self, "symmetrizer", self._symmetrize())
         self._check_positive_definite()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CartanMatrix is immutable")
 
     def _symmetrize(self) -> Tuple[int, ...]:
         # d[j] plays the role of (a_j, a_j)/2; d[j]*A[i][j] must be symmetric.
@@ -111,7 +108,7 @@ class CartanMatrix:
         return sum(bi * self.entries[i][j] for i, bi in enumerate(b))
 
 
-class RootSystem:
+class RootSystem(Immutable):
     """All roots of a finite-type Cartan matrix, positives first."""
 
     __slots__ = ("cartan", "roots", "n_positive", "highest_index", "_index")
@@ -126,9 +123,6 @@ class RootSystem:
         top = max(range(len(ordered)), key=lambda i: (sum(ordered[i]), ordered[i]))
         object.__setattr__(self, "highest_index", top)
         self._validate()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RootSystem is immutable")
 
     def _validate(self) -> None:
         rho = self.highest

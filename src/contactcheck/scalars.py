@@ -9,7 +9,12 @@ without going through ``__init__``.  The ``fractions.Fraction`` parts
 ``re`` and ``im`` are built on first read and cached; they and ``str`` and
 ``repr`` read exactly as for a pair of ``Fraction`` parts.  ``hash`` agrees
 with ``==``: a real scalar hashes as its rational value, any other as the
-pair ``(re, im)``.
+pair ``(re, im)``.  Only exact input is read: a part, or a plain operand of
+an arithmetic operator, is an ``int`` (``bool`` included) or a ``Fraction``,
+and anything else, a float, string or ``Decimal`` among them, raises
+``TypeError``.
+
+:class:`Immutable` is the base of every value type of the package.
 """
 
 from __future__ import annotations
@@ -23,7 +28,21 @@ ScalarLike = Union[int, Fraction, "GaussianRational"]
 Triple = Tuple[int, int, int]
 
 
-class GaussianRational:
+class Immutable:
+    """Base of the package's value types: no attribute is set or deleted after
+    construction.  Constructors and caches write their slots through
+    ``object.__setattr__`` or the slot descriptors, which this guard does not see."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class GaussianRational(Immutable):
     """An element of Q(i), stored as the canonical triple ``(a, b, d)``."""
 
     # ``_v`` is the triple; ``_re`` and ``_im`` cache the Fraction parts and
@@ -45,12 +64,6 @@ class GaussianRational:
             _set_re(self, re)
         if type(im) is Fraction:
             _set_im(self, im)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("GaussianRational is immutable")
 
     @staticmethod
     def coerce(value: ScalarLike) -> "GaussianRational":
@@ -263,15 +276,14 @@ def _quotient(num: Triple, den: Triple) -> GaussianRational:
 
 
 def _ratio(value: RationalLike) -> Tuple[int, int]:
-    """A rational part as ``(numerator, denominator)`` in lowest terms."""
+    """An ``int`` or ``Fraction`` part as ``(numerator, denominator)`` in lowest terms."""
     if type(value) is int:
         return value, 1
     if isinstance(value, Fraction):
         return value.numerator, value.denominator
     if isinstance(value, int):
         return int(value), 1
-    value = Fraction(value)
-    return value.numerator, value.denominator
+    raise TypeError(f"a scalar part must be an int or a Fraction, not {type(value).__name__}")
 
 
 def _triple(value: RationalLike) -> Triple:

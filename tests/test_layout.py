@@ -189,3 +189,24 @@ def test_the_package_imports_only_the_standard_library():
     """``pyproject.toml`` declares ``dependencies = []``; every import keeps to it."""
     modules = sorted(PACKAGE.glob("*.py"))
     assert [line for path in modules for line in foreign_imports(path)] == []
+
+
+def attribute_guards(path: Path):
+    """Classes in one module that define ``__setattr__`` or ``__delattr__``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and item.name in ("__setattr__", "__delattr__"):
+                found.append(f"{path.name}: {node.name}.{item.name}")
+    return found
+
+
+def test_only_the_immutable_base_guards_attributes():
+    """Value types derive from ``scalars.Immutable``; no class grows a guard of its own."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert [line for path in modules for line in attribute_guards(path)] == [
+        "scalars.py: Immutable.__setattr__",
+        "scalars.py: Immutable.__delattr__",
+    ]

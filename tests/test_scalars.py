@@ -1,11 +1,13 @@
 import operator
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contactcheck.poly import MultiPoly
 from contactcheck.scalars import GaussianRational
 from conftest import gq
 from oracles import FractionPair
@@ -226,3 +228,23 @@ def test_setting_any_attribute_raises(name):
         with pytest.raises(AttributeError):
             delattr(z, name)
     assert built == GaussianRational(Fraction(1, 2), 3) and str(built) == "1/2+3i"
+
+
+@pytest.mark.parametrize("value", [0.5, 1.0, "1/2", Decimal("0.5"), None], ids=repr)
+def test_an_inexact_part_is_rejected(value):
+    """Only ``int`` and ``Fraction`` parts: no float, string or Decimal is read as a rational."""
+    message = f"must be an int or a Fraction, not {type(value).__name__}"
+    one = GaussianRational(1)
+    uses = [
+        lambda: GaussianRational(value),
+        lambda: GaussianRational(1, value),
+        lambda: GaussianRational.coerce(value),
+        lambda: MultiPoly(("x",), {(1,): value}),
+        lambda: one + value, lambda: value + one,
+        lambda: one - value, lambda: value - one,
+        lambda: one * value, lambda: value * one,
+        lambda: one / value, lambda: value / one,
+    ]
+    for use in uses:
+        with pytest.raises(TypeError, match=message):
+            use()
