@@ -225,27 +225,31 @@ def _symplectic_solver(cc: ContactChart) -> List[Dict[int, Coeff]]:
 
 
 def _solve_pieces(
-    cc: ContactChart, pieces: Iterable[Tuple[int, GaussianRational, Exponent]]
+    cc: ContactChart, pieces: Iterable[Tuple[int, int, GaussianRational, Exponent]]
 ) -> PolyVectorField:
     """The field X with ``iota_X dtheta = -target`` (exact, chart-ring components).
 
-    ``target`` is the 1-form ``sum c * u^e dx_i`` over its monomial ``pieces``
-    ``(i, c, e)``.  X is ``-M^-1`` applied to its components, the combination
-    ``X_m = sum c * u^e * S_i[m]`` of the solver's columns S_i, summed where
-    the products are made: no target form and no negated target is built.
+    ``target`` is the 1-form ``sum k * c * u^e dx_i`` over its monomial
+    ``pieces`` ``(i, k, c, e)``, each an int ``k`` times a scalar ``c``.  X is
+    ``-M^-1`` applied to its components, the combination
+    ``X_m = sum k * c * u^e * S_i[m]`` of the solver's columns S_i, summed
+    where the products are made: no target form, no negated target and no
+    scalar ``k * c`` is built.
     """
     columns = _symplectic_solver(cc)
     sums: Dict[int, ProductSum] = defaultdict(partial(ProductSum, cc.chart.all_vars))
-    for i, c, e in pieces:
+    for i, k, c, e in pieces:
         for m, entry in columns[i].items():
-            sums[m].add(c, e, entry.terms)
+            sums[m].add(c, e, entry.terms, k)
     return PolyVectorField(cc.chart, {m: total.poly() for m, total in sums.items()})
 
 
 def _solve_contraction(cc: ContactChart, target: PolyForm) -> PolyVectorField:
     """The field X with ``iota_X dtheta = -target``, for a 1-form ``target``."""
     terms = target.terms.items()
-    return _solve_pieces(cc, ((i, c, e) for (i,), coeff in terms for e, c in coeff.terms.items()))
+    return _solve_pieces(
+        cc, ((i, 1, c, e) for (i,), coeff in terms for e, c in coeff.terms.items())
+    )
 
 
 def solved_euler_field(cc: ContactChart) -> PolyVectorField:
@@ -277,7 +281,9 @@ def hamiltonian_field(cc: ContactChart, f: Coeff) -> PolyVectorField:
     one at a time, so no df form is built.
     """
     cc.chart.require_spelled(f)
-    return _solve_pieces(cc, ((i, c, e) for i in range(cc.dim) for c, e in f.partial_terms(i)))
+    return _solve_pieces(
+        cc, ((i, k, c, e) for i in range(cc.dim) for k, c, e in f.partial_terms(i))
+    )
 
 
 def pairing_with_theta(cc: ContactChart, field: PolyVectorField) -> Coeff:

@@ -23,12 +23,13 @@ from the zero polynomial or keeps a key whose sum cancels.  Every sum of
 products here -- the wedge, d, iota, the derivation ``X(h)``, the bracket
 and the pullback -- is summed where its products are made: each form key or
 field index gets one :class:`~contactcheck.poly.ProductSum`, fed pieces
-``c * u^e * p`` that are the terms of one factor against the other factor,
-with a partial derivative read term by term (``a * x^e`` gives ``e_v * a``
-at ``e`` lowered in slot v), so no product, partial or negated polynomial is
-built.  d, whose pieces are those partial terms alone, adds them as bare
-monomials.  ``+`` of forms and fields adds whole coefficients key by key and
-drops a key whose sum cancels.
+``k * c * u^e * p`` that are the terms of one factor against the other
+factor, with a partial derivative read term by term (``a * x^e`` gives
+``e_v * a`` at ``e`` lowered in slot v) and its exponent factor and any
+sign passed as the int multiplier ``k``, so no product, partial or negated
+polynomial and no scalar ``k * a`` is built.  d, whose pieces are those
+partial terms alone, adds them as bare monomials.  ``+`` of forms and fields
+adds whole coefficients key by key and drops a key whose sum cancels.
 
 Checked once.  The public constructors check every key (length, strictly
 increasing, in range) and every coefficient (chart spelling; zeros dropped).
@@ -386,8 +387,8 @@ def _nonzero_sums(sums: Mapping[Hashable, ProductSum]) -> Dict[Hashable, Coeff]:
 def _derive_into(total: ProductSum, field: "PolyVectorField", h: Coeff, sign: int) -> None:
     """Add ``sign * X(h) = sign * sum_j X_j dh/dx_j`` to ``total``, partials read term by term."""
     for j, comp in field.components.items():
-        for c, e in h.partial_terms(j):
-            total.add(c if sign > 0 else -c, e, comp.terms)
+        for k, c, e in h.partial_terms(j):
+            total.add(c, e, comp.terms, k * sign)
 
 
 class PolyVectorField(Immutable):
@@ -487,8 +488,8 @@ def exterior_derivative(form: PolyForm) -> PolyForm:
             if dc_dv:
                 new_key, sign = _merge_sorted((v,), key)
                 add = sums[new_key].add_monomial
-                for c, e in dc_dv:
-                    add(c if sign > 0 else -c, e)
+                for k, c, e in dc_dv:
+                    add(c, e, k * sign)
     return PolyForm._make(chart, form.degree + 1, _nonzero_sums(sums))
 
 

@@ -33,21 +33,27 @@ being checked again.  Sums store a monomial met for the first time as it is
 and add only where both operands carry it, so no sum starts from zero.
 
 One product loop.  :class:`ProductSum` is the multiply-accumulate kernel of
-the ring: it adds ``c * u^shift * p`` for the terms of ``p`` straight into
-one exponent -> scalar dict, stores a monomial met for the first time as it
-is, and drops a monomial the moment its sum cancels, so a sum never starts
-from zero and a monomial added again after cancelling starts afresh.  It
-wraps its dict once, when the sum is read.  ``*`` is one such sum
-(:meth:`ProductSum.add_product`), a piece per term of the shorter factor, so
-a product by a unit ``c * u^e`` is one shift.  The chart calculus of
-:mod:`contactcheck.forms` and the dtheta solve of :mod:`contactcheck.contact`
-feed it the pieces of their sums of products, with partial derivatives read
-term by term (:meth:`MultiPoly.partial_terms`), so no intermediate
-polynomial is built.  A bare monomial ``c * u^e``, such as a term of a
-partial derivative in d or a drawn sample, goes in by
-:meth:`ProductSum.add_monomial` under the same rules, with no product by 1;
-:meth:`MultiPoly.substitute` feeds each term's product of image powers to one
-such sum.
+the ring: it adds ``k * c * u^shift * p`` for the terms of ``p`` straight
+into one exponent -> scalar dict, stores a monomial met for the first time,
+and drops a monomial the moment its sum cancels, so a sum never starts from
+zero and a monomial added again after cancelling starts afresh.  The
+multiplier ``k`` is a nonzero int: a sign, or the exponent factor of a
+partial derivative, passed as it is, so no scalar ``-c`` or ``k * c`` is
+built.  Each product, and its sum with the stored entry, is done in ints on
+the scalars' canonical triples (``GaussianRational.triple``), and one
+:func:`~contactcheck.scalars.from_triple`, with its one gcd, makes each
+stored scalar; a sum that cancels is dropped before any scalar is made.
+The kernel wraps its dict once, when the sum is read.  ``*`` is one such
+sum (:meth:`ProductSum.add_product`), a piece per term of the shorter
+factor, so a product by a unit ``c * u^e`` is one shift.  The chart
+calculus of :mod:`contactcheck.forms` and the dtheta solve of
+:mod:`contactcheck.contact` feed it the pieces of their sums of products,
+with partial derivatives read term by term as ``(k, c, e)``
+(:meth:`MultiPoly.partial_terms`), so no intermediate polynomial is built.
+A bare monomial ``k * c * u^e``, such as a term of a partial derivative in
+d or a drawn sample, goes in by :meth:`ProductSum.add_monomial` under the
+same rules, with no product by 1; :meth:`MultiPoly.substitute` feeds each
+term's product of image powers to one such sum.
 
 Degrees are read, not built.  Under weights ``w`` (0 for a variable not
 named), a term ``c * u^e`` has weighted degree ``sum w_k e_k``;
@@ -82,7 +88,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .scalars import GaussianRational, Immutable, ScalarLike, ZERO, ONE
+from .scalars import GaussianRational, Immutable, ScalarLike, ZERO, ONE, from_triple
 
 Exponent = Tuple[int, ...]
 TermMap = Dict[Exponent, GaussianRational]
@@ -214,6 +220,9 @@ class MultiPoly(Immutable):
         ((expo, c),) = other.terms.items()
         return _shifted(self, expo).scale(c.inverse())
 
+    def __rtruediv__(self, other) -> "MultiPoly":
+        return self._coerce_operand(other) / self
+
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
             return (MultiPoly.const(1, self.vars) / self) ** -k
@@ -254,19 +263,24 @@ class MultiPoly(Immutable):
         if var not in self.vars:
             raise ValueError(f"unknown variable {var!r}; have {self.vars}")
         slot = self.vars.index(var)
-        return MultiPoly._make(self.vars, {e: c for c, e in self.partial_terms(slot)})
+        return MultiPoly._make(
+            self.vars, {e: c if k == 1 else c * k for k, c, e in self.partial_terms(slot)}
+        )
 
-    def partial_terms(self, slot: int) -> Iterator[Tuple[GaussianRational, Exponent]]:
-        """The terms ``(c, e)`` of the partial derivative in variable ``slot``, one at a time.
+    def partial_terms(self, slot: int) -> Iterator[Tuple[int, GaussianRational, Exponent]]:
+        """The terms ``k * c * u^e`` of the partial derivative in variable
+        ``slot``, one ``(k, c, e)`` at a time.
 
-        A term ``a * u^e`` with ``k = e[slot] != 0`` gives ``k * a`` at ``e``
-        lowered by 1 in that slot.  Lowering one exponent is injective, so no
-        two terms land on one exponent.
+        A term ``c * u^e`` with ``k = e[slot] != 0`` gives ``k * c`` at ``e``
+        lowered by 1 in that slot; the factor ``k`` is left for the
+        :class:`ProductSum` that takes the term, so no scalar ``k * c`` is
+        built.  Lowering one exponent is injective, so no two terms land on
+        one exponent.
         """
         for expo, coeff in self.terms.items():
             k = expo[slot]
             if k:
-                yield coeff if k == 1 else coeff * k, expo[:slot] + (k - 1,) + expo[slot + 1 :]
+                yield k, coeff, expo[:slot] + (k - 1,) + expo[slot + 1 :]
 
     def substitute(self, bindings: Mapping[str, "MultiPoly"]) -> "MultiPoly":
         """Ring homomorphism sending each bound variable to its image polynomial.
@@ -406,14 +420,16 @@ def _shifted(p: MultiPoly, expo: Exponent) -> MultiPoly:
 
 
 class ProductSum:
-    """A sum of products ``c * u^shift * p``, built in one exponent -> scalar dict.
+    """A sum of products ``k * c * u^shift * p``, built in one exponent -> scalar dict.
 
-    :meth:`add` is the one product loop of the ring.  Its scalar ``c`` is
-    nonzero and so are the coefficients of ``p``, so every product it adds is
-    nonzero: a monomial met for the first time is stored as it is, and one
-    whose sum cancels is dropped at once.  :meth:`add_monomial` adds a bare
-    monomial by the same rules.  :meth:`poly` wraps the dict, already
-    canonical, without checking it again.
+    :meth:`add` is the one product loop of the ring.  Its scalar ``c`` and
+    int multiplier ``k`` are nonzero and so are the coefficients of ``p``, so
+    every product it adds is nonzero.  Each product, and its sum with the
+    stored entry, is done in ints on the scalars' triples; the result is
+    made canonical by one :func:`~contactcheck.scalars.from_triple`, and a
+    monomial whose sum cancels is dropped before any scalar is made.
+    :meth:`add_monomial` adds a bare monomial by the same rules.
+    :meth:`poly` wraps the dict, already canonical, without checking it again.
     """
 
     __slots__ = ("vars", "terms")
@@ -422,44 +438,73 @@ class ProductSum:
         self.vars = variables
         self.terms: TermMap = {}
 
-    def add(self, c: GaussianRational, shift: Exponent, terms: TermMap) -> None:
-        """Add ``c * u^shift * p``, where ``terms`` are the terms of ``p`` and ``c != 0``."""
+    def add(self, c: GaussianRational, shift: Exponent, terms: TermMap, k: int = 1) -> None:
+        """Add ``k * c * u^shift * p``, where ``terms`` are the terms of ``p``,
+        ``c != 0`` and ``k`` is a nonzero int."""
         out = self.terms
+        get = out.get
         add = operator.add
+        a1, b1, d1 = c.triple
+        if k != 1:
+            a1 *= k
+            b1 *= k
         for expo, value in terms.items():
             key = tuple(map(add, expo, shift))
-            value = c * value
-            acc = out.get(key)
-            if acc is None:
-                out[key] = value
-                continue
-            acc = acc + value
-            if acc.is_zero():
-                del out[key]
-            else:
-                out[key] = acc
+            a2, b2, d2 = value.triple
+            a = a1 * a2 - b1 * b2
+            b = a1 * b2 + b1 * a2
+            d = d1 * d2
+            acc = get(key)
+            if acc is not None:
+                a0, b0, d0 = acc.triple
+                if d == d0:
+                    a += a0
+                    b += b0
+                else:
+                    a = a * d0 + a0 * d
+                    b = b * d0 + b0 * d
+                    d *= d0
+                if not a and not b:
+                    del out[key]
+                    continue
+            out[key] = from_triple(a, b, d)
 
-    def add_monomial(self, c: GaussianRational, expo: Exponent) -> None:
-        """Add the bare monomial ``c * u^expo``, ``c != 0``, by :meth:`add`'s rules."""
+    def add_monomial(self, c: GaussianRational, expo: Exponent, k: int = 1) -> None:
+        """Add the bare monomial ``k * c * u^expo``, ``c != 0`` and ``k`` a
+        nonzero int, by :meth:`add`'s rules: ``c`` itself is stored when
+        ``k == 1`` and the monomial is new."""
         out = self.terms
         acc = out.get(expo)
-        if acc is None:
+        if acc is None and k == 1:
             out[expo] = c
             return
-        acc = acc + c
-        if acc.is_zero():
-            del out[expo]
-        else:
-            out[expo] = acc
+        a, b, d = c.triple
+        if k != 1:
+            a *= k
+            b *= k
+        if acc is not None:
+            a0, b0, d0 = acc.triple
+            if d == d0:
+                a += a0
+                b += b0
+            else:
+                a = a * d0 + a0 * d
+                b = b * d0 + b0 * d
+                d *= d0
+            if not a and not b:
+                del out[expo]
+                return
+        out[expo] = from_triple(a, b, d)
 
-    def add_product(self, p: MultiPoly, q: MultiPoly, sign: int = 1) -> None:
-        """Add ``sign * p * q`` for ``sign`` 1 or -1: a piece per term of the
+    def add_product(self, p: MultiPoly, q: MultiPoly, k: int = 1) -> None:
+        """Add ``k * p * q`` for a nonzero int ``k``: a piece per term of the
         shorter factor, so a product by a unit ``c * u^e`` is one shift."""
         if len(p.terms) > len(q.terms):
             p, q = q, p
         inner = q.terms
+        add = self.add
         for e, c in p.terms.items():
-            self.add(c if sign > 0 else -c, e, inner)
+            add(c, e, inner, k)
 
     def poly(self) -> MultiPoly:
         """The sum so far as a :class:`MultiPoly`; the accumulator starts again from 0."""

@@ -14,7 +14,7 @@ from .contact import ContactChart, HomogeneousFunction
 from .forms import Coeff
 from .poly import Exponent, MultiPoly, ProductSum
 from .rootsystem import Root, RootSystem
-from .scalars import GaussianRational
+from .scalars import GaussianRational, from_triple
 
 MAX_MAGNITUDE = 7
 
@@ -33,18 +33,18 @@ class SeededSampler:
         return self._rng.randint(-MAX_MAGNITUDE, MAX_MAGNITUDE), self._rng.randint(1, MAX_MAGNITUDE)
 
     def fraction(self, nonzero: bool = False) -> GaussianRational:
-        """A real scalar p / q."""
+        """A real scalar p / q, built once from its triple."""
         while True:
             p, q = self._ratio()
             if p or not nonzero:
-                return GaussianRational(p) / q
+                return from_triple(p, 0, q)
 
     def gaussian(self, nonzero: bool = False) -> GaussianRational:
-        """A scalar p / q + (r / s) i."""
+        """A scalar p / q + (r / s) i, built once from its triple over ``q * s``."""
         while True:
             (p, q), (r, s) = self._ratio(), self._ratio()
             if p or r or not nonzero:
-                return GaussianRational(p * s, r * q) / (q * s)
+                return from_triple(p * s, r * q, q * s)
 
     # -- chart data --------------------------------------------------------------
 

@@ -3,16 +3,26 @@
 A :class:`GaussianRational` is ``(a + b*i) / d`` stored as three ints with
 ``d > 0`` and ``gcd(a, b, d) == 1``.  That form is canonical, so equality of
 two scalars is equality of their integer triples and every computation
-downstream is bit-exact.  Each operation does its integer arithmetic and at
-most one ``math.gcd(a, b, d)``, skipped when ``d == 1``; results are built
-without going through ``__init__``.  The ``fractions.Fraction`` parts
+downstream is bit-exact.  The triple is the public read-only slot
+``triple``, and :func:`from_triple` is the one public builder from ints: it
+divides any triple with ``d > 0`` through by its gcd.  Code outside this
+module that works on triples reads and builds scalars through those two:
+the sampler builds each drawn scalar once, and a loop that sums products,
+:class:`~contactcheck.poly.ProductSum`, works on the triples in ints and
+pays one gcd and one scalar per stored term of its sum, not one per
+operator.  Each operation here does its integer arithmetic and
+at most one ``math.gcd(a, b, d)``, skipped when ``d == 1``; results are
+built without going through ``__init__``.  The ``fractions.Fraction`` parts
 ``re`` and ``im`` are built on first read and cached; they and ``str`` and
 ``repr`` read exactly as for a pair of ``Fraction`` parts.  ``hash`` agrees
 with ``==``: a real scalar hashes as its rational value, any other as the
 pair ``(re, im)``.  Only exact input is read: a part, or a plain operand of
 an arithmetic operator, is an ``int`` (``bool`` included) or a ``Fraction``,
 and anything else, a float, string or ``Decimal`` among them, raises
-``TypeError``.
+``TypeError``.  An operand of another of the package's value types, such as
+a :class:`~contactcheck.poly.MultiPoly`, makes the operator return
+``NotImplemented``, so that type's reflected operator runs: ``ONE * p`` is
+``p * ONE``.
 
 :class:`Immutable` is the base of every value type of the package.
 """
@@ -45,9 +55,9 @@ class Immutable:
 class GaussianRational(Immutable):
     """An element of Q(i), stored as the canonical triple ``(a, b, d)``."""
 
-    # ``_v`` is the triple; ``_re`` and ``_im`` cache the Fraction parts and
-    # stay unset until first read.
-    __slots__ = ("_v", "_re", "_im")
+    # ``triple`` is the canonical ``(a, b, d)``, public and read-only; ``_re``
+    # and ``_im`` cache the Fraction parts and stay unset until first read.
+    __slots__ = ("triple", "_re", "_im")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
         # A part that is exactly a Fraction is kept as its cached part; anything
@@ -55,11 +65,11 @@ class GaussianRational(Immutable):
         a, p = _ratio(re)
         b, q = _ratio(im)
         if p == q:
-            _set_v(self, (a, b, p))
+            _set_triple(self, (a, b, p))
         else:
             # Both parts are in lowest terms, so over their lcm the triple is too.
             g = gcd(p, q)
-            _set_v(self, (a * (q // g), b * (p // g), p // g * q))
+            _set_triple(self, (a * (q // g), b * (p // g), p // g * q))
         if type(re) is Fraction:
             _set_re(self, re)
         if type(im) is Fraction:
@@ -78,7 +88,7 @@ class GaussianRational(Immutable):
         try:
             return self._re
         except AttributeError:
-            a, _, d = self._v
+            a, _, d = self.triple
             part = Fraction(a, d)
             _set_re(self, part)
             return part
@@ -88,60 +98,78 @@ class GaussianRational(Immutable):
         try:
             return self._im
         except AttributeError:
-            _, b, d = self._v
+            _, b, d = self.triple
             part = Fraction(b, d)
             _set_im(self, part)
             return part
 
     def integer(self) -> Optional[int]:
         """The value as an ``int`` when it is a rational integer, else None."""
-        a, b, d = self._v
+        a, b, d = self.triple
         return a if not b and d == 1 else None
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self._v == _ZERO_V
+        return self.triple == _ZERO_TRIPLE
 
     def is_real(self) -> bool:
-        return not self._v[1]
+        return not self.triple[1]
 
     def __bool__(self) -> bool:
-        return self._v != _ZERO_V
+        return self.triple != _ZERO_TRIPLE
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: ScalarLike) -> "GaussianRational":
-        a1, b1, d1 = self._v
-        if type(other) is int:
+        a1, b1, d1 = self.triple
+        if type(other) is GaussianRational:
+            a2, b2, d2 = other.triple
+        elif type(other) is int:
             # gcd(a + o*d, b, d) == gcd(a, b, d) == 1: nothing to reduce.
             return _make(a1 + other * d1, b1, d1) if other else self
-        a2, b2, d2 = other._v if type(other) is GaussianRational else _triple(other)
+        elif (t := _triple(other)) is None:
+            return NotImplemented
+        else:
+            a2, b2, d2 = t
         if d1 == d2:
-            return _reduced(a1 + a2, b1 + b2, d1)
-        return _reduced(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
+            return from_triple(a1 + a2, b1 + b2, d1)
+        return from_triple(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GaussianRational":
-        a, b, d = self._v
+        a, b, d = self.triple
         return _make(-a, -b, d)
 
     def __sub__(self, other: ScalarLike) -> "GaussianRational":
-        a1, b1, d1 = self._v
-        a2, b2, d2 = other._v if type(other) is GaussianRational else _triple(other)
+        a1, b1, d1 = self.triple
+        if type(other) is GaussianRational:
+            a2, b2, d2 = other.triple
+        elif (t := _triple(other)) is None:
+            return NotImplemented
+        else:
+            a2, b2, d2 = t
         if d1 == d2:
-            return _reduced(a1 - a2, b1 - b2, d1)
-        return _reduced(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2)
+            return from_triple(a1 - a2, b1 - b2, d1)
+        return from_triple(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2)
 
     def __rsub__(self, other: ScalarLike) -> "GaussianRational":
-        a1, b1, d1 = _triple(other)
-        a2, b2, d2 = self._v
-        return _reduced(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2)
+        t = _triple(other)
+        if t is None:
+            return NotImplemented
+        a1, b1, d1 = t
+        a2, b2, d2 = self.triple
+        return from_triple(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2)
 
     def __mul__(self, other: ScalarLike) -> "GaussianRational":
-        a1, b1, d1 = self._v
-        a2, b2, d2 = other._v if type(other) is GaussianRational else _triple(other)
+        a1, b1, d1 = self.triple
+        if type(other) is GaussianRational:
+            a2, b2, d2 = other.triple
+        elif (t := _triple(other)) is None:
+            return NotImplemented
+        else:
+            a2, b2, d2 = t
         if not b1 and not b2:
             a, d = a1 * a2, d1 * d2
             if d != 1:
@@ -150,32 +178,36 @@ class GaussianRational(Immutable):
                     a //= g
                     d //= g
             return _make(a, 0, d)
-        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
+        return from_triple(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "GaussianRational":
-        a, b, d = self._v
+        a, b, d = self.triple
         return _make(a, -b, d)
 
     def norm_sq(self) -> Fraction:
-        a, b, d = self._v
+        a, b, d = self.triple
         return Fraction(a * a + b * b, d * d)
 
     def inverse(self) -> "GaussianRational":
-        a, b, d = self._v
+        a, b, d = self.triple
         if not b:
             if not a:
                 raise ZeroDivisionError("inverse of zero Gaussian rational")
             # gcd(d, a) == 1 already.
             return _make(d, 0, a) if a > 0 else _make(-d, 0, -a)
-        return _reduced(d * a, -d * b, a * a + b * b)
+        return from_triple(d * a, -d * b, a * a + b * b)
 
     def __truediv__(self, other: ScalarLike) -> "GaussianRational":
-        return _quotient(self._v, other._v if type(other) is GaussianRational else _triple(other))
+        if type(other) is GaussianRational:
+            return _quotient(self.triple, other.triple)
+        t = _triple(other)
+        return NotImplemented if t is None else _quotient(self.triple, t)
 
     def __rtruediv__(self, other: ScalarLike) -> "GaussianRational":
-        return _quotient(_triple(other), self._v)
+        t = _triple(other)
+        return NotImplemented if t is None else _quotient(t, self.triple)
 
     def __pow__(self, k: int) -> "GaussianRational":
         if k < 0:
@@ -193,16 +225,16 @@ class GaussianRational(Immutable):
 
     def __eq__(self, other) -> bool:
         if isinstance(other, GaussianRational):
-            return self._v == other._v
+            return self.triple == other.triple
         if isinstance(other, int):
-            return self._v == (other, 0, 1)
+            return self.triple == (other, 0, 1)
         if isinstance(other, Fraction):
-            return self._v == (other.numerator, 0, other.denominator)
+            return self.triple == (other.numerator, 0, other.denominator)
         return NotImplemented
 
     def __hash__(self) -> int:
         # A real scalar equals its rational value, so it hashes as that value.
-        a, b, d = self._v
+        a, b, d = self.triple
         if not b:
             return hash(a) if d == 1 else hash(self.re)
         if d == 1:
@@ -214,7 +246,7 @@ class GaussianRational(Immutable):
 
     def __str__(self) -> str:
         # Canonical textual form: "0", "3/2", "i", "-2i", "1/2+3i", "1/2-3i".
-        a, b, d = self._v
+        a, b, d = self.triple
         if not b:
             return _ratio_str(a, d)
         if b == d:
@@ -233,28 +265,32 @@ class GaussianRational(Immutable):
 
 
 _new = object.__new__
-_set_v = GaussianRational._v.__set__
+_set_triple = GaussianRational.triple.__set__
 _set_re = GaussianRational._re.__set__
 _set_im = GaussianRational._im.__set__
-_ZERO_V = (0, 0, 1)
+_ZERO_TRIPLE = (0, 0, 1)
 
 
 def _make(a: int, b: int, d: int) -> GaussianRational:
     """A scalar from a triple that is already canonical."""
     z = _new(GaussianRational)
-    _set_v(z, (a, b, d))
+    _set_triple(z, (a, b, d))
     return z
 
 
-def _reduced(a: int, b: int, d: int) -> GaussianRational:
-    """A scalar from a triple with ``d > 0``, divided through by its gcd."""
+def from_triple(a: int, b: int, d: int) -> GaussianRational:
+    """The scalar ``(a + b*i) / d`` for ints with ``d > 0``, divided through by
+    their gcd: the one builder that makes any triple canonical."""
     if d != 1:
         g = gcd(a, b, d)
         if g != 1:
             a //= g
             b //= g
             d //= g
-    return _make(a, b, d)
+    # Built here, not through _make: this runs once per stored term of every sum.
+    z = _new(GaussianRational)
+    _set_triple(z, (a, b, d))
+    return z
 
 
 def _quotient(num: Triple, den: Triple) -> GaussianRational:
@@ -266,9 +302,9 @@ def _quotient(num: Triple, den: Triple) -> GaussianRational:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
         if a2 < 0:
             a2, d2 = -a2, -d2
-        return _reduced(a1 * d2, b1 * d2, d1 * a2)
+        return from_triple(a1 * d2, b1 * d2, d1 * a2)
     # (a1 + b1 i)(a2 - b2 i) d2 / (d1 (a2^2 + b2^2))
-    return _reduced(
+    return from_triple(
         (a1 * a2 + b1 * b2) * d2,
         (b1 * a2 - a1 * b2) * d2,
         d1 * (a2 * a2 + b2 * b2),
@@ -286,8 +322,11 @@ def _ratio(value: RationalLike) -> Tuple[int, int]:
     raise TypeError(f"a scalar part must be an int or a Fraction, not {type(value).__name__}")
 
 
-def _triple(value: RationalLike) -> Triple:
-    """The canonical triple of a rational operand."""
+def _triple(value: RationalLike) -> Optional[Triple]:
+    """The canonical triple of a plain rational operand; None for a value of
+    another of the package's types, whose reflected operator is left to run."""
+    if isinstance(value, Immutable):
+        return None
     a, d = _ratio(value)
     return a, 0, d
 

@@ -25,8 +25,10 @@ one accumulator, and weighted degrees read from the t-exponents of the
 substitution ``x -> t^w x`` instead of the library's reads of the
 exponents), section gauges found by substituting each transition into every
 image of a section and comparing component by component instead of the
-library's one quotient of unit images, and Q(i) arithmetic on a pair of
-plain ``Fraction`` parts instead of the library's integer triples.  They stay
+library's one quotient of unit images, Q(i) arithmetic on a pair of
+plain ``Fraction`` parts instead of the library's integer triples, and a
+multiply-accumulate sum built by the scalar operators in a plain dict from
+zero instead of ``ProductSum``'s sums in ints on those triples.  They stay
 deliberately naive.
 """
 
@@ -659,3 +661,17 @@ class FractionPair:
         if not self.re:
             return imag
         return f"{self.re}{'+' if self.im > 0 else ''}{imag}"
+
+
+Piece = Tuple[int, GaussianRational, Tuple[int, ...], Dict[Tuple[int, ...], GaussianRational]]
+
+
+def naive_product_sum(pieces: Sequence[Piece]) -> Dict[Tuple[int, ...], GaussianRational]:
+    """``sum k * c * u^shift * p`` over the pieces ``(k, c, shift, terms of p)``:
+    each product by the scalar operators, accumulated from zero, zeros dropped at the end."""
+    out: Dict[Tuple[int, ...], GaussianRational] = {}
+    for k, c, shift, terms in pieces:
+        for expo, value in terms.items():
+            key = tuple(a + b for a, b in zip(expo, shift))
+            out[key] = out.get(key, ZERO) + c * value * k
+    return {key: value for key, value in out.items() if not value.is_zero()}

@@ -565,27 +565,35 @@ def test_constant_symplectic_matrix():
 
 def test_d_and_the_sampler_make_no_scalar_product_by_one(monkeypatch):
     """The terms of a partial derivative in d, and the sampler's drawn
-    monomials, are added as bare monomials: no product of two Gaussian
-    rationals has an operand equal to 1.  Products of a coefficient by an
-    exponent k >= 2 still happen, so the wrapper is seen to run."""
+    monomials, are added as bare monomials: no call of the product kernel
+    ``ProductSum.add`` multiplies by the constant 1, as its terms or as its
+    scalar.  Products of a coefficient by an exponent k >= 2 still happen,
+    as ``add_monomial`` calls with that multiplier, so the wrappers are seen
+    to run."""
     from contactcheck.contact import fibered_chart, hopf_chart
+    from contactcheck.poly import ProductSum
     from contactcheck.sampling import SeededSampler
-    from contactcheck.scalars import GaussianRational
+    from contactcheck.scalars import ONE
 
-    mul = GaussianRational.__mul__
+    add, add_monomial = ProductSum.add, ProductSum.add_monomial
     products, by_one = [], []
 
-    def counting_mul(self, other):
-        products.append(self)
-        if type(other) is GaussianRational and (1, 0, 1) in (self._v, other._v):
-            by_one.append((self, other))
-        return mul(self, other)
+    def counting_add(self, c, shift, terms, k=1):
+        products.append(c)
+        if c == ONE and k == 1 or terms == {(0,) * len(self.vars): ONE}:
+            by_one.append((c, terms))
+        return add(self, c, shift, terms, k)
+
+    def counting_add_monomial(self, c, expo, k=1):
+        if k != 1:
+            products.append(c)
+        return add_monomial(self, c, expo, k)
 
     charts = [hopf_chart(1), fibered_chart(1, 3), fibered_chart(2, -2)]
     z = C4.coeff_var("z0")
     forms = [cc.theta for cc in charts] + [PolyForm.function(C4, z * z * z - z), hopf_theta(C4, 1)]
-    monkeypatch.setattr(GaussianRational, "__mul__", counting_mul)
-    monkeypatch.setattr(GaussianRational, "__rmul__", counting_mul)
+    monkeypatch.setattr(ProductSum, "add", counting_add)
+    monkeypatch.setattr(ProductSum, "add_monomial", counting_add_monomial)
     for form in forms:
         d(d(form))
     sampler = SeededSampler(2024)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from oracles import (
     naive_poly_diff,
     naive_poly_evaluate,
     naive_poly_mul,
+    naive_product_sum,
     naive_scaling_degrees,
     naive_substitute,
 )
@@ -531,7 +533,9 @@ def test_evaluate_sums_are_not_seeded_with_zero(capsys, monkeypatch):
     """No Gaussian-rational sum made in poly starts from ZERO or 0.
 
     ``evaluate`` seeds each sum with its first term; a zero polynomial
-    still evaluates to ZERO.
+    still evaluates to ZERO.  The CLI runs sum their products in
+    ``ProductSum``, on integer triples, so a multi-term ``evaluate`` is made
+    under the spy too and its sums are seen.
     """
     import sys
 
@@ -540,6 +544,8 @@ def test_evaluate_sums_are_not_seeded_with_zero(capsys, monkeypatch):
 
     add = GaussianRational.__add__
     sums, zero_sums = [], []
+    x, y = MultiPoly.variable("x", ("x", "y")), MultiPoly.variable("y", ("x", "y"))
+    multi_term = x * x * y - x * gq(0, 1) + 3
 
     def counting_add(self, other):
         caller = sys._getframe(1).f_code.co_filename
@@ -557,6 +563,7 @@ def test_evaluate_sums_are_not_seeded_with_zero(capsys, monkeypatch):
     ):
         assert cli.main(argv) == 0
     capsys.readouterr()
+    assert multi_term.evaluate({"x": gq(2), "y": gq(Fraction(1, 2))}) == GaussianRational(5, -2)
     assert sums and zero_sums == []
     assert MultiPoly.zero(("x",)).evaluate({"x": gq(2)}) is ZERO
     assert CHART.coeff_zero().evaluate({"x": gq(1), "y": gq(1), "lam": gq(2)}) is ZERO
@@ -604,6 +611,59 @@ def test_add_monomial_stores_cancels_and_starts_afresh():
 
 
 UV = ("u", "v")
+
+
+#: Kernel scalars: real and complex, equal and unequal denominators, and
+#: negatives of each other, so sums cancel.
+KERNEL_SCALARS = [
+    gq(1), gq(-1), gq(2), gq(Fraction(1, 2)), gq(Fraction(-3, 4)), gq(0, 1), gq(0, -1),
+    gq(0, Fraction(1, 2)), gq(Fraction(1, 3), Fraction(2, 3)), gq(2, -3),
+    gq(Fraction(5, 6), Fraction(-1, 4)), gq(Fraction(-5, 6), Fraction(1, 4)),
+]
+kernel_scalars = st.sampled_from(KERNEL_SCALARS)
+kernel_exponents = st.tuples(st.integers(-1, 1), st.integers(-1, 1))
+kernel_terms = st.dictionaries(kernel_exponents, kernel_scalars, min_size=1, max_size=3)
+multipliers = st.sampled_from([1, -1, 2, -2, 3, -5])
+kernel_calls = st.one_of(
+    st.tuples(st.just("add"), multipliers, kernel_scalars, kernel_exponents, kernel_terms),
+    st.tuples(st.just("add_monomial"), multipliers, kernel_scalars, kernel_exponents),
+    st.tuples(st.just("add_product"), multipliers, kernel_terms, kernel_terms),
+)
+
+
+def _feed(total: ProductSum, call) -> list:
+    """Make one kernel call; return its pieces ``(k, c, shift, terms)`` for the oracle."""
+    kind, k = call[:2]
+    if kind == "add":
+        _, _, c, shift, terms = call
+        total.add(c, shift, terms, k)
+        return [(k, c, shift, terms)]
+    if kind == "add_monomial":
+        _, _, c, expo = call
+        total.add_monomial(c, expo, k)
+        return [(k, c, expo, {(0, 0): GaussianRational(1)})]
+    _, _, p, q = call
+    total.add_product(MultiPoly(UV, p), MultiPoly(UV, q), k)
+    return [(k, c, e, q) for e, c in p.items()]
+
+
+@given(st.lists(kernel_calls, min_size=1, max_size=12), st.integers(0, 12))
+@settings(max_examples=200, deadline=None)
+def test_product_sum_matches_operator_sums(calls, again):
+    """``ProductSum`` against a dict summed by the scalar operators.  The calls
+    are made, then made again with ``-k``, so every monomial cancels and the
+    oracle is empty, then a prefix is made a third time, so monomials come
+    back after cancelling.  Every stored coefficient is canonical and nonzero."""
+    negated = [(kind, -k, *rest) for kind, k, *rest in calls]
+    total = ProductSum(UV)
+    pieces = []
+    for stage in (calls, negated, calls[:again]):
+        pieces += [piece for call in stage for piece in _feed(total, call)]
+        assert total.terms == naive_product_sum(pieces)
+        for coeff in total.terms.values():
+            a, b, d = coeff.triple
+            assert type(coeff) is GaussianRational and d > 0 and gcd(a, b, d) == 1
+            assert (a, b) != (0, 0)
 
 
 @st.composite

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactcheck.poly import MultiPoly
-from contactcheck.scalars import GaussianRational
+from contactcheck.scalars import ONE, GaussianRational
 from conftest import gq
 from oracles import FractionPair
 
@@ -248,3 +248,19 @@ def test_an_inexact_part_is_rejected(value):
     for use in uses:
         with pytest.raises(TypeError, match=message):
             use()
+
+
+def test_a_polynomial_operand_runs_its_reflected_operator():
+    """A scalar on the left of a ``MultiPoly`` returns ``NotImplemented``, so the
+    polynomial's reflected operator runs: ``ONE * p`` is ``p * ONE``."""
+    x = MultiPoly.variable("x", ("x", "y"))
+    p = x * x - x * GaussianRational(0, 1) + 3
+    unit = x * GaussianRational(Fraction(1, 2), -2)
+    for c in (ONE, GaussianRational(Fraction(-3, 4), 5)):
+        assert c * p == p * c
+        assert c + p == p + c
+        assert c - p == -(p - c)
+        assert c / unit == unit**-1 * c
+    assert ONE / unit == unit**-1
+    with pytest.raises(ArithmeticError, match="the divisor is not a unit"):
+        ONE / p
