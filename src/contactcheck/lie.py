@@ -12,7 +12,13 @@ root, in root-system order.  Construction happens in two stages:
    pair writes its whole orbit at once, by antisymmetry,
    ``N_{-a,-b} = -N_{a,b}`` and the three-root cycle relation
    ``N_{a,b}/(c,c) = N_{b,c}/(a,a) = N_{c,a}/(b,b)`` for ``a+b+c = 0``.
-   Root norms are the integer pairing of the root system, computed once per
+   The stage works on root indices: positives come first, so the negative
+   of index i is ``i +- n_positive``; each positive pair's sum is looked up
+   once in :attr:`~contactcheck.rootsystem.RootSystem.indices`, and each
+   orbit write records its constants with the index of their sum, so no
+   other sum or negative is built as a coordinate tuple.  The ``h`` rows are
+   paired on the positive roots and negated for the negatives.  Root norms
+   are the integer pairing of the root system, computed once per positive
    root, and every division is an exact integer quotient.
 
 2. A rescaling ``e_{-a} -> -e_{-a}/B(e_a, e_{-a})`` for positive ``a``, after
@@ -35,7 +41,10 @@ come from one inverse of the r x r Cartan block of the Gram matrix.
 Every vector of the algebra -- bracket table entries, Gram rows, coroots,
 ``H_rho`` and the spans -- is one sparse ``{index: value}`` dict that stores
 no zeros, so dict equality is vector equality; the arithmetic on them lives
-in :mod:`contactcheck.linalg`.  Everything is read from the sparse table
+in :mod:`contactcheck.linalg`, whose scalar sums are done in ints on the
+scalars' triples: a bracket scales each table entry by the triple product
+``x_i y_j``, and the traces and ``B(x, y)`` are :func:`~contactcheck.linalg.dot`
+products.  Everything is read from the sparse table
 rather than from dense ``ad`` matrices: the ``ad(H_rho)`` eigenvalues from
 the rows of the Cartan generators, the centralizer ``L0 = ker(ad e_rho)``
 from the row of ``e_rho`` (zero columns give unit vectors, the rest are
@@ -51,12 +60,13 @@ needs square roots of root norms, which do not exist in Q(i).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from operator import add
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from . import linalg
-from .linalg import T, add_into, combine, total
+from .linalg import T, add_into, add_scaled, combine, dot
 from .rootsystem import Root, RootSystem
-from .scalars import GaussianRational, Immutable, ONE, ZERO
+from .scalars import GaussianRational, Immutable, ONE, ZERO, Triple, from_triple
 
 SparseVec = Dict[int, GaussianRational]
 
@@ -115,13 +125,19 @@ class StructureConstants(Immutable):
         return self.rows[i].get(j, _EMPTY)
 
     def bracket(self, x: SparseVec, y: SparseVec) -> SparseVec:
-        """``[x, y]``, summed over the table rows of x's terms."""
+        """``[x, y]``, summed over the table rows of x's terms.
+
+        Each ``x_i y_j`` is a product of triples in ints, and scales table
+        entry ``[e_i, e_j]`` by :func:`~contactcheck.linalg.add_scaled`.
+        """
         out: SparseVec = {}
         for i, xi in x.items():
             row = self.rows[i]
+            a1, b1, d1 = xi.triple
             for j, yj in y.items():
                 if j in row:
-                    add_into(out, xi * yj, row[j])
+                    a2, b2, d2 = yj.triple
+                    add_scaled(out, (a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2), row[j])
         return out
 
     def ad(self, i: int, y: SparseVec) -> SparseVec:
@@ -130,88 +146,114 @@ class StructureConstants(Immutable):
         out: SparseVec = {}
         for j, yj in y.items():
             if j in row:
-                add_into(out, yj, row[j])
+                add_scaled(out, yj.triple, row[j])
         return out
 
 
 def _rows(dim: int, table: Dict[Tuple[int, int], Dict[int, T]]) -> List[Dict[int, Dict[int, T]]]:
-    """``rows[i][j] = [e_i, e_j]`` in both orientations, for ``int`` or Q(i) entries."""
+    """``rows[i][j] = [e_i, e_j]`` in both orientations, for ``int`` or Q(i)
+    entries; each distinct Q(i) value is negated once, keyed by its triple."""
     rows: List[Dict[int, Dict[int, T]]] = [{} for _ in range(dim)]
+    negatives: Dict[Triple, GaussianRational] = {}
     for (i, j), entry in table.items():
         rows[i][j] = entry
-        rows[j][i] = {k: -c for k, c in entry.items()}
+        rows[j][i] = flipped = {}
+        for k, c in entry.items():
+            if type(c) is int:
+                flipped[k] = -c
+                continue
+            value = negatives.get(c.triple)
+            if value is None:
+                value = negatives[c.triple] = -c
+            flipped[k] = value
     return rows
 
 
 # -- Chevalley constants ----------------------------------------------------------
 
 
-def _exact(num: int, den: int, what: str) -> int:
-    """The integer ``num / den``; a remainder raises ``ArithmeticError`` naming ``what``."""
+def _exact(num: int, den: int, what: str, *roots: Root) -> int:
+    """The integer ``num / den``; a remainder raises ``ArithmeticError`` naming
+    ``what``, a format string filled with ``roots``."""
     quotient, remainder = divmod(num, den)
     if remainder:
-        raise ArithmeticError(f"{what}: {num}/{den} is not an integer")
+        raise ArithmeticError(f"{what.format(*roots)}: {num}/{den} is not an integer")
     return quotient
 
 
-def _root_norms(rs: RootSystem) -> Dict[Root, int]:
-    """``(a, a)`` for every root, one integer pairing per positive root."""
-    norms: Dict[Root, int] = {}
-    for a in rs.positive_roots():
-        norms[a] = norms[rs.negative(a)] = rs.pairing(a, a)
-    return norms
+def _root_norms(rs: RootSystem) -> List[int]:
+    """``(a, a)`` by root index, one integer pairing per positive root."""
+    norms = [rs.pairing(a, a) for a in rs.positive_roots()]
+    return norms + norms
 
 
-def _chevalley_constants(rs: RootSystem, norms: Dict[Root, int]) -> Dict[Tuple[Root, Root], int]:
-    """``N_{a,b}`` for every pair of roots whose sum is a root.
+def _chevalley_constants(rs: RootSystem, norms: List[int]) -> Dict[Tuple[int, int], Tuple[int, int]]:
+    """``(i, j) -> (N, k)`` for every pair of root indices whose roots sum to
+    root k, with ``[e_i, e_j] = N e_k``.
 
     Positive pairs are fixed by increasing height of their sum; each one
     writes its whole orbit of 12 entries at once, so the Jacobi step only
     reads constants of lower height or of the current extraspecial pair.
+    Each positive pair's sum is looked up once; every other sum is the
+    target an orbit write records.  The negative of index i is
+    ``i + n_positive`` or ``i - n_positive`` (positives come first).
     ``norms`` holds the :func:`_root_norms` of ``rs``.
     """
-    constants: Dict[Tuple[Root, Root], int] = {}
+    roots = rs.roots
+    n_pos = rs.n_positive
+    neg = list(range(n_pos, 2 * n_pos)) + list(range(n_pos))
+    constants: Dict[Tuple[int, int], Tuple[int, int]] = {}
 
-    def write_orbit(x: Root, y: Root, n: int) -> None:
-        # With c = -(x+y): N_{x,y}/(c,c) = N_{y,c}/(x,x) = N_{c,x}/(y,y), and
-        # N_{b,a} = N_{-a,-b} = -N_{a,b} for each of the three pairs.
-        c = tuple(-a - b for a, b in zip(x, y))
-        norm = norms[c]
-        what = f"cycle ratio of {x}, {y}"
-        for a, b, value in (
-            (x, y, n),
-            (y, c, _exact(n * norms[x], norm, what)),
-            (c, x, _exact(n * norms[y], norm, what)),
+    def write_orbit(x: int, y: int, s: int, n: int) -> None:
+        # With c = -(x+y) = -s: N_{x,y}/(c,c) = N_{y,c}/(x,x) = N_{c,x}/(y,y),
+        # and N_{b,a} = N_{-a,-b} = -N_{a,b} for each of the three pairs; the
+        # pair (a, b) sums to t and (-b, -a) to -t.
+        c = neg[s]
+        norm = norms[s]
+        what = "cycle ratio of {}, {}"
+        for a, b, t, value in (
+            (x, y, s, n),
+            (y, c, neg[x], _exact(n * norms[x], norm, what, roots[x], roots[y])),
+            (c, x, neg[y], _exact(n * norms[y], norm, what, roots[x], roots[y])),
         ):
-            neg_a, neg_b = rs.negative(a), rs.negative(b)
-            constants[(a, b)] = constants[(neg_b, neg_a)] = value
-            constants[(b, a)] = constants[(neg_a, neg_b)] = -value
+            neg_a, neg_b, neg_t = neg[a], neg[b], neg[t]
+            constants[(a, b)] = (value, t)
+            constants[(neg_b, neg_a)] = (value, neg_t)
+            constants[(b, a)] = (-value, t)
+            constants[(neg_a, neg_b)] = (-value, neg_t)
 
     positives = rs.positive_roots()
-    order = {r: i for i, r in enumerate(positives)}
-    for gamma in positives:
-        if sum(gamma) == 1:
+    lookup = rs.indices.get
+    pairs_by_sum: List[List[Tuple[int, int]]] = [[] for _ in range(n_pos)]
+    for i, alpha in enumerate(positives):
+        for j in range(i + 1, n_pos):
+            s = lookup(tuple(map(add, alpha, positives[j])))
+            if s is not None:
+                pairs_by_sum[s].append((i, j))
+    for gamma, pairs in enumerate(pairs_by_sum):
+        if not pairs:
             continue
-        pairs = []
-        for alpha in positives:
-            beta = tuple(g - a for g, a in zip(gamma, alpha))
-            if beta in order and order[alpha] < order[beta]:
-                pairs.append((alpha, beta))
         # Extraspecial pair: minimal first component in root order.
         eps, eta = pairs[0]
-        write_orbit(eps, eta, rs.string_down_count(eps, eta) + 1)
-        neg_eps = rs.negative(eps)
-        lead = constants[(neg_eps, gamma)]
+        write_orbit(eps, eta, gamma, rs.string_down_count(roots[eps], roots[eta]) + 1)
+        neg_eps = neg[eps]
+        lead = constants[(neg_eps, gamma)][0]
         if lead == 0:
             raise ArithmeticError("extraspecial pair produced a vanishing leading constant")
         for alpha, beta in pairs[1:]:
             # Jacobi identity on (e_{-eps}, e_alpha, e_beta): all three brackets
             # land on e_eta, and the other pairs sum to roots of smaller height.
-            beta_minus = tuple(b - c for b, c in zip(beta, eps))
-            alpha_minus = tuple(a - c for a, c in zip(alpha, eps))
-            total = constants.get((beta, neg_eps), 0) * constants.get((alpha, beta_minus), 0)
-            total += constants.get((neg_eps, alpha), 0) * constants.get((beta, alpha_minus), 0)
-            write_orbit(alpha, beta, _exact(-total, lead, f"Jacobi quotient of {alpha}, {beta}"))
+            # [e_beta, e_{-eps}] and [e_{-eps}, e_alpha] name the roots
+            # beta - eps and alpha - eps when they are nonzero.
+            total = 0
+            for (u, v), w in (((beta, neg_eps), alpha), ((neg_eps, alpha), beta)):
+                outer = constants.get((u, v))
+                if outer is not None:
+                    inner = constants.get((w, outer[1]))
+                    if inner is not None:
+                        total += outer[0] * inner[0]
+            write_orbit(alpha, beta, gamma,
+                        _exact(-total, lead, "Jacobi quotient of {}, {}", roots[alpha], roots[beta]))
     return constants
 
 
@@ -221,43 +263,45 @@ def _chevalley_constants(rs: RootSystem, norms: Dict[Root, int]) -> Dict[Tuple[R
 def _chevalley_table(rs: RootSystem, basis: LieBasis) -> Dict[Tuple[int, int], Dict[int, int]]:
     """The Chevalley basis bracket table, ``int`` entries, keys in sorted order.
 
-    ``[h_i, e_b] = <b, a_i^v> e_b``; ``[e_a, e_{-a}] = a^v`` for positive a,
-    with coordinates ``a_i (a_i, a_i) / (a, a)`` in the simple coroots; and
-    ``[e_a, e_b] = N_{a,b} e_{a+b}``.
+    ``[h_i, e_b] = <b, a_i^v> e_b``, paired on the positive roots and negated
+    for the negatives; ``[e_a, e_{-a}] = a^v`` for positive a, with
+    coordinates ``a_i (a_i, a_i) / (a, a)`` in the simple coroots; and
+    ``[e_a, e_b] = N_{a,b} e_{a+b}``, all by root index.
     """
     rank = rs.rank
-    index = {r: rank + k for k, r in enumerate(rs.roots)}
+    n_pos = rs.n_positive
+    positives = rs.positive_roots()
     norms = _root_norms(rs)
+    pairings = [[rs.cartan.coroot_pairing(b, i) for b in positives] for i in range(rank)]
     table: Dict[Tuple[int, int], Dict[int, int]] = {}
-    for i in range(rank):
-        for b in rs.roots:
-            pairing = rs.cartan.coroot_pairing(b, i)
-            if pairing:
-                k = index[b]
-                table[(i, k)] = {k: pairing}
+    for i, row in enumerate(pairings):
+        for sign, offset in ((1, rank), (-1, rank + n_pos)):
+            for k, pairing in enumerate(row):
+                if pairing:
+                    table[(i, offset + k)] = {offset + k: sign * pairing}
     # Root-root keys come after every (h_i, e_b) key; they are gathered and
     # written in sorted order, each with i < j (positives come first).
-    simple_norms = [norms[tuple(int(k == i) for k in range(rank))] for i in range(rank)]
+    simple_norms = [norms[rs.index(tuple(int(k == i) for k in range(rank)))] for i in range(rank)]
     root_root: Dict[Tuple[int, int], Dict[int, int]] = {}
-    for a in rs.positive_roots():
-        what = f"coroot coordinates of {a}"
-        root_root[(index[a], index[rs.negative(a)])] = {
-            k: _exact(c * simple_norms[k], norms[a], what) for k, c in enumerate(a) if c
+    for k, a in enumerate(positives):
+        root_root[(rank + k, rank + n_pos + k)] = {
+            m: _exact(c * simple_norms[m], norms[k], "coroot coordinates of {}", a)
+            for m, c in enumerate(a) if c
         }
-    for (a, b), n in _chevalley_constants(rs, norms).items():
-        i, j = index[a], index[b]
+    for (i, j), (n, k) in _chevalley_constants(rs, norms).items():
         if i < j:
-            root_root[(i, j)] = {index[tuple(x + y for x, y in zip(a, b))]: n}
+            root_root[(rank + i, rank + j)] = {rank + k: n}
     for key in sorted(root_root):
         table[key] = root_root[key]
     return table
 
 
-def _trace_form(rows: List[Dict[int, Dict[int, T]]], i: int, j: int) -> T:
-    """``trace(ad e_i . ad e_j) = sum_k sum_l [e_j, e_k]_l [e_i, e_l]_k`` from table rows."""
+def _trace_pairs(rows: List[Dict[int, Dict[int, T]]], i: int, j: int) -> Iterator[Tuple[T, T]]:
+    """The pairs whose products sum to ``trace(ad e_i . ad e_j) = sum_k sum_l
+    [e_j, e_k]_l [e_i, e_l]_k``, read from table rows."""
     row_i = rows[i]
-    return total(
-        c * row_i[l][k]
+    return (
+        (c, row_i[l][k])
         for k, entry in rows[j].items()
         for l, c in entry.items()
         if k in row_i.get(l, _EMPTY)
@@ -272,6 +316,7 @@ def build_algebra(rs: RootSystem) -> StructureConstants:
     as the integer quotient below.
     """
     basis = LieBasis(rs)
+    rank, n_pos = rs.rank, rs.n_positive
     chevalley = _chevalley_table(rs, basis)
     rows = _rows(basis.dim, chevalley)
     # e_{-a} -> s e_{-a} with s = -1/B(e_a, e_{-a}) for positive a; every
@@ -279,11 +324,12 @@ def build_algebra(rs: RootSystem) -> StructureConstants:
     # [s_i e_i, s_j e_j] = sum_k (s_i s_j c_k / s_k) (s_k e_k), so the entry
     # c_k becomes c_k m_k / (m_i m_j): nonzero, as no factor vanishes.
     m = [1] * basis.dim
-    for a in rs.positive_roots():
-        j = basis.root_index(rs.negative(a))
-        pairing = _trace_form(rows, basis.root_index(a), j)
+    for k in range(n_pos):
+        i = rank + k
+        j = i + n_pos
+        pairing = sum(a * b for a, b in _trace_pairs(rows, i, j))
         if not pairing:
-            raise ArithmeticError(f"degenerate pairing B(e_{a}, e_{rs.negative(a)})")
+            raise ArithmeticError(f"degenerate pairing B(e_{rs.roots[k]}, e_{rs.roots[k + n_pos]})")
         m[j] = -pairing
     # A few distinct quotients recur across the table: each is built once
     # and shared, as scalars are immutable.
@@ -296,7 +342,9 @@ def build_algebra(rs: RootSystem) -> StructureConstants:
             num = c * m[k]
             value = values.get((num, den))
             if value is None:
-                value = values[(num, den)] = GaussianRational(num) / den
+                value = values[(num, den)] = (
+                    from_triple(num, 0, den) if den > 0 else from_triple(-num, 0, -den)
+                )
             new_entry[k] = value
         table[(i, j)] = new_entry
     return StructureConstants(basis, table)
@@ -325,13 +373,10 @@ class KillingData(Immutable):
         object.__setattr__(self, "hrho", hrho)
 
     def form(self, x: SparseVec, y: SparseVec) -> GaussianRational:
-        """``B(x, y)``, summed over the Gram rows of x's terms."""
-        return total(
-            xi * y[j] * g
-            for i, xi in x.items()
-            for j, g in self.gram[i].items()
-            if j in y
-        )
+        """``B(x, y) = sum_i x_i B(e_i, y)``, with ``B(e_i, y)`` the combination
+        of the Gram rows y selects."""
+        by_y = combine(y, self.gram)
+        return dot((xi, by_y[i]) for i, xi in x.items() if i in by_y)
 
 
 def killing(sc: StructureConstants) -> KillingData:
@@ -345,9 +390,12 @@ def killing(sc: StructureConstants) -> KillingData:
     basis = sc.basis
     rank = basis.rank
     rs = basis.rs
-    weights: List[Root] = [(0,) * rank] * rank + list(rs.roots)
+    n_pos = rs.n_positive
+    # A weight as the int sum_m c_m 256^m: the sum of two roots has
+    # |c_m| <= 12 < 128, so these ints are equal exactly when the weights are.
+    weights = [0] * rank + [sum(c << 8 * m for m, c in enumerate(r)) for r in rs.roots]
     for (i, j), entry in sc.table.items():
-        target = tuple(a + b for a, b in zip(weights[i], weights[j]))
+        target = weights[i] + weights[j]
         for k in entry:
             if weights[k] != target:
                 raise ArithmeticError(
@@ -356,10 +404,10 @@ def killing(sc: StructureConstants) -> KillingData:
                 )
     gram: List[SparseVec] = [{} for _ in range(sc.dim)]
     pairs = [(i, j) for i in range(rank) for j in range(i, rank)]
-    pairs += [(basis.root_index(a), basis.root_index(rs.negative(a))) for a in rs.positive_roots()]
+    pairs += [(rank + k, rank + n_pos + k) for k in range(n_pos)]
     for i, j in pairs:
-        value = _trace_form(sc.rows, i, j)
-        if not value.is_zero():
+        value = dot(_trace_pairs(sc.rows, i, j))
+        if value:
             gram[i][j] = gram[j][i] = value
     try:
         cartan_inverse = linalg.inverse(gram[:rank])
@@ -385,13 +433,12 @@ def killing(sc: StructureConstants) -> KillingData:
                 add_into(h_sum, ONE, h_simple)
                 coroots[root] = h_sum
                 break
-    for root in positives:
-        coroots[rs.negative(root)] = {k: -c for k, c in coroots[root].items()}
+    for k, root in enumerate(positives):
+        coroots[rs.roots[k + n_pos]] = {m: -c for m, c in coroots[root].items()}
     h_rho = coroots[rs.highest]
     # B(h_rho, h_rho) = rho(h_rho), by the duality the solve above enforces.
-    norm = total(
-        c * GaussianRational(rs.cartan.coroot_pairing(rs.highest, k)) for k, c in h_rho.items()
-    )
+    pairings = {k: rs.cartan.coroot_pairing(rs.highest, k) for k in h_rho}
+    norm = dot((c, GaussianRational(pairings[k])) for k, c in h_rho.items() if pairings[k])
     factor = GaussianRational(2) / norm
     hrho = {k: factor * c for k, c in h_rho.items()}
     return KillingData(sc, gram, cartan_inverse, coroots, hrho)

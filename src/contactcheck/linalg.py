@@ -3,9 +3,17 @@
 One matrix format: a list of sparse rows (or columns), each an ``{index:
 value}`` dict that stores no zeros, the one vector format of
 :mod:`contactcheck.lie`, :mod:`contactcheck.orbits` and the contact solver.
-:func:`add_into`, :func:`combine` and :func:`total` are its arithmetic.
+:func:`add_into`, :func:`combine` and :func:`dot` are its arithmetic.
 Entries must support ``+``, ``-``, ``*``, ``/``, unary ``-`` and
 ``is_zero()``.
+
+One route per entry kind.  A scalar factor, and the scalar vectors it
+scales, are summed on the scalars' triples (:mod:`contactcheck.scalars`):
+:func:`add_scaled` does each product and its sum with the stored entry in
+ints, makes each stored value by one ``from_triple``, and drops an entry
+that cancels before any scalar is made; :func:`dot` sums products of
+scalars in ints and makes one scalar.  Chart-ring entries, the ``MultiPoly``
+rows of the dtheta solve, are summed by their operators.
 
 One elimination loop: it walks the indices the vectors touch in increasing
 order, keeps at each one the first vector with a unit there, scaled to 1,
@@ -30,32 +38,96 @@ to :func:`inverse`.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
-from .scalars import ONE, ZERO
+from .scalars import ONE, ZERO, GaussianRational, Triple, from_triple
 
 T = TypeVar("T")
 
 SparseRow = Dict[int, T]
 UnitRule = Callable[[T], bool]
-
-
-def total(values: Iterable[T]) -> T:
-    """The sum of ``values`` (``ZERO`` for none), with no addition seeded by zero."""
-    out: Optional[T] = None
-    for v in values:
-        out = v if out is None else out + v
-    return ZERO if out is None else out
+ScalarVec = Mapping[int, GaussianRational]
 
 
 def add_into(out: Dict[int, T], f: T, vec: Mapping[int, T]) -> None:
-    """``out += f * vec`` on sparse vectors, dropping entries that cancel to zero."""
+    """``out += f * vec`` on sparse vectors, dropping entries that cancel to zero.
+
+    A scalar factor scales scalar vectors by :func:`add_scaled`, and a zero
+    one leaves ``out`` as it is; any other factor, a chart-ring entry, is
+    summed by the entries' operators.
+    """
+    if type(f) is GaussianRational:
+        if f:
+            add_scaled(out, f.triple, vec)
+        return
     for k, c in vec.items():
         acc = out[k] + f * c if k in out else f * c
         if acc.is_zero():
             out.pop(k, None)
         else:
             out[k] = acc
+
+
+def add_scaled(out: Dict[int, GaussianRational], t: Triple, vec: ScalarVec) -> None:
+    """``out += t * vec`` for scalar vectors, where ``t = (a, b, d)``, ``d > 0``,
+    is the triple of a nonzero scalar, in lowest terms or not.
+
+    Each product, and its sum with the stored entry, is done in ints on the
+    triples; one ``from_triple`` makes each stored value canonical, and an
+    entry whose sum cancels is dropped before any scalar is made.
+    """
+    a1, b1, d1 = t
+    get = out.get
+    for k, c in vec.items():
+        a2, b2, d2 = c.triple
+        a = a1 * a2 - b1 * b2
+        b = a1 * b2 + b1 * a2
+        d = d1 * d2
+        acc = get(k)
+        if acc is not None:
+            a0, b0, d0 = acc.triple
+            if d == d0:
+                a += a0
+                b += b0
+            else:
+                a = a * d0 + a0 * d
+                b = b * d0 + b0 * d
+                d *= d0
+            if not a and not b:
+                del out[k]
+                continue
+        out[k] = from_triple(a, b, d)
+
+
+def dot(pairs: Iterable[Tuple[GaussianRational, GaussianRational]]) -> GaussianRational:
+    """``sum u * v`` over pairs of scalars: ``ZERO`` when there are none or they cancel.
+
+    The products and the running sum are ints on the triples, the sum over
+    the lcm of the denominators so far; one ``from_triple`` makes the result.
+    """
+    a = b = 0
+    d = 1
+    for u, v in pairs:
+        a1, b1, d1 = u.triple
+        a2, b2, d2 = v.triple
+        p = a1 * a2 - b1 * b2
+        q = a1 * b2 + b1 * a2
+        e = d1 * d2
+        if e != d:
+            g = gcd(d, e)
+            scale = e // g
+            a *= scale
+            b *= scale
+            scale = d // g
+            p *= scale
+            q *= scale
+            d = d // g * e
+        a += p
+        b += q
+    if not a and not b:
+        return ZERO
+    return from_triple(a, b, d)
 
 
 def combine(coeffs: Mapping[int, T], vectors: Sequence[Mapping[int, T]]) -> Dict[int, T]:

@@ -32,7 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .lie import GradedDecomposition, KillingData, SparseVec, StructureConstants, chi_differential
-from .linalg import add_into, combine, total
+from .linalg import add_into, combine, dot
 from .report import SKIPPED, CheckResult, check
 from .rootsystem import Root
 from .scalars import ONE, ZERO, GaussianRational, Immutable, ScalarLike
@@ -76,12 +76,20 @@ class AlgebraAutomorphism(Immutable):
         return self.form_defect(kd) is None
 
     def form_defect(self, kd: KillingData) -> Optional[Tuple[int, int]]:
-        """The first basis pair ``(i, j)``, ``i <= j``, with ``B(M e_i, M e_j) != B(e_i, e_j)``."""
+        """The first basis pair ``(i, j)``, ``i <= j``, with ``B(M e_i, M e_j) != B(e_i, e_j)``.
+
+        ``B(M e_i, M e_j) = sum_k (M e_i)_k B(e_k, M e_j)``, with each
+        ``B(., M e_j)`` the combination of the Gram rows ``M e_j`` selects,
+        made once per column.
+        """
         cols = self.columns
-        for i in range(self.sc.dim):
+        by_col = [combine(col, kd.gram) for col in cols]
+        for i, col in enumerate(cols):
             row = kd.gram[i]
             for j in range(i, self.sc.dim):
-                if kd.form(cols[i], cols[j]) != row.get(j, ZERO):
+                by_j = by_col[j]
+                value = dot((c, by_j[k]) for k, c in col.items() if k in by_j)
+                if value != row.get(j, ZERO):
                     return i, j
         return None
 
@@ -202,8 +210,8 @@ def _rho_pairing_columns(kd: KillingData) -> List[SparseVec]:
     for row in sc.rows:
         column: SparseVec = {}
         for i, entry in row.items():
-            value = total(g_rho[k] * c for k, c in entry.items() if k in g_rho)
-            if not value.is_zero():
+            value = dot((g_rho[k], c) for k, c in entry.items() if k in g_rho)
+            if value:
                 column[i] = value
         columns.append(column)
     return columns

@@ -14,7 +14,8 @@ independent oracle.
 from __future__ import annotations
 
 from math import gcd
-from typing import Container, Dict, List, Sequence, Tuple
+from types import MappingProxyType
+from typing import Container, Dict, List, Mapping, Sequence, Tuple
 
 from . import linalg
 from .scalars import GaussianRational, Immutable
@@ -109,9 +110,13 @@ class CartanMatrix(Immutable):
 
 
 class RootSystem(Immutable):
-    """All roots of a finite-type Cartan matrix, positives first."""
+    """All roots of a finite-type Cartan matrix, positives first.
 
-    __slots__ = ("cartan", "roots", "n_positive", "highest_index", "_index")
+    ``roots[k + n_positive]`` is the negative of the positive root
+    ``roots[k]``; ``indices`` maps each root to its position, read-only.
+    """
+
+    __slots__ = ("cartan", "roots", "n_positive", "highest_index", "indices")
 
     def __init__(self, cartan: CartanMatrix, positive: List[Root]):
         object.__setattr__(self, "cartan", cartan)
@@ -119,7 +124,8 @@ class RootSystem(Immutable):
         roots = ordered + [tuple(-c for c in r) for r in ordered]
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "n_positive", len(ordered))
-        object.__setattr__(self, "_index", {r: i for i, r in enumerate(roots)})
+        indices: Mapping[Root, int] = MappingProxyType({r: i for i, r in enumerate(roots)})
+        object.__setattr__(self, "indices", indices)
         top = max(range(len(ordered)), key=lambda i: (sum(ordered[i]), ordered[i]))
         object.__setattr__(self, "highest_index", top)
         self._validate()
@@ -144,10 +150,10 @@ class RootSystem(Immutable):
         return self.roots[: self.n_positive]
 
     def is_root(self, coords: Root) -> bool:
-        return tuple(coords) in self._index
+        return tuple(coords) in self.indices
 
     def index(self, coords: Root) -> int:
-        return self._index[tuple(coords)]
+        return self.indices[tuple(coords)]
 
     def negative(self, coords: Root) -> Root:
         return tuple(-c for c in coords)
@@ -158,7 +164,7 @@ class RootSystem(Immutable):
     def rho_height(self, alpha: Root) -> int:
         """alpha(H_rho) = 2 (alpha, rho) / (rho, rho); always in {-2,...,2}."""
         alpha = tuple(alpha)
-        if alpha not in self._index:
+        if alpha not in self.indices:
             raise ValueError(f"{alpha} is not a root")
         rho = self.highest
         height, remainder = divmod(2 * self.pairing(alpha, rho), self.pairing(rho, rho))
@@ -170,7 +176,7 @@ class RootSystem(Immutable):
 
     def string_down_count(self, alpha: Root, beta: Root) -> int:
         """Largest k with beta - k*alpha a root (the 'p' of the alpha-string)."""
-        return _down_count(alpha, beta, self._index)
+        return _down_count(alpha, beta, self.indices)
 
     def to_dict(self) -> dict:
         return {

@@ -13,7 +13,9 @@ substitution) instead of the library's one-pass support-only Gauss-Jordan,
 and a Killing form traced from dense ``ad`` matrices filled straight from the
 bracket table instead of the library's weight-compatible traces over its
 per-index rows, the rescaled algebra from Q(i) scale factors of such dense
-traces instead of the library's integer traces and quotients, span comparisons and intersections by ranks of dense
+traces instead of the library's integer traces and quotients, the Chevalley
+constants by a walk over root coordinate tuples instead of the library's
+walk over root indices, span comparisons and intersections by ranks of dense
 ``dim g`` vectors instead of the library's sparse bases and column kernels,
 and polynomial sums, products and derivatives over plain
 dicts keyed by ``(name, exponent)`` pairs instead of ``MultiPoly``'s
@@ -28,7 +30,9 @@ image of a section and comparing component by component instead of the
 library's one quotient of unit images, Q(i) arithmetic on a pair of
 plain ``Fraction`` parts instead of the library's integer triples, and a
 multiply-accumulate sum built by the scalar operators in a plain dict from
-zero instead of ``ProductSum``'s sums in ints on those triples.  They stay
+zero instead of ``ProductSum``'s sums in ints on those triples, and scaled
+sparse vectors and dot products summed the same way instead of
+``linalg``'s sums in ints.  They stay
 deliberately naive.
 """
 
@@ -435,6 +439,102 @@ def rescaled_chevalley_table(rs, basis, chevalley) -> Dict[Tuple[int, int], Spar
     }
 
 
+def _root_pairing(rs, a: Root, b: Root) -> int:
+    """The symmetrized form ``sum_ij a_i b_j d_j A[i][j]`` from the Cartan data."""
+    entries, sym = rs.cartan.entries, rs.cartan.symmetrizer
+    return sum(a[i] * b[j] * sym[j] * entries[i][j] for i in range(len(a)) for j in range(len(b)))
+
+
+def _quotient(num: int, den: int) -> int:
+    quotient, remainder = divmod(num, den)
+    assert not remainder, (num, den)
+    return quotient
+
+
+def walk_chevalley_constants(rs) -> Dict[Tuple[Root, Root], int]:
+    """``N_{a,b}`` keyed by root pairs, by a walk over coordinate tuples.
+
+    The positive sums in order of height: the extraspecial pair gets ``p+1``,
+    each other pair of the sum follows from the Jacobi identity on
+    ``(e_{-eps}, e_alpha, e_beta)``, and every pair writes its orbit by
+    antisymmetry and the cycle relation.  Every sum and negative is a new
+    tuple, and every root is looked up by its coordinates.
+    """
+    roots = set(rs.roots)
+    positives = rs.positive_roots()
+    norms = {r: _root_pairing(rs, r, r) for r in rs.roots}
+    constants: Dict[Tuple[Root, Root], int] = {}
+
+    def negative(r: Root) -> Root:
+        return tuple(-c for c in r)
+
+    def write_orbit(x: Root, y: Root, n: int) -> None:
+        c = tuple(-a - b for a, b in zip(x, y))
+        for a, b, value in (
+            (x, y, n),
+            (y, c, _quotient(n * norms[x], norms[c])),
+            (c, x, _quotient(n * norms[y], norms[c])),
+        ):
+            neg_a, neg_b = negative(a), negative(b)
+            constants[(a, b)] = constants[(neg_b, neg_a)] = value
+            constants[(b, a)] = constants[(neg_a, neg_b)] = -value
+
+    order = {r: i for i, r in enumerate(positives)}
+    for gamma in positives:
+        if sum(gamma) == 1:
+            continue
+        pairs = []
+        for alpha in positives:
+            beta = tuple(g - a for g, a in zip(gamma, alpha))
+            if beta in order and order[alpha] < order[beta]:
+                pairs.append((alpha, beta))
+        eps, eta = pairs[0]
+        p = 0
+        while tuple(b - (p + 1) * a for a, b in zip(eps, eta)) in roots:
+            p += 1
+        write_orbit(eps, eta, p + 1)
+        neg_eps = negative(eps)
+        lead = constants[(neg_eps, gamma)]
+        for alpha, beta in pairs[1:]:
+            beta_minus = tuple(b - c for b, c in zip(beta, eps))
+            alpha_minus = tuple(a - c for a, c in zip(alpha, eps))
+            total = constants.get((beta, neg_eps), 0) * constants.get((alpha, beta_minus), 0)
+            total += constants.get((neg_eps, alpha), 0) * constants.get((beta, alpha_minus), 0)
+            write_orbit(alpha, beta, _quotient(-total, lead))
+    return constants
+
+
+def walk_chevalley_table(rs) -> Dict[Tuple[int, int], Dict[int, int]]:
+    """The ``int`` Chevalley table from :func:`walk_chevalley_constants`.
+
+    Keys in sorted order: ``[h_i, e_b] = <b, a_i^v> e_b`` over every root b,
+    then ``[e_a, e_{-a}]``, the coroot, and ``[e_a, e_b] = N_{a,b} e_{a+b}``
+    for basis indices i < j, each index found by its root's coordinates.
+    """
+    rank = rs.rank
+    entries = rs.cartan.entries
+    index = {r: rank + k for k, r in enumerate(rs.roots)}
+    table: Dict[Tuple[int, int], Dict[int, int]] = {}
+    for i in range(rank):
+        for b in rs.roots:
+            pairing = sum(b[m] * entries[m][i] for m in range(rank))
+            if pairing:
+                table[(i, index[b])] = {index[b]: pairing}
+    simple = [tuple(int(k == i) for k in range(rank)) for i in range(rank)]
+    root_root: Dict[Tuple[int, int], Dict[int, int]] = {}
+    for a in rs.positive_roots():
+        norm = _root_pairing(rs, a, a)
+        root_root[(index[a], index[tuple(-c for c in a)])] = {
+            k: _quotient(c * _root_pairing(rs, simple[k], simple[k]), norm) for k, c in enumerate(a) if c
+        }
+    for (a, b), n in walk_chevalley_constants(rs).items():
+        if index[a] < index[b]:
+            root_root[(index[a], index[b])] = {index[tuple(x + y for x, y in zip(a, b))]: n}
+    for key in sorted(root_root):
+        table[key] = root_root[key]
+    return table
+
+
 # A monomial as its sorted ``(name, exponent)`` pairs with exponent > 0, so two
 # polynomials over different or permuted variable lists compare without
 # re-spelling either.
@@ -675,3 +775,21 @@ def naive_product_sum(pieces: Sequence[Piece]) -> Dict[Tuple[int, ...], Gaussian
             key = tuple(a + b for a, b in zip(expo, shift))
             out[key] = out.get(key, ZERO) + c * value * k
     return {key: value for key, value in out.items() if not value.is_zero()}
+
+
+def naive_scaled_sum(steps: Sequence[Tuple[GaussianRational, Dict[int, GaussianRational]]]) -> Dict[int, GaussianRational]:
+    """``sum f * vec`` over the steps ``(f, vec)`` of sparse scalar vectors:
+    each product by the scalar operators, accumulated from zero, zeros dropped at the end."""
+    out: Dict[int, GaussianRational] = {}
+    for f, vec in steps:
+        for k, c in vec.items():
+            out[k] = out.get(k, ZERO) + f * c
+    return {k: value for k, value in out.items() if not value.is_zero()}
+
+
+def naive_dot(pairs: Sequence[Tuple[GaussianRational, GaussianRational]]) -> GaussianRational:
+    """``sum u * v`` by the scalar operators, accumulated from zero."""
+    total = ZERO
+    for u, v in pairs:
+        total = total + u * v
+    return total

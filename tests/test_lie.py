@@ -425,7 +425,10 @@ def test_chevalley_constants_are_signed_string_lengths(algebra_bundle):
         roots = set(rs.roots)
         form = fraction_form(rs.cartan)
         norm = {r: form(r, r) for r in rs.roots}
-        constants = _chevalley_constants(rs, _root_norms(rs))
+        by_index = _chevalley_constants(rs, _root_norms(rs))
+        constants = {(rs.roots[i], rs.roots[j]): n for (i, j), (n, _) in by_index.items()}
+        for (i, j), (_, k) in by_index.items():
+            assert rs.roots[k] == tuple(x + y for x, y in zip(rs.roots[i], rs.roots[j])), (name, i, j)
         summing = {
             (a, b) for a in rs.roots for b in rs.roots
             if tuple(x + y for x, y in zip(a, b)) in roots
@@ -451,7 +454,10 @@ def test_chevalley_table_equals_the_walk_over_every_root_pair(algebra_bundle):
     for name in ALL_TYPES:
         rs = algebra_bundle(name)[0]
         form = fraction_form(rs.cartan)
-        constants = _chevalley_constants(rs, _root_norms(rs))
+        constants = {
+            (rs.roots[i], rs.roots[j]): n
+            for (i, j), (n, _) in _chevalley_constants(rs, _root_norms(rs)).items()
+        }
         simple = [tuple(int(k == i) for k in range(rs.rank)) for i in range(rs.rank)]
         expected = {}
         for (ia, a), (ib, b) in itertools.combinations(enumerate(rs.roots), 2):
@@ -465,6 +471,39 @@ def test_chevalley_table_equals_the_walk_over_every_root_pair(algebra_bundle):
         table = _chevalley_table(rs, LieBasis(rs))
         assert [(k, v) for k, v in table.items() if min(k) >= rs.rank] == list(expected.items()), name
         assert list(table) == sorted(table), name
+
+
+#: E7 in Bourbaki order (chain 1-3-4-5-6-7, node 2 on node 4): the largest
+#: type the index route is held to the tuple walk on.
+E7_CARTAN = [
+    [2, 0, -1, 0, 0, 0, 0],
+    [0, 2, 0, -1, 0, 0, 0],
+    [-1, 0, 2, -1, 0, 0, 0],
+    [0, -1, -1, 2, -1, 0, 0],
+    [0, 0, 0, -1, 2, -1, 0],
+    [0, 0, 0, 0, -1, 2, -1],
+    [0, 0, 0, 0, 0, -1, 2],
+]
+
+
+@pytest.mark.parametrize("name", ALL_TYPES + ["E7"])
+def test_chevalley_table_by_root_index_equals_the_tuple_walk(name, algebra_bundle):
+    """The index route's ``int`` Chevalley table is the table of the walk over
+    root coordinate tuples, entry for entry and in key order."""
+    from oracles import walk_chevalley_table
+
+    from contactcheck.rootsystem import CartanMatrix, build_root_system
+
+    if name == "E7":
+        rs = build_root_system(CartanMatrix(E7_CARTAN))
+        assert (rs.n_positive, rs.highest) == (63, (2, 2, 3, 4, 3, 2, 1))
+    else:
+        rs = algebra_bundle(name)[0]
+    table = _chevalley_table(rs, LieBasis(rs))
+    expected = walk_chevalley_table(rs)
+    assert [(key, list(entry.items())) for key, entry in table.items()] == [
+        (key, list(entry.items())) for key, entry in expected.items()
+    ]
 
 #: Dual Coxeter numbers (Bourbaki's tables); dim g_1 = 2 h^v - 4 for the
 #: highest-root grading (Beauville, Fano contact manifolds and nilpotent

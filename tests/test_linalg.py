@@ -3,14 +3,20 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactcheck.forms import ChartSpace, PolyForm, pullback
 from contactcheck.linalg import (
+    add_into,
+    add_scaled,
     column_kernel,
     combine,
     determinant,
+    dot,
     echelon,
     inverse,
     rank,
@@ -20,7 +26,7 @@ from contactcheck.linalg import (
 from contactcheck.poly import MultiPoly
 from contactcheck.scalars import GaussianRational, ONE, ZERO
 from conftest import gq
-from oracles import dense_mat_vec, dense_nullspace, dense_rref, leibniz_determinant
+from oracles import dense_mat_vec, dense_nullspace, dense_rref, leibniz_determinant, naive_dot, naive_scaled_sum
 from oracles import same_span as dense_same_span
 
 SEEDS = range(8)
@@ -295,3 +301,62 @@ def test_determinant_of_transition_jacobians(n_vars, i, j):
     u_j = MultiPoly.variable(f"u{j}", coords)
     unit = (det * u_j**n_vars).constant_value()
     assert not unit.is_zero() and det == (u_j**-n_vars).scale(unit)
+
+
+#: Scalars for the triple kernel: real and complex, equal and unequal
+#: denominators, and negatives of each other, so sums cancel.
+TRIPLE_SCALARS = [
+    gq(1), gq(-1), gq(2), gq(Fraction(1, 2)), gq(Fraction(-3, 4)), gq(0, 1), gq(0, -1),
+    gq(0, Fraction(1, 2)), gq(Fraction(1, 3), Fraction(2, 3)), gq(2, -3),
+    gq(Fraction(5, 6), Fraction(-1, 4)), gq(Fraction(-5, 6), Fraction(1, 4)),
+]
+triple_scalars = st.sampled_from(TRIPLE_SCALARS)
+triple_vectors = st.dictionaries(st.integers(0, 4), triple_scalars, min_size=1, max_size=4)
+#: A step ``out += f * vec``: ``f`` may be ZERO (``exp_ad(..., 0)``'s factors),
+#: and ``m`` scales f's triple to a triple not in lowest terms, as a product
+#: of two triples (``StructureConstants.bracket``) can be.
+triple_steps = st.tuples(st.sampled_from([*TRIPLE_SCALARS, ZERO]), st.sampled_from([1, 2, 6]), triple_vectors)
+
+
+def _assert_canonical_nonzero(values):
+    for value in values:
+        a, b, d = value.triple
+        assert type(value) is GaussianRational and d > 0 and gcd(a, b, d) == 1
+        assert (a, b) != (0, 0)
+
+
+def _scale(out, f, m, vec):
+    """``out += f * vec`` by ``add_into``, or by ``add_scaled`` on f's triple times m."""
+    if m == 1 or f.is_zero():
+        add_into(out, f, vec)
+    else:
+        add_scaled(out, tuple(m * x for x in f.triple), vec)
+
+
+@given(st.lists(triple_steps, min_size=1, max_size=10), st.integers(0, 10))
+@settings(max_examples=200, deadline=None)
+def test_scaled_sums_and_dots_match_operator_sums(steps, again):
+    """``add_into``/``add_scaled`` and ``dot`` against sums by the scalar
+    operators from zero.  The steps are made, then made again with ``-f``, so
+    every entry cancels and the sum is empty, then a prefix is made a third
+    time, so entries come back after cancelling.  Every stored value and every
+    dot product is canonical, and no stored value is zero."""
+    negated = [(-f, m, vec) for f, m, vec in steps]
+    out = {}
+    done = []
+    for stage in (steps, negated, steps[:again]):
+        for f, m, vec in stage:
+            _scale(out, f, m, vec)
+            done.append((f, vec))
+        assert out == naive_scaled_sum(done)
+        _assert_canonical_nonzero(out.values())
+    assert naive_scaled_sum(done[: len(steps) * 2]) == {}
+    pairs = [(f, c) for f, vec in done for c in vec.values()]
+    for chosen in (pairs, pairs[: len(pairs) // 2], pairs + [(-u, v) for u, v in pairs]):
+        got = dot(chosen)
+        assert got == naive_dot(chosen)
+        if got.is_zero():
+            assert got is ZERO
+        else:
+            _assert_canonical_nonzero([got])
+    assert dot([]) is ZERO

@@ -395,32 +395,46 @@ def test_moment_map_and_tangent_rank_match_unit_routes(name, algebra_bundle):
 
 
 def test_lie_and_orbit_sums_are_not_seeded_with_zero(capsys, monkeypatch):
-    """No Gaussian-rational sum made in lie, orbits or linalg starts from ZERO or 0.
+    """No Gaussian-rational sum made in lie, orbits or linalg starts from ZERO or
+    adds a zero product.
 
-    A partial sum that cancels to zero on the way is data, not a seed, so
-    only the ``ZERO`` constant itself and the int 0 are counted.
+    Those sums are done in ints on the scalars' triples, by ``add_scaled``
+    (scaled sparse vectors) and ``dot`` (sums of products), so the spy wraps
+    the two kernels: no call scales by a zero factor or multiplies a zero,
+    and no vector it adds into holds a zero to start from.  A partial sum
+    that cancels on the way is data, not a seed.
     """
     import sys
 
-    from contactcheck import cli
-    from contactcheck.scalars import ZERO
+    from contactcheck import cli, lie, linalg, orbits
 
-    add = GaussianRational.__add__
+    add_scaled, dot = linalg.add_scaled, linalg.dot
     sums, zero_sums = [], []
 
-    def counting_add(self, other):
-        caller = sys._getframe(1).f_code.co_filename
-        if caller.endswith(("lie.py", "orbits.py", "linalg.py")):
-            sums.append(caller)
-            if self is ZERO or other is ZERO or (type(other) is int and other == 0):
-                zero_sums.append(caller)
-        return add(self, other)
+    def caller():
+        return sys._getframe(2).f_code.co_filename
 
-    monkeypatch.setattr(GaussianRational, "__add__", counting_add)
-    monkeypatch.setattr(GaussianRational, "__radd__", counting_add)
+    def counting_add_scaled(out, t, vec):
+        sums.append(caller())
+        if not (t[0] or t[1]) or any(c.is_zero() for c in (*out.values(), *vec.values())):
+            zero_sums.append(caller())
+        add_scaled(out, t, vec)
+
+    def counting_dot(pairs):
+        pairs = list(pairs)
+        sums.append(caller())
+        if any(u.is_zero() or v.is_zero() for u, v in pairs):
+            zero_sums.append(caller())
+        return dot(pairs)
+
+    for module in (linalg, lie):
+        monkeypatch.setattr(module, "add_scaled", counting_add_scaled)
+    for module in (linalg, lie, orbits):
+        monkeypatch.setattr(module, "dot", counting_dot)
     for argv in (["algebra", "G2"], ["adjoint", "G2", "--samples", "3"]):
         assert cli.main(argv) == 0
     capsys.readouterr()
+    assert {"lie.py", "orbits.py", "linalg.py"} <= {name.rsplit("/", 1)[-1] for name in sums}
     assert sums and zero_sums == []
 
 
