@@ -354,7 +354,7 @@ def verify_axioms(cc: ContactChart, points: Sequence[Mapping[str, GaussianRation
     results.append(check(f"{label}:scaling-degree-{cc.delta}", degrees == {cc.delta}, witness))
     rows = _contraction_rows(cc)
     try:
-        kept = linalg.echelon(rows, cc.chart.coeff_const(1), None, cc.chart.is_unit)
+        kept = linalg.echelon(rows, cc.chart.coeff_const(1), cc.chart.is_unit)
         missing = ", ".join(f"d{x}" for j, x in enumerate(cc.chart.all_vars) if j not in kept)
         witness = f"no pivot on {missing}" if missing else ""
     except ZeroDivisionError as exc:
@@ -838,8 +838,10 @@ def cstructure_from_charts(
     for a unit ``c * u^e`` of the Laurent ring: a proportionality by any other
     Laurent polynomial fails it.  The pairs are checked before the record makes
     the (C.1) check, so a form failing both reports (C.2).  Each label names
-    one form, each transition key two charts, and each transition image is
-    spelled over the chart of ``gamma_i``.  A chart with a fiber variable is
+    one form, each transition key two charts, and each transition gives an
+    image of every variable of the chart of ``gamma_j``, and of nothing else,
+    spelled over the chart of ``gamma_i``; a transition that breaks this is
+    rejected by its pair of labels.  A chart with a fiber variable is
     rejected by its label, naming the form's fiber dependence if it has one.
     """
     factors = _compatibility_factors(labels, gammas, transition_maps)
@@ -866,9 +868,10 @@ def _compatibility_factors(labels, gammas, transition_maps) -> Dict[Tuple[int, i
         try:
             for image in trans.values():
                 gammas[i].chart.require_spelled(image)
+            pulled = pullback(gammas[i].chart, trans, gammas[j])
         except ValueError as exc:
             raise ValueError(f"transition ({labels[i]}, {labels[j]}): {exc}") from None
-        factor = _proportionality_factor(gammas[i], pullback(gammas[i].chart, trans, gammas[j]))
+        factor = _proportionality_factor(gammas[i], pulled)
         if factor is None:
             raise ValueError(f"(C.2) fails for pair ({labels[i]}, {labels[j]})")
         factors[(i, j)] = factor

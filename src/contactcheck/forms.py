@@ -29,7 +29,7 @@ factor, with a partial derivative read term by term (``a * x^e`` gives
 sign passed as the int multiplier ``k``, so no product, partial or negated
 polynomial and no scalar ``k * a`` is built.  d, whose pieces are those
 partial terms alone, adds them as bare monomials.  ``+`` of forms and fields
-adds whole coefficients key by key and drops a key whose sum cancels.
+is :func:`~contactcheck.linalg.add_terms` on their coefficients.
 
 Checked once.  The public constructors check every key (length, strictly
 increasing, in range) and every coefficient (chart spelling; zeros dropped).
@@ -58,27 +58,12 @@ from collections import defaultdict
 from functools import partial, reduce
 from typing import DefaultDict, Dict, Hashable, Mapping, Optional, Sequence, Tuple
 
+from .linalg import add_terms
 from .poly import MultiPoly, ProductSum
 from .scalars import GaussianRational, Immutable, ScalarLike
 
 Coeff = MultiPoly
 Key = Tuple[int, ...]
-
-
-def _add_coeffs(a: Mapping[Hashable, Coeff], b: Mapping[Hashable, Coeff]) -> Dict[Hashable, Coeff]:
-    """``a + b`` by key, for maps that store no zero: a key whose sum cancels is dropped."""
-    out = dict(a)
-    for key, c in b.items():
-        acc = out.get(key)
-        if acc is None:
-            out[key] = c
-            continue
-        c = acc + c
-        if c.is_zero():
-            del out[key]
-        else:
-            out[key] = c
-    return out
 
 
 class ChartSpace(Immutable):
@@ -270,7 +255,8 @@ class PolyForm(Immutable):
         _check_same_chart(self, other)
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degree")
-        terms = _add_coeffs(self.terms, other.terms)
+        terms = dict(self.terms)
+        add_terms(terms, other.terms.items())
         return PolyForm._make(self.chart, self.degree, terms)
 
     def __neg__(self) -> "PolyForm":
@@ -421,7 +407,8 @@ class PolyVectorField(Immutable):
 
     def __add__(self, other: "PolyVectorField") -> "PolyVectorField":
         _check_same_chart(self, other)
-        components = _add_coeffs(self.components, other.components)
+        components = dict(self.components)
+        add_terms(components, other.components.items())
         return PolyVectorField._make(self.chart, components)
 
     def __neg__(self) -> "PolyVectorField":
@@ -529,12 +516,16 @@ def pullback(
     ``source``, or on an overlap a transition that inverts coordinates, such
     as ``u0 -> u1^-1``.  Laurent coefficients in the target fiber variable
     require its image to be a unit: a constant times a power of the source
-    fiber.
+    fiber.  An image of a name that is not a target chart variable raises
+    ``ValueError``, as a missing image does.
     """
     target = form.chart
     missing = [v for v in target.all_vars if v not in images]
     if missing:
         raise ValueError(f"pullback images missing for {missing}")
+    extra = [v for v in images if v not in target.all_vars]
+    if extra:
+        raise ValueError(f"pullback images of {extra}, which are not variables of {target!r}")
     differentials = {
         name: exterior_derivative(PolyForm.function(source, images[name]))
         for name in target.all_vars

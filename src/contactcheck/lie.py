@@ -40,11 +40,10 @@ come from one inverse of the r x r Cartan block of the Gram matrix.
 
 Every vector of the algebra -- bracket table entries, Gram rows, coroots,
 ``H_rho`` and the spans -- is one sparse ``{index: value}`` dict that stores
-no zeros, so dict equality is vector equality; the arithmetic on them lives
-in :mod:`contactcheck.linalg`, whose scalar sums are done in ints on the
-scalars' triples: a bracket scales each table entry by the triple product
-``x_i y_j``, and the traces and ``B(x, y)`` are :func:`~contactcheck.linalg.dot`
-products.  Everything is read from the sparse table
+no zeros, so dict equality is vector equality; the arithmetic on them is
+the sum loops of :mod:`contactcheck.linalg`: a bracket scales each table
+entry by the triple product ``x_i y_j``, and the traces and ``B(x, y)`` are
+:func:`~contactcheck.linalg.dot` products.  Everything is read from the sparse table
 rather than from dense ``ad`` matrices: the ``ad(H_rho)`` eigenvalues from
 the rows of the Cartan generators, the centralizer ``L0 = ker(ad e_rho)``
 from the row of ``e_rho`` (zero columns give unit vectors, the rest are

@@ -7,13 +7,23 @@ value}`` dict that stores no zeros, the one vector format of
 Entries must support ``+``, ``-``, ``*``, ``/``, unary ``-`` and
 ``is_zero()``.
 
-One route per entry kind.  A scalar factor, and the scalar vectors it
-scales, are summed on the scalars' triples (:mod:`contactcheck.scalars`):
-:func:`add_scaled` does each product and its sum with the stored entry in
-ints, makes each stored value by one ``from_triple``, and drops an entry
-that cancels before any scalar is made; :func:`dot` sums products of
-scalars in ints and makes one scalar.  Chart-ring entries, the ``MultiPoly``
-rows of the dtheta solve, are summed by their operators.
+The package's two sum loops, one per entry kind, live here.  Both store a
+key met for the first time and drop a key the moment its sum cancels, so no
+stored value is zero, no sum starts from zero, and a key added again after
+cancelling starts afresh.
+
+- :func:`add_scaled` is the multiply-accumulate on scalars, done on their
+  triples (:mod:`contactcheck.scalars`): each product and its sum with the
+  stored entry in ints, one ``from_triple`` per stored value, and an entry
+  that cancels dropped before any scalar is made.  Its keys are indices, or,
+  with a ``shift``, exponent tuples moved by the product's monomial factor:
+  that is how :class:`~contactcheck.poly.ProductSum` sums the products of
+  the chart calculus.  :func:`add_into` and :func:`combine` take a scalar
+  factor through it, and :func:`dot` sums products of scalars in ints the
+  same way and makes one scalar.
+- :func:`add_terms` sums other entries by their operators: ``+`` of
+  ``MultiPoly``, of forms and of fields, and the chart-ring rows of the
+  dtheta solve in :func:`add_into`.
 
 One elimination loop: it walks the indices the vectors touch in increasing
 order, keeps at each one the first vector with a unit there, scaled to 1,
@@ -39,7 +49,8 @@ to :func:`inverse`.
 from __future__ import annotations
 
 from math import gcd
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, TypeVar
+from operator import add
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
 from .scalars import ONE, ZERO, GaussianRational, Triple, from_triple
 
@@ -47,39 +58,64 @@ T = TypeVar("T")
 
 SparseRow = Dict[int, T]
 UnitRule = Callable[[T], bool]
-ScalarVec = Mapping[int, GaussianRational]
 
 
 def add_into(out: Dict[int, T], f: T, vec: Mapping[int, T]) -> None:
     """``out += f * vec`` on sparse vectors, dropping entries that cancel to zero.
 
-    A scalar factor scales scalar vectors by :func:`add_scaled`, and a zero
-    one leaves ``out`` as it is; any other factor, a chart-ring entry, is
-    summed by the entries' operators.
+    A zero factor leaves ``out`` as it is.  A scalar factor scales scalar
+    vectors by :func:`add_scaled`; any other factor, a chart-ring entry, is
+    multiplied by the entries' operators and summed by :func:`add_terms`.
     """
-    if type(f) is GaussianRational:
-        if f:
-            add_scaled(out, f.triple, vec)
+    if not f:
         return
-    for k, c in vec.items():
-        acc = out[k] + f * c if k in out else f * c
+    if type(f) is GaussianRational:
+        add_scaled(out, f.triple, vec)
+    else:
+        add_terms(out, ((k, f * c) for k, c in vec.items()))
+
+
+def add_terms(out: Dict[Hashable, T], items: Iterable[Tuple[Hashable, T]]) -> None:
+    """``out += items`` key by key, for nonzero values summed by their operators.
+
+    A key met for the first time stores its value itself, so no sum starts
+    from zero, and a key whose sum cancels is dropped, so a key added again
+    after cancelling starts afresh.
+    """
+    get = out.get
+    for k, c in items:
+        acc = get(k)
+        if acc is None:
+            out[k] = c
+            continue
+        acc = acc + c
         if acc.is_zero():
-            out.pop(k, None)
+            del out[k]
         else:
             out[k] = acc
 
 
-def add_scaled(out: Dict[int, GaussianRational], t: Triple, vec: ScalarVec) -> None:
+def add_scaled(
+    out: Dict[Hashable, GaussianRational],
+    t: Triple,
+    vec: Mapping[Hashable, GaussianRational],
+    shift: Optional[Tuple[int, ...]] = None,
+) -> None:
     """``out += t * vec`` for scalar vectors, where ``t = (a, b, d)``, ``d > 0``,
     is the triple of a nonzero scalar, in lowest terms or not.
 
-    Each product, and its sum with the stored entry, is done in ints on the
-    triples; one ``from_triple`` makes each stored value canonical, and an
-    entry whose sum cancels is dropped before any scalar is made.
+    With a ``shift``, the keys of ``vec`` are exponent tuples and the product
+    is by the monomial ``t * u^shift``: each key moves by ``shift`` on its
+    way into ``out``.  Each product, and its sum with the stored entry, is
+    done in ints on the triples; one ``from_triple`` makes each stored value
+    canonical, and an entry whose sum cancels is dropped before any scalar is
+    made.
     """
     a1, b1, d1 = t
     get = out.get
     for k, c in vec.items():
+        if shift is not None:
+            k = tuple(map(add, k, shift))
         a2, b2, d2 = c.triple
         a = a1 * a2 - b1 * b2
         b = a1 * b2 + b1 * a2
@@ -98,6 +134,13 @@ def add_scaled(out: Dict[int, GaussianRational], t: Triple, vec: ScalarVec) -> N
                 del out[k]
                 continue
         out[k] = from_triple(a, b, d)
+
+
+def scaled_triple(c: GaussianRational, k: int) -> Triple:
+    """The triple ``(k a, k b, d)`` of ``k * c`` for an int ``k``, not reduced:
+    the factor of :func:`add_scaled` for a scalar and an int multiplier."""
+    a, b, d = c.triple
+    return (k * a, k * b, d)
 
 
 def dot(pairs: Iterable[Tuple[GaussianRational, GaussianRational]]) -> GaussianRational:
@@ -178,13 +221,10 @@ def _pivots(
 
 
 def echelon(
-    vectors: Iterable[Mapping[int, T]],
-    one: T = ONE,
-    width: Optional[int] = None,
-    is_unit: Optional[UnitRule] = None,
+    vectors: Iterable[Mapping[int, T]], one: T = ONE, is_unit: Optional[UnitRule] = None
 ) -> Dict[int, SparseRow]:
     """The kept rows of the elimination loop, keyed by pivot in increasing order."""
-    return {c: row for c, _, row, _ in _pivots(vectors, one, width, is_unit)}
+    return {c: row for c, _, row, _ in _pivots(vectors, one, None, is_unit)}
 
 
 def _reduced(
@@ -193,8 +233,9 @@ def _reduced(
     width: Optional[int] = None,
     is_unit: Optional[UnitRule] = None,
 ) -> Dict[int, SparseRow]:
-    """The kept rows of :func:`echelon`, each then also 0 at every later pivot."""
-    rows = echelon(vectors, one, width, is_unit)
+    """The kept rows of :func:`echelon` over the indices below ``width``, each
+    then also 0 at every later pivot."""
+    rows = {c: row for c, _, row, _ in _pivots(vectors, one, width, is_unit)}
     kept = list(rows.items())
     for j in range(len(kept) - 1, 0, -1):
         p, row = kept[j]
@@ -204,9 +245,9 @@ def _reduced(
     return rows
 
 
-def sparse_basis(vectors: Iterable[Mapping[int, T]], one: T = ONE) -> List[SparseRow]:
+def sparse_basis(vectors: Iterable[Mapping[int, T]]) -> List[SparseRow]:
     """A basis of the span of sparse vectors: the kept rows, by increasing pivot."""
-    return list(echelon(vectors, one).values())
+    return list(echelon(vectors).values())
 
 
 def rank(vectors: Iterable[Mapping[int, T]]) -> int:

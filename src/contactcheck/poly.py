@@ -29,31 +29,27 @@ ratio.
 ``terms`` never holds a zero coefficient.  The public constructor checks every
 exponent and coefficient it is given; the results of arithmetic are already in
 that canonical form and are wrapped by the private ``MultiPoly._make`` without
-being checked again.  Sums store a monomial met for the first time as it is
-and add only where both operands carry it, so no sum starts from zero.
+being checked again.  The sums are the two loops of
+:mod:`contactcheck.linalg`, which keep that form; ``+`` is
+:func:`~contactcheck.linalg.add_terms` on the terms.
 
-One product loop.  :class:`ProductSum` is the multiply-accumulate kernel of
-the ring: it adds ``k * c * u^shift * p`` for the terms of ``p`` straight
-into one exponent -> scalar dict, stores a monomial met for the first time,
-and drops a monomial the moment its sum cancels, so a sum never starts from
-zero and a monomial added again after cancelling starts afresh.  The
-multiplier ``k`` is a nonzero int: a sign, or the exponent factor of a
-partial derivative, passed as it is, so no scalar ``-c`` or ``k * c`` is
-built.  Each product, and its sum with the stored entry, is done in ints on
-the scalars' canonical triples (``GaussianRational.triple``), and one
-:func:`~contactcheck.scalars.from_triple`, with its one gcd, makes each
-stored scalar; a sum that cancels is dropped before any scalar is made.
-The kernel wraps its dict once, when the sum is read.  ``*`` is one such
-sum (:meth:`ProductSum.add_product`), a piece per term of the shorter
-factor, so a product by a unit ``c * u^e`` is one shift.  The chart
-calculus of :mod:`contactcheck.forms` and the dtheta solve of
+Sums of products.  :class:`ProductSum` adds ``k * c * u^shift * p`` for the
+terms of ``p`` into one exponent -> scalar dict by
+:func:`~contactcheck.linalg.add_scaled`, and wraps the dict once, when the
+sum is read.  The multiplier ``k`` is a nonzero int: a sign, or the
+exponent factor of a partial derivative, passed as it is, so no scalar
+``-c`` or ``k * c`` is built.  ``*`` is one such sum
+(:meth:`ProductSum.add_product`), a piece per term of the shorter factor,
+so a product by a unit ``c * u^e`` is one shift.  The chart calculus of
+:mod:`contactcheck.forms` and the dtheta solve of
 :mod:`contactcheck.contact` feed it the pieces of their sums of products,
 with partial derivatives read term by term as ``(k, c, e)``
 (:meth:`MultiPoly.partial_terms`), so no intermediate polynomial is built.
 A bare monomial ``k * c * u^e``, such as a term of a partial derivative in
-d or a drawn sample, goes in by :meth:`ProductSum.add_monomial` under the
-same rules, with no product by 1; :meth:`MultiPoly.substitute` feeds each
-term's product of image powers to one such sum.
+d or a drawn sample, goes in by :meth:`ProductSum.add_monomial`, which
+stores ``c`` itself when ``k == 1`` and the monomial is new;
+:meth:`MultiPoly.substitute` feeds each term's product of image powers to
+one such sum.
 
 Degrees are read, not built.  Under weights ``w`` (0 for a variable not
 named), a term ``c * u^e`` has weighted degree ``sum w_k e_k``;
@@ -88,7 +84,8 @@ from fractions import Fraction
 from functools import reduce
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .scalars import GaussianRational, Immutable, ScalarLike, ZERO, ONE, from_triple
+from .linalg import add_scaled, add_terms, scaled_triple
+from .scalars import GaussianRational, Immutable, ScalarLike, ZERO, ONE
 
 Exponent = Tuple[int, ...]
 TermMap = Dict[Exponent, GaussianRational]
@@ -175,16 +172,7 @@ class MultiPoly(Immutable):
     def __add__(self, other) -> "MultiPoly":
         other = self._coerce_operand(other)
         terms = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            acc = terms.get(expo)
-            if acc is None:
-                terms[expo] = coeff
-                continue
-            acc = acc + coeff
-            if acc.is_zero():
-                del terms[expo]
-            else:
-                terms[expo] = acc
+        add_terms(terms, other.terms.items())
         return MultiPoly._make(self.vars, terms)
 
     __radd__ = __add__
@@ -287,8 +275,12 @@ class MultiPoly(Immutable):
 
         The images are spelled over one variable tuple, and so is the result.
         An unbound variable maps to itself, so it must be a name of that
-        tuple; with no bindings the result is this polynomial.
+        tuple; with no bindings the result is this polynomial.  A binding of a
+        name that is not a variable of this polynomial raises ``ValueError``.
         """
+        extra = [name for name in bindings if name not in self.vars]
+        if extra:
+            raise ValueError(f"bindings for {extra}, which are not variables of {self.vars}")
         spellings = {img.vars for img in bindings.values()}
         if len(spellings) > 1:
             raise ValueError(f"images spelled over {sorted(spellings)}")
@@ -422,12 +414,9 @@ def _shifted(p: MultiPoly, expo: Exponent) -> MultiPoly:
 class ProductSum:
     """A sum of products ``k * c * u^shift * p``, built in one exponent -> scalar dict.
 
-    :meth:`add` is the one product loop of the ring.  Its scalar ``c`` and
-    int multiplier ``k`` are nonzero and so are the coefficients of ``p``, so
-    every product it adds is nonzero.  Each product, and its sum with the
-    stored entry, is done in ints on the scalars' triples; the result is
-    made canonical by one :func:`~contactcheck.scalars.from_triple`, and a
-    monomial whose sum cancels is dropped before any scalar is made.
+    :meth:`add` hands each piece to :func:`~contactcheck.linalg.add_scaled`.
+    Its scalar ``c`` and int multiplier ``k`` are nonzero and so are the
+    coefficients of ``p``, so every product it adds is nonzero.
     :meth:`add_monomial` adds a bare monomial by the same rules.
     :meth:`poly` wraps the dict, already canonical, without checking it again.
     """
@@ -441,60 +430,16 @@ class ProductSum:
     def add(self, c: GaussianRational, shift: Exponent, terms: TermMap, k: int = 1) -> None:
         """Add ``k * c * u^shift * p``, where ``terms`` are the terms of ``p``,
         ``c != 0`` and ``k`` is a nonzero int."""
-        out = self.terms
-        get = out.get
-        add = operator.add
-        a1, b1, d1 = c.triple
-        if k != 1:
-            a1 *= k
-            b1 *= k
-        for expo, value in terms.items():
-            key = tuple(map(add, expo, shift))
-            a2, b2, d2 = value.triple
-            a = a1 * a2 - b1 * b2
-            b = a1 * b2 + b1 * a2
-            d = d1 * d2
-            acc = get(key)
-            if acc is not None:
-                a0, b0, d0 = acc.triple
-                if d == d0:
-                    a += a0
-                    b += b0
-                else:
-                    a = a * d0 + a0 * d
-                    b = b * d0 + b0 * d
-                    d *= d0
-                if not a and not b:
-                    del out[key]
-                    continue
-            out[key] = from_triple(a, b, d)
+        add_scaled(self.terms, scaled_triple(c, k), terms, shift)
 
     def add_monomial(self, c: GaussianRational, expo: Exponent, k: int = 1) -> None:
         """Add the bare monomial ``k * c * u^expo``, ``c != 0`` and ``k`` a
         nonzero int, by :meth:`add`'s rules: ``c`` itself is stored when
         ``k == 1`` and the monomial is new."""
-        out = self.terms
-        acc = out.get(expo)
-        if acc is None and k == 1:
-            out[expo] = c
-            return
-        a, b, d = c.triple
-        if k != 1:
-            a *= k
-            b *= k
-        if acc is not None:
-            a0, b0, d0 = acc.triple
-            if d == d0:
-                a += a0
-                b += b0
-            else:
-                a = a * d0 + a0 * d
-                b = b * d0 + b0 * d
-                d *= d0
-            if not a and not b:
-                del out[expo]
-                return
-        out[expo] = from_triple(a, b, d)
+        if k == 1 and expo not in self.terms:
+            self.terms[expo] = c
+        else:
+            add_scaled(self.terms, (k, 0, 1), {expo: c})
 
     def add_product(self, p: MultiPoly, q: MultiPoly, k: int = 1) -> None:
         """Add ``k * p * q`` for a nonzero int ``k``: a piece per term of the

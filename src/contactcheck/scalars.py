@@ -7,14 +7,11 @@ downstream is bit-exact.  The triple is the public read-only slot
 ``triple``, and :func:`from_triple` is the one public builder from ints: it
 divides any triple with ``d > 0`` through by its gcd.  Code outside this
 module that works on triples reads and builds scalars through those two:
-the sampler builds each drawn scalar once, and the loops that sum products
-work on the triples in ints and pay one gcd and one scalar per stored term
-of their sum, not one per operator.  They are the chart calculus's
-:class:`~contactcheck.poly.ProductSum` and the Lie layer's kernel in
-:mod:`contactcheck.linalg` (:func:`~contactcheck.linalg.add_scaled` for
-scaled sparse vectors, which ``StructureConstants.bracket`` feeds with
-triple products, and :func:`~contactcheck.linalg.dot` for sums of
-products).  Each operation here does its integer arithmetic and
+the sampler builds each drawn scalar once, the Lie layer its rescaled
+constants and the triple products of a bracket, and the sum loops of
+:mod:`contactcheck.linalg` work on the triples in ints and pay one gcd and
+one scalar per stored term of their sum, not one per operator.  Each
+operation here does its integer arithmetic and
 at most one ``math.gcd(a, b, d)``, skipped when ``d == 1``; results are
 built without going through ``__init__``.  The ``fractions.Fraction`` parts
 ``re`` and ``im`` are built on first read and cached; they and ``str`` and

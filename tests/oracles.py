@@ -787,6 +787,15 @@ def naive_scaled_sum(steps: Sequence[Tuple[GaussianRational, Dict[int, GaussianR
     return {k: value for k, value in out.items() if not value.is_zero()}
 
 
+def naive_keyed_sum(items: Sequence[Tuple[int, MultiPoly]]) -> Dict[int, NaivePoly]:
+    """``sum`` of polynomials key by key, each read by :func:`naive_poly` and
+    added from zero; a key whose sum is zero is dropped at the end."""
+    out: Dict[int, NaivePoly] = {}
+    for key, value in items:
+        out[key] = naive_poly_add(out.get(key, {}), naive_poly(value))
+    return {key: terms for key, terms in out.items() if terms}
+
+
 def naive_dot(pairs: Sequence[Tuple[GaussianRational, GaussianRational]]) -> GaussianRational:
     """``sum u * v`` by the scalar operators, accumulated from zero."""
     total = ZERO

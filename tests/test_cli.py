@@ -312,7 +312,7 @@ def test_lemma21_adds_no_zero_scalars(capsys, monkeypatch):
 
     The sums of ``ProductSum`` are done in ints on the scalars' triples and
     never reach ``GaussianRational.__add__``, so this watches the scalar sums
-    left in ``MultiPoly.__add__``; the kernel's sums are checked against
+    of ``MultiPoly.__add__`` (``linalg.add_terms``); the kernel's sums are checked against
     operator sums by ``tests/test_poly.py::test_product_sum_matches_operator_sums``.
     """
     from contactcheck.scalars import GaussianRational
@@ -336,16 +336,17 @@ def test_lemma21_adds_no_zero_scalars(capsys, monkeypatch):
 
 #: Modules whose sparse sums must not start from the zero polynomial.
 ZERO_SEED_GUARDED = ("forms.py", "contact.py", "sampling.py")
-SUM_HELPERS = {("poly.py", "__sub__"), ("poly.py", "__rsub__")}
+SUM_HELPERS = {("poly.py", "__sub__"), ("poly.py", "__rsub__"), ("linalg.py", "add_terms")}
 
 
 def test_chart_calculus_adds_no_zero_polynomials(capsys, monkeypatch):
     """No polynomial sum written in forms, contact or sampling has a zero operand.
 
-    A sum made inside ``MultiPoly.__sub__`` is charged to the caller of the
-    subtraction.  The sampler sums its monomials in a ``ProductSum`` and makes
-    no polynomial sum (:func:`test_products_are_summed_where_they_are_made`
-    pins it); the scalar sums of that kernel are done in ints and checked by
+    A sum made inside ``MultiPoly.__sub__`` or ``linalg.add_terms`` is
+    charged to the caller of the subtraction or of the key-by-key sum.  The
+    sampler sums its monomials in a ``ProductSum`` and makes no polynomial
+    sum (:func:`test_products_are_summed_where_they_are_made` pins it); the
+    scalar sums of that kernel are done in ints and checked by
     ``tests/test_poly.py::test_product_sum_matches_operator_sums``.
     """
     import sys

@@ -921,6 +921,15 @@ def test_a_transition_spelled_off_its_source_chart_is_rejected_by_pair():
         cstructure_from_charts(["V0", "V1"], [gamma0, gamma1], maps)
 
 
+def test_a_transition_imaging_no_target_variable_is_rejected_by_pair():
+    """A transition gives images of chart j's variables alone: any other image names the pair."""
+    c0, c1 = ChartSpace(["u1"]), ChartSpace(["u0"])
+    gamma0, gamma1 = PolyForm.d_var(c0, "u1"), PolyForm.d_var(c1, "u0")
+    maps = {(0, 1): {"u0": c0.coeff_var("u1") ** -1, "q": c0.coeff_const(1)}}
+    with pytest.raises(ValueError, match=r"^transition \(V0, V1\): pullback images of \['q'\], which are not variables of ChartSpace\(\('u0',\)"):
+        cstructure_from_charts(["V0", "V1"], [gamma0, gamma1], maps)
+
+
 def test_a_chart_form_on_a_fibered_chart_is_rejected_by_label():
     """gamma0 = du1 does not depend on lam, but its chart carries the fiber: a c-structure form lives on the base."""
     c0, c1 = ChartSpace(["u1"], "lam"), ChartSpace(["u0"])

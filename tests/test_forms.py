@@ -433,6 +433,15 @@ def test_pullback_of_section_gives_base_contact_form():
     assert gamma == expected
 
 
+def test_pullback_rejects_an_image_of_no_target_variable():
+    """An image of a name outside the target chart is an error, even for a zero form."""
+    images = {name: C4.coeff_var(name) for name in C4.all_vars}
+    images["q"] = C4.coeff_const(1)
+    for form in (PolyForm.zero(C4, 1), hopf_theta(C4, 1)):
+        with pytest.raises(ValueError, match=r"pullback images of \['q'\], which are not variables of ChartSpace"):
+            pullback(C4, images, form)
+
+
 def test_pullback_along_identity():
     rnd = random.Random(41)
     images = {name: C4.coeff_var(name) for name in C4.all_vars}

@@ -210,3 +210,35 @@ def test_only_the_immutable_base_guards_attributes():
         "scalars.py: Immutable.__setattr__",
         "scalars.py: Immutable.__delattr__",
     ]
+
+
+#: The modules that compute on the scalars' int triples: the scalar field
+#: itself, the sparse-sum kernel of ``linalg`` and the Lie layer's triple
+#: products.  Every other module sums through ``linalg`` or the scalar
+#: operators, so the triple arithmetic stays behind ``scalars`` and ``linalg``.
+TRIPLE_MODULES = {"scalars.py", "linalg.py", "lie.py"}
+#: The modules that build scalars from ints, besides those: the sampler's draws.
+FROM_TRIPLE_MODULES = TRIPLE_MODULES | {"sampling.py"}
+
+
+def triple_uses(path: Path):
+    """``x.triple`` reads and ``from_triple`` names in one module."""
+    reads, builds = [], []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Attribute) and node.attr == "triple":
+            reads.append(f"{path.name}:{node.lineno}")
+    if "from_triple" in set(names_in(path)):
+        builds.append(path.name)
+    return reads, builds
+
+
+def test_only_the_kernel_modules_work_on_scalar_triples():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert FROM_TRIPLE_MODULES <= {path.name for path in modules}
+    reads, builds = [], []
+    for path in modules:
+        found = triple_uses(path)
+        reads += [line for line in found[0] if path.name not in TRIPLE_MODULES]
+        builds += [name for name in found[1] if name not in FROM_TRIPLE_MODULES]
+    assert reads == []
+    assert builds == []

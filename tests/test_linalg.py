@@ -13,6 +13,7 @@ from contactcheck.forms import ChartSpace, PolyForm, pullback
 from contactcheck.linalg import (
     add_into,
     add_scaled,
+    add_terms,
     column_kernel,
     combine,
     determinant,
@@ -27,6 +28,7 @@ from contactcheck.poly import MultiPoly
 from contactcheck.scalars import GaussianRational, ONE, ZERO
 from conftest import gq
 from oracles import dense_mat_vec, dense_nullspace, dense_rref, leibniz_determinant, naive_dot, naive_scaled_sum
+from oracles import naive_keyed_sum, naive_poly, naive_product_sum
 from oracles import same_span as dense_same_span
 
 SEEDS = range(8)
@@ -360,3 +362,70 @@ def test_scaled_sums_and_dots_match_operator_sums(steps, again):
         else:
             _assert_canonical_nonzero([got])
     assert dot([]) is ZERO
+
+
+#: Exponent keys over two variables, negative ones included, as the chart
+#: calculus feeds ``add_scaled``; a piece ``k * c * u^shift * p`` has an int
+#: ``k`` (a sign or an exponent factor), so its triple ``(k a, k b, d)`` may
+#: be out of lowest terms.
+expo_keys = st.tuples(st.integers(-1, 2), st.integers(-1, 2))
+product_pieces = st.tuples(
+    st.sampled_from([1, -1, 2, -3]),
+    triple_scalars,
+    expo_keys,
+    st.dictionaries(expo_keys, triple_scalars, min_size=1, max_size=4),
+)
+
+
+@given(st.lists(product_pieces, min_size=1, max_size=8), st.integers(0, 8))
+@settings(max_examples=200, deadline=None)
+def test_shifted_scaled_sums_match_the_product_sum_oracle(pieces, again):
+    """``add_scaled`` with a ``shift`` on exponent-tuple keys against
+    ``naive_product_sum``.  The pieces are added, then added again with
+    ``-k`` so every monomial cancels, then a prefix is added a third time, so
+    monomials come back after cancelling.  Every stored value is canonical
+    and none is zero."""
+    negated = [(-k, c, shift, terms) for k, c, shift, terms in pieces]
+    out = {}
+    done = []
+    for stage in (pieces, negated, pieces[:again]):
+        for k, c, shift, terms in stage:
+            a, b, d = c.triple
+            add_scaled(out, (k * a, k * b, d), terms, shift)
+            done.append((k, c, shift, terms))
+        assert out == naive_product_sum(done)
+        _assert_canonical_nonzero(out.values())
+    assert naive_product_sum(done[: len(pieces) * 2]) == {}
+
+
+XY = ("x", "y")
+_x, _y = MultiPoly.variable("x", XY), MultiPoly.variable("y", XY)
+#: Nonzero polynomials and their negatives, so sums cancel in part or whole.
+SUMMANDS = [_x, _x + 1, (_x * _y).scale(gq(1, 2)), _y**-1 - _x, MultiPoly.const(gq(0, 3), XY)]
+SUMMANDS += [-p for p in SUMMANDS]
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 3), st.sampled_from(SUMMANDS)), min_size=1, max_size=10),
+    st.integers(0, 10),
+)
+@settings(max_examples=200, deadline=None)
+def test_keyed_polynomial_sums_match_a_naive_sum(items, again):
+    """``add_terms`` on ``MultiPoly`` values against a sum from zero, key by
+    key.  The items are added, then added negated so every key cancels, then
+    a prefix is added again.  No stored value is zero, and a key met once
+    since it was last absent stores that very value."""
+    negated = [(key, -value) for key, value in items]
+    out = {}
+    done = []
+    for stage in (items, negated, items[:again]):
+        fresh = [key for key in {key for key, _ in stage} if key not in out]
+        add_terms(out, stage)
+        done += stage
+        assert {key: naive_poly(value) for key, value in out.items()} == naive_keyed_sum(done)
+        assert all(not value.is_zero() for value in out.values())
+        for key in fresh:
+            met = [value for k, value in stage if k == key]
+            if len(met) == 1:
+                assert out[key] is met[0]
+    assert naive_keyed_sum(done[: len(items) * 2]) == {}

@@ -122,6 +122,12 @@ def test_swap_substitution():
     assert p.substitute({"x": y, "y": x}) == p
 
 
+def test_substitute_rejects_a_binding_of_no_variable():
+    """A binding of a name the polynomial does not have is an error, not a no-op."""
+    with pytest.raises(ValueError, match=r"bindings for \['q'\], which are not variables of \('x',\)"):
+        MultiPoly.variable("x").substitute({"q": MultiPoly.variable("x")})
+
+
 def test_substitute_is_homomorphism():
     a = x * x + y
     b = x - 2 * y
