@@ -30,7 +30,7 @@ Subpackage map:
   grading of the simple Lie algebras.
 * :mod:`contactcheck.forms` -- polynomial exterior calculus on a chart, the
   rules of the chart ring Q(i)[base][fiber^±1] on ``ChartSpace``, and the one
-  pullback, along sections and along Laurent chart transitions.
+  pullback, ``ChartMap.pull``, along sections and Laurent chart transitions.
 * :mod:`contactcheck.contact` -- contact charts, Euler operator, Hamiltonian
   vector fields and the identity suites built on them; c-structures from
   sections, with (C.2) factors and canonical cocycles read off pullbacks.

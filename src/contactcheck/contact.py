@@ -28,13 +28,13 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from . import linalg
 from .forms import (
+    ChartMap,
     ChartSpace,
     Coeff,
     PolyForm,
     PolyVectorField,
     exterior_derivative,
     lie_derivative,
-    pullback,
 )
 from .poly import Exponent, MultiPoly, ProductSum
 from .report import CheckResult, check
@@ -504,10 +504,11 @@ class SectionMap(Immutable):
 class CStructureData(Immutable):
     """Chart forms gamma_i with Laurent transition data on the overlaps.
 
-    ``transition_maps[(i, j)]`` expresses chart-j coordinates as Laurent
-    polynomials in chart-i coordinates; ``factors[(i, j)]`` is the Laurent
-    polynomial (holomorphic on the overlap) with
-    ``gamma_i = f_ij * (coordinate change)^* gamma_j``.  Everything on the
+    ``transition_maps[(i, j)]`` is the :class:`~contactcheck.forms.ChartMap`
+    from chart i to chart j, whose images express chart-j coordinates as
+    Laurent polynomials in chart-i coordinates; ``factors[(i, j)]`` is the
+    Laurent polynomial (holomorphic on the overlap) with
+    ``gamma_i = f_ij * transition_maps[(i, j)].pull(gamma_j)``.  Everything on the
     overlap of charts i and j is spelled over chart i's coordinates.
 
     The forms share one odd dimension 2n + 1, which fixes n, and each top form
@@ -608,7 +609,7 @@ def reconstruct_cstructure(cc: ContactChart, sections: Sequence[SectionMap]) -> 
         if coord is None:
             raise ValueError(f"{section.label} is not a section of the projection")
     labels = [s.label for s in sections]
-    gammas = [pullback(s.source, s.images, cc.theta) for s in sections]
+    gammas = [ChartMap(s.source, cc.chart, s.images).pull(cc.theta) for s in sections]
     transition_maps: Dict[Tuple[int, int], Dict[str, MultiPoly]] = {}
     gauges: Dict[Tuple[int, int], MultiPoly] = {}
     for i, sec_i in enumerate(sections):
@@ -620,11 +621,11 @@ def reconstruct_cstructure(cc: ContactChart, sections: Sequence[SectionMap]) -> 
                 v: sec_i.images[x] / unit ** cc.weights[x] for x, v in coords[j].items()
             }
             gauges[(i, j)] = unit / sec_j.images[sec_j.unit_var].constant_value()
-    factors = _compatibility_factors(labels, gammas, transition_maps)
+    maps, factors = _compatibility_factors(labels, gammas, transition_maps)
     for (i, j), g in gauges.items():
         if factors[(i, j)] != g ** cc.delta:
             raise ValueError(f"(C.2) fails for pair ({labels[i]}, {labels[j]})")
-    return CStructureData(labels, gammas, transition_maps, factors, gauges)
+    return CStructureData(labels, gammas, maps, factors, gauges)
 
 
 def canonical_cocycle_check(cs: CStructureData, n: int) -> List[CheckResult]:
@@ -645,7 +646,7 @@ def canonical_cocycle_check(cs: CStructureData, n: int) -> List[CheckResult]:
         chart = cs.tops[i].chart
         full = tuple(range(chart.dim))
         lhs = cs.tops[i].terms.get(full, chart.coeff_zero())
-        pulled = pullback(chart, trans, cs.tops[j]).terms.get(full, chart.coeff_zero())
+        pulled = trans.pull(cs.tops[j]).terms.get(full, chart.coeff_zero())
         rhs = cs.factors[(i, j)] ** (n + 1) * pulled
         ok = lhs == rhs
         results.append(
@@ -676,7 +677,7 @@ def quotient_checks(n: int, monomials: Sequence[Coeff]) -> List[CheckResult]:
     chart = cc.chart
     results: List[CheckResult] = []
     flip = {name: chart.coeff_var(name).scale(-1) for name in chart.all_vars}
-    flipped = pullback(chart, flip, cc.theta)
+    flipped = ChartMap(chart, chart, flip).pull(cc.theta)
     even = flipped == cc.theta
     results.append(check(f"hopf(n={n}):theta-sign-invariance", even, "" if even else flipped - cc.theta))
     # The scaling weight of theta is 2 = 2 * 1: with the downstairs parameter
@@ -829,11 +830,11 @@ def cstructure_from_charts(
     gammas: Sequence[PolyForm],
     transition_maps: Mapping[Tuple[int, int], Mapping[str, MultiPoly]],
 ) -> CStructureData:
-    """Assemble c-structure data from raw chart forms and coordinate changes.
+    """Assemble c-structure data, one chart map per transition, from raw chart forms and images.
 
     The compatibility factors f_ij are extracted from the proportionality
     ``gamma_i = f_ij * (transition)^* gamma_j``, the pullback taken by
-    :func:`~contactcheck.forms.pullback`, and their existence is the
+    :meth:`~contactcheck.forms.ChartMap.pull`, and their existence is the
     (C.2) check.  A factor must be nowhere zero on the overlap, so (C.2) asks
     for a unit ``c * u^e`` of the Laurent ring: a proportionality by any other
     Laurent polynomial fails it.  The pairs are checked before the record makes
@@ -844,12 +845,12 @@ def cstructure_from_charts(
     rejected by its pair of labels.  A chart with a fiber variable is
     rejected by its label, naming the form's fiber dependence if it has one.
     """
-    factors = _compatibility_factors(labels, gammas, transition_maps)
-    return CStructureData(list(labels), list(gammas), dict(transition_maps), factors)
+    maps, factors = _compatibility_factors(labels, gammas, transition_maps)
+    return CStructureData(list(labels), list(gammas), maps, factors)
 
 
-def _compatibility_factors(labels, gammas, transition_maps) -> Dict[Tuple[int, int], MultiPoly]:
-    """The (C.2) factor of every pair, after the input checks of :func:`cstructure_from_charts`."""
+def _compatibility_factors(labels, gammas, transition_maps):
+    """The chart map and (C.2) factor of every pair, after the checks of :func:`cstructure_from_charts`."""
     if len(labels) != len(gammas):
         raise ValueError(f"{len(gammas)} chart forms need as many labels, not {len(labels)}")
     for i, j in transition_maps:
@@ -863,16 +864,15 @@ def _compatibility_factors(labels, gammas, transition_maps) -> Dict[Tuple[int, i
             except ValueError as exc:
                 raise ValueError(f"{label}: {exc}") from None
             raise ValueError(f"{label}: a c-structure chart form lives on the base, not on {gamma.chart!r}")
+    maps: Dict[Tuple[int, int], ChartMap] = {}
     factors: Dict[Tuple[int, int], MultiPoly] = {}
-    for (i, j), trans in transition_maps.items():
+    for (i, j), images in transition_maps.items():
         try:
-            for image in trans.values():
-                gammas[i].chart.require_spelled(image)
-            pulled = pullback(gammas[i].chart, trans, gammas[j])
+            maps[(i, j)] = ChartMap(gammas[i].chart, gammas[j].chart, images)
         except ValueError as exc:
             raise ValueError(f"transition ({labels[i]}, {labels[j]}): {exc}") from None
-        factor = _proportionality_factor(gammas[i], pulled)
+        factor = _proportionality_factor(gammas[i], maps[(i, j)].pull(gammas[j]))
         if factor is None:
             raise ValueError(f"(C.2) fails for pair ({labels[i]}, {labels[j]})")
         factors[(i, j)] = factor
-    return factors
+    return maps, factors

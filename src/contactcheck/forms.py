@@ -33,23 +33,17 @@ is :func:`~contactcheck.linalg.add_terms` on their coefficients.
 
 Checked once.  The public constructors check every key (length, strictly
 increasing, in range) and every coefficient (chart spelling; zeros dropped).
-The results of ``+``, unary ``-``, the wedge, d, iota and the bracket are
-already canonical -- their keys come out increasing and in range, their
-coefficients are spelled over the chart's ``all_vars`` by construction, and
-no zero coefficient or empty sum is kept -- so the private
+The results of ``+``, unary ``-``, the wedge, d, iota, the bracket and the
+pullback are already canonical -- their keys come out increasing and in
+range, their coefficients are spelled over the chart's ``all_vars`` by
+construction, and no zero coefficient or empty sum is kept -- so the private
 ``PolyForm._make`` and ``PolyVectorField._make`` wrap them unchecked.  Three
 kinds of site keep the checked constructors: the public ones, which take
-caller data; ``scale``, whose scalar may be zero; and :func:`pullback`,
-where the caller's images are checked for their spelling.  Modules above
-this one, such as :mod:`contactcheck.contact`, build forms and fields
-through the public constructors alone, since a private name is its own
-module's business.
-
-:func:`pullback` is the one pullback of the package: along a section, and
-along a chart transition on an overlap, whose images may invert the source
-coordinates (they are Laurent, spelled over the source chart).  A form with
-negative powers of the target fiber pulls back only along a unit fiber image
-``c * fiber^k``.
+caller data; ``scale``, whose scalar may be zero; and the constructor of
+:class:`ChartMap`, where the images of a map are checked for their
+spelling.  Modules above this one, such as :mod:`contactcheck.contact`,
+build forms and fields through the public constructors alone, since a
+private name is its own module's business.
 """
 
 from __future__ import annotations
@@ -504,42 +498,47 @@ def lie_derivative(field: PolyVectorField, form: PolyForm) -> PolyForm:
     )
 
 
-def pullback(
-    source: ChartSpace,
-    images: Mapping[str, Coeff],
-    form: PolyForm,
-) -> PolyForm:
-    """Pull a form back along the map whose target-variable images are given.
+class ChartMap(Immutable):
+    """A map from ``source`` to ``target``: the image of every target variable.
 
-    ``images`` assigns to every target chart variable an element of the
-    Laurent ring spelled over ``source.all_vars``: a coefficient function on
-    ``source``, or on an overlap a transition that inverts coordinates, such
-    as ``u0 -> u1^-1``.  Laurent coefficients in the target fiber variable
-    require its image to be a unit: a constant times a power of the source
-    fiber.  An image of a name that is not a target chart variable raises
-    ``ValueError``, as a missing image does.
+    An image is an element of the Laurent ring spelled over ``source.all_vars``,
+    which on an overlap may invert coordinates, such as ``u0 -> u1^-1``.  The
+    constructor checks the images once -- a missing image, or an image of a
+    name that is not a target variable, raises ``ValueError`` -- and builds
+    their differentials once.  :meth:`pull` is the one pullback of the package,
+    along a section and along a chart transition; a form with negative powers
+    of the target fiber pulls back only along a unit fiber image ``c * fiber^k``.
     """
-    target = form.chart
-    missing = [v for v in target.all_vars if v not in images]
-    if missing:
-        raise ValueError(f"pullback images missing for {missing}")
-    extra = [v for v in images if v not in target.all_vars]
-    if extra:
-        raise ValueError(f"pullback images of {extra}, which are not variables of {target!r}")
-    differentials = {
-        name: exterior_derivative(PolyForm.function(source, images[name]))
-        for name in target.all_vars
-    }
-    no_differential = {(): source.coeff_const(1)}
-    sums = _product_sums(source)
-    for key, coeff in form.terms.items():
-        fiber_inverted = target.fiber_var and any(expo[-1] < 0 for expo in coeff.terms)
-        if fiber_inverted and not source.is_unit(images[target.fiber_var]):
+
+    __slots__ = ("source", "target", "images", "_differentials", "_unit_fiber")
+
+    def __init__(self, source: ChartSpace, target: ChartSpace, images: Mapping[str, Coeff]):
+        missing = [v for v in target.all_vars if v not in images]
+        if missing:
+            raise ValueError(f"pullback images missing for {missing}")
+        extra = [v for v in images if v not in target.all_vars]
+        if extra:
+            raise ValueError(f"pullback images of {extra}, which are not variables of {target!r}")
+        differentials = [exterior_derivative(PolyForm.function(source, images[v])) for v in target.all_vars]
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "images", dict(images))
+        object.__setattr__(self, "_differentials", differentials)
+        object.__setattr__(self, "_unit_fiber", not target.fiber_var or source.is_unit(images[target.fiber_var]))
+
+    def pull(self, form: PolyForm) -> PolyForm:
+        """The pullback of a form on ``target``: a form on ``source`` of the same degree."""
+        if form.chart != self.target:
+            raise ValueError(f"a form on {form.chart!r} does not pull back along a map to {self.target!r}")
+        if not self._unit_fiber and any(expo[-1] < 0 for coeff in form.terms.values() for expo in coeff.terms):
             raise ValueError("negative fiber exponents need a unit fiber image c * fiber^k")
-        # dx_I pulls back to the wedge of the differentials of its images.
-        factors = [differentials[target.all_vars[idx]] for idx in key]
-        dx = reduce(PolyForm.wedge, factors).terms if factors else no_differential
-        f = coeff.substitute(images)
-        for k, c in dx.items():
-            sums[k].add_product(f, c)
-    return PolyForm(source, form.degree, _nonzero_sums(sums))
+        no_differential = {(): self.source.coeff_const(1)}
+        sums = _product_sums(self.source)
+        for key, coeff in form.terms.items():
+            # dx_I pulls back to the wedge of the differentials of its images.
+            factors = [self._differentials[idx] for idx in key]
+            dx = reduce(PolyForm.wedge, factors).terms if factors else no_differential
+            f = coeff.substitute(self.images)
+            for k, c in dx.items():
+                sums[k].add_product(f, c)
+        return PolyForm._make(self.source, form.degree, _nonzero_sums(sums))

@@ -309,6 +309,9 @@ class MultiPoly(Immutable):
         missing = [v for v in self.vars if v not in point]
         if missing:
             raise ValueError(f"no value supplied for {missing}")
+        extra = [name for name in point if name not in self.vars]
+        if extra:
+            raise ValueError(f"values for {extra}, which are not variables of {self.vars}")
         values = [GaussianRational.coerce(point[v]) for v in self.vars]
         out: Optional[GaussianRational] = None
         for expo, coeff in self.terms.items():

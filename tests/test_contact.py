@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from contactcheck import contact
+from contactcheck import contact, forms
 from contactcheck.contact import (
     CStructureData,
     ContactChart,
@@ -32,12 +32,12 @@ from contactcheck.contact import (
     verify_axioms,
 )
 from contactcheck.forms import (
+    ChartMap,
     ChartSpace,
     PolyForm,
     PolyVectorField,
     exterior_derivative,
     lie_derivative,
-    pullback,
 )
 from contactcheck.poly import MultiPoly
 from contactcheck.sampling import SeededSampler
@@ -404,7 +404,7 @@ def test_cocycle_of_a_transition_with_no_unit_jacobian_entry_fails_with_a_witnes
     cs = CStructureData(
         ["V0", "V1"],
         [PolyForm.d_var(cu, "u"), PolyForm.d_var(cx, "x")],
-        {(0, 1): {"x": u + u * u}},
+        {(0, 1): ChartMap(cu, cx, {"x": u + u * u})},
         {(0, 1): cu.coeff_const(1)},
     )
     assert _failed(canonical_cocycle_check(cs, 0)) == {"cocycle:V0->V1": "lhs 1 != rhs 2*u + 1"}
@@ -806,7 +806,7 @@ def test_euler_solve_is_cached_per_chart_not_per_label(corrupted_first):
 
 def test_corrupted_transition_fails_c2():
     cs = reconstruct_cstructure(hopf_chart(1), hopf_sections(1))
-    maps = dict(cs.transition_maps)
+    maps = {pair: trans.images for pair, trans in cs.transition_maps.items()}
     maps[(0, 1)] = dict(maps[(0, 1)], u0=maps[(0, 1)]["u0"] * 2)
     with pytest.raises(ValueError, match=r"^\(C\.2\) fails for pair \(V0, V1\)$"):
         cstructure_from_charts(cs.charts, cs.gammas, maps)
@@ -967,8 +967,8 @@ def test_a_fibered_section_may_rename_its_base_coordinate():
     s_w = SectionMap("W", src_w, {"z0": src_w.coeff_var("w"), "lam": src_w.coeff_const(3)}, "lam")
     s_z = SectionMap("Z", src_z, {"z0": src_z.coeff_var("z0"), "lam": src_z.coeff_const(1)}, "lam")
     cs = reconstruct_cstructure(cc, [s_w, s_z])
-    assert cs.transition_maps[(0, 1)] == {"z0": src_w.coeff_var("w")}
-    assert cs.transition_maps[(1, 0)] == {"w": src_z.coeff_var("z0")}
+    assert cs.transition_maps[(0, 1)].images == {"z0": src_w.coeff_var("w")}
+    assert cs.transition_maps[(1, 0)].images == {"w": src_z.coeff_var("z0")}
     assert cs.gauges[(0, 1)] == src_w.coeff_const(3)
     assert cs.factors[(0, 1)] == src_w.coeff_const(9)  # c^delta
     assert cs.gammas[0] == PolyForm.d_var(src_w, "w").scale(9)
@@ -1019,7 +1019,7 @@ def test_reconstruct_reports_c2_through_one_path():
     cc = ContactChart(chart, theta, 2, {"z0": 1, "z1": 1}, label="exact")
     u1 = MultiPoly.variable("u1")
     maps = {(0, 1): {"u0": u1**-1}, (1, 0): {"u1": MultiPoly.variable("u0") ** -1}}
-    gammas = [pullback(s.source, s.images, theta) for s in hopf_sections(0)]
+    gammas = [ChartMap(s.source, chart, s.images).pull(theta) for s in hopf_sections(0)]
     assert cstructure_from_charts(["V0", "V1"], gammas, maps).factors[(0, 1)] == -(u1**2)
     with pytest.raises(ValueError, match=r"^\(C\.2\) fails for pair \(V0, V1\)$"):
         reconstruct_cstructure(cc, hopf_sections(0))
@@ -1063,7 +1063,7 @@ def test_gauges_match_the_substitute_and_compare_oracle(case):
     cs = reconstruct_cstructure(cc, sections)
     assert len(cs.gauges) == len(sections) * (len(sections) - 1)
     for (i, j), trans in cs.transition_maps.items():
-        g = naive_gauge(cc.weights, sections[i], sections[j], trans)
+        g = naive_gauge(cc.weights, sections[i], sections[j], trans.images)
         assert g is not None and naive_poly(cs.gauges[(i, j)]) == g
 
 
@@ -1107,6 +1107,26 @@ def test_reconstruct_and_cocycle_build_each_top_once(monkeypatch, n):
     all_pass(canonical_cocycle_check(reconstruct_cstructure(hopf_chart(n), hopf_sections(n)), n))
     assert powers == [n] * (2 * n + 2)
     assert len(records) == 1
+
+
+def test_cocycle_builds_no_differential_of_a_transition(monkeypatch):
+    """Each transition's image differentials are built with its map, once: the
+    cocycle check and any further pull along the map take no d."""
+    calls = []
+
+    def counted(form):
+        calls.append(form.degree)
+        return exterior_derivative(form)
+
+    monkeypatch.setattr(forms, "exterior_derivative", counted)
+    monkeypatch.setattr(contact, "exterior_derivative", counted)
+    cs = reconstruct_cstructure(hopf_chart(1), hopf_sections(1))
+    assert calls
+    calls.clear()
+    all_pass(canonical_cocycle_check(cs, 1))
+    trans = cs.transition_maps[(0, 1)]
+    assert trans.pull(cs.tops[1]) == trans.pull(cs.tops[1])
+    assert calls == []
 
 
 def test_corrupted_factor_fails_cocycle():

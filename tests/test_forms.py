@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 
 from contactcheck.forms import (
+    ChartMap,
     ChartSpace,
     PolyForm,
     PolyVectorField,
     exterior_derivative as d,
     interior_product as iota,
     lie_derivative,
-    pullback,
 )
 from contactcheck.poly import MultiPoly
 from conftest import gq
@@ -424,7 +424,7 @@ def test_pullback_of_section_gives_base_contact_form():
         "z2": src.coeff_var("u2"),
         "z3": src.coeff_var("u3"),
     }
-    gamma = pullback(src, images, theta)
+    gamma = ChartMap(src, C4, images).pull(theta)
     expected = (
         PolyForm.d_var(src, "u2")
         + PolyForm.d_var(src, "u3").scale(src.coeff_var("u1"))
@@ -439,7 +439,7 @@ def test_pullback_rejects_an_image_of_no_target_variable():
     images["q"] = C4.coeff_const(1)
     for form in (PolyForm.zero(C4, 1), hopf_theta(C4, 1)):
         with pytest.raises(ValueError, match=r"pullback images of \['q'\], which are not variables of ChartSpace"):
-            pullback(C4, images, form)
+            ChartMap(C4, C4, images).pull(form)
 
 
 def test_pullback_along_identity():
@@ -447,7 +447,7 @@ def test_pullback_along_identity():
     images = {name: C4.coeff_var(name) for name in C4.all_vars}
     for p in (0, 1, 2):
         a = rand_form(C4, p, rnd)
-        assert pullback(C4, images, a) == a
+        assert ChartMap(C4, C4, images).pull(a) == a
 
 
 def test_scaling_pullback_degree_two():
@@ -455,7 +455,7 @@ def test_scaling_pullback_degree_two():
     src = ChartSpace(["t"] + list(C4.base_vars))
     t = src.coeff_var("t")
     images = {name: src.coeff_var(name) * t for name in C4.base_vars}
-    pulled = pullback(src, images, theta)
+    pulled = ChartMap(src, C4, images).pull(theta)
     # every coefficient carries exactly t^2
     expected = PolyForm(
         src,
@@ -490,8 +490,8 @@ def test_pullback_functorial():
     }
     for _ in range(3):
         a = rand_form(C4, rnd.choice([1, 2]), rnd)
-        assert pullback(src, composed, a) == pullback(
-            src, images2, pullback(mid, images1, a)
+        assert ChartMap(src, C4, composed).pull(a) == ChartMap(src, mid, images2).pull(
+            ChartMap(mid, C4, images1).pull(a)
         )
 
 
@@ -508,16 +508,18 @@ def test_pullback_rejects_nonmonomial_fiber_for_laurent():
         "lam": src.coeff_var("mu") + src.coeff_const(1),
     }
     with pytest.raises(ValueError, match="unit fiber image"):
-        pullback(src, bad, theta)
+        ChartMap(src, FIB, bad).pull(theta)
+    # The same map pulls back a form with no negative fiber power.
+    assert ChartMap(src, FIB, bad).pull(PolyForm.d_var(FIB, "z")) == PolyForm.d_var(src, "u")
     not_unit = {"z": src.coeff_var("u"), "lam": src.coeff_var("mu") * src.coeff_var("u")}
     with pytest.raises(ValueError, match="unit fiber image"):
-        pullback(src, not_unit, theta)
+        ChartMap(src, FIB, not_unit).pull(theta)
     good = {"z": src.coeff_var("u"), "lam": src.coeff_var("mu").scale(3)}
-    pulled = pullback(src, good, theta)
+    pulled = ChartMap(src, FIB, good).pull(theta)
     mu = src.coeff_var("mu")
     assert pulled == PolyForm(src, 1, {(0,): (mu**-1).scale(Fraction(1, 3))})
     cubed = {"z": src.coeff_var("u"), "lam": (mu**3).scale(2)}
-    assert pullback(src, cubed, theta) == PolyForm(
+    assert ChartMap(src, FIB, cubed).pull(theta) == PolyForm(
         src, 1, {(0,): (mu**-3).scale(Fraction(1, 2))}
     )
 
@@ -526,7 +528,7 @@ def test_pullback_along_an_overlap_inverts_coordinates():
     """Chart changes of projective space: u0 -> 1/u1, and u_m -> u_m/u1 on CP^3."""
     line0, line1 = ChartSpace(["u1"]), ChartSpace(["u0"])
     u1 = line0.coeff_var("u1")
-    pulled = pullback(line0, {"u0": u1**-1}, PolyForm.d_var(line1, "u0"))
+    pulled = ChartMap(line0, line1, {"u0": u1**-1}).pull(PolyForm.d_var(line1, "u0"))
     assert pulled == PolyForm(line0, 1, {(0,): -(u1**-2)})
 
     src, target = ChartSpace(["u1", "u2", "u3"]), ChartSpace(["u0", "u2", "u3"])
@@ -537,11 +539,20 @@ def test_pullback_along_an_overlap_inverts_coordinates():
         + PolyForm.d_var(target, "u3").scale(target.coeff_var("u0"))
         - PolyForm.d_var(target, "u0").scale(target.coeff_var("u3"))
     )
-    assert pullback(src, images, gamma) == PolyForm(
+    assert ChartMap(src, target, images).pull(gamma) == PolyForm(
         src, 1, {(0,): -u2 * u1**-2, (1,): u1**-1, (2,): u1**-2}
     )
     top = PolyForm(target, 3, {(0, 1, 2): target.coeff_const(1)})
-    assert pullback(src, images, top) == PolyForm(src, 3, {(0, 1, 2): -(u1**-4)})
+    assert ChartMap(src, target, images).pull(top) == PolyForm(src, 3, {(0, 1, 2): -(u1**-4)})
+
+
+def test_chart_map_pulls_back_forms_on_its_target_alone():
+    """A form on another chart does not pull back: the error names both charts."""
+    src = ChartSpace(["u1", "u2", "u3"])
+    trans = ChartMap(src, C4, {name: src.coeff_var("u1") for name in C4.all_vars})
+    other = ChartSpace(["z0", "z1", "z2"])
+    with pytest.raises(ValueError, match=r"on ChartSpace\(\('z0', 'z1', 'z2'\).*to ChartSpace\(\('z0', 'z1', 'z2', 'z3'\)"):
+        trans.pull(PolyForm.d_var(other, "z0"))
 
 
 # -- evaluation --------------------------------------------------------------------------
@@ -551,6 +562,16 @@ def test_evaluate_form_at_point():
     theta = hopf_theta(ChartSpace(["z0", "z1"]), 0)
     values = theta.evaluate({"z0": gq(1), "z1": gq(0)})
     assert values == {(1,): gq(1)}
+
+
+def test_evaluate_rejects_a_value_of_no_chart_variable():
+    """Forms and fields evaluate at points of their own chart: another name is an error."""
+    chart = ChartSpace(["z0", "z1"])
+    point = {"z0": gq(1), "z1": gq(2), "q": gq(3)}
+    with pytest.raises(ValueError, match=r"values for \['q'\], which are not variables of \('z0', 'z1'\)"):
+        hopf_theta(chart, 0).evaluate(point)
+    with pytest.raises(ValueError, match=r"values for \['q'\], which are not variables of \('z0', 'z1'\)"):
+        _field(chart, z0=chart.coeff_const(1)).evaluate(point)
 
 
 def test_evaluate_homogeneity():

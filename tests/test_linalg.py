@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactcheck.forms import ChartSpace, PolyForm, pullback
+from contactcheck.forms import ChartMap, ChartSpace, PolyForm
 from contactcheck.linalg import (
     add_into,
     add_scaled,
@@ -293,7 +293,7 @@ def test_determinant_of_transition_jacobians(n_vars, i, j):
     # Jacobian determinant times chart i's, read off the full key.
     source, target = ChartSpace(coords), ChartSpace(list(trans))
     full = tuple(range(len(coords)))
-    pulled = pullback(source, trans, PolyForm(target, len(full), {full: target.coeff_const(1)}))
+    pulled = ChartMap(source, target, trans).pull(PolyForm(target, len(full), {full: target.coeff_const(1)}))
     assert set(pulled.terms) == {full}
     det = pulled.terms[full]
     if n_vars <= 6:

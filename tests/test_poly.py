@@ -159,6 +159,12 @@ def test_evaluate():
     assert p.evaluate({"x": gq(2), "y": gq(3), "z": gq(5)}) == gq(4, 3)
 
 
+def test_evaluate_rejects_a_value_of_no_variable():
+    """A point that names a variable the polynomial does not have is an error, not ignored."""
+    with pytest.raises(ValueError, match=r"^values for \['q'\], which are not variables of \('x',\)$"):
+        MultiPoly.variable("x").evaluate({"x": 1, "q": 2})
+
+
 # -- property tests -------------------------------------------------------------
 
 

@@ -16,7 +16,7 @@ from contactcheck.contact import (
     hopf_sections,
     reconstruct_cstructure,
 )
-from contactcheck.forms import ChartSpace, PolyForm, PolyVectorField
+from contactcheck.forms import ChartMap, ChartSpace, PolyForm, PolyVectorField
 from contactcheck.lie import (
     GradedDecomposition,
     KillingData,
@@ -42,10 +42,11 @@ def _instances():
     cc = hopf_chart(1)
     sections = hopf_sections(1)
     root = rs.roots[0]
+    cs = reconstruct_cstructure(cc, sections)
     built = [
         cc, HomogeneousFunction(cc, cc.chart.coeff_zero(), 0), sections[0],
-        reconstruct_cstructure(cc, sections), RankReport([], 3),
-        cc.chart, cc.theta, euler_field(cc),
+        cs, RankReport([], 3),
+        cc.chart, cs.transition_maps[(0, 1)], cc.theta, euler_field(cc),
         sc.basis, sc, kd, gd,
         exp_ad(sc, root, 1), orbit_sample(sc, [(root, 1)]),
         cc.chart.coeff_const(2),
@@ -57,7 +58,7 @@ def _instances():
 
 VALUE_TYPES = [
     ContactChart, HomogeneousFunction, SectionMap, CStructureData, RankReport,
-    ChartSpace, PolyForm, PolyVectorField,
+    ChartSpace, ChartMap, PolyForm, PolyVectorField,
     LieBasis, StructureConstants, KillingData, GradedDecomposition,
     AlgebraAutomorphism, OrbitPoint,
     MultiPoly,
