@@ -10,10 +10,9 @@ All value types are immutable after construction and all operations are
 pure, so readers may share objects across threads freely.  One guard keeps
 that: every value type derives from :class:`contactcheck.scalars.Immutable`,
 which refuses both setting and deleting an attribute.  The only internal
-caches (a chart's solver columns and solved Euler field, a scalar's
-``Fraction`` parts, and the CLI's argument parser, built on the first
-``main`` call of a process) are idempotent, making their benign race
-harmless.
+caches (a chart's solver columns and solved Euler field, and the CLI's
+argument parser, built on the first ``main`` call of a process) are
+idempotent, making their benign race harmless.
 
 Subpackage map:
 

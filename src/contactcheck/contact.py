@@ -509,7 +509,8 @@ class CStructureData(Immutable):
     Laurent polynomials in chart-i coordinates; ``factors[(i, j)]`` is the
     Laurent polynomial (holomorphic on the overlap) with
     ``gamma_i = f_ij * transition_maps[(i, j)].pull(gamma_j)``.  Everything on the
-    overlap of charts i and j is spelled over chart i's coordinates.
+    overlap of charts i and j is spelled over chart i's coordinates.  A
+    transition that is not a ``ChartMap`` between them raises ``ValueError``.
 
     The forms share one odd dimension 2n + 1, which fixes n, and each top form
     ``gamma_i ^ (d gamma_i)^n`` is built here, once, into ``tops``.  (C.1): its
@@ -526,6 +527,9 @@ class CStructureData(Immutable):
         for label, top in zip(charts, tops, strict=True):
             if not top.chart.is_unit(top.terms.get(tuple(range(top.chart.dim)), top.chart.coeff_zero())):
                 raise ValueError(f"(C.1) fails for {label}: gamma ^ (d gamma)^{top.degree // 2} = {top}")
+        for (i, j), trans in transition_maps.items():
+            if not isinstance(trans, ChartMap) or (trans.source, trans.target) != (gammas[i].chart, gammas[j].chart):
+                raise ValueError(f"transition_maps[{(i, j)}] is not a ChartMap from {charts[i]} to {charts[j]}")
         object.__setattr__(self, "charts", charts)
         object.__setattr__(self, "gammas", gammas)
         object.__setattr__(self, "transition_maps", transition_maps)

@@ -107,6 +107,7 @@ class StructureConstants(Immutable):
     holds ``[e_i, e_j]`` in both orientations, built once here.  The dicts in
     ``rows`` and those ``bracket_basis`` returns are shared: read-only.
     Inputs and outputs are sparse ``{index: value}`` dicts with no zeros.
+    ``ad e_i`` is :meth:`bracket` with ``{i: ONE}``, the one table sum loop.
     """
 
     __slots__ = ("basis", "table", "rows")
@@ -137,15 +138,6 @@ class StructureConstants(Immutable):
                 if j in row:
                     a2, b2, d2 = yj.triple
                     add_scaled(out, (a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2), row[j])
-        return out
-
-    def ad(self, i: int, y: SparseVec) -> SparseVec:
-        """``[e_i, y]``, read from table row i."""
-        row = self.rows[i]
-        out: SparseVec = {}
-        for j, yj in y.items():
-            if j in row:
-                add_scaled(out, yj.triple, row[j])
         return out
 
 
@@ -441,11 +433,6 @@ def killing(sc: StructureConstants) -> KillingData:
     factor = GaussianRational(2) / norm
     hrho = {k: factor * c for k, c in h_rho.items()}
     return KillingData(sc, gram, cartan_inverse, coroots, hrho)
-
-
-def root_action(kd: KillingData, root: Root, h: SparseVec) -> GaussianRational:
-    """The value root(h) for h in the Cartan span, via B(h_root, h)."""
-    return kd.form(kd.coroots[root], h)
 
 
 # -- grading ------------------------------------------------------------------------

@@ -3,12 +3,12 @@
 Group elements are generated exclusively by exponentials ``exp(t ad e_a)`` at
 rational parameters: ``ad e_a`` is nilpotent, so the series terminates and
 the images of the basis vectors stay exactly rational.  Torus directions are
-not exponentiated (that needs ``e^z``); the scaling action is covered instead
-by rational rescalings of orbit points together with the infinitesimal
-character value ``B([H_rho, e_rho], -e_{-rho}) = 2``, which pins the weight
-of the fiber action on the orbit cone.  Orbit membership is always certified by the
-generating word stored with each point; it is never decided for arbitrary
-vectors.
+not exponentiated (that needs ``e^z``), and no check moves a point by the
+scaling action: the weight of the fiber action on the orbit cone is pinned
+by the infinitesimal character value ``B([H_rho, e_rho], -e_{-rho}) = 2``,
+the ``theta_G:character-differential`` check.  Orbit membership is always
+certified by the generating word stored with each point; it is never
+decided for arbitrary vectors.
 
 Orbit points, automorphism columns and moment pairings are sparse
 ``{index: value}`` vectors, like every vector of :mod:`contactcheck.lie`.
@@ -126,15 +126,16 @@ def _root_direction(sc: StructureConstants, root: Root) -> int:
 def _exp_ad_vector(sc: StructureConstants, e: int, t: GaussianRational, vec: SparseVec) -> SparseVec:
     """``exp(t ad x) vec = sum_k t^k/k! (ad x)^k vec`` for x the basis vector ``e``.
 
-    Each power applies table row ``e`` to the previous term; no matrix is
-    built.  The series stops at the first zero term, within ``dim`` steps
-    when ``ad x`` is nilpotent.
+    Each power brackets ``x`` with the previous term, one pass over table
+    row ``e``; no matrix is built.  The series stops at the first zero term,
+    within ``dim`` steps when ``ad x`` is nilpotent.
     """
     out = dict(vec)
     term = vec
     factor = ONE
+    x = {e: ONE}
     for k in range(1, sc.dim + 1):
-        term = sc.ad(e, term)
+        term = sc.bracket(x, term)
         if not term:
             return out
         factor = factor * t / k
@@ -161,13 +162,6 @@ def orbit_sample(sc: StructureConstants, word: Word) -> OrbitPoint:
     if not vec:
         raise ArithmeticError("orbit point collapsed to zero")
     return OrbitPoint(vec, word)
-
-
-def rescale_point(pt: OrbitPoint, factor: GaussianRational) -> OrbitPoint:
-    """The fiber action on the cone: scalar rescaling (kept separate from words)."""
-    if factor.is_zero():
-        raise ValueError("rescaling by zero leaves the punctured cone")
-    return OrbitPoint({k: factor * c for k, c in pt.vector.items()}, pt.word)
 
 
 def theta_G_checks(gd: GradedDecomposition) -> List[CheckResult]:
@@ -264,7 +258,7 @@ def tangent_rank(sc: StructureConstants, pt: OrbitPoint) -> int:
 
     ``[e_i, pt] = sum_j pt_j [e_i, e_j]`` is read from table row i.
     """
-    return linalg.rank(sc.ad(i, pt.vector) for i in range(sc.dim))
+    return linalg.rank(sc.bracket({i: ONE}, pt.vector) for i in range(sc.dim))
 
 
 def embedding_checks(

@@ -11,19 +11,19 @@ the sampler builds each drawn scalar once, the Lie layer its rescaled
 constants and the triple products of a bracket, and the sum loops of
 :mod:`contactcheck.linalg` work on the triples in ints and pay one gcd and
 one scalar per stored term of their sum, not one per operator.  Each
-operation here does its integer arithmetic and
-at most one ``math.gcd(a, b, d)``, skipped when ``d == 1``; results are
-built without going through ``__init__``.  The ``fractions.Fraction`` parts
-``re`` and ``im`` are built on first read and cached; they and ``str`` and
-``repr`` read exactly as for a pair of ``Fraction`` parts.  ``hash`` agrees
-with ``==``: a real scalar hashes as its rational value, any other as the
-pair ``(re, im)``.  Only exact input is read: a part, or a plain operand of
-an arithmetic operator, is an ``int`` (``bool`` included) or a ``Fraction``,
-and anything else, a float, string or ``Decimal`` among them, raises
-``TypeError``.  An operand of another of the package's value types, such as
-a :class:`~contactcheck.poly.MultiPoly`, makes the operator return
-``NotImplemented``, so that type's reflected operator runs: ``ONE * p`` is
-``p * ONE``.
+operation here does its integer arithmetic and at most one
+``math.gcd(a, b, d)``, skipped when ``d == 1``; results are built without
+going through ``__init__``.  The ``fractions.Fraction`` parts ``re`` and
+``im`` are built from the triple on each read and are not kept; they and
+``str`` and ``repr`` read exactly as for a pair of ``Fraction`` parts.
+``hash`` agrees with ``==``: a real scalar hashes as its rational value, any
+other as the pair ``(re, im)``.  Only exact input is read: a part, or a
+plain operand of an arithmetic operator, is an ``int`` (``bool`` included)
+or a ``Fraction``, and anything else, a float, string or ``Decimal`` among
+them, raises ``TypeError``.  An operand of another of the package's value
+types, such as a :class:`~contactcheck.poly.MultiPoly`, makes the operator
+return ``NotImplemented``, so that type's reflected operator runs:
+``ONE * p`` is ``p * ONE``.
 
 :class:`Immutable` is the base of every value type of the package.
 """
@@ -41,8 +41,9 @@ Triple = Tuple[int, int, int]
 
 class Immutable:
     """Base of the package's value types: no attribute is set or deleted after
-    construction.  Constructors and caches write their slots through
-    ``object.__setattr__`` or the slot descriptors, which this guard does not see."""
+    construction.  Constructors, and a chart filling its two caches, write
+    slots through ``object.__setattr__`` or the slot descriptors, which this
+    guard does not see."""
 
     __slots__ = ()
 
@@ -56,13 +57,10 @@ class Immutable:
 class GaussianRational(Immutable):
     """An element of Q(i), stored as the canonical triple ``(a, b, d)``."""
 
-    # ``triple`` is the canonical ``(a, b, d)``, public and read-only; ``_re``
-    # and ``_im`` cache the Fraction parts and stay unset until first read.
-    __slots__ = ("triple", "_re", "_im")
+    # ``triple`` is the canonical ``(a, b, d)``, public and read-only.
+    __slots__ = ("triple",)
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        # A part that is exactly a Fraction is kept as its cached part; anything
-        # else (int, bool, a Fraction subclass) reads back as a plain Fraction.
         a, p = _ratio(re)
         b, q = _ratio(im)
         if p == q:
@@ -71,10 +69,6 @@ class GaussianRational(Immutable):
             # Both parts are in lowest terms, so over their lcm the triple is too.
             g = gcd(p, q)
             _set_triple(self, (a * (q // g), b * (p // g), p // g * q))
-        if type(re) is Fraction:
-            _set_re(self, re)
-        if type(im) is Fraction:
-            _set_im(self, im)
 
     @staticmethod
     def coerce(value: ScalarLike) -> "GaussianRational":
@@ -86,23 +80,13 @@ class GaussianRational(Immutable):
 
     @property
     def re(self) -> Fraction:
-        try:
-            return self._re
-        except AttributeError:
-            a, _, d = self.triple
-            part = Fraction(a, d)
-            _set_re(self, part)
-            return part
+        a, _, d = self.triple
+        return Fraction(a, d)
 
     @property
     def im(self) -> Fraction:
-        try:
-            return self._im
-        except AttributeError:
-            _, b, d = self.triple
-            part = Fraction(b, d)
-            _set_im(self, part)
-            return part
+        _, b, d = self.triple
+        return Fraction(b, d)
 
     def integer(self) -> Optional[int]:
         """The value as an ``int`` when it is a rational integer, else None."""
@@ -113,9 +97,6 @@ class GaussianRational(Immutable):
 
     def is_zero(self) -> bool:
         return self.triple == _ZERO_TRIPLE
-
-    def is_real(self) -> bool:
-        return not self.triple[1]
 
     def __bool__(self) -> bool:
         return self.triple != _ZERO_TRIPLE
@@ -182,14 +163,6 @@ class GaussianRational(Immutable):
         return from_triple(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
     __rmul__ = __mul__
-
-    def conjugate(self) -> "GaussianRational":
-        a, b, d = self.triple
-        return _make(a, -b, d)
-
-    def norm_sq(self) -> Fraction:
-        a, b, d = self.triple
-        return Fraction(a * a + b * b, d * d)
 
     def inverse(self) -> "GaussianRational":
         a, b, d = self.triple
@@ -267,8 +240,6 @@ class GaussianRational(Immutable):
 
 _new = object.__new__
 _set_triple = GaussianRational.triple.__set__
-_set_re = GaussianRational._re.__set__
-_set_im = GaussianRational._im.__set__
 _ZERO_TRIPLE = (0, 0, 1)
 
 

@@ -240,8 +240,9 @@ def ad_eigenvalue(sc: StructureConstants, kd, index: int) -> int:
     if set(image) - {index}:
         raise AssertionError("not an eigenvector")
     value = image.get(index, ZERO)
-    assert value.is_real() and value.re.denominator == 1
-    return int(value.re)
+    eigenvalue = value.integer()
+    assert eigenvalue is not None
+    return eigenvalue
 
 
 def dense_rref(
@@ -725,9 +726,6 @@ class FractionPair:
 
     def __neg__(self) -> "FractionPair":
         return FractionPair(-self.re, -self.im)
-
-    def conjugate(self) -> "FractionPair":
-        return FractionPair(self.re, -self.im)
 
     def norm_sq(self) -> Fraction:
         return self.re * self.re + self.im * self.im

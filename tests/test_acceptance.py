@@ -74,9 +74,7 @@ def test_criterion_1_lie_algebra_suite(algebra_bundle):
                 name,
                 root,
             )
-        from contactcheck.lie import root_action
-
-        assert root_action(kd, rs.highest, kd.hrho) == GaussianRational(2), name
+        assert kd.form(kd.coroots[rs.highest], kd.hrho) == GaussianRational(2), name
         dims = gd.dims()
         assert sum(dims) == n and dims[0] == dims[4] == 1, name
         assert set(gd.pieces) == {-2, -1, 0, 1, 2}

@@ -410,6 +410,22 @@ def test_cocycle_of_a_transition_with_no_unit_jacobian_entry_fails_with_a_witnes
     assert _failed(canonical_cocycle_check(cs, 0)) == {"cocycle:V0->V1": "lhs 1 != rhs 2*u + 1"}
 
 
+def test_a_transition_that_is_not_a_chart_map_between_its_charts_is_rejected():
+    """``transition_maps[(i, j)]`` is a ``ChartMap`` from chart i to chart j: a
+    bare image dict, or a map between other charts, fails at construction."""
+    cu, cx = ChartSpace(["u"]), ChartSpace(["x"])
+    u = cu.coeff_var("u")
+    gammas = [PolyForm.d_var(cu, "u"), PolyForm.d_var(cx, "x")]
+    factors = {(0, 1): cu.coeff_const(1)}
+    for trans in (
+        {"x": u + u * u},
+        ChartMap(cx, cu, {"u": cx.coeff_var("x")}),
+        ChartMap(cu, cu, {"u": u + u * u}),
+    ):
+        with pytest.raises(ValueError, match=r"transition_maps\[\(0, 1\)\] is not a ChartMap from V0 to V1"):
+            CStructureData(["V0", "V1"], gammas, {(0, 1): trans}, factors)
+
+
 def test_cocycle_check_rejects_an_n_that_does_not_fit_the_charts():
     """On 3-dimensional charts the top form is gamma ^ d gamma, so n = 0 or 2 has no identity to check."""
     cs = reconstruct_cstructure(hopf_chart(1), hopf_sections(1))
@@ -624,7 +640,7 @@ def test_fibered_top_power_exact_coefficient():
         expected_power = (n + 1) * delta - 1
         ((expo, value),) = coeff.terms.items()
         assert expo == (0,) * (cc.dim - 1) + (expected_power,)
-        assert value.norm_sq() == (math.factorial(n + 1) * abs(delta)) ** 2
+        assert value.re**2 + value.im**2 == (math.factorial(n + 1) * abs(delta)) ** 2
 
 
 def test_single_chart_cocycle_vacuous():

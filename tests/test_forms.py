@@ -201,7 +201,7 @@ def test_top_power_of_hopf_symplectic_form():
         fact = 1
         for i in range(2, n + 2):
             fact *= i
-        assert value.norm_sq() == (fact * 2 ** (n + 1)) ** 2
+        assert value.re**2 + value.im**2 == (fact * 2 ** (n + 1)) ** 2
 
 
 # -- interior product ------------------------------------------------------------------

@@ -10,6 +10,7 @@ elsewhere.
 import ast
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "contactcheck"
@@ -210,6 +211,32 @@ def test_only_the_immutable_base_guards_attributes():
         "scalars.py: Immutable.__setattr__",
         "scalars.py: Immutable.__delattr__",
     ]
+
+
+#: Public functions and methods that no code of the package names, and why each stays.
+UNCALLED_PUBLIC_NAMES = {
+    "rho_height": "the grading tests compare the ad(H_rho) eigenvalues against it",
+    "euler_field": "the closed-form reference for the solved Euler field",
+    "poisson_function": "demo 04 uses it, and the moment map on the symplectification will call it",
+    "cstructure_from_charts": "the library entry point for c-structures built from a user's own charts",
+}
+
+
+def uncalled_public_names():
+    """Public functions and methods of the package that no other line of its code
+    names: not called, read, passed or imported.  Docstrings are not code."""
+    defined, named = Counter(), Counter()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+                defined[node.name] += 1
+        # names_in counts each definition once too.
+        named.update(names_in(path))
+    return sorted(name for name in defined if named[name] == defined[name])
+
+
+def test_every_public_function_is_named_by_the_package_or_kept_for_a_reason():
+    assert uncalled_public_names() == sorted(UNCALLED_PUBLIC_NAMES)
 
 
 #: The modules that compute on the scalars' int triples: the scalar field

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from contactcheck.lie import StructureConstants, chi_differential, killing
+from contactcheck.lie import StructureConstants, killing
 from contactcheck.orbits import (
     AlgebraAutomorphism,
     embedding_checks,
@@ -12,7 +12,6 @@ from contactcheck.orbits import (
     kappa_round_trip,
     moment_map,
     orbit_sample,
-    rescale_point,
     tangent_rank,
     theta_G_checks,
 )
@@ -173,16 +172,6 @@ def test_kappa_intertwines_action(name, algebra_bundle):
     assert kappa(kd, moment_map(kd, moved_pt)) == m.apply(
         kappa(kd, moment_map(kd, pt))
     )
-
-
-def test_rescaling_covers_the_fiber_direction(algebra_bundle):
-    rs, sc, kd, _ = algebra_bundle("A2")
-    pt = orbit_sample(sc, [])
-    scaled = rescale_point(pt, gq(Fraction(9, 4)))  # t^2 e_rho for t = 3/2
-    assert scaled.vector == {k: gq(Fraction(9, 4)) * c for k, c in pt.vector.items()}
-    assert chi_differential(kd) == gq(2)
-    with pytest.raises(ValueError):
-        rescale_point(pt, gq(0))
 
 
 @pytest.mark.parametrize("name", TYPES)

@@ -18,7 +18,7 @@ def test_fraction_bounds():
     sampler = SeededSampler(1)
     for _ in range(200):
         value = sampler.fraction()
-        assert value.is_real()
+        assert value.im == 0
         assert abs(value.re.numerator) <= MAX_MAGNITUDE * MAX_MAGNITUDE
         assert 1 <= value.re.denominator <= MAX_MAGNITUDE
 

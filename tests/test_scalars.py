@@ -59,13 +59,6 @@ def test_parts_are_plain_fractions(value, text):
     assert str(z) == text
 
 
-def test_fraction_parts_are_kept_not_rebuilt():
-    re, im = Fraction(1, 3), Fraction(-2, 5)
-    z = GaussianRational(re, im)
-    assert z.re is re and z.im is im
-    assert str(z) == "1/3-2/5i"
-
-
 def test_division_and_inverse():
     z = gq(3, 4)
     assert z * z.inverse() == 1
@@ -89,13 +82,6 @@ def test_field_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
     if not b.is_zero():
         assert (a / b) * b == a
-
-
-@given(scalars)
-@settings(max_examples=60, deadline=None)
-def test_conjugation_norm(a):
-    assert (a * a.conjugate()).is_real()
-    assert (a * a.conjugate()).re == a.norm_sq()
 
 
 # -- the integer kernel against a Fraction-pair reference -------------------------
@@ -148,7 +134,6 @@ def assert_agrees(z: GaussianRational, ref: FractionPair) -> None:
     # form is canonical.
     assert z == GaussianRational(ref.re, ref.im)
     assert bool(z) is not ref.is_zero() and z.is_zero() is ref.is_zero()
-    assert z.is_real() is (ref.im == 0)
     integral = ref.im == 0 and ref.re.denominator == 1
     assert z.integer() == (int(ref.re) if integral else None)
     assert (z == ref.re) is (ref.im == 0)
@@ -160,8 +145,6 @@ def check_unary(re, im) -> None:
     z, ref = GaussianRational(re, im), FractionPair(re, im)
     assert_agrees(z, ref)
     assert_agrees(-z, -ref)
-    assert_agrees(z.conjugate(), ref.conjugate())
-    assert z.norm_sq() == ref.norm_sq() and type(z.norm_sq()) is Fraction
     for k in range(0, 5):
         assert_agrees(z**k, ref**k)
     if ref.is_zero():

@@ -83,6 +83,18 @@ def test_no_value_type_can_be_set_or_deleted(kind):
     assert all(hasattr(value, name) for name in kind.__slots__ if not name.startswith("_"))
 
 
+def test_every_slot_is_set_when_construction_ends():
+    """No value type fills a slot lazily: the package's only caches are a
+    chart's solver columns and Euler field, whose slots start as ``None``."""
+    unset = [
+        f"{kind.__name__}.{name}"
+        for kind, value in _instances().items()
+        for name in kind.__slots__
+        if not hasattr(value, name)
+    ]
+    assert unset == []
+
+
 @pytest.mark.parametrize("kind", [MultiPoly, PolyForm, PolyVectorField], ids=lambda kind: kind.__name__)
 def test_the_polynomial_types_are_unhashable(kind):
     with pytest.raises(TypeError, match=f"unhashable type: '{kind.__name__}'"):
