@@ -21,8 +21,6 @@ format of :mod:`contactcheck.poly`.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from functools import partial
 from math import comb
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -36,7 +34,8 @@ from .forms import (
     exterior_derivative,
     lie_derivative,
 )
-from .poly import Exponent, MultiPoly, ProductSum
+from .linalg import add_scaled, scaled_triple
+from .poly import Exponent, MultiPoly, TermMap, from_sum
 from .report import CheckResult, check
 from .scalars import GaussianRational, Immutable, ONE, ZERO
 
@@ -233,15 +232,18 @@ def _solve_pieces(
     ``pieces`` ``(i, k, c, e)``, each an int ``k`` times a scalar ``c``.  X is
     ``-M^-1`` applied to its components, the combination
     ``X_m = sum k * c * u^e * S_i[m]`` of the solver's columns S_i, summed
-    where the products are made: no target form, no negated target and no
-    scalar ``k * c`` is built.
+    where the products are made, into one exponent -> scalar dict per
+    component: no target form, no negated target and no scalar ``k * c`` is
+    built.
     """
     columns = _symplectic_solver(cc)
-    sums: Dict[int, ProductSum] = defaultdict(partial(ProductSum, cc.chart.all_vars))
+    sums: List[TermMap] = [{} for _ in columns]
     for i, k, c, e in pieces:
+        t = scaled_triple(c, k)
         for m, entry in columns[i].items():
-            sums[m].add(c, e, entry.terms, k)
-    return PolyVectorField(cc.chart, {m: total.poly() for m, total in sums.items()})
+            add_scaled(sums[m], t, entry.terms, e)
+    names = cc.chart.all_vars
+    return PolyVectorField(cc.chart, {m: from_sum(names, total) for m, total in enumerate(sums) if total})
 
 
 def _solve_contraction(cc: ContactChart, target: PolyForm) -> PolyVectorField:
@@ -278,12 +280,10 @@ def hamiltonian_field(cc: ContactChart, f: Coeff) -> PolyVectorField:
     """(1,0)-part of the Hamiltonian field: solves ``iota_X dtheta = -df``.
 
     The pieces of ``df = sum_i df/dx_i dx_i`` are the partials' terms, read
-    one at a time, so no df form is built.
+    in one pass over the terms of ``f``, so no df form is built.
     """
     cc.chart.require_spelled(f)
-    return _solve_pieces(
-        cc, ((i, k, c, e) for i in range(cc.dim) for k, c, e in f.partial_terms(i))
-    )
+    return _solve_pieces(cc, f.partial_terms())
 
 
 def pairing_with_theta(cc: ContactChart, field: PolyVectorField) -> Coeff:
@@ -509,8 +509,11 @@ class CStructureData(Immutable):
     Laurent polynomials in chart-i coordinates; ``factors[(i, j)]`` is the
     Laurent polynomial (holomorphic on the overlap) with
     ``gamma_i = f_ij * transition_maps[(i, j)].pull(gamma_j)``.  Everything on the
-    overlap of charts i and j is spelled over chart i's coordinates.  A
-    transition that is not a ``ChartMap`` between them raises ``ValueError``.
+    overlap of charts i and j is spelled over chart i's coordinates.  A pair
+    ``(i, j)`` with an index outside ``range(len(gammas))``, a transition
+    that is not a ``ChartMap`` between the charts, or a pair that has a
+    transition or a factor but not both raises ``ValueError``.  The factor
+    values themselves are not checked: a wrong one fails the cocycle check.
 
     The forms share one odd dimension 2n + 1, which fixes n, and each top form
     ``gamma_i ^ (d gamma_i)^n`` is built here, once, into ``tops``.  (C.1): its
@@ -528,8 +531,13 @@ class CStructureData(Immutable):
             if not top.chart.is_unit(top.terms.get(tuple(range(top.chart.dim)), top.chart.coeff_zero())):
                 raise ValueError(f"(C.1) fails for {label}: gamma ^ (d gamma)^{top.degree // 2} = {top}")
         for (i, j), trans in transition_maps.items():
+            if not (0 <= i < len(gammas) and 0 <= j < len(gammas)):
+                raise ValueError(f"transition_maps key {(i, j)} names a chart outside 0..{len(gammas) - 1}")
             if not isinstance(trans, ChartMap) or (trans.source, trans.target) != (gammas[i].chart, gammas[j].chart):
                 raise ValueError(f"transition_maps[{(i, j)}] is not a ChartMap from {charts[i]} to {charts[j]}")
+        for pair in (*transition_maps, *factors):
+            if (pair in transition_maps) != (pair in factors):
+                raise ValueError(f"transition_maps and factors differ on the pair {pair}: each needs both")
         object.__setattr__(self, "charts", charts)
         object.__setattr__(self, "gammas", gammas)
         object.__setattr__(self, "transition_maps", transition_maps)

@@ -22,14 +22,19 @@ One sum rule: forms and fields store no zero coefficient, and no sum starts
 from the zero polynomial or keeps a key whose sum cancels.  Every sum of
 products here -- the wedge, d, iota, the derivation ``X(h)``, the bracket
 and the pullback -- is summed where its products are made: each form key or
-field index gets one :class:`~contactcheck.poly.ProductSum`, fed pieces
-``k * c * u^e * p`` that are the terms of one factor against the other
-factor, with a partial derivative read term by term (``a * x^e`` gives
-``e_v * a`` at ``e`` lowered in slot v) and its exponent factor and any
-sign passed as the int multiplier ``k``, so no product, partial or negated
-polynomial and no scalar ``k * a`` is built.  d, whose pieces are those
-partial terms alone, adds them as bare monomials.  ``+`` of forms and fields
-is :func:`~contactcheck.linalg.add_terms` on their coefficients.
+field index gets one plain exponent -> scalar dict, fed pieces
+``k * c * u^e * p`` by :func:`~contactcheck.linalg.add_scaled` (whole
+products by :func:`~contactcheck.poly.add_product`), the terms of one factor
+against the other factor, and wrapped once by
+:func:`~contactcheck.poly.from_sum` when it is finished; an empty dict is a
+zero sum and is not kept.  The partial derivatives of a coefficient are read
+in one pass over its terms (``a * x^e`` gives ``e_v * a`` at ``e`` lowered
+in slot v, for every v), with the exponent factor and any sign passed as the
+int multiplier ``k``, so no product, partial or negated polynomial and no
+scalar ``k * a`` is built.  d, whose pieces are those partial terms alone,
+adds them as bare monomials (:func:`~contactcheck.poly.add_monomial`).
+``+`` of forms and fields is :func:`~contactcheck.linalg.add_terms` on their
+coefficients.
 
 Checked once.  The public constructors check every key (length, strictly
 increasing, in range) and every coefficient (chart spelling; zeros dropped).
@@ -48,12 +53,11 @@ private name is its own module's business.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from functools import partial, reduce
-from typing import DefaultDict, Dict, Hashable, Mapping, Optional, Sequence, Tuple
+from functools import reduce
+from typing import Dict, Hashable, Mapping, Optional, Sequence, Tuple
 
-from .linalg import add_terms
-from .poly import MultiPoly, ProductSum
+from .linalg import add_scaled, add_terms, scaled_triple
+from .poly import MultiPoly, TermMap, add_monomial, add_product, from_sum
 from .scalars import GaussianRational, Immutable, ScalarLike
 
 Coeff = MultiPoly
@@ -267,15 +271,17 @@ class PolyForm(Immutable):
     def wedge(self, other: "PolyForm") -> "PolyForm":
         _check_same_chart(self, other)
 
-        sums = _product_sums(self.chart)
+        sums: Dict[Key, TermMap] = {}
         # Past the top degree every key pair overlaps, so nothing is added.
         for k1, c1 in self.terms.items():
             set1 = set(k1)
             for k2, c2 in other.terms.items():
                 if set1.isdisjoint(k2):
                     key, sign = _merge_sorted(k1, k2)
-                    sums[key].add_product(c1, c2, sign)
-        return PolyForm._make(self.chart, self.degree + other.degree, _nonzero_sums(sums))
+                    add_product(sums.setdefault(key, {}), c1, c2, sign)
+        names = self.chart.all_vars
+        terms = {key: from_sum(names, total) for key, total in sums.items() if total}
+        return PolyForm._make(self.chart, self.degree + other.degree, terms)
 
     def wedge_power(self, k: int) -> "PolyForm":
         out = PolyForm.function(self.chart, self.chart.coeff_const(1))
@@ -354,21 +360,14 @@ def _merge_sorted(k1: Key, k2: Key) -> Tuple[Key, int]:
     return tuple(merged), sign
 
 
-def _product_sums(chart: ChartSpace) -> DefaultDict[Hashable, ProductSum]:
-    """One :class:`~contactcheck.poly.ProductSum` per form key or field index, made on first use."""
-    return defaultdict(partial(ProductSum, chart.all_vars))
-
-
-def _nonzero_sums(sums: Mapping[Hashable, ProductSum]) -> Dict[Hashable, Coeff]:
-    """The nonzero sums by key."""
-    return {key: coeff for key, total in sums.items() if (coeff := total.poly())}
-
-
-def _derive_into(total: ProductSum, field: "PolyVectorField", h: Coeff, sign: int) -> None:
-    """Add ``sign * X(h) = sign * sum_j X_j dh/dx_j`` to ``total``, partials read term by term."""
-    for j, comp in field.components.items():
-        for k, c, e in h.partial_terms(j):
-            total.add(c, e, comp.terms, k * sign)
+def _derive_into(total: TermMap, field: "PolyVectorField", h: Coeff, sign: int) -> None:
+    """Add ``sign * X(h) = sign * sum_j X_j dh/dx_j`` to the sum ``total``, the
+    partials of ``h`` read in one pass."""
+    components = field.components
+    for j, k, c, e in h.partial_terms():
+        comp = components.get(j)
+        if comp is not None:
+            add_scaled(total, scaled_triple(c, k * sign), comp.terms, e)
 
 
 class PolyVectorField(Immutable):
@@ -416,23 +415,22 @@ class PolyVectorField(Immutable):
 
     def apply_to(self, coeff: Coeff) -> Coeff:
         """Directional derivative X(f) = sum_j X_j df/dx_j of a coefficient function."""
-        total = ProductSum(self.chart.all_vars)
+        total: TermMap = {}
         _derive_into(total, self, coeff, 1)
-        return total.poly()
+        return from_sum(self.chart.all_vars, total)
 
     def bracket(self, other: "PolyVectorField") -> "PolyVectorField":
         """Lie bracket [self, other] of vector fields: component i is X(Y_i) - Y(X_i)."""
         _check_same_chart(self, other)
         components: Dict[int, Coeff] = {}
-        total = ProductSum(self.chart.all_vars)
         for idx in range(self.chart.dim):
+            total: TermMap = {}
             if idx in other.components:
                 _derive_into(total, self, other.components[idx], 1)
             if idx in self.components:
                 _derive_into(total, other, self.components[idx], -1)
-            component = total.poly()
-            if component:
-                components[idx] = component
+            if total:
+                components[idx] = from_sum(self.chart.all_vars, total)
         return PolyVectorField._make(self.chart, components)
 
     def evaluate(self, point: Mapping[str, ScalarLike]) -> Dict[int, GaussianRational]:
@@ -462,16 +460,15 @@ class PolyVectorField(Immutable):
 def exterior_derivative(form: PolyForm) -> PolyForm:
     """d: differentiates each coefficient; d(c dx_I) = sum_v (dc/dv) dv ^ dx_I."""
     chart = form.chart
-    sums = _product_sums(chart)
+    sums: Dict[Key, TermMap] = {}
     for key, coeff in form.terms.items():
-        for v in range(chart.dim):
-            dc_dv = () if v in key else list(coeff.partial_terms(v))
-            if dc_dv:
-                new_key, sign = _merge_sorted((v,), key)
-                add = sums[new_key].add_monomial
-                for k, c, e in dc_dv:
-                    add(c, e, k * sign)
-    return PolyForm._make(chart, form.degree + 1, _nonzero_sums(sums))
+        merged = {v: _merge_sorted((v,), key) for v in range(chart.dim) if v not in key}
+        for v, k, c, e in coeff.partial_terms():
+            if v in merged:
+                new_key, sign = merged[v]
+                add_monomial(sums.setdefault(new_key, {}), c, e, k * sign)
+    terms = {key: from_sum(chart.all_vars, total) for key, total in sums.items() if total}
+    return PolyForm._make(chart, form.degree + 1, terms)
 
 
 def interior_product(field: PolyVectorField, form: PolyForm) -> PolyForm:
@@ -479,13 +476,16 @@ def interior_product(field: PolyVectorField, form: PolyForm) -> PolyForm:
     _check_same_chart(field, form)
     if form.degree == 0:
         return PolyForm.zero(form.chart, 0)
-    sums = _product_sums(form.chart)
+    sums: Dict[Key, TermMap] = {}
+    components = field.components
     for key, coeff in form.terms.items():
         for pos, idx in enumerate(key):
-            comp = field.components.get(idx)
+            comp = components.get(idx)
             if comp is not None:
-                sums[key[:pos] + key[pos + 1 :]].add_product(coeff, comp, -1 if pos % 2 else 1)
-    return PolyForm._make(form.chart, form.degree - 1, _nonzero_sums(sums))
+                add_product(sums.setdefault(key[:pos] + key[pos + 1 :], {}), coeff, comp, -1 if pos % 2 else 1)
+    names = form.chart.all_vars
+    terms = {key: from_sum(names, total) for key, total in sums.items() if total}
+    return PolyForm._make(form.chart, form.degree - 1, terms)
 
 
 def lie_derivative(field: PolyVectorField, form: PolyForm) -> PolyForm:
@@ -533,12 +533,14 @@ class ChartMap(Immutable):
         if not self._unit_fiber and any(expo[-1] < 0 for coeff in form.terms.values() for expo in coeff.terms):
             raise ValueError("negative fiber exponents need a unit fiber image c * fiber^k")
         no_differential = {(): self.source.coeff_const(1)}
-        sums = _product_sums(self.source)
+        sums: Dict[Key, TermMap] = {}
         for key, coeff in form.terms.items():
             # dx_I pulls back to the wedge of the differentials of its images.
             factors = [self._differentials[idx] for idx in key]
             dx = reduce(PolyForm.wedge, factors).terms if factors else no_differential
             f = coeff.substitute(self.images)
             for k, c in dx.items():
-                sums[k].add_product(f, c)
-        return PolyForm._make(self.source, form.degree, _nonzero_sums(sums))
+                add_product(sums.setdefault(k, {}), f, c)
+        names = self.source.all_vars
+        terms = {k: from_sum(names, total) for k, total in sums.items() if total}
+        return PolyForm._make(self.source, form.degree, terms)

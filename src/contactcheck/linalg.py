@@ -17,8 +17,9 @@ cancelling starts afresh.
   stored entry in ints, one ``from_triple`` per stored value, and an entry
   that cancels dropped before any scalar is made.  Its keys are indices, or,
   with a ``shift``, exponent tuples moved by the product's monomial factor:
-  that is how :class:`~contactcheck.poly.ProductSum` sums the products of
-  the chart calculus.  :func:`add_into` and :func:`combine` take a scalar
+  that is how the chart calculus and the dtheta solve sum their products
+  into plain exponent -> scalar dicts (:mod:`contactcheck.poly`, "Sums of
+  products").  :func:`add_into` and :func:`combine` take a scalar
   factor through it, and :func:`dot` sums products of scalars in ints the
   same way and makes one scalar.
 - :func:`add_terms` sums other entries by their operators: ``+`` of
@@ -139,6 +140,8 @@ def add_scaled(
 def scaled_triple(c: GaussianRational, k: int) -> Triple:
     """The triple ``(k a, k b, d)`` of ``k * c`` for an int ``k``, not reduced:
     the factor of :func:`add_scaled` for a scalar and an int multiplier."""
+    if k == 1:
+        return c.triple
     a, b, d = c.triple
     return (k * a, k * b, d)
 

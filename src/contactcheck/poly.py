@@ -28,28 +28,28 @@ ratio.
 
 ``terms`` never holds a zero coefficient.  The public constructor checks every
 exponent and coefficient it is given; the results of arithmetic are already in
-that canonical form and are wrapped by the private ``MultiPoly._make`` without
-being checked again.  The sums are the two loops of
-:mod:`contactcheck.linalg`, which keep that form; ``+`` is
-:func:`~contactcheck.linalg.add_terms` on the terms.
+that canonical form and are wrapped by :func:`from_sum` without being checked
+again.  The sums are the two loops of :mod:`contactcheck.linalg`, which keep
+that form; ``+`` is :func:`~contactcheck.linalg.add_terms` on the terms.
 
-Sums of products.  :class:`ProductSum` adds ``k * c * u^shift * p`` for the
-terms of ``p`` into one exponent -> scalar dict by
-:func:`~contactcheck.linalg.add_scaled`, and wraps the dict once, when the
-sum is read.  The multiplier ``k`` is a nonzero int: a sign, or the
+Sums of products.  A sum of products is a plain exponent -> scalar dict.
+A piece ``k * c * u^shift * p`` goes in by
+``add_scaled(terms, scaled_triple(c, k), p.terms, shift)``
+(:func:`~contactcheck.linalg.add_scaled`), and :func:`from_sum` wraps the
+finished dict once.  The multiplier ``k`` is a nonzero int: a sign, or the
 exponent factor of a partial derivative, passed as it is, so no scalar
-``-c`` or ``k * c`` is built.  ``*`` is one such sum
-(:meth:`ProductSum.add_product`), a piece per term of the shorter factor,
-so a product by a unit ``c * u^e`` is one shift.  The chart calculus of
-:mod:`contactcheck.forms` and the dtheta solve of
-:mod:`contactcheck.contact` feed it the pieces of their sums of products,
-with partial derivatives read term by term as ``(k, c, e)``
+``-c`` or ``k * c`` is built.  ``*`` is one such sum (:func:`add_product`),
+a piece per term of the shorter factor, so a product by a unit ``c * u^e``
+is one shift.  The chart calculus of :mod:`contactcheck.forms` and the
+dtheta solve of :mod:`contactcheck.contact` sum the pieces of their sums of
+products straight into their dicts, with the partial derivatives of a
+polynomial read in one pass over its terms as ``(slot, k, c, e)``
 (:meth:`MultiPoly.partial_terms`), so no intermediate polynomial is built.
 A bare monomial ``k * c * u^e``, such as a term of a partial derivative in
-d or a drawn sample, goes in by :meth:`ProductSum.add_monomial`, which
-stores ``c`` itself when ``k == 1`` and the monomial is new;
-:meth:`MultiPoly.substitute` feeds each term's product of image powers to
-one such sum.
+d, goes in by :func:`add_monomial`: by ``add_terms`` when ``k == 1``, so
+``c`` itself is stored when the monomial is new and no product by 1 is
+made; :meth:`MultiPoly.substitute` sums each term's product of image powers
+into one dict.
 
 Degrees are read, not built.  Under weights ``w`` (0 for a variable not
 named), a term ``c * u^e`` has weighted degree ``sum w_k e_k``;
@@ -114,14 +114,6 @@ class MultiPoly(Immutable):
                     clean[tuple(expo)] = coeff
         object.__setattr__(self, "terms", clean)
 
-    @staticmethod
-    def _make(variables: Tuple[str, ...], terms: TermMap) -> "MultiPoly":
-        """Wrap canonical data unchecked: exponents of the right width and no zero."""
-        poly = object.__new__(MultiPoly)
-        object.__setattr__(poly, "vars", variables)
-        object.__setattr__(poly, "terms", terms)
-        return poly
-
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
@@ -173,12 +165,12 @@ class MultiPoly(Immutable):
         other = self._coerce_operand(other)
         terms = dict(self.terms)
         add_terms(terms, other.terms.items())
-        return MultiPoly._make(self.vars, terms)
+        return from_sum(self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly._make(self.vars, {e: -c for e, c in self.terms.items()})
+        return from_sum(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
         return self + (-self._coerce_operand(other))
@@ -187,10 +179,9 @@ class MultiPoly(Immutable):
         return self._coerce_operand(other) - self
 
     def __mul__(self, other) -> "MultiPoly":
-        other = self._coerce_operand(other)
-        total = ProductSum(self.vars)
-        total.add_product(self, other)
-        return total.poly()
+        terms: TermMap = {}
+        add_product(terms, self, self._coerce_operand(other))
+        return from_sum(self.vars, terms)
 
     __rmul__ = __mul__
 
@@ -232,7 +223,7 @@ class MultiPoly(Immutable):
         c = GaussianRational.coerce(value)
         if c.is_zero():
             return MultiPoly.zero(self.vars)
-        return MultiPoly._make(self.vars, {e: coeff * c for e, coeff in self.terms.items()})
+        return from_sum(self.vars, {e: coeff * c for e, coeff in self.terms.items()})
 
     def _coerce_operand(self, other) -> "MultiPoly":
         """``other`` spelled as this polynomial is; ``ValueError`` for another spelling."""
@@ -251,24 +242,26 @@ class MultiPoly(Immutable):
         if var not in self.vars:
             raise ValueError(f"unknown variable {var!r}; have {self.vars}")
         slot = self.vars.index(var)
-        return MultiPoly._make(
-            self.vars, {e: c if k == 1 else c * k for k, c, e in self.partial_terms(slot)}
+        return from_sum(
+            self.vars, {e: c if k == 1 else c * k for s, k, c, e in self.partial_terms() if s == slot}
         )
 
-    def partial_terms(self, slot: int) -> Iterator[Tuple[int, GaussianRational, Exponent]]:
-        """The terms ``k * c * u^e`` of the partial derivative in variable
-        ``slot``, one ``(k, c, e)`` at a time.
+    def partial_terms(self) -> Iterator[Tuple[int, int, GaussianRational, Exponent]]:
+        """The terms ``k * c * u^e`` of every partial derivative, read in one
+        pass over the terms as ``(slot, k, c, e)``.
 
         A term ``c * u^e`` with ``k = e[slot] != 0`` gives ``k * c`` at ``e``
-        lowered by 1 in that slot; the factor ``k`` is left for the
-        :class:`ProductSum` that takes the term, so no scalar ``k * c`` is
-        built.  Lowering one exponent is injective, so no two terms land on
-        one exponent.
+        lowered by 1 in that slot, for each such slot; the factor ``k`` is
+        left for the sum that takes the term, so no scalar ``k * c`` is built.
+        Lowering one exponent is injective, so no two terms of one slot land
+        on one exponent.
         """
         for expo, coeff in self.terms.items():
-            k = expo[slot]
-            if k:
-                yield k, coeff, expo[:slot] + (k - 1,) + expo[slot + 1 :]
+            for slot, k in enumerate(expo):
+                if k:
+                    lowered = list(expo)
+                    lowered[slot] = k - 1
+                    yield slot, k, coeff, tuple(lowered)
 
     def substitute(self, bindings: Mapping[str, "MultiPoly"]) -> "MultiPoly":
         """Ring homomorphism sending each bound variable to its image polynomial.
@@ -295,15 +288,14 @@ class MultiPoly(Immutable):
                     raise ValueError(f"unbound variable {name!r} is not in {target}")
                 img = MultiPoly.variable(name, target)
             images.append(img)
-        total = ProductSum(target)
-        origin = (0,) * len(target)
+        total: TermMap = {}
         for expo, coeff in self.terms.items():
             powers = [img**k for img, k in zip(images, expo) if k]
             if powers:
-                total.add(coeff, origin, reduce(operator.mul, powers).terms)
+                add_scaled(total, scaled_triple(coeff, 1), reduce(operator.mul, powers).terms)
             else:
-                total.add_monomial(coeff, origin)
-        return total.poly()
+                add_monomial(total, coeff, (0,) * len(target))
+        return from_sum(target, total)
 
     def evaluate(self, point: Mapping[str, ScalarLike]) -> GaussianRational:
         missing = [v for v in self.vars if v not in point]
@@ -360,7 +352,7 @@ class MultiPoly(Immutable):
         den = tuple(max(0, -e) for e in _low_exponent(self))
         if any(den):
             num = _shifted(self, tuple(-e for e in den))
-            return f"({num}) / ({MultiPoly._make(self.vars, {den: ONE})})"
+            return f"({num}) / ({from_sum(self.vars, {den: ONE})})"
         slots = self._natural_slots()
         pieces = []
         for expo, coeff in self.sorted_terms():
@@ -406,55 +398,48 @@ def _shifted(p: MultiPoly, expo: Exponent) -> MultiPoly:
     """``p`` divided by the monomial with exponent ``expo``."""
     if not any(expo):
         return p
-    return MultiPoly._make(
+    return from_sum(
         p.vars, {tuple(map(operator.sub, k, expo)): c for k, c in p.terms.items()}
     )
 
 
-# -- the multiply-accumulate kernel ----------------------------------------------
+# -- sums of products -----------------------------------------------------------
+
+_new = object.__new__
+_set_vars = MultiPoly.vars.__set__
+_set_terms = MultiPoly.terms.__set__
 
 
-class ProductSum:
-    """A sum of products ``k * c * u^shift * p``, built in one exponent -> scalar dict.
+def from_sum(variables: Tuple[str, ...], terms: TermMap) -> MultiPoly:
+    """A finished sum as a :class:`MultiPoly` over ``variables``, wrapped unchecked.
 
-    :meth:`add` hands each piece to :func:`~contactcheck.linalg.add_scaled`.
-    Its scalar ``c`` and int multiplier ``k`` are nonzero and so are the
-    coefficients of ``p``, so every product it adds is nonzero.
-    :meth:`add_monomial` adds a bare monomial by the same rules.
-    :meth:`poly` wraps the dict, already canonical, without checking it again.
+    ``terms`` must already be canonical: exponents of the right width and no
+    zero coefficient, as the sums of :mod:`contactcheck.linalg` and the
+    term-by-term maps of arithmetic leave them.  The polynomial takes the
+    dict itself, so the caller must not change it afterwards.
     """
+    poly = _new(MultiPoly)
+    _set_vars(poly, variables)
+    _set_terms(poly, terms)
+    return poly
 
-    __slots__ = ("vars", "terms")
 
-    def __init__(self, variables: Tuple[str, ...]):
-        self.vars = variables
-        self.terms: TermMap = {}
+def add_product(terms: TermMap, p: MultiPoly, q: MultiPoly, k: int = 1) -> None:
+    """Add ``k * p * q`` to the sum ``terms`` for a nonzero int ``k``: a piece
+    per term of the shorter factor, so a product by a unit ``c * u^e`` is one shift."""
+    if len(p.terms) > len(q.terms):
+        p, q = q, p
+    inner = q.terms
+    for e, c in p.terms.items():
+        add_scaled(terms, scaled_triple(c, k), inner, e)
 
-    def add(self, c: GaussianRational, shift: Exponent, terms: TermMap, k: int = 1) -> None:
-        """Add ``k * c * u^shift * p``, where ``terms`` are the terms of ``p``,
-        ``c != 0`` and ``k`` is a nonzero int."""
-        add_scaled(self.terms, scaled_triple(c, k), terms, shift)
 
-    def add_monomial(self, c: GaussianRational, expo: Exponent, k: int = 1) -> None:
-        """Add the bare monomial ``k * c * u^expo``, ``c != 0`` and ``k`` a
-        nonzero int, by :meth:`add`'s rules: ``c`` itself is stored when
-        ``k == 1`` and the monomial is new."""
-        if k == 1 and expo not in self.terms:
-            self.terms[expo] = c
-        else:
-            add_scaled(self.terms, (k, 0, 1), {expo: c})
-
-    def add_product(self, p: MultiPoly, q: MultiPoly, k: int = 1) -> None:
-        """Add ``k * p * q`` for a nonzero int ``k``: a piece per term of the
-        shorter factor, so a product by a unit ``c * u^e`` is one shift."""
-        if len(p.terms) > len(q.terms):
-            p, q = q, p
-        inner = q.terms
-        add = self.add
-        for e, c in p.terms.items():
-            add(c, e, inner, k)
-
-    def poly(self) -> MultiPoly:
-        """The sum so far as a :class:`MultiPoly`; the accumulator starts again from 0."""
-        terms, self.terms = self.terms, {}
-        return MultiPoly._make(self.vars, terms)
+def add_monomial(terms: TermMap, c: GaussianRational, expo: Exponent, k: int = 1) -> None:
+    """Add the bare monomial ``k * c * u^expo`` to the sum ``terms``, ``c != 0``
+    and ``k`` a nonzero int.  With ``k == 1`` no product is made: ``c`` is
+    summed by :func:`~contactcheck.linalg.add_terms`, so it is stored itself
+    when the monomial is new."""
+    if k == 1:
+        add_terms(terms, ((expo, c),))
+    else:
+        add_scaled(terms, (k, 0, 1), {expo: c})

@@ -12,7 +12,8 @@ from typing import Dict, List, Tuple
 
 from .contact import ContactChart, HomogeneousFunction
 from .forms import Coeff
-from .poly import Exponent, MultiPoly, ProductSum
+from .linalg import add_terms
+from .poly import Exponent, MultiPoly, TermMap, from_sum
 from .rootsystem import Root, RootSystem
 from .scalars import GaussianRational, from_triple
 
@@ -67,25 +68,24 @@ class SeededSampler:
         """A random homogeneous function of exact degree ``ell`` on the chart.
 
         The sum of ``terms`` drawn monomials ``c * u^e``, added as they are
-        drawn.
+        drawn by :func:`~contactcheck.linalg.add_terms`: no product is made.
         """
-        total = ProductSum(cc.chart.all_vars)
         for _ in range(50):
-            for _ in range(terms):
-                total.add_monomial(*self._monomial_term(cc, ell, max_base_degree))
-            coeff = total.poly()
-            if not coeff.is_zero():
-                return HomogeneousFunction(cc, coeff, ell)
+            total: TermMap = {}
+            add_terms(total, (self._monomial_term(cc, ell, max_base_degree) for _ in range(terms)))
+            if total:
+                return HomogeneousFunction(cc, from_sum(cc.chart.all_vars, total), ell)
         raise ValueError(f"cannot sample degree {ell} on {cc.label}")
 
     def monomial(self, cc: ContactChart, ell: int, max_base_degree: int = 3) -> Coeff:
-        scalar, expo = self._monomial_term(cc, ell, max_base_degree)
+        expo, scalar = self._monomial_term(cc, ell, max_base_degree)
         return MultiPoly(cc.chart.all_vars, {expo: scalar})
 
     def _monomial_term(
         self, cc: ContactChart, ell: int, max_base_degree: int
-    ) -> Tuple[GaussianRational, Exponent]:
-        """One draw of a degree-``ell`` monomial: its scalar, then its exponent."""
+    ) -> Tuple[Exponent, GaussianRational]:
+        """One draw of a degree-``ell`` monomial ``(e, c)``: its scalar is drawn
+        first, then its exponent."""
         chart = cc.chart
         scalar = self.gaussian(nonzero=True)
         if chart.fiber_var is None:
@@ -96,7 +96,7 @@ class SeededSampler:
             # fibered: weight sits entirely on the fiber exponent
             total = self._rng.randint(0, max_base_degree)
             expo = self._composition(total, len(chart.base_vars)) + [ell]
-        return scalar, tuple(expo)
+        return tuple(expo), scalar
 
     def _composition(self, total: int, slots: int) -> List[int]:
         expo = [0] * slots

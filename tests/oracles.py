@@ -21,7 +21,9 @@ and polynomial sums, products and derivatives over plain
 dicts keyed by ``(name, exponent)`` pairs instead of ``MultiPoly``'s
 exponent tuples over one variable tuple (with directional derivatives and
 field brackets built from whole partials and products of them instead of the
-library's partials read term by term into one running sum, substitution
+library's partials summed into one term dict, each derivative taken in one
+variable at a time and accumulated from zero instead of the library's one
+pass that reads every variable's partial off each term, substitution
 by repeated products of the images instead of the library's powers summed in
 one accumulator, and weighted degrees read from the t-exponents of the
 substitution ``x -> t^w x`` instead of the library's reads of the
@@ -30,7 +32,7 @@ image of a section and comparing component by component instead of the
 library's one quotient of unit images, Q(i) arithmetic on a pair of
 plain ``Fraction`` parts instead of the library's integer triples, and a
 multiply-accumulate sum built by the scalar operators in a plain dict from
-zero instead of ``ProductSum``'s sums in ints on those triples, and scaled
+zero instead of ``linalg.add_scaled``'s sums in ints on those triples, and scaled
 sparse vectors and dot products summed the same way instead of
 ``linalg``'s sums in ints.  They stay
 deliberately naive.

@@ -310,9 +310,10 @@ def test_all_is_the_sum_of_its_suites(capsys, samples):
 def test_lemma21_adds_no_zero_scalars(capsys, monkeypatch):
     """No Gaussian-rational sum on the Hamiltonian path has a zero operand.
 
-    The sums of ``ProductSum`` are done in ints on the scalars' triples and
-    never reach ``GaussianRational.__add__``, so this watches the scalar sums
-    of ``MultiPoly.__add__`` (``linalg.add_terms``); the kernel's sums are checked against
+    The sums of products, by ``linalg.add_scaled``, are done in ints on the
+    scalars' triples and never reach ``GaussianRational.__add__``, so this
+    watches the scalar sums of ``MultiPoly.__add__`` and of the sampler's
+    drawn monomials (``linalg.add_terms``); the kernel's sums are checked against
     operator sums by ``tests/test_poly.py::test_product_sum_matches_operator_sums``.
     """
     from contactcheck.scalars import GaussianRational
@@ -344,10 +345,10 @@ def test_chart_calculus_adds_no_zero_polynomials(capsys, monkeypatch):
 
     A sum made inside ``MultiPoly.__sub__`` or ``linalg.add_terms`` is
     charged to the caller of the subtraction or of the key-by-key sum.  The
-    sampler sums its monomials in a ``ProductSum`` and makes no polynomial
-    sum (:func:`test_products_are_summed_where_they_are_made` pins it); the
-    scalar sums of that kernel are done in ints and checked by
-    ``tests/test_poly.py::test_product_sum_matches_operator_sums``.
+    sampler sums its drawn monomials into one term dict and makes no
+    polynomial sum (:func:`test_products_are_summed_where_they_are_made` pins
+    it); the scalar sums of products are done in ints by ``linalg.add_scaled``
+    and checked by ``tests/test_poly.py::test_product_sum_matches_operator_sums``.
     """
     import sys
 
@@ -424,8 +425,8 @@ def test_calculus_results_are_not_checked_again(capsys, monkeypatch):
     assert calls["forms.py"] == []
 
 
-#: The functions that sum their products where they make them, in a
-#: ``ProductSum``, and the one call under them that may still build
+#: The functions that sum their products where they make them, into plain
+#: term dicts, and the one call under them that may still build
 #: polynomials: the chart's cached solve of ``-M^-1``.
 SUMMED_WHERE_MADE = {
     "forms.py": {"apply_to", "bracket", "interior_product"},

@@ -426,6 +426,26 @@ def test_a_transition_that_is_not_a_chart_map_between_its_charts_is_rejected():
             CStructureData(["V0", "V1"], gammas, {(0, 1): trans}, factors)
 
 
+def test_transition_and_factor_keys_are_checked_at_construction():
+    """A pair with an index outside the charts, or a pair that has a transition
+    or a factor but not both, raises ``ValueError`` naming the pair, not a bare
+    ``IndexError`` or, at cocycle time, ``KeyError``."""
+    cu, cx = ChartSpace(["u"]), ChartSpace(["x"])
+    u = cu.coeff_var("u")
+    gammas = [PolyForm.d_var(cu, "u"), PolyForm.d_var(cx, "x")]
+    trans = ChartMap(cu, cx, {"x": u})
+    one = cu.coeff_const(1)
+    for pair in ((0, -1), (-1, 1), (0, 2), (5, 1)):
+        with pytest.raises(ValueError, match=rf"transition_maps key \({pair[0]}, {pair[1]}\) names a chart outside 0\.\.1"):
+            CStructureData(["V0", "V1"], gammas, {pair: trans}, {pair: one})
+    for factors in ({}, {(0, 1): one, (1, 0): one}, {(1, 0): one}):
+        missing = (0, 1) if (0, 1) not in factors else (1, 0)
+        with pytest.raises(ValueError, match=rf"differ on the pair \({missing[0]}, {missing[1]}\)"):
+            CStructureData(["V0", "V1"], gammas, {(0, 1): trans}, factors)
+    cs = CStructureData(["V0", "V1"], gammas, {(0, 1): trans}, {(0, 1): one})
+    assert cs.factors == {(0, 1): one}
+
+
 def test_cocycle_check_rejects_an_n_that_does_not_fit_the_charts():
     """On 3-dimensional charts the top form is gamma ^ d gamma, so n = 0 or 2 has no identity to check."""
     cs = reconstruct_cstructure(hopf_chart(1), hopf_sections(1))

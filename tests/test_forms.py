@@ -596,35 +596,34 @@ def test_constant_symplectic_matrix():
 def test_d_and_the_sampler_make_no_scalar_product_by_one(monkeypatch):
     """The terms of a partial derivative in d, and the sampler's drawn
     monomials, are added as bare monomials: no call of the product kernel
-    ``ProductSum.add`` multiplies by the constant 1, as its terms or as its
-    scalar.  Products of a coefficient by an exponent k >= 2 still happen,
-    as ``add_monomial`` calls with that multiplier, so the wrappers are seen
-    to run."""
+    ``linalg.add_scaled``, wrapped at every module that binds it, multiplies
+    by the constant 1, as its terms or as its scalar.  Products of a
+    coefficient by an exponent k >= 2 still happen in d, as ``add_scaled``
+    calls with that int triple, so the wrappers are seen to run."""
+    from contactcheck import contact, forms, linalg, poly, sampling
     from contactcheck.contact import fibered_chart, hopf_chart
-    from contactcheck.poly import ProductSum
     from contactcheck.sampling import SeededSampler
     from contactcheck.scalars import ONE
 
-    add, add_monomial = ProductSum.add, ProductSum.add_monomial
+    add_scaled = linalg.add_scaled
     products, by_one = [], []
 
-    def counting_add(self, c, shift, terms, k=1):
-        products.append(c)
-        if c == ONE and k == 1 or terms == {(0,) * len(self.vars): ONE}:
-            by_one.append((c, terms))
-        return add(self, c, shift, terms, k)
-
-    def counting_add_monomial(self, c, expo, k=1):
-        if k != 1:
-            products.append(c)
-        return add_monomial(self, c, expo, k)
+    def counting_add_scaled(out, t, vec, shift=None):
+        products.append(t)
+        a, b, d = t
+        by_one_term = len(vec) == 1 and ONE in vec.values() and not any(next(iter(vec)))
+        if (a, b) == (d, 0) or by_one_term:
+            by_one.append((t, vec))
+        return add_scaled(out, t, vec, shift)
 
     charts = [hopf_chart(1), fibered_chart(1, 3), fibered_chart(2, -2)]
     z = C4.coeff_var("z0")
-    forms = [cc.theta for cc in charts] + [PolyForm.function(C4, z * z * z - z), hopf_theta(C4, 1)]
-    monkeypatch.setattr(ProductSum, "add", counting_add)
-    monkeypatch.setattr(ProductSum, "add_monomial", counting_add_monomial)
-    for form in forms:
+    cases = [cc.theta for cc in charts] + [PolyForm.function(C4, z * z * z - z), hopf_theta(C4, 1)]
+    bindings = [m for m in (linalg, poly, forms, contact, sampling) if getattr(m, "add_scaled", None) is add_scaled]
+    assert {linalg, poly, forms} <= set(bindings)
+    for module in bindings:
+        monkeypatch.setattr(module, "add_scaled", counting_add_scaled)
+    for form in cases:
         d(d(form))
     sampler = SeededSampler(2024)
     for cc in charts:

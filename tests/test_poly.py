@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactcheck.forms import ChartSpace
-from contactcheck.poly import MultiPoly, ProductSum
+from contactcheck.linalg import add_scaled, scaled_triple
+from contactcheck.poly import MultiPoly, add_monomial, add_product, from_sum
 from contactcheck.scalars import GaussianRational
 from conftest import gq
 from oracles import (
@@ -334,6 +335,22 @@ def test_laurent_mixed_partials_commute(f):
     assert f.diff("x").diff("lam") == f.diff("lam").diff("x")
 
 
+@given(laurents())
+@settings(max_examples=60, deadline=None)
+def test_one_pass_partials_match_the_naive_derivative_in_every_slot(f):
+    """``partial_terms`` reads every slot's partial in one pass; the terms of
+    each slot, as ``k * c`` at ``e``, are the oracle's derivative in that
+    variable, negative fiber exponents included.  No term has ``k == 0`` and
+    no slot repeats an exponent."""
+    pieces = list(f.partial_terms())
+    assert all(k and k == e[slot] + 1 for slot, k, c, e in pieces)
+    for slot, name in enumerate(f.vars):
+        mine = [(e, c * k) for s, k, c, e in pieces if s == slot]
+        assert len({e for e, _ in mine}) == len(mine)
+        got = {tuple(sorted((v, n) for v, n in zip(f.vars, e) if n)): c for e, c in mine}
+        assert got == naive_poly_diff(naive_poly(f), name), name
+
+
 @given(laurents(), coeffs.filter(lambda c: not c.is_zero()), st.integers(-3, 3))
 @settings(max_examples=40, deadline=None)
 def test_laurent_division_by_a_unit_is_exact(a, c, k):
@@ -545,8 +562,8 @@ def test_evaluate_sums_are_not_seeded_with_zero(capsys, monkeypatch):
     """No Gaussian-rational sum made in poly starts from ZERO or 0.
 
     ``evaluate`` seeds each sum with its first term; a zero polynomial
-    still evaluates to ZERO.  The CLI runs sum their products in
-    ``ProductSum``, on integer triples, so a multi-term ``evaluate`` is made
+    still evaluates to ZERO.  The CLI runs sum their products by
+    ``linalg.add_scaled``, on integer triples, so a multi-term ``evaluate`` is made
     under the spy too and its sums are seen.
     """
     import sys
@@ -608,18 +625,17 @@ def test_unit_products_against_dict_oracle(seed, expo, c):
 def test_add_monomial_stores_cancels_and_starts_afresh():
     """A new monomial is stored as given, a cancelling one is dropped, and one
     added again after cancelling starts afresh."""
-    total = ProductSum(XYZ)
+    total = {}
     c = gq(Fraction(3, 2), -1)
-    total.add_monomial(c, (1, 0, -2))
-    assert total.terms[(1, 0, -2)] is c
-    total.add(gq(2), (0, 1, 0), x.terms)
-    total.add_monomial(gq(-2), (1, 1, 0))
-    assert total.terms == {(1, 0, -2): c}
-    total.add_monomial(-c, (1, 0, -2))
-    assert total.terms == {}
-    total.add_monomial(gq(5), (1, 0, -2))
-    assert total.poly() == MultiPoly(XYZ, {(1, 0, -2): gq(5)})
-    assert total.terms == {}
+    add_monomial(total, c, (1, 0, -2))
+    assert total[(1, 0, -2)] is c
+    add_scaled(total, scaled_triple(gq(2), 1), x.terms, (0, 1, 0))
+    add_monomial(total, gq(-2), (1, 1, 0))
+    assert total == {(1, 0, -2): c}
+    add_monomial(total, -c, (1, 0, -2))
+    assert total == {}
+    add_monomial(total, gq(5), (1, 0, -2))
+    assert from_sum(XYZ, total) == MultiPoly(XYZ, {(1, 0, -2): gq(5)})
 
 
 UV = ("u", "v")
@@ -643,39 +659,43 @@ kernel_calls = st.one_of(
 )
 
 
-def _feed(total: ProductSum, call) -> list:
+def _feed(total: dict, call) -> list:
     """Make one kernel call; return its pieces ``(k, c, shift, terms)`` for the oracle."""
     kind, k = call[:2]
     if kind == "add":
         _, _, c, shift, terms = call
-        total.add(c, shift, terms, k)
+        add_scaled(total, scaled_triple(c, k), terms, shift)
         return [(k, c, shift, terms)]
     if kind == "add_monomial":
         _, _, c, expo = call
-        total.add_monomial(c, expo, k)
+        add_monomial(total, c, expo, k)
         return [(k, c, expo, {(0, 0): GaussianRational(1)})]
     _, _, p, q = call
-    total.add_product(MultiPoly(UV, p), MultiPoly(UV, q), k)
+    add_product(total, MultiPoly(UV, p), MultiPoly(UV, q), k)
     return [(k, c, e, q) for e, c in p.items()]
 
 
 @given(st.lists(kernel_calls, min_size=1, max_size=12), st.integers(0, 12))
 @settings(max_examples=200, deadline=None)
 def test_product_sum_matches_operator_sums(calls, again):
-    """``ProductSum`` against a dict summed by the scalar operators.  The calls
-    are made, then made again with ``-k``, so every monomial cancels and the
-    oracle is empty, then a prefix is made a third time, so monomials come
-    back after cancelling.  Every stored coefficient is canonical and nonzero."""
+    """A sum of products in one exponent -> scalar dict, fed by ``add_scaled``
+    on ``scaled_triple``, ``add_monomial`` and ``add_product``, against a dict
+    summed by the scalar operators.  The calls are made, then made again with
+    ``-k``, so every monomial cancels and the oracle is empty, then a prefix
+    is made a third time, so monomials come back after cancelling.  Every
+    stored coefficient is canonical and nonzero, and ``from_sum`` wraps the
+    dict as the polynomial of the oracle's terms."""
     negated = [(kind, -k, *rest) for kind, k, *rest in calls]
-    total = ProductSum(UV)
+    total = {}
     pieces = []
     for stage in (calls, negated, calls[:again]):
         pieces += [piece for call in stage for piece in _feed(total, call)]
-        assert total.terms == naive_product_sum(pieces)
-        for coeff in total.terms.values():
+        assert total == naive_product_sum(pieces)
+        for coeff in total.values():
             a, b, d = coeff.triple
             assert type(coeff) is GaussianRational and d > 0 and gcd(a, b, d) == 1
             assert (a, b) != (0, 0)
+    assert from_sum(UV, total) == MultiPoly(UV, naive_product_sum(pieces))
 
 
 @st.composite
