@@ -5,9 +5,12 @@ stdout (or ``--output``), and two runs with the same configuration produce
 byte-identical reports.  Exit codes: 0 all checks pass, 1 at least one check
 failed, 2 configuration error.
 
-:data:`ALL_SUITES` is the one list of what ``all`` runs: each entry names a
-command, its configuration, the prefix its check ids take in the merged
-report, and how ``all``'s ``--samples`` maps to the suite's.
+:data:`COMMANDS` is the one list of commands: each row gives a command's
+runner, help text, options and ``--samples`` default, and the parser, the
+runner lookup and ``all`` read it.  :data:`ALL_SUITES` is the one list of what
+``all`` runs: each entry names a command, its configuration, the prefix its
+check ids take in the merged report, and how ``all``'s ``--samples`` maps to
+the suite's.
 
 The default seed comes from the ``CONTACTCHECK_SEED`` environment variable
 when set, else 2024.
@@ -360,11 +363,40 @@ def run_all(config: Dict[str, object]) -> Report:
         suite_config = dict(suite_config)
         if rule is not None:
             suite_config.update(seed=seed, samples=rule(samples))
-        for result in RUNNERS[command](suite_config).results:
+        for result in COMMANDS[command][0](suite_config).results:
             report.results.append(
                 CheckResult(f"{prefix}/{result.check_id}", result.status, result.witness)
             )
     return report
+
+
+#: Options as (flag, argparse keywords) pairs: the positional algebra type,
+#: ``--n`` and the chart options are shared; the rest belong to one command.
+_TYPE = ("type", dict(choices=ALGEBRA_TYPES))
+_N = ("--n", dict(type=int, default=0))
+_MODEL = ("--model", dict(choices=("hopf", "fibered"), required=True))
+_CHART = (_MODEL, _N, ("--delta", dict(type=int, default=2)))
+_DUMP_FORMS = ("--dump-forms", dict(action="store_true", help="serialize theta, d theta, Euler field"))
+_DEGREES = (("--fdeg", dict(type=int)), ("--gdeg", dict(type=int)))
+_COCYCLE_N = ("--n", dict(type=int, required=True, help=f"0 (projective line) to {COCYCLE_MAX_N}"))
+
+#: Every command, in ``--help`` order: (runner, help, options, samples default).
+#: A command whose samples default is None takes neither ``--seed`` nor
+#: ``--samples``; every command takes ``--output``.
+COMMANDS = {
+    "roots": (run_roots, "emit a root system as JSON", (_TYPE,), None),
+    "algebra": (run_algebra, "emit structure constants, Killing form, grading", (_TYPE,), None),
+    "verify-contact": (run_verify_contact, "bundle axioms on a chart model", (*_CHART, _DUMP_FORMS), 5),
+    "verify-lemma21": (
+        run_verify_lemma21, "Hamiltonian identity suite for homogeneous pairs", (*_CHART, *_DEGREES), 1
+    ),
+    "verify-lemma22": (run_verify_lemma22, "theta-invariance and round-trip suite", _CHART, 5),
+    "cocycle": (run_cocycle, "canonical-bundle cocycle identity", (_COCYCLE_N,), None),
+    "quotient": (run_quotient, "sign-quotient descent suite", (_N,), 20),
+    "immersion": (run_immersion, "Jacobian/tangent-span rank suite", (_N,), 5),
+    "adjoint": (run_adjoint, "orbit, moment map and embedding suite", (_TYPE,), 5),
+    "all": (run_all, "run every suite but roots on fixed configurations", (), 5),
+}
 
 
 # -- argument plumbing ----------------------------------------------------------------
@@ -378,74 +410,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact verification suites for contact bundles and graded Lie algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, samples_default: int = 5) -> None:
-        p.add_argument("--seed", type=int, default=None, help="deterministic seed")
-        p.add_argument("--samples", type=int, default=samples_default)
-        p.add_argument("--output", type=str, default=None, help="write JSON here instead of stdout")
-
-    p = sub.add_parser("roots", help="emit a root system as JSON")
-    p.add_argument("type", choices=ALGEBRA_TYPES)
-    p.add_argument("--output", type=str, default=None)
-
-    p = sub.add_parser("algebra", help="emit structure constants, Killing form, grading")
-    p.add_argument("type", choices=ALGEBRA_TYPES)
-    p.add_argument("--output", type=str, default=None)
-
-    p = sub.add_parser("verify-contact", help="bundle axioms on a chart model")
-    p.add_argument("--model", choices=("hopf", "fibered"), required=True)
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--delta", type=int, default=2)
-    p.add_argument("--dump-forms", action="store_true", help="serialize theta, d theta, Euler field")
-    common(p)
-
-    p = sub.add_parser("verify-lemma21", help="Hamiltonian identity suite for homogeneous pairs")
-    p.add_argument("--model", choices=("hopf", "fibered"), required=True)
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--delta", type=int, default=2)
-    p.add_argument("--fdeg", type=int, default=None)
-    p.add_argument("--gdeg", type=int, default=None)
-    common(p, samples_default=1)
-
-    p = sub.add_parser("verify-lemma22", help="theta-invariance and round-trip suite")
-    p.add_argument("--model", choices=("hopf", "fibered"), required=True)
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--delta", type=int, default=2)
-    common(p)
-
-    p = sub.add_parser("cocycle", help="canonical-bundle cocycle identity")
-    p.add_argument("--n", type=int, required=True, help=f"0 (projective line) to {COCYCLE_MAX_N}")
-    p.add_argument("--output", type=str, default=None)
-
-    p = sub.add_parser("quotient", help="sign-quotient descent suite")
-    p.add_argument("--n", type=int, default=0)
-    common(p, samples_default=20)
-
-    p = sub.add_parser("immersion", help="Jacobian/tangent-span rank suite")
-    p.add_argument("--n", type=int, default=0)
-    common(p, samples_default=5)
-
-    p = sub.add_parser("adjoint", help="orbit, moment map and embedding suite")
-    p.add_argument("type", choices=ALGEBRA_TYPES)
-    common(p)
-
-    p = sub.add_parser("all", help="run every suite but roots on fixed configurations")
-    common(p)
+    for name, (_, help_text, options, samples_default) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        if samples_default is not None:
+            p.add_argument("--seed", type=int, help="deterministic seed")
+            p.add_argument("--samples", type=int, default=samples_default)
+        p.add_argument("--output", help="write JSON here instead of stdout")
     return parser
-
-
-RUNNERS = {
-    "roots": run_roots,
-    "algebra": run_algebra,
-    "verify-contact": run_verify_contact,
-    "verify-lemma21": run_verify_lemma21,
-    "verify-lemma22": run_verify_lemma22,
-    "cocycle": run_cocycle,
-    "quotient": run_quotient,
-    "immersion": run_immersion,
-    "adjoint": run_adjoint,
-    "all": run_all,
-}
 
 
 _parser: Optional[argparse.ArgumentParser] = None
@@ -467,12 +440,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise ConfigError(f"--samples must be >= 0, got {args.samples}")
         if hasattr(args, "seed"):
             config["seed"] = args.seed if args.seed is not None else _default_seed()
-        report = RUNNERS[args.command](config)
+        report = COMMANDS[args.command][0](config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     text = report.to_json()
-    output = getattr(args, "output", None)
+    output = args.output
     if output:
         try:
             with open(output, "w") as handle:

@@ -21,6 +21,7 @@ format of :mod:`contactcheck.poly`.
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
 from math import comb
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -819,22 +820,16 @@ def homogeneous_space_dim(n_proj: int, m: int) -> int:
 
 
 def monomial_basis(n_proj: int, m: int) -> List[MultiPoly]:
-    """All degree-m monomials in z0..zN, graded-lex order (the section basis)."""
+    """All degree-m monomials in z0..zN, graded-lex order (the section basis).
+
+    The exponent vectors come in descending lexicographic order: a sorted
+    multiset of m variable indices counts into one vector.
+    """
     names = tuple(f"z{i}" for i in range(n_proj + 1))
-    out: List[MultiPoly] = []
-    for expo in _compositions(m, n_proj + 1):
-        out.append(MultiPoly(names, {tuple(expo): ONE}))
-    return out
-
-
-def _compositions(total: int, slots: int) -> List[Tuple[int, ...]]:
-    if slots == 1:
-        return [(total,)]
-    out: List[Tuple[int, ...]] = []
-    for head in range(total, -1, -1):
-        for rest in _compositions(total - head, slots - 1):
-            out.append((head,) + rest)
-    return out
+    return [
+        MultiPoly(names, {tuple(map(chosen.count, range(n_proj + 1))): ONE})
+        for chosen in combinations_with_replacement(range(n_proj + 1), m)
+    ]
 
 
 def cstructure_from_charts(

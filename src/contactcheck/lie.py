@@ -35,11 +35,12 @@ table entry of its own, so it doubles as a self-test of the construction:
 :func:`killing` traces the final Q(i) table again, not the stage-1 values.
 After checking that the table is weight-homogeneous, :func:`killing` traces
 only the weight-compatible pairs (``w_i + w_j = 0``); every other trace is 0.
-The root duals follow by linearity from those of the simple roots, which
-come from one inverse of the r x r Cartan block of the Gram matrix.
+The dual ``h_rho`` of the highest root comes from one inverse of the r x r
+Cartan block of the Gram matrix; the dual of any other root is read off the
+table as ``-[e_a, e_{-a}]``.
 
-Every vector of the algebra -- bracket table entries, Gram rows, coroots,
-``H_rho`` and the spans -- is one sparse ``{index: value}`` dict that stores
+Every vector of the algebra -- bracket table entries, Gram rows, ``H_rho``
+and the spans -- is one sparse ``{index: value}`` dict that stores
 no zeros, so dict equality is vector equality; the arithmetic on them is
 the sum loops of :mod:`contactcheck.linalg`: a bracket scales each table
 entry by the triple product ``x_i y_j``, and the traces and ``B(x, y)`` are
@@ -63,7 +64,7 @@ from operator import add
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from . import linalg
-from .linalg import T, add_into, add_scaled, combine, dot
+from .linalg import T, add_scaled, combine, dot
 from .rootsystem import Root, RootSystem
 from .scalars import GaussianRational, Immutable, ONE, ZERO, Triple, from_triple
 
@@ -345,22 +346,21 @@ def build_algebra(rs: RootSystem) -> StructureConstants:
 
 
 class KillingData(Immutable):
-    """Killing Gram matrix, root duals h_a, and the grading element H_rho.
+    """Killing Gram matrix and the grading element H_rho.
 
     ``gram[i]`` holds the nonzero entries of Gram row i, and
     ``cartan_inverse`` the sparse rows of the inverse of its r x r Cartan
-    block; the coroots and ``hrho`` are sparse vectors on the Cartan indices.
+    block; ``hrho`` is a sparse vector on the Cartan indices.  The dual h_a
+    of any root is ``-[e_a, e_{-a}]``, a table entry.
     """
 
-    __slots__ = ("sc", "gram", "cartan_inverse", "coroots", "hrho")
+    __slots__ = ("sc", "gram", "cartan_inverse", "hrho")
 
     def __init__(self, sc: StructureConstants, gram: List[SparseVec],
-                 cartan_inverse: List[SparseVec], coroots: Dict[Root, SparseVec],
-                 hrho: SparseVec):
+                 cartan_inverse: List[SparseVec], hrho: SparseVec):
         object.__setattr__(self, "sc", sc)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "cartan_inverse", cartan_inverse)
-        object.__setattr__(self, "coroots", coroots)
         object.__setattr__(self, "hrho", hrho)
 
     def form(self, x: SparseVec, y: SparseVec) -> GaussianRational:
@@ -371,7 +371,7 @@ class KillingData(Immutable):
 
 
 def killing(sc: StructureConstants) -> KillingData:
-    """Killing form by trace, plus h_a for every root and the normalized H_rho.
+    """Killing form by trace, plus the normalized H_rho = 2 h_rho / B(h_rho, h_rho).
 
     Every ``[e_i, e_j]`` must lie in weight ``w_i + w_j`` (the h's in weight
     0), or ``ArithmeticError`` names the pair.  Then ``ad e_i . ad e_j`` shifts
@@ -404,35 +404,16 @@ def killing(sc: StructureConstants) -> KillingData:
         cartan_inverse = linalg.inverse(gram[:rank])
     except ValueError:
         raise ArithmeticError("Killing form degenerate on the Cartan subalgebra") from None
-    # h_b is linear in b: solve for the simple roots (B(h_{a_i}, h_j) =
-    # <a_i, a_j^v> = A[i][j]), then h_{b + a_i} = h_b + h_{a_i} up the
-    # positive roots in height order, and h_{-b} = -h_b.
-    simple = [
-        combine({m: GaussianRational(a) for m, a in enumerate(row) if a}, cartan_inverse)
-        for row in rs.cartan.entries
-    ]
-    positives = rs.positive_roots()
-    coroots: Dict[Root, SparseVec] = {}
-    for root in positives:
-        if sum(root) == 1:
-            coroots[root] = simple[root.index(1)]
-            continue
-        for i, h_simple in enumerate(simple):
-            lower = root[:i] + (root[i] - 1,) + root[i + 1:]
-            if lower in coroots:
-                h_sum = dict(coroots[lower])
-                add_into(h_sum, ONE, h_simple)
-                coroots[root] = h_sum
-                break
-    for k, root in enumerate(positives):
-        coroots[rs.roots[k + n_pos]] = {m: -c for m, c in coroots[root].items()}
-    h_rho = coroots[rs.highest]
-    # B(h_rho, h_rho) = rho(h_rho), by the duality the solve above enforces.
-    pairings = {k: rs.cartan.coroot_pairing(rs.highest, k) for k in h_rho}
-    norm = dot((c, GaussianRational(pairings[k])) for k, c in h_rho.items() if pairings[k])
+    # B(h_rho, h_m) = rho(h_m) = <rho, a_m^v> on the Cartan basis, so h_rho is
+    # the combination of inverse rows those pairings select, and
+    # B(h_rho, h_rho) = rho(h_rho) is their pairing with h_rho.
+    rho_row = [rs.cartan.coroot_pairing(rs.highest, m) for m in range(rank)]
+    pairings = {m: GaussianRational(a) for m, a in enumerate(rho_row) if a}
+    h_rho = combine(pairings, cartan_inverse)
+    norm = dot((c, pairings[k]) for k, c in h_rho.items() if k in pairings)
     factor = GaussianRational(2) / norm
     hrho = {k: factor * c for k, c in h_rho.items()}
-    return KillingData(sc, gram, cartan_inverse, coroots, hrho)
+    return KillingData(sc, gram, cartan_inverse, hrho)
 
 
 # -- grading ------------------------------------------------------------------------

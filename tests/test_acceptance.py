@@ -67,14 +67,16 @@ def test_criterion_1_lie_algebra_suite(algebra_bundle):
             lhs = kd.form(sc.bracket(units[a], units[b]), units[c])
             rhs = kd.form(units[b], sc.bracket(units[a], units[c]))
             assert lhs == -rhs, (name, a, b, c)
+        # [e_a, e_{-a}] = -h_a with B(h_a, h_k) = <a, a_k^v> on the Cartan basis.
+        duals = {}
         for root in rs.roots:
             i = sc.basis.root_index(root)
             j = sc.basis.root_index(rs.negative(root))
-            assert sc.bracket(units[i], units[j]) == {k: -v for k, v in kd.coroots[root].items()}, (
-                name,
-                root,
-            )
-        assert kd.form(kd.coroots[rs.highest], kd.hrho) == GaussianRational(2), name
+            duals[root] = {k: -v for k, v in sc.bracket(units[i], units[j]).items()}
+            for k in range(rs.rank):
+                pairing = GaussianRational(rs.cartan.coroot_pairing(root, k))
+                assert kd.form(duals[root], units[k]) == pairing, (name, root, k)
+        assert kd.form(duals[rs.highest], kd.hrho) == GaussianRational(2), name
         dims = gd.dims()
         assert sum(dims) == n and dims[0] == dims[4] == 1, name
         assert set(gd.pieces) == {-2, -1, 0, 1, 2}

@@ -707,8 +707,8 @@ def test_library_cocycle_report_is_pinned(n, checks, digest):
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
 
 
-#: Argv fuzz: each command's options with cheap valid values (rank <= 3,
-#: n <= 2, samples <= 2); the first entry of a command is always given.
+#: Argv fuzz: cheap valid values (rank <= 3, n <= 2, samples <= 2) for each
+#: option ``cli.COMMANDS`` names but ``--output``.
 FUZZ_VALUES = {
     "type": st.sampled_from(ALGEBRA_TYPES),
     "--model": st.sampled_from(["hopf", "fibered"]),
@@ -719,17 +719,17 @@ FUZZ_VALUES = {
     "--samples": st.integers(0, 2),
     "--seed": st.integers(0, 3),
 }
+#: Each command's options, read from its row; the first entry is always given.
 FUZZ_COMMANDS = {
-    "roots": ("type",),
-    "algebra": ("type",),
-    "verify-contact": ("--model", "--n", "--delta", "--samples", "--seed", "--dump-forms"),
-    "verify-lemma21": ("--model", "--n", "--delta", "--fdeg", "--gdeg", "--samples", "--seed"),
-    "verify-lemma22": ("--model", "--n", "--delta", "--samples", "--seed"),
-    "cocycle": ("--n",),
-    "quotient": ("--n", "--samples", "--seed"),
-    "immersion": ("--n", "--samples", "--seed"),
-    "adjoint": ("type", "--samples", "--seed"),
-    "all": ("--samples", "--seed"),
+    name: tuple(flag for flag, _ in options) + (() if samples is None else ("--samples", "--seed"))
+    for name, (_, _, options, samples) in cli.COMMANDS.items()
+}
+#: The options that take no value.
+FUZZ_FLAGS = {
+    flag
+    for _, _, options, _ in cli.COMMANDS.values()
+    for flag, keywords in options
+    if keywords.get("action") == "store_true"
 }
 #: Tokens that replace one argv entry, or are appended, in a bad argv.
 FUZZ_BAD = ["-1", "0", "x", "", "1.5", "Z9", "torus", "--bogus", "bogus", "/nonexistent/x.json"]
@@ -742,9 +742,9 @@ def fuzz_argv(draw):
     for index, arg in enumerate(FUZZ_COMMANDS[command]):
         if index and not draw(st.booleans()):
             continue
-        if arg == "type":
+        if not arg.startswith("-"):
             argv.append(draw(FUZZ_VALUES[arg]))
-        elif arg == "--dump-forms":
+        elif arg in FUZZ_FLAGS:
             argv.append(arg)
         else:
             argv += [arg, str(draw(FUZZ_VALUES[arg]))]
@@ -775,6 +775,33 @@ def test_argv_fuzz_keeps_the_exit_code_contract(argv):
     assert report["schema"] == 1
     has_fail = any(r["status"] == "fail" for r in report["results"])
     assert (rc == 1) == has_fail == (report["ok"] is False), argv
+
+
+def test_fuzz_values_cover_every_option_of_the_table():
+    """A new command or option gets fuzzed with no edit to the fuzz."""
+    named = {arg for args in FUZZ_COMMANDS.values() for arg in args}
+    assert named - FUZZ_FLAGS <= set(FUZZ_VALUES)
+    assert set(FUZZ_VALUES) <= named
+
+
+@pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+def test_every_command_renders_its_help(name, capsys):
+    """Help text is formatted only when rendered: a stray ``%`` in an option's help fails here."""
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert out.startswith(f"usage: contactcheck {name} ") and "--output OUTPUT" in out
+
+
+def test_the_command_list_renders(capsys):
+    """Each command's own help text is rendered on the top-level list alone."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert exc.value.code == 0
+    assert out.startswith("usage: contactcheck ")
+    assert all(help_text in out for _, help_text, _, _ in cli.COMMANDS.values())
 
 
 #: One process's calls: an argparse error and a ConfigError (both rc 2) between

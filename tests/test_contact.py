@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -41,7 +42,7 @@ from contactcheck.forms import (
 )
 from contactcheck.poly import MultiPoly
 from contactcheck.sampling import SeededSampler
-from contactcheck.scalars import GaussianRational
+from contactcheck.scalars import GaussianRational, ONE
 from conftest import gq
 from faults import BAD_HOPF_LABEL, corrupted_hopf_chart, exact_shifted_hopf_chart
 from oracles import (
@@ -591,6 +592,18 @@ def test_homogeneous_space_dims():
         homogeneous_space_dim(0, 2)
     with pytest.raises(ValueError):
         homogeneous_space_dim(2, -1)
+
+
+@pytest.mark.parametrize("n_proj", [0, 1, 2, 3])
+def test_monomial_basis_is_in_descending_lex_order(n_proj):
+    """Each exponent vector of total m, once, largest first, with coefficient 1."""
+    names = tuple(f"z{i}" for i in range(n_proj + 1))
+    for m in range(5):
+        vectors = itertools.product(range(m + 1), repeat=n_proj + 1)
+        expected = sorted((e for e in vectors if sum(e) == m), reverse=True)
+        basis = monomial_basis(n_proj, m)
+        assert [p.vars for p in basis] == [names] * len(expected)
+        assert [p.terms for p in basis] == [{e: ONE} for e in expected], m
 
 
 def test_section_space_injectivity_on_samples():

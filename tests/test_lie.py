@@ -72,14 +72,29 @@ def test_cartan_action_on_root_vectors(algebra_bundle):
             assert sc.bracket({i: ONE}, {idx: ONE}) == expected
 
 
+def table_dual(sc, root):
+    """``h_a = -[e_a, e_{-a}]``, read off the bracket table."""
+    i = sc.basis.root_index(root)
+    j = sc.basis.root_index(sc.basis.rs.negative(root))
+    return {k: -c for k, c in sc.bracket({i: ONE}, {j: ONE}).items()}
+
+
+def solved_dual(rs, kd, root):
+    """The h_a with ``B(h_a, h_i) = <a, a_i^v>``, by a dense solve on the Cartan block."""
+    from oracles import dense_solve
+
+    rank = rs.rank
+    cartan_gram = [dense_vector(row, rank) for row in kd.gram[:rank]]
+    rhs = [GaussianRational(rs.cartan.coroot_pairing(root, i)) for i in range(rank)]
+    return {k: c for k, c in enumerate(dense_solve(cartan_gram, rhs)) if not c.is_zero()}
+
+
 @pytest.mark.parametrize("name", CORE_TYPES)
 def test_weyl_normalization(name, algebra_bundle):
     """[e_a, e_{-a}] = -h_a with h_a the Killing dual of the root functional."""
     rs, sc, kd, _ = algebra_bundle(name)
     for root in rs.roots:
-        i = sc.basis.root_index(root)
-        j = sc.basis.root_index(rs.negative(root))
-        assert sc.bracket({i: ONE}, {j: ONE}) == {k: -c for k, c in kd.coroots[root].items()}
+        assert table_dual(sc, root) == solved_dual(rs, kd, root), root
 
 
 @pytest.mark.parametrize("name", CORE_TYPES)
@@ -87,18 +102,18 @@ def test_killing_duality_property(name, algebra_bundle):
     """B(h_a, H) = a(H) for Cartan H, the defining property of the duals."""
     rs, sc, kd, _ = algebra_bundle(name)
     for root in rs.roots:
+        h_a = table_dual(sc, root)
         for i in range(rs.rank):
-            assert kd.form(kd.coroots[root], {i: ONE}) == GaussianRational(
-                rs.cartan.coroot_pairing(root, i)
-            )
+            assert kd.form(h_a, {i: ONE}) == GaussianRational(rs.cartan.coroot_pairing(root, i))
 
 
 def test_a1_numbers(algebra_bundle):
     """B(h, h) = 8 for the simple coroot, h_a = h/4, a(h_a) = 1/2."""
     rs, sc, kd, _ = algebra_bundle("A1")
     assert kd.gram[0][0] == 8
-    assert kd.coroots[(1,)][0] == GaussianRational(Fraction(1, 4))
-    assert kd.form(kd.coroots[(1,)], kd.coroots[(1,)]) == GaussianRational(Fraction(1, 2))
+    h_a = table_dual(sc, (1,))
+    assert h_a == {0: GaussianRational(Fraction(1, 4))}
+    assert kd.form(h_a, h_a) == GaussianRational(Fraction(1, 2))
     # B(e_a, e_{-a}) = -1 after normalization
     i, j = sc.basis.root_index((1,)), sc.basis.root_index((-1,))
     assert kd.form({i: ONE}, {j: ONE}) == -1
@@ -140,8 +155,8 @@ def test_killing_invariance_exhaustive(name, algebra_bundle):
 
 @pytest.mark.parametrize("name", CORE_TYPES)
 def test_rho_normalization(name, algebra_bundle):
-    rs, _, kd, _ = algebra_bundle(name)
-    assert kd.form(kd.coroots[rs.highest], kd.hrho) == GaussianRational(2)
+    rs, sc, kd, _ = algebra_bundle(name)
+    assert kd.form(table_dual(sc, rs.highest), kd.hrho) == GaussianRational(2)
 
 
 GRADING_DIMS = {
@@ -378,15 +393,12 @@ def test_g00_check_fails_on_a_swapped_span(name, algebra_bundle):
 
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_linear_coroots_equal_the_cartan_solve(name, algebra_bundle):
-    from oracles import dense_solve
-
-    rs, sc, kd, _ = algebra_bundle(name)
-    rank = rs.rank
-    cartan_gram = [dense_vector(row, rank) for row in kd.gram[:rank]]
-    for root in rs.roots:
-        rhs = [GaussianRational(rs.cartan.coroot_pairing(root, i)) for i in range(rank)]
-        solved = dense_solve(cartan_gram, rhs)
-        assert kd.coroots[root] == {k: c for k, c in enumerate(solved) if not c.is_zero()}, root
+    """H_rho, a combination of the inverse Cartan rows, is 2 h_rho / B(h_rho, h_rho)
+    with h_rho the dense solve on the Cartan block."""
+    rs, _, kd, _ = algebra_bundle(name)
+    h_rho = solved_dual(rs, kd, rs.highest)
+    factor = GaussianRational(2) / kd.form(h_rho, h_rho)
+    assert kd.hrho == {k: factor * c for k, c in h_rho.items()}
 
 
 def fraction_form(cartan):

@@ -442,7 +442,6 @@ def test_no_sparse_vector_stores_a_zero(name, algebra_bundle):
     families = {
         "table rows": [entry for row in sc.rows for entry in row.values()],
         "gram rows": kd.gram,
-        "coroots": list(kd.coroots.values()),
         "hrho": [kd.hrho],
         "exp_ad columns": [col for auto in autos for col in auto.columns],
         "compose": composed.columns,
