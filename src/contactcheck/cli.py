@@ -40,6 +40,10 @@ if TYPE_CHECKING:
 DEFAULT_SEED = 2024
 #: Largest n the ``cocycle`` command accepts.
 COCYCLE_MAX_N = 3
+#: Largest n the ``quotient`` command accepts: its dimension counts build every
+#: monomial of degree up to 6 in 2n + 2 variables, 100,947 of degree 6 at n = 8
+#: and 3,262,623 at n = 16.
+QUOTIENT_MAX_N = 8
 ALGEBRA_TYPES = tuple(sorted(CARTAN_MATRICES))
 
 
@@ -208,6 +212,8 @@ def run_cocycle(config: Dict[str, object]) -> Report:
 
 def run_quotient(config: Dict[str, object]) -> Report:
     n = int(config["n"])
+    if n > QUOTIENT_MAX_N:
+        raise ConfigError(f"the quotient suite runs for n <= {QUOTIENT_MAX_N}, got {n}")
     sampler = SeededSampler(int(config["seed"]))
     cc = _chart_for("hopf", n, 2)
     monomials = []
@@ -228,17 +234,18 @@ def run_immersion(config: Dict[str, object]) -> Report:
         contact.HomogeneousFunction(cc, cc.chart.coeff(p), 2) for p in basis
     ]
     points = [sampler.point(cc) for _ in range(_samples(config))]
-    rep = contact.immersion_rank(cc, fs, points)
+    rows = contact.immersion_rank(cc, fs, points)
     report = Report(config)
-    report.config["payload"] = {"rows": rep.rows, "expected_rank": rep.full_rank}
+    report.config["payload"] = {"rows": rows, "expected_rank": cc.dim}
     report.extend(
         [
-            check("immersion:ranks-consistent", rep.consistent()),
-            check("immersion:full-rank", rep.all_full()),
+            check("immersion:ranks-consistent", all(r["jacobian_rank"] == r["span_rank"] for r in rows)),
+            check("immersion:full-rank", all(r["jacobian_rank"] == cc.dim for r in rows)),
         ]
     )
     single = contact.immersion_rank(cc, fs[:1], points[:1])
-    report.extend([check("immersion:single-function-deficient", not single.all_full())])
+    deficient = any(r["jacobian_rank"] != cc.dim for r in single)
+    report.extend([check("immersion:single-function-deficient", deficient)])
     return report
 
 

@@ -464,44 +464,6 @@ def check_invariance_identities(
 # -- sections, induced structures on the base, cocycles -------------------------------
 
 
-class SectionMap(Immutable):
-    """A holomorphic local section over one base chart.
-
-    ``images`` sends every total-space variable to a coefficient function on
-    the section's own base coordinates, spelled over ``source`` (else
-    ``ValueError`` naming the section).  A section of the projection follows
-    one rule on both chart flavors: ``unit_var`` has weight 1 and a nonzero
-    constant image c, and every other chart variable x maps to ``c^(w_x) *
-    v`` for its own source coordinate v, the v's covering the source's base
-    variables.  On a global chart (all weights 1) that is an affine section
-    of the projectivization; on a fibered chart (base weight 0, fiber weight
-    1) ``unit_var`` is the fiber and the base variables map to coordinates.
-    The transitions and gauges of :func:`reconstruct_cstructure` are read
-    off the sections by that rule: the gauge of the pair (i, j) is
-    ``sigma_i(unit_j) / sigma_j(unit_j)``, and ``f_ij = g_ij^delta`` is the
-    cross-check of the pulled-back forms against it.
-    """
-
-    __slots__ = ("label", "source", "images", "unit_var")
-
-    def __init__(
-        self,
-        label: str,
-        source: ChartSpace,
-        images: Mapping[str, Coeff],
-        unit_var: str,
-    ):
-        try:
-            for image in images.values():
-                source.require_spelled(image)
-        except ValueError as exc:
-            raise ValueError(f"section {label}: {exc}") from None
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "images", dict(images))
-        object.__setattr__(self, "unit_var", unit_var)
-
-
 class CStructureData(Immutable):
     """Chart forms gamma_i with Laurent transition data on the overlaps.
 
@@ -510,11 +472,12 @@ class CStructureData(Immutable):
     Laurent polynomials in chart-i coordinates; ``factors[(i, j)]`` is the
     Laurent polynomial (holomorphic on the overlap) with
     ``gamma_i = f_ij * transition_maps[(i, j)].pull(gamma_j)``.  Everything on the
-    overlap of charts i and j is spelled over chart i's coordinates.  A pair
-    ``(i, j)`` with an index outside ``range(len(gammas))``, a transition
-    that is not a ``ChartMap`` between the charts, or a pair that has a
-    transition or a factor but not both raises ``ValueError``.  The factor
-    values themselves are not checked: a wrong one fails the cocycle check.
+    overlap of charts i and j is spelled over chart i's coordinates.  A label
+    given to two charts, a pair ``(i, j)`` with an index outside
+    ``range(len(gammas))``, a transition that is not a ``ChartMap`` between
+    the charts, or a pair that has a transition or a factor but not both
+    raises ``ValueError``.  The factor values themselves are not checked: a
+    wrong one fails the cocycle check.
 
     The forms share one odd dimension 2n + 1, which fixes n, and each top form
     ``gamma_i ^ (d gamma_i)^n`` is built here, once, into ``tops``.  (C.1): its
@@ -524,6 +487,9 @@ class CStructureData(Immutable):
     __slots__ = ("charts", "gammas", "transition_maps", "factors", "gauges", "tops")
 
     def __init__(self, charts, gammas, transition_maps, factors, gauges=None):
+        for k, label in enumerate(charts):
+            if label in charts[:k]:
+                raise ValueError(f"the label {label} names more than one chart")
         dims = {gamma.chart.dim for gamma in gammas}
         if len(dims) > 1 or any(dim % 2 == 0 for dim in dims):
             raise ValueError(f"c-structure chart forms need one odd dimension 2n + 1, not {sorted(dims)}")
@@ -564,15 +530,18 @@ def _proportionality_factor(target: PolyForm, source: PolyForm) -> Optional[Mult
     return factor if source.scale(factor) == target else None
 
 
-def _section_coordinates(cc: ContactChart, section: SectionMap) -> Optional[Dict[str, str]]:
-    """The source coordinate ``v`` of each chart variable ``x`` but the unit
-    one, or None when the section breaks the rule of :class:`SectionMap`."""
-    images, unit = section.images, section.unit_var
-    if set(images) != set(cc.chart.all_vars) or cc.weights.get(unit) != 1:
+def _section_coordinates(cc: ContactChart, section: ChartMap) -> Optional[Tuple[str, Dict[str, str]]]:
+    """The unit variable of ``section`` and the source coordinate ``v`` of each
+    other chart variable ``x``, or None when the map breaks the section rule
+    of :func:`reconstruct_cstructure`."""
+    if section.target != cc.chart:
         return None
-    c = images[unit].constant_value() if images[unit].is_constant() else ZERO
-    if c.is_zero():
+    images = section.images
+    units = [x for x, image in images.items() if cc.weights[x] == 1 and image.is_constant() and not image.is_zero()]
+    if len(units) != 1:
         return None
+    unit = units[0]
+    c = images[unit].constant_value()
     source = section.source
     coords: Dict[str, str] = {}
     for name in cc.chart.all_vars:
@@ -586,54 +555,66 @@ def _section_coordinates(cc: ContactChart, section: SectionMap) -> Optional[Dict
         if image != source.coeff_var(v).scale(c ** cc.weights[name]):
             return None
         coords[name] = v
-    return coords if len(coords) == len(source.base_vars) else None
+    return (unit, coords) if len(coords) == len(source.base_vars) else None
 
 
-def hopf_sections(n: int) -> List[SectionMap]:
-    """The 2n+2 affine sections of the punctured-space chart over projective space."""
-    cc_names = [f"z{i}" for i in range(2 * n + 2)]
-    sections = []
+def hopf_sections(n: int) -> Dict[str, ChartMap]:
+    """The 2n+2 affine sections ``V0 .. V{2n+1}`` of the punctured-space chart
+    over projective space, each a map to ``hopf_chart(n).chart``."""
+    target = hopf_chart(n).chart
+    sections = {}
     for i in range(2 * n + 2):
         source = ChartSpace([f"u{j}" for j in range(2 * n + 2) if j != i])
         one = source.coeff_const(1)
-        images = {x: one if j == i else source.coeff_var(f"u{j}") for j, x in enumerate(cc_names)}
-        sections.append(SectionMap(f"V{i}", source, images, unit_var=cc_names[i]))
+        images = {x: one if j == i else source.coeff_var(f"u{j}") for j, x in enumerate(target.all_vars)}
+        sections[f"V{i}"] = ChartMap(source, target, images)
     return sections
 
 
-def reconstruct_cstructure(cc: ContactChart, sections: Sequence[SectionMap]) -> CStructureData:
+def reconstruct_cstructure(cc: ContactChart, sections: Mapping[str, ChartMap]) -> CStructureData:
     """Pull theta back along each section and assemble the transition data.
 
-    Each section's coordinates are read once, by the rule of
-    :class:`SectionMap`, and every overlap is read off them.  Chart j reads
-    its coordinate ``v`` of ``x`` back as ``x / unit_j^(w_x)``, which undoes
-    its own section, so the transition ``pi_j o sigma_i`` of the pair (i, j)
-    is ``v -> sigma_i(x) / sigma_i(unit_j)^(w_x)``.  The gauge ``g_ij`` with
-    ``sigma_i = R_(g_ij) sigma_j`` is ``sigma_i(unit_j) / sigma_j(unit_j)``:
-    the image of a chart variable is a nonzero monomial, so ``g_ij`` is a unit
-    ``c * u^e`` of the Laurent ring, nowhere zero on the overlap.  Verifies,
-    exactly: each section is a right inverse of the projection; the (C.2)
-    checks of :func:`cstructure_from_charts` on the pulled-back forms, and, as
-    their cross-check against the section rule, ``f_ij = g_ij^delta``; then
-    the (C.1) check of the one :class:`CStructureData` it builds.
+    ``sections`` maps each chart label to a holomorphic local section over
+    that base chart: a :class:`~contactcheck.forms.ChartMap` from the
+    section's own base coordinates to ``cc.chart``.  A section of the
+    projection follows one rule on both chart flavors: exactly one chart
+    variable of weight 1, its unit variable, has a nonzero constant image c,
+    and every other chart variable x maps to ``c^(w_x) * v`` for its own
+    source coordinate v, the v's covering the source's base variables.  On a
+    global chart (all weights 1) that is an affine section of the
+    projectivization; on a fibered chart (base weight 0, fiber weight 1) the
+    unit variable is the fiber and the base variables map to coordinates.  A
+    map to another chart, or one that breaks the rule, raises ``ValueError``
+    naming its label.
+
+    Each section's unit variable and coordinates are read once, by that rule,
+    and every overlap is read off them.  Chart j reads its coordinate ``v`` of
+    ``x`` back as ``x / unit_j^(w_x)``, which undoes its own section, so the
+    transition ``pi_j o sigma_i`` of the pair (i, j) is ``v -> sigma_i(x) /
+    sigma_i(unit_j)^(w_x)``.  The gauge ``g_ij`` with ``sigma_i = R_(g_ij)
+    sigma_j`` is ``sigma_i(unit_j) / sigma_j(unit_j)``: the image of a chart
+    variable is a nonzero monomial, so ``g_ij`` is a unit ``c * u^e`` of the
+    Laurent ring, nowhere zero on the overlap.  Verifies, exactly: each
+    section is a right inverse of the projection; the (C.2) checks of
+    :func:`cstructure_from_charts` on the pulled-back forms, and, as their
+    cross-check against the section rule, ``f_ij = g_ij^delta``; then the
+    (C.1) check of the one :class:`CStructureData` it builds.
     """
-    coords = [_section_coordinates(cc, section) for section in sections]
-    for section, coord in zip(sections, coords):
-        if coord is None:
-            raise ValueError(f"{section.label} is not a section of the projection")
-    labels = [s.label for s in sections]
-    gammas = [ChartMap(s.source, cc.chart, s.images).pull(cc.theta) for s in sections]
+    labels, sigmas = list(sections), list(sections.values())
+    read = [_section_coordinates(cc, sigma) for sigma in sigmas]
+    for label, found in zip(labels, read):
+        if found is None:
+            raise ValueError(f"{label} is not a section of the projection")
+    gammas = [sigma.pull(cc.theta) for sigma in sigmas]
     transition_maps: Dict[Tuple[int, int], Dict[str, MultiPoly]] = {}
     gauges: Dict[Tuple[int, int], MultiPoly] = {}
-    for i, sec_i in enumerate(sections):
-        for j, sec_j in enumerate(sections):
+    for i, sigma_i in enumerate(sigmas):
+        for j, (unit_j, coords_j) in enumerate(read):
             if i == j:
                 continue
-            unit = sec_i.images[sec_j.unit_var]
-            transition_maps[(i, j)] = {
-                v: sec_i.images[x] / unit ** cc.weights[x] for x, v in coords[j].items()
-            }
-            gauges[(i, j)] = unit / sec_j.images[sec_j.unit_var].constant_value()
+            unit = sigma_i.images[unit_j]
+            transition_maps[(i, j)] = {v: sigma_i.images[x] / unit ** cc.weights[x] for x, v in coords_j.items()}
+            gauges[(i, j)] = unit / sigmas[j].images[unit_j].constant_value()
     maps, factors = _compatibility_factors(labels, gammas, transition_maps)
     for (i, j), g in gauges.items():
         if factors[(i, j)] != g ** cc.delta:
@@ -739,34 +720,20 @@ def quotient_checks(n: int, monomials: Sequence[Coeff]) -> List[CheckResult]:
 # -- immersion rank data --------------------------------------------------------------
 
 
-class RankReport(Immutable):
-    """Per-point Jacobian and tangent-span ranks for an associated map."""
-
-    __slots__ = ("rows", "full_rank")
-
-    def __init__(self, rows: List[dict], full_rank: int):
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "full_rank", full_rank)
-
-    def all_full(self) -> bool:
-        return all(r["jacobian_rank"] == self.full_rank for r in self.rows)
-
-    def consistent(self) -> bool:
-        return all(r["jacobian_rank"] == r["span_rank"] for r in self.rows)
-
-
 def immersion_rank(
     cc: ContactChart,
     fs: Sequence[HomogeneousFunction],
     points: Sequence[Mapping[str, GaussianRational]],
-) -> RankReport:
-    """Exact rank of the associated map's Jacobian at each sample point,
-    cross-checked against the dimension of the Hamiltonian-field span.
+) -> List[dict]:
+    """One row per sample point: the exact rank of the associated map's
+    Jacobian there, cross-checked against the dimension of the
+    Hamiltonian-field span.
 
     The two ranks agree point by point: the span of the ``X'_{f_j}`` at a
-    point is the full tangent space exactly when the differential of
-    ``F = (f_0, ..., f_N)`` is injective there.  When the rank is full,
-    ``F`` itself cannot vanish at the point, which the rows record.
+    point is the full tangent space (rank ``cc.dim``) exactly when the
+    differential of ``F = (f_0, ..., f_N)`` is injective there.  When the
+    rank is full, ``F`` itself cannot vanish at the point, which the rows
+    record.
     """
     if not fs:
         raise ValueError("need at least one function")
@@ -792,7 +759,7 @@ def immersion_rank(
                 "f_nonzero": any(not v.is_zero() for v in values_f),
             }
         )
-    return RankReport(rows, chart.dim)
+    return rows
 
 
 def _require_admissible_point(cc: ContactChart, point: Mapping[str, GaussianRational]) -> None:
@@ -849,8 +816,9 @@ def cstructure_from_charts(
     one form, each transition key two charts, and each transition gives an
     image of every variable of the chart of ``gamma_j``, and of nothing else,
     spelled over the chart of ``gamma_i``; a transition that breaks this is
-    rejected by its pair of labels.  A chart with a fiber variable is
-    rejected by its label, naming the form's fiber dependence if it has one.
+    rejected by its pair of labels.  A label given to two forms is rejected
+    by name, and a chart with a fiber variable by its label, naming the
+    form's fiber dependence if it has one.
     """
     maps, factors = _compatibility_factors(labels, gammas, transition_maps)
     return CStructureData(list(labels), list(gammas), maps, factors)

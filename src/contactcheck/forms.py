@@ -503,11 +503,15 @@ class ChartMap(Immutable):
 
     An image is an element of the Laurent ring spelled over ``source.all_vars``,
     which on an overlap may invert coordinates, such as ``u0 -> u1^-1``.  The
-    constructor checks the images once -- a missing image, or an image of a
-    name that is not a target variable, raises ``ValueError`` -- and builds
-    their differentials once.  :meth:`pull` is the one pullback of the package,
-    along a section and along a chart transition; a form with negative powers
-    of the target fiber pulls back only along a unit fiber image ``c * fiber^k``.
+    constructor checks the images once -- a missing image, an image of a name
+    that is not a target variable, or an image spelled over other variables
+    than ``source``'s raises ``ValueError`` -- and builds their differentials
+    once.  It is the package's one map between charts: a chart transition, and
+    a local section from its base chart to a contact chart, whose unit
+    variable :func:`~contactcheck.contact.reconstruct_cstructure` reads off
+    its images.  :meth:`pull` is the one pullback of the package, along either;
+    a form with negative powers of the target fiber pulls back only along a
+    unit fiber image ``c * fiber^k``.
     """
 
     __slots__ = ("source", "target", "images", "_differentials", "_unit_fiber")

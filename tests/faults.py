@@ -36,7 +36,8 @@ def exact_shifted_hopf_chart(n: int = 1) -> ContactChart:
     """hopf(n) with theta shifted by the exact form d(z0 z1) = z1 dz0 + z0 dz1.
 
     d(theta) is unchanged and the shift has weight 2, so the chart is
-    accepted, but the forms pulled back along ``hopf_sections(n)`` change: on
+    accepted, but the forms pulled back along the sections change: the
+    ``ChartMap`` values ``hopf_sections(n)["V0"]``, ``["V1"]``, ....  On
     hopf(0) theta becomes 2 z0 dz1, which vanishes along V1, so V1 alone
     breaks (C.1) and beside V0 breaks (C.2) on the pair (V0, V1) first; on
     larger n the pullbacks are no longer related by the section gauges,

@@ -654,12 +654,17 @@ def naive_gauge(weights: Dict[str, int], sec_i, sec_j, trans: Dict[str, MultiPol
     variable x, or None when there is no such single-term g.
 
     Substitute and compare: every image of ``sigma_j`` is carried to chart i
-    by :func:`naive_substitute`; chart j's unit variable has weight 1, so its
-    two images give the one candidate, and every component is compared with
-    ``g^(w_x)`` times its carried image by repeated products.
+    by :func:`naive_substitute`.  Chart j's unit variable is found by reading
+    every image: it is the one variable of weight 1 whose image has a single
+    nonzero term, of the empty monomial.  Its two images give the one
+    candidate, and every component is compared with ``g^(w_x)`` times its
+    carried image by repeated products.
     """
+    units = [x for x, image in sec_j.images.items() if weights[x] == 1 and list(_nonzero(naive_poly(image))) == [()]]
+    if len(units) != 1:
+        return None
     moved = {x: naive_substitute(image, trans) for x, image in sec_j.images.items()}
-    num, den = naive_poly(sec_i.images[sec_j.unit_var]), moved[sec_j.unit_var]
+    num, den = naive_poly(sec_i.images[units[0]]), moved[units[0]]
     if len(num) != 1 or len(den) != 1:
         return None
     g = naive_poly_mul(num, _naive_unit_inverse(den))

@@ -204,13 +204,13 @@ def test_criterion_8_immersion_suite():
         basis = monomial_basis(2 * n + 1, 2)
         fs = [HomogeneousFunction(cc, cc.chart.coeff(p), 2) for p in basis]
         points = [sampler.point(cc) for _ in range(25)]
-        rep = immersion_rank(cc, fs, points)
-        assert rep.full_rank == 2 * n + 2
-        assert rep.consistent(), rep.rows
-        assert rep.all_full(), rep.rows
-        assert all(row["f_nonzero"] for row in rep.rows)
+        rows = immersion_rank(cc, fs, points)
+        assert len(rows) == 25 and cc.dim == 2 * n + 2
+        assert all(row["jacobian_rank"] == row["span_rank"] for row in rows), rows
+        assert all(row["jacobian_rank"] == 2 * n + 2 for row in rows), rows
+        assert all(row["f_nonzero"] for row in rows)
         single = immersion_rank(cc, fs[:1], points[:3])
-        assert all(row["jacobian_rank"] < 2 * n + 2 for row in single.rows)
+        assert all(row["jacobian_rank"] < 2 * n + 2 for row in single)
     _report(8, "immersion rank suite")
 
 

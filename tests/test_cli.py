@@ -159,6 +159,7 @@ def test_algebra_a2_contact_base_dim(capsys):
     ["all", "--samples", "0"],
     ["cocycle", "--n", "4"],
     ["cocycle", "--n", "-1"],
+    ["quotient", "--n", str(cli.QUOTIENT_MAX_N + 1)],
 ])
 def test_bad_hopf_input_is_config_error(capsys, command):
     code = main(command)

@@ -10,7 +10,6 @@ from contactcheck.contact import (
     CStructureData,
     ContactChart,
     HomogeneousFunction,
-    SectionMap,
     canonical_cocycle_check,
     check_invariance_identities,
     check_scaling_identities,
@@ -473,19 +472,17 @@ def test_hopf_sections_give_contact_forms():
 def test_fibered_unit_section():
     cc = fibered_chart(0, 2)
     src = ChartSpace(["z0"])
-    section = SectionMap(
-        "S", src, {"z0": src.coeff_var("z0"), "lam": src.coeff_const(1)}, unit_var="lam"
-    )
-    cs = reconstruct_cstructure(cc, [section])
+    section = ChartMap(src, cc.chart, {"z0": src.coeff_var("z0"), "lam": src.coeff_const(1)})
+    cs = reconstruct_cstructure(cc, {"S": section})
     assert cs.gammas[0] == PolyForm.d_var(src, "z0")
 
 
 def test_constant_gauge_sections():
     cc = fibered_chart(0, 3)
     src = ChartSpace(["z0"])
-    s1 = SectionMap("S1", src, {"z0": src.coeff_var("z0"), "lam": src.coeff_const(2)}, "lam")
-    s2 = SectionMap("S2", src, {"z0": src.coeff_var("z0"), "lam": src.coeff_const(1)}, "lam")
-    cs = reconstruct_cstructure(cc, [s1, s2])
+    s1 = ChartMap(src, cc.chart, {"z0": src.coeff_var("z0"), "lam": src.coeff_const(2)})
+    s2 = ChartMap(src, cc.chart, {"z0": src.coeff_var("z0"), "lam": src.coeff_const(1)})
+    cs = reconstruct_cstructure(cc, {"S1": s1, "S2": s2})
     assert cs.gauges[(0, 1)] == src.coeff_const(2)
     assert cs.factors[(0, 1)] == src.coeff_const(8)  # c^delta
 
@@ -493,11 +490,9 @@ def test_constant_gauge_sections():
 def test_bad_section_rejected():
     cc = hopf_chart(0)
     src = ChartSpace(["u1"])
-    bad = SectionMap(
-        "B", src, {"z0": src.coeff_const(1), "z1": src.coeff_var("u1") + src.coeff_const(1)}, "z0"
-    )
-    with pytest.raises(ValueError):
-        reconstruct_cstructure(cc, [bad])
+    bad = ChartMap(src, cc.chart, {"z0": src.coeff_const(1), "z1": src.coeff_var("u1") + src.coeff_const(1)})
+    with pytest.raises(ValueError, match="^B is not a section of the projection$"):
+        reconstruct_cstructure(cc, {"B": bad})
 
 
 # -- quotient ---------------------------------------------------------------------------------
@@ -527,20 +522,18 @@ def test_immersion_rank_quadratics_point():
     cc = hopf_chart(0)
     basis = monomial_basis(1, 2)
     fs = [HomogeneousFunction(cc, cc.chart.coeff(p), 2) for p in basis]
-    rep = immersion_rank(cc, fs, [{"z0": gq(1), "z1": gq(1)}])
-    assert rep.rows[0]["jacobian_rank"] == 2
-    assert rep.rows[0]["span_rank"] == 2
-    assert rep.rows[0]["f_nonzero"]
-    assert rep.all_full() and rep.consistent()
+    (row,) = immersion_rank(cc, fs, [{"z0": gq(1), "z1": gq(1)}])
+    assert row["jacobian_rank"] == 2 == cc.dim
+    assert row["span_rank"] == 2
+    assert row["f_nonzero"]
 
 
 def test_immersion_single_function_deficient():
     cc = hopf_chart(0)
     z0 = cc.chart.coeff_var("z0")
     fs = [HomogeneousFunction(cc, z0 * z0, 2)]
-    rep = immersion_rank(cc, fs, [{"z0": gq(1), "z1": gq(1)}])
-    assert rep.rows[0]["jacobian_rank"] == 1
-    assert not rep.all_full()
+    (row,) = immersion_rank(cc, fs, [{"z0": gq(1), "z1": gq(1)}])
+    assert row["jacobian_rank"] == 1 < cc.dim
 
 
 def test_immersion_linear_coordinates():
@@ -549,8 +542,8 @@ def test_immersion_linear_coordinates():
         HomogeneousFunction(cc, cc.chart.coeff_var("z0"), 1),
         HomogeneousFunction(cc, cc.chart.coeff_var("z1"), 1),
     ]
-    rep = immersion_rank(cc, fs, [{"z0": gq(2), "z1": gq(-3)}])
-    assert rep.rows[0]["jacobian_rank"] == 2
+    (row,) = immersion_rank(cc, fs, [{"z0": gq(2), "z1": gq(-3)}])
+    assert row["jacobian_rank"] == 2
 
 
 def test_immersion_validations():
@@ -988,12 +981,12 @@ def test_a_chart_form_on_a_fibered_chart_is_rejected_by_label():
         cstructure_from_charts(["V0", "V1"], [gamma0, gamma1], maps)
 
 
-def test_a_section_image_spelled_off_its_source_chart_is_rejected_by_label():
-    """A section's images live on its source chart: spelled over anything else, the section is named."""
+def test_a_section_image_spelled_off_its_source_chart_is_rejected():
+    """A section's images live on its source chart: spelled over anything else, its map is not built."""
     src = ChartSpace(["u1"])
     images = {"z0": src.coeff_const(1), "z1": MultiPoly.variable("u1", ("u1", "w"))}
-    with pytest.raises(ValueError, match=r"^section B: u1 is spelled over \('u1', 'w'\), not over the chart ChartSpace\(\('u1',\)"):
-        SectionMap("B", src, images, "z0")
+    with pytest.raises(ValueError, match=r"^u1 is spelled over \('u1', 'w'\), not over the chart ChartSpace\(\('u1',\)"):
+        ChartMap(src, hopf_chart(0).chart, images)
 
 
 def test_a_section_naming_no_source_variable_is_invalid():
@@ -1004,18 +997,18 @@ def test_a_section_naming_no_source_variable_is_invalid():
     cc = fibered_chart(0, 2)
     src = ChartSpace(["w"])
     for image in (src.coeff_var("w").scale(2), src.coeff_const(1), src.coeff_var("w") ** 2):
-        section = SectionMap("S", src, {"z0": image, "lam": src.coeff_const(1)}, "lam")
+        section = ChartMap(src, cc.chart, {"z0": image, "lam": src.coeff_const(1)})
         with pytest.raises(ValueError, match="^S is not a section of the projection$"):
-            reconstruct_cstructure(cc, [section])
+            reconstruct_cstructure(cc, {"S": section})
 
 
 def test_a_fibered_section_may_rename_its_base_coordinate():
     """z0 -> w, lam -> 3 is a section; its pair with z0 -> z0, lam -> 1 has the gauge 3."""
     cc = fibered_chart(0, 2)
     src_w, src_z = ChartSpace(["w"]), ChartSpace(["z0"])
-    s_w = SectionMap("W", src_w, {"z0": src_w.coeff_var("w"), "lam": src_w.coeff_const(3)}, "lam")
-    s_z = SectionMap("Z", src_z, {"z0": src_z.coeff_var("z0"), "lam": src_z.coeff_const(1)}, "lam")
-    cs = reconstruct_cstructure(cc, [s_w, s_z])
+    s_w = ChartMap(src_w, cc.chart, {"z0": src_w.coeff_var("w"), "lam": src_w.coeff_const(3)})
+    s_z = ChartMap(src_z, cc.chart, {"z0": src_z.coeff_var("z0"), "lam": src_z.coeff_const(1)})
+    cs = reconstruct_cstructure(cc, {"W": s_w, "Z": s_z})
     assert cs.transition_maps[(0, 1)].images == {"z0": src_w.coeff_var("w")}
     assert cs.transition_maps[(1, 0)].images == {"w": src_z.coeff_var("z0")}
     assert cs.gauges[(0, 1)] == src_w.coeff_const(3)
@@ -1024,23 +1017,79 @@ def test_a_fibered_section_may_rename_its_base_coordinate():
 
 
 def test_a_fibered_section_needs_the_fiber_as_its_unit():
-    """The unit variable has weight 1: on a fibered chart only the fiber qualifies."""
+    """The unit variable has weight 1: on a fibered chart only the fiber qualifies.
+
+    With the images swapped, the one constant image is on the base variable
+    of weight 0, so the map has no unit variable.
+    """
     cc = fibered_chart(0, 2)
     src = ChartSpace(["z0"])
     images = {"z0": src.coeff_var("z0"), "lam": src.coeff_const(1)}
-    cs = reconstruct_cstructure(cc, [SectionMap("S", src, images, "lam")])
+    cs = reconstruct_cstructure(cc, {"S": ChartMap(src, cc.chart, images)})
     assert cs.gammas == [PolyForm.d_var(src, "z0")]
+    swapped = {"z0": images["lam"], "lam": images["z0"]}
     with pytest.raises(ValueError, match="^S is not a section of the projection$"):
-        reconstruct_cstructure(cc, [SectionMap("S", src, images, "z0")])
+        reconstruct_cstructure(cc, {"S": ChartMap(src, cc.chart, swapped)})
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_hopf_sections_are_chart_maps_keyed_by_label(n):
+    """hopf_sections(n) is keyed V0 .. V{2n+1} in order, each a map to hopf_chart(n).chart with z_i -> 1."""
+    sections = hopf_sections(n)
+    assert list(sections) == [f"V{i}" for i in range(2 * n + 2)]
+    target = hopf_chart(n).chart
+    for i, section in enumerate(sections.values()):
+        assert isinstance(section, ChartMap) and section.target == target
+        assert section.images[f"z{i}"] == section.source.coeff_const(1)
+
+
+def _off_sections():
+    """(chart, a section of it, a map that is none) for each way the rule can break."""
+    hopf0, hopf1, fib = hopf_chart(0), hopf_chart(1), fibered_chart(0, 2)
+    u, uu, z = ChartSpace(["u1"]), ChartSpace(["u0", "u1"]), ChartSpace(["z0"])
+    one, u1 = u.coeff_const(1), u.coeff_var("u1")
+    v0 = hopf_sections(0)["V0"]
+    return {
+        "target-another-chart": (hopf1, hopf_sections(1)["V0"], v0),
+        "target-same-names-other-order": (hopf0, v0, ChartMap(u, ChartSpace(["z1", "z0"]), {"z0": one, "z1": u1})),
+        "two-constant-units": (hopf0, v0, ChartMap(u, hopf0.chart, {"z0": one, "z1": one.scale(2)})),
+        "no-constant-unit": (hopf0, v0, ChartMap(uu, hopf0.chart, {f"z{k}": uu.coeff_var(f"u{k}") for k in (0, 1)})),
+        "fibered-no-constant-unit": (
+            fib,
+            ChartMap(z, fib.chart, {"z0": z.coeff_var("z0"), "lam": z.coeff_const(1)}),
+            ChartMap(z, fib.chart, {"z0": z.coeff_var("z0"), "lam": z.coeff_var("z0")}),
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_off_sections()))
+def test_a_map_off_the_section_rule_is_rejected_by_label(case):
+    """A map to another chart, or with other than one constant unit image on a
+    weight-1 variable, is no section; the error names its label, not its neighbour's."""
+    cc, good, bad = _off_sections()[case]
+    assert reconstruct_cstructure(cc, {"A": good}).charts == ["A"]
+    with pytest.raises(ValueError, match="^B is not a section of the projection$"):
+        reconstruct_cstructure(cc, {"A": good, "B": bad})
+
+
+def test_a_repeated_label_is_rejected_by_name():
+    """Two charts under one label would share a check id, so neither entry point takes one."""
+    cs = reconstruct_cstructure(hopf_chart(1), hopf_sections(1))
+    maps = {pair: trans.images for pair, trans in cs.transition_maps.items()}
+    for labels, repeated in ((["V0", "V0", "V2", "V3"], "V0"), (["V0", "V1", "V2", "V1"], "V1")):
+        with pytest.raises(ValueError, match=f"^the label {repeated} names more than one chart$"):
+            cstructure_from_charts(labels, cs.gammas, maps)
+        with pytest.raises(ValueError, match=f"^the label {repeated} names more than one chart$"):
+            CStructureData(labels, cs.gammas, cs.transition_maps, cs.factors)
 
 
 def _renamed_sections(n, prefix):
     """hopf_sections(n) with each source coordinate u<m> renamed <prefix><m>."""
-    out = []
-    for section in hopf_sections(n):
+    out = {}
+    for label, section in hopf_sections(n).items():
         source = ChartSpace([prefix + name[1:] for name in section.source.all_vars])
         images = {x: MultiPoly(source.all_vars, image.terms) for x, image in section.images.items()}
-        out.append(SectionMap(section.label, source, images, section.unit_var))
+        out[label] = ChartMap(source, section.target, images)
     return out
 
 
@@ -1068,7 +1117,7 @@ def test_reconstruct_reports_c2_through_one_path():
     cc = ContactChart(chart, theta, 2, {"z0": 1, "z1": 1}, label="exact")
     u1 = MultiPoly.variable("u1")
     maps = {(0, 1): {"u0": u1**-1}, (1, 0): {"u1": MultiPoly.variable("u0") ** -1}}
-    gammas = [ChartMap(s.source, chart, s.images).pull(theta) for s in hopf_sections(0)]
+    gammas = [section.pull(theta) for section in hopf_sections(0).values()]
     assert cstructure_from_charts(["V0", "V1"], gammas, maps).factors[(0, 1)] == -(u1**2)
     with pytest.raises(ValueError, match=r"^\(C\.2\) fails for pair \(V0, V1\)$"):
         reconstruct_cstructure(cc, hopf_sections(0))
@@ -1080,7 +1129,7 @@ def test_a_vanishing_chart_form_fails_c1():
     V1 alone has no pair, so the record's (C.1) check is what fails.
     """
     with pytest.raises(ValueError, match=r"^\(C\.1\) fails for V1: gamma \^ \(d gamma\)\^0 = 0$"):
-        reconstruct_cstructure(exact_shifted_hopf_chart(0), hopf_sections(0)[1:])
+        reconstruct_cstructure(exact_shifted_hopf_chart(0), {"V1": hopf_sections(0)["V1"]})
 
 
 def test_the_pairs_are_checked_before_c1():
@@ -1092,9 +1141,10 @@ def test_the_pairs_are_checked_before_c1():
 def _fibered_pair(delta, c, base):
     """fibered(0, delta) with z0 -> base, lam -> c against z0 -> z0, lam -> 1: the gauge is c."""
     src, src_z = ChartSpace([base]), ChartSpace(["z0"])
-    s = SectionMap("S", src, {"z0": src.coeff_var(base), "lam": src.coeff_const(c)}, "lam")
-    z = SectionMap("Z", src_z, {"z0": src_z.coeff_var("z0"), "lam": src_z.coeff_const(1)}, "lam")
-    return fibered_chart(0, delta), [s, z]
+    cc = fibered_chart(0, delta)
+    s = ChartMap(src, cc.chart, {"z0": src.coeff_var(base), "lam": src.coeff_const(c)})
+    z = ChartMap(src_z, cc.chart, {"z0": src_z.coeff_var("z0"), "lam": src_z.coeff_const(1)})
+    return cc, {"S": s, "Z": z}
 
 
 GAUGE_CASES = {
@@ -1110,16 +1160,30 @@ def test_gauges_match_the_substitute_and_compare_oracle(case):
     """Each gauge read off the unit images is the one g with sigma_i = g^w * (sigma_j o T_ij)."""
     cc, sections = GAUGE_CASES[case]
     cs = reconstruct_cstructure(cc, sections)
+    assert cs.charts == list(sections)
     assert len(cs.gauges) == len(sections) * (len(sections) - 1)
+    sigmas = list(sections.values())
     for (i, j), trans in cs.transition_maps.items():
-        g = naive_gauge(cc.weights, sections[i], sections[j], trans.images)
+        g = naive_gauge(cc.weights, sigmas[i], sigmas[j], trans.images)
         assert g is not None and naive_poly(cs.gauges[(i, j)]) == g
 
 
 def test_the_gauge_oracle_rejects_a_transition_off_the_sections():
     """u0 -> u1 + 1 is no transition of hopf(0)'s sections: no gauge relates them."""
-    v0, v1 = hopf_sections(0)
+    v0, v1 = hopf_sections(0).values()
     assert naive_gauge({"z0": 1, "z1": 1}, v0, v1, {"u0": MultiPoly.variable("u1") + 1}) is None
+
+
+def test_the_gauge_oracle_needs_one_unit_variable():
+    """The oracle finds chart j's unit on its own: two constant images, or none, give no gauge."""
+    v0, v1 = hopf_sections(0).values()
+    trans = reconstruct_cstructure(hopf_chart(0), hopf_sections(0)).transition_maps[(0, 1)].images
+    weights = {"z0": 1, "z1": 1}
+    assert naive_gauge(weights, v0, v1, trans) is not None
+    src = v1.source
+    u0, one = src.coeff_var("u0"), src.coeff_const(1)
+    for images in ({"z0": one, "z1": one}, {"z0": u0, "z1": u0}):
+        assert naive_gauge(weights, v0, ChartMap(src, v1.target, images), trans) is None
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])
@@ -1129,7 +1193,7 @@ def test_reconstruct_reads_each_section_once(monkeypatch, n):
     coordinates = contact._section_coordinates
 
     def counted(cc, section):
-        calls.append(section.label)
+        calls.append(section)
         return coordinates(cc, section)
 
     monkeypatch.setattr(contact, "_section_coordinates", counted)

@@ -9,8 +9,6 @@ from contactcheck.contact import (
     CStructureData,
     ContactChart,
     HomogeneousFunction,
-    RankReport,
-    SectionMap,
     euler_field,
     hopf_chart,
     hopf_sections,
@@ -40,12 +38,10 @@ def _instances():
     kd = killing(sc)
     gd = grade(sc, kd)
     cc = hopf_chart(1)
-    sections = hopf_sections(1)
     root = rs.roots[0]
-    cs = reconstruct_cstructure(cc, sections)
+    cs = reconstruct_cstructure(cc, hopf_sections(1))
     built = [
-        cc, HomogeneousFunction(cc, cc.chart.coeff_zero(), 0), sections[0],
-        cs, RankReport([], 3),
+        cc, HomogeneousFunction(cc, cc.chart.coeff_zero(), 0), cs,
         cc.chart, cs.transition_maps[(0, 1)], cc.theta, euler_field(cc),
         sc.basis, sc, kd, gd,
         exp_ad(sc, root, 1), orbit_sample(sc, [(root, 1)]),
@@ -57,7 +53,7 @@ def _instances():
 
 
 VALUE_TYPES = [
-    ContactChart, HomogeneousFunction, SectionMap, CStructureData, RankReport,
+    ContactChart, HomogeneousFunction, CStructureData,
     ChartSpace, ChartMap, PolyForm, PolyVectorField,
     LieBasis, StructureConstants, KillingData, GradedDecomposition,
     AlgebraAutomorphism, OrbitPoint,
